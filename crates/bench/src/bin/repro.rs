@@ -1932,8 +1932,56 @@ fn trace_out(path: &str, query_log_path: Option<&str>) {
     }
 }
 
+/// Every flag `repro` understands; the second list takes a value.
+const SWITCHES: [&str; 19] = [
+    "--smoke",
+    "--orderby",
+    "--cyclic",
+    "--bench-pr4",
+    "--bench-pr6",
+    "--bench-pr9",
+    "--bench-pr10",
+    "--check-baseline",
+    "--conformance",
+    "--quick",
+    "--fig3",
+    "--fig4",
+    "--fig5",
+    "--table3",
+    "--table4",
+    "--cardinalities",
+    "--ablations",
+    "--plans",
+    "--profiles",
+];
+const VALUE_FLAGS: [&str; 4] = ["--rows", "--cases", "--trace-out", "--query-log"];
+
+/// Rejects anything that is not a known flag (or the value of one), so a
+/// typo cannot silently select the full multi-minute suite.
+fn check_args(args: &[String]) -> Result<(), String> {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if VALUE_FLAGS.contains(&arg.as_str()) {
+            if rest.next().is_none() {
+                return Err(format!("{arg} needs a value"));
+            }
+        } else if !SWITCHES.contains(&arg.as_str()) {
+            return Err(format!("unknown argument `{arg}`"));
+        }
+    }
+    Ok(())
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(problem) = check_args(&args) {
+        eprintln!(
+            "repro: {problem}\nflags: {} {}",
+            SWITCHES.join(" "),
+            VALUE_FLAGS.map(|flag| format!("{flag} <value>")).join(" ")
+        );
+        std::process::exit(2);
+    }
     let has = |flag: &str| args.iter().any(|a| a == flag);
     let value_of = |flag: &str| {
         args.iter()

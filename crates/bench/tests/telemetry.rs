@@ -87,6 +87,134 @@ fn figure1_queries_all_land_in_the_query_log_as_ok() {
     assert_eq!(shapes.len(), FIGURE1_QUERIES.len());
 }
 
+/// `execute`, `run`, `profile` and the query log are views over one
+/// execution: same match count, and the logged operators are the PROFILE
+/// tree in pre-order — for classic queries and clause pipelines alike.
+#[test]
+fn execute_run_profile_and_the_query_log_agree() {
+    let env = ExecutionEnvironment::new(ExecutionConfig::with_workers(WORKERS));
+    let graph = figure1_graph(&env);
+    let log = Arc::new(MemoryQueryLog::new());
+    let engine = CypherEngine::for_graph(&graph).with_query_log(log.clone());
+    let matching = MatchingConfig::cypher_default();
+    let no_params = HashMap::new();
+    let pipelines = [
+        "MATCH (a:Person)-[:knows]->(b:Person) WITH a, count(*) AS degree \
+         OPTIONAL MATCH (a)-[:studyAt]->(u:University) \
+         RETURN a.name, degree ORDER BY degree DESC, a.name LIMIT 2",
+        "MATCH (p:Person)-[:knows]->(q:Person) WITH q, collect(p.name) AS fans \
+         UNWIND fans AS fan RETURN q.name, fan ORDER BY q.name, fan",
+    ];
+    for (query, simple) in FIGURE1_QUERIES
+        .iter()
+        .map(|q| (*q, true))
+        .chain(pipelines.iter().map(|q| (*q, false)))
+    {
+        let table = engine
+            .run(&graph, query, &no_params, matching)
+            .unwrap_or_else(|e| panic!("{query}: {e}"));
+        let profile = engine
+            .profile(&graph, query, &no_params, matching)
+            .unwrap_or_else(|e| panic!("{query}: {e}"));
+        assert_eq!(table.rows.len() as u64, profile.matches, "{query}");
+        assert!(profile.matches > 0, "{query}");
+        if simple {
+            let result = engine
+                .execute(&graph, query, &no_params, matching)
+                .unwrap_or_else(|e| panic!("{query}: {e}"));
+            assert_eq!(result.count() as u64, profile.matches, "{query}");
+        } else {
+            // Every MATCH stage shows its operators, timed, under the root.
+            let subtrees = profile
+                .root
+                .children
+                .iter()
+                .filter(|child| !child.children.is_empty())
+                .count();
+            assert_eq!(subtrees, query.matches("MATCH (").count(), "{query}");
+            assert!(profile.root.children.iter().any(|c| c.wall_seconds > 0.0));
+        }
+        // One record per call; every view logged the same operator rows.
+        let records = log.drain();
+        assert_eq!(records.len(), if simple { 3 } else { 2 }, "{query}");
+        for record in &records {
+            assert_eq!(record.outcome, QueryOutcome::Ok, "{query}");
+            assert_eq!(record.matches, profile.matches, "{query}");
+            let logged: Vec<(String, u64)> = record
+                .operators
+                .iter()
+                .map(|op| (op.name.clone(), op.rows_out))
+                .collect();
+            assert_eq!(logged, profile.root.operator_rows(), "{query}");
+        }
+    }
+}
+
+/// A Filter-over-Join plan runs as one fused kernel, yet the walker's join
+/// and filter nodes report exactly what `join_embeddings` followed by
+/// `filter_embeddings` produce when called directly on the same inputs.
+#[test]
+fn fused_filter_over_join_counts_match_the_separate_operators() {
+    use gradoop_core::operators::{filter_embeddings, join_embeddings};
+    use gradoop_core::{execute_plan, plan_query, Estimator, ExplainNode, PlanNode};
+    use gradoop_dataflow::JoinStrategy;
+
+    let env = ExecutionEnvironment::new(ExecutionConfig::with_workers(WORKERS));
+    let graph = figure1_graph(&env);
+    let matching = MatchingConfig::cypher_default();
+    let ast = gradoop_cypher::parse(FIGURE1_QUERIES[3]).unwrap();
+    let query = gradoop_cypher::QueryGraph::from_query(&ast).unwrap();
+    let statistics = gradoop_epgm::GraphStatistics::of(&graph);
+    let plan = plan_query(&query, &Estimator::new(&statistics)).unwrap();
+    let PlanNode::Filter { input, clauses } = &plan.root else {
+        panic!("expected a Filter root:\n{}", plan.explain.to_text());
+    };
+    let PlanNode::Join {
+        left,
+        right,
+        variables,
+    } = input.as_ref()
+    else {
+        panic!("expected Filter over Join:\n{}", plan.explain.to_text());
+    };
+
+    let collector = Arc::new(CollectingSink::new());
+    env.set_trace_sink(Some(collector.clone()));
+    let walk = |node: &PlanNode, explain: &ExplainNode| {
+        execute_plan(node, explain, &query, &graph, &matching, &collector)
+    };
+    let (fused, filter) = walk(&plan.root, &plan.explain);
+    let join = &filter.children[0];
+
+    let join_explain = &plan.explain.children[0];
+    let (left_set, _) = walk(left, &join_explain.children[0]);
+    let (right_set, _) = walk(right, &join_explain.children[1]);
+    let strategy = JoinStrategy::RepartitionHash;
+    let joined = join_embeddings(&left_set, &right_set, variables, &matching, strategy);
+    let clause_list: Vec<_> = clauses
+        .iter()
+        .map(|&index| query.cross_clauses[index].0.clone())
+        .collect();
+    let filtered = filter_embeddings(&joined, &clause_list);
+    env.set_trace_sink(None);
+
+    assert_eq!(join.rows_out, joined.data.count() as u64);
+    assert_eq!(
+        join.rows_in,
+        (left_set.data.count() + right_set.data.count()) as u64
+    );
+    assert_eq!(filter.rows_in, join.rows_out);
+    assert_eq!(filter.rows_out, filtered.data.count() as u64);
+    assert_eq!(fused.data.count(), filtered.data.count());
+    assert!(
+        join.rows_out > filter.rows_out,
+        "the filter must drop a pair for the comparison to mean anything"
+    );
+    // The fused filter ran inside the join's stage.
+    assert_eq!(filter.stages, 0);
+    assert!(join.stages > 0);
+}
+
 #[test]
 fn committed_baseline_parses_and_passes_the_gate_against_itself() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr6_baseline.json");

@@ -1,27 +1,32 @@
 //! The engine entry point: parse → simplify → plan → execute, exactly the
 //! pipeline of paper Section 3.
+//!
+//! There is one execution path. Every run is parsed once, fingerprinted
+//! once, planned once (or answered from the plan cache) and executed by the
+//! one plan walker ([`execute_plan`](crate::execute_plan)) with per-operator
+//! counters on; [`CypherEngine::execute`], [`CypherEngine::run`],
+//! [`CypherEngine::profile`] and the query log are views over that run, and
+//! [`CypherEngine::explain`] is the same front half without the execution.
 
 use std::collections::HashMap;
+use std::sync::Arc;
+use std::time::Instant;
 
-use gradoop_cypher::ast::{Pipeline, Projection, ProjectionExpr, Stage};
+use gradoop_cypher::ast::{Pipeline, Projection, ProjectionExpr, Query, Stage};
 use gradoop_cypher::{parse, parse_pipeline, Literal, ParseError, QueryGraph, QueryGraphError};
-use gradoop_dataflow::{CollectingSink, ExecutionFailure, StageReport};
+use gradoop_dataflow::{CollectingSink, ExecutionFailure};
 use gradoop_epgm::{GraphCollection, GraphStatistics, LogicalGraph};
 
-use std::sync::Arc;
-
-use crate::executor::{execute_plan, execute_plan_profiled};
 use crate::matching::MatchingConfig;
 use crate::observe::{q_error, Explain, ExplainNode, PlannerTrace, Profile, ProfileNode};
 use crate::pipeline::{
-    check_open_range_caps, execute_pipeline, plan_match_stage, probe_open_ranges,
-    table_from_query_result, TableResult,
+    execute_match, execute_pipeline, plan_match_stage, table_from_query_result, TableResult,
 };
 use crate::plancache::PlanCache;
 use crate::planner::{plan_query_with_mode, Estimator, PlanError, PlanMode, QueryPlan};
 use crate::querylog::{
-    global_query_log, normalize_query_shape, record_from_profile, stable_digest, OperatorLogEntry,
-    QueryLogRecord, QueryLogSink, QueryOutcome, TeeSink,
+    global_query_log, normalize_query_shape, operators_from_profile, stable_digest, QueryLogRecord,
+    QueryLogSink, QueryOutcome, TeeSink,
 };
 use crate::result::QueryResult;
 use crate::source::GraphSource;
@@ -158,200 +163,63 @@ impl CypherEngine {
         query_text: &str,
         params: &HashMap<String, Literal>,
     ) -> Result<(QueryGraph, QueryPlan), CypherError> {
-        let (query, plan, _) = self.plan_cached(query_text, params)?;
+        let shape = normalize_query_shape(query_text);
+        let (query, plan, _) = self.plan_simple(&parse(query_text)?, &shape, params)?;
         Ok((query, plan))
     }
 
-    /// [`plan`](CypherEngine::plan) through the installed [`PlanCache`]
-    /// (when any): the AST is answered per exact text, the plan per
-    /// normalized shape + plan mode. The query graph is always rebuilt
-    /// from this call's own parameters, so a cached plan's index-based
-    /// operators resolve against the caller's literal bindings. Returns
-    /// `Some("hit")`/`Some("miss")` for the query log when a cache is
-    /// installed, `None` otherwise.
-    fn plan_cached(
+    /// Plans a single `MATCH … RETURN` through the installed [`PlanCache`]
+    /// (when any), keyed on the normalized `shape` + plan mode. The query
+    /// graph is always rebuilt from this call's own parameters, so a cached
+    /// plan's index-based operators resolve against the caller's literal
+    /// bindings. Returns `Some("hit")`/`Some("miss")` for the query log
+    /// when a cache is installed, `None` otherwise.
+    fn plan_simple(
         &self,
-        query_text: &str,
+        ast: &Query,
+        shape: &str,
         params: &HashMap<String, Literal>,
     ) -> Result<(QueryGraph, QueryPlan, Option<&'static str>), CypherError> {
-        let Some(cache) = &self.plan_cache else {
-            let ast = parse(query_text)?;
-            let query = QueryGraph::from_query_with_params(&ast, params)?;
-            let plan =
-                plan_query_with_mode(&query, &Estimator::new(&self.statistics), self.plan_mode)?;
-            return Ok((query, plan, None));
+        let query = QueryGraph::from_query_with_params(ast, params)?;
+        let cached = match &self.plan_cache {
+            Some(cache) => match cache.lookup(shape, self.plan_mode, &query) {
+                Some(plan) => return Ok((query, (*plan).clone(), Some("hit"))),
+                None => Some(cache),
+            },
+            None => None,
         };
-        let ast = cache.parse(query_text)?;
-        let query = QueryGraph::from_query_with_params(&ast, params)?;
-        let shape = normalize_query_shape(query_text);
-        if let Some(plan) = cache.lookup(&shape, self.plan_mode, &query) {
-            return Ok((query, (*plan).clone(), Some("hit")));
-        }
         let plan = plan_query_with_mode(&query, &Estimator::new(&self.statistics), self.plan_mode)?;
-        cache.insert(shape, self.plan_mode, &query, Arc::new(plan.clone()));
-        Ok((query, plan, Some("miss")))
+        if let Some(cache) = cached {
+            cache.insert(
+                shape.to_string(),
+                self.plan_mode,
+                &query,
+                Arc::new(plan.clone()),
+            );
+        }
+        Ok((query, plan, cached.map(|_| "miss")))
     }
 
-    /// Parses, plans and executes `query_text` against `source`.
-    pub fn execute<S: GraphSource + ?Sized>(
+    /// Plans a multi-clause pipeline: one greedy plan per `MATCH` /
+    /// `OPTIONAL MATCH` stage, embedded in the EXPLAIN tree — one child per
+    /// clause, projection stages listing their steps, a `LIMIT`-bearing
+    /// sort shown as `order_by(top-k skip=.. limit=..)` and an unbounded
+    /// one as `order_by(full-sort)`. Stage plans depend on the stage, the
+    /// parameters and the statistics alone, so they are made here, once,
+    /// and handed to the executor.
+    fn plan_pipeline(
         &self,
-        source: &S,
-        query_text: &str,
+        pipeline: Pipeline,
         params: &HashMap<String, Literal>,
-        matching: MatchingConfig,
-    ) -> Result<QueryResult, CypherError> {
-        let started = std::time::Instant::now();
-        let shape = normalize_query_shape(query_text);
-        let fingerprint = stable_digest(&shape);
-        let (query, plan, cache_status) = match self.plan_cached(query_text, params) {
-            Ok(planned) => planned,
-            Err(error) => {
-                self.query_log.log(&QueryLogRecord {
-                    query: query_text.to_string(),
-                    shape,
-                    fingerprint,
-                    plan_digest: String::new(),
-                    plan_cache: None,
-                    outcome: QueryOutcome::Error,
-                    error: Some(error.to_string()),
-                    matches: 0,
-                    wall_seconds: started.elapsed().as_secs_f64(),
-                    simulated_seconds: 0.0,
-                    operators: vec![],
-                    max_q_error: 1.0,
-                    recovery_attempts: 0,
-                    stolen_morsels: 0,
-                    peak_memory_bytes: 0,
-                });
-                return Err(error);
-            }
-        };
-        let plan_digest = stable_digest(&plan.explain.to_text());
-        let env = source.env();
-        let metrics_before = env.metrics();
-        // Tee stage reports into a collector so the query log sees
-        // per-stage rows/bytes without clobbering a user-installed sink.
-        let collector = std::sync::Arc::new(gradoop_dataflow::CollectingSink::new());
-        let downstream = env.trace_sink();
-        env.set_trace_sink(Some(Arc::new(TeeSink::new(
-            downstream.clone(),
-            collector.clone(),
-        ))));
-        // Drop any stale poison from a previous failed run on this
-        // environment, so this execution is judged on its own faults.
-        let _ = env.take_execution_failure();
-        // Open-ended variable-length ranges (`*`, `*2..`) execute with one
-        // probe hop beyond their substituted cap; anything found there
-        // means the cap would silently truncate, and the run fails with a
-        // classified error instead (checked below).
-        let (probe, caps) = probe_open_ranges(&query);
-        let mut result = execute_plan(&plan.root, &probe, source, &matching);
-        if query.distinct {
-            result = distinct_by_return_items(&result, &query);
-        }
-        env.set_trace_sink(downstream);
-        let stages = collector.drain().stages;
-        let metrics = env.metrics();
-        let mut record = QueryLogRecord {
-            query: query_text.to_string(),
-            shape,
-            fingerprint,
-            plan_digest,
-            plan_cache: cache_status,
-            outcome: QueryOutcome::Ok,
-            error: None,
-            matches: 0,
-            wall_seconds: 0.0,
-            simulated_seconds: metrics.simulated_seconds - metrics_before.simulated_seconds,
-            operators: stages
-                .iter()
-                .map(|s| OperatorLogEntry {
-                    name: s.name.clone(),
-                    rows_out: s.records_out,
-                    bytes: s.bytes_shuffled,
-                })
-                .collect(),
-            max_q_error: 1.0,
-            recovery_attempts: stages.iter().map(|s| s.attempts.saturating_sub(1)).sum(),
-            stolen_morsels: stages.iter().map(|s| s.stolen_morsels).sum(),
-            peak_memory_bytes: stages
-                .iter()
-                .map(|s| s.peak_memory_bytes)
-                .max()
-                .unwrap_or(0),
-        };
-        // Checked after DISTINCT projection so malformed-plan failures
-        // recorded there are surfaced too.
-        if let Some(failure) = env.take_execution_failure() {
-            record.outcome = QueryOutcome::Faulted;
-            record.error = Some(failure.to_string());
-            record.wall_seconds = started.elapsed().as_secs_f64();
-            self.query_log.log(&record);
-            return Err(CypherError::Execution(failure));
-        }
-        if let Err(error) = check_open_range_caps(&result, &caps) {
-            record.outcome = QueryOutcome::Error;
-            record.error = Some(error.to_string());
-            record.wall_seconds = started.elapsed().as_secs_f64();
-            self.query_log.log(&record);
-            return Err(error);
-        }
-        record.matches = result.data.len_untracked() as u64;
-        record.max_q_error = q_error(plan.estimated_cardinality, record.matches);
-        record.wall_seconds = started.elapsed().as_secs_f64();
-        self.query_log.log(&record);
-        Ok(QueryResult {
-            embeddings: result.data,
-            meta: result.meta,
-            query,
-            plan,
-        })
-    }
-
-    /// EXPLAIN: plans `query_text` without executing it and returns the
-    /// annotated plan tree (per-operator estimated cardinalities, predicted
-    /// join strategies) together with the greedy planner's decision log.
-    pub fn explain(&self, query_text: &str) -> Result<Explain, CypherError> {
-        self.explain_with_params(query_text, &HashMap::new())
-    }
-
-    /// [`explain`](CypherEngine::explain) with query parameters.
-    pub fn explain_with_params(
-        &self,
-        query_text: &str,
-        params: &HashMap<String, Literal>,
-    ) -> Result<Explain, CypherError> {
-        let pipeline = parse_pipeline(query_text)?;
-        if pipeline.as_simple().is_none() {
-            return self.pipeline_explain(&pipeline, query_text, params);
-        }
-        let (_, plan) = self.plan(query_text, params)?;
-        Ok(Explain {
-            query: query_text.to_string(),
-            root: plan.explain,
-            planner: plan.planner,
-            estimated_cardinality: plan.estimated_cardinality,
-        })
-    }
-
-    /// EXPLAIN for a multi-clause pipeline: one child per clause. `MATCH`
-    /// stages embed their greedy plan subtree; projection stages list their
-    /// steps, with a `LIMIT`-bearing sort shown as
-    /// `order_by(top-k skip=.. limit=..)` and an unbounded one as
-    /// `order_by(full-sort)`.
-    fn pipeline_explain(
-        &self,
-        pipeline: &Pipeline,
-        query_text: &str,
-        params: &HashMap<String, Literal>,
-    ) -> Result<Explain, CypherError> {
+    ) -> Result<Planned, CypherError> {
+        let mut stage_plans = Vec::new();
         let mut children: Vec<ExplainNode> = Vec::new();
         let mut estimated = 1.0f64;
         for stage in &pipeline.stages {
             match stage {
                 Stage::Match(inner) | Stage::OptionalMatch(inner) => {
                     let optional = matches!(stage, Stage::OptionalMatch(_));
-                    let (_, plan) = plan_match_stage(inner, params, &self.statistics)?;
+                    let (query, plan) = plan_match_stage(inner, params, &self.statistics)?;
                     estimated = (estimated * plan.estimated_cardinality).max(1.0);
                     children.push(ExplainNode::inner(
                         if optional {
@@ -360,8 +228,9 @@ impl CypherEngine {
                             "match(join)"
                         },
                         estimated,
-                        vec![plan.explain],
+                        vec![plan.explain.clone()],
                     ));
+                    stage_plans.push((query, plan));
                 }
                 Stage::With(projection) => {
                     estimated = projection_estimate(projection, estimated);
@@ -377,19 +246,83 @@ impl CypherEngine {
         }
         estimated = projection_estimate(&pipeline.ret, estimated);
         children.push(projection_explain("return", &pipeline.ret, estimated));
+        Ok(Planned::Pipeline {
+            pipeline,
+            stage_plans,
+            explain: ExplainNode::inner("pipeline", estimated, children),
+        })
+    }
+
+    /// Parses `query_text` once and plans it: a single plain
+    /// `MATCH … RETURN` takes the classic path (one merged query graph,
+    /// **query-wide** morphism uniqueness), everything else the clause
+    /// pipeline with openCypher's per-`MATCH` uniqueness scope.
+    fn plan_text(
+        &self,
+        query_text: &str,
+        shape: &str,
+        params: &HashMap<String, Literal>,
+    ) -> Result<Planned, CypherError> {
+        let pipeline = parse_pipeline(query_text)?;
+        match pipeline.as_simple() {
+            Some(ast) => self.plan_simple(&ast, shape, params).map(Planned::simple),
+            None => self.plan_pipeline(pipeline, params),
+        }
+    }
+
+    /// Parses, plans and executes `query_text` against `source` on the
+    /// classic single-`MATCH` path, returning the matched embeddings.
+    pub fn execute<S: GraphSource + ?Sized>(
+        &self,
+        source: &S,
+        query_text: &str,
+        params: &HashMap<String, Literal>,
+        matching: MatchingConfig,
+    ) -> Result<QueryResult, CypherError> {
+        let plan = |shape: &str| {
+            self.plan_simple(&parse(query_text)?, shape, params)
+                .map(Planned::simple)
+        };
+        match self.observed(source, query_text, params, &matching, plan)? {
+            (Output::Embeddings(result), _) => Ok(*result),
+            (Output::Table(_), _) => unreachable!("`execute` plans the classic path only"),
+        }
+    }
+
+    /// EXPLAIN: plans `query_text` without executing it and returns the
+    /// annotated plan tree (per-operator estimated cardinalities, predicted
+    /// join strategies) together with the greedy planner's decision log.
+    pub fn explain(&self, query_text: &str) -> Result<Explain, CypherError> {
+        self.explain_with_params(query_text, &HashMap::new())
+    }
+
+    /// [`explain`](CypherEngine::explain) with query parameters.
+    pub fn explain_with_params(
+        &self,
+        query_text: &str,
+        params: &HashMap<String, Literal>,
+    ) -> Result<Explain, CypherError> {
+        let shape = normalize_query_shape(query_text);
+        let (root, planner) = match self.plan_text(query_text, &shape, params)? {
+            Planned::Simple { plan, .. } => (plan.explain, plan.planner),
+            Planned::Pipeline { explain, .. } => (explain, PlannerTrace::default()),
+        };
         Ok(Explain {
             query: query_text.to_string(),
-            root: ExplainNode::inner("pipeline", estimated, children),
-            planner: PlannerTrace::default(),
-            estimated_cardinality: estimated,
+            estimated_cardinality: root.estimated_cardinality,
+            root,
+            planner,
         })
     }
 
     /// PROFILE: plans and executes `query_text`, returning the plan tree
     /// annotated with actual per-operator cardinalities, selectivities,
-    /// simulated/wall-clock times and estimate-vs-actual errors. More
-    /// expensive than [`execute`](CypherEngine::execute): results are
-    /// measured per operator (including embedding byte sizes).
+    /// simulated/wall-clock times and estimate-vs-actual errors — the tree
+    /// every run builds, handed out instead of the result. A pipeline's
+    /// tree has one operator subtree per `MATCH` stage and one leaf per
+    /// remaining dataflow stage under a `pipeline` root, so top-k vs
+    /// full-sort choices, outer-join padding counts and group-reduce sizes
+    /// are all visible post-hoc.
     pub fn profile<S: GraphSource + ?Sized>(
         &self,
         source: &S,
@@ -397,146 +330,15 @@ impl CypherEngine {
         params: &HashMap<String, Literal>,
         matching: MatchingConfig,
     ) -> Result<Profile, CypherError> {
-        let pipeline = parse_pipeline(query_text)?;
-        if pipeline.as_simple().is_none() {
-            return self.pipeline_profile(source, &pipeline, query_text, params, &matching);
-        }
-        let (query, plan) = self.plan(query_text, params)?;
-        let env = source.env();
-        let _ = env.take_execution_failure();
-        let metrics_before = env.metrics();
-        let started = std::time::Instant::now();
-        let (probe, caps) = probe_open_ranges(&query);
-        let (mut result, root) = execute_plan_profiled(&plan, &probe, source, &matching);
-        if query.distinct {
-            result = distinct_by_return_items(&result, &query);
-        }
-        if let Some(failure) = env.take_execution_failure() {
-            return Err(CypherError::Execution(failure));
-        }
-        check_open_range_caps(&result, &caps)?;
-        let metrics = env.metrics();
-        let profile = Profile {
-            query: query_text.to_string(),
-            root,
-            planner: plan.planner,
-            matches: result.data.len_untracked() as u64,
-            simulated_seconds: metrics.simulated_seconds - metrics_before.simulated_seconds,
-            wall_seconds: started.elapsed().as_secs_f64(),
-            recovery_attempts: metrics.recovery_attempts - metrics_before.recovery_attempts,
-            recovery_seconds: metrics.recovery_seconds - metrics_before.recovery_seconds,
-            checkpoint_bytes: metrics.checkpoint_bytes - metrics_before.checkpoint_bytes,
-            restored_bytes: metrics.restored_bytes - metrics_before.restored_bytes,
-            peak_memory_bytes: metrics.peak_memory_bytes,
-            scratch_allocations: metrics.scratch_allocations - metrics_before.scratch_allocations,
-        };
-        self.query_log.log(&record_from_profile(
-            query_text,
-            stable_digest(&plan.explain.to_text()),
-            &profile,
-            metrics.stolen_morsels - metrics_before.stolen_morsels,
-        ));
-        Ok(profile)
-    }
-
-    /// PROFILE for a multi-clause pipeline: the run's dataflow stage
-    /// reports become one profile leaf each under a `pipeline` root, so
-    /// top-k vs full-sort choices, outer-join padding counts and
-    /// group-reduce sizes are all visible post-hoc.
-    fn pipeline_profile<S: GraphSource + ?Sized>(
-        &self,
-        source: &S,
-        pipeline: &Pipeline,
-        query_text: &str,
-        params: &HashMap<String, Literal>,
-        matching: &MatchingConfig,
-    ) -> Result<Profile, CypherError> {
-        let explain = self.pipeline_explain(pipeline, query_text, params)?;
-        let env = source.env();
-        let _ = env.take_execution_failure();
-        let metrics_before = env.metrics();
-        let started = std::time::Instant::now();
-        let collector = Arc::new(CollectingSink::new());
-        let downstream = env.trace_sink();
-        env.set_trace_sink(Some(Arc::new(TeeSink::new(
-            downstream.clone(),
-            collector.clone(),
-        ))));
-        let outcome = execute_pipeline(pipeline, params, &self.statistics, source, matching);
-        env.set_trace_sink(downstream);
-        let stages = collector.drain().stages;
-        let table = outcome?;
-        if let Some(failure) = env.take_execution_failure() {
-            return Err(CypherError::Execution(failure));
-        }
-        let metrics = env.metrics();
-        let matches = table.rows.len() as u64;
-        let root = ProfileNode {
-            operator: "pipeline".to_string(),
-            estimated_cardinality: explain.estimated_cardinality,
-            estimated_strategy: None,
-            actual_strategy: None,
-            actual_ship: None,
-            rows_in: stages.first().map(|s| s.records_in).unwrap_or(0),
-            rows_out: matches,
-            selectivity: 1.0,
-            embedding_bytes: 0,
-            simulated_seconds: metrics.simulated_seconds - metrics_before.simulated_seconds,
-            wall_seconds: started.elapsed().as_secs_f64(),
-            stages: stages.len() as u64,
-            morsels: stages.iter().map(|s| s.morsels).sum(),
-            stolen_morsels: stages.iter().map(|s| s.stolen_morsels).sum(),
-            batches: stages.iter().map(|s| s.batches).sum(),
-            batch_rows: stages.iter().map(|s| s.batch_rows).sum(),
-            batch_rows_selected: stages.iter().map(|s| s.batch_rows_selected).sum(),
-            estimate_error: q_error(explain.estimated_cardinality, matches),
-            recovery_attempts: stages.iter().map(|s| s.attempts.saturating_sub(1)).sum(),
-            recovery_seconds: stages.iter().map(|s| s.recovery_seconds).sum(),
-            checkpoint_bytes: stages.iter().map(|s| s.checkpoint_bytes).sum(),
-            restored_bytes: stages.iter().map(|s| s.restored_bytes).sum(),
-            peak_memory_bytes: stages
-                .iter()
-                .map(|s| s.peak_memory_bytes)
-                .max()
-                .unwrap_or(0),
-            scratch_allocations: stages.iter().map(|s| s.scratch_allocations).sum(),
-            iterations: vec![],
-            rows_intersected: 0,
-            children: stages.iter().map(profile_stage_node).collect(),
-        };
-        let profile = Profile {
-            query: query_text.to_string(),
-            root,
-            planner: PlannerTrace::default(),
-            matches,
-            simulated_seconds: metrics.simulated_seconds - metrics_before.simulated_seconds,
-            wall_seconds: started.elapsed().as_secs_f64(),
-            recovery_attempts: metrics.recovery_attempts - metrics_before.recovery_attempts,
-            recovery_seconds: metrics.recovery_seconds - metrics_before.recovery_seconds,
-            checkpoint_bytes: metrics.checkpoint_bytes - metrics_before.checkpoint_bytes,
-            restored_bytes: metrics.restored_bytes - metrics_before.restored_bytes,
-            peak_memory_bytes: metrics.peak_memory_bytes,
-            scratch_allocations: metrics.scratch_allocations - metrics_before.scratch_allocations,
-        };
-        self.query_log.log(&record_from_profile(
-            query_text,
-            stable_digest(&explain.root.to_text()),
-            &profile,
-            metrics.stolen_morsels - metrics_before.stolen_morsels,
-        ));
+        let plan = |shape: &str| self.plan_text(query_text, shape, params);
+        let (_, profile) = self.observed(source, query_text, params, &matching, plan)?;
         Ok(profile)
     }
 
     /// Runs the full read-only clause surface — `MATCH`, `OPTIONAL MATCH`,
     /// `WITH`, `UNWIND`, aggregation, `ORDER BY`/`SKIP`/`LIMIT` — and
-    /// returns a tabular [`TableResult`].
-    ///
-    /// A query that is a single plain `MATCH … RETURN` delegates to the
-    /// classic embedding path ([`execute`](CypherEngine::execute), which
-    /// merges all patterns into one query graph and applies **query-wide**
-    /// morphism uniqueness); everything else runs clause by clause with
-    /// openCypher's per-`MATCH` uniqueness scope. Either way the run lands
-    /// in the query log.
+    /// returns a tabular [`TableResult`], whichever of the two executors
+    /// (see `plan_text`) the query took.
     pub fn run<S: GraphSource + ?Sized>(
         &self,
         source: &S,
@@ -544,107 +346,260 @@ impl CypherEngine {
         params: &HashMap<String, Literal>,
         matching: MatchingConfig,
     ) -> Result<TableResult, CypherError> {
-        let pipeline = parse_pipeline(query_text)?;
-        if pipeline.as_simple().is_some() {
-            return table_from_query_result(&self.execute(source, query_text, params, matching)?);
+        let plan = |shape: &str| self.plan_text(query_text, shape, params);
+        match self.observed(source, query_text, params, &matching, plan)? {
+            (Output::Embeddings(result), _) => table_from_query_result(&result),
+            (Output::Table(table), _) => Ok(table),
         }
-        let started = std::time::Instant::now();
-        let shape = normalize_query_shape(query_text);
-        let fingerprint = stable_digest(&shape);
-        let explain = match self.pipeline_explain(&pipeline, query_text, params) {
-            Ok(explain) => explain,
-            Err(error) => {
-                self.query_log.log(&QueryLogRecord {
-                    query: query_text.to_string(),
-                    shape,
-                    fingerprint,
-                    plan_digest: String::new(),
-                    plan_cache: None,
-                    outcome: QueryOutcome::Error,
-                    error: Some(error.to_string()),
-                    matches: 0,
-                    wall_seconds: started.elapsed().as_secs_f64(),
-                    simulated_seconds: 0.0,
-                    operators: vec![],
-                    max_q_error: 1.0,
-                    recovery_attempts: 0,
-                    stolen_morsels: 0,
-                    peak_memory_bytes: 0,
-                });
-                return Err(error);
-            }
-        };
-        let plan_digest = stable_digest(&explain.root.to_text());
-        let env = source.env();
-        let metrics_before = env.metrics();
-        let collector = Arc::new(CollectingSink::new());
-        let downstream = env.trace_sink();
-        env.set_trace_sink(Some(Arc::new(TeeSink::new(
-            downstream.clone(),
-            collector.clone(),
-        ))));
-        let _ = env.take_execution_failure();
-        let outcome = execute_pipeline(&pipeline, params, &self.statistics, source, &matching);
-        env.set_trace_sink(downstream);
-        let stages = collector.drain().stages;
-        let metrics = env.metrics();
-        let mut record = QueryLogRecord {
-            query: query_text.to_string(),
-            shape,
-            fingerprint,
-            plan_digest,
-            // The pipeline path plans per stage and is not cached (each
-            // stage's plan depends on the working table); only the classic
-            // single-`MATCH` path reports cache activity.
-            plan_cache: None,
-            outcome: QueryOutcome::Ok,
-            error: None,
-            matches: 0,
-            wall_seconds: 0.0,
-            simulated_seconds: metrics.simulated_seconds - metrics_before.simulated_seconds,
-            operators: stages
-                .iter()
-                .map(|s| OperatorLogEntry {
-                    name: s.name.clone(),
-                    rows_out: s.records_out,
-                    bytes: s.bytes_shuffled,
-                })
-                .collect(),
-            max_q_error: 1.0,
-            recovery_attempts: stages.iter().map(|s| s.attempts.saturating_sub(1)).sum(),
-            stolen_morsels: stages.iter().map(|s| s.stolen_morsels).sum(),
-            peak_memory_bytes: stages
-                .iter()
-                .map(|s| s.peak_memory_bytes)
-                .max()
-                .unwrap_or(0),
-        };
-        let table = match outcome {
-            Ok(table) => table,
-            Err(error) => {
-                record.outcome = match &error {
-                    CypherError::Execution(_) => QueryOutcome::Faulted,
-                    _ => QueryOutcome::Error,
-                };
-                record.error = Some(error.to_string());
-                record.wall_seconds = started.elapsed().as_secs_f64();
-                self.query_log.log(&record);
-                return Err(error);
-            }
-        };
-        if let Some(failure) = env.take_execution_failure() {
-            record.outcome = QueryOutcome::Faulted;
-            record.error = Some(failure.to_string());
-            record.wall_seconds = started.elapsed().as_secs_f64();
-            self.query_log.log(&record);
-            return Err(CypherError::Execution(failure));
-        }
-        record.matches = table.rows.len() as u64;
-        record.max_q_error = q_error(explain.estimated_cardinality, record.matches);
-        record.wall_seconds = started.elapsed().as_secs_f64();
-        self.query_log.log(&record);
-        Ok(table)
     }
+
+    /// The one observed run behind [`execute`](CypherEngine::execute),
+    /// [`run`](CypherEngine::run) and [`profile`](CypherEngine::profile):
+    /// fingerprints the text, plans it through `plan`, executes the plan
+    /// with a per-query collector teed in front of the caller's trace sink,
+    /// classifies the outcome, builds the [`Profile`] and appends exactly
+    /// one [`QueryLogRecord`] — successful or not.
+    fn observed<S: GraphSource + ?Sized>(
+        &self,
+        source: &S,
+        query_text: &str,
+        params: &HashMap<String, Literal>,
+        matching: &MatchingConfig,
+        plan: impl FnOnce(&str) -> Result<Planned, CypherError>,
+    ) -> Result<(Output, Profile), CypherError> {
+        let started = Instant::now();
+        let shape = normalize_query_shape(query_text);
+        let env = source.env();
+        let before = env.metrics();
+        let mut plan_digest = String::new();
+        let mut plan_cache = None;
+        let ran = plan(&shape).and_then(|planned| {
+            plan_digest = stable_digest(&planned.explain().to_text());
+            // Tee stages and spans into a per-query collector — the plan
+            // walker attributes them to operators — without clobbering a
+            // caller-installed sink (a Chrome-trace export, the server's
+            // deadline sink).
+            let collector = Arc::new(CollectingSink::new());
+            let downstream = env.trace_sink();
+            env.set_trace_sink(Some(Arc::new(TeeSink::new(
+                downstream.clone(),
+                collector.clone(),
+            ))));
+            // Drop any stale poison from a previous failed run on this
+            // environment, so this execution is judged on its own faults.
+            let _ = env.take_execution_failure();
+            let ran = match planned {
+                Planned::Simple { query, plan, cache } => {
+                    plan_cache = cache;
+                    run_simple(source, query, plan, matching, &collector)
+                }
+                Planned::Pipeline {
+                    pipeline,
+                    stage_plans,
+                    explain,
+                } => run_pipeline(
+                    source,
+                    &pipeline,
+                    &stage_plans,
+                    explain.estimated_cardinality,
+                    params,
+                    matching,
+                    &collector,
+                ),
+            };
+            env.set_trace_sink(downstream);
+            // A failure recorded while the body ran (exhausted retries, a
+            // tripped deadline, a malformed plan) outranks its result: the
+            // computed datasets are discarded.
+            match env.take_execution_failure() {
+                Some(failure) => Err(CypherError::Execution(failure)),
+                None => ran,
+            }
+        });
+        let metrics = env.metrics();
+        let wall_seconds = started.elapsed().as_secs_f64();
+        let simulated_seconds = metrics.simulated_seconds - before.simulated_seconds;
+        let recovery_attempts = metrics.recovery_attempts - before.recovery_attempts;
+        let outcome = ran.map(|ran| {
+            let profile = Profile {
+                query: query_text.to_string(),
+                root: ran.root,
+                planner: ran.planner,
+                matches: ran.matches,
+                simulated_seconds,
+                wall_seconds,
+                recovery_attempts,
+                recovery_seconds: metrics.recovery_seconds - before.recovery_seconds,
+                checkpoint_bytes: metrics.checkpoint_bytes - before.checkpoint_bytes,
+                restored_bytes: metrics.restored_bytes - before.restored_bytes,
+                peak_memory_bytes: metrics.peak_memory_bytes,
+                scratch_allocations: metrics.scratch_allocations - before.scratch_allocations,
+            };
+            (ran.output, profile)
+        });
+        let (operators, max_q_error) = match &outcome {
+            Ok((_, profile)) => operators_from_profile(&profile.root),
+            Err(_) => (Vec::new(), 1.0),
+        };
+        self.query_log.log(&QueryLogRecord {
+            query: query_text.to_string(),
+            fingerprint: stable_digest(&shape),
+            shape,
+            plan_digest,
+            plan_cache,
+            outcome: match &outcome {
+                Ok(_) => QueryOutcome::Ok,
+                Err(CypherError::Execution(_)) => QueryOutcome::Faulted,
+                Err(_) => QueryOutcome::Error,
+            },
+            error: outcome.as_ref().err().map(|error| error.to_string()),
+            matches: outcome.as_ref().map_or(0, |(_, profile)| profile.matches),
+            wall_seconds,
+            simulated_seconds,
+            operators,
+            max_q_error,
+            recovery_attempts,
+            stolen_morsels: metrics.stolen_morsels - before.stolen_morsels,
+            peak_memory_bytes: outcome
+                .as_ref()
+                .map_or(0, |(_, profile)| profile.root.subtree_peak_memory_bytes()),
+        });
+        outcome
+    }
+}
+
+/// A parsed and planned query — what `explain` renders and what one
+/// observed run executes.
+enum Planned {
+    /// A single plain `MATCH … RETURN`: one merged query graph and its plan,
+    /// with the plan-cache event (`"hit"`/`"miss"`) when a cache is
+    /// installed.
+    Simple {
+        query: QueryGraph,
+        plan: QueryPlan,
+        cache: Option<&'static str>,
+    },
+    /// A clause pipeline: the plan of every `MATCH`/`OPTIONAL MATCH` stage
+    /// in stage order, and the EXPLAIN tree embedding them. Pipelines are
+    /// planned per stage on every run and never cached.
+    Pipeline {
+        pipeline: Pipeline,
+        stage_plans: Vec<(QueryGraph, QueryPlan)>,
+        explain: ExplainNode,
+    },
+}
+
+impl Planned {
+    fn simple((query, plan, cache): (QueryGraph, QueryPlan, Option<&'static str>)) -> Self {
+        Planned::Simple { query, plan, cache }
+    }
+
+    /// The annotated plan tree (what EXPLAIN prints and the plan digest
+    /// hashes).
+    fn explain(&self) -> &ExplainNode {
+        match self {
+            Planned::Simple { plan, .. } => &plan.explain,
+            Planned::Pipeline { explain, .. } => explain,
+        }
+    }
+}
+
+/// The result of a run in the shape its executor produced.
+enum Output {
+    Embeddings(Box<QueryResult>),
+    Table(TableResult),
+}
+
+/// What an executed body hands back to [`CypherEngine::observed`].
+struct Ran {
+    output: Output,
+    root: ProfileNode,
+    planner: PlannerTrace,
+    matches: u64,
+}
+
+/// The classic body: one plan over one merged query graph, then
+/// `RETURN DISTINCT` if asked for.
+fn run_simple<S: GraphSource + ?Sized>(
+    source: &S,
+    query: QueryGraph,
+    plan: QueryPlan,
+    matching: &MatchingConfig,
+    collector: &CollectingSink,
+) -> Result<Ran, CypherError> {
+    let (mut set, root) = execute_match(&query, &plan, source, matching, collector)?;
+    if query.distinct {
+        set = distinct_by_return_items(&set, &query);
+    }
+    Ok(Ran {
+        root,
+        planner: plan.planner.clone(),
+        matches: set.data.len_untracked() as u64,
+        output: Output::Embeddings(Box::new(QueryResult {
+            embeddings: set.data,
+            meta: set.meta,
+            query,
+            plan,
+        })),
+    })
+}
+
+/// The pipeline body: the clause-by-clause executor under a `pipeline`
+/// profile root that carries the run's totals.
+fn run_pipeline<S: GraphSource + ?Sized>(
+    source: &S,
+    pipeline: &Pipeline,
+    stage_plans: &[(QueryGraph, QueryPlan)],
+    estimated_cardinality: f64,
+    params: &HashMap<String, Literal>,
+    matching: &MatchingConfig,
+    collector: &CollectingSink,
+) -> Result<Ran, CypherError> {
+    let env = source.env();
+    let before = env.metrics();
+    let started = Instant::now();
+    let mut children = Vec::new();
+    let table = execute_pipeline(
+        pipeline,
+        stage_plans,
+        params,
+        source,
+        matching,
+        collector,
+        &mut children,
+    )?;
+    let metrics = env.metrics();
+    let matches = table.rows.len() as u64;
+    let mut root = ProfileNode {
+        operator: "pipeline".to_string(),
+        estimated_cardinality,
+        rows_in: children.first().map_or(0, |child| child.rows_in),
+        rows_out: matches,
+        selectivity: 1.0,
+        simulated_seconds: metrics.simulated_seconds - before.simulated_seconds,
+        wall_seconds: started.elapsed().as_secs_f64(),
+        stages: metrics.stages - before.stages,
+        morsels: metrics.morsels - before.morsels,
+        stolen_morsels: metrics.stolen_morsels - before.stolen_morsels,
+        batches: metrics.batches - before.batches,
+        batch_rows: metrics.batch_rows - before.batch_rows,
+        batch_rows_selected: metrics.batch_rows_selected - before.batch_rows_selected,
+        estimate_error: q_error(estimated_cardinality, matches),
+        recovery_attempts: metrics.recovery_attempts - before.recovery_attempts,
+        recovery_seconds: metrics.recovery_seconds - before.recovery_seconds,
+        checkpoint_bytes: metrics.checkpoint_bytes - before.checkpoint_bytes,
+        restored_bytes: metrics.restored_bytes - before.restored_bytes,
+        scratch_allocations: metrics.scratch_allocations - before.scratch_allocations,
+        children,
+        ..ProfileNode::default()
+    };
+    root.peak_memory_bytes = root.subtree_peak_memory_bytes();
+    Ok(Ran {
+        output: Output::Table(table),
+        root,
+        planner: PlannerTrace::default(),
+        matches,
+    })
 }
 
 /// Output-cardinality estimate of one projection stage: aggregation
@@ -693,43 +648,6 @@ fn projection_explain(name: &str, projection: &Projection, estimated: f64) -> Ex
         steps.push(ExplainNode::leaf("filter(where)", estimated));
     }
     ExplainNode::inner(name, estimated, steps)
-}
-
-/// One profile leaf per executed dataflow stage of a pipeline run.
-fn profile_stage_node(report: &StageReport) -> ProfileNode {
-    ProfileNode {
-        operator: report.name.clone(),
-        estimated_cardinality: report.records_out as f64,
-        estimated_strategy: None,
-        actual_strategy: None,
-        actual_ship: None,
-        rows_in: report.records_in,
-        rows_out: report.records_out,
-        selectivity: if report.records_in > 0 {
-            report.records_out as f64 / report.records_in as f64
-        } else {
-            1.0
-        },
-        embedding_bytes: 0,
-        simulated_seconds: report.seconds,
-        wall_seconds: 0.0,
-        stages: 1,
-        morsels: report.morsels,
-        stolen_morsels: report.stolen_morsels,
-        batches: report.batches,
-        batch_rows: report.batch_rows,
-        batch_rows_selected: report.batch_rows_selected,
-        estimate_error: 1.0,
-        recovery_attempts: report.attempts.saturating_sub(1),
-        recovery_seconds: report.recovery_seconds,
-        checkpoint_bytes: report.checkpoint_bytes,
-        restored_bytes: report.restored_bytes,
-        peak_memory_bytes: report.peak_memory_bytes,
-        scratch_allocations: report.scratch_allocations,
-        iterations: vec![],
-        rows_intersected: 0,
-        children: vec![],
-    }
 }
 
 /// `RETURN DISTINCT`: projects embeddings to the returned bindings and
@@ -923,76 +841,109 @@ mod tests {
         assert_eq!(names, vec!["Alice", "Eve"]);
     }
 
+    /// One record per call, whichever view made it and however it ended:
+    /// {`execute`, `run`, `profile`} × {ok, plan error, faulted} ×
+    /// {simple, pipeline}, each with the right outcome and cache event.
     #[test]
     fn every_run_lands_in_the_query_log() {
         use crate::querylog::MemoryQueryLog;
+        use gradoop_dataflow::{FailureSchedule, FaultConfig};
+
+        const SIMPLE: &str = "MATCH (p:Person {name: $who})-[s:studyAt]->(u:University) \
+                              RETURN p.name";
+        const PIPELINE: &str = "MATCH (p:Person {name: $who})-[s:studyAt]->(u:University) \
+                                WITH u, count(*) AS n RETURN u.name, n";
+        #[derive(Clone, Copy, Debug, PartialEq)]
+        enum Scenario {
+            Ok,
+            PlanError,
+            Faulted,
+        }
+
         let graph = sample_graph();
         let log = Arc::new(MemoryQueryLog::new());
-        let engine = CypherEngine::for_graph(&graph).with_query_log(log.clone());
-
-        // A successful run logs `ok` with operator rows and a plan digest.
-        let query = "MATCH (p1:Person)-[s:studyAt]->(u:University) RETURN p1.name";
-        engine
-            .execute(
-                &graph,
-                query,
-                &HashMap::new(),
-                MatchingConfig::cypher_default(),
-            )
-            .unwrap();
-        // A parse error logs `error` with no digest.
-        let bad = engine.execute(
-            &graph,
-            "MATCH (p:Person RETURN p",
-            &HashMap::new(),
-            MatchingConfig::cypher_default(),
+        let engine = CypherEngine::for_graph(&graph)
+            .with_query_log(log.clone())
+            .with_plan_cache(Arc::new(PlanCache::default()));
+        let matching = MatchingConfig::cypher_default();
+        let bound = HashMap::from([("who".to_string(), Literal::String("Alice".to_string()))]);
+        let unbound = HashMap::new();
+        type View<'a> = (
+            &'a str,
+            Box<dyn Fn(&str, &HashMap<String, Literal>) -> bool + 'a>,
         );
-        assert!(bad.is_err());
+        let views: [View<'_>; 3] = [
+            (
+                "execute",
+                Box::new(|text, params| engine.execute(&graph, text, params, matching).is_ok()),
+            ),
+            (
+                "run",
+                Box::new(|text, params| engine.run(&graph, text, params, matching).is_ok()),
+            ),
+            (
+                "profile",
+                Box::new(|text, params| engine.profile(&graph, text, params, matching).is_ok()),
+            ),
+        ];
 
-        let records = log.snapshot();
-        assert_eq!(records.len(), 2);
-        let ok = &records[0];
-        assert_eq!(ok.outcome, QueryOutcome::Ok);
-        assert_eq!(ok.matches, 2);
-        assert!(ok.error.is_none());
-        assert_eq!(ok.fingerprint.len(), 16);
-        assert_eq!(ok.plan_digest.len(), 16);
-        assert!(!ok.operators.is_empty());
-        assert!(ok.operators.iter().any(|op| op.rows_out > 0));
-        // The sample graph runs on CostModel::free(): zero simulated cost.
-        assert!(ok.simulated_seconds >= 0.0);
-        assert!(ok.max_q_error >= 1.0 && ok.max_q_error.is_finite());
-        let err = &records[1];
-        assert_eq!(err.outcome, QueryOutcome::Error);
-        assert!(err.error.is_some());
-        assert!(err.plan_digest.is_empty());
+        let mut simple_planned = false;
+        for (view, call) in &views {
+            for (text, is_pipeline) in [(SIMPLE, false), (PIPELINE, true)] {
+                for scenario in [Scenario::Ok, Scenario::PlanError, Scenario::Faulted] {
+                    let case = format!("{view} / pipeline={is_pipeline} / {scenario:?}");
+                    // The classic grammar rejects a clause pipeline outright.
+                    let rejected = *view == "execute" && is_pipeline;
+                    if scenario == Scenario::Faulted {
+                        // Crash the very first stage with no retry headroom.
+                        graph.env().install_faults(
+                            FaultConfig::new(FailureSchedule::none().crash_at_stage(0, 0))
+                                .max_attempts(1),
+                        );
+                    }
+                    let params = if scenario == Scenario::PlanError {
+                        &unbound
+                    } else {
+                        &bound
+                    };
+                    let before = log.len();
+                    let succeeded = call(text, params);
+                    graph.env().clear_faults();
 
-        // The same shape with different literals fingerprints identically.
-        let with_filter = |year: i64| {
-            format!(
-                "MATCH (p1:Person)-[s:studyAt]->(u:University) \
-                 WHERE s.classYear > {year} RETURN p1.name"
-            )
-        };
-        engine
-            .execute(
-                &graph,
-                &with_filter(2014),
-                &HashMap::new(),
-                MatchingConfig::cypher_default(),
-            )
-            .unwrap();
-        engine
-            .execute(
-                &graph,
-                &with_filter(2015),
-                &HashMap::new(),
-                MatchingConfig::cypher_default(),
-            )
-            .unwrap();
-        let records = log.snapshot();
-        assert_eq!(records[2].fingerprint, records[3].fingerprint);
-        assert_ne!(records[2].query, records[3].query);
+                    let records = log.snapshot();
+                    assert_eq!(records.len(), before + 1, "{case}: exactly one record");
+                    let record = &records[before];
+                    let expected = match scenario {
+                        _ if rejected => QueryOutcome::Error,
+                        Scenario::Ok => QueryOutcome::Ok,
+                        Scenario::PlanError => QueryOutcome::Error,
+                        Scenario::Faulted => QueryOutcome::Faulted,
+                    };
+                    assert_eq!(record.outcome, expected, "{case}");
+                    assert_eq!(succeeded, expected == QueryOutcome::Ok, "{case}");
+                    assert_eq!(record.error.is_none(), succeeded, "{case}");
+                    assert_eq!(record.fingerprint.len(), 16, "{case}");
+                    // A plan exists (and was looked up) unless the text or
+                    // its parameters were rejected first.
+                    let planned = !rejected && scenario != Scenario::PlanError;
+                    assert_eq!(record.plan_digest.len(), if planned { 16 } else { 0 });
+                    let cache_event = match (planned && !is_pipeline, simple_planned) {
+                        (false, _) => None,
+                        (true, false) => Some("miss"),
+                        (true, true) => Some("hit"),
+                    };
+                    assert_eq!(record.plan_cache, cache_event, "{case}");
+                    simple_planned |= planned && !is_pipeline;
+                    if succeeded {
+                        assert_eq!(record.matches, 1, "{case}");
+                        assert!(record.operators.iter().any(|op| op.rows_out > 0));
+                        assert!(record.max_q_error >= 1.0 && record.max_q_error.is_finite());
+                    } else {
+                        assert_eq!(record.matches, 0, "{case}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1084,31 +1035,6 @@ mod tests {
         assert_eq!(records[1].plan_cache, Some("hit"));
         assert_eq!(records[2].plan_cache, Some("hit"));
         assert_eq!(records[0].plan_digest, records[1].plan_digest);
-    }
-
-    #[test]
-    fn profile_runs_are_logged_with_per_operator_entries() {
-        use crate::querylog::MemoryQueryLog;
-        let graph = sample_graph();
-        let log = Arc::new(MemoryQueryLog::new());
-        let engine = CypherEngine::for_graph(&graph).with_query_log(log.clone());
-        let profile = engine
-            .profile(
-                &graph,
-                "MATCH (p1:Person)-[s:studyAt]->(u:University) RETURN p1.name",
-                &HashMap::new(),
-                MatchingConfig::cypher_default(),
-            )
-            .unwrap();
-        let records = log.snapshot();
-        assert_eq!(records.len(), 1);
-        let record = &records[0];
-        assert_eq!(record.outcome, QueryOutcome::Ok);
-        assert_eq!(record.matches, profile.matches);
-        // One entry per plan operator, names matching the profile tree.
-        assert_eq!(record.operators.len(), profile.root.operator_rows().len());
-        assert_eq!(record.operators[0].name, profile.root.operator);
-        assert!(record.max_q_error >= 1.0);
     }
 
     #[test]

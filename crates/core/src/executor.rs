@@ -1,42 +1,157 @@
-//! Plan execution: walks the plan tree and instantiates the query operators
-//! over the graph source's datasets.
+//! Plan execution: one recursive walker instantiates the query operators
+//! of a plan tree over the graph source's datasets and measures each of them.
 //!
-//! Two entry points: [`execute_plan`] runs a plan as cheaply as possible;
-//! [`execute_plan_profiled`] additionally installs a [`CollectingSink`] on
-//! the environment and attributes every dataflow stage and operator span to
-//! the plan node that caused it, producing the [`ProfileNode`] tree behind
-//! `CypherEngine::profile`.
+//! [`execute_plan`] is the only way a plan runs. Next to the result it
+//! returns a [`ProfileNode`] tree mirroring the plan: per operator the
+//! actual rows in/out, selectivity and embedding bytes (read off the
+//! `operator/*` span every operator emits), simulated and wall-clock
+//! seconds, executed stages, the join strategy actually chosen,
+//! per-iteration counters of variable-length expansions and the
+//! estimate-vs-actual q-error. `execute`, `run`, `profile` and the query log
+//! are views over that one tree (see [`CypherEngine`](crate::CypherEngine)).
+//!
+//! Stages and spans are attributed through the per-query [`CollectingSink`]
+//! the engine tees in front of the caller's trace sink: the walker drains it
+//! after each operator, so whatever is buffered at that point belongs to the
+//! operator that just ran.
 
-use std::sync::Arc;
 use std::time::Instant;
 
-use gradoop_cypher::QueryGraph;
-use gradoop_dataflow::{CollectingSink, Data, JoinStrategy, Partitioning};
+use gradoop_cypher::{CnfClause, QueryGraph};
+use gradoop_dataflow::{CollectedTrace, CollectingSink, JoinStrategy, Partitioning, SpanRecord};
 
 use crate::matching::MatchingConfig;
 use crate::observe::{
-    q_error, ship_strategies, ExpandIteration, ExplainNode, ProfileNode, ShipStrategy,
+    q_error, selectivity, ship_strategies, ExpandIteration, ExplainNode, ProfileNode, ShipStrategy,
 };
 use crate::operators::{
     cartesian_embeddings, edge_triples, embedding_join_key, expand_embeddings, expand_intersect,
-    filter_and_project_edges, filter_and_project_vertices, filter_embeddings, join_embeddings,
+    filter_and_project_edges, filter_and_project_vertices, filter_embeddings,
     join_embeddings_filtered, value_join_embeddings, EmbeddingSet, ExpandConfig,
 };
-use crate::planner::{PlanNode, QueryPlan};
+use crate::planner::PlanNode;
 use crate::source::GraphSource;
 
 /// Inputs smaller than this many embeddings are broadcast in joins instead
 /// of repartitioning the (larger) other side.
 const BROADCAST_THRESHOLD: usize = 10_000;
 
-/// Executes `plan` against `source` with the given morphism semantics.
+/// Executes the plan rooted at `node` against `source` with the given
+/// morphism semantics and returns the result next to its profiled plan
+/// tree. `explain` is the planner's annotation of `node` (labels and
+/// estimates); `collector` must be installed (directly or behind a tee) as
+/// the trace sink of the source's environment for the duration of the call.
 pub fn execute_plan<S: GraphSource + ?Sized>(
-    plan: &PlanNode,
+    node: &PlanNode,
+    explain: &ExplainNode,
     query: &QueryGraph,
     source: &S,
     matching: &MatchingConfig,
-) -> EmbeddingSet {
-    match plan {
+    collector: &CollectingSink,
+) -> (EmbeddingSet, ProfileNode) {
+    let mut spent = CollectedTrace::default();
+    walk(
+        node,
+        explain,
+        query,
+        source,
+        matching,
+        (collector, &mut spent),
+        &[],
+    )
+}
+
+/// The walker behind [`execute_plan`]. `residual` is non-empty only for a
+/// join whose parent filter was fused into it. Events an operator has been
+/// charged for move from `collector` to `spent`, which lives as long as the
+/// walk: releasing them operator by operator, between the large dataset
+/// allocations, measurably slows the allocator down (6 % of Q1–Q3's
+/// latency on glibc), so they are released together, as they always were.
+fn walk<S: GraphSource + ?Sized>(
+    node: &PlanNode,
+    explain: &ExplainNode,
+    query: &QueryGraph,
+    source: &S,
+    matching: &MatchingConfig,
+    (collector, spent): (&CollectingSink, &mut CollectedTrace),
+    residual: &[CnfClause],
+) -> (EmbeddingSet, ProfileNode) {
+    let clauses_of = |indices: &[usize]| -> Vec<CnfClause> {
+        indices
+            .iter()
+            .map(|&index| query.cross_clauses[index].0.clone())
+            .collect()
+    };
+    let planned = |rows_out: u64| ProfileNode {
+        operator: explain.operator.clone(),
+        estimated_cardinality: explain.estimated_cardinality,
+        estimated_strategy: explain.estimated_strategy,
+        rows_out,
+        estimate_error: q_error(explain.estimated_cardinality, rows_out),
+        ..ProfileNode::default()
+    };
+
+    // Filter-over-Join is fused into the join kernel: the clauses run
+    // against the merged embedding while it still sits in the join's
+    // scratch buffer, so embeddings the filter would drop are never
+    // allocated or shuffled. One kernel answers for both plan nodes: the
+    // join node reports the pairs it produced before any clause ran, the
+    // filter node what survived; stages, time and bytes stay with the join.
+    if let PlanNode::Filter { input, clauses } = node {
+        if matches!(input.as_ref(), PlanNode::Join { .. }) {
+            let (result, join) = walk(
+                input,
+                &explain.children[0],
+                query,
+                source,
+                matching,
+                (collector, spent),
+                &clauses_of(clauses),
+            );
+            let rows_out = result.data.len_untracked() as u64;
+            let filter = ProfileNode {
+                rows_in: join.rows_out,
+                selectivity: selectivity(join.rows_out, rows_out),
+                embedding_bytes: join.embedding_bytes,
+                children: vec![join],
+                ..planned(rows_out)
+            };
+            return (result, filter);
+        }
+    }
+
+    // Children run (and drain the collector for themselves) first, so
+    // everything buffered after this node's own operator ran belongs to
+    // this node.
+    let child_nodes: Vec<&PlanNode> = match node {
+        PlanNode::Join { left, right, .. }
+        | PlanNode::Cartesian { left, right }
+        | PlanNode::ValueJoin { left, right, .. } => vec![left, right],
+        PlanNode::Expand { input, .. }
+        | PlanNode::Filter { input, .. }
+        | PlanNode::ExpandIntersect { input, .. } => vec![input],
+        PlanNode::ScanVertices { .. } | PlanNode::ScanEdges { .. } => Vec::new(),
+    };
+    let (child_sets, children): (Vec<EmbeddingSet>, Vec<ProfileNode>) = child_nodes
+        .into_iter()
+        .zip(&explain.children)
+        .map(|(child, child_explain)| {
+            walk(
+                child,
+                child_explain,
+                query,
+                source,
+                matching,
+                (collector, &mut *spent),
+                &[],
+            )
+        })
+        .unzip();
+
+    let started = Instant::now();
+    let mut actual_strategy = None;
+    let mut actual_ship = None;
+    let result = match node {
         PlanNode::ScanVertices { vertex } => {
             let query_vertex = &query.vertices[*vertex];
             let candidates = source.vertices_for_labels(&query_vertex.labels);
@@ -49,18 +164,21 @@ pub fn execute_plan<S: GraphSource + ?Sized>(
             let target_var = &query.vertices[query_edge.target].variable;
             filter_and_project_edges(&candidates, query_edge, source_var, target_var, matching)
         }
-        PlanNode::Join {
-            left,
-            right,
-            variables,
-        } => {
-            let left_set = execute_plan(left, query, source, matching);
-            let right_set = execute_plan(right, query, source, matching);
-            let (strategy, _) = choose_strategy_partitioned(&left_set, &right_set, variables);
-            join_embeddings(&left_set, &right_set, variables, matching, strategy)
+        PlanNode::Join { variables, .. } => {
+            let (strategy, ship) =
+                choose_strategy_partitioned(&child_sets[0], &child_sets[1], variables);
+            actual_strategy = Some(strategy);
+            actual_ship = Some(ship);
+            join_embeddings_filtered(
+                &child_sets[0],
+                &child_sets[1],
+                variables,
+                matching,
+                strategy,
+                residual,
+            )
         }
-        PlanNode::Expand { input, edge } => {
-            let input_set = execute_plan(input, query, source, matching);
+        PlanNode::Expand { edge, .. } => {
             let query_edge = &query.edges[*edge];
             let (lower, upper) = query_edge.range.expect("expand node on plain edge");
             let candidates = edge_triples(&source.edges_for_labels(&query_edge.labels), query_edge);
@@ -72,71 +190,85 @@ pub fn execute_plan<S: GraphSource + ?Sized>(
                 upper,
                 matching: *matching,
             };
-            expand_embeddings(&input_set, &candidates, &config)
+            expand_embeddings(&child_sets[0], &candidates, &config)
         }
-        PlanNode::ExpandIntersect {
-            input,
-            vertex,
-            edges,
-        } => {
-            let input_set = execute_plan(input, query, source, matching);
-            expand_intersect(&input_set, query, source, *vertex, edges, matching)
+        PlanNode::ExpandIntersect { vertex, edges, .. } => {
+            expand_intersect(&child_sets[0], query, source, *vertex, edges, matching)
         }
-        PlanNode::Filter { input, clauses } => {
-            let clause_list: Vec<_> = clauses
-                .iter()
-                .map(|&index| query.cross_clauses[index].0.clone())
-                .collect();
-            // Filter-over-Join is fused into the join kernel: the clauses
-            // run against the merged embedding while it still sits in the
-            // join's scratch buffer, so embeddings the filter would drop
-            // are never allocated or shuffled. (The profiled path keeps
-            // the operators separate to attribute rows to each plan node.)
-            if let PlanNode::Join {
-                left,
-                right,
-                variables,
-            } = input.as_ref()
-            {
-                let left_set = execute_plan(left, query, source, matching);
-                let right_set = execute_plan(right, query, source, matching);
-                let (strategy, _) = choose_strategy_partitioned(&left_set, &right_set, variables);
-                return join_embeddings_filtered(
-                    &left_set,
-                    &right_set,
-                    variables,
-                    matching,
-                    strategy,
-                    &clause_list,
-                );
-            }
-            let input_set = execute_plan(input, query, source, matching);
-            filter_embeddings(&input_set, &clause_list)
-        }
-        PlanNode::Cartesian { left, right } => {
-            let left_set = execute_plan(left, query, source, matching);
-            let right_set = execute_plan(right, query, source, matching);
-            cartesian_embeddings(&left_set, &right_set, matching)
+        PlanNode::Filter { clauses, .. } => filter_embeddings(&child_sets[0], &clauses_of(clauses)),
+        PlanNode::Cartesian { .. } => {
+            cartesian_embeddings(&child_sets[0], &child_sets[1], matching)
         }
         PlanNode::ValueJoin {
-            left,
-            right,
             left_property,
             right_property,
+            ..
         } => {
-            let left_set = execute_plan(left, query, source, matching);
-            let right_set = execute_plan(right, query, source, matching);
-            let strategy = choose_strategy(&left_set, &right_set);
+            let strategy = choose_strategy(&child_sets[0], &child_sets[1]);
+            actual_strategy = Some(strategy);
+            // Value joins key on property values; no named partitioning
+            // fact exists for those, so neither side can be forwarded.
+            actual_ship = Some(ship_strategies(strategy, false, false));
             value_join_embeddings(
-                &left_set,
-                &right_set,
+                &child_sets[0],
+                &child_sets[1],
                 left_property,
                 right_property,
                 matching,
                 strategy,
             )
         }
-    }
+    };
+    let wall_seconds = started.elapsed().as_secs_f64();
+
+    let mut drained = collector.drain();
+    // The operator's own span carries its cardinalities and result bytes
+    // (missing only when a malformed plan made it bail out empty-handed).
+    let count = |span: &SpanRecord, name: &str| span.counter(name).unwrap_or(0.0) as u64;
+    let operator_span = drained
+        .spans
+        .iter()
+        .rev()
+        .find(|span| span.name.starts_with("operator/"));
+    let counter = |name: &str| operator_span.map_or(0, |span| count(span, name));
+    let rows_in = counter("rows_in");
+    let rows_out = if residual.is_empty() {
+        counter("rows_out")
+    } else {
+        counter("rows_joined")
+    };
+    let mut profile = ProfileNode {
+        actual_strategy,
+        actual_ship,
+        rows_in,
+        selectivity: selectivity(rows_in, rows_out),
+        embedding_bytes: counter("embedding_bytes"),
+        wall_seconds,
+        iterations: drained
+            .spans
+            .iter()
+            .filter(|span| span.name == "expand/iteration")
+            .map(|span| ExpandIteration {
+                iteration: count(span, "iteration"),
+                frontier_rows: count(span, "frontier_rows"),
+                emitted_rows: count(span, "emitted_rows"),
+                shuffled_bytes: count(span, "shuffled_bytes"),
+                candidate_shuffled_bytes: count(span, "candidate_shuffled_bytes"),
+            })
+            .collect(),
+        rows_intersected: drained
+            .spans
+            .iter()
+            .filter(|span| span.name == "expand_intersect/intersect")
+            .map(|span| count(span, "rows_intersected"))
+            .sum(),
+        children,
+        ..planned(rows_out)
+    };
+    profile.absorb_stages(&drained.stages);
+    spent.stages.append(&mut drained.stages);
+    spent.spans.append(&mut drained.spans);
+    (result, profile)
 }
 
 /// Join-strategy choice from the two input cardinalities, standing in for
@@ -226,219 +358,6 @@ fn choose_strategy_partitioned(
     )
 }
 
-/// Executes `plan` like [`execute_plan`] and returns, next to the result,
-/// a [`ProfileNode`] tree mirroring the plan: per operator the actual rows
-/// in/out, selectivity, embedding bytes, simulated and wall-clock seconds,
-/// executed stages, the join strategy actually chosen, per-iteration
-/// counters of variable-length expansions and the estimate-vs-actual
-/// q-error.
-///
-/// A private [`CollectingSink`] is installed on the source's environment for
-/// the duration of the run (the previously installed sink, if any, is
-/// restored afterwards), so stages and operator spans can be attributed to
-/// the plan node that caused them.
-pub fn execute_plan_profiled<S: GraphSource + ?Sized>(
-    plan: &QueryPlan,
-    query: &QueryGraph,
-    source: &S,
-    matching: &MatchingConfig,
-) -> (EmbeddingSet, ProfileNode) {
-    let env = source.env();
-    let previous = env.trace_sink();
-    let sink = Arc::new(CollectingSink::new());
-    env.set_trace_sink(Some(sink.clone()));
-    let result = profile_node(&plan.root, &plan.explain, query, source, matching, &sink);
-    env.set_trace_sink(previous);
-    result
-}
-
-fn profile_node<S: GraphSource + ?Sized>(
-    node: &PlanNode,
-    explain: &ExplainNode,
-    query: &QueryGraph,
-    source: &S,
-    matching: &MatchingConfig,
-    sink: &Arc<CollectingSink>,
-) -> (EmbeddingSet, ProfileNode) {
-    let env = source.env();
-
-    // Children run (and drain the sink for themselves) first, so everything
-    // buffered after this node's own operator ran belongs to this node.
-    let child_nodes: Vec<&PlanNode> = match node {
-        PlanNode::Join { left, right, .. }
-        | PlanNode::Cartesian { left, right }
-        | PlanNode::ValueJoin { left, right, .. } => vec![left, right],
-        PlanNode::Expand { input, .. }
-        | PlanNode::Filter { input, .. }
-        | PlanNode::ExpandIntersect { input, .. } => vec![input],
-        PlanNode::ScanVertices { .. } | PlanNode::ScanEdges { .. } => Vec::new(),
-    };
-    let mut child_sets = Vec::new();
-    let mut children = Vec::new();
-    for (child, child_explain) in child_nodes.into_iter().zip(&explain.children) {
-        let (set, profile) = profile_node(child, child_explain, query, source, matching, sink);
-        child_sets.push(set);
-        children.push(profile);
-    }
-
-    let simulated_before = env.simulated_seconds();
-    let started = Instant::now();
-    let mut rows_in: u64 = child_sets
-        .iter()
-        .map(|s| s.data.len_untracked() as u64)
-        .sum();
-    let mut actual_strategy = None;
-    let mut actual_ship = None;
-
-    let result = match node {
-        PlanNode::ScanVertices { vertex } => {
-            let query_vertex = &query.vertices[*vertex];
-            let candidates = source.vertices_for_labels(&query_vertex.labels);
-            rows_in = candidates.len_untracked() as u64;
-            filter_and_project_vertices(&candidates, query_vertex)
-        }
-        PlanNode::ScanEdges { edge } => {
-            let query_edge = &query.edges[*edge];
-            let candidates = source.edges_for_labels(&query_edge.labels);
-            rows_in = candidates.len_untracked() as u64;
-            let source_var = &query.vertices[query_edge.source].variable;
-            let target_var = &query.vertices[query_edge.target].variable;
-            filter_and_project_edges(&candidates, query_edge, source_var, target_var, matching)
-        }
-        PlanNode::Join { variables, .. } => {
-            let (strategy, ship) =
-                choose_strategy_partitioned(&child_sets[0], &child_sets[1], variables);
-            actual_strategy = Some(strategy);
-            actual_ship = Some(ship);
-            join_embeddings(
-                &child_sets[0],
-                &child_sets[1],
-                variables,
-                matching,
-                strategy,
-            )
-        }
-        PlanNode::Expand { edge, .. } => {
-            let query_edge = &query.edges[*edge];
-            let (lower, upper) = query_edge.range.expect("expand node on plain edge");
-            let candidates = edge_triples(&source.edges_for_labels(&query_edge.labels), query_edge);
-            rows_in += candidates.len_untracked() as u64;
-            let config = ExpandConfig {
-                source_variable: query.vertices[query_edge.source].variable.clone(),
-                edge_variable: query_edge.variable.clone(),
-                target_variable: query.vertices[query_edge.target].variable.clone(),
-                lower,
-                upper,
-                matching: *matching,
-            };
-            expand_embeddings(&child_sets[0], &candidates, &config)
-        }
-        PlanNode::ExpandIntersect { vertex, edges, .. } => {
-            expand_intersect(&child_sets[0], query, source, *vertex, edges, matching)
-        }
-        PlanNode::Filter { clauses, .. } => {
-            let clause_list: Vec<_> = clauses
-                .iter()
-                .map(|&index| query.cross_clauses[index].0.clone())
-                .collect();
-            filter_embeddings(&child_sets[0], &clause_list)
-        }
-        PlanNode::Cartesian { .. } => {
-            cartesian_embeddings(&child_sets[0], &child_sets[1], matching)
-        }
-        PlanNode::ValueJoin {
-            left_property,
-            right_property,
-            ..
-        } => {
-            let strategy = choose_strategy(&child_sets[0], &child_sets[1]);
-            actual_strategy = Some(strategy);
-            // Value joins key on property values; no named partitioning
-            // fact exists for those, so neither side can be forwarded.
-            actual_ship = Some(ship_strategies(strategy, false, false));
-            value_join_embeddings(
-                &child_sets[0],
-                &child_sets[1],
-                left_property,
-                right_property,
-                matching,
-                strategy,
-            )
-        }
-    };
-
-    let wall_seconds = started.elapsed().as_secs_f64();
-    let simulated_seconds = env.simulated_seconds() - simulated_before;
-    let drained = sink.drain();
-    let iterations: Vec<ExpandIteration> = drained
-        .spans
-        .iter()
-        .filter(|span| span.name == "expand/iteration")
-        .map(|span| ExpandIteration {
-            iteration: span.counter("iteration").unwrap_or(0.0) as u64,
-            frontier_rows: span.counter("frontier_rows").unwrap_or(0.0) as u64,
-            emitted_rows: span.counter("emitted_rows").unwrap_or(0.0) as u64,
-            shuffled_bytes: span.counter("shuffled_bytes").unwrap_or(0.0) as u64,
-            candidate_shuffled_bytes: span.counter("candidate_shuffled_bytes").unwrap_or(0.0)
-                as u64,
-        })
-        .collect();
-    let rows_intersected: u64 = drained
-        .spans
-        .iter()
-        .filter(|span| span.name == "expand_intersect/intersect")
-        .map(|span| span.counter("rows_intersected").unwrap_or(0.0) as u64)
-        .sum();
-    let rows_out = result.data.len_untracked() as u64;
-    let embedding_bytes: u64 = result
-        .data
-        .partitions()
-        .iter()
-        .flatten()
-        .map(|embedding| embedding.byte_size() as u64)
-        .sum();
-    let selectivity = if rows_in > 0 {
-        rows_out as f64 / rows_in as f64
-    } else {
-        1.0
-    };
-    let profile = ProfileNode {
-        operator: explain.operator.clone(),
-        estimated_cardinality: explain.estimated_cardinality,
-        estimated_strategy: explain.estimated_strategy,
-        actual_strategy,
-        actual_ship,
-        rows_in,
-        rows_out,
-        selectivity,
-        embedding_bytes,
-        simulated_seconds,
-        wall_seconds,
-        stages: drained.stages.len() as u64,
-        morsels: drained.stages.iter().map(|s| s.morsels).sum(),
-        stolen_morsels: drained.stages.iter().map(|s| s.stolen_morsels).sum(),
-        batches: drained.stages.iter().map(|s| s.batches).sum(),
-        batch_rows: drained.stages.iter().map(|s| s.batch_rows).sum(),
-        batch_rows_selected: drained.stages.iter().map(|s| s.batch_rows_selected).sum(),
-        estimate_error: q_error(explain.estimated_cardinality, rows_out),
-        recovery_attempts: drained.recovery_attempts(),
-        recovery_seconds: drained.recovery_seconds(),
-        checkpoint_bytes: drained.stages.iter().map(|s| s.checkpoint_bytes).sum(),
-        restored_bytes: drained.stages.iter().map(|s| s.restored_bytes).sum(),
-        peak_memory_bytes: drained
-            .stages
-            .iter()
-            .map(|s| s.peak_memory_bytes)
-            .max()
-            .unwrap_or(0),
-        scratch_allocations: drained.stages.iter().map(|s| s.scratch_allocations).sum(),
-        iterations,
-        rows_intersected,
-        children,
-    };
-    (result, profile)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -511,7 +430,15 @@ mod tests {
         let query = gradoop_cypher::QueryGraph::from_query(&parse(text).unwrap()).unwrap();
         let stats = GraphStatistics::of(graph);
         let plan = plan_query(&query, &Estimator::new(&stats)).unwrap();
-        let result = execute_plan(&plan.root, &query, graph, &matching);
+        let collector = CollectingSink::new();
+        let (result, _) = execute_plan(
+            &plan.root,
+            &plan.explain,
+            &query,
+            graph,
+            &matching,
+            &collector,
+        );
         result.data.count()
     }
 

@@ -57,10 +57,7 @@ pub mod values;
 
 pub use embedding::{Embedding, EmbeddingBatch, EmbeddingMetaData, Entry, EntryType};
 pub use engine::{CypherEngine, CypherError, CypherOperator};
-pub use executor::{
-    choose_join_strategy, choose_join_strategy_with_partitioning, execute_plan,
-    execute_plan_profiled,
-};
+pub use executor::{choose_join_strategy, choose_join_strategy_with_partitioning, execute_plan};
 pub use matching::{MatchingConfig, MorphismCheck, MorphismType};
 pub use observe::{
     ship_strategies, ExpandIteration, Explain, ExplainNode, PlannerCandidate, PlannerRound,

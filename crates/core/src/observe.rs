@@ -22,7 +22,7 @@
 //!   [`JsonValue`] model (the offline stand-in for `serde_json`), so every
 //!   document can be parsed back and compared.
 
-use gradoop_dataflow::{JoinStrategy, JsonValue};
+use gradoop_dataflow::{JoinStrategy, JsonValue, StageReport};
 
 /// Stable lower-case name of a join strategy, used in text and JSON output.
 pub fn strategy_name(strategy: JoinStrategy) -> &'static str {
@@ -376,9 +376,18 @@ pub struct ExpandIteration {
     pub candidate_shuffled_bytes: u64,
 }
 
+/// `rows_out / rows_in`, reading an empty input as selectivity 1.
+pub(crate) fn selectivity(rows_in: u64, rows_out: u64) -> f64 {
+    if rows_in > 0 {
+        rows_out as f64 / rows_in as f64
+    } else {
+        1.0
+    }
+}
+
 /// One operator of the profiled plan tree: the [`ExplainNode`] annotations
 /// plus everything measured during execution.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ProfileNode {
     /// Operator label (same format as [`ExplainNode::operator`]).
     pub operator: String,
@@ -451,6 +460,53 @@ pub struct ProfileNode {
 }
 
 impl ProfileNode {
+    /// Folds the dataflow stages this operator executed into its counters:
+    /// simulated time, stage/morsel/batch counts, recovery and memory.
+    pub(crate) fn absorb_stages(&mut self, stages: &[StageReport]) {
+        self.simulated_seconds = stages.iter().map(|s| s.seconds).sum();
+        self.stages = stages.len() as u64;
+        self.morsels = stages.iter().map(|s| s.morsels).sum();
+        self.stolen_morsels = stages.iter().map(|s| s.stolen_morsels).sum();
+        self.batches = stages.iter().map(|s| s.batches).sum();
+        self.batch_rows = stages.iter().map(|s| s.batch_rows).sum();
+        self.batch_rows_selected = stages.iter().map(|s| s.batch_rows_selected).sum();
+        self.recovery_attempts = stages.iter().map(|s| s.attempts.saturating_sub(1)).sum();
+        self.recovery_seconds = stages.iter().map(|s| s.recovery_seconds).sum();
+        self.checkpoint_bytes = stages.iter().map(|s| s.checkpoint_bytes).sum();
+        self.restored_bytes = stages.iter().map(|s| s.restored_bytes).sum();
+        self.peak_memory_bytes = stages
+            .iter()
+            .map(|s| s.peak_memory_bytes)
+            .max()
+            .unwrap_or(0);
+        self.scratch_allocations = stages.iter().map(|s| s.scratch_allocations).sum();
+    }
+
+    /// The flat profile leaf of one dataflow stage no plan operator claimed
+    /// (the projection, aggregation and join stages of a clause pipeline).
+    pub(crate) fn of_stage(report: &StageReport) -> ProfileNode {
+        let mut node = ProfileNode {
+            operator: report.name.clone(),
+            estimated_cardinality: report.records_out as f64,
+            rows_in: report.records_in,
+            rows_out: report.records_out,
+            selectivity: selectivity(report.records_in, report.records_out),
+            estimate_error: 1.0,
+            ..ProfileNode::default()
+        };
+        node.absorb_stages(std::slice::from_ref(report));
+        node
+    }
+
+    /// Largest [`peak_memory_bytes`](ProfileNode::peak_memory_bytes) in the
+    /// subtree — the run's per-worker memory high-water mark.
+    pub(crate) fn subtree_peak_memory_bytes(&self) -> u64 {
+        self.children
+            .iter()
+            .map(ProfileNode::subtree_peak_memory_bytes)
+            .fold(self.peak_memory_bytes, u64::max)
+    }
+
     /// Mean selection-vector fill ratio of this operator's batches
     /// (`batch_rows_selected / batch_rows`; 0 when no batch ran).
     pub fn batch_fill(&self) -> f64 {

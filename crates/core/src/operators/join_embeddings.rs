@@ -14,6 +14,7 @@
 //! elide its shuffle too.
 
 use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use gradoop_cypher::predicates::eval::eval_clause;
 use gradoop_cypher::CnfClause;
@@ -21,7 +22,7 @@ use gradoop_dataflow::{JoinStrategy, PartitionKey};
 
 use crate::embedding::{Embedding, EmbeddingBindings};
 use crate::matching::{MatchingConfig, MorphismCheck};
-use crate::operators::{malformed_plan, observe_operator, EmbeddingSet};
+use crate::operators::{malformed_plan, observe_operator_with, EmbeddingSet};
 
 /// A join key extracted from one or two id columns hashes inline; only
 /// wider keys (rare in practice — most joins share one or two variables)
@@ -81,7 +82,10 @@ pub fn join_embeddings(
 /// each clause is evaluated on the merged embedding *while it still lives
 /// in the per-worker scratch buffer*, so embeddings a post-join filter
 /// would drop are never allocated, materialized or shuffled. The executor
-/// uses this to collapse Filter-over-Join plan steps.
+/// uses this to collapse Filter-over-Join plan steps; the operator span then
+/// carries a `rows_joined` counter — the pairs the join alone produced,
+/// before any residual clause ran — so PROFILE can still report the join's
+/// and the filter's cardinalities separately.
 pub fn join_embeddings_filtered(
     left: &EmbeddingSet,
     right: &EmbeddingSet,
@@ -140,6 +144,8 @@ pub fn join_embeddings_filtered(
     let merged_meta = meta.clone();
     let skip = right_columns.clone();
     let clauses = residual_clauses.to_vec();
+    let joined = AtomicU64::new(0);
+    let joined_pairs = &joined;
 
     let data = left.data.join_partitioned(
         &right.data,
@@ -161,6 +167,7 @@ pub fn join_embeddings_filtered(
                     return None;
                 }
                 if !clauses.is_empty() {
+                    joined_pairs.fetch_add(1, Ordering::Relaxed);
                     let bindings = EmbeddingBindings {
                         embedding: scratch,
                         meta: &merged_meta,
@@ -176,7 +183,13 @@ pub fn join_embeddings_filtered(
 
     let rows_in = (left.data.len_untracked() + right.data.len_untracked()) as u64;
     let result = EmbeddingSet { data, meta };
-    observe_operator("join_embeddings", rows_in, &result);
+    let extra = if residual_clauses.is_empty() {
+        Vec::new()
+    } else {
+        let rows_joined = joined.load(Ordering::Relaxed) as f64;
+        vec![("rows_joined".to_string(), rows_joined)]
+    };
+    observe_operator_with("join_embeddings", rows_in, &result, extra);
     result
 }
 

@@ -42,6 +42,7 @@ pub use vectorized::{
 };
 
 use crate::embedding::{Embedding, EmbeddingMetaData};
+use crate::observe::selectivity;
 use gradoop_dataflow::{Data, Dataset, ExecutionFailure, SpanRecord};
 
 /// An embedding dataset together with its (plan-time) layout.
@@ -83,31 +84,40 @@ pub fn embedding_bytes(set: &EmbeddingSet) -> u64 {
 
 /// Reports an `operator/<name>` span with rows-in/out, selectivity and
 /// result-byte counters to the environment's trace sink. Called by every
-/// operator just before returning; a cheap no-op when no sink is installed,
-/// so untraced executions do not pay for the byte-size scan.
+/// operator just before returning. The engine always runs with a sink
+/// installed — the plan walker builds each PROFILE node and query-log entry
+/// from this span — so the byte-size scan below is paid once per operator
+/// per query; only direct operator calls on a sink-less environment skip it.
 pub(crate) fn observe_operator(name: &str, rows_in: u64, result: &EmbeddingSet) {
+    observe_operator_with(name, rows_in, result, Vec::new());
+}
+
+/// [`observe_operator`] with operator-specific `extra` counters appended.
+pub(crate) fn observe_operator_with(
+    name: &str,
+    rows_in: u64,
+    result: &EmbeddingSet,
+    extra: Vec<(String, f64)>,
+) {
     let env = result.data.env();
     if env.trace_sink().is_none() {
         return;
     }
     let rows_out = result.data.len_untracked() as u64;
-    let selectivity = if rows_in > 0 {
-        rows_out as f64 / rows_in as f64
-    } else {
-        1.0
-    };
+    let mut counters = vec![
+        ("rows_in".to_string(), rows_in as f64),
+        ("rows_out".to_string(), rows_out as f64),
+        ("selectivity".to_string(), selectivity(rows_in, rows_out)),
+        (
+            "embedding_bytes".to_string(),
+            embedding_bytes(result) as f64,
+        ),
+    ];
+    counters.extend(extra);
     env.emit_span(SpanRecord {
         name: format!("operator/{name}"),
         wall_seconds: 0.0,
         simulated_seconds: 0.0,
-        counters: vec![
-            ("rows_in".to_string(), rows_in as f64),
-            ("rows_out".to_string(), rows_out as f64),
-            ("selectivity".to_string(), selectivity),
-            (
-                "embedding_bytes".to_string(),
-                embedding_bytes(result) as f64,
-            ),
-        ],
+        counters,
     });
 }

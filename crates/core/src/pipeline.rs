@@ -6,10 +6,12 @@
 //! [`Row`]s, mirroring [`reference_pipeline`](crate::reference_pipeline)
 //! operator for operator:
 //!
-//! * each `MATCH` stage is planned and executed by the classic embedding
-//!   engine under its **own** morphism-uniqueness scope (openCypher's
-//!   per-`MATCH` uniqueness), then hash-joined onto the working table on
-//!   the canonical string key of the shared variables;
+//! * each `MATCH` stage is planned by the engine ([`plan_match_stage`]) and
+//!   executed by the classic plan walker under its **own**
+//!   morphism-uniqueness scope (openCypher's per-`MATCH` uniqueness), then
+//!   hash-joined onto the working table on the canonical string key of the
+//!   shared variables. The walker's operator subtree becomes one child of
+//!   the pipeline's PROFILE; every other dataflow stage stays a flat leaf;
 //! * `OPTIONAL MATCH` lowers onto
 //!   [`join_left_outer_filtered`](gradoop_dataflow::Dataset::join_left_outer_filtered):
 //!   the stage `WHERE` participates in the match decision, and a left row
@@ -43,13 +45,14 @@ use gradoop_cypher::ast::{
 };
 use gradoop_cypher::predicates::eval::eval_expression;
 use gradoop_cypher::{Expression, Literal, QueryGraph};
-use gradoop_dataflow::{Dataset, ExecutionFailure, JoinStrategy, StageReport};
+use gradoop_dataflow::{CollectingSink, Dataset, ExecutionFailure, JoinStrategy, StageReport};
 use gradoop_epgm::GraphStatistics;
 
 use crate::embedding::{Entry, EntryType};
 use crate::engine::CypherError;
 use crate::executor::execute_plan;
 use crate::matching::MatchingConfig;
+use crate::observe::ProfileNode;
 use crate::operators::EmbeddingSet;
 use crate::planner::{plan_query, Estimator, PlanError, QueryPlan};
 use crate::result::QueryResult;
@@ -130,46 +133,75 @@ pub fn check_open_range_caps(
 
 // --- pipeline execution ------------------------------------------------------
 
+/// Executes one planned `MATCH` through the plan walker under the open-range
+/// probe: a tripped fault budget, a malformed plan or a path crossing an
+/// open range's cap is a classified error, never a partial result.
+pub(crate) fn execute_match<S: GraphSource + ?Sized>(
+    query: &QueryGraph,
+    plan: &QueryPlan,
+    source: &S,
+    matching: &MatchingConfig,
+    collector: &CollectingSink,
+) -> Result<(EmbeddingSet, ProfileNode), CypherError> {
+    let (probe, caps) = probe_open_ranges(query);
+    let (set, profile) = execute_plan(
+        &plan.root,
+        &plan.explain,
+        &probe,
+        source,
+        matching,
+        collector,
+    );
+    if let Some(failure) = source.env().take_execution_failure() {
+        return Err(CypherError::Execution(failure));
+    }
+    check_open_range_caps(&set, &caps)?;
+    Ok((set, profile))
+}
+
 /// Executes a multi-clause pipeline against `source`, returning the final
 /// tabular result. Semantics match
 /// [`reference_pipeline`](crate::reference_pipeline) exactly — the
 /// conformance fuzzer holds the two against each other.
+///
+/// `stage_plans` holds the plan of every `MATCH`/`OPTIONAL MATCH` stage in
+/// stage order (see [`plan_match_stage`]). `collector` must be installed as
+/// (or teed into) the environment's trace sink; the run's PROFILE children
+/// are appended to `profile` in execution order — one operator subtree per
+/// `MATCH` stage, one flat leaf per remaining dataflow stage.
 pub fn execute_pipeline<S: GraphSource + ?Sized>(
     pipeline: &Pipeline,
+    stage_plans: &[(QueryGraph, QueryPlan)],
     params: &HashMap<String, Literal>,
-    statistics: &GraphStatistics,
     source: &S,
     matching: &MatchingConfig,
+    collector: &CollectingSink,
+    profile: &mut Vec<ProfileNode>,
 ) -> Result<TableResult, CypherError> {
     let snapshot = Snapshot::of(source);
     let mut columns: Vec<String> = Vec::new();
     // One empty seed row: the first MATCH cross-joins against it on the
     // empty shared-variable key, so no clause needs a special first case.
     let mut data: Dataset<Row> = source.env().from_collection(vec![Row::new()]);
+    let mut stage_plans = stage_plans.iter();
     for stage in &pipeline.stages {
         match stage {
-            Stage::Match(stage) => apply_match(
-                &snapshot,
-                &mut columns,
-                &mut data,
-                stage,
-                params,
-                statistics,
-                source,
-                matching,
-                false,
-            )?,
-            Stage::OptionalMatch(stage) => apply_match(
-                &snapshot,
-                &mut columns,
-                &mut data,
-                stage,
-                params,
-                statistics,
-                source,
-                matching,
-                true,
-            )?,
+            Stage::Match(inner) | Stage::OptionalMatch(inner) => {
+                let (query_graph, plan) = stage_plans.next().expect("one plan per MATCH stage");
+                profile.extend(collector.drain().stages.iter().map(ProfileNode::of_stage));
+                let (set, operators) =
+                    execute_match(query_graph, plan, source, matching, collector)?;
+                profile.push(operators);
+                apply_match(
+                    &snapshot,
+                    &mut columns,
+                    &mut data,
+                    inner,
+                    stage_rows(query_graph, &set)?,
+                    params,
+                    matches!(stage, Stage::OptionalMatch(_)),
+                )?;
+            }
             Stage::With(projection) => {
                 apply_projection(&snapshot, &mut columns, &mut data, projection, params)?;
             }
@@ -177,18 +209,21 @@ pub fn execute_pipeline<S: GraphSource + ?Sized>(
         }
     }
     apply_projection(&snapshot, &mut columns, &mut data, &pipeline.ret, params)?;
+    // `collect` concatenates partitions in order; ordered datasets hold
+    // their merged run in partition 0, so sorted order survives.
+    let rows = data.collect();
+    profile.extend(collector.drain().stages.iter().map(ProfileNode::of_stage));
     Ok(TableResult {
         columns,
-        // `collect` concatenates partitions in order; ordered datasets hold
-        // their merged run in partition 0, so sorted order survives.
-        rows: data.collect(),
+        rows,
         ordered: !pipeline.ret.order_by.is_empty(),
     })
 }
 
 /// Plans one `MATCH` stage in isolation (patterns only — the stage `WHERE`
 /// is evaluated row-wise over the combined table so it can see earlier
-/// columns).
+/// columns). The plan depends on the stage, the parameters and the graph
+/// statistics alone, never on the working table.
 pub(crate) fn plan_match_stage(
     stage: &MatchStage,
     params: &HashMap<String, Literal>,
@@ -207,23 +242,13 @@ pub(crate) fn plan_match_stage(
     Ok((query_graph, plan))
 }
 
-/// Executes one `MATCH` stage and converts its embeddings to rows. Columns
-/// are the named variables, vertices first then edges, in query-graph
-/// order — the same layout as the reference interpreter's stage table.
-fn stage_rows<S: GraphSource + ?Sized>(
-    stage: &MatchStage,
-    params: &HashMap<String, Literal>,
-    statistics: &GraphStatistics,
-    source: &S,
-    matching: &MatchingConfig,
+/// Converts one executed `MATCH` stage's embeddings to rows. Columns are the
+/// named variables, vertices first then edges, in query-graph order — the
+/// same layout as the reference interpreter's stage table.
+fn stage_rows(
+    query_graph: &QueryGraph,
+    set: &EmbeddingSet,
 ) -> Result<(Vec<String>, Dataset<Row>), CypherError> {
-    let (query_graph, plan) = plan_match_stage(stage, params, statistics)?;
-    let (probe, caps) = probe_open_ranges(&query_graph);
-    let set = execute_plan(&plan.root, &probe, source, matching);
-    if let Some(failure) = source.env().take_execution_failure() {
-        return Err(CypherError::Execution(failure));
-    }
-    check_open_range_caps(&set, &caps)?;
     let mut names: Vec<String> = Vec::new();
     let mut vertex_count = 0usize;
     for vertex in &query_graph.vertices {
@@ -272,19 +297,15 @@ fn bind_params(
     Ok(bound)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn apply_match<S: GraphSource + ?Sized>(
+fn apply_match(
     snapshot: &Snapshot,
     columns: &mut Vec<String>,
     data: &mut Dataset<Row>,
     stage: &MatchStage,
+    (match_columns, match_rows): (Vec<String>, Dataset<Row>),
     params: &HashMap<String, Literal>,
-    statistics: &GraphStatistics,
-    source: &S,
-    matching: &MatchingConfig,
     optional: bool,
 ) -> Result<(), CypherError> {
-    let (match_columns, match_rows) = stage_rows(stage, params, statistics, source, matching)?;
     let shared: Vec<(usize, usize)> = match_columns
         .iter()
         .enumerate()
@@ -357,7 +378,7 @@ fn apply_match<S: GraphSource + ?Sized>(
         );
         // Surface the padding count as a stage report so PROFILE and the
         // query log show how many rows the outer join NULL-padded.
-        if let Some(sink) = source.env().trace_sink() {
+        if let Some(sink) = data.env().trace_sink() {
             sink.on_stage(&StageReport {
                 name: "optional_match(pad)".to_string(),
                 records_out: padded.load(AtomicOrdering::Relaxed),

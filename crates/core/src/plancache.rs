@@ -1,8 +1,9 @@
-//! The parse/plan cache: memoizes parsed ASTs by exact query text and
-//! query plans by *normalized query shape* (see
+//! The plan cache: memoizes query plans by *normalized query shape* (see
 //! [`normalize_query_shape`](crate::querylog::normalize_query_shape)), so a
 //! server running the same parameterized query for many users plans it
-//! once and re-binds `$param` values per execution.
+//! once and re-binds `$param` values per execution. (Texts are not
+//! memoized: every run parses its text exactly once, and that one parse is
+//! what tells a classic query from a clause pipeline.)
 //!
 //! ## Why keying on the shape is sound
 //!
@@ -27,8 +28,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use gradoop_cypher::ast::Query;
-use gradoop_cypher::{parse, ParseError, QueryGraph};
+use gradoop_cypher::QueryGraph;
 use gradoop_dataflow::MetricsRegistry;
 
 use crate::planner::{PlanMode, QueryPlan};
@@ -114,17 +114,10 @@ struct PlanEntry {
     last_used: u64,
 }
 
-struct AstEntry {
-    ast: Arc<Query>,
-    last_used: u64,
-}
-
 #[derive(Default)]
 struct CacheInner {
     /// Plans keyed on `(normalized shape, plan mode)`.
     plans: HashMap<(String, PlanModeKey), PlanEntry>,
-    /// Parsed ASTs keyed on exact query text (classic single-`MATCH` path).
-    asts: HashMap<String, AstEntry>,
     tick: u64,
 }
 
@@ -139,7 +132,7 @@ fn mode_key(mode: PlanMode) -> PlanModeKey {
     }
 }
 
-/// A bounded, thread-safe parse/plan cache. Cheap to share: clone the
+/// A bounded, thread-safe plan cache. Cheap to share: clone the
 /// `Arc` into every engine that serves the same graph snapshot.
 pub struct PlanCache {
     inner: Mutex<CacheInner>,
@@ -156,8 +149,8 @@ impl Default for PlanCache {
 }
 
 impl PlanCache {
-    /// Creates a cache retaining at most `capacity` plans (and as many
-    /// parsed ASTs), evicting least-recently-used entries beyond that.
+    /// Creates a cache retaining at most `capacity` plans, evicting
+    /// least-recently-used entries beyond that.
     pub fn new(capacity: usize) -> Self {
         PlanCache {
             inner: Mutex::new(CacheInner::default()),
@@ -166,34 +159,6 @@ impl PlanCache {
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
-    }
-
-    /// Parses `query_text`, answering repeated texts from the AST cache.
-    pub fn parse(&self, query_text: &str) -> Result<Arc<Query>, ParseError> {
-        let mut inner = self.inner.lock().unwrap();
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(entry) = inner.asts.get_mut(query_text) {
-            entry.last_used = tick;
-            return Ok(entry.ast.clone());
-        }
-        drop(inner);
-        // Parse outside the lock: parse errors are per-text and cheap to
-        // recompute, so failed texts are deliberately not cached.
-        let ast = Arc::new(parse(query_text)?);
-        let mut inner = self.inner.lock().unwrap();
-        let tick = inner.tick;
-        if inner.asts.len() >= self.capacity {
-            evict_lru(&mut inner.asts, |e| e.last_used);
-        }
-        inner.asts.insert(
-            query_text.to_string(),
-            AstEntry {
-                ast: ast.clone(),
-                last_used: tick,
-            },
-        );
-        Ok(ast)
     }
 
     /// Looks up the plan cached for `(shape, mode)`, validating it against
@@ -244,7 +209,10 @@ impl PlanCache {
         if inner.plans.len() >= self.capacity
             && !inner.plans.contains_key(&(shape.clone(), mode_key(mode)))
         {
-            evict_lru(&mut inner.plans, |e| e.last_used);
+            let least_recent = inner.plans.iter().min_by_key(|(_, entry)| entry.last_used);
+            if let Some(key) = least_recent.map(|(key, _)| key.clone()) {
+                inner.plans.remove(&key);
+            }
             self.evictions.fetch_add(1, Ordering::Relaxed);
             MetricsRegistry::global()
                 .counter("plan_cache.evictions")
@@ -280,20 +248,6 @@ impl std::fmt::Debug for PlanCache {
     }
 }
 
-/// Removes the least-recently-used entry of `map` (no-op when empty).
-fn evict_lru<K: Clone + std::hash::Hash + Eq, V>(
-    map: &mut HashMap<K, V>,
-    used: impl Fn(&V) -> u64,
-) {
-    if let Some(key) = map
-        .iter()
-        .min_by_key(|(_, v)| used(v))
-        .map(|(k, _)| k.clone())
-    {
-        map.remove(&key);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,7 +255,7 @@ mod tests {
     use gradoop_epgm::GraphStatistics;
 
     fn plan_for(text: &str) -> (QueryGraph, Arc<QueryPlan>) {
-        let ast = parse(text).expect("parse");
+        let ast = gradoop_cypher::parse(text).expect("parse");
         let query = QueryGraph::from_query(&ast).expect("query graph");
         let statistics = GraphStatistics::default();
         let plan = plan_query_with_mode(&query, &Estimator::new(&statistics), PlanMode::CostBased)
@@ -375,14 +329,5 @@ mod tests {
         assert!(cache.lookup("s3", PlanMode::CostBased, &query).is_some());
         assert_eq!(cache.stats().evictions, 1);
         assert_eq!(cache.stats().entries, 2);
-    }
-
-    #[test]
-    fn ast_cache_returns_shared_parses() {
-        let cache = PlanCache::new(4);
-        let first = cache.parse("MATCH (a) RETURN a").expect("parse");
-        let second = cache.parse("MATCH (a) RETURN a").expect("parse");
-        assert!(Arc::ptr_eq(&first, &second));
-        assert!(cache.parse("MATCH (a) RETURN").is_err());
     }
 }

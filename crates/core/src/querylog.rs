@@ -27,7 +27,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use gradoop_dataflow::{JsonValue, SpanRecord, StageReport, TraceSink};
 
-use crate::observe::{Profile, ProfileNode};
+use crate::observe::ProfileNode;
 
 /// How a query run ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,8 +60,7 @@ pub struct OperatorLogEntry {
     pub name: String,
     /// Rows produced.
     pub rows_out: u64,
-    /// Bytes produced (embedding bytes for profiled operators, shuffled
-    /// bytes for raw stages).
+    /// Embedding bytes produced (0 for a pipeline's plain dataflow stages).
     pub bytes: u64,
 }
 
@@ -80,8 +79,8 @@ pub struct QueryLogRecord {
     pub plan_digest: String,
     /// `Some("hit")`/`Some("miss")` when the engine consulted a
     /// [`PlanCache`](crate::plancache::PlanCache) for this run; `None`
-    /// when no cache was installed (or the run took the pipeline path,
-    /// which plans per stage and is not cached).
+    /// when no cache was installed, planning failed before the lookup, or
+    /// the run took the pipeline path (planned per stage, never cached).
     pub plan_cache: Option<&'static str>,
     /// How the run ended.
     pub outcome: QueryOutcome,
@@ -89,12 +88,12 @@ pub struct QueryLogRecord {
     pub error: Option<String>,
     /// Final match count (0 unless `outcome == Ok`).
     pub matches: u64,
-    /// Wall-clock seconds from plan to result.
+    /// Wall-clock seconds from query text to result (or error).
     pub wall_seconds: f64,
     /// Simulated seconds charged by the run.
     pub simulated_seconds: f64,
-    /// Per-operator rows/bytes (stage-level for plain `execute`,
-    /// operator-level for `profile`).
+    /// Per-operator rows/bytes: the run's PROFILE tree in pre-order (empty
+    /// unless `outcome == Ok` — a failed run's datasets are discarded).
     pub operators: Vec<OperatorLogEntry>,
     /// Worst estimate-vs-actual q-error observed (1.0 when unknown).
     pub max_q_error: f64,
@@ -102,7 +101,8 @@ pub struct QueryLogRecord {
     pub recovery_attempts: u64,
     /// Morsels that ran on a worker other than their partition's owner.
     pub stolen_morsels: u64,
-    /// Peak transient bytes on the most loaded worker.
+    /// Peak transient bytes on the most loaded worker (0 unless
+    /// `outcome == Ok`).
     pub peak_memory_bytes: u64,
 }
 
@@ -255,8 +255,8 @@ pub fn global_query_log() -> Arc<MemoryQueryLog> {
 }
 
 /// A [`TraceSink`] that forwards every event to an optional downstream
-/// sink *and* a collector — how the engine observes per-stage rows/bytes
-/// for the query log without clobbering a user-installed sink.
+/// sink *and* a collector — how the engine attributes stages and spans to
+/// plan operators without clobbering a user-installed sink.
 pub struct TeeSink {
     downstream: Option<Arc<dyn TraceSink>>,
     collector: Arc<dyn TraceSink>,
@@ -506,35 +506,6 @@ pub(crate) fn operators_from_profile(root: &ProfileNode) -> (Vec<OperatorLogEntr
     let mut worst = 1.0;
     walk(root, &mut out, &mut worst);
     (out, worst)
-}
-
-/// Builds a query log record from a finished [`Profile`].
-pub(crate) fn record_from_profile(
-    query_text: &str,
-    plan_digest: String,
-    profile: &Profile,
-    stolen_morsels: u64,
-) -> QueryLogRecord {
-    let shape = normalize_query_shape(query_text);
-    let fingerprint = stable_digest(&shape);
-    let (operators, max_q_error) = operators_from_profile(&profile.root);
-    QueryLogRecord {
-        query: query_text.to_string(),
-        shape,
-        fingerprint,
-        plan_digest,
-        plan_cache: None,
-        outcome: QueryOutcome::Ok,
-        error: None,
-        matches: profile.matches,
-        wall_seconds: profile.wall_seconds,
-        simulated_seconds: profile.simulated_seconds,
-        operators,
-        max_q_error,
-        recovery_attempts: profile.recovery_attempts,
-        stolen_morsels,
-        peak_memory_bytes: profile.peak_memory_bytes,
-    }
 }
 
 #[cfg(test)]

@@ -272,13 +272,28 @@ fn explain_reports_strategy_chosen_from_estimates() {
 #[test]
 fn profile_restores_previously_installed_trace_sink() {
     let graph = figure1_graph();
+    // Statistics are computed before the sink goes in, so everything the
+    // sink sees below comes from the profiled query itself.
+    let engine = CypherEngine::for_graph(&graph);
     let sink = Arc::new(CollectingSink::new());
     graph.env().set_trace_sink(Some(sink.clone()));
-    let p = profile(&graph, TWO_HOP);
+    let p = engine
+        .profile(
+            &graph,
+            TWO_HOP,
+            &HashMap::new(),
+            MatchingConfig::cypher_default(),
+        )
+        .expect("query profiles");
     assert_eq!(p.matches, 3);
     assert!(
         graph.env().trace_sink().is_some(),
         "profiling restores the caller's sink"
     );
+    // PROFILE tees its collector in front of the caller's sink instead of
+    // replacing it: a Chrome-trace export (or the server's deadline sink)
+    // keeps seeing every stage and operator span while a query profiles.
+    assert!(sink.stage_count() >= 1, "the caller's sink saw no stage");
+    assert!(sink.span_count() >= 1, "the caller's sink saw no span");
     graph.env().set_trace_sink(None);
 }

@@ -209,25 +209,31 @@ fn mid_run_deadline_discards_results_through_the_engine() {
     let server = QueryServer::new(snapshot(), ServerConfig::default());
     let engine = CypherEngine::with_statistics(server.snapshot().statistics().clone());
     let (env, graph) = server.snapshot().attach();
-    // Arm an already-expired deadline directly, bypassing the server's
-    // pre-execution check: the first finished stage poisons the run.
-    env.set_trace_sink(Some(Arc::new(DeadlineSink::new(
-        env.clone(),
-        std::time::Instant::now(),
-        0,
-    ))));
-    let error = engine
-        .run(
-            &graph,
-            &BenchmarkQuery::Q1.text(Some("Jan")),
-            &HashMap::new(),
-            server.config().matching,
-        )
-        .expect_err("expired deadline must fail the run");
-    env.set_trace_sink(None);
-    match error {
-        CypherError::Execution(failure) => assert_eq!(failure.site, DEADLINE_SITE),
-        other => panic!("expected Execution failure, got {other:?}"),
+    let text = BenchmarkQuery::Q1.text(Some("Jan"));
+    let matching = server.config().matching;
+    // `run` and `profile` are views over one execution path, under the same
+    // tee: the caller's sink keeps firing while either of them runs.
+    for view in ["run", "profile"] {
+        // Arm an already-expired deadline directly, bypassing the server's
+        // pre-execution check: the first finished stage poisons the run.
+        env.set_trace_sink(Some(Arc::new(DeadlineSink::new(
+            env.clone(),
+            std::time::Instant::now(),
+            0,
+        ))));
+        let outcome = match view {
+            "run" => engine
+                .run(&graph, &text, &HashMap::new(), matching)
+                .map(drop),
+            _ => engine
+                .profile(&graph, &text, &HashMap::new(), matching)
+                .map(drop),
+        };
+        env.set_trace_sink(None);
+        match outcome.expect_err("expired deadline must fail the run") {
+            CypherError::Execution(failure) => assert_eq!(failure.site, DEADLINE_SITE, "{view}"),
+            other => panic!("{view}: expected Execution failure, got {other:?}"),
+        }
     }
 }
 
