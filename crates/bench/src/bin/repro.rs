@@ -21,8 +21,8 @@ use gradoop_bench::gate::{compare, BenchReport, Direction};
 use gradoop_bench::harness::{self, Measurement, ScaleFactor};
 use gradoop_bench::report::{bytes, seconds, speedup, Table};
 use gradoop_core::{
-    CypherEngine, Embedding, EmbeddingBatch, EmbeddingMetaData, EntryType, JsonlQueryLog,
-    MatchingConfig, MorphismCheck, PlanMode, ProfileNode,
+    CypherEngine, Embedding, EmbeddingMetaData, EntryType, JsonlQueryLog, MatchingConfig,
+    MorphismCheck, PlanMode, ProfileNode,
 };
 use gradoop_dataflow::{
     chrome_trace_json, CollectingSink, CostModel, Dataset, ExecutionConfig, ExecutionEnvironment,
@@ -1353,302 +1353,6 @@ fn bench_pr8(check_baseline: bool) {
     }
 }
 
-/// Wall-clock best-of-`reps` timing for `f`: returns the fastest run's
-/// seconds plus the (deterministic) result so callers can cross-check the
-/// kernels against each other.
-fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
-    let mut best = f64::INFINITY;
-    let mut result = None;
-    for _ in 0..reps {
-        let start = std::time::Instant::now();
-        let value = f();
-        best = best.min(start.elapsed().as_secs_f64());
-        result = Some(value);
-    }
-    (best, result.expect("reps >= 1"))
-}
-
-/// Emits `BENCH_pr9.json` — the columnar-batch perf gate: rows/sec of the
-/// hot operator kernels (predicate filter, hash-join probe, expand) in
-/// their row-at-a-time and batched (selection-vector) forms, over the same
-/// embeddings. Both forms must agree result-for-result, the batched filter
-/// is hard-asserted at ≥ 2× and the batched join probe at ≥ 1.5×. With
-/// `check_baseline`, diffs against `BENCH_pr9_baseline.json` and exits
-/// non-zero on regression. Wall-clock throughput varies across machines,
-/// so absolute rates get generous gates and the row-vs-batched *speedups*
-/// (machine-relative) carry the tight ones.
-fn bench_pr9(check_baseline: bool) {
-    use gradoop_core::embedding::EmbeddingBindings;
-    use gradoop_core::operators::{
-        expand_batched, hash_probe_batched, CompiledFilter, IdHashTable, NeighborIndex,
-    };
-    use gradoop_cypher::parse;
-    use gradoop_cypher::predicates::cnf::to_cnf;
-    use gradoop_cypher::predicates::eval::eval_clause;
-
-    println!("== BENCH_pr9: columnar morsel batches — batched kernels vs row-at-a-time ==\n");
-    let mut report = BenchReport::new();
-
-    const ROWS: usize = 200_000;
-    const MORSEL: usize = 2_048;
-    const REPS: usize = 7;
-
-    // Shared input: (a)-[e]->(b) embeddings with a.name, a.age and b.age
-    // properties. a.age is NULL on ~8% of rows so the kernels pay the
-    // three-valued cost they pay in production; a.name draws from a small
-    // string domain (the dictionary's sweet spot, and the shape of LDBC's
-    // firstName/gender filters); b ids collide (the probe side fans out).
-    let mut meta = EmbeddingMetaData::new();
-    meta.add_entry("a", EntryType::Vertex);
-    meta.add_entry("e", EntryType::Edge);
-    meta.add_entry("b", EntryType::Vertex);
-    meta.add_property("a", "name");
-    meta.add_property("a", "age");
-    meta.add_property("b", "age");
-    let b_universe = ROWS as u64 / 2;
-    let rows: Vec<Embedding> = (0..ROWS as u64)
-        .map(|i| {
-            let mut row = Embedding::new();
-            row.push_id(i);
-            row.push_id(1_000_000 + i);
-            row.push_id(i.wrapping_mul(2_654_435_761) % b_universe);
-            row.push_property(&PropertyValue::String(format!("p{}", i % 40)));
-            if i % 13 == 0 {
-                row.push_property(&PropertyValue::Null);
-            } else {
-                row.push_property(&PropertyValue::Long(
-                    (i.wrapping_mul(2_654_435_761) % 90) as i64,
-                ));
-            }
-            row.push_property(&PropertyValue::Long(((i * 7) % 90) as i64));
-            row
-        })
-        .collect();
-
-    let mut table = Table::new(["operator", "row [Mrows/s]", "batched [Mrows/s]", "speedup"]);
-    let mrows = |seconds: f64| ROWS as f64 / seconds / 1e6;
-    let add_operator = |report: &mut BenchReport,
-                        table: &mut Table,
-                        name: &str,
-                        row_seconds: f64,
-                        batched_seconds: f64| {
-        let speedup = row_seconds / batched_seconds;
-        table.row([
-            name.to_string(),
-            format!("{:.2}", mrows(row_seconds)),
-            format!("{:.2}", mrows(batched_seconds)),
-            format!("{speedup:.2}x"),
-        ]);
-        report.add(
-            format!("pr9.{name}.row_rows_per_second"),
-            ROWS as f64 / row_seconds,
-            3.0,
-            Direction::HigherIsBetter,
-        );
-        report.add(
-            format!("pr9.{name}.batched_rows_per_second"),
-            ROWS as f64 / batched_seconds,
-            3.0,
-            Direction::HigherIsBetter,
-        );
-        report.add(
-            format!("pr9.{name}.speedup"),
-            speedup,
-            2.0,
-            Direction::HigherIsBetter,
-        );
-        speedup
-    };
-
-    // -- Filter: the row path evaluates the CNF tree per row, decoding
-    // every touched property; the batched path compiles literal atoms to
-    // dictionary truth tables and scans primitive code columns.
-    let query = parse(
-        "MATCH (a)-[e]->(b) \
-         WHERE a.age >= 18 AND a.age < 65 AND a.name <> 'p17' AND b.age <> 30 RETURN *",
-    )
-    .expect("filter query parses");
-    let clauses = to_cnf(&query.where_clause.expect("has WHERE")).clauses;
-    let (filter_row_seconds, row_kept) = best_of(REPS, || {
-        let mut kept = 0usize;
-        for row in &rows {
-            let bindings = EmbeddingBindings {
-                embedding: row,
-                meta: &meta,
-            };
-            if clauses.iter().all(|clause| eval_clause(clause, &bindings)) {
-                kept += 1;
-            }
-        }
-        kept
-    });
-    let compiled = CompiledFilter::compile(&clauses, &meta);
-    let (filter_batched_seconds, batched_kept) = best_of(REPS, || {
-        let mut kept = 0usize;
-        for chunk in rows.chunks(MORSEL) {
-            let mut batch = EmbeddingBatch::new(chunk, &meta);
-            compiled.apply(&mut batch);
-            kept += batch.selected_count();
-        }
-        kept
-    });
-    assert_eq!(row_kept, batched_kept, "filter kernels disagree");
-    assert!(
-        row_kept > 0 && row_kept < ROWS,
-        "filter selectivity must be partial ({row_kept}/{ROWS})"
-    );
-    let filter_speedup = add_operator(
-        &mut report,
-        &mut table,
-        "filter",
-        filter_row_seconds,
-        filter_batched_seconds,
-    );
-
-    // -- Hash-join probe: the row path extracts the join key per embedding
-    // and probes a SipHash `HashMap`; the batched path gathers the id
-    // column once and probes the open-addressed multiply-shift table.
-    let build_keys: Vec<u64> = (0..b_universe).collect();
-    let mut row_index: HashMap<u64, Vec<u32>> = HashMap::new();
-    for (index, &key) in build_keys.iter().enumerate() {
-        row_index.entry(key).or_default().push(index as u32);
-    }
-    let mut row_pairs_out: Vec<(u32, u32)> = Vec::new();
-    let (join_row_seconds, row_pairs) = best_of(REPS, || {
-        row_pairs_out.clear();
-        for (probe, row) in rows.iter().enumerate() {
-            if let Some(matches) = row_index.get(&row.id(2)) {
-                for &build in matches {
-                    row_pairs_out.push((probe as u32, build));
-                }
-            }
-        }
-        row_pairs_out.len()
-    });
-    let id_table = IdHashTable::build(&build_keys);
-    let mut batched_pairs_out: Vec<(u32, u32)> = Vec::new();
-    let (join_batched_seconds, batched_pairs) = best_of(REPS, || {
-        let mut pairs = 0usize;
-        for chunk in rows.chunks(MORSEL) {
-            let mut batch = EmbeddingBatch::new(chunk, &meta);
-            batch.ensure_ids(2);
-            batched_pairs_out.clear();
-            hash_probe_batched(
-                &id_table,
-                batch.ids(2).expect("b is an id column"),
-                batch.selection(),
-                &mut batched_pairs_out,
-            );
-            pairs += batched_pairs_out.len();
-        }
-        pairs
-    });
-    assert_eq!(row_pairs, batched_pairs, "join probes disagree");
-    assert_eq!(
-        row_pairs, ROWS,
-        "every probe row has exactly one build match"
-    );
-    let join_speedup = add_operator(
-        &mut report,
-        &mut table,
-        "join_probe",
-        join_row_seconds,
-        join_batched_seconds,
-    );
-
-    // -- Expand: enumerate (edge, target) candidates per selected source.
-    // Row path: per-embedding id decode + `HashMap` adjacency; batched:
-    // gathered source column through the `NeighborIndex`.
-    let triples: Vec<(u64, u64, u64)> = (0..b_universe)
-        .flat_map(|source| {
-            (0..3u64).map(move |hop| {
-                (
-                    source,
-                    2_000_000 + source * 3 + hop,
-                    (source + hop + 1) % b_universe,
-                )
-            })
-        })
-        .collect();
-    let mut row_adjacency: HashMap<u64, Vec<(u64, u64)>> = HashMap::new();
-    for &(source, edge, target) in &triples {
-        row_adjacency
-            .entry(source)
-            .or_default()
-            .push((edge, target));
-    }
-    let mut row_expand_out: Vec<(u32, u64, u64)> = Vec::new();
-    let (expand_row_seconds, row_candidates) = best_of(REPS, || {
-        row_expand_out.clear();
-        for (probe, row) in rows.iter().enumerate() {
-            if let Some(neighbors) = row_adjacency.get(&row.id(2)) {
-                for &(edge, target) in neighbors {
-                    row_expand_out.push((probe as u32, edge, target));
-                }
-            }
-        }
-        row_expand_out.len()
-    });
-    let neighbor_index = NeighborIndex::build(&triples);
-    let mut batched_expand_out: Vec<(u32, u64, u64)> = Vec::new();
-    let (expand_batched_seconds, batched_candidates) = best_of(REPS, || {
-        let mut candidates = 0usize;
-        for chunk in rows.chunks(MORSEL) {
-            let mut batch = EmbeddingBatch::new(chunk, &meta);
-            batch.ensure_ids(2);
-            batched_expand_out.clear();
-            expand_batched(
-                &neighbor_index,
-                batch.ids(2).expect("b is an id column"),
-                batch.selection(),
-                &mut batched_expand_out,
-            );
-            candidates += batched_expand_out.len();
-        }
-        candidates
-    });
-    assert_eq!(row_candidates, batched_candidates, "expands disagree");
-    assert_eq!(row_candidates, ROWS * 3, "out-degree 3 per source");
-    add_operator(
-        &mut report,
-        &mut table,
-        "expand",
-        expand_row_seconds,
-        expand_batched_seconds,
-    );
-
-    println!("{table}");
-    println!(
-        "filter speedup {filter_speedup:.2}x (required >= 2.0x), \
-         join probe speedup {join_speedup:.2}x (required >= 1.5x)\n"
-    );
-    assert!(
-        filter_speedup >= 2.0,
-        "batched filter speedup {filter_speedup:.2}x below the required 2x"
-    );
-    assert!(
-        join_speedup >= 1.5,
-        "batched join probe speedup {join_speedup:.2}x below the required 1.5x"
-    );
-
-    std::fs::write("BENCH_pr9.json", report.to_json()).expect("write BENCH_pr9.json");
-    println!("wrote BENCH_pr9.json");
-
-    if check_baseline {
-        let baseline_text = std::fs::read_to_string("BENCH_pr9_baseline.json")
-            .expect("read BENCH_pr9_baseline.json (run from the repo root)");
-        let baseline = BenchReport::parse(&baseline_text).expect("parse baseline");
-        let outcome = compare(&baseline, &report);
-        println!("-- gate vs committed baseline:");
-        print!("{}", outcome.summary());
-        if !outcome.is_pass() {
-            println!("bench gate FAILED");
-            std::process::exit(1);
-        }
-        println!("bench gate OK");
-    }
-}
-
 /// Emits `BENCH_pr10.json` — the concurrent query-server gate: a mixed
 /// Q1–Q6 workload from 8 client threads over one shared immutable
 /// snapshot. Deterministic gates: results byte-identical to serial
@@ -1933,13 +1637,12 @@ fn trace_out(path: &str, query_log_path: Option<&str>) {
 }
 
 /// Every flag `repro` understands; the second list takes a value.
-const SWITCHES: [&str; 19] = [
+const SWITCHES: [&str; 18] = [
     "--smoke",
     "--orderby",
     "--cyclic",
     "--bench-pr4",
     "--bench-pr6",
-    "--bench-pr9",
     "--bench-pr10",
     "--check-baseline",
     "--conformance",
@@ -2014,13 +1717,6 @@ fn main() {
         // triangle and diamond queries, with the committed
         // BENCH_pr8_baseline.json as the regression reference.
         bench_pr8(has("--check-baseline"));
-        return;
-    }
-    if has("--bench-pr9") {
-        // Columnar-batch perf gate: batched (selection-vector) operator
-        // kernels vs the row-at-a-time path, with the committed
-        // BENCH_pr9_baseline.json as the regression reference.
-        bench_pr9(has("--check-baseline"));
         return;
     }
     if has("--bench-pr10") {

@@ -29,9 +29,6 @@ pub struct EngineConfig {
     pub partition_aware: bool,
     /// Morsel-driven work stealing on/off.
     pub work_stealing: bool,
-    /// Batched (vectorized) operator kernels on/off — selection-vector
-    /// filters and morsel-sized batches versus the row-at-a-time path.
-    pub vectorized: bool,
     /// Planner mode — cyclic tail-free cases additionally sweep
     /// [`PlanMode::ForceBinary`] and [`PlanMode::ForceWco`] so the
     /// worst-case-optimal and binary plans are compared result-for-result
@@ -40,22 +37,19 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// The full 16-point matrix (cost-based planning; forced plan modes
+    /// The full 8-point matrix (cost-based planning; forced plan modes
     /// are layered on per case by [`run_case`]).
     pub fn matrix() -> Vec<EngineConfig> {
         let mut out = Vec::new();
         for uniform_stats in [false, true] {
             for partition_aware in [false, true] {
                 for work_stealing in [false, true] {
-                    for vectorized in [false, true] {
-                        out.push(EngineConfig {
-                            uniform_stats,
-                            partition_aware,
-                            work_stealing,
-                            vectorized,
-                            plan_mode: PlanMode::CostBased,
-                        });
-                    }
+                    out.push(EngineConfig {
+                        uniform_stats,
+                        partition_aware,
+                        work_stealing,
+                        plan_mode: PlanMode::CostBased,
+                    });
                 }
             }
         }
@@ -68,7 +62,7 @@ impl EngineConfig {
         self
     }
 
-    /// Compact label for reports, e.g. `stats+ partition- stealing+ vec+ wco!`.
+    /// Compact label for reports, e.g. `stats+ partition- stealing+ wco!`.
     pub fn label(&self) -> String {
         let mode = match self.plan_mode {
             PlanMode::CostBased => "",
@@ -76,11 +70,10 @@ impl EngineConfig {
             PlanMode::ForceWco => " wco!",
         };
         format!(
-            "stats{} partition{} stealing{} vec{}{mode}",
+            "stats{} partition{} stealing{}{mode}",
             if self.uniform_stats { "-" } else { "+" },
             if self.partition_aware { "+" } else { "-" },
             if self.work_stealing { "+" } else { "-" },
-            if self.vectorized { "+" } else { "-" },
         )
     }
 }
@@ -222,8 +215,7 @@ pub fn engine_rows(
         ExecutionConfig::with_workers(case.workers)
             .cost_model(CostModel::free())
             .partition_aware(config.partition_aware)
-            .work_stealing(config.work_stealing)
-            .vectorized(config.vectorized),
+            .work_stealing(config.work_stealing),
     );
     let graph = case.graph.build(&env);
     let statistics = if config.uniform_stats {
@@ -305,8 +297,7 @@ pub fn pipeline_engine_rows(
         ExecutionConfig::with_workers(case.workers)
             .cost_model(CostModel::free())
             .partition_aware(config.partition_aware)
-            .work_stealing(config.work_stealing)
-            .vectorized(config.vectorized),
+            .work_stealing(config.work_stealing),
     );
     let graph = case.graph.build(&env);
     let statistics = if config.uniform_stats {

@@ -11,11 +11,12 @@
 use std::collections::HashMap;
 
 use gradoop_bench::fuzz::{
-    random_cyclic_query, random_graph, run_case, run_conformance, AggSpec, CaseOutcome, CaseSpec,
-    Cond, Dir, EdgePat, EdgeSpec, EngineConfig, FuzzConfig, GraphSpec, LitSpec, NodePat, QuerySpec,
-    Rng, TailSpec, Term, VertexSpec, MORPHISMS,
+    random_case, random_cyclic_query, random_graph, run_case, run_conformance, AggSpec,
+    CaseOutcome, CaseSpec, Cond, Dir, EdgePat, EdgeSpec, EngineConfig, FuzzConfig, GraphSpec,
+    LitSpec, NodePat, QuerySpec, Rng, TailSpec, Term, VertexSpec, MORPHISMS,
 };
-use gradoop_core::{plan_query_with_mode, CypherEngine, Estimator, PlanMode};
+use gradoop_bench::harness::uniform_statistics;
+use gradoop_core::{plan_query_with_mode, CypherEngine, Estimator, PlanMode, ProfileNode};
 use gradoop_cypher::{parse, QueryGraph};
 use gradoop_dataflow::ExecutionEnvironment;
 use gradoop_epgm::{GraphStatistics, PropertyValue};
@@ -85,11 +86,15 @@ fn assert_passes(case: &CaseSpec, expected_rows: usize) {
     }
 }
 
+/// Seed and size of the in-suite campaign.
+const CAMPAIGN_SEED: u64 = 0xC0FFEE;
+const CAMPAIGN_CASES: usize = 300;
+
 #[test]
 fn pinned_campaign_covers_every_clause_and_stays_clean() {
     let report = run_conformance(&FuzzConfig {
-        seed: 0xC0FFEE,
-        cases: 300,
+        seed: CAMPAIGN_SEED,
+        cases: CAMPAIGN_CASES,
         archive: false,
     });
     assert!(report.is_clean(), "{}", report.summary());
@@ -114,6 +119,56 @@ fn pinned_campaign_covers_every_clause_and_stays_clean() {
         report.cases,
         report.summary()
     );
+}
+
+/// Collects the operator directly under every `FilterEmbeddings` node.
+fn filter_inputs(node: &ProfileNode, out: &mut Vec<String>) {
+    if node.operator.starts_with("FilterEmbeddings") {
+        out.push(node.children[0].operator.clone());
+    }
+    for child in &node.children {
+        filter_inputs(child, out);
+    }
+}
+
+#[test]
+fn pinned_campaign_executes_unfused_filter_embeddings() {
+    // No benchmark workload plans a `FilterEmbeddings`, and a filter over a
+    // join runs inside the join kernel, so the campaign above is what keeps
+    // the operator itself exercised. Replay its cases through PROFILE on
+    // the planner-facing axes of the matrix and require a filter whose
+    // input is an expand and one whose input is a WCO intersect.
+    let mut rng = Rng::new(CAMPAIGN_SEED);
+    let mut inputs = Vec::new();
+    for _ in 0..CAMPAIGN_CASES {
+        let case = random_case(&mut rng);
+        if case.query.tail.is_some() {
+            continue;
+        }
+        let env = ExecutionEnvironment::with_workers(case.workers);
+        let graph = case.graph.build(&env);
+        let text = case.query.render();
+        let modes: &[PlanMode] = if case.query.is_cyclic() {
+            &[PlanMode::CostBased, PlanMode::ForceWco]
+        } else {
+            &[PlanMode::CostBased]
+        };
+        let real = GraphStatistics::of(&graph);
+        for statistics in [uniform_statistics(&real), real] {
+            for &mode in modes {
+                let engine = CypherEngine::with_statistics(statistics.clone()).with_plan_mode(mode);
+                if let Ok(profile) = engine.profile(&graph, &text, &HashMap::new(), case.matching) {
+                    filter_inputs(&profile.root, &mut inputs);
+                }
+            }
+        }
+    }
+    for operator in ["ExpandEmbeddings", "ExpandIntersect"] {
+        assert!(
+            inputs.iter().any(|input| input.starts_with(operator)),
+            "no executed plan filters over {operator}; filter inputs: {inputs:?}"
+        );
+    }
 }
 
 /// `MATCH (n0:A)-[e0:x]->(n1:A), (n1)-[e1:x]->(n2:A), (n2)-[e2:x]->(n0)`
@@ -166,9 +221,8 @@ fn triangle_graph() -> GraphSpec {
 #[test]
 fn pinned_triangle_agrees_across_modes_morphisms_and_workers() {
     // run_case sweeps CostBased, ForceBinary and ForceWco on every matrix
-    // point for cyclic tail-free cases — 16 configs (including the
-    // vectorized axis) × 3 modes = 48 executions, each compared
-    // row-for-row against the reference.
+    // point for cyclic tail-free cases — 8 configs × 3 modes = 24
+    // executions, each compared row-for-row against the reference.
     for matching in MORPHISMS {
         for workers in 1..=3 {
             for indexed in [false, true] {
@@ -185,8 +239,8 @@ fn pinned_triangle_agrees_across_modes_morphisms_and_workers() {
                         reference_matches,
                     } => {
                         assert_eq!(
-                            executions, 48,
-                            "cyclic sweep must cover 16 configs × 3 modes"
+                            executions, 24,
+                            "cyclic sweep must cover 8 configs × 3 modes"
                         );
                         assert_eq!(reference_matches, 3, "three rotations of the triangle");
                     }
@@ -236,24 +290,17 @@ fn kleene_graph() -> GraphSpec {
 }
 
 #[test]
-fn pinned_kleene_predicates_agree_on_the_vectorized_matrix() {
-    // The vectorized axis doubled the configuration sweep: 16 points, half
-    // with the batched kernels on, and the label names the axis so archived
-    // repros say which side diverged.
+fn pinned_kleene_predicates_agree_on_every_matrix_point() {
+    // Three independent on/off axes; the label names each so archived
+    // repros say which matrix point diverged.
     let matrix = EngineConfig::matrix();
-    assert_eq!(matrix.len(), 16, "matrix must cover the vectorized axis");
-    assert_eq!(matrix.iter().filter(|c| c.vectorized).count(), 8);
-    for config in &matrix {
-        let tag = if config.vectorized { "vec+" } else { "vec-" };
-        assert!(
-            config.label().contains(tag),
-            "label {:?} does not name the vectorized axis",
-            config.label()
-        );
-    }
+    let labels: Vec<String> = matrix.iter().map(EngineConfig::label).collect();
+    assert_eq!(matrix.len(), 8);
+    assert_eq!(labels[0], "stats+ partition- stealing-");
+    assert_eq!(labels[7], "stats- partition+ stealing+");
 
-    // Hand-pinned NULL/missing-property predicates — the Kleene corners the
-    // compiled truth tables must get right: unknown under NOT, unknown
+    // Hand-pinned NULL/missing-property predicates — the Kleene corners
+    // `eval_clause` must get right through the engine: unknown under NOT, unknown
     // absorbed by OR, two-valued IS [NOT] NULL over both NULL and absent
     // keys, comparisons against a NULL literal (never true), and
     // property-to-property comparisons where either side may be missing.
@@ -348,7 +395,7 @@ fn pinned_kleene_predicates_agree_on_the_vectorized_matrix() {
         match run_case(&case) {
             CaseOutcome::Passed { executions, .. } => {
                 assert_eq!(
-                    executions, 16,
+                    executions, 8,
                     "{query_text}: one execution per matrix point"
                 );
             }
@@ -382,7 +429,7 @@ fn pinned_seed_cyclic_cases_agree_across_all_plan_modes() {
         };
         match run_case(&case) {
             CaseOutcome::Passed { executions, .. } => {
-                assert_eq!(executions, 48, "{}", case.query.render());
+                assert_eq!(executions, 24, "{}", case.query.render());
                 swept += 1;
             }
             CaseOutcome::Rejected { .. } => continue,

@@ -7,7 +7,8 @@
 //! and asserts that fingerprint-equal pairs plan to equal trees — plus
 //! hand-pinned pairs for the normalizer bugs the shape fix closed
 //! (`RETURN 1, 2` collapsing into `RETURN 1`, scientific notation leaking
-//! mantissas, `$param` vs inline-literal spellings).
+//! mantissas, `$param` vs inline-literal spellings, backtick-quoted
+//! identifiers and `//` comments read differently from the lexer).
 
 use std::collections::HashMap;
 
@@ -159,7 +160,7 @@ type Params = HashMap<String, Literal>;
 fn pinned_pairs_share_fingerprints_and_plans() {
     let statistics = statistics();
     let no_params = Params::new();
-    let pairs: [(&str, Params, &str, Params); 3] = [
+    let pairs: [(&str, Params, &str, Params); 4] = [
         // Scientific notation and plain integers are one token class.
         (
             "MATCH (a:L0) WHERE a.p0 > 1e9 RETURN a.p0",
@@ -172,6 +173,13 @@ fn pinned_pairs_share_fingerprints_and_plans() {
             "MATCH (a:L0) WHERE a.p0 > .5 RETURN a.p0",
             no_params.clone(),
             "MATCH (a:L0) WHERE a.p0 > 0.75 RETURN a.p0",
+            no_params.clone(),
+        ),
+        // A `//` comment is not part of the shape, whatever it quotes.
+        (
+            "MATCH (a:L0) // it's the p0 filter\n WHERE a.p0 > 1 RETURN a.p0",
+            no_params.clone(),
+            "MATCH (a:L0) WHERE a.p0 > 2 RETURN a.p0",
             no_params.clone(),
         ),
         // `$param` and inline-literal property maps share one entry.
@@ -207,6 +215,14 @@ fn pinned_pairs_with_distinct_shapes_stay_distinct() {
         (
             "MATCH (a:L0)-[e:x]->(b:L0) RETURN a",
             "MATCH (a:L0)<-[e:x]-(b:L0) RETURN a",
+        ),
+        // A backtick-quoted identifier is a name, digits and spaces included.
+        ("MATCH (a:`1`) RETURN a", "MATCH (a:`2`) RETURN a"),
+        ("MATCH (a:`x  y`) RETURN a", "MATCH (a:`x y`) RETURN a"),
+        // An apostrophe in a comment opens no string literal.
+        (
+            "MATCH (a:L0) // it's\n WHERE a.p0 = 1 RETURN a.p1, 'k'",
+            "MATCH (a:L0) // it's\n RETURN a.p2, 'k'",
         ),
     ];
     for (left, right) in distinct {

@@ -121,21 +121,6 @@ impl Embedding {
         self.buf.extend_from_slice(encoded);
     }
 
-    /// Copies the structural sections (ids and paths) into a fresh
-    /// embedding whose buffer has exactly `extra_property_bytes` of spare
-    /// capacity — the single allocation of a projection that follows up
-    /// with [`Embedding::push_raw_property`] calls.
-    pub(crate) fn clone_structure(&self, extra_property_bytes: usize) -> Embedding {
-        let structural = self.prop_start as usize;
-        let mut buf = Vec::with_capacity(structural + extra_property_bytes);
-        buf.extend_from_slice(&self.buf[..structural]);
-        Embedding {
-            buf,
-            path_start: self.path_start,
-            prop_start: self.prop_start,
-        }
-    }
-
     /// The encoded (length-prefixed) bytes of the property at `index`.
     pub(crate) fn raw_property(&self, index: usize) -> &[u8] {
         let props = self.prop_section();

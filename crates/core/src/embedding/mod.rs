@@ -7,10 +7,8 @@
 //! (de)serialization and read/write access must be cheap — hence the
 //! compact three-byte-array layout.
 
-mod batch;
 mod data;
 mod meta_data;
 
-pub use batch::EmbeddingBatch;
 pub use data::{Embedding, Entry, ID_ENTRY_SIZE};
 pub use meta_data::{EmbeddingBindings, EmbeddingMetaData, EntryType};

@@ -581,9 +581,6 @@ fn run_pipeline<S: GraphSource + ?Sized>(
         stages: metrics.stages - before.stages,
         morsels: metrics.morsels - before.morsels,
         stolen_morsels: metrics.stolen_morsels - before.stolen_morsels,
-        batches: metrics.batches - before.batches,
-        batch_rows: metrics.batch_rows - before.batch_rows,
-        batch_rows_selected: metrics.batch_rows_selected - before.batch_rows_selected,
         estimate_error: q_error(estimated_cardinality, matches),
         recovery_attempts: metrics.recovery_attempts - before.recovery_attempts,
         recovery_seconds: metrics.recovery_seconds - before.recovery_seconds,

@@ -55,7 +55,7 @@ pub mod result;
 pub mod source;
 pub mod values;
 
-pub use embedding::{Embedding, EmbeddingBatch, EmbeddingMetaData, Entry, EntryType};
+pub use embedding::{Embedding, EmbeddingMetaData, Entry, EntryType};
 pub use engine::{CypherEngine, CypherError, CypherOperator};
 pub use executor::{choose_join_strategy, choose_join_strategy_with_partitioning, execute_plan};
 pub use matching::{MatchingConfig, MorphismCheck, MorphismType};

@@ -6,7 +6,7 @@
 //! requires the mapping to be injective: no two query vertices (edges) may
 //! bind the same data vertex (edge).
 
-use crate::embedding::{Embedding, EmbeddingBatch, EmbeddingMetaData};
+use crate::embedding::{Embedding, EmbeddingMetaData};
 
 /// Mapping semantics for one element kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,12 +81,6 @@ impl MorphismCheck {
         }
     }
 
-    /// `true` if the check can never reject (full homomorphism).
-    pub fn is_trivial(&self) -> bool {
-        self.config.vertices == MorphismType::Homomorphism
-            && self.config.edges == MorphismType::Homomorphism
-    }
-
     /// Checks the uniqueness constraints on `embedding`, using `scratch` as
     /// the id staging buffer (cleared on entry).
     pub fn check(&self, embedding: &Embedding, scratch: &mut Vec<u64>) -> bool {
@@ -114,87 +108,6 @@ impl MorphismCheck {
         }
         true
     }
-
-    /// Batched form of [`MorphismCheck::check`]: narrows `batch`'s
-    /// selection to the rows satisfying the uniqueness constraints.
-    ///
-    /// With no path columns in the layout the check runs over the batch's
-    /// gathered id columns — a pairwise-distinctness pass per row over
-    /// primitive slices (column sets are tiny, so pairwise beats sorting).
-    /// Layouts with path columns fall back to the row check, reusing
-    /// `scratch` across the whole batch.
-    pub fn check_batch(&self, batch: &mut EmbeddingBatch<'_>, scratch: &mut Vec<u64>) {
-        if self.is_trivial() || batch.is_empty() {
-            return;
-        }
-        let check_vertices =
-            self.config.vertices == MorphismType::Isomorphism && self.vertex_columns.len() > 1;
-        let check_edges =
-            self.config.edges == MorphismType::Isomorphism && self.edge_columns.len() > 1;
-        if self.path_columns.is_empty() {
-            if !check_vertices && !check_edges {
-                return;
-            }
-            if check_vertices {
-                for &column in &self.vertex_columns {
-                    batch.ensure_ids(column);
-                }
-            }
-            if check_edges {
-                for &column in &self.edge_columns {
-                    batch.ensure_ids(column);
-                }
-            }
-            let keep: Vec<u32> = {
-                let gather = |columns: &[usize]| -> Vec<&[u64]> {
-                    columns
-                        .iter()
-                        .map(|&column| batch.ids(column).expect("id column materialized"))
-                        .collect()
-                };
-                let vertex_ids = if check_vertices {
-                    gather(&self.vertex_columns)
-                } else {
-                    Vec::new()
-                };
-                let edge_ids = if check_edges {
-                    gather(&self.edge_columns)
-                } else {
-                    Vec::new()
-                };
-                batch
-                    .selection()
-                    .iter()
-                    .copied()
-                    .filter(|&row| {
-                        columns_distinct_at(&vertex_ids, row as usize)
-                            && columns_distinct_at(&edge_ids, row as usize)
-                    })
-                    .collect()
-            };
-            batch.set_selection(keep);
-        } else {
-            let rows = batch.rows();
-            let keep: Vec<u32> = batch
-                .selection()
-                .iter()
-                .copied()
-                .filter(|&row| self.check(&rows[row as usize], scratch))
-                .collect();
-            batch.set_selection(keep);
-        }
-    }
-}
-
-/// `true` when the ids the columns hold at `row` are pairwise distinct.
-fn columns_distinct_at(columns: &[&[u64]], row: usize) -> bool {
-    for (index, column) in columns.iter().enumerate() {
-        let id = column[row];
-        if columns[index + 1..].iter().any(|other| other[row] == id) {
-            return false;
-        }
-    }
-    true
 }
 
 /// Checks the uniqueness constraints of `config` on an embedding: under
@@ -320,78 +233,5 @@ mod tests {
             &meta,
             &MatchingConfig::homomorphism()
         ));
-    }
-
-    #[test]
-    fn batched_check_matches_row_check() {
-        // Column layout (a)-[e1]->(b)-[e2]->(c), no paths: the batched
-        // check runs on gathered id columns.
-        let mut meta = EmbeddingMetaData::new();
-        meta.add_entry("a", EntryType::Vertex);
-        meta.add_entry("e1", EntryType::Edge);
-        meta.add_entry("b", EntryType::Vertex);
-        meta.add_entry("e2", EntryType::Edge);
-        meta.add_entry("c", EntryType::Vertex);
-        let rows: Vec<Embedding> = [
-            (1u64, 10u64, 2u64, 11u64, 3u64), // all distinct
-            (1, 10, 2, 11, 1),                // vertex repeats (a = c)
-            (1, 10, 2, 10, 3),                // edge repeats
-            (5, 20, 5, 20, 5),                // everything repeats
-        ]
-        .iter()
-        .map(|&(a, e1, b, e2, c)| {
-            let mut emb = Embedding::new();
-            emb.push_id(a);
-            emb.push_id(e1);
-            emb.push_id(b);
-            emb.push_id(e2);
-            emb.push_id(c);
-            emb
-        })
-        .collect();
-
-        // Path layout: the batched check falls back to the row check.
-        let mut path_meta = EmbeddingMetaData::new();
-        path_meta.add_entry("a", EntryType::Vertex);
-        path_meta.add_entry("p", EntryType::Path);
-        path_meta.add_entry("b", EntryType::Vertex);
-        let path_rows: Vec<Embedding> = [
-            (10u64, vec![5u64, 20, 7], 30u64), // ok
-            (10, vec![5, 10, 7], 30),          // endpoint repeats inside path
-            (10, vec![5, 20, 5], 30),          // edge repeats inside path
-        ]
-        .iter()
-        .map(|(a, via, b)| {
-            let mut emb = Embedding::new();
-            emb.push_id(*a);
-            emb.push_path(via);
-            emb.push_id(*b);
-            emb
-        })
-        .collect();
-
-        for config in [
-            MatchingConfig::homomorphism(),
-            MatchingConfig::isomorphism(),
-            MatchingConfig::cypher_default(),
-            MatchingConfig {
-                vertices: MorphismType::Isomorphism,
-                edges: MorphismType::Homomorphism,
-            },
-        ] {
-            for (meta, rows) in [(&meta, &rows), (&path_meta, &path_rows)] {
-                let check = MorphismCheck::new(meta, &config);
-                let mut scratch = Vec::new();
-                let expected: Vec<u32> = rows
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, row)| check.check(row, &mut scratch))
-                    .map(|(index, _)| index as u32)
-                    .collect();
-                let mut batch = crate::embedding::EmbeddingBatch::new(rows, meta);
-                check.check_batch(&mut batch, &mut scratch);
-                assert_eq!(batch.selection(), &expected[..], "config: {config:?}");
-            }
-        }
     }
 }

@@ -421,14 +421,6 @@ pub struct ProfileNode {
     pub morsels: u64,
     /// Morsels that ran on a worker other than their partition's owner.
     pub stolen_morsels: u64,
-    /// Batches processed by this operator's vectorized kernels (zero on the
-    /// row-at-a-time path).
-    pub batches: u64,
-    /// Rows scanned by those batches.
-    pub batch_rows: u64,
-    /// Rows still selected when the batches were materialized;
-    /// `batch_rows_selected / batch_rows` is the mean selection-vector fill.
-    pub batch_rows_selected: u64,
     /// Estimate-vs-actual q-error (see [`q_error`]).
     pub estimate_error: f64,
     /// Recovery attempts consumed by this operator's stages (retries after
@@ -461,15 +453,12 @@ pub struct ProfileNode {
 
 impl ProfileNode {
     /// Folds the dataflow stages this operator executed into its counters:
-    /// simulated time, stage/morsel/batch counts, recovery and memory.
+    /// simulated time, stage/morsel counts, recovery and memory.
     pub(crate) fn absorb_stages(&mut self, stages: &[StageReport]) {
         self.simulated_seconds = stages.iter().map(|s| s.seconds).sum();
         self.stages = stages.len() as u64;
         self.morsels = stages.iter().map(|s| s.morsels).sum();
         self.stolen_morsels = stages.iter().map(|s| s.stolen_morsels).sum();
-        self.batches = stages.iter().map(|s| s.batches).sum();
-        self.batch_rows = stages.iter().map(|s| s.batch_rows).sum();
-        self.batch_rows_selected = stages.iter().map(|s| s.batch_rows_selected).sum();
         self.recovery_attempts = stages.iter().map(|s| s.attempts.saturating_sub(1)).sum();
         self.recovery_seconds = stages.iter().map(|s| s.recovery_seconds).sum();
         self.checkpoint_bytes = stages.iter().map(|s| s.checkpoint_bytes).sum();
@@ -507,16 +496,6 @@ impl ProfileNode {
             .fold(self.peak_memory_bytes, u64::max)
     }
 
-    /// Mean selection-vector fill ratio of this operator's batches
-    /// (`batch_rows_selected / batch_rows`; 0 when no batch ran).
-    pub fn batch_fill(&self) -> f64 {
-        if self.batch_rows > 0 {
-            self.batch_rows_selected as f64 / self.batch_rows as f64
-        } else {
-            0.0
-        }
-    }
-
     /// Renders the subtree as indented text, one operator per line.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
@@ -548,13 +527,6 @@ impl ProfileNode {
             out.push_str(&format!(
                 "  morsels={} stolen={}",
                 self.morsels, self.stolen_morsels
-            ));
-        }
-        if self.batches > 0 {
-            out.push_str(&format!(
-                "  batches={} sel={:.2}",
-                self.batches,
-                self.batch_fill()
             ));
         }
         if self.peak_memory_bytes > 0 || self.scratch_allocations > 0 {
@@ -643,14 +615,6 @@ impl ProfileNode {
             pairs.push((
                 "stolen_morsels",
                 JsonValue::Number(self.stolen_morsels as f64),
-            ));
-        }
-        if self.batches > 0 {
-            pairs.push(("batches", JsonValue::Number(self.batches as f64)));
-            pairs.push(("batch_rows", JsonValue::Number(self.batch_rows as f64)));
-            pairs.push((
-                "batch_rows_selected",
-                JsonValue::Number(self.batch_rows_selected as f64),
             ));
         }
         if self.recovery_attempts > 0 || self.checkpoint_bytes > 0 || self.restored_bytes > 0 {
@@ -884,9 +848,6 @@ mod tests {
             stages: 2,
             morsels: 0,
             stolen_morsels: 0,
-            batches: 0,
-            batch_rows: 0,
-            batch_rows_selected: 0,
             estimate_error: q_error(10.0, 3),
             recovery_attempts: 0,
             recovery_seconds: 0.0,
@@ -913,9 +874,6 @@ mod tests {
             stages: 5,
             morsels: 8,
             stolen_morsels: 2,
-            batches: 4,
-            batch_rows: 8,
-            batch_rows_selected: 4,
             estimate_error: q_error(4.0, 4),
             recovery_attempts: 1,
             recovery_seconds: 0.25,

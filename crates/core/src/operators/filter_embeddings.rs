@@ -1,20 +1,15 @@
 //! `SelectEmbeddings`: evaluates predicates that span multiple query
 //! elements on embeddings (paper Section 3.1).
 //!
-//! Two execution paths share one semantics: the row path evaluates the CNF
-//! per embedding; under [`ExecutionConfig::vectorized`] the predicate is
-//! compiled once ([`CompiledFilter`]) and applied per morsel as a batched
-//! kernel that narrows a selection vector — same surviving rows, byte for
-//! byte, but with per-row operand resolution and property decoding hoisted
-//! out of the loop.
-//!
-//! [`ExecutionConfig::vectorized`]: gradoop_dataflow::ExecutionConfig::vectorized
+//! The CNF is evaluated per embedding through
+//! [`gradoop_cypher::predicates::eval`], the same evaluator the leaf scans
+//! and the fused join filter use.
 
 use gradoop_cypher::predicates::eval::eval_clause;
 use gradoop_cypher::CnfClause;
 
-use crate::embedding::{EmbeddingBatch, EmbeddingBindings};
-use crate::operators::{observe_operator, CompiledFilter, EmbeddingSet};
+use crate::embedding::EmbeddingBindings;
+use crate::operators::{observe_operator, EmbeddingSet};
 
 /// Keeps the embeddings satisfying all `clauses`.
 pub fn filter_embeddings(input: &EmbeddingSet, clauses: &[CnfClause]) -> EmbeddingSet {
@@ -22,26 +17,14 @@ pub fn filter_embeddings(input: &EmbeddingSet, clauses: &[CnfClause]) -> Embeddi
         return input.clone();
     }
     let meta = input.meta.clone();
-    let data = if input.data.env().vectorized() {
-        let compiled = CompiledFilter::compile(clauses, &input.meta);
-        input
-            .data
-            .transform_batched("filter_embeddings", true, move |rows, out| {
-                let mut batch = EmbeddingBatch::new(rows, &meta);
-                compiled.apply(&mut batch);
-                batch.emit_selected(out);
-                batch.stats()
-            })
-    } else {
-        let clauses = clauses.to_vec();
-        input.data.filter(move |embedding| {
-            let bindings = EmbeddingBindings {
-                embedding,
-                meta: &meta,
-            };
-            clauses.iter().all(|clause| eval_clause(clause, &bindings))
-        })
-    };
+    let clauses = clauses.to_vec();
+    let data = input.data.filter(move |embedding| {
+        let bindings = EmbeddingBindings {
+            embedding,
+            meta: &meta,
+        };
+        clauses.iter().all(|clause| eval_clause(clause, &bindings))
+    });
     let result = EmbeddingSet {
         data,
         meta: input.meta.clone(),
@@ -127,66 +110,5 @@ mod tests {
         assert_eq!(filter_embeddings(&input, &neq).data.count(), 1);
         let eq = where_clauses("MATCH (p1)-->(p2) WHERE p1 = p2 RETURN *");
         assert_eq!(filter_embeddings(&input, &eq).data.count(), 0);
-    }
-
-    #[test]
-    fn vectorized_path_is_byte_identical_to_row_path() {
-        let genders: Vec<(&str, &str)> = (0..600)
-            .map(|i| {
-                let g1 = if i % 3 == 0 { "female" } else { "male" };
-                let g2 = if i % 2 == 0 { "female" } else { "male" };
-                (g1, g2)
-            })
-            .collect();
-        let queries = [
-            "MATCH (p1)-->(p2) WHERE p1.gender <> p2.gender RETURN *",
-            "MATCH (p1)-->(p2) WHERE p1.gender = 'female' RETURN *",
-            "MATCH (p1)-->(p2) WHERE p1.gender = 'female' OR p2.gender = 'male' RETURN *",
-            "MATCH (p1)-->(p2) WHERE p1 <> p2 RETURN *",
-            "MATCH (p1)-->(p2) WHERE p1.gender = 'none' RETURN *",
-        ];
-        for query in queries {
-            let clauses = where_clauses(query);
-            // Small morsels so batches straddle morsel boundaries.
-            let row_env = ExecutionEnvironment::new(
-                ExecutionConfig::with_workers(3)
-                    .morsel_size(64)
-                    .cost_model(CostModel::free()),
-            );
-            let vec_env = ExecutionEnvironment::new(
-                ExecutionConfig::with_workers(3)
-                    .morsel_size(64)
-                    .vectorized(true)
-                    .cost_model(CostModel::free()),
-            );
-            let row_out = filter_embeddings(&person_pair(&row_env, &genders), &clauses);
-            let vec_out = filter_embeddings(&person_pair(&vec_env, &genders), &clauses);
-            assert_eq!(
-                row_out.data.collect(),
-                vec_out.data.collect(),
-                "query: {query}"
-            );
-        }
-    }
-
-    #[test]
-    fn vectorized_filter_reports_batch_statistics() {
-        let env = ExecutionEnvironment::new(
-            ExecutionConfig::with_workers(2)
-                .morsel_size(8)
-                .vectorized(true)
-                .cost_model(CostModel::free()),
-        );
-        let genders: Vec<(&str, &str)> = (0..40)
-            .map(|i| (if i % 2 == 0 { "female" } else { "male" }, "male"))
-            .collect();
-        let input = person_pair(&env, &genders);
-        let clauses = where_clauses("MATCH (p1)-->(p2) WHERE p1.gender = 'female' RETURN *");
-        let filtered = filter_embeddings(&input, &clauses);
-        assert_eq!(filtered.data.count(), 20);
-        let metrics = env.metrics();
-        assert!(metrics.batches >= 5, "morsel-sized batches: {metrics:?}");
-        assert_eq!(metrics.batch_rows, 40);
-        assert_eq!(metrics.batch_rows_selected, 20);
     }
 }

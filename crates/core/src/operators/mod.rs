@@ -11,8 +11,6 @@
 //! * [`expand_embeddings`] — variable-length path expressions via bulk
 //!   iteration;
 //! * [`filter_embeddings`] — predicates spanning multiple query elements;
-//! * [`project_embeddings`] — drops property slots that are no longer
-//!   needed;
 //! * [`value_join_embeddings`] — joins subqueries on property values (the
 //!   extension operator the paper names in Section 3.1);
 //! * [`cartesian_embeddings`] — combines disconnected query components.
@@ -24,9 +22,7 @@ mod filter_embeddings;
 mod filter_project_edges;
 mod filter_project_vertices;
 mod join_embeddings;
-mod project_embeddings;
 mod value_join;
-pub mod vectorized;
 
 pub use cartesian::cartesian_embeddings;
 pub use expand_embeddings::{expand_embeddings, EdgeTriple, ExpandConfig};
@@ -35,11 +31,7 @@ pub use filter_embeddings::filter_embeddings;
 pub use filter_project_edges::{edge_triples, filter_and_project_edges};
 pub use filter_project_vertices::filter_and_project_vertices;
 pub use join_embeddings::{embedding_join_key, join_embeddings, join_embeddings_filtered};
-pub use project_embeddings::project_embeddings;
 pub use value_join::value_join_embeddings;
-pub use vectorized::{
-    compare_refs, expand_batched, hash_probe_batched, CompiledFilter, IdHashTable, NeighborIndex,
-};
 
 use crate::embedding::{Embedding, EmbeddingMetaData};
 use crate::observe::selectivity;

@@ -300,12 +300,19 @@ impl TraceSink for TeeSink {
 /// floats, leading-dot floats (`.5`) and scientific notation with an
 /// optional exponent sign (`1e9`, `1.5E+10`). Range bounds of
 /// variable-length paths normalize one placeholder per bound (`*1..10` →
-/// `*?..?`), never swallowing the `..` operator.
+/// `*?..?`), never swallowing the `..` operator. Backtick-quoted identifiers
+/// and `//` comments are read the way the lexer reads them.
 pub fn normalize_query_shape(query: &str) -> String {
     let mut out = String::with_capacity(query.len());
     let mut chars = query.chars().peekable();
     let mut pending_space = false;
     while let Some(c) = chars.next() {
+        if c == '/' && chars.peek() == Some(&'/') {
+            // `//` comment: dropped to end of line, as the lexer drops it.
+            chars.by_ref().find(|&next| next == '\n');
+            pending_space = true;
+            continue;
+        }
         if c.is_whitespace() {
             pending_space = true;
             continue;
@@ -317,6 +324,18 @@ pub fn normalize_query_shape(query: &str) -> String {
             pending_space = false;
         }
         match c {
+            '`' => {
+                // Backtick-quoted identifier: copied verbatim, as the lexer
+                // reads it — digits, quotes and whitespace inside are part
+                // of the name, not literals or separators.
+                out.push(c);
+                for next in chars.by_ref() {
+                    out.push(next);
+                    if next == '`' {
+                        break;
+                    }
+                }
+            }
             '\'' | '"' => {
                 // Quoted string literal: skip to the matching quote,
                 // honouring backslash escapes.

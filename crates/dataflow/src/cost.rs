@@ -118,15 +118,6 @@ pub struct StageReport {
     pub morsels: u64,
     /// Morsels executed by a worker other than their owning partition's.
     pub stolen_morsels: u64,
-    /// Column-major batches processed by this stage; 0 for row-at-a-time
-    /// stages (vectorized execution off, or no batched kernel).
-    pub batches: u64,
-    /// Rows scanned by batched kernels (batch sizes summed).
-    pub batch_rows: u64,
-    /// Rows still selected when the batched kernels finished — the
-    /// selection-vector fill. `batch_rows_selected / batch_rows` is the
-    /// stage's mean selectivity under vectorized execution.
-    pub batch_rows_selected: u64,
     /// Simulated busy seconds per worker, in worker order (excluding the
     /// fixed stage overhead). `max_worker_seconds`/`mean_worker_seconds`
     /// are the max/mean of this vector; timeline exports lay one lane per
@@ -195,12 +186,6 @@ impl StageReport {
                 "stolen_morsels",
                 JsonValue::Number(self.stolen_morsels as f64),
             ),
-            ("batches", JsonValue::Number(self.batches as f64)),
-            ("batch_rows", JsonValue::Number(self.batch_rows as f64)),
-            (
-                "batch_rows_selected",
-                JsonValue::Number(self.batch_rows_selected as f64),
-            ),
             (
                 "worker_seconds",
                 JsonValue::Array(
@@ -251,12 +236,6 @@ pub struct ExecutionMetrics {
     pub morsels: u64,
     /// Total morsels that were stolen (executed off their owner worker).
     pub stolen_morsels: u64,
-    /// Total column-major batches processed by vectorized stages.
-    pub batches: u64,
-    /// Total rows scanned by batched kernels.
-    pub batch_rows: u64,
-    /// Total rows surviving the batched kernels' selection vectors.
-    pub batch_rows_selected: u64,
     /// Largest transient operator state (build tables, sort scratch) any
     /// single stage kept resident on one worker — the high-water mark of
     /// per-worker memory pressure.
@@ -320,9 +299,6 @@ pub struct StageCosts {
     workers: Vec<WorkerCost>,
     morsels: u64,
     stolen_morsels: u64,
-    batches: u64,
-    batch_rows: u64,
-    batch_rows_selected: u64,
 }
 
 impl StageCosts {
@@ -333,9 +309,6 @@ impl StageCosts {
             workers: vec![WorkerCost::default(); workers.max(1)],
             morsels: 0,
             stolen_morsels: 0,
-            batches: 0,
-            batch_rows: 0,
-            batch_rows_selected: 0,
         }
     }
 
@@ -345,16 +318,6 @@ impl StageCosts {
     pub fn record_steals(&mut self, morsels: u64, stolen: u64) {
         self.morsels += morsels;
         self.stolen_morsels += stolen;
-    }
-
-    /// Records that this stage ran `batches` column-major batches covering
-    /// `rows` input rows of which `selected` survived the selection vector.
-    /// Called by stages that run a batched kernel under
-    /// [`ExecutionConfig::vectorized`](crate::env::ExecutionConfig::vectorized).
-    pub fn record_batches(&mut self, batches: u64, rows: u64, selected: u64) {
-        self.batches += batches;
-        self.batch_rows += rows;
-        self.batch_rows_selected += selected;
     }
 
     /// Mutable access to the cost slot of one worker.
@@ -418,9 +381,6 @@ impl StageCosts {
             restored_bytes: self.workers.iter().map(|w| w.bytes_restored).sum(),
             morsels: self.morsels,
             stolen_morsels: self.stolen_morsels,
-            batches: self.batches,
-            batch_rows: self.batch_rows,
-            batch_rows_selected: self.batch_rows_selected,
             peak_memory_bytes: self
                 .workers
                 .iter()
@@ -450,9 +410,6 @@ impl ExecutionMetrics {
         self.restored_bytes += report.restored_bytes;
         self.morsels += report.morsels;
         self.stolen_morsels += report.stolen_morsels;
-        self.batches += report.batches;
-        self.batch_rows += report.batch_rows;
-        self.batch_rows_selected += report.batch_rows_selected;
         self.peak_memory_bytes = self.peak_memory_bytes.max(report.peak_memory_bytes);
         self.scratch_allocations += report.scratch_allocations;
     }
@@ -522,9 +479,6 @@ mod tests {
             restored_bytes: 16,
             morsels: 12,
             stolen_morsels: 4,
-            batches: 6,
-            batch_rows: 100,
-            batch_rows_selected: 40,
             worker_seconds: vec![1.5, 0.5],
             peak_memory_bytes: 4096,
             scratch_allocations: 3,
@@ -540,9 +494,6 @@ mod tests {
         assert_eq!(metrics.restored_bytes, 32);
         assert_eq!(metrics.morsels, 24);
         assert_eq!(metrics.stolen_morsels, 8);
-        assert_eq!(metrics.batches, 12);
-        assert_eq!(metrics.batch_rows, 200);
-        assert_eq!(metrics.batch_rows_selected, 80);
         // Peak memory takes the max over stages; allocations accumulate.
         assert_eq!(metrics.peak_memory_bytes, 4096);
         assert_eq!(metrics.scratch_allocations, 6);

@@ -9,40 +9,6 @@ use crate::env::ExecutionEnvironment;
 use crate::partition::{shuffle_by_key, PartitionKey, Partitioning};
 use crate::pool::map_partitions;
 
-/// Statistics reported by one batched-kernel invocation: how many
-/// column-major batches it built, how many rows it scanned and how many
-/// survived its selection vector. Accumulated per stage and surfaced as
-/// [`StageReport::batches`](crate::StageReport::batches) /
-/// [`StageReport::batch_rows`](crate::StageReport::batch_rows) /
-/// [`StageReport::batch_rows_selected`](crate::StageReport::batch_rows_selected).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BatchStats {
-    /// Column-major batches built by the kernel.
-    pub batches: u64,
-    /// Rows scanned (batch sizes summed).
-    pub rows_scanned: u64,
-    /// Rows surviving the selection vector.
-    pub rows_selected: u64,
-}
-
-impl BatchStats {
-    /// Stats for a single batch of `rows` rows with `selected` survivors.
-    pub fn one(rows: u64, selected: u64) -> Self {
-        BatchStats {
-            batches: 1,
-            rows_scanned: rows,
-            rows_selected: selected,
-        }
-    }
-
-    /// Folds another kernel invocation's stats into this one.
-    pub fn merge(&mut self, other: BatchStats) {
-        self.batches += other.batches;
-        self.rows_scanned += other.rows_scanned;
-        self.rows_selected += other.rows_selected;
-    }
-}
-
 /// A distributed collection: one partition per simulated worker.
 ///
 /// Datasets are immutable and cheap to clone (partitions are shared behind
@@ -292,119 +258,6 @@ impl<T: Data> Dataset<T> {
                 panic.worker, panic.message
             ),
         };
-        self.env.finish_stage(stage);
-        let kept = if preserves_keys {
-            self.partitioning
-        } else {
-            None
-        };
-        Dataset::from_partitions(self.env.clone(), outputs).assume_partitioning(kept)
-    }
-
-    /// Like the element-wise transforms, but the caller's closure sees a
-    /// whole *morsel* of records at once and is expected to process it as a
-    /// column-major batch, returning [`BatchStats`] describing what its
-    /// selection vector did. This is the batched spine of vectorized
-    /// execution: under work stealing each stolen morsel is one batch
-    /// (results stay byte-identical to static scheduling); without stealing
-    /// each partition is still chunked into morsel-sized batches so the
-    /// kernels see bounded, cache-resident slices either way. The
-    /// accumulated stats flow into the stage report (`batches=`, `sel=` in
-    /// PROFILE and the query log).
-    pub fn transform_batched<O: Data, F>(
-        &self,
-        name: &'static str,
-        preserves_keys: bool,
-        f: F,
-    ) -> Dataset<O>
-    where
-        F: Fn(&[T], &mut Vec<O>) -> BatchStats + Sync,
-    {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let mut stage = self.env.stage(name);
-        let morsel_size = self.env.morsel_size();
-        // Kernel invocations may run on any thread (work stealing), so the
-        // per-stage stats accumulate through atomics.
-        let batches = AtomicU64::new(0);
-        let rows_scanned = AtomicU64::new(0);
-        let rows_selected = AtomicU64::new(0);
-        let record = |stats: BatchStats| {
-            batches.fetch_add(stats.batches, Ordering::Relaxed);
-            rows_scanned.fetch_add(stats.rows_scanned, Ordering::Relaxed);
-            rows_selected.fetch_add(stats.rows_selected, Ordering::Relaxed);
-        };
-        let stealing = self.env.work_stealing() && self.env.workers() > 1;
-        let attempt: Result<Vec<Vec<O>>, crate::pool::WorkerPanic> = if stealing {
-            let lengths = self.partition_sizes();
-            crate::pool::try_run_morsels(&lengths, morsel_size, |p, range| {
-                let mut out = Vec::new();
-                record(f(&self.partitions[p][range], &mut out));
-                out
-            })
-            .map(|by_morsel| {
-                let traffic: Vec<Vec<(u64, u64)>> = by_morsel
-                    .iter()
-                    .enumerate()
-                    .map(|(p, morsels)| {
-                        crate::morsel::morsel_ranges(lengths[p], morsel_size)
-                            .into_iter()
-                            .zip(morsels)
-                            .map(|(range, out)| (range.len() as u64, out.len() as u64))
-                            .collect()
-                    })
-                    .collect();
-                let schedule = crate::morsel::simulate_steal_schedule(&traffic);
-                for i in 0..stage.worker_count() {
-                    let w = stage.worker(i);
-                    w.records_in += schedule.records_in[i];
-                    w.records_out += schedule.records_out[i];
-                }
-                stage.record_steals(schedule.morsels, schedule.stolen);
-                by_morsel
-                    .into_iter()
-                    .map(|morsels| morsels.into_iter().flatten().collect())
-                    .collect()
-            })
-        } else {
-            crate::pool::try_map_partitions(&self.partitions, |_, part| {
-                let mut out = Vec::new();
-                for chunk in part.chunks(morsel_size) {
-                    record(f(chunk, &mut out));
-                }
-                out
-            })
-            .inspect(|outputs| {
-                for (i, (inp, out)) in self.partitions.iter().zip(outputs).enumerate() {
-                    let w = stage.worker(i);
-                    w.records_in += inp.len() as u64;
-                    w.records_out += out.len() as u64;
-                }
-            })
-        };
-        let outputs: Vec<Vec<O>> = match attempt {
-            Ok(outputs) => outputs,
-            Err(panic) if self.env.faults_installed() => {
-                self.env
-                    .record_execution_failure(crate::fault::ExecutionFailure {
-                        site: format!("stage `{name}` (worker {})", panic.worker),
-                        attempts: 1,
-                        message: format!("worker panicked: {}", panic.message),
-                    });
-                for (i, inp) in self.partitions.iter().enumerate() {
-                    stage.worker(i).records_in += inp.len() as u64;
-                }
-                (0..self.partitions.len()).map(|_| Vec::new()).collect()
-            }
-            Err(panic) => panic!(
-                "partition worker {} panicked: {}",
-                panic.worker, panic.message
-            ),
-        };
-        stage.record_batches(
-            batches.load(Ordering::Relaxed),
-            rows_scanned.load(Ordering::Relaxed),
-            rows_selected.load(Ordering::Relaxed),
-        );
         self.env.finish_stage(stage);
         let kept = if preserves_keys {
             self.partitioning

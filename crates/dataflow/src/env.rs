@@ -41,12 +41,6 @@ pub struct ExecutionConfig {
     pub work_stealing: bool,
     /// Records per morsel when [`ExecutionConfig::work_stealing`] is on.
     pub morsel_size: usize,
-    /// Whether operators that ship a batched kernel process morsel-sized
-    /// column-major batches (selection vectors over contiguous primitive
-    /// columns) instead of dispatching per row. Off by default — row-at-a-
-    /// time remains the fallback and the ablation baseline; results are
-    /// byte-identical either way.
-    pub vectorized: bool,
 }
 
 impl ExecutionConfig {
@@ -59,7 +53,6 @@ impl ExecutionConfig {
             faults: None,
             work_stealing: false,
             morsel_size: crate::morsel::DEFAULT_MORSEL_SIZE,
-            vectorized: false,
         }
     }
 
@@ -93,13 +86,6 @@ impl ExecutionConfig {
     /// at least 1 record.
     pub fn morsel_size(mut self, size: usize) -> Self {
         self.morsel_size = size.max(1);
-        self
-    }
-
-    /// Enables or disables batched (vectorized) operator kernels (see
-    /// [`ExecutionConfig::vectorized`]).
-    pub fn vectorized(mut self, vectorized: bool) -> Self {
-        self.vectorized = vectorized;
         self
     }
 }
@@ -199,12 +185,6 @@ impl ExecutionEnvironment {
         self.inner.config.morsel_size.max(1)
     }
 
-    /// Whether batched (vectorized) operator kernels are enabled (see
-    /// [`ExecutionConfig::vectorized`]).
-    pub fn vectorized(&self) -> bool {
-        self.inner.config.vectorized
-    }
-
     /// Snapshot of the accumulated execution metrics.
     pub fn metrics(&self) -> ExecutionMetrics {
         self.inner.metrics.lock().unwrap().clone()
@@ -270,11 +250,6 @@ impl ExecutionEnvironment {
         telemetry.bytes_spilled.add(report.bytes_spilled);
         telemetry.morsels.add(report.morsels);
         telemetry.stolen_morsels.add(report.stolen_morsels);
-        telemetry.batches.add(report.batches);
-        telemetry.batch_rows.add(report.batch_rows);
-        telemetry
-            .batch_rows_selected
-            .add(report.batch_rows_selected);
         telemetry
             .recovery_attempts
             .add(report.attempts.saturating_sub(1));

@@ -53,7 +53,7 @@ pub mod trace;
 pub use chrome::{chrome_trace, chrome_trace_json};
 pub use cost::{CostModel, ExecutionMetrics, StageReport};
 pub use data::Data;
-pub use dataset::{BatchStats, Dataset};
+pub use dataset::Dataset;
 pub use env::{ExecutionConfig, ExecutionEnvironment};
 pub use fault::{
     ExecutionFailure, FailureSchedule, FaultConfig, FaultEvent, FaultInjector, FaultKind, FaultSite,

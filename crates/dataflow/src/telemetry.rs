@@ -316,9 +316,6 @@ pub(crate) struct StageTelemetry {
     pub bytes_spilled: Arc<Counter>,
     pub morsels: Arc<Counter>,
     pub stolen_morsels: Arc<Counter>,
-    pub batches: Arc<Counter>,
-    pub batch_rows: Arc<Counter>,
-    pub batch_rows_selected: Arc<Counter>,
     pub recovery_attempts: Arc<Counter>,
     pub scratch_allocations: Arc<Counter>,
     pub stage_seconds: Arc<Histogram>,
@@ -338,9 +335,6 @@ pub(crate) fn stage_telemetry() -> &'static StageTelemetry {
             bytes_spilled: registry.counter("dataflow.bytes_spilled"),
             morsels: registry.counter("dataflow.morsels"),
             stolen_morsels: registry.counter("dataflow.stolen_morsels"),
-            batches: registry.counter("dataflow.batches"),
-            batch_rows: registry.counter("dataflow.batch_rows"),
-            batch_rows_selected: registry.counter("dataflow.batch_rows_selected"),
             recovery_attempts: registry.counter("dataflow.recovery_attempts"),
             scratch_allocations: registry.counter("dataflow.scratch_allocations"),
             stage_seconds: registry.histogram("dataflow.stage_seconds"),
