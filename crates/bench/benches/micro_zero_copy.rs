@@ -3,45 +3,12 @@
 //! pair, the fused expand append vs clone-then-push, and the fused join
 //! probe (merge + morphism check in scratch, clone only survivors).
 //!
-//! Besides wall-clock numbers, this bench *counts allocations* through a
-//! wrapping global allocator and asserts the PR's acceptance criterion
-//! before any timing runs: the fused join/merge kernel performs at most
-//! one heap allocation per output embedding, and none per rejected pair.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+//! The kernel's allocation budget (one per accepted pair, none per rejected
+//! pair) is a test: `crates/core/tests/kernel_allocations.rs`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use gradoop_core::{Embedding, EmbeddingMetaData, EntryType, MatchingConfig, MorphismCheck};
 use gradoop_epgm::PropertyValue;
-
-/// Counts every heap allocation made through the global allocator.
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
 
 /// A two-column left row `(vertex, vertex)` with one string property.
 fn left_row(a: u64, b: u64) -> Embedding {
@@ -71,76 +38,7 @@ fn merged_meta() -> EmbeddingMetaData {
     meta
 }
 
-/// Asserts the PR's allocation budget: merging into a warmed scratch row
-/// and cloning only accepted results costs at most one allocation per
-/// output embedding, and rejected pairs cost none.
-fn allocation_audit() {
-    let check = MorphismCheck::new(&merged_meta(), &MatchingConfig::isomorphism());
-    let mut scratch = Embedding::new();
-    let mut ids = Vec::new();
-
-    // Warm the scratch buffers so their capacity is settled.
-    left_row(1, 2).merge_into(&right_row(1, 3), &[0], &mut scratch);
-    assert!(check.check(&scratch, &mut ids));
-
-    const PAIRS: u64 = 1000;
-    let mut outputs = Vec::with_capacity(PAIRS as usize);
-    let before = allocations();
-    for i in 0..PAIRS {
-        // Distinct end vertices: every pair passes the isomorphism check.
-        let left = black_box(left_row(1, 2));
-        let right = black_box(right_row(1, 10 + i));
-        let setup = allocations();
-        left.merge_into(&right, &[0], &mut scratch);
-        if check.check(&scratch, &mut ids) {
-            outputs.push(scratch.clone());
-        }
-        assert!(
-            allocations() - setup <= 1,
-            "fused join kernel must allocate at most once per output"
-        );
-    }
-    let accepted = allocations() - before;
-    drop(outputs);
-
-    let before = allocations();
-    for _ in 0..PAIRS {
-        // b == c: the isomorphism check rejects, so nothing is cloned.
-        let left = black_box(left_row(1, 2));
-        let right = black_box(right_row(1, 2));
-        let setup = allocations();
-        left.merge_into(&right, &[0], &mut scratch);
-        if check.check(&scratch, &mut ids) {
-            unreachable!("duplicate vertex must be rejected");
-        }
-        assert_eq!(
-            allocations(),
-            setup,
-            "rejected pairs must not allocate in the fused kernel"
-        );
-    }
-    let rejected = allocations() - before;
-
-    // `accepted` includes building the input rows themselves; the kernel's
-    // own share is visible as the difference from the rejected loop.
-    println!(
-        "allocation audit: {PAIRS} accepted pairs -> {} allocs/pair total, \
-         kernel share {} alloc/output; rejected pairs -> kernel share 0 \
-         (loop total {} allocs/pair, all input construction)",
-        accepted / PAIRS,
-        (accepted - rejected) / PAIRS,
-        rejected / PAIRS,
-    );
-    assert_eq!(
-        (accepted - rejected) / PAIRS,
-        1,
-        "exactly one allocation per accepted output embedding"
-    );
-}
-
 fn micro_zero_copy(c: &mut Criterion) {
-    allocation_audit();
-
     let mut group = c.benchmark_group("micro_zero_copy");
 
     let left = left_row(1, 2);

@@ -12,58 +12,17 @@
 //! reproduces the paper's scaling behaviour; absolute numbers differ from
 //! the paper because the datasets are rescaled ~1000× (see DESIGN.md).
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use gradoop_bench::figure1::{figure1_graph, FIGURE1_QUERIES};
-use gradoop_bench::gate::{compare, BenchReport, Direction};
 use gradoop_bench::harness::{self, Measurement, ScaleFactor};
 use gradoop_bench::report::{bytes, seconds, speedup, Table};
-use gradoop_core::{
-    CypherEngine, Embedding, EmbeddingMetaData, EntryType, JsonlQueryLog, MatchingConfig,
-    MorphismCheck, PlanMode, ProfileNode,
-};
+use gradoop_core::{CypherEngine, JsonlQueryLog, MatchingConfig};
 use gradoop_dataflow::{
-    chrome_trace_json, CollectingSink, CostModel, Dataset, ExecutionConfig, ExecutionEnvironment,
-    FailureSchedule, FaultConfig, MetricsRegistry,
+    chrome_trace_json, CollectingSink, ExecutionConfig, ExecutionEnvironment, FailureSchedule,
+    FaultConfig,
 };
-use gradoop_epgm::{
-    properties, Edge, GradoopId, GraphHead, LogicalGraph, Properties, PropertyValue, Vertex,
-};
-use gradoop_ldbc::{
-    generate_graph, table3_patterns, BenchmarkQuery, LdbcConfig, Selectivity, SelectivityNames,
-};
-
-/// Counts heap allocations so `--bench-pr4` can report the before/after
-/// allocation budget of the join/merge kernels. The single relaxed
-/// fetch-add is negligible next to the simulated-cost bookkeeping.
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
+use gradoop_ldbc::{table3_patterns, BenchmarkQuery, LdbcConfig, Selectivity, SelectivityNames};
 
 const WORKER_COUNTS: [usize; 5] = [1, 2, 4, 8, 16];
 
@@ -662,939 +621,6 @@ fn ablations(scale: f64) {
     println!("{table}");
 }
 
-/// Emits `BENCH_pr4.json` — the perf-trajectory record for the PR-4
-/// morsel-stealing + zero-copy work: before/after allocation counts of the
-/// join/merge kernel, the skewed-stage makespan with and without stealing,
-/// and simulated makespans of the Figure 1 queries under both schedules.
-fn bench_pr4() {
-    println!("== BENCH_pr4: work stealing + zero-copy kernels ==\n");
-
-    // -- Allocation budget of the join kernel, counted pair by pair.
-    let mut left = Embedding::new();
-    left.push_id(1);
-    left.push_id(2);
-    left.push_property(&PropertyValue::String("Alice".into()));
-    let mut right = Embedding::new();
-    right.push_id(1);
-    right.push_id(3);
-    right.push_property(&PropertyValue::Long(1984));
-    let mut meta = EmbeddingMetaData::new();
-    meta.add_entry("a", EntryType::Vertex);
-    meta.add_entry("b", EntryType::Vertex);
-    meta.add_entry("c", EntryType::Vertex);
-    meta.add_property("a", "name");
-    meta.add_property("c", "yob");
-    let check = MorphismCheck::new(&meta, &MatchingConfig::isomorphism());
-
-    const PAIRS: u64 = 10_000;
-    // Before: the clone-then-append kernel — a fresh merged row and a fresh
-    // id staging buffer per probed pair, kept or not.
-    let before_start = allocations();
-    for _ in 0..PAIRS {
-        let merged = left.merge(&right, &[0]);
-        let mut ids = Vec::new();
-        assert!(check.check(&merged, &mut ids));
-        std::hint::black_box(merged);
-    }
-    let naive_per_pair = (allocations() - before_start) as f64 / PAIRS as f64;
-
-    // After: merge into a reused scratch row, check with a reused staging
-    // buffer, clone only survivors — one exact-sized allocation per output.
-    let mut scratch = Embedding::new();
-    let mut ids = Vec::new();
-    left.merge_into(&right, &[0], &mut scratch);
-    assert!(check.check(&scratch, &mut ids));
-    let after_start = allocations();
-    for _ in 0..PAIRS {
-        left.merge_into(&right, &[0], &mut scratch);
-        assert!(check.check(&scratch, &mut ids));
-        std::hint::black_box(scratch.clone());
-    }
-    let fused_accepted = (allocations() - after_start) as f64 / PAIRS as f64;
-
-    // Rejected pairs (duplicate end vertex) must cost nothing.
-    let mut reject = Embedding::new();
-    reject.push_id(1);
-    reject.push_id(2);
-    reject.push_property(&PropertyValue::Long(7));
-    let reject_start = allocations();
-    for _ in 0..PAIRS {
-        left.merge_into(&reject, &[0], &mut scratch);
-        assert!(!check.check(&scratch, &mut ids));
-    }
-    let fused_rejected = (allocations() - reject_start) as f64 / PAIRS as f64;
-
-    let mut table = Table::new(["kernel", "allocs/pair"]);
-    table.row([
-        "clone-then-append (before)".into(),
-        format!("{naive_per_pair:.2}"),
-    ]);
-    table.row([
-        "fused scratch, accepted (after)".into(),
-        format!("{fused_accepted:.2}"),
-    ]);
-    table.row([
-        "fused scratch, rejected (after)".into(),
-        format!("{fused_rejected:.2}"),
-    ]);
-    println!("{table}");
-    assert!(
-        fused_accepted <= 1.0,
-        "fused kernel must allocate at most once per output embedding"
-    );
-    assert_eq!(fused_rejected, 0.0, "rejected pairs must not allocate");
-
-    // -- Skewed-stage makespan: one partition 4x the others (the PR's
-    // acceptance criterion), static schedule vs morsel stealing.
-    let skew_model = || CostModel {
-        cpu_seconds_per_record: 1.0,
-        stage_overhead_seconds: 0.0,
-        ..CostModel::free()
-    };
-    let skewed: Vec<Vec<u64>> = vec![
-        (0..64).collect(),
-        (64..80).collect(),
-        (80..96).collect(),
-        (96..112).collect(),
-    ];
-    let run_skew = |stealing: bool| -> (f64, Vec<u64>) {
-        let config = ExecutionConfig::with_workers(4).cost_model(skew_model());
-        let config = if stealing {
-            config.work_stealing(true).morsel_size(4)
-        } else {
-            config
-        };
-        let env = ExecutionEnvironment::new(config);
-        let mapped = Dataset::from_partitions(env.clone(), skewed.clone()).map(|x| x * 3);
-        let seconds = env.simulated_seconds();
-        (seconds, mapped.collect())
-    };
-    let (static_skew_seconds, static_rows) = run_skew(false);
-    let (stolen_skew_seconds, stolen_rows) = run_skew(true);
-    assert_eq!(
-        static_rows, stolen_rows,
-        "stealing must not reorder results"
-    );
-    let improvement = 100.0 * (1.0 - stolen_skew_seconds / static_skew_seconds);
-    println!(
-        "-- skewed stage (64/16/16/16 records, 4 workers): static {} vs \
-         stolen {} ({improvement:.0}% faster)\n",
-        seconds(static_skew_seconds),
-        seconds(stolen_skew_seconds)
-    );
-    assert!(
-        improvement >= 25.0,
-        "stealing must cut the skewed makespan by >= 25%"
-    );
-
-    // -- Ablation: stealing on/off x morsel size on the same skewed stage
-    // (recorded in EXPERIMENTS.md).
-    let mut table = Table::new(["morsel size", "static [s]", "stolen [s]", "improvement"]);
-    for morsel_size in [1usize, 4, 16, 32, 64] {
-        let env = ExecutionEnvironment::new(
-            ExecutionConfig::with_workers(4)
-                .cost_model(skew_model())
-                .work_stealing(true)
-                .morsel_size(morsel_size),
-        );
-        let mapped = Dataset::from_partitions(env.clone(), skewed.clone()).map(|x| x * 3);
-        let stolen = env.simulated_seconds();
-        assert_eq!(mapped.collect(), static_rows);
-        table.row([
-            morsel_size.to_string(),
-            seconds(static_skew_seconds),
-            seconds(stolen),
-            format!("{:.0}%", 100.0 * (1.0 - stolen / static_skew_seconds)),
-        ]);
-    }
-    println!("-- ablation: morsel size on the 64/16/16/16 stage (4 workers)");
-    println!("{table}");
-
-    // -- Figure 1 queries: simulated makespan under both schedules, with
-    // byte-identical result digests asserted.
-    let run_figure1 = |query: &str, stealing: bool| -> (u64, f64, u64, u64) {
-        let config = ExecutionConfig::with_workers(4);
-        let config = if stealing {
-            config.work_stealing(true).morsel_size(1)
-        } else {
-            config
-        };
-        let env = ExecutionEnvironment::new(config);
-        let graph = figure1_graph(&env);
-        let engine = CypherEngine::for_graph(&graph);
-        let result = engine
-            .execute(
-                &graph,
-                query,
-                &HashMap::new(),
-                MatchingConfig::cypher_default(),
-            )
-            .unwrap_or_else(|e| panic!("{query}: {e}"));
-        let digest = harness::result_digest(&result);
-        let metrics = env.metrics();
-        (
-            digest,
-            env.simulated_seconds(),
-            metrics.morsels,
-            metrics.stolen_morsels,
-        )
-    };
-    let mut table = Table::new(["query", "static [s]", "stolen [s]", "morsels", "stolen"]);
-    let mut query_entries = Vec::new();
-    for query in FIGURE1_QUERIES {
-        let (static_digest, static_seconds, _, _) = run_figure1(query, false);
-        let (stolen_digest, stolen_seconds, morsels, stolen) = run_figure1(query, true);
-        assert_eq!(
-            static_digest, stolen_digest,
-            "stealing changed the result of {query}"
-        );
-        table.row([
-            query.to_string(),
-            seconds(static_seconds),
-            seconds(stolen_seconds),
-            morsels.to_string(),
-            stolen.to_string(),
-        ]);
-        query_entries.push(format!(
-            "    {{\"query\": {query:?}, \"static_seconds\": {static_seconds:.6}, \
-             \"stolen_seconds\": {stolen_seconds:.6}, \"morsels\": {morsels}, \
-             \"stolen_morsels\": {stolen}}}"
-        ));
-    }
-    println!("{table}");
-
-    let json = [
-        "{".to_string(),
-        "  \"pr\": 4,".to_string(),
-        "  \"title\": \"Morsel-driven work stealing + zero-copy embedding kernels\",".to_string(),
-        "  \"allocations_per_pair\": {".to_string(),
-        format!("    \"clone_then_append_before\": {naive_per_pair:.2},"),
-        format!("    \"fused_scratch_accepted\": {fused_accepted:.2},"),
-        format!("    \"fused_scratch_rejected\": {fused_rejected:.2}"),
-        "  },".to_string(),
-        "  \"skewed_stage\": {".to_string(),
-        format!("    \"static_seconds\": {static_skew_seconds:.6},"),
-        format!("    \"stolen_seconds\": {stolen_skew_seconds:.6},"),
-        format!("    \"improvement_percent\": {improvement:.1}"),
-        "  },".to_string(),
-        "  \"figure1_queries\": [".to_string(),
-        query_entries.join(",\n"),
-        "  ]".to_string(),
-        "}".to_string(),
-        String::new(),
-    ]
-    .join("\n");
-    std::fs::write("BENCH_pr4.json", json).expect("write BENCH_pr4.json");
-    println!("wrote BENCH_pr4.json\n");
-}
-
-/// Emits `BENCH_pr6.json` — the standardized perf-gate report: Figure 1
-/// query makespans, operator throughput, kernel/query allocation counts and
-/// the morsel-stealing skewed-stage makespan, each with its regression
-/// threshold. With `check_baseline`, diffs the fresh report against the
-/// committed `BENCH_pr6_baseline.json` and exits non-zero on regression.
-/// ORDER BY paging micro-benchmark: a LIMIT-bearing ORDER BY runs as
-/// per-partition top-k + k-way merge instead of a full distributed sort.
-/// Prints simulated seconds, wall time, and the sort operator EXPLAIN
-/// chose, over a single-label scan of `n` vertices.
-fn orderby_micro(n: u64) {
-    println!("== ORDER BY paging: per-partition top-k + merge vs full sort ({n} rows) ==\n");
-    let build = |env: &ExecutionEnvironment| -> LogicalGraph {
-        let vertices: Vec<Vertex> = (0..n)
-            .map(|i| {
-                // Fibonacci-hash the index so the sort sees shuffled keys.
-                let p = (i.wrapping_mul(2_654_435_761) % 10_007) as i64;
-                Vertex::new(GradoopId(i + 1), "N", properties! {"p" => p})
-            })
-            .collect();
-        LogicalGraph::from_data(
-            env,
-            GraphHead::new(GradoopId(0), "orderby", Properties::new()),
-            vertices,
-            Vec::new(),
-        )
-    };
-    let mut table = Table::new(["query", "simulated_s", "wall_ms", "sort operator"]);
-    for (name, query) in [
-        ("ORDER BY", "MATCH (a:N) RETURN a.p ORDER BY a.p"),
-        (
-            "ORDER BY LIMIT 10",
-            "MATCH (a:N) RETURN a.p ORDER BY a.p LIMIT 10",
-        ),
-        (
-            "ORDER BY SKIP 20 LIMIT 10",
-            "MATCH (a:N) RETURN a.p ORDER BY a.p SKIP 20 LIMIT 10",
-        ),
-    ] {
-        let env = ExecutionEnvironment::new(ExecutionConfig::with_workers(4));
-        let graph = build(&env);
-        let engine = CypherEngine::for_graph(&graph);
-        let explain = engine.explain(query).expect("explain").root.to_text();
-        let operator = explain
-            .lines()
-            .map(str::trim)
-            .find(|line| line.contains("order_by"))
-            .unwrap_or("?")
-            .to_string();
-        env.reset_metrics();
-        let start = std::time::Instant::now();
-        let result = engine
-            .run(
-                &graph,
-                query,
-                &HashMap::new(),
-                MatchingConfig::cypher_default(),
-            )
-            .unwrap_or_else(|e| panic!("{query}: {e}"));
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        std::hint::black_box(&result.rows);
-        table.row([
-            name.into(),
-            format!("{:.6}", env.metrics().simulated_seconds),
-            format!("{wall_ms:.1}"),
-            operator,
-        ]);
-    }
-    println!("{table}");
-}
-
-fn bench_pr6(check_baseline: bool) {
-    println!("== BENCH_pr6: telemetry perf-regression gate ==\n");
-    let mut report = BenchReport::new();
-
-    // -- Figure 1 query makespans (simulated seconds: fully deterministic,
-    // so the gate can be tight).
-    let mut table = Table::new(["metric", "value", "gate"]);
-    for (index, query) in FIGURE1_QUERIES.iter().enumerate() {
-        let env = ExecutionEnvironment::new(ExecutionConfig::with_workers(4));
-        let graph = figure1_graph(&env);
-        let engine = CypherEngine::for_graph(&graph);
-        env.reset_metrics();
-        let query_allocs_before = allocations();
-        engine
-            .execute(
-                &graph,
-                query,
-                &HashMap::new(),
-                MatchingConfig::cypher_default(),
-            )
-            .unwrap_or_else(|e| panic!("{query}: {e}"));
-        let query_allocs = allocations() - query_allocs_before;
-        let metrics = env.metrics();
-        let name = format!("figure1.q{}.simulated_seconds", index + 1);
-        table.row([
-            name.clone(),
-            format!("{:.6}", metrics.simulated_seconds),
-            "1.25x lower".into(),
-        ]);
-        report.add(
-            name,
-            metrics.simulated_seconds,
-            1.25,
-            Direction::LowerIsBetter,
-        );
-        // Allocation counts vary with thread scheduling: generous gate.
-        let name = format!("figure1.q{}.allocations", index + 1);
-        table.row([name.clone(), query_allocs.to_string(), "2.00x lower".into()]);
-        report.add(name, query_allocs as f64, 2.0, Direction::LowerIsBetter);
-    }
-
-    // -- Operator throughput from PROFILE (rows per simulated second over
-    // the whole plan tree; deterministic).
-    {
-        let env = ExecutionEnvironment::new(ExecutionConfig::with_workers(4));
-        let graph = figure1_graph(&env);
-        let engine = CypherEngine::for_graph(&graph);
-        let profile = engine
-            .profile(
-                &graph,
-                FIGURE1_QUERIES[0],
-                &HashMap::new(),
-                MatchingConfig::cypher_default(),
-            )
-            .expect("profile runs");
-        let rows: u64 = profile
-            .root
-            .operator_rows()
-            .iter()
-            .map(|(_, rows)| rows)
-            .sum();
-        let throughput = rows as f64 / profile.simulated_seconds.max(1e-9);
-        table.row([
-            "operators.rows_per_simulated_second".into(),
-            format!("{throughput:.3}"),
-            "1.25x higher".into(),
-        ]);
-        report.add(
-            "operators.rows_per_simulated_second",
-            throughput,
-            1.25,
-            Direction::HigherIsBetter,
-        );
-    }
-
-    // -- Join-kernel allocation budget (single-threaded and deterministic:
-    // the PR-4 fused merge kernel must stay at <= 1 allocation per output).
-    {
-        let mut left = Embedding::new();
-        left.push_id(1);
-        left.push_id(2);
-        let mut right = Embedding::new();
-        right.push_id(1);
-        right.push_id(3);
-        let mut meta = EmbeddingMetaData::new();
-        meta.add_entry("a", EntryType::Vertex);
-        meta.add_entry("b", EntryType::Vertex);
-        meta.add_entry("c", EntryType::Vertex);
-        let check = MorphismCheck::new(&meta, &MatchingConfig::isomorphism());
-        let mut scratch = Embedding::new();
-        let mut ids = Vec::new();
-        left.merge_into(&right, &[0], &mut scratch);
-        assert!(check.check(&scratch, &mut ids));
-        const PAIRS: u64 = 10_000;
-        let start = allocations();
-        for _ in 0..PAIRS {
-            left.merge_into(&right, &[0], &mut scratch);
-            assert!(check.check(&scratch, &mut ids));
-            std::hint::black_box(scratch.clone());
-        }
-        let allocs_per_pair = (allocations() - start) as f64 / PAIRS as f64;
-        table.row([
-            "kernel.allocs_per_pair".into(),
-            format!("{allocs_per_pair:.2}"),
-            "1.50x lower".into(),
-        ]);
-        report.add(
-            "kernel.allocs_per_pair",
-            allocs_per_pair,
-            1.5,
-            Direction::LowerIsBetter,
-        );
-    }
-
-    // -- Morsel stealing on the skewed 64/16/16/16 stage (simulated
-    // makespan, deterministic schedule).
-    {
-        let skewed: Vec<Vec<u64>> = vec![
-            (0..64).collect(),
-            (64..80).collect(),
-            (80..96).collect(),
-            (96..112).collect(),
-        ];
-        let run_skew = |stealing: bool| -> f64 {
-            let config = ExecutionConfig::with_workers(4).cost_model(CostModel {
-                cpu_seconds_per_record: 1.0,
-                stage_overhead_seconds: 0.0,
-                ..CostModel::free()
-            });
-            let config = if stealing {
-                config.work_stealing(true).morsel_size(4)
-            } else {
-                config
-            };
-            let env = ExecutionEnvironment::new(config);
-            let mapped = Dataset::from_partitions(env.clone(), skewed.clone()).map(|x| x * 3);
-            std::hint::black_box(mapped.collect());
-            env.simulated_seconds()
-        };
-        let static_seconds = run_skew(false);
-        let stolen_seconds = run_skew(true);
-        table.row([
-            "morsel.skewed_static_seconds".into(),
-            format!("{static_seconds:.6}"),
-            "1.25x lower".into(),
-        ]);
-        table.row([
-            "morsel.skewed_stolen_seconds".into(),
-            format!("{stolen_seconds:.6}"),
-            "1.25x lower".into(),
-        ]);
-        report.add(
-            "morsel.skewed_static_seconds",
-            static_seconds,
-            1.25,
-            Direction::LowerIsBetter,
-        );
-        report.add(
-            "morsel.skewed_stolen_seconds",
-            stolen_seconds,
-            1.25,
-            Direction::LowerIsBetter,
-        );
-    }
-
-    // -- Aggregation-pipeline makespan: WITH aggregation barrier +
-    // OPTIONAL MATCH + top-k ORDER BY through the multi-clause executor
-    // (simulated seconds, deterministic).
-    {
-        let env = ExecutionEnvironment::new(ExecutionConfig::with_workers(4));
-        let graph = figure1_graph(&env);
-        let engine = CypherEngine::for_graph(&graph);
-        env.reset_metrics();
-        let result = engine
-            .run(
-                &graph,
-                "MATCH (a:Person)-[e:knows]->(b:Person) \
-                 WITH a, count(*) AS degree \
-                 OPTIONAL MATCH (a)-[s:studyAt]->(u:University) \
-                 RETURN a.name, degree ORDER BY degree DESC, a.name LIMIT 3",
-                &HashMap::new(),
-                MatchingConfig::cypher_default(),
-            )
-            .expect("aggregation pipeline runs");
-        assert!(
-            !result.rows.is_empty(),
-            "aggregation pipeline produced no rows"
-        );
-        let seconds = env.metrics().simulated_seconds;
-        table.row([
-            "pipeline.aggregation_simulated_seconds".into(),
-            format!("{seconds:.6}"),
-            "1.25x lower".into(),
-        ]);
-        report.add(
-            "pipeline.aggregation_simulated_seconds",
-            seconds,
-            1.25,
-            Direction::LowerIsBetter,
-        );
-    }
-
-    println!("{table}");
-    std::fs::write("BENCH_pr6.json", report.to_json()).expect("write BENCH_pr6.json");
-    println!("wrote BENCH_pr6.json");
-    println!(
-        "-- metrics registry snapshot:\n{}\n",
-        MetricsRegistry::global().snapshot().to_json()
-    );
-
-    if check_baseline {
-        let baseline_text = std::fs::read_to_string("BENCH_pr6_baseline.json")
-            .expect("read BENCH_pr6_baseline.json (run from the repo root)");
-        let baseline = BenchReport::parse(&baseline_text).expect("parse baseline");
-        let outcome = compare(&baseline, &report);
-        println!("-- gate vs committed baseline:");
-        print!("{}", outcome.summary());
-        if !outcome.is_pass() {
-            println!("bench gate FAILED");
-            std::process::exit(1);
-        }
-        println!("bench gate OK");
-    }
-}
-
-/// Builds the cyclic-pattern benchmark graph: a directed ring of `n`
-/// `Person` vertices where every vertex additionally has forward chords to
-/// `i+2` and `i+3` (out-degree 3). The chords close 3·n directed wedges
-/// `a → b → c, a → c`, so cyclic queries have real matches while binary
-/// plans must materialize every open 2-path first.
-fn cyclic_graph(env: &ExecutionEnvironment, n: u64) -> LogicalGraph {
-    let vertices: Vec<Vertex> = (0..n)
-        .map(|i| Vertex::new(GradoopId(i + 1), "Person", properties! {"vid" => i as i64}))
-        .collect();
-    let mut edges = Vec::new();
-    let mut id = 10_000;
-    for i in 0..n {
-        for hop in [1, 2, 3] {
-            let j = (i + hop) % n;
-            edges.push(Edge::new(
-                GradoopId(id),
-                "knows",
-                GradoopId(i + 1),
-                GradoopId(j + 1),
-                Properties::new(),
-            ));
-            id += 1;
-        }
-    }
-    LogicalGraph::from_data(
-        env,
-        GraphHead::new(GradoopId(0), "cyclic", Properties::new()),
-        vertices,
-        edges,
-    )
-}
-
-/// The largest intermediate result any plan node below the root
-/// materialized — the quantity worst-case-optimal joins exist to bound.
-/// The root's own output is the final result, not an intermediate.
-fn max_intermediate_rows(root: &ProfileNode) -> u64 {
-    fn walk(node: &ProfileNode, out: &mut u64) {
-        for child in &node.children {
-            *out = (*out).max(child.rows_out);
-            walk(child, out);
-        }
-    }
-    let mut out = 0;
-    walk(root, &mut out);
-    out
-}
-
-/// Emits `BENCH_pr8.json` — the cyclic-pattern perf gate: triangle and
-/// diamond queries under forced-binary vs forced-WCO planning, reporting
-/// each plan's largest materialized intermediate and simulated makespan.
-/// The triangle's intermediate-row reduction is hard-asserted at ≥ 2×.
-/// With `check_baseline`, diffs against `BENCH_pr8_baseline.json` and
-/// exits non-zero on regression.
-fn bench_pr8(check_baseline: bool) {
-    println!("== BENCH_pr8: worst-case-optimal joins on cyclic patterns ==\n");
-    let mut report = BenchReport::new();
-    let n = 60u64;
-    let mut table = Table::new([
-        "pattern",
-        "plan",
-        "max intermediate rows",
-        "simulated_s",
-        "matches",
-    ]);
-    for (pattern, query) in [
-        (
-            "triangle",
-            "MATCH (a:Person)-[e1:knows]->(b:Person), (b)-[e2:knows]->(c:Person), \
-             (a)-[e3:knows]->(c) RETURN *",
-        ),
-        (
-            "diamond",
-            "MATCH (a:Person)-[e1:knows]->(b:Person), (b)-[e2:knows]->(c:Person), \
-             (c)-[e3:knows]->(d:Person), (a)-[e4:knows]->(d), (a)-[e5:knows]->(c) RETURN *",
-        ),
-    ] {
-        let mut measured = Vec::new();
-        for (mode_name, mode) in [
-            ("binary", PlanMode::ForceBinary),
-            ("wco", PlanMode::ForceWco),
-        ] {
-            let env = ExecutionEnvironment::new(ExecutionConfig::with_workers(4));
-            let graph = cyclic_graph(&env, n);
-            let engine = CypherEngine::for_graph(&graph).with_plan_mode(mode);
-            let explain = engine.explain(query).expect("explain").root.to_text();
-            match mode {
-                PlanMode::ForceWco => assert!(
-                    explain.contains("wco intersect"),
-                    "{pattern}: forced-WCO plan has no intersect:\n{explain}"
-                ),
-                _ => assert!(
-                    !explain.contains("wco intersect"),
-                    "{pattern}: forced-binary plan contains an intersect:\n{explain}"
-                ),
-            }
-            env.reset_metrics();
-            let profile = engine
-                .profile(
-                    &graph,
-                    query,
-                    &HashMap::new(),
-                    MatchingConfig::cypher_default(),
-                )
-                .unwrap_or_else(|e| panic!("{query}: {e}"));
-            let rows = max_intermediate_rows(&profile.root);
-            let seconds = env.metrics().simulated_seconds;
-            assert!(profile.matches > 0, "{pattern}: no matches");
-            table.row([
-                pattern.into(),
-                mode_name.into(),
-                rows.to_string(),
-                format!("{seconds:.6}"),
-                profile.matches.to_string(),
-            ]);
-            report.add(
-                format!("wco.{pattern}.{mode_name}.max_intermediate_rows"),
-                rows as f64,
-                1.25,
-                Direction::LowerIsBetter,
-            );
-            report.add(
-                format!("wco.{pattern}.{mode_name}.simulated_seconds"),
-                seconds,
-                1.25,
-                Direction::LowerIsBetter,
-            );
-            measured.push((rows, profile.matches));
-        }
-        let (binary, wco) = (measured[0], measured[1]);
-        assert_eq!(
-            binary.1, wco.1,
-            "{pattern}: binary and WCO plans disagree on the match count"
-        );
-        let reduction = binary.0 as f64 / wco.0 as f64;
-        println!(
-            "{pattern}: intermediate-row reduction {reduction:.2}x (binary {} → wco {})\n",
-            binary.0, wco.0
-        );
-        report.add(
-            format!("wco.{pattern}.intermediate_reduction"),
-            reduction,
-            1.25,
-            Direction::HigherIsBetter,
-        );
-        if pattern == "triangle" {
-            assert!(
-                reduction >= 2.0,
-                "triangle intermediate-row reduction {reduction:.2}x below the required 2x"
-            );
-        }
-    }
-    println!("{table}");
-    std::fs::write("BENCH_pr8.json", report.to_json()).expect("write BENCH_pr8.json");
-    println!("wrote BENCH_pr8.json");
-
-    if check_baseline {
-        let baseline_text = std::fs::read_to_string("BENCH_pr8_baseline.json")
-            .expect("read BENCH_pr8_baseline.json (run from the repo root)");
-        let baseline = BenchReport::parse(&baseline_text).expect("parse baseline");
-        let outcome = compare(&baseline, &report);
-        println!("-- gate vs committed baseline:");
-        print!("{}", outcome.summary());
-        if !outcome.is_pass() {
-            println!("bench gate FAILED");
-            std::process::exit(1);
-        }
-        println!("bench gate OK");
-    }
-}
-
-/// Emits `BENCH_pr10.json` — the concurrent query-server gate: a mixed
-/// Q1–Q6 workload from 8 client threads over one shared immutable
-/// snapshot. Deterministic gates: results byte-identical to serial
-/// execution, plan-cache hit rate and miss count (misses grow when shape
-/// normalization regresses and distinct literals stop sharing plans),
-/// deadline classification and overload rejection. Wall-clock gates (QPS,
-/// p99 latency) carry generous thresholds — they catch order-of-magnitude
-/// regressions, not noise. With `check_baseline`, diffs against
-/// `BENCH_pr10_baseline.json` and exits non-zero on regression.
-fn bench_pr10(check_baseline: bool) {
-    use gradoop_core::{canonical_row, TableResult};
-    use gradoop_cypher::Literal;
-    use gradoop_server::{GraphSnapshot, QueryServer, ServerConfig, ServerError};
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
-
-    println!("== BENCH_pr10: concurrent query server — mixed Q1–Q6 workload ==\n");
-    let mut report = BenchReport::new();
-
-    const CLIENTS: usize = 8;
-    const ROUNDS: usize = 2;
-    let names = ["Jan", "Maria", "Chen", "Ali"];
-
-    // Order-insensitive digest: equal digests ⇔ byte-identical result sets.
-    fn digest(table: &TableResult) -> String {
-        let mut rows: Vec<String> = table.rows.iter().map(|row| canonical_row(row)).collect();
-        if !table.ordered {
-            rows.sort();
-        }
-        format!("{}|{}", table.columns.join(","), rows.join(";"))
-    }
-
-    let env =
-        ExecutionEnvironment::new(ExecutionConfig::with_workers(4).cost_model(CostModel::free()));
-    let graph = generate_graph(&env, &LdbcConfig::with_persons(200));
-    println!(
-        "snapshot: {} vertices, {} edges",
-        graph.vertex_count(),
-        graph.edge_count()
-    );
-    let server = QueryServer::new(
-        GraphSnapshot::of(graph),
-        ServerConfig {
-            max_in_flight: CLIENTS,
-            admission_timeout: Duration::from_millis(50),
-            ..ServerConfig::default()
-        },
-    );
-
-    // The mixed workload: operational queries (1–3) parameterized across a
-    // spread of first names, analytical queries (4–6) as-is. The three
-    // operational shapes each collapse to one plan-cache entry regardless
-    // of the bound name.
-    let mut workload: Vec<(String, HashMap<String, Literal>)> = Vec::new();
-    for query in BenchmarkQuery::all() {
-        if query.is_operational() {
-            for name in names {
-                workload.push((
-                    query.parameterized_text(),
-                    HashMap::from([("firstName".to_string(), Literal::String(name.to_string()))]),
-                ));
-            }
-        } else {
-            workload.push((query.text(None), HashMap::new()));
-        }
-    }
-
-    // Serial reference pass: one session, one query at a time. Also warms
-    // the plan cache — every distinct shape misses exactly once here.
-    let reference_session = server.session();
-    let expected: Vec<String> = workload
-        .iter()
-        .map(|(text, params)| {
-            digest(
-                &reference_session
-                    .query(text, params)
-                    .unwrap_or_else(|e| panic!("serial reference: {e}")),
-            )
-        })
-        .collect();
-    let warmup_stats = server.stats().plan_cache;
-    println!(
-        "serial reference: {} queries, {} distinct plan shapes",
-        workload.len(),
-        warmup_stats.misses
-    );
-
-    // Concurrent phase: every client runs the full workload ROUNDS times,
-    // start offsets staggered so clients overlap on different queries.
-    let workload = Arc::new(workload);
-    let expected = Arc::new(expected);
-    let started = Instant::now();
-    let handles: Vec<_> = (0..CLIENTS)
-        .map(|client| {
-            let server = Arc::clone(&server);
-            let workload = Arc::clone(&workload);
-            let expected = Arc::clone(&expected);
-            std::thread::spawn(move || {
-                let session = server.session();
-                let mut mismatches = 0usize;
-                for round in 0..ROUNDS {
-                    for step in 0..workload.len() {
-                        let index = (step + client * 2 + round) % workload.len();
-                        let (text, params) = &workload[index];
-                        let table = session
-                            .query(text, params)
-                            .unwrap_or_else(|e| panic!("client {client}: {e}"));
-                        if digest(&table) != expected[index] {
-                            mismatches += 1;
-                        }
-                    }
-                }
-                mismatches
-            })
-        })
-        .collect();
-    let mismatches: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
-    let concurrent_wall = started.elapsed().as_secs_f64();
-    let concurrent_queries = CLIENTS * ROUNDS * workload.len();
-    let qps = concurrent_queries as f64 / concurrent_wall;
-    let p99 = server.stats().p99_latency_seconds;
-    let cache = server.stats().plan_cache;
-
-    // Deadline probe: a zero budget must classify, never return rows.
-    let deadline_session = server.session();
-    let deadline_classified = matches!(
-        deadline_session.query_with_deadline(
-            &BenchmarkQuery::Q5.text(None),
-            &HashMap::new(),
-            Some(Duration::ZERO),
-        ),
-        Err(ServerError::DeadlineExceeded(_))
-    );
-
-    // Overload probe: with every slot reserved, an arrival is rejected
-    // after the admission timeout without executing.
-    let slots: Vec<_> = (0..CLIENTS)
-        .map(|_| {
-            server
-                .admission()
-                .admit(Duration::ZERO)
-                .expect("reserve idle slot")
-        })
-        .collect();
-    let overload_rejected = matches!(
-        deadline_session.query(&BenchmarkQuery::Q1.text(Some("Jan")), &HashMap::new()),
-        Err(ServerError::Overloaded(_))
-    );
-    drop(slots);
-
-    let mut table = Table::new(["metric", "value"]);
-    table.row(["clients".to_string(), CLIENTS.to_string()]);
-    table.row([
-        "concurrent queries".to_string(),
-        concurrent_queries.to_string(),
-    ]);
-    table.row(["result mismatches".to_string(), mismatches.to_string()]);
-    table.row([
-        "plan cache hit rate".to_string(),
-        format!("{:.3}", cache.hit_rate()),
-    ]);
-    table.row(["plan cache misses".to_string(), cache.misses.to_string()]);
-    table.row(["QPS (wall)".to_string(), format!("{qps:.0}")]);
-    table.row(["p99 latency".to_string(), seconds(p99)]);
-    table.row([
-        "deadline classified".to_string(),
-        deadline_classified.to_string(),
-    ]);
-    table.row([
-        "overload rejected".to_string(),
-        overload_rejected.to_string(),
-    ]);
-    println!("{}", table.render());
-
-    assert_eq!(
-        mismatches, 0,
-        "concurrent results diverged from serial execution"
-    );
-    assert!(
-        cache.hit_rate() > 0.9,
-        "plan-cache hit rate {:.3} not above 0.9 on the parameterized re-run",
-        cache.hit_rate()
-    );
-    assert!(deadline_classified, "zero-budget query was not classified");
-    assert!(overload_rejected, "full server did not reject the arrival");
-
-    report.add(
-        "pr10.results_identical",
-        if mismatches == 0 { 1.0 } else { 0.0 },
-        1.0,
-        Direction::HigherIsBetter,
-    );
-    report.add(
-        "pr10.cache_hit_rate",
-        cache.hit_rate(),
-        1.02,
-        Direction::HigherIsBetter,
-    );
-    report.add(
-        "pr10.cache_misses",
-        cache.misses as f64,
-        1.0,
-        Direction::LowerIsBetter,
-    );
-    report.add(
-        "pr10.deadline_classified",
-        if deadline_classified { 1.0 } else { 0.0 },
-        1.0,
-        Direction::HigherIsBetter,
-    );
-    report.add(
-        "pr10.overload_rejected",
-        if overload_rejected { 1.0 } else { 0.0 },
-        1.0,
-        Direction::HigherIsBetter,
-    );
-    report.add("pr10.qps", qps, 3.0, Direction::HigherIsBetter);
-    report.add(
-        "pr10.p99_latency_seconds",
-        p99,
-        3.0,
-        Direction::LowerIsBetter,
-    );
-
-    std::fs::write("BENCH_pr10.json", report.to_json()).expect("write BENCH_pr10.json");
-    println!("wrote BENCH_pr10.json");
-
-    if check_baseline {
-        let baseline_text = std::fs::read_to_string("BENCH_pr10_baseline.json")
-            .expect("read BENCH_pr10_baseline.json (run from the repo root)");
-        let baseline = BenchReport::parse(&baseline_text).expect("parse baseline");
-        let outcome = compare(&baseline, &report);
-        println!("-- gate vs committed baseline:");
-        print!("{}", outcome.summary());
-        if !outcome.is_pass() {
-            println!("bench gate FAILED");
-            std::process::exit(1);
-        }
-        println!("bench gate OK");
-    }
-}
-
 /// Runs the Figure 1 queries with a collecting trace sink and writes the
 /// Chrome trace-event timeline (`chrome://tracing` / Perfetto loadable) to
 /// `path`. With `query_log_path`, the engine's query log additionally
@@ -1636,39 +662,43 @@ fn trace_out(path: &str, query_log_path: Option<&str>) {
     }
 }
 
-/// Every flag `repro` understands; the second list takes a value.
-const SWITCHES: [&str; 18] = [
-    "--smoke",
-    "--orderby",
-    "--cyclic",
-    "--bench-pr4",
-    "--bench-pr6",
-    "--bench-pr10",
-    "--check-baseline",
-    "--conformance",
-    "--quick",
+/// The artifacts `repro` regenerates. Naming none of them (nor
+/// `--trace-out`) selects them all.
+const ARTIFACTS: [&str; 9] = [
+    "--cardinalities",
+    "--table3",
+    "--fig5",
     "--fig3",
     "--fig4",
-    "--fig5",
-    "--table3",
     "--table4",
-    "--cardinalities",
-    "--ablations",
     "--plans",
     "--profiles",
+    "--ablations",
 ];
-const VALUE_FLAGS: [&str; 4] = ["--rows", "--cases", "--trace-out", "--query-log"];
+/// Run modes, and the dataset shrinker.
+const SWITCHES: [&str; 3] = ["--smoke", "--conformance", "--quick"];
+/// Flags that take a value, each with the flag it needs beside it (itself
+/// when it stands alone).
+const VALUE_FLAGS: [(&str, &str); 3] = [
+    ("--trace-out", "--trace-out"),
+    ("--query-log", "--trace-out"),
+    ("--cases", "--conformance"),
+];
 
-/// Rejects anything that is not a known flag (or the value of one), so a
-/// typo cannot silently select the full multi-minute suite.
+/// Rejects anything that is not a known flag (or the value of one), and a
+/// value flag whose owner is absent, so neither a typo nor an ignored flag
+/// can silently select the full multi-minute suite.
 fn check_args(args: &[String]) -> Result<(), String> {
     let mut rest = args.iter();
     while let Some(arg) = rest.next() {
-        if VALUE_FLAGS.contains(&arg.as_str()) {
-            if rest.next().is_none() {
-                return Err(format!("{arg} needs a value"));
+        if let Some((flag, owner)) = VALUE_FLAGS.iter().find(|(flag, _)| flag == arg) {
+            if rest.next().is_none_or(|value| value.starts_with("--")) {
+                return Err(format!("{flag} needs a value"));
             }
-        } else if !SWITCHES.contains(&arg.as_str()) {
+            if !args.iter().any(|a| a == owner) {
+                return Err(format!("{flag} only applies together with {owner}"));
+            }
+        } else if !ARTIFACTS.contains(&arg.as_str()) && !SWITCHES.contains(&arg.as_str()) {
             return Err(format!("unknown argument `{arg}`"));
         }
     }
@@ -1679,9 +709,12 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if let Err(problem) = check_args(&args) {
         eprintln!(
-            "repro: {problem}\nflags: {} {}",
+            "repro: {problem}\nflags: {} {} {}",
+            ARTIFACTS.join(" "),
             SWITCHES.join(" "),
-            VALUE_FLAGS.map(|flag| format!("{flag} <value>")).join(" ")
+            VALUE_FLAGS
+                .map(|(flag, _)| format!("{flag} <value>"))
+                .join(" ")
         );
         std::process::exit(2);
     }
@@ -1704,38 +737,12 @@ fn main() {
         println!("smoke OK");
         return;
     }
-    if has("--orderby") {
-        // ORDER BY paging micro-benchmark: top-k + merge vs full sort.
-        let rows = value_of("--rows")
-            .and_then(|n| n.parse().ok())
-            .unwrap_or(20_000);
-        orderby_micro(rows);
-        return;
-    }
-    if has("--cyclic") {
-        // Cyclic-pattern perf gate: worst-case-optimal vs binary plans on
-        // triangle and diamond queries, with the committed
-        // BENCH_pr8_baseline.json as the regression reference.
-        bench_pr8(has("--check-baseline"));
-        return;
-    }
-    if has("--bench-pr10") {
-        // Concurrent query-server gate: mixed Q1–Q6 workload from 8 client
-        // threads over one shared snapshot — byte-identical results, plan
-        // cache hit rate, deadline/overload classification, QPS and p99
-        // latency vs the committed BENCH_pr10_baseline.json.
-        bench_pr10(has("--check-baseline"));
-        return;
-    }
     if has("--conformance") {
         // Differential conformance campaign: random (graph, query) pairs,
         // every engine configuration vs the reference matcher. The seed is
         // pinned via GRADOOP_TEST_SEED (CI) and defaults to the repo-wide
         // test seed; --cases N overrides the budget.
-        let cases = args
-            .iter()
-            .position(|a| a == "--cases")
-            .and_then(|i| args.get(i + 1))
+        let cases = value_of("--cases")
             .and_then(|n| n.parse().ok())
             .unwrap_or(1000);
         let seed = gradoop_bench::fuzz::seed_from_env(0xC0FFEE);
@@ -1750,20 +757,8 @@ fn main() {
         println!("conformance OK");
         return;
     }
-    let all = args.is_empty()
-        || (!has("--fig3")
-            && !has("--fig4")
-            && !has("--fig5")
-            && !has("--table3")
-            && !has("--table4")
-            && !has("--cardinalities")
-            && !has("--ablations")
-            && !has("--plans")
-            && !has("--profiles")
-            && !has("--bench-pr4")
-            && !has("--bench-pr6")
-            && !has("--check-baseline")
-            && !has("--trace-out"));
+    let trace_path = value_of("--trace-out");
+    let all = trace_path.is_none() && !ARTIFACTS.iter().any(|flag| has(flag));
     let scale = if has("--quick") { 0.2 } else { 1.0 };
     let mut memo = Memo::new(scale);
 
@@ -1799,13 +794,7 @@ fn main() {
     if all || has("--ablations") {
         ablations(scale);
     }
-    if all || has("--bench-pr4") {
-        bench_pr4();
-    }
-    if all || has("--bench-pr6") || has("--check-baseline") {
-        bench_pr6(has("--check-baseline"));
-    }
-    if let Some(path) = value_of("--trace-out") {
+    if let Some(path) = trace_path {
         trace_out(&path, value_of("--query-log").as_deref());
     }
 }

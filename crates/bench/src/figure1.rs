@@ -1,6 +1,6 @@
 //! The paper's Figure 1 example graph — a five-vertex social network with
 //! `knows`, `studyAt` and `locatedIn` edges — and the example queries run
-//! against it by the `BENCH_pr4.json` perf-trajectory emitter.
+//! against it by `repro --trace-out` and the telemetry tests.
 
 use gradoop_dataflow::ExecutionEnvironment;
 use gradoop_epgm::{properties, Edge, GradoopId, GraphHead, LogicalGraph, Properties, Vertex};

@@ -133,7 +133,7 @@ pub struct Measurement {
 
 /// Order-independent digest of a result set: every row is rendered, the
 /// renderings are sorted and hashed. Equal digests ⇔ byte-identical rows.
-pub fn result_digest(result: &QueryResult) -> u64 {
+fn result_digest(result: &QueryResult) -> u64 {
     use std::collections::hash_map::DefaultHasher;
     use std::hash::{Hash, Hasher};
     let rows = result.rows().expect("result rows materialize");

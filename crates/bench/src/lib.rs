@@ -16,22 +16,26 @@
 //! | Table 4 (runtimes/speedups grid) | `repro --table4` |
 //! | Appendix cardinalities | `repro --cardinalities` |
 //! | EXPLAIN / PROFILE plan trees | `repro --plans`, `repro --profiles` |
-//! | §3.2/§3.3/§3.4 design ablations | `benches/ablation_*.rs`, `benches/micro_*.rs` |
+//! | §3.2/§3.3/§3.4 design ablations | `repro --ablations`, `benches/ablation_*.rs`, `benches/micro_*.rs` |
 //!
 //! The `repro` binary prints paper-style tables using the **simulated
 //! clock** of the dataflow engine (per-worker makespans, network, spill) —
 //! that is what reproduces the cluster behaviour; wall time on a laptop
-//! core is also reported.
+//! core is also reported. It also hosts the differential conformance
+//! campaign (`--conformance`), a CI smoke (`--smoke`) and the Figure 1
+//! trace export (`--trace-out`).
+//!
+//! Performance is not measured here: the repo's one benchmark is
+//! `benchmark/` (declared by `BENCHMARK.json`), and invariants are
+//! `cargo test`.
 
 pub mod figure1;
 pub mod fuzz;
-pub mod gate;
 pub mod harness;
 pub mod report;
 
-pub use gate::{compare, BenchMetric, BenchReport, Direction, GateFinding, GateOutcome};
 pub use harness::{
-    dataset, profile_query, profile_query_faulted, result_digest, run_query, run_query_faulted,
-    Measurement, ScaleFactor,
+    dataset, profile_query, profile_query_faulted, run_query, run_query_faulted, Measurement,
+    ScaleFactor,
 };
 pub use report::Table;

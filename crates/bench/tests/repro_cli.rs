@@ -3,14 +3,24 @@
 use std::process::Command;
 
 #[test]
-fn unknown_flags_exit_2_instead_of_running_the_full_suite() {
-    // `--bench-pr9` is not a flag; a script that still passes it must fail
-    // fast, not fall through to the full suite.
+fn bad_arguments_exit_2_instead_of_running_the_full_suite() {
+    // A script that still passes a typo, a retired per-PR gate flag, or a
+    // value flag without the flag it modifies must fail fast, not fall
+    // through to the full suite with the flag ignored.
     for args in [
         &["--bogus"][..],
-        &["--bench-pr9"],
         &["--table3", "--quik"],
-        &["--rows"],
+        &["--trace-out"],
+        &["--query-log", "q.jsonl"],
+        &["--cases", "5"],
+        &["--bench-pr4"],
+        &["--bench-pr6"],
+        &["--bench-pr9"],
+        &["--bench-pr10"],
+        &["--cyclic"],
+        &["--orderby"],
+        &["--rows", "100"],
+        &["--check-baseline"],
     ] {
         let output = Command::new(env!("CARGO_BIN_EXE_repro"))
             .args(args)

@@ -8,6 +8,10 @@
 //! Wall-clock fields are scrubbed before comparison — everything else in
 //! both renderings is deterministic (cost-model simulated times, estimated
 //! and actual cardinalities, intersection counters).
+//!
+//! A second, count-only test pins what the operator is for: on a ring with
+//! chords the forced-WCO plan's largest intermediate result is exactly
+//! 3× (triangle) and 9× (diamond) smaller than the forced-binary plan's.
 
 use std::collections::HashMap;
 
@@ -148,4 +152,76 @@ fn forced_wco_profile_matches_the_committed_golden_file() {
         "PROFILE lost the intersection counter:\n{actual}"
     );
     compare_golden(PROFILE_GOLDEN, &actual, "PROFILE");
+}
+
+/// A directed ring of `n` `Person` vertices where every vertex also has
+/// forward chords to `i+2` and `i+3` (out-degree 3). The chords close 3·n
+/// directed wedges `a → b → c, a → c`, so cyclic queries have real matches
+/// while binary plans must materialize every open 2-path first.
+fn ring_with_chords(env: &ExecutionEnvironment, n: u64) -> LogicalGraph {
+    let vertices = (0..n)
+        .map(|i| Vertex::new(GradoopId(i + 1), "Person", properties! {"vid" => i as i64}))
+        .collect();
+    let edges = (0..n)
+        .flat_map(|i| [1, 2, 3].map(|hop| (i, (i + hop) % n)))
+        .zip(10_000..)
+        .map(|((source, target), id)| {
+            Edge::new(
+                GradoopId(id),
+                "knows",
+                GradoopId(source + 1),
+                GradoopId(target + 1),
+                Properties::new(),
+            )
+        })
+        .collect();
+    LogicalGraph::from_data(
+        env,
+        GraphHead::new(GradoopId(0), "cyclic", Properties::new()),
+        vertices,
+        edges,
+    )
+}
+
+/// The quantity worst-case-optimal joins exist to bound: the largest
+/// result any plan node below the root materialized. Exact counts, so a
+/// planner or operator change that moves them has to say so here.
+#[test]
+fn wco_plans_cut_the_largest_intermediate_result_by_exactly_3x_and_9x() {
+    let chord_triangle = "MATCH (a:Person)-[e1:knows]->(b:Person), (b)-[e2:knows]->(c:Person), \
+         (a)-[e3:knows]->(c) RETURN *";
+    let diamond = "MATCH (a:Person)-[e1:knows]->(b:Person), (b)-[e2:knows]->(c:Person), \
+         (c)-[e3:knows]->(d:Person), (a)-[e4:knows]->(d), (a)-[e5:knows]->(c) RETURN *";
+    for (query, binary_rows, wco_rows) in [(chord_triangle, 540, 180), (diamond, 1_620, 180)] {
+        let run = |mode: PlanMode| {
+            let env = ExecutionEnvironment::with_workers(4);
+            let graph = ring_with_chords(&env, 60);
+            let engine = CypherEngine::for_graph(&graph).with_plan_mode(mode);
+            let explain = engine.explain(query).unwrap().root.to_text();
+            assert_eq!(
+                explain.contains("wco intersect"),
+                mode == PlanMode::ForceWco,
+                "{mode:?}:\n{explain}"
+            );
+            let profile = engine
+                .profile(
+                    &graph,
+                    query,
+                    &HashMap::new(),
+                    MatchingConfig::cypher_default(),
+                )
+                .unwrap();
+            let largest = profile.root.operator_rows()[1..]
+                .iter()
+                .map(|(_, rows)| *rows)
+                .max();
+            (largest, profile.matches)
+        };
+        let (binary_largest, binary_matches) = run(PlanMode::ForceBinary);
+        let (wco_largest, wco_matches) = run(PlanMode::ForceWco);
+        assert_eq!(binary_largest, Some(binary_rows), "{query}");
+        assert_eq!(wco_largest, Some(wco_rows), "{query}");
+        assert_eq!(binary_matches, wco_matches, "{query}");
+        assert!(wco_matches > 0, "{query}");
+    }
 }
