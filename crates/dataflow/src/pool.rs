@@ -1,16 +1,44 @@
 //! Thread-parallel execution of per-partition work.
 //!
 //! Each simulated worker owns one partition; a stage processes all
-//! partitions concurrently, mirroring Flink's task slots. We use scoped
-//! threads so per-stage closures can borrow from the caller.
+//! partitions concurrently, mirroring Flink's task slots. Like Flink's
+//! slots, the threads outlive every stage and every query: one
+//! process-wide pool of `available_parallelism() - 1` threads is started on
+//! first use, and every stage of every environment in the process submits
+//! its partitions to it as one batch of tasks ([`run_tasks`]).
+//!
+//! The pool is *caller-assisted*: the submitting thread claims and runs
+//! tasks of its own batch from the first moment, pool threads join in when
+//! they are idle, and the submitter returns once every task has finished.
+//! Three things follow. A small stage is usually over before a pool thread
+//! has woken up, so its fixed cost is a queue push and a few atomics
+//! rather than `workers` thread spawns. A submitter never waits for a free
+//! pool thread, so nested submission (a task that runs a stage of its own)
+//! and more concurrent submitters than threads cannot deadlock. And
+//! `workers` larger than the machine (the simulated 16-node runs) simply
+//! multiplexes the tasks over the threads that exist — the simulated
+//! clock is computed from record counts, not from which thread ran what.
+//! The pool has `nproc - 1` threads, not `nproc`, because the submitter
+//! is the `nproc`-th: one more thread allocating raised peak memory
+//! without making anything faster.
 //!
 //! [`try_map_partitions`] is the fault-aware entry point: a panicking
-//! worker thread is reported as a [`WorkerPanic`] instead of tearing down
-//! the driver, so environments with fault tolerance enabled can classify a
-//! genuinely crashing operator closure as an execution failure rather than
-//! aborting the process.
+//! operator closure is reported as a [`WorkerPanic`] instead of tearing
+//! down the driver, so environments with fault tolerance enabled can
+//! classify a genuinely crashing operator closure as an execution failure
+//! rather than aborting the process. Every task runs under `catch_unwind`
+//! before any pool lock is taken, so such a closure can neither kill a pool
+//! thread nor poison a pool mutex; the pool is as usable after the panic as
+//! before.
 
-/// A worker thread died mid-stage. Carries the worker index and the panic
+use std::any::Any;
+use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread::Thread;
+
+/// A worker died mid-stage. Carries the worker index and the panic
 /// payload's message, when it was a string.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkerPanic {
@@ -20,7 +48,7 @@ pub struct WorkerPanic {
     pub message: String,
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -28,6 +56,227 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "<non-string panic payload>".to_string()
     }
+}
+
+/// One [`run_tasks`] call: `n` tasks, claimed by index.
+struct Batch {
+    /// The submitter's closure with its lifetime erased. Called only for a
+    /// claimed index `< n`; see the safety argument in [`run_tasks`].
+    task: &'static (dyn Fn(usize) + Sync),
+    n: usize,
+    /// Next unclaimed index; `>= n` once every task has been claimed.
+    next: AtomicUsize,
+    /// Tasks not yet finished. The submitter returns only at zero.
+    pending: AtomicUsize,
+    /// Payload of the first task that panicked, re-raised on the submitter.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+    /// Whether a pool thread ran at least one task.
+    helped: AtomicBool,
+    submitter: Thread,
+}
+
+impl Batch {
+    fn has_unclaimed(&self) -> bool {
+        // Relaxed: a stale answer costs a helper one failed claim.
+        self.next.load(Ordering::Relaxed) < self.n
+    }
+
+    /// Claims and runs tasks until none is left to claim. `helper` is false
+    /// on the submitting thread and true on a pool thread.
+    fn drain(&self, helper: bool) {
+        loop {
+            // Relaxed: the claim publishes nothing; the batch itself reached
+            // this thread through the queue mutex (or was built on it).
+            let index = self.next.fetch_add(1, Ordering::Relaxed);
+            if index >= self.n {
+                return;
+            }
+            if helper {
+                self.helped.store(true, Ordering::Relaxed);
+            }
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| (self.task)(index))) {
+                self.panic
+                    .lock()
+                    .expect("held only to store a payload")
+                    .get_or_insert(payload);
+            }
+            // Release, paired with the submitter's Acquire load: everything
+            // the task wrote (its output slot, `helped`, `panic`) is visible
+            // to the submitter once it reads zero.
+            if self.pending.fetch_sub(1, Ordering::Release) == 1 && helper {
+                self.submitter.unpark();
+            }
+        }
+    }
+}
+
+/// The process-wide pool: a queue of batches with unclaimed tasks and the
+/// threads that help drain them.
+struct Pool {
+    state: Mutex<PoolState>,
+    work: Condvar,
+    /// Pool threads started; zero on a one-core machine.
+    helpers: usize,
+}
+
+struct PoolState {
+    queue: VecDeque<Arc<Batch>>,
+    /// Pool threads currently waiting on `work`.
+    idle: usize,
+}
+
+impl Pool {
+    /// The pool, started on first use. Its threads are detached on purpose:
+    /// they live as long as the process and hold no state a clean exit
+    /// would have to flush.
+    fn global() -> &'static Pool {
+        static POOL: OnceLock<Arc<Pool>> = OnceLock::new();
+        POOL.get_or_init(|| {
+            let helpers = std::thread::available_parallelism().map_or(1, |n| n.get()) - 1;
+            let pool = Arc::new(Pool {
+                state: Mutex::new(PoolState {
+                    queue: VecDeque::new(),
+                    idle: 0,
+                }),
+                work: Condvar::new(),
+                helpers,
+            });
+            for index in 0..helpers {
+                let pool = Arc::clone(&pool);
+                // A thread that cannot be spawned is a helper less, not an
+                // error: every submitter completes its batch on its own.
+                let _ = std::thread::Builder::new()
+                    .name(format!("gradoop-pool-{index}"))
+                    .spawn(move || pool.help());
+            }
+            pool
+        })
+    }
+
+    /// Never panics — `run_tasks` relies on that between queueing a batch
+    /// and seeing it finished. Ignoring poison is sound here: no task runs
+    /// under the lock, and each update leaves `PoolState` consistent.
+    fn lock(&self) -> MutexGuard<'_, PoolState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A pool thread's life: run tasks of the oldest batch that has any
+    /// unclaimed, sleep when there is none.
+    fn help(&self) {
+        let mut state = self.lock();
+        loop {
+            match state.queue.iter().find(|batch| batch.has_unclaimed()) {
+                Some(batch) => {
+                    let batch = Arc::clone(batch);
+                    drop(state);
+                    batch.drain(true);
+                    state = self.lock();
+                }
+                None => {
+                    state.idle += 1;
+                    state = self
+                        .work
+                        .wait(state)
+                        .unwrap_or_else(PoisonError::into_inner);
+                    state.idle -= 1;
+                }
+            }
+        }
+    }
+}
+
+/// Runs `task(0)`, …, `task(n - 1)`, each exactly once, on the calling
+/// thread and whichever pool threads are idle, and returns when all have
+/// finished. A panic in a task is re-raised here, after the others are done.
+fn run_tasks(n: usize, task: &(dyn Fn(usize) + Sync)) {
+    let pool = Pool::global();
+    if n <= 1 || pool.helpers == 0 {
+        (0..n).for_each(task);
+        return;
+    }
+    // SAFETY: the transmute only extends the reference's lifetime (and the
+    // trait object's bound) to 'static; layout and vtable are unchanged.
+    // The extended reference lives in `batch.task` and is called in exactly
+    // one place, `Batch::drain`, for an index claimed from `next` that is
+    // `< n`. `pending` starts at `n`, and each of those `n` claims lowers it
+    // by one only after its call has returned or unwound into
+    // `catch_unwind`. Once the batch is queued this function neither
+    // returns nor unwinds before it has read `pending == 0`: the
+    // submitter's own share runs under the same `catch_unwind`,
+    // `Pool::lock` cannot panic, and a stored payload is re-raised only
+    // below the wait. So every call happens while the caller's borrow of
+    // `task` is still live. Pool threads may hold the `Arc<Batch>` longer,
+    // but with `next >= n` they never touch `task` again.
+    let task: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(task) };
+    let batch = Arc::new(Batch {
+        task,
+        n,
+        next: AtomicUsize::new(0),
+        pending: AtomicUsize::new(n),
+        panic: Mutex::new(None),
+        helped: AtomicBool::new(false),
+        submitter: std::thread::current(),
+    });
+    let wake = {
+        let mut state = pool.lock();
+        state.queue.push_back(Arc::clone(&batch));
+        state.idle.min(n - 1)
+    };
+    for _ in 0..wake {
+        pool.work.notify_one();
+    }
+    // Drain before waiting: a small batch is finished here before a helper
+    // has woken up.
+    batch.drain(false);
+    // Every task is claimed, so no helper needs to find the batch any more.
+    pool.lock()
+        .queue
+        .retain(|queued| !Arc::ptr_eq(queued, &batch));
+    while batch.pending.load(Ordering::Acquire) != 0 {
+        // A helper finishing the last task unparks us; a token left over
+        // from an earlier batch only costs one more turn of this loop.
+        std::thread::park();
+    }
+    let telemetry = crate::telemetry::pool_telemetry();
+    telemetry.batches.add(1);
+    telemetry
+        .helped_batches
+        .add(u64::from(batch.helped.load(Ordering::Relaxed)));
+    let payload = batch
+        .panic
+        .lock()
+        .expect("held only to store a payload")
+        .take();
+    if let Some(payload) = payload {
+        resume_unwind(payload);
+    }
+}
+
+/// Runs `f(0)`, …, `f(n - 1)` as one batch and collects the results in
+/// index order; a panicking call becomes the `WorkerPanic` of its index,
+/// the lowest index winning.
+fn try_run_indexed<O, F>(n: usize, f: F) -> Result<Vec<O>, WorkerPanic>
+where
+    O: Send,
+    F: Fn(usize) -> O + Sync,
+{
+    let slots: Vec<Mutex<Option<Result<O, WorkerPanic>>>> =
+        (0..n).map(|_| Mutex::new(None)).collect();
+    run_tasks(n, &|i| {
+        let result = catch_unwind(AssertUnwindSafe(|| f(i))).map_err(|payload| WorkerPanic {
+            worker: i,
+            message: panic_message(payload),
+        });
+        *slots[i].lock().expect("slot written once, outside f") = Some(result);
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("slot written once, outside f")
+                .expect("every task ran")
+        })
+        .collect()
 }
 
 /// Applies `f` to every partition concurrently and collects the results in
@@ -39,11 +288,17 @@ where
     O: Send,
     F: Fn(usize, &[I]) -> O + Sync,
 {
-    try_map_partitions(partitions, f)
-        .unwrap_or_else(|p| panic!("partition worker {} panicked: {}", p.worker, p.message))
+    try_map_partitions(partitions, f).unwrap_or_else(|p| propagate(p))
 }
 
-/// Like [`map_partitions`], but converts a panicking worker thread into an
+fn propagate(panic: WorkerPanic) -> ! {
+    panic!(
+        "partition worker {} panicked: {}",
+        panic.worker, panic.message
+    )
+}
+
+/// Like [`map_partitions`], but converts a panicking worker into an
 /// `Err(WorkerPanic)` instead of propagating the panic. On error the
 /// results of the surviving workers are discarded — a stage either
 /// completes on all partitions or not at all.
@@ -53,42 +308,7 @@ where
     O: Send,
     F: Fn(usize, &[I]) -> O + Sync,
 {
-    if partitions.len() <= 1 {
-        return partitions
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i, p))).map_err(
-                    |payload| WorkerPanic {
-                        worker: i,
-                        message: panic_message(payload),
-                    },
-                )
-            })
-            .collect();
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = partitions
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                scope.spawn({
-                    let f = &f;
-                    move || f(i, p)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(i, h)| {
-                h.join().map_err(|payload| WorkerPanic {
-                    worker: i,
-                    message: panic_message(payload),
-                })
-            })
-            .collect()
-    })
+    try_run_indexed(partitions.len(), |i| f(i, &partitions[i]))
 }
 
 /// Executes morselized per-partition work with real work stealing.
@@ -114,133 +334,86 @@ where
     O: Send,
     F: Fn(usize, std::ops::Range<usize>) -> Vec<O> + Sync,
 {
-    use crate::morsel::morsel_ranges;
-    use std::collections::VecDeque;
-    use std::sync::Mutex;
-
     let workers = lengths.len();
-    // (partition, morsel index within partition, record range)
-    let tasks: Vec<(usize, usize, std::ops::Range<usize>)> = lengths
+    // (partition, record range), in (partition, morsel) order.
+    let tasks: Vec<(usize, std::ops::Range<usize>)> = lengths
         .iter()
         .enumerate()
         .flat_map(|(p, &len)| {
-            morsel_ranges(len, morsel_size)
+            crate::morsel::morsel_ranges(len, morsel_size)
                 .into_iter()
-                .enumerate()
-                .map(move |(m, range)| (p, m, range))
+                .map(move |range| (p, range))
         })
         .collect();
-    let mut outputs: Vec<Vec<Option<Vec<O>>>> = lengths
-        .iter()
-        .map(|&len| {
-            (0..morsel_ranges(len, morsel_size).len())
-                .map(|_| None)
-                .collect()
-        })
-        .collect();
-
-    if workers <= 1 {
-        for (p, m, range) in tasks {
-            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(p, range)))
-                .map_err(|payload| WorkerPanic {
-                    worker: p,
-                    message: panic_message(payload),
-                })?;
-            outputs[p][m] = Some(out);
-        }
-        return Ok(seal_morsel_outputs(outputs));
-    }
-
     let deques: Vec<Mutex<VecDeque<usize>>> = {
         let mut per_worker: Vec<VecDeque<usize>> = (0..workers).map(|_| VecDeque::new()).collect();
-        for (task_id, (p, _, _)) in tasks.iter().enumerate() {
+        for (task_id, (p, _)) in tasks.iter().enumerate() {
             per_worker[*p].push_back(task_id);
         }
         per_worker.into_iter().map(Mutex::new).collect()
     };
     let slots: Vec<Mutex<Option<Vec<O>>>> = tasks.iter().map(|_| Mutex::new(None)).collect();
     let error: Mutex<Option<WorkerPanic>> = Mutex::new(None);
-    // Real (thread-level) steals observed this stage: a morsel executed by
-    // a thread other than its partition's owner. Unlike the deterministic
+    // Set beside `error` so the per-morsel check takes no lock. Relaxed: it
+    // only lets the other workers stop early; the panic itself is read from
+    // `error` after `run_tasks` has returned.
+    let failed = AtomicBool::new(false);
+    // Real (thread-level) steals observed this stage: a morsel executed from
+    // a worker slot other than its partition's. Unlike the deterministic
     // simulated schedule, this reflects actual scheduling and feeds the
     // process-wide metrics registry.
-    let stolen = std::sync::atomic::AtomicU64::new(0);
+    let stolen = AtomicU64::new(0);
 
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let deques = &deques;
-            let slots = &slots;
-            let tasks = &tasks;
-            let error = &error;
-            let stolen = &stolen;
-            let f = &f;
-            scope.spawn(move || loop {
-                if error.lock().unwrap().is_some() {
-                    return;
-                }
-                // Own work first (LIFO: newest morsel, hottest cache). The
-                // guard must drop before stealing: chaining `.or_else` onto
-                // `.lock().unwrap().pop_back()` keeps the temporary guard
-                // alive for the whole statement, so two workers stealing
-                // from each other would each hold their own deque while
-                // waiting for the other's — an ABBA deadlock (found by the
-                // conformance fuzzer, which hung here intermittently).
-                let own = deques[w].lock().unwrap().pop_back();
-                let task_id = own.or_else(|| {
-                    // Steal oldest morsel from the first non-empty victim,
-                    // scanning upward from our own index.
-                    (1..workers)
-                        .map(|offset| (w + offset) % workers)
-                        .find_map(|victim| deques[victim].lock().unwrap().pop_front())
+    run_tasks(workers, &|w| loop {
+        if failed.load(Ordering::Relaxed) {
+            return;
+        }
+        // Own work first (LIFO: newest morsel, hottest cache). The
+        // guard must drop before stealing: chaining `.or_else` onto
+        // `.lock().unwrap().pop_back()` keeps the temporary guard
+        // alive for the whole statement, so two workers stealing
+        // from each other would each hold their own deque while
+        // waiting for the other's — an ABBA deadlock (found by the
+        // conformance fuzzer, which hung here intermittently).
+        let own = deques[w].lock().unwrap().pop_back();
+        let task_id = own.or_else(|| {
+            // Steal oldest morsel from the first non-empty victim,
+            // scanning upward from our own index.
+            (1..workers)
+                .map(|offset| (w + offset) % workers)
+                .find_map(|victim| deques[victim].lock().unwrap().pop_front())
+        });
+        let Some(task_id) = task_id else { return };
+        let (p, range) = &tasks[task_id];
+        if *p != w {
+            stolen.fetch_add(1, Ordering::Relaxed);
+        }
+        match catch_unwind(AssertUnwindSafe(|| f(*p, range.clone()))) {
+            Ok(out) => *slots[task_id].lock().unwrap() = Some(out),
+            Err(payload) => {
+                error.lock().unwrap().get_or_insert_with(|| WorkerPanic {
+                    worker: *p,
+                    message: panic_message(payload),
                 });
-                let Some(task_id) = task_id else { return };
-                let (p, _, range) = &tasks[task_id];
-                if *p != w {
-                    stolen.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                }
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    f(*p, range.clone())
-                })) {
-                    Ok(out) => *slots[task_id].lock().unwrap() = Some(out),
-                    Err(payload) => {
-                        let mut guard = error.lock().unwrap();
-                        if guard.is_none() {
-                            *guard = Some(WorkerPanic {
-                                worker: *p,
-                                message: panic_message(payload),
-                            });
-                        }
-                        return;
-                    }
-                }
-            });
+                failed.store(true, Ordering::Relaxed);
+                return;
+            }
         }
     });
 
     let pool = crate::telemetry::pool_telemetry();
     pool.tasks.add(tasks.len() as u64);
-    pool.steals
-        .add(stolen.load(std::sync::atomic::Ordering::Relaxed));
+    pool.steals.add(stolen.load(Ordering::Relaxed));
 
-    if let Some(panic) = error.lock().unwrap().take() {
+    if let Some(panic) = error.into_inner().expect("held only to store a panic") {
         return Err(panic);
     }
-    for (task_id, (p, m, _)) in tasks.iter().enumerate() {
-        outputs[*p][*m] = slots[task_id].lock().unwrap().take();
+    let mut outputs: Vec<Vec<Vec<O>>> = lengths.iter().map(|_| Vec::new()).collect();
+    for ((p, _), slot) in tasks.iter().zip(slots) {
+        let out = slot.into_inner().expect("held only to store an output");
+        outputs[*p].push(out.expect("every morsel slot filled"));
     }
-    Ok(seal_morsel_outputs(outputs))
-}
-
-fn seal_morsel_outputs<O>(outputs: Vec<Vec<Option<Vec<O>>>>) -> Vec<Vec<Vec<O>>> {
-    outputs
-        .into_iter()
-        .map(|partition| {
-            partition
-                .into_iter()
-                .map(|slot| slot.expect("every morsel slot filled"))
-                .collect()
-        })
-        .collect()
+    Ok(outputs)
 }
 
 /// Variant of [`map_partitions`] for two co-partitioned inputs (e.g. the
@@ -253,31 +426,7 @@ where
     F: Fn(usize, &[A], &[B]) -> O + Sync,
 {
     assert_eq!(left.len(), right.len(), "inputs must be co-partitioned");
-    if left.len() <= 1 {
-        return left
-            .iter()
-            .zip(right)
-            .enumerate()
-            .map(|(i, (l, r))| f(i, l, r))
-            .collect();
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = left
-            .iter()
-            .zip(right)
-            .enumerate()
-            .map(|(i, (l, r))| {
-                scope.spawn({
-                    let f = &f;
-                    move || f(i, l, r)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("partition worker panicked"))
-            .collect()
-    })
+    try_run_indexed(left.len(), |i| f(i, &left[i], &right[i])).unwrap_or_else(|p| propagate(p))
 }
 
 #[cfg(test)]
@@ -315,6 +464,27 @@ mod tests {
             }
             i
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "partition worker 1 panicked: pair died")]
+    fn map_partition_pairs_propagates_panics() {
+        let left = vec![vec![1u32], vec![2]];
+        let right = vec![vec![3u32], vec![4]];
+        let _ = map_partition_pairs(&left, &right, |i, _, _| {
+            if i == 1 {
+                panic!("pair died");
+            }
+            i
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "partition worker 0 panicked: pair died")]
+    fn map_partition_pairs_reports_a_single_partition_panic_the_same_way() {
+        let left = vec![vec![1u32]];
+        let right = vec![vec![2u32]];
+        let _ = map_partition_pairs(&left, &right, |_, _, _| -> usize { panic!("pair died") });
     }
 
     #[test]
@@ -391,6 +561,96 @@ mod tests {
             })
             .unwrap();
             assert_eq!(out[0].iter().flatten().count(), 32);
+        }
+    }
+
+    /// A task that submits a stage of its own must complete: the inner
+    /// submitter drains its own batch, so it needs no free pool thread —
+    /// not even when every pool thread is itself inside such a task.
+    #[test]
+    fn nested_submission_completes() {
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let outer: Vec<Vec<u64>> = (0..8).map(|p| vec![p; 3]).collect();
+            let sums = map_partitions(&outer, |_, part| {
+                let inner: Vec<Vec<u64>> = part.iter().map(|&x| vec![x, x + 1]).collect();
+                map_partitions(&inner, |_, p| p.iter().sum::<u64>())
+                    .into_iter()
+                    .sum::<u64>()
+            });
+            done.send(sums).unwrap();
+        });
+        let sums = finished
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("nested submission deadlocked");
+        let expected: Vec<u64> = (0..8).map(|p| 3 * (2 * p + 1)).collect();
+        assert_eq!(sums, expected);
+    }
+
+    /// More submitters than threads, all on the one pool: every stage must
+    /// return what the single-partition inline path returns.
+    #[test]
+    fn concurrent_submitters_match_the_inline_path() {
+        std::thread::scope(|scope| {
+            for submitter in 0..8u64 {
+                scope.spawn(move || {
+                    for stage in 0..200u64 {
+                        let records: Vec<u64> = (0..(stage % 23 + 5))
+                            .map(|i| submitter * 1_000_003 + stage * 31 + i)
+                            .collect();
+                        let square = |_: usize, part: &[u64]| -> Vec<u64> {
+                            part.iter().map(|x| x.wrapping_mul(*x)).collect()
+                        };
+                        let inline = map_partitions(std::slice::from_ref(&records), square);
+                        let split: Vec<Vec<u64>> = records.chunks(4).map(<[u64]>::to_vec).collect();
+                        let pooled = map_partitions(&split, square).concat();
+                        assert_eq!(pooled, inline[0], "submitter {submitter} stage {stage}");
+
+                        let lengths: Vec<usize> = split.iter().map(Vec::len).collect();
+                        let morsels = try_run_morsels(&lengths, 2, |p, range| {
+                            split[p][range].iter().map(|x| x.wrapping_mul(*x)).collect()
+                        })
+                        .unwrap();
+                        let stolen: Vec<u64> = morsels.into_iter().flatten().flatten().collect();
+                        assert_eq!(stolen, inline[0], "submitter {submitter} stage {stage}");
+                    }
+                });
+            }
+        });
+    }
+
+    /// A panicking closure must leave the pool as it found it. The barrier
+    /// puts the two tasks of each failing stage on two threads at once, so
+    /// over the two rounds the panic is raised once on the submitter and
+    /// once on a pool thread (on a one-core machine there is no pool thread
+    /// and no barrier: both tasks run inline).
+    #[test]
+    fn pool_survives_panicking_stages() {
+        let parallel = std::thread::available_parallelism().map_or(1, |n| n.get()) > 1;
+        let parts = vec![vec![1u32], vec![2u32]];
+        for failing in [0usize, 1] {
+            let rendezvous = std::sync::Barrier::new(2);
+            let result = try_map_partitions(&parts, |i, part| {
+                if parallel {
+                    rendezvous.wait();
+                }
+                if i == failing {
+                    panic!("stage died on {i}");
+                }
+                part.len()
+            });
+            let panic = result.expect_err("the failing worker must be reported");
+            assert_eq!(panic.worker, failing);
+            assert_eq!(panic.message, format!("stage died on {failing}"));
+
+            let rendezvous = std::sync::Barrier::new(2);
+            let sums = map_partitions(&parts, |_, part| {
+                if parallel {
+                    rendezvous.wait();
+                }
+                part.iter().sum::<u32>()
+            });
+            assert_eq!(sums, vec![1, 2], "the stage after a panic runs normally");
         }
     }
 

@@ -344,12 +344,19 @@ pub(crate) fn stage_telemetry() -> &'static StageTelemetry {
     })
 }
 
-/// Pre-interned handles for the morsel pool's real (thread-level) steal
+/// Pre-interned handles for the worker pool's real (thread-level)
 /// counters — distinct from the deterministic simulated schedule reported
 /// in [`StageReport`](crate::StageReport).
 pub(crate) struct PoolTelemetry {
+    /// Morsels executed.
     pub tasks: Arc<Counter>,
+    /// Morsels executed from a worker slot other than their partition's.
     pub steals: Arc<Counter>,
+    /// Batches handed to the pool (two or more tasks, on a machine that
+    /// has pool threads).
+    pub batches: Arc<Counter>,
+    /// Batches in which a pool thread, not only the submitter, ran a task.
+    pub helped_batches: Arc<Counter>,
 }
 
 pub(crate) fn pool_telemetry() -> &'static PoolTelemetry {
@@ -359,6 +366,8 @@ pub(crate) fn pool_telemetry() -> &'static PoolTelemetry {
         PoolTelemetry {
             tasks: registry.counter("pool.tasks"),
             steals: registry.counter("pool.steals"),
+            batches: registry.counter("dataflow.pool.batches"),
+            helped_batches: registry.counter("dataflow.pool.helped_batches"),
         }
     })
 }

@@ -22,6 +22,13 @@ fn snapshot() -> GraphSnapshot {
     GraphSnapshot::of(graph)
 }
 
+/// `Threads:` of `/proc/self/status`; `None` where there is no such file.
+fn process_threads() -> Option<usize> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("Threads:"))?;
+    line.trim().parse().ok()
+}
+
 /// Order-insensitive digest of a result table.
 fn digest(table: &TableResult) -> String {
     let mut rows: Vec<String> = table.rows.iter().map(|row| canonical_row(row)).collect();
@@ -92,11 +99,28 @@ fn concurrent_mixed_workload_is_byte_identical_to_serial_execution() {
                         "client {client} query {index} diverged from serial execution"
                     );
                 }
-                session.stats().queries
+                (session.stats().queries, process_threads())
             })
         })
         .collect();
-    let total: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
+    let results: Vec<(u64, Option<usize>)> =
+        handles.into_iter().map(|h| h.join().unwrap()).collect();
+    let total: u64 = results.iter().map(|(queries, _)| queries).sum();
+
+    // Stages run on the clients and the process-wide pool, not on threads
+    // of their own: counted by each client as it finishes (the others are
+    // mostly still querying) and once more after the run, the process
+    // holds the 8 clients, at most nproc - 1 pool threads, and the test
+    // harness (main plus at most one thread for each of this file's six
+    // tests).
+    let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let most = results.iter().filter_map(|(_, threads)| *threads).max();
+    for threads in most.into_iter().chain(process_threads()) {
+        assert!(
+            threads <= 8 + parallelism + 6,
+            "{threads} threads for 8 clients on {parallelism} cores"
+        );
+    }
 
     assert_eq!(total, 8 * workload.len() as u64);
     assert_eq!(server.stats().queries, total);
