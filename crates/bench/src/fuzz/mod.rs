@@ -1,14 +1,14 @@
 //! Cypher semantics conformance fuzzing.
 //!
 //! The distributed engine has many configurations that must all agree —
-//! planner statistics on/off, partition-aware shuffling on/off, morsel
-//! work stealing on/off, plain vs label-indexed graphs, four morphism
-//! combinations — and the single-machine reference matcher defines what
-//! "agree" means. This module generates random `(graph, query)` pairs from
-//! a seed, runs every engine configuration, and compares result sets
-//! result-for-result against the reference. On divergence it shrinks the
-//! pair to a minimal reproduction and archives it as JSON under
-//! `target/conformance/` so CI can attach it to the build artifacts.
+//! planner statistics on/off, partition-aware shuffling on/off, plain vs
+//! label-indexed graphs, four morphism combinations — and the
+//! single-machine reference matcher defines what "agree" means. This
+//! module generates random `(graph, query)` pairs from a seed, runs every
+//! engine configuration, and compares result sets result-for-result
+//! against the reference. On divergence it shrinks the pair to a minimal
+//! reproduction and archives it as JSON under `target/conformance/` so CI
+//! can attach it to the build artifacts.
 //!
 //! The generator deliberately stresses the semantic corners where
 //! distributed Cypher engines historically diverge from the specification:

@@ -27,8 +27,6 @@ pub struct EngineConfig {
     pub uniform_stats: bool,
     /// FORWARD shuffle elision and loop-invariant caching on/off.
     pub partition_aware: bool,
-    /// Morsel-driven work stealing on/off.
-    pub work_stealing: bool,
     /// Planner mode — cyclic tail-free cases additionally sweep
     /// [`PlanMode::ForceBinary`] and [`PlanMode::ForceWco`] so the
     /// worst-case-optimal and binary plans are compared result-for-result
@@ -37,20 +35,17 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// The full 8-point matrix (cost-based planning; forced plan modes
+    /// The full 4-point matrix (cost-based planning; forced plan modes
     /// are layered on per case by [`run_case`]).
     pub fn matrix() -> Vec<EngineConfig> {
         let mut out = Vec::new();
         for uniform_stats in [false, true] {
             for partition_aware in [false, true] {
-                for work_stealing in [false, true] {
-                    out.push(EngineConfig {
-                        uniform_stats,
-                        partition_aware,
-                        work_stealing,
-                        plan_mode: PlanMode::CostBased,
-                    });
-                }
+                out.push(EngineConfig {
+                    uniform_stats,
+                    partition_aware,
+                    plan_mode: PlanMode::CostBased,
+                });
             }
         }
         out
@@ -62,7 +57,7 @@ impl EngineConfig {
         self
     }
 
-    /// Compact label for reports, e.g. `stats+ partition- stealing+ wco!`.
+    /// Compact label for reports, e.g. `stats+ partition- wco!`.
     pub fn label(&self) -> String {
         let mode = match self.plan_mode {
             PlanMode::CostBased => "",
@@ -70,10 +65,9 @@ impl EngineConfig {
             PlanMode::ForceWco => " wco!",
         };
         format!(
-            "stats{} partition{} stealing{}{mode}",
+            "stats{} partition{}{mode}",
             if self.uniform_stats { "-" } else { "+" },
             if self.partition_aware { "+" } else { "-" },
-            if self.work_stealing { "+" } else { "-" },
         )
     }
 }
@@ -214,8 +208,7 @@ pub fn engine_rows(
     let env = ExecutionEnvironment::new(
         ExecutionConfig::with_workers(case.workers)
             .cost_model(CostModel::free())
-            .partition_aware(config.partition_aware)
-            .work_stealing(config.work_stealing),
+            .partition_aware(config.partition_aware),
     );
     let graph = case.graph.build(&env);
     let statistics = if config.uniform_stats {
@@ -296,8 +289,7 @@ pub fn pipeline_engine_rows(
     let env = ExecutionEnvironment::new(
         ExecutionConfig::with_workers(case.workers)
             .cost_model(CostModel::free())
-            .partition_aware(config.partition_aware)
-            .work_stealing(config.work_stealing),
+            .partition_aware(config.partition_aware),
     );
     let graph = case.graph.build(&env);
     let statistics = if config.uniform_stats {

@@ -121,10 +121,6 @@ pub struct Measurement {
     pub checkpoint_bytes: u64,
     /// Bytes re-read from durable storage during recovery.
     pub restored_bytes: u64,
-    /// Morsels executed across all stages (0 unless work stealing is on).
-    pub morsels: u64,
-    /// Morsels that ran on a worker other than their partition's owner.
-    pub stolen_morsels: u64,
     /// Order-independent digest over the rendered result rows. Two runs
     /// with equal digests returned byte-identical result sets — the chaos
     /// experiments compare faulted runs against fault-free ones with this.
@@ -162,42 +158,10 @@ pub fn run_query_with(
     query_text: &str,
     partition_aware: bool,
 ) -> Measurement {
-    run_query_on(
-        config,
-        ExecutionConfig::with_workers(workers).partition_aware(partition_aware),
-        query_text,
-    )
-}
-
-/// [`run_query`] with morsel-driven work stealing switched on or off and an
-/// explicit morsel size — the skew/ablation experiments' knob. Results are
-/// byte-identical either way (compare `result_digest`); stealing only
-/// changes how stage makespans are charged.
-pub fn run_query_stealing(
-    config: &LdbcConfig,
-    workers: usize,
-    query_text: &str,
-    stealing: bool,
-    morsel_size: usize,
-) -> Measurement {
-    run_query_on(
-        config,
-        ExecutionConfig::with_workers(workers)
-            .work_stealing(stealing)
-            .morsel_size(morsel_size),
-        query_text,
-    )
-}
-
-/// Shared measured-run core: executes `query_text` on the dataset of
-/// `config` under an arbitrary [`ExecutionConfig`].
-pub fn run_query_on(
-    config: &LdbcConfig,
-    exec_config: ExecutionConfig,
-    query_text: &str,
-) -> Measurement {
     let dataset = dataset(config);
-    let env = ExecutionEnvironment::new(exec_config);
+    let env = ExecutionEnvironment::new(
+        ExecutionConfig::with_workers(workers).partition_aware(partition_aware),
+    );
     let graph = graph_on(&env, &dataset.data);
     // Queries run against the label-indexed representation (paper §3.4),
     // like the paper's evaluation; building the index is preprocessing and
@@ -233,8 +197,6 @@ pub fn run_query_on(
         recovery_seconds: metrics.recovery_seconds,
         checkpoint_bytes: metrics.checkpoint_bytes,
         restored_bytes: metrics.restored_bytes,
-        morsels: metrics.morsels,
-        stolen_morsels: metrics.stolen_morsels,
         result_digest,
     }
 }
@@ -287,8 +249,6 @@ pub fn run_query_faulted(
         recovery_seconds: metrics.recovery_seconds,
         checkpoint_bytes: metrics.checkpoint_bytes,
         restored_bytes: metrics.restored_bytes,
-        morsels: metrics.morsels,
-        stolen_morsels: metrics.stolen_morsels,
         result_digest,
     }
 }

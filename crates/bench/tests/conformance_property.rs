@@ -221,7 +221,7 @@ fn triangle_graph() -> GraphSpec {
 #[test]
 fn pinned_triangle_agrees_across_modes_morphisms_and_workers() {
     // run_case sweeps CostBased, ForceBinary and ForceWco on every matrix
-    // point for cyclic tail-free cases — 8 configs × 3 modes = 24
+    // point for cyclic tail-free cases — 4 configs × 3 modes = 12
     // executions, each compared row-for-row against the reference.
     for matching in MORPHISMS {
         for workers in 1..=3 {
@@ -239,8 +239,8 @@ fn pinned_triangle_agrees_across_modes_morphisms_and_workers() {
                         reference_matches,
                     } => {
                         assert_eq!(
-                            executions, 24,
-                            "cyclic sweep must cover 8 configs × 3 modes"
+                            executions, 12,
+                            "cyclic sweep must cover 4 configs × 3 modes"
                         );
                         assert_eq!(reference_matches, 3, "three rotations of the triangle");
                     }
@@ -291,13 +291,13 @@ fn kleene_graph() -> GraphSpec {
 
 #[test]
 fn pinned_kleene_predicates_agree_on_every_matrix_point() {
-    // Three independent on/off axes; the label names each so archived
+    // Two independent on/off axes; the label names each so archived
     // repros say which matrix point diverged.
     let matrix = EngineConfig::matrix();
     let labels: Vec<String> = matrix.iter().map(EngineConfig::label).collect();
-    assert_eq!(matrix.len(), 8);
-    assert_eq!(labels[0], "stats+ partition- stealing-");
-    assert_eq!(labels[7], "stats- partition+ stealing+");
+    assert_eq!(matrix.len(), 4);
+    assert_eq!(labels[0], "stats+ partition-");
+    assert_eq!(labels[3], "stats- partition+");
 
     // Hand-pinned NULL/missing-property predicates — the Kleene corners
     // `eval_clause` must get right through the engine: unknown under NOT, unknown
@@ -395,7 +395,7 @@ fn pinned_kleene_predicates_agree_on_every_matrix_point() {
         match run_case(&case) {
             CaseOutcome::Passed { executions, .. } => {
                 assert_eq!(
-                    executions, 8,
+                    executions, 4,
                     "{query_text}: one execution per matrix point"
                 );
             }
@@ -429,7 +429,7 @@ fn pinned_seed_cyclic_cases_agree_across_all_plan_modes() {
         };
         match run_case(&case) {
             CaseOutcome::Passed { executions, .. } => {
-                assert_eq!(executions, 24, "{}", case.query.render());
+                assert_eq!(executions, 12, "{}", case.query.render());
                 swept += 1;
             }
             CaseOutcome::Rejected { .. } => continue,

@@ -8,7 +8,8 @@
 //! hand-pinned pairs for the normalizer bugs the shape fix closed
 //! (`RETURN 1, 2` collapsing into `RETURN 1`, scientific notation leaking
 //! mantissas, `$param` vs inline-literal spellings, backtick-quoted
-//! identifiers and `//` comments read differently from the lexer).
+//! identifiers, `//` comments and non-ASCII identifier characters read
+//! differently from the lexer).
 
 use std::collections::HashMap;
 
@@ -160,7 +161,7 @@ type Params = HashMap<String, Literal>;
 fn pinned_pairs_share_fingerprints_and_plans() {
     let statistics = statistics();
     let no_params = Params::new();
-    let pairs: [(&str, Params, &str, Params); 4] = [
+    let pairs: [(&str, Params, &str, Params); 5] = [
         // Scientific notation and plain integers are one token class.
         (
             "MATCH (a:L0) WHERE a.p0 > 1e9 RETURN a.p0",
@@ -186,6 +187,14 @@ fn pinned_pairs_share_fingerprints_and_plans() {
         (
             "MATCH (a:L0 {p0: $v}) RETURN a.p0",
             HashMap::from([("v".to_string(), Literal::Integer(42))]),
+            "MATCH (a:L0 {p0: 42}) RETURN a.p0",
+            no_params.clone(),
+        ),
+        // A parameter name ends where the lexer ends it, not at the first
+        // non-ASCII letter.
+        (
+            "MATCH (a:L0 {p0: $né}) RETURN a.p0",
+            HashMap::from([("né".to_string(), Literal::Integer(42))]),
             "MATCH (a:L0 {p0: 42}) RETURN a.p0",
             no_params.clone(),
         ),
@@ -223,6 +232,12 @@ fn pinned_pairs_with_distinct_shapes_stay_distinct() {
         (
             "MATCH (a:L0) // it's\n WHERE a.p0 = 1 RETURN a.p1, 'k'",
             "MATCH (a:L0) // it's\n RETURN a.p2, 'k'",
+        ),
+        // A digit after a non-ASCII letter continues the identifier.
+        ("MATCH (é1)-->(é2) RETURN é1", "MATCH (é1)-->(é2) RETURN é2"),
+        (
+            "MATCH (a:L0) WHERE a.é1 = 1 RETURN a",
+            "MATCH (a:L0) WHERE a.é2 = 1 RETURN a",
         ),
     ];
     for (left, right) in distinct {

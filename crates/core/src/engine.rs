@@ -459,7 +459,6 @@ impl CypherEngine {
             operators,
             max_q_error,
             recovery_attempts,
-            stolen_morsels: metrics.stolen_morsels - before.stolen_morsels,
             peak_memory_bytes: outcome
                 .as_ref()
                 .map_or(0, |(_, profile)| profile.root.subtree_peak_memory_bytes()),
@@ -579,8 +578,6 @@ fn run_pipeline<S: GraphSource + ?Sized>(
         simulated_seconds: metrics.simulated_seconds - before.simulated_seconds,
         wall_seconds: started.elapsed().as_secs_f64(),
         stages: metrics.stages - before.stages,
-        morsels: metrics.morsels - before.morsels,
-        stolen_morsels: metrics.stolen_morsels - before.stolen_morsels,
         estimate_error: q_error(estimated_cardinality, matches),
         recovery_attempts: metrics.recovery_attempts - before.recovery_attempts,
         recovery_seconds: metrics.recovery_seconds - before.recovery_seconds,

@@ -416,11 +416,6 @@ pub struct ProfileNode {
     pub wall_seconds: f64,
     /// Dataflow stages this operator executed.
     pub stages: u64,
-    /// Morsels executed by this operator's stages (zero when work stealing
-    /// is disabled — static stages are not morselized).
-    pub morsels: u64,
-    /// Morsels that ran on a worker other than their partition's owner.
-    pub stolen_morsels: u64,
     /// Estimate-vs-actual q-error (see [`q_error`]).
     pub estimate_error: f64,
     /// Recovery attempts consumed by this operator's stages (retries after
@@ -453,12 +448,10 @@ pub struct ProfileNode {
 
 impl ProfileNode {
     /// Folds the dataflow stages this operator executed into its counters:
-    /// simulated time, stage/morsel counts, recovery and memory.
+    /// simulated time, stage count, recovery and memory.
     pub(crate) fn absorb_stages(&mut self, stages: &[StageReport]) {
         self.simulated_seconds = stages.iter().map(|s| s.seconds).sum();
         self.stages = stages.len() as u64;
-        self.morsels = stages.iter().map(|s| s.morsels).sum();
-        self.stolen_morsels = stages.iter().map(|s| s.stolen_morsels).sum();
         self.recovery_attempts = stages.iter().map(|s| s.attempts.saturating_sub(1)).sum();
         self.recovery_seconds = stages.iter().map(|s| s.recovery_seconds).sum();
         self.checkpoint_bytes = stages.iter().map(|s| s.checkpoint_bytes).sum();
@@ -522,12 +515,6 @@ impl ProfileNode {
         }
         if let Some(ship) = self.actual_ship {
             out.push_str(&format!("  ship={}", ship_pair_name(ship)));
-        }
-        if self.morsels > 0 {
-            out.push_str(&format!(
-                "  morsels={} stolen={}",
-                self.morsels, self.stolen_morsels
-            ));
         }
         if self.peak_memory_bytes > 0 || self.scratch_allocations > 0 {
             out.push_str(&format!(
@@ -609,13 +596,6 @@ impl ProfileNode {
         }
         if let Some(ship) = self.actual_ship {
             pairs.push(("actual_ship", JsonValue::string(ship_pair_name(ship))));
-        }
-        if self.morsels > 0 {
-            pairs.push(("morsels", JsonValue::Number(self.morsels as f64)));
-            pairs.push((
-                "stolen_morsels",
-                JsonValue::Number(self.stolen_morsels as f64),
-            ));
         }
         if self.recovery_attempts > 0 || self.checkpoint_bytes > 0 || self.restored_bytes > 0 {
             pairs.push((
@@ -846,8 +826,6 @@ mod tests {
             simulated_seconds: 0.5,
             wall_seconds: 0.001,
             stages: 2,
-            morsels: 0,
-            stolen_morsels: 0,
             estimate_error: q_error(10.0, 3),
             recovery_attempts: 0,
             recovery_seconds: 0.0,
@@ -872,8 +850,6 @@ mod tests {
             simulated_seconds: 1.25,
             wall_seconds: 0.002,
             stages: 5,
-            morsels: 8,
-            stolen_morsels: 2,
             estimate_error: q_error(4.0, 4),
             recovery_attempts: 1,
             recovery_seconds: 0.25,

@@ -13,7 +13,7 @@
 //!   changes (statistics drift, optimizer changes) are visible as digest
 //!   changes for an unchanged fingerprint;
 //! * per-operator rows/bytes, the estimate-vs-actual q-error,
-//!   recovery/steal counters, and both wall-clock and simulated time;
+//!   recovery counters, and both wall-clock and simulated time;
 //! * the [`QueryOutcome`]: `ok`, `error` (parse/plan rejection) or
 //!   `faulted` (runtime failure after retry exhaustion).
 //!
@@ -99,8 +99,6 @@ pub struct QueryLogRecord {
     pub max_q_error: f64,
     /// Recovery attempts consumed by the run.
     pub recovery_attempts: u64,
-    /// Morsels that ran on a worker other than their partition's owner.
-    pub stolen_morsels: u64,
     /// Peak transient bytes on the most loaded worker (0 unless
     /// `outcome == Ok`).
     pub peak_memory_bytes: u64,
@@ -132,10 +130,6 @@ impl QueryLogRecord {
         pairs.push((
             "recovery_attempts",
             JsonValue::Number(self.recovery_attempts as f64),
-        ));
-        pairs.push((
-            "stolen_morsels",
-            JsonValue::Number(self.stolen_morsels as f64),
         ));
         pairs.push((
             "peak_memory_bytes",
@@ -300,8 +294,10 @@ impl TraceSink for TeeSink {
 /// floats, leading-dot floats (`.5`) and scientific notation with an
 /// optional exponent sign (`1e9`, `1.5E+10`). Range bounds of
 /// variable-length paths normalize one placeholder per bound (`*1..10` →
-/// `*?..?`), never swallowing the `..` operator. Backtick-quoted identifiers
-/// and `//` comments are read the way the lexer reads them.
+/// `*?..?`), never swallowing the `..` operator. Backtick-quoted identifiers,
+/// `//` comments and the characters of an identifier or parameter name
+/// (`char::is_alphanumeric` or `_`, not the ASCII subset) are read the way
+/// the lexer reads them.
 pub fn normalize_query_shape(query: &str) -> String {
     let mut out = String::with_capacity(query.len());
     let mut chars = query.chars().peekable();
@@ -355,7 +351,7 @@ pub fn normalize_query_shape(query: &str) -> String {
                 // spellings of a shape share a fingerprint.
                 let mut consumed = false;
                 while let Some(&next) = chars.peek() {
-                    if next.is_ascii_alphanumeric() || next == '_' {
+                    if next.is_alphanumeric() || next == '_' {
                         chars.next();
                         consumed = true;
                     } else {
@@ -368,8 +364,7 @@ pub fn normalize_query_shape(query: &str) -> String {
                 // Numeric literal (possibly float). Identifier-embedded
                 // digits are kept: only a digit starting a token counts.
                 let prev = out.chars().last();
-                let in_identifier =
-                    matches!(prev, Some(p) if p.is_ascii_alphanumeric() || p == '_');
+                let in_identifier = matches!(prev, Some(p) if p.is_alphanumeric() || p == '_');
                 if in_identifier {
                     out.push(c);
                 } else {
@@ -384,7 +379,7 @@ pub fn normalize_query_shape(query: &str) -> String {
                 let prev = out.chars().last();
                 let starts_token = !matches!(
                     prev,
-                    Some(p) if p.is_ascii_alphanumeric() || p == '_' || p == '.'
+                    Some(p) if p.is_alphanumeric() || p == '_' || p == '.'
                 );
                 if starts_token && chars.peek().is_some_and(char::is_ascii_digit) {
                     consume_number_tail(&mut chars);
@@ -681,7 +676,6 @@ mod tests {
             operators: vec![],
             max_q_error: 1.0,
             recovery_attempts: 0,
-            stolen_morsels: 0,
             peak_memory_bytes: 0,
         };
         for _ in 0..MEMORY_LOG_CAPACITY + 5 {
@@ -713,7 +707,6 @@ mod tests {
             }],
             max_q_error: 3.5,
             recovery_attempts: 2,
-            stolen_morsels: 4,
             peak_memory_bytes: 4096,
         };
         let line = record.to_jsonl();
@@ -759,7 +752,6 @@ mod tests {
                 operators: vec![],
                 max_q_error: 1.0,
                 recovery_attempts: 0,
-                stolen_morsels: 0,
                 peak_memory_bytes: 0,
             };
             sink.log(&record);

@@ -4,8 +4,7 @@
 //! trace-event JSON format, loadable in `chrome://tracing` and
 //! [Perfetto](https://ui.perfetto.dev). The export makes the simulated
 //! cluster visually inspectable: worker skew shows as ragged lane ends,
-//! stealing as evened-out lanes, checkpoint/restore stalls as their own
-//! stage blocks.
+//! checkpoint/restore stalls as their own stage blocks.
 //!
 //! Layout:
 //!
@@ -69,11 +68,6 @@ pub fn chrome_trace(trace: &CollectedTrace) -> JsonValue {
                 (
                     "recovery_seconds",
                     JsonValue::Number(stage.recovery_seconds),
-                ),
-                ("morsels", JsonValue::Number(stage.morsels as f64)),
-                (
-                    "stolen_morsels",
-                    JsonValue::Number(stage.stolen_morsels as f64),
                 ),
                 (
                     "peak_memory_bytes",

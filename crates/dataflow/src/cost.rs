@@ -113,10 +113,13 @@ pub struct StageReport {
     /// Bytes re-read from durable storage during recovery (lost-partition
     /// restores and checkpoint rollbacks).
     pub restored_bytes: u64,
-    /// Morsels executed by this stage; 0 for statically scheduled stages
-    /// (work stealing off, or the stage does not morselize).
+    /// Always 0 and absent from [`StageReport::to_json_value`]: morsel
+    /// work stealing was retired in PR 18 (DESIGN §6). The field stays only
+    /// because `benchmark/src/layers.rs` reads it and the benchmark may not
+    /// change together with the engine; it goes with ROADMAP's
+    /// benchmark-refresh item.
     pub morsels: u64,
-    /// Morsels executed by a worker other than their owning partition's.
+    /// Always 0; kept for the same reason as [`StageReport::morsels`].
     pub stolen_morsels: u64,
     /// Simulated busy seconds per worker, in worker order (excluding the
     /// fixed stage overhead). `max_worker_seconds`/`mean_worker_seconds`
@@ -181,11 +184,6 @@ impl StageReport {
                 "restored_bytes",
                 JsonValue::Number(self.restored_bytes as f64),
             ),
-            ("morsels", JsonValue::Number(self.morsels as f64)),
-            (
-                "stolen_morsels",
-                JsonValue::Number(self.stolen_morsels as f64),
-            ),
             (
                 "worker_seconds",
                 JsonValue::Array(
@@ -232,10 +230,6 @@ pub struct ExecutionMetrics {
     pub checkpoint_bytes: u64,
     /// Total bytes re-read from durable storage during recovery.
     pub restored_bytes: u64,
-    /// Total morsels executed by work-stealing stages.
-    pub morsels: u64,
-    /// Total morsels that were stolen (executed off their owner worker).
-    pub stolen_morsels: u64,
     /// Largest transient operator state (build tables, sort scratch) any
     /// single stage kept resident on one worker — the high-water mark of
     /// per-worker memory pressure.
@@ -297,8 +291,6 @@ impl WorkerCost {
 pub struct StageCosts {
     name: &'static str,
     workers: Vec<WorkerCost>,
-    morsels: u64,
-    stolen_morsels: u64,
 }
 
 impl StageCosts {
@@ -307,27 +299,12 @@ impl StageCosts {
         StageCosts {
             name,
             workers: vec![WorkerCost::default(); workers.max(1)],
-            morsels: 0,
-            stolen_morsels: 0,
         }
-    }
-
-    /// Records that this stage ran `morsels` morsels of which `stolen`
-    /// executed on a worker other than their owner. Called by stages that
-    /// morselize under [`ExecutionConfig::work_stealing`](crate::env::ExecutionConfig::work_stealing).
-    pub fn record_steals(&mut self, morsels: u64, stolen: u64) {
-        self.morsels += morsels;
-        self.stolen_morsels += stolen;
     }
 
     /// Mutable access to the cost slot of one worker.
     pub fn worker(&mut self, index: usize) -> &mut WorkerCost {
         &mut self.workers[index]
-    }
-
-    /// Number of workers in this stage.
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
     }
 
     /// Bytes sent over the network so far in this stage, summed over all
@@ -379,8 +356,8 @@ impl StageCosts {
             recovery_seconds: 0.0,
             checkpoint_bytes: self.workers.iter().map(|w| w.bytes_checkpointed).sum(),
             restored_bytes: self.workers.iter().map(|w| w.bytes_restored).sum(),
-            morsels: self.morsels,
-            stolen_morsels: self.stolen_morsels,
+            morsels: 0,
+            stolen_morsels: 0,
             peak_memory_bytes: self
                 .workers
                 .iter()
@@ -408,8 +385,6 @@ impl ExecutionMetrics {
         self.recovery_seconds += report.recovery_seconds;
         self.checkpoint_bytes += report.checkpoint_bytes;
         self.restored_bytes += report.restored_bytes;
-        self.morsels += report.morsels;
-        self.stolen_morsels += report.stolen_morsels;
         self.peak_memory_bytes = self.peak_memory_bytes.max(report.peak_memory_bytes);
         self.scratch_allocations += report.scratch_allocations;
     }
@@ -477,8 +452,8 @@ mod tests {
             recovery_seconds: 0.25,
             checkpoint_bytes: 64,
             restored_bytes: 16,
-            morsels: 12,
-            stolen_morsels: 4,
+            morsels: 0,
+            stolen_morsels: 0,
             worker_seconds: vec![1.5, 0.5],
             peak_memory_bytes: 4096,
             scratch_allocations: 3,
@@ -492,8 +467,6 @@ mod tests {
         assert!((metrics.recovery_seconds - 0.5).abs() < 1e-12);
         assert_eq!(metrics.checkpoint_bytes, 128);
         assert_eq!(metrics.restored_bytes, 32);
-        assert_eq!(metrics.morsels, 24);
-        assert_eq!(metrics.stolen_morsels, 8);
         // Peak memory takes the max over stages; allocations accumulate.
         assert_eq!(metrics.peak_memory_bytes, 4096);
         assert_eq!(metrics.scratch_allocations, 6);

@@ -186,57 +186,20 @@ impl<T: Data> Dataset<T> {
         F: Fn(&[T], &mut Vec<O>) + Sync,
     {
         let mut stage = self.env.stage(name);
-        let stealing = self.env.work_stealing() && self.env.workers() > 1;
-        let attempt: Result<Vec<Vec<O>>, crate::pool::WorkerPanic> = if stealing {
-            let lengths = self.partition_sizes();
-            crate::pool::try_run_morsels(&lengths, self.env.morsel_size(), |p, range| {
-                let mut out = Vec::new();
-                f(&self.partitions[p][range], &mut out);
-                out
-            })
-            .map(|by_morsel| {
-                // Charge per-worker busy time from the deterministic steal
-                // replay, not from the partition sizes: the makespan is the
-                // max over what each worker *actually* processed.
-                let traffic: Vec<Vec<(u64, u64)>> = by_morsel
-                    .iter()
-                    .enumerate()
-                    .map(|(p, morsels)| {
-                        crate::morsel::morsel_ranges(lengths[p], self.env.morsel_size())
-                            .into_iter()
-                            .zip(morsels)
-                            .map(|(range, out)| (range.len() as u64, out.len() as u64))
-                            .collect()
-                    })
-                    .collect();
-                let schedule = crate::morsel::simulate_steal_schedule(&traffic);
-                for i in 0..stage.worker_count() {
-                    let w = stage.worker(i);
-                    w.records_in += schedule.records_in[i];
-                    w.records_out += schedule.records_out[i];
-                }
-                stage.record_steals(schedule.morsels, schedule.stolen);
-                by_morsel
-                    .into_iter()
-                    .map(|morsels| morsels.into_iter().flatten().collect())
-                    .collect()
-            })
-        } else {
-            crate::pool::try_map_partitions(&self.partitions, |_, part| {
-                let mut out = Vec::new();
-                f(part, &mut out);
-                out
-            })
-            .inspect(|outputs| {
-                for (i, (inp, out)) in self.partitions.iter().zip(outputs).enumerate() {
+        let attempt = crate::pool::try_map_partitions(&self.partitions, |_, part| {
+            let mut out = Vec::new();
+            f(part, &mut out);
+            out
+        });
+        let outputs: Vec<Vec<O>> = match attempt {
+            Ok(outputs) => {
+                for (i, (inp, out)) in self.partitions.iter().zip(&outputs).enumerate() {
                     let w = stage.worker(i);
                     w.records_in += inp.len() as u64;
                     w.records_out += out.len() as u64;
                 }
-            })
-        };
-        let outputs: Vec<Vec<O>> = match attempt {
-            Ok(outputs) => outputs,
+                outputs
+            }
             // A genuinely panicking operator closure: with fault tolerance
             // enabled it poisons the environment (the engine discards the
             // stage's output and surfaces a classified error); without it,
@@ -649,30 +612,18 @@ mod tests {
         assert!((env.simulated_seconds() - 10.0).abs() < 1e-9);
     }
 
+    /// A stage is charged its slowest worker: every partition's records are
+    /// billed to the worker that owns it, nothing moves to an idle one.
     #[test]
-    fn work_stealing_keeps_results_identical() {
-        let static_env = env(4);
-        let stealing_env = ExecutionEnvironment::new(
-            ExecutionConfig::with_workers(4)
-                .cost_model(CostModel::free())
-                .work_stealing(true)
-                .morsel_size(8),
-        );
-        let skewed: Vec<Vec<u64>> = vec![(0..200).collect(), (200..210).collect(), vec![], vec![]];
-        let a = Dataset::from_partitions(static_env.clone(), skewed.clone())
-            .flat_map(|x, out| out.extend([*x * 3, *x * 3 + 1]));
-        let b = Dataset::from_partitions(stealing_env.clone(), skewed)
-            .flat_map(|x, out| out.extend([*x * 3, *x * 3 + 1]));
-        assert_eq!(a.partitions(), b.partitions());
-    }
-
-    #[test]
-    fn work_stealing_shrinks_skewed_makespan_and_counts_steals() {
+    fn skewed_stage_charges_each_worker_its_own_partition() {
         let model = CostModel {
             cpu_seconds_per_record: 1.0,
             stage_overhead_seconds: 0.0,
             ..CostModel::free()
         };
+        let env = ExecutionEnvironment::new(ExecutionConfig::with_workers(4).cost_model(model));
+        let sink = Arc::new(crate::trace::CollectingSink::new());
+        env.set_trace_sink(Some(sink.clone()));
         // One partition 4x the others.
         let skewed: Vec<Vec<u64>> = vec![
             (0..64).collect(),
@@ -680,50 +631,19 @@ mod tests {
             (80..96).collect(),
             (96..112).collect(),
         ];
-        let static_env =
-            ExecutionEnvironment::new(ExecutionConfig::with_workers(4).cost_model(model.clone()));
-        let _ = Dataset::from_partitions(static_env.clone(), skewed.clone()).map(|x| *x);
-        // Static: worker 0 pays 64 in + 64 out = 128 simulated seconds.
-        assert!((static_env.simulated_seconds() - 128.0).abs() < 1e-9);
-        assert_eq!(static_env.metrics().stolen_morsels, 0);
-
-        let stealing_env = ExecutionEnvironment::new(
-            ExecutionConfig::with_workers(4)
-                .cost_model(model)
-                .work_stealing(true)
-                .morsel_size(4),
-        );
-        let _ = Dataset::from_partitions(stealing_env.clone(), skewed).map(|x| *x);
-        let metrics = stealing_env.metrics();
-        assert!(metrics.stolen_morsels > 0, "idle workers must steal");
-        assert_eq!(metrics.morsels, 28, "112 records in morsels of 4");
-        assert_eq!(metrics.records_in, 112, "every record charged exactly once");
-        // Perfect balance would be 56s; require the >= 25% reduction the
-        // skew experiments assert end-to-end.
-        assert!(
-            stealing_env.simulated_seconds() <= 128.0 * 0.75,
-            "stealing must shrink the skewed makespan, got {}",
-            stealing_env.simulated_seconds()
-        );
-    }
-
-    #[test]
-    fn balanced_input_with_stealing_charges_like_static() {
-        let model = CostModel {
-            cpu_seconds_per_record: 1.0,
-            stage_overhead_seconds: 0.0,
-            ..CostModel::free()
-        };
-        let env = ExecutionEnvironment::new(
-            ExecutionConfig::with_workers(2)
-                .cost_model(model)
-                .work_stealing(true)
-                .morsel_size(5),
-        );
-        let _ = env.from_collection(0u64..10).map(|x| *x);
-        // 5 in + 5 out per worker, same as the static schedule.
-        assert!((env.simulated_seconds() - 10.0).abs() < 1e-9);
-        assert_eq!(env.metrics().stolen_morsels, 0);
+        let mapped = Dataset::from_partitions(env.clone(), skewed).map(|x| *x);
+        // Worker 0 pays 64 in + 64 out = 128 simulated seconds.
+        assert!((env.simulated_seconds() - 128.0).abs() < 1e-9);
+        let _ = mapped.filter(|_| false);
+        let stages = sink.snapshot().stages;
+        let (map, filter) = (&stages[0], &stages[1]);
+        // The filter emits nothing, so its per-worker seconds are the
+        // per-worker records_in; the map's are records_in + records_out.
+        assert_eq!(filter.worker_seconds, vec![64.0, 16.0, 16.0, 16.0]);
+        assert_eq!(map.worker_seconds, vec![128.0, 32.0, 32.0, 32.0]);
+        assert_eq!((map.records_in, map.records_out), (112, 112));
+        assert_eq!(map.busiest_worker_records, 128);
+        assert_eq!(map.seconds, 128.0);
     }
 
     #[test]

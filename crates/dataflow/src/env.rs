@@ -15,7 +15,10 @@ use crate::trace::{SpanRecord, TraceSink};
 #[derive(Debug, Clone)]
 pub struct ExecutionConfig {
     /// Number of simulated workers; every dataset has one partition per
-    /// worker and each partition is processed by its own thread.
+    /// worker. A stage is one task per partition on the process-wide
+    /// worker pool ([`pool`](crate::pool)): the submitting thread and up to
+    /// `nproc - 1` pool threads claim the tasks, so `workers` sizes the
+    /// simulated cluster, not the number of OS threads.
     pub workers: usize,
     /// Cost model used by the simulated clock.
     pub cost_model: CostModel,
@@ -30,17 +33,6 @@ pub struct ExecutionConfig {
     /// default) disables the fault machinery entirely — no counters, no
     /// checkpoints, zero behavior change.
     pub faults: Option<FaultConfig>,
-    /// Whether morselizable stages (element-wise transforms, hash-join and
-    /// index probes) split partitions into fixed-size morsels scheduled via
-    /// per-worker deques with LIFO-local / FIFO-steal semantics. Results
-    /// are byte-identical to static scheduling; the simulated makespan
-    /// charges each worker its *actual* post-steal busy time (see
-    /// [`morsel::simulate_steal_schedule`](crate::morsel::simulate_steal_schedule)),
-    /// so stealing shrinks skewed stages. Off by default — it is the
-    /// ablation knob of the skew experiments.
-    pub work_stealing: bool,
-    /// Records per morsel when [`ExecutionConfig::work_stealing`] is on.
-    pub morsel_size: usize,
 }
 
 impl ExecutionConfig {
@@ -51,8 +43,6 @@ impl ExecutionConfig {
             cost_model: CostModel::default(),
             partition_aware: true,
             faults: None,
-            work_stealing: false,
-            morsel_size: crate::morsel::DEFAULT_MORSEL_SIZE,
         }
     }
 
@@ -72,20 +62,6 @@ impl ExecutionConfig {
     /// Installs a fault-tolerance policy (see [`ExecutionConfig::faults`]).
     pub fn faults(mut self, faults: FaultConfig) -> Self {
         self.faults = Some(faults);
-        self
-    }
-
-    /// Enables or disables morsel-driven work stealing (see
-    /// [`ExecutionConfig::work_stealing`]).
-    pub fn work_stealing(mut self, stealing: bool) -> Self {
-        self.work_stealing = stealing;
-        self
-    }
-
-    /// Sets the morsel size used when work stealing is enabled; clamped to
-    /// at least 1 record.
-    pub fn morsel_size(mut self, size: usize) -> Self {
-        self.morsel_size = size.max(1);
         self
     }
 }
@@ -173,18 +149,6 @@ impl ExecutionEnvironment {
         self.inner.config.partition_aware
     }
 
-    /// Whether morsel-driven work stealing is enabled (see
-    /// [`ExecutionConfig::work_stealing`]).
-    pub fn work_stealing(&self) -> bool {
-        self.inner.config.work_stealing
-    }
-
-    /// Records per morsel under work stealing (see
-    /// [`ExecutionConfig::morsel_size`]).
-    pub fn morsel_size(&self) -> usize {
-        self.inner.config.morsel_size.max(1)
-    }
-
     /// Snapshot of the accumulated execution metrics.
     pub fn metrics(&self) -> ExecutionMetrics {
         self.inner.metrics.lock().unwrap().clone()
@@ -248,8 +212,6 @@ impl ExecutionEnvironment {
         telemetry.records_out.add(report.records_out);
         telemetry.bytes_shuffled.add(report.bytes_shuffled);
         telemetry.bytes_spilled.add(report.bytes_spilled);
-        telemetry.morsels.add(report.morsels);
-        telemetry.stolen_morsels.add(report.stolen_morsels);
         telemetry
             .recovery_attempts
             .add(report.attempts.saturating_sub(1));

@@ -176,64 +176,17 @@ where
             &shuffled
         };
 
-        let probe_one = |i: usize, p: &P, out: &mut Vec<O>| {
-            if let Some(matches) = self.tables[i].get(&probe_key(p)) {
-                let rows = &self.rows[i];
-                for &row in matches {
-                    if let Some(o) = join_fn(p, &rows[row as usize]) {
-                        out.push(o);
-                    }
-                }
-            }
-        };
-
-        if env.work_stealing() && env.workers() > 1 {
-            // The cached tables are shared and read-only, so any worker can
-            // probe any partition's morsels; outputs reassemble in probe
-            // order and stay byte-identical to the static schedule.
-            let probe_lengths: Vec<usize> = probe_parts.iter().map(Vec::len).collect();
-            let morsel_size = env.morsel_size();
-            let by_morsel =
-                crate::pool::try_run_morsels(&probe_lengths, morsel_size, |p, range| {
-                    let mut out = Vec::new();
-                    for item in &probe_parts[p][range] {
-                        probe_one(p, item, &mut out);
-                    }
-                    out
-                })
-                .unwrap_or_else(|p| {
-                    panic!("partition worker {} panicked: {}", p.worker, p.message)
-                });
-            let traffic: Vec<Vec<(u64, u64)>> = by_morsel
-                .iter()
-                .enumerate()
-                .map(|(p, morsels)| {
-                    crate::morsel::morsel_ranges(probe_lengths[p], morsel_size)
-                        .into_iter()
-                        .zip(morsels)
-                        .map(|(range, out)| (range.len() as u64, out.len() as u64))
-                        .collect()
-                })
-                .collect();
-            let schedule = crate::morsel::simulate_steal_schedule(&traffic);
-            for i in 0..stage.worker_count() {
-                let w = stage.worker(i);
-                w.records_in += schedule.records_in[i];
-                w.records_out += schedule.records_out[i];
-            }
-            stage.record_steals(schedule.morsels, schedule.stolen);
-            let outputs: Vec<Vec<O>> = by_morsel
-                .into_iter()
-                .map(|morsels| morsels.into_iter().flatten().collect())
-                .collect();
-            env.finish_stage(stage);
-            return Dataset::from_partitions(env, outputs);
-        }
-
         let outputs: Vec<Vec<O>> = map_partitions(probe_parts, |i, part| {
+            let rows = &self.rows[i];
             let mut out = Vec::new();
             for p in part {
-                probe_one(i, p, &mut out);
+                if let Some(matches) = self.tables[i].get(&probe_key(p)) {
+                    for &row in matches {
+                        if let Some(o) = join_fn(p, &rows[row as usize]) {
+                            out.push(o);
+                        }
+                    }
+                }
             }
             out
         });
@@ -330,35 +283,6 @@ mod tests {
         let index = edges.build_partitioned_index(key, |(k, _)| *k);
         assert_eq!(index.build_shuffled_bytes(), 0);
         assert_eq!(env.metrics().bytes_shuffled, 0);
-    }
-
-    #[test]
-    fn stolen_probe_matches_static_probe() {
-        let skewed: Vec<u64> = (0..400).map(|i| if i < 350 { 3 } else { i % 10 }).collect();
-        let run = |stealing: bool| {
-            let env = ExecutionEnvironment::new(
-                ExecutionConfig::with_workers(4)
-                    .cost_model(CostModel {
-                        cpu_seconds_per_record: 1.0,
-                        stage_overhead_seconds: 0.0,
-                        ..CostModel::free()
-                    })
-                    .work_stealing(stealing)
-                    .morsel_size(16),
-            );
-            let edges: Dataset<(u64, u64)> =
-                env.from_collection((0u64..100).map(|i| (i % 10, i)).collect::<Vec<_>>());
-            let index = edges.build_partitioned_index(PartitionKey::named("k"), |(k, _)| *k);
-            let probe = env.from_collection(skewed.clone());
-            env.reset_metrics();
-            let joined = index.probe_join(&probe, |p| *p, |p, (_, v)| Some((*p, *v)));
-            (joined.partitions().to_vec(), env.metrics())
-        };
-        let (static_out, static_metrics) = run(false);
-        let (stolen_out, stolen_metrics) = run(true);
-        assert_eq!(static_out, stolen_out);
-        assert!(stolen_metrics.stolen_morsels > 0);
-        assert!(stolen_metrics.simulated_seconds < static_metrics.simulated_seconds);
     }
 
     #[test]

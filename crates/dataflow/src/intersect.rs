@@ -18,9 +18,7 @@
 //!   caller names one adjacency key per closing edge, the kernel leapfrogs
 //!   the candidate lists and hands each surviving `(neighbor, edge ids)`
 //!   combination back to an emit closure. No shuffle runs — probe rows are
-//!   extended in place — and under morsel-driven work stealing the outputs
-//!   are reassembled in (partition, morsel) order so results stay
-//!   byte-identical to the static schedule.
+//!   extended in place.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,7 +26,7 @@ use std::sync::Arc;
 
 use crate::data::Data;
 use crate::dataset::Dataset;
-use crate::pool::{map_partitions, try_run_morsels};
+use crate::pool::map_partitions;
 
 /// A replicated adjacency index: `key → sorted candidates`, where each
 /// candidate is a `(neighbor, edge_id)` pair sorted by neighbor (then edge
@@ -115,8 +113,8 @@ pub fn build_adjacency_index(
     AdjacencyIndex { map: Arc::new(map) }
 }
 
-/// Reusable per-morsel scratch for the leapfrog loop, so a whole morsel of
-/// probe rows shares four small allocations.
+/// Reusable per-partition scratch for the leapfrog loop, so a whole
+/// partition of probe rows shares four small allocations.
 #[derive(Default)]
 struct LeapfrogScratch {
     pos: Vec<usize>,
@@ -215,11 +213,9 @@ fn leapfrog<F: FnMut(u64, &[u64])>(
 /// in the caller, which may emit nothing.
 ///
 /// The probe is partition-local: no shuffle runs and the output inherits
-/// the probe rows' placement. Under work stealing the probe scan is
-/// morselized with outputs reassembled in (partition, morsel) order, so
-/// results are byte-identical to the static schedule; `rows_intersected`
-/// accumulates through a commutative relaxed atomic and is equally
-/// schedule-independent.
+/// the probe rows' placement. `rows_intersected` accumulates through a
+/// commutative relaxed atomic, so it does not depend on which thread ran
+/// which partition.
 pub fn probe_intersect<T, O, KF, EF>(
     probe: &Dataset<T>,
     indexes: &[AdjacencyIndex],
@@ -237,7 +233,7 @@ where
     let parts = probe.partitions();
     let rows_intersected = AtomicU64::new(0);
 
-    let process = |rows: &[T]| -> Vec<O> {
+    let outputs: Vec<Vec<O>> = map_partitions(parts, |_, rows| {
         let mut out = Vec::new();
         let mut key_scratch = Vec::new();
         let mut lists: Vec<&[(u64, u64)]> = Vec::new();
@@ -270,46 +266,12 @@ where
         }
         rows_intersected.fetch_add(fetched, Ordering::Relaxed);
         out
-    };
-
-    let outputs: Vec<Vec<O>> = if env.work_stealing() && env.workers() > 1 {
-        let probe_lengths: Vec<usize> = parts.iter().map(Vec::len).collect();
-        let morsel_size = env.morsel_size();
-        let by_morsel = try_run_morsels(&probe_lengths, morsel_size, |p, range| {
-            process(&parts[p][range])
-        })
-        .unwrap_or_else(|p| panic!("partition worker {} panicked: {}", p.worker, p.message));
-        let traffic: Vec<Vec<(u64, u64)>> = by_morsel
-            .iter()
-            .enumerate()
-            .map(|(p, morsels)| {
-                crate::morsel::morsel_ranges(probe_lengths[p], morsel_size)
-                    .into_iter()
-                    .zip(morsels)
-                    .map(|(range, out)| (range.len() as u64, out.len() as u64))
-                    .collect()
-            })
-            .collect();
-        let schedule = crate::morsel::simulate_steal_schedule(&traffic);
-        for i in 0..stage.worker_count() {
-            let w = stage.worker(i);
-            w.records_in += schedule.records_in[i];
-            w.records_out += schedule.records_out[i];
-        }
-        stage.record_steals(schedule.morsels, schedule.stolen);
-        by_morsel
-            .into_iter()
-            .map(|morsels| morsels.into_iter().flatten().collect())
-            .collect()
-    } else {
-        let outputs = map_partitions(parts, |_, rows| process(rows));
-        for (i, (rows, out)) in parts.iter().zip(&outputs).enumerate() {
-            let w = stage.worker(i);
-            w.records_in += rows.len() as u64;
-            w.records_out += out.len() as u64;
-        }
-        outputs
-    };
+    });
+    for (i, (rows, out)) in parts.iter().zip(&outputs).enumerate() {
+        let w = stage.worker(i);
+        w.records_in += rows.len() as u64;
+        w.records_out += out.len() as u64;
+    }
     env.finish_stage(stage);
 
     let stats = IntersectStats {
@@ -425,47 +387,6 @@ mod tests {
         );
         assert_eq!(closed.collect(), Vec::<u64>::new());
         assert_eq!(stats.rows_emitted, 0);
-    }
-
-    #[test]
-    fn work_stealing_probe_matches_static_output_and_stats() {
-        let triples: Vec<(u64, u64, u64)> = (0..64u64)
-            .flat_map(|a| (0..8u64).map(move |j| (a, (a + j) % 64, a * 100 + j)))
-            .collect();
-        // Skewed probe: `from_collection` round-robins rows, so making every
-        // fourth row hot concentrates all the intersection work on the
-        // worker owning partition 0 — the rest probe absent keys for free.
-        let probe: Vec<(u64, u64)> = (0..320u64)
-            .map(|i| if i % 4 == 0 { (3, 4) } else { (1000 + i, 2000) })
-            .collect();
-        let run = |stealing: bool| {
-            let env = ExecutionEnvironment::new(
-                ExecutionConfig::with_workers(4)
-                    .cost_model(CostModel::free())
-                    .work_stealing(stealing)
-                    .morsel_size(16),
-            );
-            let index =
-                build_adjacency_index(&env.from_collection(triples.clone()), "wco(test-index)");
-            let pairs = env.from_collection(probe.clone());
-            env.reset_metrics();
-            let (closed, stats) = probe_intersect(
-                &pairs,
-                &[index.clone(), index],
-                |&(a, b), keys| keys.extend([a, b]),
-                |&(a, b), w, ids, out| out.push((a, b, w, ids[0], ids[1])),
-            );
-            (closed.partitions().to_vec(), stats, env.metrics())
-        };
-        let (static_out, static_stats, static_metrics) = run(false);
-        let (stolen_out, stolen_stats, stolen_metrics) = run(true);
-        assert_eq!(static_out, stolen_out, "stealing must not change results");
-        assert_eq!(
-            static_stats, stolen_stats,
-            "counters must be schedule-independent"
-        );
-        assert_eq!(static_metrics.records_in, stolen_metrics.records_in);
-        assert!(stolen_metrics.stolen_morsels > 0, "probe morsels must move");
     }
 
     #[test]

@@ -57,15 +57,6 @@ enum BuildSide {
     Right,
 }
 
-/// A per-partition hash table over whichever side was smaller, borrowing
-/// the shipped records. Built statically (pinned to the owner worker);
-/// under work stealing only the *probe* scan is morselized, because the
-/// table must exist in full before any probe can run.
-enum LocalTable<'a, K, L, R> {
-    Left(HashMap<K, Vec<&'a L>>),
-    Right(HashMap<K, Vec<&'a R>>),
-}
-
 /// One join input after shipping: either forwarded in place (already
 /// partitioned on the join key — no shuffle ran, no bytes charged) or
 /// freshly shuffled.
@@ -220,116 +211,6 @@ impl<T: Data> Dataset<T> {
         let right_shipped = ship_side(right, key_id, &right_key, &mut stage);
         let left_parts = left_shipped.parts();
         let right_parts = right_shipped.parts();
-
-        if env.work_stealing() && env.workers() > 1 {
-            // Build each partition's table in place (pinned to its owner),
-            // then morselize the probe scan: probe morsels keep their
-            // partition-local order, so output bytes match the static path.
-            let tables: Vec<LocalTable<K, T, R>> = map_partitions(left_parts, |i, _| {
-                let (l, r) = (&left_parts[i], &right_parts[i]);
-                if l.len() <= r.len() {
-                    let mut table: HashMap<K, Vec<&T>> = HashMap::with_capacity(l.len());
-                    for item in l {
-                        table.entry(left_key(item)).or_default().push(item);
-                    }
-                    LocalTable::Left(table)
-                } else {
-                    let mut table: HashMap<K, Vec<&R>> = HashMap::with_capacity(r.len());
-                    for item in r {
-                        table.entry(right_key(item)).or_default().push(item);
-                    }
-                    LocalTable::Right(table)
-                }
-            });
-            let probe_lengths: Vec<usize> = tables
-                .iter()
-                .enumerate()
-                .map(|(i, t)| match t {
-                    LocalTable::Left(_) => right_parts[i].len(),
-                    LocalTable::Right(_) => left_parts[i].len(),
-                })
-                .collect();
-            let morsel_size = env.morsel_size();
-            let by_morsel =
-                crate::pool::try_run_morsels(&probe_lengths, morsel_size, |p, range| {
-                    let mut out = Vec::new();
-                    match &tables[p] {
-                        LocalTable::Left(table) => {
-                            for r in &right_parts[p][range] {
-                                if let Some(matches) = table.get(&right_key(r)) {
-                                    for l in matches {
-                                        if let Some(o) = join_fn(l, r) {
-                                            out.push(o);
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        LocalTable::Right(table) => {
-                            for l in &left_parts[p][range] {
-                                if let Some(matches) = table.get(&left_key(l)) {
-                                    for r in matches {
-                                        if let Some(o) = join_fn(l, r) {
-                                            out.push(o);
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    out
-                })
-                .unwrap_or_else(|p| {
-                    panic!("partition worker {} panicked: {}", p.worker, p.message)
-                });
-
-            // Build work and memory pressure stay with the owner; probe
-            // work is charged to whoever actually executed each morsel.
-            let memory = env.cost_model().memory_per_worker;
-            let traffic: Vec<Vec<(u64, u64)>> = by_morsel
-                .iter()
-                .enumerate()
-                .map(|(p, morsels)| {
-                    crate::morsel::morsel_ranges(probe_lengths[p], morsel_size)
-                        .into_iter()
-                        .zip(morsels)
-                        .map(|(range, out)| (range.len() as u64, out.len() as u64))
-                        .collect()
-                })
-                .collect();
-            let schedule = crate::morsel::simulate_steal_schedule(&traffic);
-            for i in 0..stage.worker_count() {
-                let (build_records, build_bytes): (u64, u64) = match &tables[i] {
-                    LocalTable::Left(_) => (
-                        left_parts[i].len() as u64,
-                        left_parts[i].iter().map(|e| e.byte_size() as u64).sum(),
-                    ),
-                    LocalTable::Right(_) => (
-                        right_parts[i].len() as u64,
-                        right_parts[i].iter().map(|e| e.byte_size() as u64).sum(),
-                    ),
-                };
-                let w = stage.worker(i);
-                w.records_in += build_records + schedule.records_in[i];
-                w.records_out += schedule.records_out[i];
-                w.peak_memory_bytes = w.peak_memory_bytes.max(build_bytes);
-                w.scratch_allocations += 1;
-                if build_bytes as usize > memory {
-                    w.bytes_spilled += build_bytes - memory as u64;
-                }
-            }
-            stage.record_steals(schedule.morsels, schedule.stolen);
-            let outputs: Vec<Vec<O>> = by_morsel
-                .into_iter()
-                .map(|morsels| morsels.into_iter().flatten().collect())
-                .collect();
-            env.finish_stage(stage);
-            let stamp = key_id.map(|key| Partitioning {
-                key,
-                workers: env.workers(),
-            });
-            return Dataset::from_partitions(env, outputs).assume_partitioning(stamp);
-        }
 
         let outputs: Vec<Vec<O>> = map_partition_pairs(left_parts, right_parts, |_, l, r| {
             local_hash_join(l, r, &left_key, &right_key, &join_fn)
@@ -926,49 +807,6 @@ mod tests {
             |l, _| Some(*l),
         );
         assert!(env.metrics().bytes_spilled > 0);
-    }
-
-    #[test]
-    fn work_stealing_join_matches_static_and_shrinks_skew() {
-        let model = CostModel {
-            cpu_seconds_per_record: 1.0,
-            stage_overhead_seconds: 0.0,
-            ..CostModel::free()
-        };
-        // A hot key: most probe records hash to one worker after the
-        // shuffle, so the static join's makespan is dominated by it.
-        let probe: Vec<u64> = (0..320).map(|i| if i < 288 { 7 } else { i % 8 }).collect();
-        let build: Vec<(u64, u64)> = (0..8).map(|k| (k, k * 10)).collect();
-        let run = |stealing: bool| {
-            let env = ExecutionEnvironment::new(
-                ExecutionConfig::with_workers(4)
-                    .cost_model(model.clone())
-                    .work_stealing(stealing)
-                    .morsel_size(16),
-            );
-            let left = env.from_collection(probe.clone());
-            let right = env.from_collection(build.clone());
-            env.reset_metrics();
-            let joined = left.join(
-                &right,
-                |l| *l,
-                |(k, _)| *k,
-                JoinStrategy::RepartitionHash,
-                |l, (_, v)| Some((*l, *v)),
-            );
-            (joined.partitions().to_vec(), env.metrics())
-        };
-        let (static_out, static_metrics) = run(false);
-        let (stolen_out, stolen_metrics) = run(true);
-        assert_eq!(static_out, stolen_out, "stealing must not change results");
-        assert_eq!(static_metrics.records_in, stolen_metrics.records_in);
-        assert!(stolen_metrics.stolen_morsels > 0, "probe morsels must move");
-        assert!(
-            stolen_metrics.simulated_seconds < static_metrics.simulated_seconds,
-            "stealing must shrink the skewed probe: {} vs {}",
-            stolen_metrics.simulated_seconds,
-            static_metrics.simulated_seconds
-        );
     }
 
     #[test]

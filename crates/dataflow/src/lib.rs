@@ -41,7 +41,6 @@ pub mod intersect;
 pub mod iterate;
 pub mod join;
 pub mod json;
-pub mod morsel;
 pub mod outer_join;
 pub mod partition;
 pub mod pool;
@@ -63,7 +62,6 @@ pub use intersect::{build_adjacency_index, probe_intersect, AdjacencyIndex, Inte
 pub use iterate::{bulk_iterate, bulk_iterate_with_invariant_index, bulk_iterate_with_results};
 pub use join::JoinStrategy;
 pub use json::JsonValue;
-pub use morsel::{morsel_ranges, simulate_steal_schedule, StealSchedule, DEFAULT_MORSEL_SIZE};
 pub use partition::{partition_for, PartitionKey, Partitioning};
 pub use telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
 pub use trace::{CollectedTrace, CollectingSink, SpanRecord, TraceSink};

@@ -34,7 +34,7 @@
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::Thread;
 
@@ -311,111 +311,6 @@ where
     try_run_indexed(partitions.len(), |i| f(i, &partitions[i]))
 }
 
-/// Executes morselized per-partition work with real work stealing.
-///
-/// `lengths[p]` is the record count of partition `p`; each partition is
-/// split into [`morsel_ranges`](crate::morsel::morsel_ranges) and `f` is
-/// called once per `(partition, range)` morsel. Worker `p` owns partition
-/// `p`'s morsels in a deque and pops them from the back (LIFO, for
-/// locality); a worker whose own deque runs dry scans the other deques and
-/// steals from the front (FIFO). Outputs land in per-morsel slots and are
-/// reassembled in (partition, morsel) order, so the result is byte-for-byte
-/// identical to static scheduling no matter which thread ran what.
-///
-/// Returns `outputs[partition][morsel]`; a panicking morsel reports the
-/// partition it belongs to as [`WorkerPanic::worker`] (first failure wins)
-/// and the remaining workers drain quickly and exit.
-pub fn try_run_morsels<O, F>(
-    lengths: &[usize],
-    morsel_size: usize,
-    f: F,
-) -> Result<Vec<Vec<Vec<O>>>, WorkerPanic>
-where
-    O: Send,
-    F: Fn(usize, std::ops::Range<usize>) -> Vec<O> + Sync,
-{
-    let workers = lengths.len();
-    // (partition, record range), in (partition, morsel) order.
-    let tasks: Vec<(usize, std::ops::Range<usize>)> = lengths
-        .iter()
-        .enumerate()
-        .flat_map(|(p, &len)| {
-            crate::morsel::morsel_ranges(len, morsel_size)
-                .into_iter()
-                .map(move |range| (p, range))
-        })
-        .collect();
-    let deques: Vec<Mutex<VecDeque<usize>>> = {
-        let mut per_worker: Vec<VecDeque<usize>> = (0..workers).map(|_| VecDeque::new()).collect();
-        for (task_id, (p, _)) in tasks.iter().enumerate() {
-            per_worker[*p].push_back(task_id);
-        }
-        per_worker.into_iter().map(Mutex::new).collect()
-    };
-    let slots: Vec<Mutex<Option<Vec<O>>>> = tasks.iter().map(|_| Mutex::new(None)).collect();
-    let error: Mutex<Option<WorkerPanic>> = Mutex::new(None);
-    // Set beside `error` so the per-morsel check takes no lock. Relaxed: it
-    // only lets the other workers stop early; the panic itself is read from
-    // `error` after `run_tasks` has returned.
-    let failed = AtomicBool::new(false);
-    // Real (thread-level) steals observed this stage: a morsel executed from
-    // a worker slot other than its partition's. Unlike the deterministic
-    // simulated schedule, this reflects actual scheduling and feeds the
-    // process-wide metrics registry.
-    let stolen = AtomicU64::new(0);
-
-    run_tasks(workers, &|w| loop {
-        if failed.load(Ordering::Relaxed) {
-            return;
-        }
-        // Own work first (LIFO: newest morsel, hottest cache). The
-        // guard must drop before stealing: chaining `.or_else` onto
-        // `.lock().unwrap().pop_back()` keeps the temporary guard
-        // alive for the whole statement, so two workers stealing
-        // from each other would each hold their own deque while
-        // waiting for the other's — an ABBA deadlock (found by the
-        // conformance fuzzer, which hung here intermittently).
-        let own = deques[w].lock().unwrap().pop_back();
-        let task_id = own.or_else(|| {
-            // Steal oldest morsel from the first non-empty victim,
-            // scanning upward from our own index.
-            (1..workers)
-                .map(|offset| (w + offset) % workers)
-                .find_map(|victim| deques[victim].lock().unwrap().pop_front())
-        });
-        let Some(task_id) = task_id else { return };
-        let (p, range) = &tasks[task_id];
-        if *p != w {
-            stolen.fetch_add(1, Ordering::Relaxed);
-        }
-        match catch_unwind(AssertUnwindSafe(|| f(*p, range.clone()))) {
-            Ok(out) => *slots[task_id].lock().unwrap() = Some(out),
-            Err(payload) => {
-                error.lock().unwrap().get_or_insert_with(|| WorkerPanic {
-                    worker: *p,
-                    message: panic_message(payload),
-                });
-                failed.store(true, Ordering::Relaxed);
-                return;
-            }
-        }
-    });
-
-    let pool = crate::telemetry::pool_telemetry();
-    pool.tasks.add(tasks.len() as u64);
-    pool.steals.add(stolen.load(Ordering::Relaxed));
-
-    if let Some(panic) = error.into_inner().expect("held only to store a panic") {
-        return Err(panic);
-    }
-    let mut outputs: Vec<Vec<Vec<O>>> = lengths.iter().map(|_| Vec::new()).collect();
-    for ((p, _), slot) in tasks.iter().zip(slots) {
-        let out = slot.into_inner().expect("held only to store an output");
-        outputs[*p].push(out.expect("every morsel slot filled"));
-    }
-    Ok(outputs)
-}
-
 /// Variant of [`map_partitions`] for two co-partitioned inputs (e.g. the
 /// build and probe sides of a hash join after repartitioning).
 pub fn map_partition_pairs<A, B, O, F>(left: &[Vec<A>], right: &[Vec<B>], f: F) -> Vec<O>
@@ -509,61 +404,6 @@ mod tests {
         assert_eq!(out, vec![2, 4]);
     }
 
-    #[test]
-    fn morsels_reassemble_in_partition_order() {
-        let lengths = vec![10usize, 3, 0, 7];
-        let out = try_run_morsels(&lengths, 4, |p, range| {
-            range.map(|i| (p, i)).collect::<Vec<_>>()
-        })
-        .unwrap();
-        assert_eq!(out.len(), 4);
-        for (p, partition) in out.iter().enumerate() {
-            let flat: Vec<(usize, usize)> = partition.iter().flatten().copied().collect();
-            let expected: Vec<(usize, usize)> = (0..lengths[p]).map(|i| (p, i)).collect();
-            assert_eq!(flat, expected, "partition {p} must keep record order");
-        }
-    }
-
-    #[test]
-    fn morsel_output_matches_single_worker_path() {
-        let lengths = vec![23usize];
-        let out = try_run_morsels(&lengths, 5, |_, range| range.collect::<Vec<usize>>()).unwrap();
-        assert_eq!(out[0].len(), 5, "23 records in morsels of 5");
-        assert_eq!(out[0].iter().flatten().count(), 23);
-    }
-
-    #[test]
-    fn morsel_panic_is_reported_with_partition() {
-        let lengths = vec![4usize, 4, 4];
-        let result = try_run_morsels(&lengths, 2, |p, range| {
-            if p == 1 && range.start == 2 {
-                panic!("morsel died");
-            }
-            vec![p]
-        });
-        let panic = result.expect_err("panicking morsel must be reported");
-        assert_eq!(panic.worker, 1);
-        assert!(panic.message.contains("morsel died"));
-    }
-
-    /// Regression: workers that run dry and steal from each other must not
-    /// deadlock. Before the fix, the own-deque guard was still held while
-    /// scanning victims, so two mutually-stealing workers could block
-    /// forever; many tiny contended rounds make the interleaving likely.
-    #[test]
-    fn concurrent_stealing_does_not_deadlock() {
-        for round in 0..200 {
-            // Skewed lengths force the light partitions to steal from the
-            // heavy one (and occasionally from each other) every round.
-            let lengths = vec![32usize, 1 + round % 3, 1, 2];
-            let out = try_run_morsels(&lengths, 2, |p, range| {
-                range.map(|i| (p, i)).collect::<Vec<_>>()
-            })
-            .unwrap();
-            assert_eq!(out[0].iter().flatten().count(), 32);
-        }
-    }
-
     /// A task that submits a stage of its own must complete: the inner
     /// submitter drains its own batch, so it needs no free pool thread —
     /// not even when every pool thread is itself inside such a task.
@@ -605,14 +445,6 @@ mod tests {
                         let split: Vec<Vec<u64>> = records.chunks(4).map(<[u64]>::to_vec).collect();
                         let pooled = map_partitions(&split, square).concat();
                         assert_eq!(pooled, inline[0], "submitter {submitter} stage {stage}");
-
-                        let lengths: Vec<usize> = split.iter().map(Vec::len).collect();
-                        let morsels = try_run_morsels(&lengths, 2, |p, range| {
-                            split[p][range].iter().map(|x| x.wrapping_mul(*x)).collect()
-                        })
-                        .unwrap();
-                        let stolen: Vec<u64> = morsels.into_iter().flatten().flatten().collect();
-                        assert_eq!(stolen, inline[0], "submitter {submitter} stage {stage}");
                     }
                 });
             }

@@ -15,7 +15,7 @@ impl<T: Data> Dataset<T> {
     /// Groups are emitted in first-seen key order within each partition, so
     /// repeated runs over the same input produce byte-identical output —
     /// `HashMap` iteration order must never leak into partition contents
-    /// (the fault-tolerance and work-stealing tests compare result digests).
+    /// (the fault-tolerance tests compare result digests).
     pub fn group_reduce<K, O, KF, RF>(&self, key: KF, reduce: RF) -> Dataset<O>
     where
         K: Data + Hash + Eq,

@@ -8,7 +8,7 @@
 //! to its monitoring system. Three instrument kinds:
 //!
 //! * [`Counter`] — monotonically increasing `u64` (stages run, records
-//!   processed, morsels stolen, worker crashes);
+//!   processed, worker crashes);
 //! * [`Gauge`] — an `f64` that can be set or accumulated (total simulated
 //!   recovery seconds);
 //! * [`Histogram`] — log₂-bucketed distribution with `p50`/`p95`/`p99`
@@ -216,7 +216,7 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// The process-wide registry every operator, the morsel pool and the
+    /// The process-wide registry every operator, the worker pool and the
     /// fault machinery report into.
     pub fn global() -> &'static MetricsRegistry {
         static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
@@ -314,8 +314,6 @@ pub(crate) struct StageTelemetry {
     pub records_out: Arc<Counter>,
     pub bytes_shuffled: Arc<Counter>,
     pub bytes_spilled: Arc<Counter>,
-    pub morsels: Arc<Counter>,
-    pub stolen_morsels: Arc<Counter>,
     pub recovery_attempts: Arc<Counter>,
     pub scratch_allocations: Arc<Counter>,
     pub stage_seconds: Arc<Histogram>,
@@ -333,8 +331,6 @@ pub(crate) fn stage_telemetry() -> &'static StageTelemetry {
             records_out: registry.counter("dataflow.records_out"),
             bytes_shuffled: registry.counter("dataflow.bytes_shuffled"),
             bytes_spilled: registry.counter("dataflow.bytes_spilled"),
-            morsels: registry.counter("dataflow.morsels"),
-            stolen_morsels: registry.counter("dataflow.stolen_morsels"),
             recovery_attempts: registry.counter("dataflow.recovery_attempts"),
             scratch_allocations: registry.counter("dataflow.scratch_allocations"),
             stage_seconds: registry.histogram("dataflow.stage_seconds"),
@@ -345,13 +341,9 @@ pub(crate) fn stage_telemetry() -> &'static StageTelemetry {
 }
 
 /// Pre-interned handles for the worker pool's real (thread-level)
-/// counters — distinct from the deterministic simulated schedule reported
+/// counters — distinct from the deterministic simulated clock reported
 /// in [`StageReport`](crate::StageReport).
 pub(crate) struct PoolTelemetry {
-    /// Morsels executed.
-    pub tasks: Arc<Counter>,
-    /// Morsels executed from a worker slot other than their partition's.
-    pub steals: Arc<Counter>,
     /// Batches handed to the pool (two or more tasks, on a machine that
     /// has pool threads).
     pub batches: Arc<Counter>,
@@ -364,8 +356,6 @@ pub(crate) fn pool_telemetry() -> &'static PoolTelemetry {
     HANDLES.get_or_init(|| {
         let registry = MetricsRegistry::global();
         PoolTelemetry {
-            tasks: registry.counter("pool.tasks"),
-            steals: registry.counter("pool.steals"),
             batches: registry.counter("dataflow.pool.batches"),
             helped_batches: registry.counter("dataflow.pool.helped_batches"),
         }

@@ -28,11 +28,8 @@ fn golden_trace() -> CollectedTrace {
     join.worker(1).records_in = 4;
     join.worker(0).peak_memory_bytes = 512;
     join.worker(0).scratch_allocations = 1;
-    let mut join = join.finish(&model);
-    join.morsels = 8;
-    join.stolen_morsels = 2;
     CollectedTrace {
-        stages: vec![scan.finish(&model), join],
+        stages: vec![scan.finish(&model), join.finish(&model)],
         spans: vec![
             SpanRecord {
                 name: "operator/scan".into(),
