@@ -710,6 +710,24 @@ fn random_cond(rng: &mut Rng, variables: &[String], depth: usize) -> Cond {
     }
 }
 
+/// The label predicate of a pattern element: none, one label, or an
+/// alternation of the pool's first two — half of the time with a label
+/// repeated (`:A|A`, `:A|B|A`), which selects nothing more than `:A` or
+/// `:A|B` and which no graph source may count twice. One draw decides both
+/// the class (its low two bits, as before repeats existed) and the variant,
+/// so pinned campaigns keep the shapes they were pinned for.
+fn random_labels(rng: &mut Rng, pool: &[&str]) -> Vec<String> {
+    let roll = rng.below(16);
+    let labels: &[&str] = match (roll % 4, roll / 4) {
+        (0, _) => &[],
+        (1, 2) => &[pool[0], pool[0]],
+        (1, 3) => &[pool[0], pool[1], pool[0]],
+        (1, _) => &[pool[0], pool[1]],
+        _ => &[*rng.pick(pool)],
+    };
+    labels.iter().map(|label| label.to_string()).collect()
+}
+
 fn maybe_label(rng: &mut Rng, pool: &[&str]) -> Option<String> {
     rng.chance(60).then(|| rng.pick(pool).to_string())
 }
@@ -899,11 +917,7 @@ pub fn random_cyclic_query(rng: &mut Rng) -> QuerySpec {
     let nodes: Vec<NodePat> = (0..node_count)
         .map(|i| NodePat {
             variable: Some(format!("n{i}")),
-            labels: match rng.below(4) {
-                0 => Vec::new(),
-                1 => vec![VERTEX_LABELS[0].to_string(), VERTEX_LABELS[1].to_string()],
-                _ => vec![rng.pick(&VERTEX_LABELS).to_string()],
-            },
+            labels: random_labels(rng, &VERTEX_LABELS),
             // Inline property maps become required keys on the vertex,
             // which disqualifies it as an intersection target; a light
             // sprinkle keeps the cost-based fallback honest without
@@ -934,11 +948,7 @@ pub fn random_cyclic_query(rng: &mut Rng) -> QuerySpec {
             } else {
                 Dir::In
             },
-            labels: match rng.below(4) {
-                0 => Vec::new(),
-                1 => vec![EDGE_LABELS[0].to_string(), EDGE_LABELS[1].to_string()],
-                _ => vec![rng.pick(&EDGE_LABELS).to_string()],
-            },
+            labels: random_labels(rng, &EDGE_LABELS),
             range: None,
             props: Vec::new(),
         })
@@ -987,11 +997,7 @@ pub fn random_query(rng: &mut Rng) -> QuerySpec {
             } else {
                 Some(format!("n{i}"))
             },
-            labels: match rng.below(4) {
-                0 => Vec::new(),
-                1 => vec![VERTEX_LABELS[0].to_string(), VERTEX_LABELS[1].to_string()],
-                _ => vec![rng.pick(&VERTEX_LABELS).to_string()],
-            },
+            labels: random_labels(rng, &VERTEX_LABELS),
             props: if rng.chance(20) {
                 vec![(rng.pick(&PROPERTY_KEYS).to_string(), random_literal(rng))]
             } else {
@@ -1028,11 +1034,7 @@ pub fn random_query(rng: &mut Rng) -> QuerySpec {
                 } else {
                     Dir::In
                 },
-                labels: match rng.below(4) {
-                    0 => Vec::new(),
-                    1 => vec![EDGE_LABELS[0].to_string(), EDGE_LABELS[1].to_string()],
-                    _ => vec![rng.pick(&EDGE_LABELS).to_string()],
-                },
+                labels: random_labels(rng, &EDGE_LABELS),
                 range,
                 props: if range.is_none() && rng.chance(15) {
                     vec![(rng.pick(&PROPERTY_KEYS).to_string(), random_literal(rng))]
@@ -1081,6 +1083,19 @@ mod tests {
                 gradoop_cypher::parse(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
             }
         }
+    }
+
+    #[test]
+    fn generator_repeats_labels_in_vertex_and_edge_alternations() {
+        let mut rng = Rng::new(11);
+        let repeats = |labels: &[String]| labels.len() > 1 && labels[1..].contains(&labels[0]);
+        let (mut on_nodes, mut on_edges) = (0, 0);
+        for _ in 0..200 {
+            let spec = random_query(&mut rng);
+            on_nodes += spec.nodes.iter().filter(|n| repeats(&n.labels)).count();
+            on_edges += spec.edges.iter().filter(|e| repeats(&e.labels)).count();
+        }
+        assert!(on_nodes > 0 && on_edges > 0, "{on_nodes} / {on_edges}");
     }
 
     #[test]

@@ -19,10 +19,12 @@
 //! exact output size first and writes into a caller-provided scratch
 //! embedding whose buffer is reused across a whole morsel; rejected join
 //! pairs therefore allocate nothing, and each emitted embedding costs
-//! exactly one allocation (the clone out of the scratch buffer).
+//! exactly one allocation (the clone out of the scratch buffer). The leaf
+//! operators have the same contract through [`Embedding::leaf`]: the row is
+//! sized first and every value is encoded straight into its buffer.
 
 use gradoop_dataflow::Data;
-use gradoop_epgm::PropertyValue;
+use gradoop_epgm::{Properties, PropertyValue};
 
 /// Bytes per `idData` entry: flag + 64-bit payload.
 pub const ID_ENTRY_SIZE: usize = 9;
@@ -74,6 +76,30 @@ impl Embedding {
         &self.buf[self.prop_start as usize..]
     }
 
+    /// The row a leaf operator emits — `ids` as identifier columns, then the
+    /// value of each of `keys` in `properties` (`NULL` for a missing key) —
+    /// in one allocation of the exact final size. Byte for byte what
+    /// `push_id` per id followed by `push_property` per key builds.
+    pub fn leaf(ids: &[u64], properties: &Properties, keys: &[String]) -> Embedding {
+        let value = |key: &String| properties.get(key).unwrap_or(&PropertyValue::Null);
+        let id_bytes = ids.len() * ID_ENTRY_SIZE;
+        let prop_bytes: usize = keys.iter().map(|key| 4 + value(key).byte_size()).sum();
+        let mut embedding = Embedding {
+            buf: Vec::with_capacity(id_bytes + prop_bytes),
+            path_start: id_bytes as u32,
+            prop_start: id_bytes as u32,
+        };
+        for id in ids {
+            embedding.buf.push(FLAG_ID);
+            embedding.buf.extend_from_slice(&id.to_le_bytes());
+        }
+        for key in keys {
+            embedding.push_property(value(key));
+        }
+        debug_assert_eq!(embedding.buf.len(), id_bytes + prop_bytes);
+        embedding
+    }
+
     /// Appends an identifier column.
     pub fn push_id(&mut self, id: u64) {
         let mut entry = [0u8; ID_ENTRY_SIZE];
@@ -106,12 +132,13 @@ impl Embedding {
         self.prop_start += (4 + ids.len() * 8) as u32;
     }
 
-    /// Appends a property value.
+    /// Appends a property value, encoded in place behind its length prefix.
     pub fn push_property(&mut self, value: &PropertyValue) {
-        let bytes = value.to_bytes();
-        self.buf
-            .extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-        self.buf.extend_from_slice(&bytes);
+        let prefix = self.buf.len();
+        self.buf.extend_from_slice(&[0; 4]);
+        value.write_bytes(&mut self.buf);
+        let len = (self.buf.len() - prefix - 4) as u32;
+        self.buf[prefix..prefix + 4].copy_from_slice(&len.to_le_bytes());
     }
 
     /// Appends a property slot from its already-encoded bytes (a
@@ -121,16 +148,39 @@ impl Embedding {
         self.buf.extend_from_slice(encoded);
     }
 
+    /// The encoded (length-prefixed) property slots, in index order.
+    fn raw_properties(&self) -> impl Iterator<Item = &[u8]> {
+        raw_slots(self.prop_section())
+    }
+
     /// The encoded (length-prefixed) bytes of the property at `index`.
     pub(crate) fn raw_property(&self, index: usize) -> &[u8] {
-        let props = self.prop_section();
-        let mut offset = 0;
-        for _ in 0..index {
-            let len = u32::from_le_bytes(props[offset..offset + 4].try_into().expect("prefix"));
-            offset += 4 + len as usize;
-        }
-        let len = u32::from_le_bytes(props[offset..offset + 4].try_into().expect("prefix"));
-        &props[offset..offset + 4 + len as usize]
+        self.raw_properties()
+            .nth(index)
+            .expect("property index within the layout")
+    }
+
+    /// Where each of the property slots `0..count` starts within propData,
+    /// found in one walk over the length prefixes. For a reader of several
+    /// properties of one row ([`Embedding::raw_property_at`]), which would
+    /// otherwise walk from the front once per property.
+    pub(crate) fn property_offsets(&self, count: usize, offsets: &mut Vec<usize>) {
+        offsets.clear();
+        let mut next = 0;
+        offsets.extend(self.raw_properties().take(count).map(|slot| {
+            let start = next;
+            next += slot.len();
+            start
+        }));
+        assert_eq!(offsets.len(), count, "property index within the layout");
+    }
+
+    /// The encoded (length-prefixed) property slot that starts at `offset`
+    /// of propData, as located by [`Embedding::property_offsets`].
+    pub(crate) fn raw_property_at(&self, offset: usize) -> &[u8] {
+        raw_slots(&self.prop_section()[offset..])
+            .next()
+            .expect("offset of a property slot")
     }
 
     fn entry_payload(&self, column: usize) -> (u8, u64) {
@@ -206,17 +256,7 @@ impl Embedding {
 
     /// Number of property slots.
     pub fn property_count(&self) -> usize {
-        let props = self.prop_section();
-        let mut count = 0;
-        let mut offset = 0;
-        while offset < props.len() {
-            let len =
-                u32::from_le_bytes(props[offset..offset + 4].try_into().expect("length prefix"))
-                    as usize;
-            offset += 4 + len;
-            count += 1;
-        }
-        count
+        self.raw_properties().count()
     }
 
     /// The property value at `index`. Walks length prefixes (linear in the
@@ -358,6 +398,17 @@ impl Embedding {
             }
         }
     }
+}
+
+/// Splits propData (or a tail of it that starts at a slot) into its
+/// length-prefixed slots.
+fn raw_slots(mut rest: &[u8]) -> impl Iterator<Item = &[u8]> {
+    std::iter::from_fn(move || {
+        let prefix = rest.first_chunk::<4>()?;
+        let (slot, tail) = rest.split_at(4 + u32::from_le_bytes(*prefix) as usize);
+        rest = tail;
+        Some(slot)
+    })
 }
 
 impl Data for Embedding {

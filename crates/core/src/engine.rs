@@ -8,6 +8,7 @@
 //! [`CypherEngine::profile`] and the query log are views over that run, and
 //! [`CypherEngine::explain`] is the same front half without the execution.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -706,6 +707,15 @@ fn distinct_by_return_items(
         }
     }
 
+    thread_local! {
+        /// Per-worker scratch of the one prefix walk per row.
+        static OFFSETS: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
+    }
+    let located = property_sources
+        .iter()
+        .map(|index| index + 1)
+        .max()
+        .unwrap_or(0);
     let data = input
         .data
         .map(move |embedding| {
@@ -716,13 +726,18 @@ fn distinct_by_return_items(
                     Entry::Path(ids) => projected.push_path(&ids),
                 }
             }
-            for &index in &property_sources {
-                // Re-append the canonical encoded bytes instead of decoding
-                // and re-encoding the value: the raw encoding is what
-                // `distinct` hashes anyway, so the per-row decode (and any
-                // string allocation it implies) is pure waste.
-                projected.push_raw_property(embedding.raw_property(index));
-            }
+            OFFSETS.with(|cell| {
+                let offsets = &mut *cell.borrow_mut();
+                embedding.property_offsets(located, offsets);
+                for &index in &property_sources {
+                    // Re-append the canonical encoded bytes instead of
+                    // decoding and re-encoding the value: the raw encoding
+                    // is what `distinct` hashes anyway, so the per-row
+                    // decode (and any string allocation it implies) is pure
+                    // waste.
+                    projected.push_raw_property(embedding.raw_property_at(offsets[index]));
+                }
+            });
             projected
         })
         .distinct();

@@ -73,7 +73,7 @@ pub use querylog::{
     OperatorLogEntry, QueryLogRecord, QueryLogSink, QueryOutcome, TeeSink,
 };
 pub use reference::{reference_match, reference_pipeline, RefTable, ReferenceMatch};
-pub use result::{QueryResult, ResultRow, ResultValue};
+pub use result::{QueryResult, ResultRow, ResultValue, ReturnColumns};
 pub use source::GraphSource;
 pub use values::{
     canonical_row, canonical_string, cmp_rows, cmp_values, compare_rows_by_keys, fold_aggregate,

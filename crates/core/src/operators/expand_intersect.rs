@@ -87,7 +87,7 @@ pub fn expand_intersect<S: GraphSource + ?Sized>(
     // predicate, mirroring what a ScanVertices leaf would have produced.
     let candidates = source.vertices_for_labels(&target_vertex.labels);
     let mut admissible: HashSet<u64> = HashSet::new();
-    for part in candidates.partitions().iter() {
+    for part in candidates.datasets().iter().flat_map(|d| d.partitions()) {
         for v in part {
             if !target_vertex.labels.is_empty() && !target_vertex.labels.contains(&v.label) {
                 continue;

@@ -8,8 +8,8 @@
 
 use gradoop_cypher::predicates::eval::{eval_predicate, SingleElement};
 use gradoop_cypher::QueryEdge;
-use gradoop_dataflow::Dataset;
-use gradoop_epgm::{Edge, PropertyValue};
+use gradoop_dataflow::{Dataset, Parts};
+use gradoop_epgm::Edge;
 
 use crate::embedding::{Embedding, EmbeddingMetaData, EntryType};
 use crate::operators::{observe_operator, EmbeddingSet};
@@ -27,17 +27,6 @@ fn edge_matches(edge: &Edge, query_edge: &QueryEdge) -> bool {
     eval_predicate(&query_edge.predicates, &bindings)
 }
 
-fn push_properties(embedding: &mut Embedding, edge: &Edge, keys: &[String]) {
-    for key in keys {
-        let value = edge
-            .properties
-            .get(key)
-            .cloned()
-            .unwrap_or(PropertyValue::Null);
-        embedding.push_property(&value);
-    }
-}
-
 /// Builds the embedding dataset for one plain (1-hop) query edge from its
 /// candidate edges. `source_var` / `target_var` are the variables of the
 /// query edge's endpoints.
@@ -46,7 +35,7 @@ fn push_properties(embedding: &mut Embedding, edge: &Edge, keys: &[String]) {
 /// edge can already exhibit: under vertex isomorphism, a data loop cannot
 /// bind two *distinct* query vertices.
 pub fn filter_and_project_edges(
-    candidates: &Dataset<Edge>,
+    candidates: &Parts<Edge>,
     query_edge: &QueryEdge,
     source_var: &str,
     target_var: &str,
@@ -71,34 +60,24 @@ pub fn filter_and_project_edges(
         if !edge_matches(edge, &qe) {
             return;
         }
+        let (source, id, target) = (edge.source.0, edge.id.0, edge.target.0);
+        let mut emit = |ids: &[u64]| {
+            out.push(Embedding::leaf(ids, &edge.properties, &qe.required_keys));
+        };
         if is_loop {
             // The query edge starts and ends at the same query vertex: only
             // data loops can match.
-            if edge.source == edge.target {
-                let mut embedding = Embedding::new();
-                embedding.push_id(edge.source.0);
-                embedding.push_id(edge.id.0);
-                push_properties(&mut embedding, edge, &qe.required_keys);
-                out.push(embedding);
+            if source == target {
+                emit(&[source, id]);
             }
             return;
         }
-        if reject_data_loops && edge.source == edge.target {
+        if reject_data_loops && source == target {
             return;
         }
-        let mut forward = Embedding::new();
-        forward.push_id(edge.source.0);
-        forward.push_id(edge.id.0);
-        forward.push_id(edge.target.0);
-        push_properties(&mut forward, edge, &qe.required_keys);
-        out.push(forward);
-        if undirected && edge.source != edge.target {
-            let mut backward = Embedding::new();
-            backward.push_id(edge.target.0);
-            backward.push_id(edge.id.0);
-            backward.push_id(edge.source.0);
-            push_properties(&mut backward, edge, &qe.required_keys);
-            out.push(backward);
+        emit(&[source, id, target]);
+        if undirected && source != target {
+            emit(&[target, id, source]);
         }
     });
 
@@ -115,7 +94,7 @@ pub fn filter_and_project_edges(
 /// triples for the bulk-iteration expansion — label and element predicates
 /// applied, undirected edges emitted in both orientations.
 pub fn edge_triples(
-    candidates: &Dataset<Edge>,
+    candidates: &Parts<Edge>,
     query_edge: &QueryEdge,
 ) -> Dataset<crate::operators::EdgeTriple> {
     let qe = query_edge.clone();
@@ -137,13 +116,13 @@ mod tests {
     use crate::matching::MatchingConfig;
     use gradoop_cypher::{parse, QueryGraph};
     use gradoop_dataflow::{CostModel, ExecutionConfig, ExecutionEnvironment};
-    use gradoop_epgm::{properties, GradoopId, Properties};
+    use gradoop_epgm::{properties, GradoopId, Properties, PropertyValue};
 
     fn env() -> ExecutionEnvironment {
         ExecutionEnvironment::new(ExecutionConfig::with_workers(2).cost_model(CostModel::free()))
     }
 
-    fn edges(env: &ExecutionEnvironment) -> Dataset<Edge> {
+    fn edges(env: &ExecutionEnvironment) -> Parts<Edge> {
         env.from_collection(vec![
             Edge::new(
                 GradoopId(10),
@@ -167,6 +146,7 @@ mod tests {
                 properties! {"classYear" => 2016i64},
             ),
         ])
+        .into()
     }
 
     fn query_edge(text: &str) -> (QueryEdge, String, String) {

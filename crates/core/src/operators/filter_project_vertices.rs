@@ -8,16 +8,17 @@
 
 use gradoop_cypher::predicates::eval::{eval_predicate, SingleElement};
 use gradoop_cypher::QueryVertex;
-use gradoop_dataflow::Dataset;
-use gradoop_epgm::{PropertyValue, Vertex};
+use gradoop_dataflow::Parts;
+use gradoop_epgm::Vertex;
 
 use crate::embedding::{Embedding, EntryType};
 use crate::operators::{observe_operator, EmbeddingSet};
 
 /// Builds the embedding dataset for one query vertex from its candidate
-/// vertices (already label-restricted by the graph source).
+/// vertices (already label-restricted by the graph source; for a label
+/// alternation over an indexed graph, the per-label datasets read in place).
 pub fn filter_and_project_vertices(
-    candidates: &Dataset<Vertex>,
+    candidates: &Parts<Vertex>,
     query_vertex: &QueryVertex,
 ) -> EmbeddingSet {
     let mut meta = crate::embedding::EmbeddingMetaData::new();
@@ -47,17 +48,7 @@ pub fn filter_and_project_vertices(
             return;
         }
         // Project + Transform: one-column embedding with required values.
-        let mut embedding = Embedding::new();
-        embedding.push_id(vertex.id.0);
-        for key in &keys {
-            let value = vertex
-                .properties
-                .get(key)
-                .cloned()
-                .unwrap_or(PropertyValue::Null);
-            embedding.push_property(&value);
-        }
-        out.push(embedding);
+        out.push(Embedding::leaf(&[vertex.id.0], &vertex.properties, &keys));
     });
 
     let result = EmbeddingSet { data, meta };
@@ -74,13 +65,13 @@ mod tests {
     use super::*;
     use gradoop_cypher::{parse, QueryGraph};
     use gradoop_dataflow::{CostModel, ExecutionConfig, ExecutionEnvironment};
-    use gradoop_epgm::{properties, GradoopId};
+    use gradoop_epgm::{properties, GradoopId, PropertyValue};
 
     fn env() -> ExecutionEnvironment {
         ExecutionEnvironment::new(ExecutionConfig::with_workers(2).cost_model(CostModel::free()))
     }
 
-    fn vertices(env: &ExecutionEnvironment) -> Dataset<Vertex> {
+    fn vertices(env: &ExecutionEnvironment) -> Parts<Vertex> {
         env.from_collection(vec![
             Vertex::new(
                 GradoopId(1),
@@ -90,6 +81,7 @@ mod tests {
             Vertex::new(GradoopId(2), "Person", properties! {"name" => "Bob"}),
             Vertex::new(GradoopId(3), "City", properties! {"name" => "Leipzig"}),
         ])
+        .into()
     }
 
     fn query_vertex(text: &str) -> QueryVertex {

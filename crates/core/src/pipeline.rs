@@ -45,21 +45,22 @@ use gradoop_cypher::ast::{
 };
 use gradoop_cypher::predicates::eval::eval_expression;
 use gradoop_cypher::{Expression, Literal, QueryGraph};
+use gradoop_dataflow::pool::map_partitions;
 use gradoop_dataflow::{CollectingSink, Dataset, ExecutionFailure, JoinStrategy, StageReport};
 use gradoop_epgm::GraphStatistics;
 
-use crate::embedding::{Entry, EntryType};
+use crate::embedding::Entry;
 use crate::engine::CypherError;
 use crate::executor::execute_plan;
 use crate::matching::MatchingConfig;
 use crate::observe::ProfileNode;
 use crate::operators::EmbeddingSet;
 use crate::planner::{plan_query, Estimator, PlanError, QueryPlan};
-use crate::result::QueryResult;
+use crate::result::{QueryResult, ReturnColumns};
 use crate::source::GraphSource;
 use crate::values::{
     agg_arg_value, canonical_row, canonical_string, cmp_rows, compare_rows_by_keys, fold_aggregate,
-    property_to_value, Row, RowScope, Snapshot, Value,
+    Row, RowScope, Snapshot, Value,
 };
 
 /// The tabular result of a pipeline execution: named columns over value
@@ -426,7 +427,7 @@ fn apply_unwind(
             UnwindSource::List(items) => Value::List(
                 items
                     .iter()
-                    .map(|l| property_to_value(&l.to_property_value()))
+                    .map(|l| Value::from(l.to_property_value()))
                     .collect(),
             ),
             UnwindSource::Variable(variable) => scope.get(variable).cloned().unwrap_or(Value::Null),
@@ -612,9 +613,9 @@ fn apply_projection(
 /// Converts a classic [`QueryResult`] (single merged `MATCH` + `RETURN`)
 /// into the tabular pipeline shape, so
 /// [`CypherEngine::run`](crate::CypherEngine::run) returns one result type
-/// for both paths. Column naming matches the reference interpreter:
-/// variables keep their name, properties use the alias or `var.key`, and a
-/// bare `count(*)` yields the single-row count table.
+/// for both paths. Column naming matches the reference interpreter (see
+/// [`ReturnColumns`]), and a bare `count(*)` yields the single-row count
+/// table.
 pub(crate) fn table_from_query_result(result: &QueryResult) -> Result<TableResult, CypherError> {
     if result
         .query
@@ -628,86 +629,22 @@ pub(crate) fn table_from_query_result(result: &QueryResult) -> Result<TableResul
             ordered: false,
         });
     }
-    let mut items: Vec<ReturnItem> = Vec::new();
-    for item in &result.query.return_items {
-        match item {
-            ReturnItem::All => {
-                for vertex in &result.query.vertices {
-                    if vertex.named {
-                        items.push(ReturnItem::Variable(vertex.variable.clone()));
-                    }
-                }
-                for edge in &result.query.edges {
-                    if edge.named {
-                        items.push(ReturnItem::Variable(edge.variable.clone()));
-                    }
-                }
-            }
-            other => items.push(other.clone()),
-        }
+    let columns = ReturnColumns::resolve(&result.query, &result.meta)?;
+    // Each partition's rows are decoded as one task on the worker pool and
+    // the batches concatenated in partition order. This is conversion of a
+    // finished result at the driver, not a dataflow stage: it emits no stage
+    // report and stays outside the simulated clock.
+    let batches = map_partitions(result.embeddings.partitions(), |_, part| {
+        let mut offsets = Vec::new();
+        part.iter()
+            .map(|embedding| columns.table_row(embedding, &mut offsets))
+            .collect::<Vec<Row>>()
+    });
+    let mut rows = Vec::with_capacity(result.embeddings.len_untracked());
+    for mut batch in batches {
+        rows.append(&mut batch);
     }
-    enum Source {
-        Entry(usize, EntryType),
-        Property(usize),
-    }
-    let unbound = |what: String| {
-        CypherError::Execution(ExecutionFailure {
-            site: "result projection".to_string(),
-            attempts: 0,
-            message: what,
-        })
-    };
-    let mut columns: Vec<String> = Vec::new();
-    let mut sources: Vec<Source> = Vec::new();
-    for item in &items {
-        match item {
-            ReturnItem::Variable(variable) => {
-                let column = result
-                    .meta
-                    .column(variable)
-                    .ok_or_else(|| unbound(format!("returned variable `{variable}` unbound")))?;
-                let entry_type = result.meta.entry_type(variable).ok_or_else(|| {
-                    unbound(format!("returned variable `{variable}` has no entry type"))
-                })?;
-                columns.push(variable.clone());
-                sources.push(Source::Entry(column, entry_type));
-            }
-            ReturnItem::Property {
-                variable,
-                key,
-                alias,
-            } => {
-                let index = result.meta.property_index(variable, key).ok_or_else(|| {
-                    unbound(format!("returned property `{variable}.{key}` unbound"))
-                })?;
-                columns.push(alias.clone().unwrap_or_else(|| format!("{variable}.{key}")));
-                sources.push(Source::Property(index));
-            }
-            ReturnItem::All | ReturnItem::CountStar => unreachable!("expanded above"),
-        }
-    }
-    let rows = result
-        .embeddings
-        .partitions()
-        .iter()
-        .flatten()
-        .map(|embedding| {
-            sources
-                .iter()
-                .map(|source| match source {
-                    Source::Entry(column, entry_type) => match embedding.entry(*column) {
-                        Entry::Path(via) => Value::Path(via),
-                        Entry::Id(id) => match entry_type {
-                            EntryType::Vertex => Value::Vertex(id),
-                            EntryType::Edge => Value::Edge(id),
-                            EntryType::Path => Value::Path(vec![id]),
-                        },
-                    },
-                    Source::Property(index) => property_to_value(&embedding.property(*index)),
-                })
-                .collect::<Row>()
-        })
-        .collect();
+    let columns = columns.names().to_vec();
     Ok(TableResult {
         columns,
         rows,

@@ -35,7 +35,7 @@ use crate::embedding::Entry;
 use crate::matching::{MatchingConfig, MorphismType};
 use crate::values::{
     agg_arg_value, canonical_row, canonical_string, cmp_rows, compare_rows_by_keys, fold_aggregate,
-    property_to_value, Row, RowScope, Snapshot, Value,
+    Row, RowScope, Snapshot, Value,
 };
 
 /// One match found by the reference matcher: variable → entry.
@@ -656,7 +656,7 @@ fn apply_unwind(
             UnwindSource::List(items) => Value::List(
                 items
                     .iter()
-                    .map(|l| property_to_value(&l.to_property_value()))
+                    .map(|l| Value::from(l.to_property_value()))
                     .collect(),
             ),
             UnwindSource::Variable(variable) => scope.get(variable).cloned().unwrap_or(Value::Null),

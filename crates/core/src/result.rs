@@ -10,9 +10,10 @@ use gradoop_epgm::{
     GradoopId, GraphCollection, GraphHead, LogicalGraph, Properties, PropertyValue,
 };
 
-use crate::embedding::{Embedding, EmbeddingMetaData, Entry};
+use crate::embedding::{Embedding, EmbeddingMetaData, Entry, EntryType};
 use crate::engine::CypherError;
 use crate::planner::QueryPlan;
+use crate::values::{Row, Value};
 use gradoop_dataflow::ExecutionFailure;
 
 /// Classifies an unbound RETURN item as an execution failure: the plan
@@ -25,6 +26,133 @@ fn unbound(message: String) -> CypherError {
         attempts: 0,
         message,
     })
+}
+
+/// Where one RETURN item reads its value in a result embedding.
+enum Source {
+    Entry(usize, EntryType),
+    Property(usize),
+}
+
+/// One cell as it sits in the embedding, before a view gives it its type.
+enum Cell {
+    Entry(Entry, EntryType),
+    Property(PropertyValue),
+}
+
+/// The RETURN items of a query resolved against the layout of its result,
+/// once per result: the column names (variables keep their name, properties
+/// use the alias or `var.key`) and where each column reads its value. Both
+/// tabular views — [`QueryResult::rows`] and the [`TableResult`] of
+/// [`CypherEngine::run`] — decode rows through it. `count(*)` is not a
+/// per-row column; the views answer it before resolving.
+///
+/// [`TableResult`]: crate::TableResult
+/// [`CypherEngine::run`]: crate::CypherEngine::run
+pub struct ReturnColumns {
+    names: Vec<String>,
+    sources: Vec<Source>,
+    /// Property slots a row's one prefix walk has to locate.
+    located: usize,
+}
+
+impl ReturnColumns {
+    /// Resolves `query`'s RETURN items against `meta`. An item the layout
+    /// does not bind (a malformed plan) is a classified
+    /// [`CypherError::Execution`].
+    pub fn resolve(query: &QueryGraph, meta: &EmbeddingMetaData) -> Result<Self, CypherError> {
+        let mut columns = ReturnColumns {
+            names: Vec::new(),
+            sources: Vec::new(),
+            located: 0,
+        };
+        for item in &query.return_items {
+            match item {
+                ReturnItem::Variable(variable) => {
+                    let column = meta.column(variable).ok_or_else(|| {
+                        unbound(format!("returned variable `{variable}` unbound"))
+                    })?;
+                    let (_, entry_type) = meta.entries().nth(column).expect("column just found");
+                    columns.names.push(variable.clone());
+                    columns.sources.push(Source::Entry(column, entry_type));
+                }
+                ReturnItem::Property {
+                    variable,
+                    key,
+                    alias,
+                } => {
+                    let index = meta.property_index(variable, key).ok_or_else(|| {
+                        unbound(format!("returned property `{variable}.{key}` unbound"))
+                    })?;
+                    let name = alias.clone().unwrap_or_else(|| format!("{variable}.{key}"));
+                    columns.names.push(name);
+                    columns.sources.push(Source::Property(index));
+                    columns.located = columns.located.max(index + 1);
+                }
+                ReturnItem::CountStar => {}
+                // The builder expands `RETURN *`; seeing it here means the
+                // query graph was constructed by hand and is malformed.
+                ReturnItem::All => {
+                    return Err(unbound(
+                        "RETURN * not expanded during query-graph construction".to_string(),
+                    ))
+                }
+            }
+        }
+        Ok(columns)
+    }
+
+    /// The column names, in RETURN order.
+    pub fn names(&self) -> &[String] {
+        &self.names
+    }
+
+    /// The cells of one row in RETURN order. Walks the row's property
+    /// prefixes once for all returned properties; `offsets` is scratch to
+    /// reuse across rows. Allocates only what a cell's value owns (a string,
+    /// a list, a path).
+    fn cells<'a>(
+        &'a self,
+        embedding: &'a Embedding,
+        offsets: &'a mut Vec<usize>,
+    ) -> impl Iterator<Item = Cell> + 'a {
+        embedding.property_offsets(self.located, offsets);
+        let offsets = &*offsets;
+        self.sources.iter().map(move |source| match *source {
+            Source::Entry(column, entry_type) => Cell::Entry(embedding.entry(column), entry_type),
+            Source::Property(index) => Cell::Property(
+                PropertyValue::from_bytes(&embedding.raw_property_at(offsets[index])[4..])
+                    .expect("embedding property bytes are well-formed"),
+            ),
+        })
+    }
+
+    /// One row of the [`TableResult`](crate::TableResult) view: exactly one
+    /// allocation for the row plus one per string cell (and per path or
+    /// list), none per scalar.
+    pub fn table_row(&self, embedding: &Embedding, offsets: &mut Vec<usize>) -> Row {
+        self.cells(embedding, offsets)
+            .map(|cell| match cell {
+                Cell::Entry(Entry::Path(via), _) => Value::Path(via),
+                Cell::Entry(Entry::Id(id), EntryType::Vertex) => Value::Vertex(id),
+                Cell::Entry(Entry::Id(id), EntryType::Edge) => Value::Edge(id),
+                Cell::Entry(Entry::Id(id), EntryType::Path) => Value::Path(vec![id]),
+                Cell::Property(value) => Value::from(value),
+            })
+            .collect()
+    }
+
+    /// One row of the [`QueryResult::rows`] view.
+    fn result_row(&self, embedding: &Embedding, offsets: &mut Vec<usize>) -> ResultRow {
+        let values = self.cells(embedding, offsets).map(|cell| match cell {
+            Cell::Entry(Entry::Id(id), _) => ResultValue::Id(id),
+            Cell::Entry(Entry::Path(ids), _) => ResultValue::Path(ids),
+            Cell::Property(value) => ResultValue::Property(value),
+        });
+        ResultRow {
+            values: self.names.iter().cloned().zip(values).collect(),
+        }
+    }
 }
 
 /// A value of one result cell.
@@ -86,57 +214,14 @@ impl QueryResult {
                 )],
             }]);
         }
-        let embeddings = self.embeddings.collect();
-        embeddings
-            .iter()
-            .map(|embedding| {
-                Ok(ResultRow {
-                    values: self
-                        .query
-                        .return_items
-                        .iter()
-                        .map(|item| self.cell(embedding, item))
-                        .collect::<Result<Vec<_>, _>>()?,
-                })
-            })
+        let columns = ReturnColumns::resolve(&self.query, &self.meta)?;
+        let mut offsets = Vec::new();
+        Ok(self
+            .embeddings
             .collect()
-    }
-
-    fn cell(
-        &self,
-        embedding: &Embedding,
-        item: &ReturnItem,
-    ) -> Result<(String, ResultValue), CypherError> {
-        match item {
-            ReturnItem::Variable(variable) => {
-                let column = self
-                    .meta
-                    .column(variable)
-                    .ok_or_else(|| unbound(format!("returned variable `{variable}` unbound")))?;
-                let value = match embedding.entry(column) {
-                    Entry::Id(id) => ResultValue::Id(id),
-                    Entry::Path(ids) => ResultValue::Path(ids),
-                };
-                Ok((variable.clone(), value))
-            }
-            ReturnItem::Property {
-                variable,
-                key,
-                alias,
-            } => {
-                let index = self.meta.property_index(variable, key).ok_or_else(|| {
-                    unbound(format!("returned property `{variable}.{key}` unbound"))
-                })?;
-                let name = alias.clone().unwrap_or_else(|| format!("{variable}.{key}"));
-                Ok((name, ResultValue::Property(embedding.property(index))))
-            }
-            ReturnItem::CountStar => Ok(("count(*)".to_string(), ResultValue::Count(0))),
-            // The builder expands `RETURN *`; seeing it here means the
-            // query graph was constructed by hand and is malformed.
-            ReturnItem::All => Err(unbound(
-                "RETURN * not expanded during query-graph construction".to_string(),
-            )),
-        }
+            .iter()
+            .map(|embedding| columns.result_row(embedding, &mut offsets))
+            .collect())
     }
 
     /// EPGM post-processing (Definition 2.4): one new logical graph per
@@ -149,6 +234,8 @@ impl QueryResult {
         data_graph: &LogicalGraph,
     ) -> Result<GraphCollection, CypherError> {
         let env = data_graph.env().clone();
+        let columns = ReturnColumns::resolve(&self.query, &self.meta)?;
+        let mut offsets = Vec::new();
         let embeddings = self.embeddings.collect();
 
         let mut heads = Vec::with_capacity(embeddings.len());
@@ -162,24 +249,18 @@ impl QueryResult {
         for embedding in &embeddings {
             let graph_id = next_derived_graph_id();
             let mut properties = Properties::new();
-            for item in &self.query.return_items {
-                match item {
-                    ReturnItem::CountStar => continue,
-                    item => {
-                        let (name, value) = self.cell(embedding, item)?;
-                        let property = match value {
-                            ResultValue::Id(id) => PropertyValue::Long(id as i64),
-                            ResultValue::Path(ids) => PropertyValue::List(
-                                ids.iter()
-                                    .map(|id| PropertyValue::Long(*id as i64))
-                                    .collect(),
-                            ),
-                            ResultValue::Property(value) => value,
-                            ResultValue::Count(count) => PropertyValue::Long(count as i64),
-                        };
-                        properties.set(&name, property);
-                    }
-                }
+            for (name, value) in columns.result_row(embedding, &mut offsets).values {
+                let property = match value {
+                    ResultValue::Id(id) => PropertyValue::Long(id as i64),
+                    ResultValue::Path(ids) => PropertyValue::List(
+                        ids.iter()
+                            .map(|id| PropertyValue::Long(*id as i64))
+                            .collect(),
+                    ),
+                    ResultValue::Property(value) => value,
+                    ResultValue::Count(count) => PropertyValue::Long(count as i64),
+                };
+                properties.set(&name, property);
             }
             heads.push(GraphHead::new(graph_id, "Match", properties));
 

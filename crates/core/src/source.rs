@@ -3,10 +3,11 @@
 //! The planner only needs label-restricted vertex and edge datasets. A plain
 //! [`LogicalGraph`] serves them by scanning and filtering its full datasets;
 //! an [`IndexedLogicalGraph`] (paper Section 3.4) serves the pre-partitioned
-//! per-label dataset directly, avoiding the full scan. Benchmarks compare
-//! both paths (`ablation_index`).
+//! per-label datasets directly, avoiding the full scan — for a label
+//! alternation several of them, which the leaf reads in place as
+//! [`Parts`]. Benchmarks compare both paths (`ablation_index`).
 
-use gradoop_dataflow::{Dataset, ExecutionEnvironment};
+use gradoop_dataflow::{ExecutionEnvironment, Parts};
 use gradoop_epgm::{Edge, IndexedLogicalGraph, Label, LogicalGraph, Vertex};
 
 /// Provider of label-restricted element datasets.
@@ -14,9 +15,9 @@ pub trait GraphSource {
     /// The owning environment.
     fn env(&self) -> &ExecutionEnvironment;
     /// Vertices whose label is in `labels` (all vertices if empty).
-    fn vertices_for_labels(&self, labels: &[Label]) -> Dataset<Vertex>;
+    fn vertices_for_labels(&self, labels: &[Label]) -> Parts<Vertex>;
     /// Edges whose label is in `labels` (all edges if empty).
-    fn edges_for_labels(&self, labels: &[Label]) -> Dataset<Edge>;
+    fn edges_for_labels(&self, labels: &[Label]) -> Parts<Edge>;
 }
 
 impl GraphSource for LogicalGraph {
@@ -24,20 +25,18 @@ impl GraphSource for LogicalGraph {
         LogicalGraph::env(self)
     }
 
-    fn vertices_for_labels(&self, labels: &[Label]) -> Dataset<Vertex> {
+    fn vertices_for_labels(&self, labels: &[Label]) -> Parts<Vertex> {
         if labels.is_empty() {
-            return self.vertices().clone();
+            return self.vertices().clone().into();
         }
-        let labels = labels.to_vec();
-        self.vertices().filter(move |v| labels.contains(&v.label))
+        self.vertices().filter(|v| labels.contains(&v.label)).into()
     }
 
-    fn edges_for_labels(&self, labels: &[Label]) -> Dataset<Edge> {
+    fn edges_for_labels(&self, labels: &[Label]) -> Parts<Edge> {
         if labels.is_empty() {
-            return self.edges().clone();
+            return self.edges().clone().into();
         }
-        let labels = labels.to_vec();
-        self.edges().filter(move |e| labels.contains(&e.label))
+        self.edges().filter(|e| labels.contains(&e.label)).into()
     }
 }
 
@@ -46,11 +45,11 @@ impl GraphSource for IndexedLogicalGraph {
         IndexedLogicalGraph::env(self)
     }
 
-    fn vertices_for_labels(&self, labels: &[Label]) -> Dataset<Vertex> {
+    fn vertices_for_labels(&self, labels: &[Label]) -> Parts<Vertex> {
         IndexedLogicalGraph::vertices_for_labels(self, labels)
     }
 
-    fn edges_for_labels(&self, labels: &[Label]) -> Dataset<Edge> {
+    fn edges_for_labels(&self, labels: &[Label]) -> Parts<Edge> {
         IndexedLogicalGraph::edges_for_labels(self, labels)
     }
 }
@@ -82,23 +81,52 @@ mod tests {
         )
     }
 
+    fn ids<T: gradoop_dataflow::Data>(parts: &Parts<T>, id: fn(&T) -> u64) -> Vec<u64> {
+        let mut ids = parts.flat_map(|x, out| out.push(id(x))).collect();
+        ids.sort_unstable();
+        ids
+    }
+
     #[test]
     fn logical_graph_scans_and_filters() {
         let g = graph();
-        assert_eq!(g.vertices_for_labels(&[]).count(), 2);
-        assert_eq!(g.vertices_for_labels(&[Label::new("Person")]).count(), 1);
-        assert_eq!(g.edges_for_labels(&[Label::new("livesIn")]).count(), 1);
-        assert_eq!(g.edges_for_labels(&[Label::new("knows")]).count(), 0);
+        let label = |name: &str| [Label::new(name)];
+        assert_eq!(g.vertices_for_labels(&[]).len_untracked(), 2);
+        assert_eq!(g.vertices_for_labels(&label("Person")).len_untracked(), 1);
+        assert_eq!(g.edges_for_labels(&label("livesIn")).len_untracked(), 1);
+        assert_eq!(g.edges_for_labels(&label("knows")).len_untracked(), 0);
     }
 
+    /// Repeated labels included: `:A|A`, `:A|B|A` and `[:r|r]` used to read
+    /// a per-label dataset of the index twice and bind every element twice.
     #[test]
     fn indexed_graph_agrees_with_scan() {
         let g = graph();
         let indexed = g.to_indexed();
-        for labels in [vec![], vec![Label::new("Person")], vec![Label::new("City")]] {
+        let (person, city) = (Label::new("Person"), Label::new("City"));
+        for labels in [
+            vec![],
+            vec![person.clone()],
+            vec![city.clone()],
+            vec![person.clone(), person.clone()],
+            vec![person.clone(), city, person],
+            vec![Label::new("Tag")],
+        ] {
             assert_eq!(
-                GraphSource::vertices_for_labels(&g, &labels).count(),
-                GraphSource::vertices_for_labels(&indexed, &labels).count(),
+                ids(&GraphSource::vertices_for_labels(&g, &labels), |v| v.id.0),
+                ids(&GraphSource::vertices_for_labels(&indexed, &labels), |v| v
+                    .id
+                    .0),
+                "{labels:?}"
+            );
+        }
+        let lives_in = Label::new("livesIn");
+        for labels in [vec![lives_in.clone()], vec![lives_in.clone(), lives_in]] {
+            assert_eq!(
+                ids(&GraphSource::edges_for_labels(&g, &labels), |e| e.id.0),
+                ids(&GraphSource::edges_for_labels(&indexed, &labels), |e| e
+                    .id
+                    .0),
                 "{labels:?}"
             );
         }

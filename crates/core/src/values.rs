@@ -20,7 +20,7 @@ use std::collections::HashMap;
 use gradoop_cypher::ast::{AggArg, AggFunc, SortKey, SortRef};
 use gradoop_cypher::predicates::eval::{compare_values, eval_expression, Bindings};
 use gradoop_cypher::{CmpOp, Expression};
-use gradoop_dataflow::Data;
+use gradoop_dataflow::{Data, Parts};
 use gradoop_epgm::{Label, Properties, PropertyValue};
 
 use crate::source::GraphSource;
@@ -69,18 +69,27 @@ impl Data for Value {
 /// One pipeline row.
 pub type Row = Vec<Value>;
 
-/// Widens an EPGM property value into the row domain.
-pub fn property_to_value(value: &PropertyValue) -> Value {
-    match value {
-        PropertyValue::Null => Value::Null,
-        PropertyValue::Boolean(b) => Value::Bool(*b),
-        PropertyValue::Int(i) => Value::Int(*i as i64),
-        PropertyValue::Long(l) => Value::Int(*l),
-        PropertyValue::Float(f) => Value::Float(*f as f64),
-        PropertyValue::Double(d) => Value::Float(*d),
-        PropertyValue::String(s) => Value::Str(s.clone()),
-        PropertyValue::List(items) => Value::List(items.iter().map(property_to_value).collect()),
+/// Widens an EPGM property value into the row domain, taking its heap data
+/// along: a string or list cell costs what decoding it cost, a scalar
+/// nothing.
+impl From<PropertyValue> for Value {
+    fn from(value: PropertyValue) -> Self {
+        match value {
+            PropertyValue::Null => Value::Null,
+            PropertyValue::Boolean(b) => Value::Bool(b),
+            PropertyValue::Int(i) => Value::Int(i as i64),
+            PropertyValue::Long(l) => Value::Int(l),
+            PropertyValue::Float(f) => Value::Float(f as f64),
+            PropertyValue::Double(d) => Value::Float(d),
+            PropertyValue::String(s) => Value::Str(s),
+            PropertyValue::List(items) => Value::List(items.into_iter().map(Value::from).collect()),
+        }
     }
+}
+
+/// [`Value::from`] for a borrowed property value.
+pub fn property_to_value(value: &PropertyValue) -> Value {
+    Value::from(value.clone())
 }
 
 /// Projects a row value back into the property domain for predicate
@@ -284,35 +293,28 @@ pub struct Snapshot {
 impl Snapshot {
     /// Collects the full graph from a source.
     pub fn of<S: GraphSource + ?Sized>(source: &S) -> Snapshot {
-        let vertices = source
-            .vertices_for_labels(&[])
-            .collect()
-            .into_iter()
-            .map(|v| {
-                (
-                    v.id.0,
-                    ElementData {
-                        label: v.label,
-                        properties: v.properties,
-                    },
-                )
-            })
-            .collect();
-        let edges = source
-            .edges_for_labels(&[])
-            .collect()
-            .into_iter()
-            .map(|e| {
-                (
-                    e.id.0,
-                    ElementData {
-                        label: e.label,
-                        properties: e.properties,
-                    },
-                )
-            })
-            .collect();
-        Snapshot { vertices, edges }
+        /// Without a label restriction either source serves one dataset,
+        /// collected (and charged) as one stage into a map sized up front.
+        fn lookup<T: Data>(
+            elements: Parts<T>,
+            entry: fn(T) -> (u64, ElementData),
+        ) -> HashMap<u64, ElementData> {
+            let mut lookup = HashMap::with_capacity(elements.len_untracked());
+            for dataset in elements.datasets() {
+                lookup.extend(dataset.collect().into_iter().map(entry));
+            }
+            lookup
+        }
+        Snapshot {
+            vertices: lookup(source.vertices_for_labels(&[]), |v| {
+                let (label, properties) = (v.label, v.properties);
+                (v.id.0, ElementData { label, properties })
+            }),
+            edges: lookup(source.edges_for_labels(&[]), |e| {
+                let (label, properties) = (e.label, e.properties);
+                (e.id.0, ElementData { label, properties })
+            }),
+        }
     }
 
     fn element(&self, value: &Value) -> Option<&ElementData> {

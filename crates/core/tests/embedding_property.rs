@@ -1,9 +1,10 @@
 //! Property-based tests of the byte-array embedding layout: every sequence
-//! of writes reads back exactly, and merge behaves like concatenation with
-//! column skips.
+//! of writes reads back exactly, merge behaves like concatenation with
+//! column skips, and the exact-size leaf constructor builds what the push
+//! sequence builds.
 
 use gradoop_core::{Embedding, Entry};
-use gradoop_epgm::PropertyValue;
+use gradoop_epgm::{Properties, PropertyValue};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -31,6 +32,21 @@ fn properties() -> impl Strategy<Value = Vec<PropertyValue>> {
         ],
         0..6,
     )
+}
+
+/// Values of every encoded type, lists included.
+fn any_value() -> impl Strategy<Value = PropertyValue> {
+    let scalar = prop_oneof![
+        Just(PropertyValue::Null),
+        any::<bool>().prop_map(PropertyValue::Boolean),
+        any::<i32>().prop_map(PropertyValue::Int),
+        any::<i64>().prop_map(PropertyValue::Long),
+        any::<f64>().prop_map(PropertyValue::Double),
+        "[a-zé ]{0,12}".prop_map(PropertyValue::String),
+    ];
+    scalar.prop_recursive(2, 8, 4, move |inner| {
+        proptest::collection::vec(inner, 0..4).prop_map(PropertyValue::List)
+    })
 }
 
 fn build(writes: &[Write], props: &[PropertyValue]) -> Embedding {
@@ -109,5 +125,38 @@ proptest! {
         let embedding = build(&ws, &props);
         let merged = embedding.merge(&Embedding::new(), &[]);
         prop_assert_eq!(merged, embedding);
+    }
+
+    /// An element binds some of the keys `k0..k5`; the leaf is asked for any
+    /// of `k0..k7` in any order, repeats included, so `k6` and `k7` (and
+    /// whatever the element lacks) must come out as NULL.
+    #[test]
+    fn leaf_constructor_is_the_push_sequence_byte_for_byte(
+        ids in proptest::collection::vec(any::<u64>(), 0..4),
+        bound in proptest::collection::vec((0usize..6, any_value()), 0..6),
+        asked in proptest::collection::vec(0usize..8, 0..8),
+    ) {
+        let properties: Properties = bound
+            .into_iter()
+            .map(|(key, value)| (format!("k{key}"), value))
+            .collect();
+        let keys: Vec<String> = asked.iter().map(|key| format!("k{key}")).collect();
+
+        let mut pushed = Embedding::new();
+        for id in &ids {
+            pushed.push_id(*id);
+        }
+        for key in &keys {
+            let value = properties.get(key).cloned().unwrap_or(PropertyValue::Null);
+            pushed.push_property(&value);
+        }
+        let leaf = Embedding::leaf(&ids, &properties, &keys);
+        // `Embedding: Eq` compares the buffer and both section offsets.
+        prop_assert_eq!(&leaf, &pushed);
+        prop_assert_eq!(leaf.property_count(), keys.len());
+        for (index, key) in keys.iter().enumerate() {
+            let expected = properties.get(key).cloned().unwrap_or(PropertyValue::Null);
+            prop_assert_eq!(leaf.property(index).to_bytes(), expected.to_bytes());
+        }
     }
 }

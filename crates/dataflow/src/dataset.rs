@@ -131,7 +131,7 @@ impl<T: Data> Dataset<T> {
     where
         F: Fn(&T) -> O + Sync,
     {
-        self.transform("map", false, |part, out| {
+        self.transform_one("map", false, |part, out| {
             out.extend(part.iter().map(&f));
         })
     }
@@ -146,7 +146,7 @@ impl<T: Data> Dataset<T> {
     where
         F: Fn(&T, &mut Vec<O>) + Sync,
     {
-        self.transform("flat_map", false, |part, out| {
+        self.transform_one("flat_map", false, |part, out| {
             for item in part {
                 f(item, out);
             }
@@ -163,7 +163,7 @@ impl<T: Data> Dataset<T> {
     where
         F: Fn(&T, &mut Vec<O>) + Sync,
     {
-        self.transform("flat_map", true, |part, out| {
+        self.transform_one("flat_map", true, |part, out| {
             for item in part {
                 f(item, out);
             }
@@ -176,26 +176,57 @@ impl<T: Data> Dataset<T> {
     where
         F: Fn(&T) -> bool + Sync,
     {
-        self.transform("filter", true, |part, out| {
+        self.transform_one("filter", true, |part, out| {
             out.extend(part.iter().filter(|i| predicate(i)).cloned());
         })
     }
 
-    fn transform<O: Data, F>(&self, name: &'static str, preserves_keys: bool, f: F) -> Dataset<O>
+    /// [`Dataset::transform`] of this dataset alone; `preserves_keys` says
+    /// whether the output may keep its fingerprint.
+    fn transform_one<O: Data, F>(
+        &self,
+        name: &'static str,
+        preserves_keys: bool,
+        f: F,
+    ) -> Dataset<O>
     where
         F: Fn(&[T], &mut Vec<O>) + Sync,
     {
-        let mut stage = self.env.stage(name);
-        let attempt = crate::pool::try_map_partitions(&self.partitions, |_, part| {
+        let kept = self.partitioning.filter(|_| preserves_keys);
+        Self::transform(&self.env, std::slice::from_ref(self), name, kept, f)
+    }
+
+    /// The one body of every element-wise stage. Worker `i` reads partition
+    /// `i` of each of `inputs` in turn and writes one output partition —
+    /// the stage a `flat_map` over their (free) partition-wise union would
+    /// run, without that union ever being built. `kept` is the fingerprint
+    /// the output may carry.
+    fn transform<O: Data, F>(
+        env: &ExecutionEnvironment,
+        inputs: &[Dataset<T>],
+        name: &'static str,
+        kept: Option<Partitioning>,
+        f: F,
+    ) -> Dataset<O>
+    where
+        F: Fn(&[T], &mut Vec<O>) + Sync,
+    {
+        let workers = env.workers();
+        let records_in =
+            |i: usize| -> u64 { inputs.iter().map(|d| d.partitions[i].len() as u64).sum() };
+        let mut stage = env.stage(name);
+        let attempt = crate::pool::try_run_indexed(workers, |i| {
             let mut out = Vec::new();
-            f(part, &mut out);
+            for input in inputs {
+                f(&input.partitions[i], &mut out);
+            }
             out
         });
         let outputs: Vec<Vec<O>> = match attempt {
             Ok(outputs) => {
-                for (i, (inp, out)) in self.partitions.iter().zip(&outputs).enumerate() {
+                for (i, out) in outputs.iter().enumerate() {
                     let w = stage.worker(i);
-                    w.records_in += inp.len() as u64;
+                    w.records_in += records_in(i);
                     w.records_out += out.len() as u64;
                 }
                 outputs
@@ -204,30 +235,24 @@ impl<T: Data> Dataset<T> {
             // enabled it poisons the environment (the engine discards the
             // stage's output and surfaces a classified error); without it,
             // fail fast as before.
-            Err(panic) if self.env.faults_installed() => {
-                self.env
-                    .record_execution_failure(crate::fault::ExecutionFailure {
-                        site: format!("stage `{name}` (worker {})", panic.worker),
-                        attempts: 1,
-                        message: format!("worker panicked: {}", panic.message),
-                    });
-                for (i, inp) in self.partitions.iter().enumerate() {
-                    stage.worker(i).records_in += inp.len() as u64;
+            Err(panic) if env.faults_installed() => {
+                env.record_execution_failure(crate::fault::ExecutionFailure {
+                    site: format!("stage `{name}` (worker {})", panic.worker),
+                    attempts: 1,
+                    message: format!("worker panicked: {}", panic.message),
+                });
+                for i in 0..workers {
+                    stage.worker(i).records_in += records_in(i);
                 }
-                (0..self.partitions.len()).map(|_| Vec::new()).collect()
+                (0..workers).map(|_| Vec::new()).collect()
             }
             Err(panic) => panic!(
                 "partition worker {} panicked: {}",
                 panic.worker, panic.message
             ),
         };
-        self.env.finish_stage(stage);
-        let kept = if preserves_keys {
-            self.partitioning
-        } else {
-            None
-        };
-        Dataset::from_partitions(self.env.clone(), outputs).assume_partitioning(kept)
+        env.finish_stage(stage);
+        Dataset::from_partitions(env.clone(), outputs).assume_partitioning(kept)
     }
 
     /// Concatenates two datasets partition-wise (Flink `union` — free, no
@@ -381,6 +406,76 @@ impl<T: Data + Hash + Eq> Dataset<T> {
         }
         self.env.finish_stage(stage);
         Dataset::from_partitions(self.env.clone(), outputs)
+    }
+}
+
+/// Several datasets of one environment that are only ever read as their
+/// partition-wise concatenation — Flink's free `union`, never built.
+///
+/// This is what a label alternation over an indexed graph scans (paper
+/// Section 3.4): the per-label datasets stay where they are and the leaf
+/// `flat_map` walks them one after the other, so no element is copied
+/// before the scan and nothing is precomputed or cached per alternation.
+/// No parts at all is the empty dataset.
+pub struct Parts<T> {
+    env: ExecutionEnvironment,
+    parts: Vec<Dataset<T>>,
+}
+
+impl<T: Data> Parts<T> {
+    /// The concatenation of `parts`, all of which must live on `env`'s
+    /// worker count.
+    pub fn new(env: &ExecutionEnvironment, parts: Vec<Dataset<T>>) -> Self {
+        for part in &parts {
+            assert_eq!(
+                part.env.workers(),
+                env.workers(),
+                "parts must share the environment's worker count"
+            );
+        }
+        Parts {
+            env: env.clone(),
+            parts,
+        }
+    }
+
+    /// The owning environment.
+    pub fn env(&self) -> &ExecutionEnvironment {
+        &self.env
+    }
+
+    /// The datasets read one after the other.
+    pub fn datasets(&self) -> &[Dataset<T>] {
+        &self.parts
+    }
+
+    /// Total number of elements without charging the clock.
+    pub fn len_untracked(&self) -> usize {
+        self.parts.iter().map(Dataset::len_untracked).sum()
+    }
+
+    /// [`Dataset::flat_map`] over the concatenation, as one stage: the same
+    /// `flat_map` report — per-worker records and simulated seconds — the
+    /// stage would emit over the materialized union. Drops any partitioning
+    /// fingerprint.
+    pub fn flat_map<O: Data, F>(&self, f: F) -> Dataset<O>
+    where
+        F: Fn(&T, &mut Vec<O>) + Sync,
+    {
+        Dataset::transform(&self.env, &self.parts, "flat_map", None, |part, out| {
+            for item in part {
+                f(item, out);
+            }
+        })
+    }
+}
+
+impl<T: Data> From<Dataset<T>> for Parts<T> {
+    fn from(dataset: Dataset<T>) -> Self {
+        Parts {
+            env: dataset.env.clone(),
+            parts: vec![dataset],
+        }
     }
 }
 
@@ -644,6 +739,116 @@ mod tests {
         assert_eq!((map.records_in, map.records_out), (112, 112));
         assert_eq!(map.busiest_worker_records, 128);
         assert_eq!(map.seconds, 128.0);
+    }
+
+    /// A skewed two-part input on a cost model that charges every record,
+    /// with a sink that keeps the stage reports.
+    fn two_parts() -> (
+        ExecutionEnvironment,
+        Arc<crate::trace::CollectingSink>,
+        Parts<u64>,
+    ) {
+        let model = CostModel {
+            cpu_seconds_per_record: 1.0,
+            stage_overhead_seconds: 0.5,
+            ..CostModel::free()
+        };
+        let env = ExecutionEnvironment::new(ExecutionConfig::with_workers(3).cost_model(model));
+        let sink = Arc::new(crate::trace::CollectingSink::new());
+        env.set_trace_sink(Some(sink.clone()));
+        let key = PartitionKey::named("value");
+        let a = Dataset::from_partitions(env.clone(), vec![(0..7).collect(), vec![], vec![7, 8]])
+            .assume_partitioning(Some(Partitioning { key, workers: 3 }));
+        let b = Dataset::from_partitions(env.clone(), vec![vec![9], (10..14).collect(), vec![]])
+            .assume_partitioning(Some(Partitioning { key, workers: 3 }));
+        let parts = Parts::new(&env, vec![a, b]);
+        (env, sink, parts)
+    }
+
+    /// Reading the parts in place is, to the cost model and every observer,
+    /// the `flat_map` over their free union: one stage, same name, same
+    /// per-worker records in and out, same simulated seconds, same output
+    /// partitions in the same order.
+    #[test]
+    fn flat_map_over_parts_reports_the_stage_of_flat_map_over_their_union() {
+        let (_, sink, parts) = two_parts();
+        let odd_twice = |x: &u64, out: &mut Vec<u64>| {
+            if x % 2 == 1 {
+                out.extend([*x, *x]);
+            }
+        };
+        let [a, b] = parts.datasets() else {
+            unreachable!("two parts")
+        };
+        let expected = a.union(b).flat_map(odd_twice);
+        let in_place = parts.flat_map(odd_twice);
+        assert_eq!(in_place.partitions(), expected.partitions());
+        // Both inputs carry the same fingerprint and so does their union,
+        // but a flat_map may rewrite keys: dropped either way.
+        assert!(a.union(b).partitioning().is_some());
+        assert!(in_place.partitioning().is_none() && expected.partitioning().is_none());
+
+        let stages = sink.snapshot().stages;
+        let [over_union, over_parts] = stages.as_slice() else {
+            panic!("the union is free, each flat_map is one stage: {stages:?}")
+        };
+        assert_eq!(format!("{over_parts:?}"), format!("{over_union:?}"));
+        assert_eq!(over_parts.name, "flat_map");
+        assert_eq!((over_parts.records_in, over_parts.records_out), (14, 14));
+        // Per worker: 8 + 4 + 2 records in, 8 + 4 + 2 out (odd ones twice).
+        assert_eq!(over_parts.worker_seconds, vec![16.0, 8.0, 4.0]);
+        assert_eq!(over_parts.seconds, 16.5);
+        assert_eq!(parts.len_untracked(), 14);
+    }
+
+    #[test]
+    fn no_parts_is_the_empty_dataset_and_still_one_stage() {
+        let (env, sink, _) = two_parts();
+        let nothing = Parts::<u64>::new(&env, Vec::new());
+        let out = nothing.flat_map(|x, out| out.push(*x));
+        assert_eq!(out.partition_sizes(), vec![0, 0, 0]);
+        let stages = sink.snapshot().stages;
+        assert_eq!(stages.len(), 1);
+        assert_eq!((stages[0].records_in, stages[0].seconds), (0, 0.5));
+    }
+
+    fn panic_on_ten(x: &u64, out: &mut Vec<u64>) {
+        assert_ne!(*x, 10, "closure died");
+        out.push(*x);
+    }
+
+    /// With fault tolerance installed a panicking closure poisons the
+    /// environment exactly as it does in a single-input stage: classified,
+    /// the inputs charged, no output.
+    #[test]
+    fn panicking_closure_over_parts_is_classified_under_fault_tolerance() {
+        let classified = |run: &dyn Fn(&Parts<u64>) -> Dataset<u64>| {
+            let (env, sink, parts) = two_parts();
+            env.install_faults(crate::fault::FaultConfig::default());
+            let out = run(&parts);
+            assert!(out.is_empty_untracked());
+            let failure = env.take_execution_failure().expect("classified");
+            (failure, format!("{:?}", sink.snapshot().stages))
+        };
+        let (failure, stages) = classified(&|parts| parts.flat_map(panic_on_ten));
+        assert_eq!(failure.site, "stage `flat_map` (worker 1)");
+        assert_eq!(failure.attempts, 1);
+        assert!(failure.message.contains("worker panicked"), "{failure:?}");
+        assert!(failure.message.contains("closure died"), "{failure:?}");
+        let over_union = classified(&|parts| {
+            let [a, b] = parts.datasets() else {
+                unreachable!("two parts")
+            };
+            a.union(b).flat_map(panic_on_ten)
+        });
+        assert_eq!((failure, stages), over_union);
+    }
+
+    #[test]
+    #[should_panic(expected = "partition worker 1 panicked")]
+    fn panicking_closure_over_parts_fails_fast_without_fault_tolerance() {
+        let (_, _, parts) = two_parts();
+        let _ = parts.flat_map(panic_on_ten);
     }
 
     #[test]

@@ -255,7 +255,7 @@ fn run_tasks(n: usize, task: &(dyn Fn(usize) + Sync)) {
 /// Runs `f(0)`, …, `f(n - 1)` as one batch and collects the results in
 /// index order; a panicking call becomes the `WorkerPanic` of its index,
 /// the lowest index winning.
-fn try_run_indexed<O, F>(n: usize, f: F) -> Result<Vec<O>, WorkerPanic>
+pub(crate) fn try_run_indexed<O, F>(n: usize, f: F) -> Result<Vec<O>, WorkerPanic>
 where
     O: Send,
     F: Fn(usize) -> O + Sync,

@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 
-use gradoop_dataflow::Dataset;
+use gradoop_dataflow::{Dataset, Parts};
 
 use crate::element::{Edge, GraphHead, Vertex};
 use crate::graph::LogicalGraph;
@@ -90,40 +90,26 @@ impl IndexedLogicalGraph {
         self.edges_by_label.keys()
     }
 
-    /// Vertices whose label is in `labels`; with an empty slice, the full
-    /// vertex dataset (no label predicate — the planner must scan).
-    pub fn vertices_for_labels(&self, labels: &[Label]) -> Dataset<Vertex> {
+    /// The datasets holding the vertices whose label is in `labels`, handed
+    /// out as they are stored: one per distinct label that occurs, in
+    /// first-mention order, for the scan to read in place (no union is
+    /// built). With an empty slice, the full vertex dataset (no label
+    /// predicate — the planner must scan).
+    pub fn vertices_for_labels(&self, labels: &[Label]) -> Parts<Vertex> {
         if labels.is_empty() {
-            return self.all_vertices.clone();
+            return self.all_vertices.clone().into();
         }
-        let mut result: Option<Dataset<Vertex>> = None;
-        for label in labels {
-            if let Some(ds) = self.vertices_by_label.get(label) {
-                result = Some(match result {
-                    Some(acc) => acc.union(ds),
-                    None => ds.clone(),
-                });
-            }
-        }
-        result.unwrap_or_else(|| self.env().empty())
+        Parts::new(self.env(), label_parts(&self.vertices_by_label, labels))
     }
 
-    /// Edges whose label is in `labels`; with an empty slice, the full edge
-    /// dataset.
-    pub fn edges_for_labels(&self, labels: &[Label]) -> Dataset<Edge> {
+    /// The datasets holding the edges whose label is in `labels`; with an
+    /// empty slice, the full edge dataset. See
+    /// [`IndexedLogicalGraph::vertices_for_labels`].
+    pub fn edges_for_labels(&self, labels: &[Label]) -> Parts<Edge> {
         if labels.is_empty() {
-            return self.all_edges.clone();
+            return self.all_edges.clone().into();
         }
-        let mut result: Option<Dataset<Edge>> = None;
-        for label in labels {
-            if let Some(ds) = self.edges_by_label.get(label) {
-                result = Some(match result {
-                    Some(acc) => acc.union(ds),
-                    None => ds.clone(),
-                });
-            }
-        }
-        result.unwrap_or_else(|| self.env().empty())
+        Parts::new(self.env(), label_parts(&self.edges_by_label, labels))
     }
 
     /// Re-homes the indexed graph onto another environment without
@@ -158,6 +144,18 @@ impl IndexedLogicalGraph {
             self.all_edges.clone(),
         )
     }
+}
+
+/// The per-label dataset of each distinct label of `labels` that occurs. A
+/// label repeated in an alternation (`:A|A`) selects its dataset once:
+/// reading it twice would bind every element twice.
+fn label_parts<T>(by_label: &HashMap<Label, Dataset<T>>, labels: &[Label]) -> Vec<Dataset<T>> {
+    labels
+        .iter()
+        .enumerate()
+        .filter(|(i, label)| !labels[..*i].contains(label))
+        .filter_map(|(_, label)| by_label.get(label).cloned())
+        .collect()
 }
 
 impl LogicalGraph {
@@ -200,35 +198,65 @@ mod tests {
     #[test]
     fn index_partitions_by_label() {
         let indexed = graph().to_indexed();
+        let count = |label: &str| {
+            indexed
+                .vertices_for_labels(&[Label::new(label)])
+                .len_untracked()
+        };
+        assert_eq!(count("Person"), 2);
+        assert_eq!(count("City"), 1);
         assert_eq!(
-            indexed.vertices_for_labels(&[Label::new("Person")]).count(),
-            2
-        );
-        assert_eq!(
-            indexed.vertices_for_labels(&[Label::new("City")]).count(),
+            indexed
+                .edges_for_labels(&[Label::new("knows")])
+                .len_untracked(),
             1
         );
-        assert_eq!(indexed.edges_for_labels(&[Label::new("knows")]).count(), 1);
     }
 
     #[test]
-    fn label_alternation_unions_datasets() {
+    fn label_alternation_hands_out_the_label_datasets_themselves() {
         let indexed = graph().to_indexed();
-        let both = indexed.vertices_for_labels(&[Label::new("Person"), Label::new("City")]);
-        assert_eq!(both.count(), 3);
+        let (person, city) = (Label::new("Person"), Label::new("City"));
+        let both = indexed.vertices_for_labels(&[person.clone(), city.clone()]);
+        assert_eq!(both.len_untracked(), 3);
+        // In place: the parts are the stored per-label datasets, not copies.
+        for (part, label) in both.datasets().iter().zip([&person, &city]) {
+            let stored = &indexed.vertices_by_label[label];
+            assert!(std::sync::Arc::ptr_eq(
+                &part.partitions_arc(),
+                &stored.partitions_arc()
+            ));
+        }
+    }
+
+    #[test]
+    fn repeated_labels_select_their_dataset_once() {
+        let indexed = graph().to_indexed();
+        let (person, city, knows) = (
+            Label::new("Person"),
+            Label::new("City"),
+            Label::new("knows"),
+        );
+        let twice = indexed.vertices_for_labels(&[person.clone(), person.clone()]);
+        assert_eq!((twice.datasets().len(), twice.len_untracked()), (1, 2));
+        let around = indexed.vertices_for_labels(&[person.clone(), city, person]);
+        assert_eq!((around.datasets().len(), around.len_untracked()), (2, 3));
+        let edges = indexed.edges_for_labels(&[knows.clone(), knows]);
+        assert_eq!((edges.datasets().len(), edges.len_untracked()), (1, 1));
     }
 
     #[test]
     fn empty_label_list_scans_everything() {
         let indexed = graph().to_indexed();
-        assert_eq!(indexed.vertices_for_labels(&[]).count(), 3);
-        assert_eq!(indexed.edges_for_labels(&[]).count(), 2);
+        assert_eq!(indexed.vertices_for_labels(&[]).len_untracked(), 3);
+        assert_eq!(indexed.edges_for_labels(&[]).len_untracked(), 2);
     }
 
     #[test]
     fn unknown_label_yields_empty_dataset() {
         let indexed = graph().to_indexed();
-        assert_eq!(indexed.vertices_for_labels(&[Label::new("Tag")]).count(), 0);
+        let none = indexed.vertices_for_labels(&[Label::new("Tag")]);
+        assert_eq!((none.datasets().len(), none.len_untracked()), (0, 0));
     }
 
     #[test]
@@ -247,11 +275,10 @@ mod tests {
         );
         let moved = indexed.rehomed(&fresh);
         // Same data, reachable through the new environment…
-        assert_eq!(moved.vertices_for_labels(&[]).count(), 3);
-        assert_eq!(
-            moved.vertices_for_labels(&[Label::new("Person")]).count(),
-            2
-        );
+        assert_eq!(moved.vertices_for_labels(&[]).len_untracked(), 3);
+        let persons = moved.vertices_for_labels(&[Label::new("Person")]);
+        assert_eq!(persons.len_untracked(), 2);
+        assert!(persons.env().same_as(&fresh));
         assert!(moved.env().same_as(&fresh));
         assert!(!moved.env().same_as(indexed.env()));
         // …and no partition data was copied: the label datasets still
@@ -260,8 +287,8 @@ mod tests {
             let original = indexed.vertices_for_labels(std::slice::from_ref(&label));
             let shared = moved.vertices_for_labels(std::slice::from_ref(&label));
             assert!(std::sync::Arc::ptr_eq(
-                &original.partitions_arc(),
-                &shared.partitions_arc()
+                &original.datasets()[0].partitions_arc(),
+                &shared.datasets()[0].partitions_arc()
             ));
         }
     }

@@ -105,7 +105,8 @@ mod tests {
         assert!(graph_a.env().same_as(&env_a));
         assert!(graph_b.env().same_as(&env_b));
         // Work on one attachment never shows up on the other's clock.
-        let _ = graph_a.vertices_for_labels(&[Label::new("Person")]).count();
+        let persons = graph_a.vertices_for_labels(&[Label::new("Person")]);
+        let _ = persons.datasets()[0].count();
         assert!(env_a.metrics().stages > 0);
         assert_eq!(env_b.metrics().stages, 0);
     }
@@ -119,8 +120,8 @@ mod tests {
         let a = graph_a.vertices_for_labels(std::slice::from_ref(&label));
         let b = graph_b.vertices_for_labels(std::slice::from_ref(&label));
         assert!(std::sync::Arc::ptr_eq(
-            &a.partitions_arc(),
-            &b.partitions_arc()
+            &a.datasets()[0].partitions_arc(),
+            &b.datasets()[0].partitions_arc()
         ));
     }
 }

@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use gradoop_core::{canonical_row, CypherEngine, CypherError, TableResult};
+use gradoop_core::{canonical_row, CypherEngine, CypherError, ReturnColumns, Row, TableResult};
 use gradoop_cypher::Literal;
 use gradoop_dataflow::{CostModel, ExecutionConfig, ExecutionEnvironment};
 use gradoop_ldbc::{generate_graph, BenchmarkQuery, LdbcConfig};
@@ -126,6 +126,37 @@ fn concurrent_mixed_workload_is_byte_identical_to_serial_execution() {
     assert_eq!(server.stats().queries, total);
     assert_eq!(server.stats().failed, 0);
     assert_eq!(server.in_flight(), 0);
+}
+
+/// Result rows are decoded partition by partition on the worker pool; the
+/// table a session gets back must still list them in partition order, as
+/// the serial decoder did.
+#[test]
+fn session_query_returns_q6_rows_in_partition_order() {
+    let server = QueryServer::new(snapshot(), ServerConfig::default());
+    let (text, params) = (BenchmarkQuery::Q6.text(None), HashMap::new());
+    let table = server.session().query(&text, &params).expect("Q6 runs");
+
+    let engine = CypherEngine::with_statistics(server.snapshot().statistics().clone());
+    let (_env, graph) = server.snapshot().attach();
+    let result = engine
+        .execute(&graph, &text, &params, server.config().matching)
+        .expect("Q6 executes");
+    let partitions = result.embeddings.partitions();
+    assert!(
+        partitions.iter().filter(|part| !part.is_empty()).count() >= 2,
+        "the order is only at stake with rows on several workers"
+    );
+    let columns = ReturnColumns::resolve(&result.query, &result.meta).expect("bound");
+    let mut offsets = Vec::new();
+    let in_partition_order: Vec<Row> = partitions
+        .iter()
+        .flatten()
+        .map(|embedding| columns.table_row(embedding, &mut offsets))
+        .collect();
+    assert_eq!(table.columns, columns.names());
+    assert!(!table.ordered);
+    assert_eq!(table.rows, in_partition_order);
 }
 
 #[test]

@@ -141,6 +141,51 @@ fn indexed_graph_source_for_queries() {
     assert_eq!(indexed_result.count(), 2);
 }
 
+/// A label repeated in an alternation used to read its per-label dataset
+/// of the index twice, so the indexed source answered `:A|A` with every
+/// match doubled while the scan source counted it once.
+#[test]
+fn repeated_labels_in_an_alternation_count_once_on_either_source() {
+    let env = test_env(2);
+    let graph = figure1_graph(&env);
+    let indexed = graph.to_indexed();
+    let engine = CypherEngine::for_graph(&graph);
+    let count = |source: &dyn GraphSource, query: &str| {
+        engine
+            .execute(
+                source,
+                query,
+                &Default::default(),
+                MatchingConfig::homomorphism(),
+            )
+            .unwrap()
+            .count()
+    };
+    for (repeated, plain_form) in [
+        (
+            "MATCH (p:Person|Person) RETURN *",
+            "MATCH (p:Person) RETURN *",
+        ),
+        (
+            "MATCH (x:Person|University|Person) RETURN *",
+            "MATCH (x:Person|University) RETURN *",
+        ),
+        (
+            "MATCH (a)-[e:knows|knows]->(b) RETURN *",
+            "MATCH (a)-[e:knows]->(b) RETURN *",
+        ),
+        (
+            "MATCH (a:Person)-[e:knows|knows*1..2]->(b:Person|Person) RETURN *",
+            "MATCH (a:Person)-[e:knows*1..2]->(b:Person) RETURN *",
+        ),
+    ] {
+        let expected = count(&graph, plain_form);
+        assert!(expected > 0, "{plain_form}");
+        assert_eq!(count(&graph, repeated), expected, "scan: {repeated}");
+        assert_eq!(count(&indexed, repeated), expected, "indexed: {repeated}");
+    }
+}
+
 #[test]
 fn algorithms_compose_with_cypher() {
     // WCC annotates components; Cypher then filters on the computed
