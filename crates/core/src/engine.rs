@@ -1,8 +1,9 @@
 //! The engine entry point: parse → simplify → plan → execute, exactly the
 //! pipeline of paper Section 3.
 //!
-//! There is one execution path. Every run is parsed once, fingerprinted
-//! once, planned once (or answered from the plan cache) and executed by the
+//! There is one execution path. Every run is lexed once (shape and parser
+//! read the same tokens), parsed once by the one grammar, planned once (or
+//! answered from the plan cache) and executed by the
 //! one plan walker ([`execute_plan`](crate::execute_plan)) with per-operator
 //! counters on; [`CypherEngine::execute`], [`CypherEngine::run`],
 //! [`CypherEngine::profile`] and the query log are views over that run, and
@@ -14,7 +15,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use gradoop_cypher::ast::{Pipeline, Projection, ProjectionExpr, Query, Stage};
-use gradoop_cypher::{parse, parse_pipeline, Literal, ParseError, QueryGraph, QueryGraphError};
+use gradoop_cypher::lexer::lex_shape;
+use gradoop_cypher::{parse_tokens, Literal, ParseError, QueryGraph, QueryGraphError};
 use gradoop_dataflow::{CollectingSink, ExecutionFailure};
 use gradoop_epgm::{GraphCollection, GraphStatistics, LogicalGraph};
 
@@ -26,8 +28,8 @@ use crate::pipeline::{
 use crate::plancache::PlanCache;
 use crate::planner::{plan_query_with_mode, Estimator, PlanError, PlanMode, QueryPlan};
 use crate::querylog::{
-    global_query_log, normalize_query_shape, operators_from_profile, stable_digest, QueryLogRecord,
-    QueryLogSink, QueryOutcome, TeeSink,
+    global_query_log, operators_from_profile, stable_digest, QueryLogRecord, QueryLogSink,
+    QueryOutcome, TeeSink,
 };
 use crate::result::QueryResult;
 use crate::source::GraphSource;
@@ -132,12 +134,13 @@ impl CypherEngine {
         self
     }
 
-    /// Installs a shared [`PlanCache`]: the classic single-`MATCH` path
-    /// then answers repeated query *shapes* from the cache instead of
-    /// re-planning, re-binding each execution's literals and `$param`
-    /// values through its freshly built query graph. Cached plans are
-    /// cost-based against this engine's statistics — share one cache only
-    /// between engines over the same data graph.
+    /// Installs a shared [`PlanCache`]: a text that is a single plain
+    /// `MATCH … RETURN` is then answered from the cache when its *shape*
+    /// repeats instead of being re-planned, re-binding each execution's
+    /// literals and `$param` values through its freshly built query graph
+    /// (clause pipelines are planned per stage and never cached). Cached
+    /// plans are cost-based against this engine's statistics — share one
+    /// cache only between engines over the same data graph.
     pub fn with_plan_cache(mut self, cache: Arc<PlanCache>) -> Self {
         self.plan_cache = Some(cache);
         self
@@ -158,14 +161,15 @@ impl CypherEngine {
         &self.statistics
     }
 
-    /// Plans `query_text` without executing it.
+    /// Plans `query_text` — a single plain `MATCH … RETURN` — without
+    /// executing it.
     pub fn plan(
         &self,
         query_text: &str,
         params: &HashMap<String, Literal>,
     ) -> Result<(QueryGraph, QueryPlan), CypherError> {
-        let shape = normalize_query_shape(query_text);
-        let (query, plan, _) = self.plan_simple(&parse(query_text)?, &shape, params)?;
+        let (shape, parsed) = read_query(query_text);
+        let (query, plan, _) = self.plan_simple(&single_match(&parsed?)?, &shape, params)?;
         Ok((query, plan))
     }
 
@@ -254,25 +258,25 @@ impl CypherEngine {
         })
     }
 
-    /// Parses `query_text` once and plans it: a single plain
-    /// `MATCH … RETURN` takes the classic path (one merged query graph,
-    /// **query-wide** morphism uniqueness), everything else the clause
-    /// pipeline with openCypher's per-`MATCH` uniqueness scope.
+    /// Plans a parsed text: a single plain `MATCH … RETURN` is one query
+    /// graph and one plan, cacheable under `shape`; everything else is a
+    /// clause pipeline with openCypher's per-`MATCH` uniqueness scope.
     fn plan_text(
         &self,
-        query_text: &str,
+        pipeline: Pipeline,
         shape: &str,
         params: &HashMap<String, Literal>,
     ) -> Result<Planned, CypherError> {
-        let pipeline = parse_pipeline(query_text)?;
         match pipeline.as_simple() {
             Some(ast) => self.plan_simple(&ast, shape, params).map(Planned::simple),
             None => self.plan_pipeline(pipeline, params),
         }
     }
 
-    /// Parses, plans and executes `query_text` against `source` on the
-    /// classic single-`MATCH` path, returning the matched embeddings.
+    /// Parses, plans and executes `query_text` — a single plain
+    /// `MATCH … RETURN` — against `source`, returning the matched
+    /// embeddings. A clause pipeline is a classified error that names
+    /// [`run`](CypherEngine::run).
     pub fn execute<S: GraphSource + ?Sized>(
         &self,
         source: &S,
@@ -280,13 +284,14 @@ impl CypherEngine {
         params: &HashMap<String, Literal>,
         matching: MatchingConfig,
     ) -> Result<QueryResult, CypherError> {
-        let plan = |shape: &str| {
-            self.plan_simple(&parse(query_text)?, shape, params)
+        let plan = |pipeline: Pipeline, shape: &str| {
+            self.plan_simple(&single_match(&pipeline)?, shape, params)
                 .map(Planned::simple)
         };
         match self.observed(source, query_text, params, &matching, plan)? {
             (Output::Embeddings(result), _) => Ok(*result),
-            (Output::Table(_), _) => unreachable!("`execute` plans the classic path only"),
+            // `plan` above hands out `Planned::Simple` alone.
+            (Output::Table(_), _) => Err(clause_pipeline_error()),
         }
     }
 
@@ -303,8 +308,8 @@ impl CypherEngine {
         query_text: &str,
         params: &HashMap<String, Literal>,
     ) -> Result<Explain, CypherError> {
-        let shape = normalize_query_shape(query_text);
-        let (root, planner) = match self.plan_text(query_text, &shape, params)? {
+        let (shape, parsed) = read_query(query_text);
+        let (root, planner) = match self.plan_text(parsed?, &shape, params)? {
             Planned::Simple { plan, .. } => (plan.explain, plan.planner),
             Planned::Pipeline { explain, .. } => (explain, PlannerTrace::default()),
         };
@@ -331,7 +336,7 @@ impl CypherEngine {
         params: &HashMap<String, Literal>,
         matching: MatchingConfig,
     ) -> Result<Profile, CypherError> {
-        let plan = |shape: &str| self.plan_text(query_text, shape, params);
+        let plan = |pipeline: Pipeline, shape: &str| self.plan_text(pipeline, shape, params);
         let (_, profile) = self.observed(source, query_text, params, &matching, plan)?;
         Ok(profile)
     }
@@ -347,7 +352,7 @@ impl CypherEngine {
         params: &HashMap<String, Literal>,
         matching: MatchingConfig,
     ) -> Result<TableResult, CypherError> {
-        let plan = |shape: &str| self.plan_text(query_text, shape, params);
+        let plan = |pipeline: Pipeline, shape: &str| self.plan_text(pipeline, shape, params);
         match self.observed(source, query_text, params, &matching, plan)? {
             (Output::Embeddings(result), _) => table_from_query_result(&result),
             (Output::Table(table), _) => Ok(table),
@@ -356,9 +361,9 @@ impl CypherEngine {
 
     /// The one observed run behind [`execute`](CypherEngine::execute),
     /// [`run`](CypherEngine::run) and [`profile`](CypherEngine::profile):
-    /// fingerprints the text, plans it through `plan`, executes the plan
-    /// with a per-query collector teed in front of the caller's trace sink,
-    /// classifies the outcome, builds the [`Profile`] and appends exactly
+    /// reads the text once (shape and AST), plans it through `plan`, executes
+    /// the plan with a per-query collector teed in front of the caller's
+    /// trace sink, classifies the outcome, builds the [`Profile`] and appends exactly
     /// one [`QueryLogRecord`] — successful or not.
     fn observed<S: GraphSource + ?Sized>(
         &self,
@@ -366,15 +371,16 @@ impl CypherEngine {
         query_text: &str,
         params: &HashMap<String, Literal>,
         matching: &MatchingConfig,
-        plan: impl FnOnce(&str) -> Result<Planned, CypherError>,
+        plan: impl FnOnce(Pipeline, &str) -> Result<Planned, CypherError>,
     ) -> Result<(Output, Profile), CypherError> {
         let started = Instant::now();
-        let shape = normalize_query_shape(query_text);
+        let (shape, parsed) = read_query(query_text);
         let env = source.env();
         let before = env.metrics();
         let mut plan_digest = String::new();
         let mut plan_cache = None;
-        let ran = plan(&shape).and_then(|planned| {
+        let planned = parsed.and_then(|pipeline| plan(pipeline, &shape));
+        let ran = planned.and_then(|planned| {
             plan_digest = stable_digest(&planned.explain().to_text());
             // Tee stages and spans into a per-query collector — the plan
             // walker attributes them to operators — without clobbering a
@@ -466,6 +472,30 @@ impl CypherEngine {
         });
         outcome
     }
+}
+
+/// The engine's one read of a query text: lexes it once, takes the shape
+/// from those tokens (any text has one, for its query-log record) and
+/// parses the same tokens with the one grammar.
+fn read_query(query_text: &str) -> (String, Result<Pipeline, CypherError>) {
+    let (shape, tokens) = lex_shape(query_text);
+    let parsed = tokens.and_then(parse_tokens).map_err(CypherError::Parse);
+    (shape, parsed)
+}
+
+/// Lowers a parsed text to the single plain `MATCH … RETURN` that
+/// [`CypherEngine::execute`] and [`CypherEngine::plan`] answer.
+fn single_match(pipeline: &Pipeline) -> Result<Query, CypherError> {
+    pipeline.as_simple().ok_or_else(clause_pipeline_error)
+}
+
+fn clause_pipeline_error() -> CypherError {
+    CypherError::QueryGraph(QueryGraphError(
+        "the text is a clause pipeline (several reading clauses, ORDER BY / SKIP / LIMIT, \
+         aggregates or aliased variables in RETURN), not a single `MATCH … RETURN` with one \
+         query graph and embeddings for a result: use `CypherEngine::run`"
+            .to_string(),
+    ))
 }
 
 /// A parsed and planned query — what `explain` renders and what one
@@ -901,7 +931,8 @@ mod tests {
             for (text, is_pipeline) in [(SIMPLE, false), (PIPELINE, true)] {
                 for scenario in [Scenario::Ok, Scenario::PlanError, Scenario::Faulted] {
                     let case = format!("{view} / pipeline={is_pipeline} / {scenario:?}");
-                    // The classic grammar rejects a clause pipeline outright.
+                    // `execute` answers single-MATCH texts only: a clause
+                    // pipeline is rejected before anything is planned.
                     let rejected = *view == "execute" && is_pipeline;
                     if scenario == Scenario::Faulted {
                         // Crash the very first stage with no retry headroom.
@@ -1273,6 +1304,43 @@ mod tests {
             .unwrap();
         assert_eq!(counted.columns, vec!["count(*)"]);
         assert_eq!(counted.rows, vec![vec![Value::Int(2)]]);
+    }
+
+    #[test]
+    fn two_match_clauses_have_one_answer_on_every_entry_point() {
+        use crate::reference::reference_pipeline;
+        use crate::values::Value;
+        // Edge uniqueness is scoped per MATCH (Francis et al., *Formal
+        // Semantics of the Language Cypher*): each clause binds any of the
+        // three edges, 3 × 3 rows. The retired second grammar behind
+        // `execute` merged the clauses into one pattern list — query-wide
+        // uniqueness, 6 rows — so one text had two answers.
+        const TEXT: &str = "MATCH (a)-[e1]->(b) MATCH (c)-[e2]->(d) RETURN count(*)";
+        let graph = sample_graph();
+        let engine = CypherEngine::for_graph(&graph);
+        let no_params = HashMap::new();
+        let matching = MatchingConfig::cypher_default();
+
+        let table = engine.run(&graph, TEXT, &no_params, matching).unwrap();
+        assert_eq!(table.rows, vec![vec![Value::Int(9)]]);
+        let pipeline = gradoop_cypher::parse_pipeline(TEXT).unwrap();
+        let reference = reference_pipeline(&graph, &pipeline, &matching).unwrap();
+        assert_eq!(reference.rows, vec![vec![Value::Int(9)]]);
+
+        let rejections = [
+            engine.execute(&graph, TEXT, &no_params, matching).err(),
+            engine.plan(TEXT, &no_params).err(),
+            graph.cypher(TEXT, matching).err(),
+        ];
+        for rejection in rejections {
+            match rejection {
+                Some(CypherError::QueryGraph(error)) => {
+                    assert!(error.0.contains("clause pipeline"), "{error}");
+                    assert!(error.0.contains("`CypherEngine::run`"), "{error}");
+                }
+                other => panic!("expected a classified rejection, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,11 @@
-//! The plan cache: memoizes query plans by *normalized query shape* (see
-//! [`normalize_query_shape`](crate::querylog::normalize_query_shape)), so a
+//! The plan cache: memoizes query plans by *query shape* — the fold over a
+//! text's tokens that [`gradoop_cypher::lexer::lex_shape`] returns next to
+//! the tokens themselves, literals and `$param`s replaced by `?` — so a
 //! server running the same parameterized query for many users plans it
 //! once and re-binds `$param` values per execution. (Texts are not
-//! memoized: every run parses its text exactly once, and that one parse is
-//! what tells a classic query from a clause pipeline.)
+//! memoized: every run lexes and parses its text exactly once, and that
+//! one parse is what tells a single `MATCH … RETURN`, whose plan is cached
+//! here, from a clause pipeline, which is planned per stage on every run.)
 //!
 //! ## Why keying on the shape is sound
 //!

@@ -25,6 +25,7 @@
 use std::io::Write as _;
 use std::sync::{Arc, Mutex, OnceLock};
 
+use gradoop_cypher::lexer::lex_shape;
 use gradoop_dataflow::{JsonValue, SpanRecord, StageReport, TraceSink};
 
 use crate::observe::ProfileNode;
@@ -283,209 +284,15 @@ impl TraceSink for TeeSink {
     }
 }
 
-/// Replaces string, numeric and `$parameter` literals with `?` and
-/// collapses whitespace, so the same query shape fingerprints identically
-/// across parameterizations: `MATCH (a {age: 42})`, `MATCH (a {age: 7})`
-/// and `MATCH (a {age: $a})` all normalize to the same text — the property
-/// a plan cache keyed on the fingerprint needs to hit across users
-/// regardless of whether they inline values or bind parameters.
-///
-/// Numeric literals cover every spelling the lexer accepts: integers,
-/// floats, leading-dot floats (`.5`) and scientific notation with an
-/// optional exponent sign (`1e9`, `1.5E+10`). Range bounds of
-/// variable-length paths normalize one placeholder per bound (`*1..10` →
-/// `*?..?`), never swallowing the `..` operator. Backtick-quoted identifiers,
-/// `//` comments and the characters of an identifier or parameter name
-/// (`char::is_alphanumeric` or `_`, not the ASCII subset) are read the way
-/// the lexer reads them.
+/// The *shape* of a query text — literals and `$parameter`s replaced by
+/// `?`, whitespace and comments collapsed, literal lists collapsed to
+/// `[?]` — so the same query fingerprints identically across
+/// parameterizations. This is [`gradoop_cypher::lexer::lex_shape`] for a
+/// caller that wants the shape alone: the text is lexed and the shape
+/// folded out of the tokens, so it cannot disagree with what the parser
+/// reads. The engine takes shape and tokens from one lex instead.
 pub fn normalize_query_shape(query: &str) -> String {
-    let mut out = String::with_capacity(query.len());
-    let mut chars = query.chars().peekable();
-    let mut pending_space = false;
-    while let Some(c) = chars.next() {
-        if c == '/' && chars.peek() == Some(&'/') {
-            // `//` comment: dropped to end of line, as the lexer drops it.
-            chars.by_ref().find(|&next| next == '\n');
-            pending_space = true;
-            continue;
-        }
-        if c.is_whitespace() {
-            pending_space = true;
-            continue;
-        }
-        if pending_space {
-            if !out.is_empty() {
-                out.push(' ');
-            }
-            pending_space = false;
-        }
-        match c {
-            '`' => {
-                // Backtick-quoted identifier: copied verbatim, as the lexer
-                // reads it — digits, quotes and whitespace inside are part
-                // of the name, not literals or separators.
-                out.push(c);
-                for next in chars.by_ref() {
-                    out.push(next);
-                    if next == '`' {
-                        break;
-                    }
-                }
-            }
-            '\'' | '"' => {
-                // Quoted string literal: skip to the matching quote,
-                // honouring backslash escapes.
-                while let Some(&next) = chars.peek() {
-                    chars.next();
-                    if next == '\\' {
-                        chars.next();
-                    } else if next == c {
-                        break;
-                    }
-                }
-                out.push('?');
-            }
-            '$' => {
-                // `$name` parameter: one placeholder, same as an inline
-                // literal in that position, so parameterized and literal
-                // spellings of a shape share a fingerprint.
-                let mut consumed = false;
-                while let Some(&next) = chars.peek() {
-                    if next.is_alphanumeric() || next == '_' {
-                        chars.next();
-                        consumed = true;
-                    } else {
-                        break;
-                    }
-                }
-                out.push(if consumed { '?' } else { c });
-            }
-            '0'..='9' => {
-                // Numeric literal (possibly float). Identifier-embedded
-                // digits are kept: only a digit starting a token counts.
-                let prev = out.chars().last();
-                let in_identifier = matches!(prev, Some(p) if p.is_alphanumeric() || p == '_');
-                if in_identifier {
-                    out.push(c);
-                } else {
-                    consume_number_tail(&mut chars);
-                    out.push('?');
-                }
-            }
-            '.' => {
-                // Leading-dot float (`.5`): a literal only when the dot
-                // starts a token — after an identifier it is property
-                // access, after another dot it is the `..` range operator.
-                let prev = out.chars().last();
-                let starts_token = !matches!(
-                    prev,
-                    Some(p) if p.is_alphanumeric() || p == '_' || p == '.'
-                );
-                if starts_token && chars.peek().is_some_and(char::is_ascii_digit) {
-                    consume_number_tail(&mut chars);
-                    out.push('?');
-                } else {
-                    out.push(c);
-                }
-            }
-            _ => out.push(c),
-        }
-    }
-    collapse_list_literals(&out)
-}
-
-/// Consumes the remainder of a numeric literal whose first character was
-/// already taken: digits, a fractional part, and an optional exponent with
-/// sign. Stops before a `..` so range bounds stay separate tokens.
-fn consume_number_tail(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) {
-    let mut seen_dot = false;
-    while let Some(&next) = chars.peek() {
-        if next.is_ascii_digit() {
-            chars.next();
-        } else if next == '.' && !seen_dot {
-            // Peek past the dot without consuming: `1..5` must leave
-            // the range operator intact, so only a `.` followed by a
-            // digit extends the literal.
-            let mut ahead = chars.clone();
-            ahead.next();
-            if ahead.peek().is_some_and(char::is_ascii_digit) {
-                chars.next();
-                seen_dot = true;
-            } else {
-                break;
-            }
-        } else if next == 'e' || next == 'E' {
-            // Exponent: `e` / `E`, optional sign, at least one digit.
-            // Anything else means the `e` starts an identifier (`1em`
-            // cannot occur in valid Cypher, but stay conservative).
-            let mut ahead = chars.clone();
-            ahead.next();
-            let after = ahead.peek().copied();
-            let signed = matches!(after, Some('+') | Some('-'));
-            if signed {
-                ahead.next();
-            }
-            if ahead.peek().is_some_and(char::is_ascii_digit) {
-                chars.next(); // e
-                if signed {
-                    chars.next(); // sign
-                }
-                while chars.peek().is_some_and(char::is_ascii_digit) {
-                    chars.next();
-                }
-            }
-            break;
-        } else {
-            break;
-        }
-    }
-}
-
-/// Collapses normalized literal *lists* (`[?, ?, ?]` from `[1, 2, 3]`) to a
-/// single `[?]` placeholder, so `UNWIND [1, 2]` and `UNWIND [7, 8, 9]`
-/// share one fingerprint regardless of list length. Only runs inside
-/// square brackets: `RETURN ?, ?` (two projection items) and `RETURN ?`
-/// (one) must keep distinct shapes — the old text-global collapse conflated
-/// them and collided distinct plans in the cache.
-fn collapse_list_literals(text: &str) -> String {
-    let bytes = text.as_bytes();
-    let mut out = String::with_capacity(text.len());
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'[' {
-            // Scan ahead: does this bracket hold only `?` placeholders
-            // separated by commas (whitespace allowed)?
-            let mut j = i + 1;
-            let mut placeholders = 0usize;
-            let mut expect_placeholder = true;
-            let mut collapsible = false;
-            while j < bytes.len() {
-                match bytes[j] {
-                    b' ' => {}
-                    b'?' if expect_placeholder => {
-                        placeholders += 1;
-                        expect_placeholder = false;
-                    }
-                    b',' if !expect_placeholder => expect_placeholder = true,
-                    b']' if !expect_placeholder && placeholders > 0 => {
-                        collapsible = true;
-                        break;
-                    }
-                    _ => break,
-                }
-                j += 1;
-            }
-            if collapsible {
-                out.push_str("[?]");
-                i = j + 1;
-                continue;
-            }
-        }
-        let c = text[i..].chars().next().expect("in-bounds char");
-        out.push(c);
-        i += c.len_utf8();
-    }
-    out
+    lex_shape(query).0
 }
 
 /// Stable 64-bit FNV-1a hash, rendered as 16 hex digits. Used for both

@@ -34,7 +34,7 @@ pub use ast::{
     SortRef, Stage, UnwindSource, UnwindStage,
 };
 pub use error::{ParseError, QueryGraphError};
-pub use parser::{parse, parse_pipeline, DEFAULT_MAX_HOPS};
+pub use parser::{parse, parse_pipeline, parse_tokens, DEFAULT_MAX_HOPS};
 pub use predicates::{
     Atom, Bindings, CmpOp, CnfClause, CnfPredicate, Expression, Literal, Operand,
 };

@@ -1,17 +1,20 @@
 //! Recursive-descent parser for the supported Cypher subset.
 //!
-//! Supported grammar (the pattern-matching core of Cypher used by the
-//! paper): one or more `MATCH` clauses with comma-separated path patterns,
-//! node/relationship patterns with variables, `|`-alternated label
-//! predicates, inline property maps, both edge directions, undirected
-//! edges, variable-length path expressions `*l..u`, a `WHERE` clause with
-//! comparisons, `AND`/`OR`/`NOT` and parentheses, and a `RETURN` clause
-//! (`*`, variables, property accesses, `count(*)`).
+//! One grammar, [`Parser::pipeline`]: `MATCH` / `OPTIONAL MATCH` / `WITH` /
+//! `UNWIND` stages with comma-separated path patterns, node/relationship
+//! patterns with variables, `|`-alternated label predicates, inline
+//! property maps, both edge directions, undirected edges, variable-length
+//! path expressions `*l..u`, `WHERE` clauses with comparisons,
+//! `AND`/`OR`/`NOT` and parentheses, and a `RETURN` projection with
+//! aggregates, aliases and `ORDER BY` / `SKIP` / `LIMIT`. The paper's
+//! pattern-matching core — one `MATCH … [WHERE …] RETURN` of `*`,
+//! variables, property accesses or `count(*)` — is the special case
+//! [`parse`] lowers out of it through [`Pipeline::as_simple`].
 
 use crate::ast::{
     AggArg, AggFunc, AggregateCall, Direction, MapValue, MatchStage, NodePattern, PathPattern,
-    PathRange, Pipeline, Projection, ProjectionExpr, ProjectionItem, Query, RelPattern,
-    ReturnClause, ReturnItem, SortKey, SortRef, Stage, UnwindSource, UnwindStage,
+    PathRange, Pipeline, Projection, ProjectionExpr, ProjectionItem, Query, RelPattern, SortKey,
+    SortRef, Stage, UnwindSource, UnwindStage,
 };
 use crate::error::{ParseError, Position};
 use crate::lexer::lex;
@@ -24,17 +27,38 @@ use crate::token::{Keyword, Token, TokenKind};
 /// used by the paper's benchmark queries.
 pub const DEFAULT_MAX_HOPS: usize = 10;
 
-/// Parses a query string into an AST.
+/// Parses a single `MATCH … [WHERE …] RETURN …` into the classic [`Query`]
+/// AST: [`parse_pipeline`] followed by [`Pipeline::as_simple`]. A text that
+/// parses but is a clause pipeline (a second reading clause, `ORDER BY` /
+/// `SKIP` / `LIMIT`, aggregates or aliased variables in `RETURN`) is an
+/// error at the clause that makes it one.
 pub fn parse(input: &str) -> Result<Query, ParseError> {
-    let tokens = lex(input)?;
-    Parser { tokens, index: 0 }.query()
+    let mut parser = Parser {
+        tokens: lex(input)?,
+        index: 0,
+    };
+    let pipeline = parser.pipeline()?;
+    pipeline.as_simple().ok_or_else(|| parser.beyond_simple())
 }
 
 /// Parses a multi-clause read query (`MATCH` / `OPTIONAL MATCH` / `WITH` /
 /// `UNWIND` stages followed by `RETURN` with optional `ORDER BY` / `SKIP` /
 /// `LIMIT`) into a [`Pipeline`].
 pub fn parse_pipeline(input: &str) -> Result<Pipeline, ParseError> {
-    let tokens = lex(input)?;
+    parse_tokens(lex(input)?)
+}
+
+/// [`parse_pipeline`] over an already lexed text — for a caller that also
+/// needs the tokens' shape ([`lex_shape`](crate::lexer::lex_shape)) and
+/// should not lex twice.
+pub fn parse_tokens(tokens: Vec<Token>) -> Result<Pipeline, ParseError> {
+    // The grammar reads up to an `Eof`; the lexer always ends with one.
+    if !matches!(tokens.last(), Some(token) if token.kind == TokenKind::Eof) {
+        return Err(ParseError::new(
+            Position::start(),
+            "expected tokens ending in end of input",
+        ));
+    }
     Parser { tokens, index: 0 }.pipeline()
 }
 
@@ -52,21 +76,50 @@ impl Parser {
         self.tokens[self.index].position
     }
 
-    fn bump(&mut self) -> TokenKind {
-        let kind = self.tokens[self.index].kind.clone();
+    fn bump(&mut self) {
         if self.index + 1 < self.tokens.len() {
             self.index += 1;
         }
-        kind
     }
 
     fn eat(&mut self, expected: &TokenKind) -> bool {
-        if self.peek() == expected {
+        let found = self.peek() == expected;
+        if found {
             self.bump();
-            true
-        } else {
-            false
         }
+        found
+    }
+
+    /// Consumes an identifier token, if one is next, and moves its name out
+    /// of the token vector: the grammar never looks back at a token.
+    fn eat_ident(&mut self) -> Option<String> {
+        let TokenKind::Ident(name) = &mut self.tokens[self.index].kind else {
+            return None;
+        };
+        let name = std::mem::take(name);
+        self.bump();
+        Some(name)
+    }
+
+    /// [`eat_ident`](Parser::eat_ident) for a `$name` parameter.
+    fn eat_parameter(&mut self) -> Option<String> {
+        let TokenKind::Parameter(name) = &mut self.tokens[self.index].kind else {
+            return None;
+        };
+        let name = std::mem::take(name);
+        self.bump();
+        Some(name)
+    }
+
+    /// Consumes an integer token as a count (a path bound, `SKIP`, `LIMIT`).
+    /// The lexer makes no negative integers: `-` is a token of its own.
+    fn eat_count(&mut self) -> Option<usize> {
+        let TokenKind::Integer(value) = *self.peek() else {
+            return None;
+        };
+        let count = usize::try_from(value).ok()?;
+        self.bump();
+        Some(count)
     }
 
     fn expect(&mut self, expected: &TokenKind) -> Result<(), ParseError> {
@@ -77,57 +130,49 @@ impl Parser {
         }
     }
 
-    fn expect_keyword(&mut self, keyword: Keyword) -> Result<(), ParseError> {
-        if self.eat(&TokenKind::Keyword(keyword)) {
-            Ok(())
-        } else {
-            Err(self.error(format!(
-                "expected keyword `{keyword:?}`, found {}",
-                self.peek()
-            )))
-        }
-    }
-
     fn error(&self, message: impl Into<String>) -> ParseError {
         ParseError::new(self.position(), message)
     }
 
     fn ident(&mut self, what: &str) -> Result<String, ParseError> {
-        match self.peek() {
-            TokenKind::Ident(name) => {
-                let name = name.clone();
-                self.bump();
-                Ok(name)
-            }
-            other => Err(self.error(format!("expected {what}, found {other}"))),
+        self.eat_ident()
+            .ok_or_else(|| self.error(format!("expected {what}, found {}", self.peek())))
+    }
+
+    /// The `key` of a `variable.key` whose variable was just consumed, `None`
+    /// for a bare variable.
+    fn property_key(&mut self) -> Result<Option<String>, ParseError> {
+        if self.eat(&TokenKind::Dot) {
+            self.ident("property key").map(Some)
+        } else {
+            Ok(None)
         }
     }
 
-    // --- query ---------------------------------------------------------------
-
-    fn query(&mut self) -> Result<Query, ParseError> {
-        self.expect_keyword(Keyword::Match)?;
-        let mut patterns = vec![self.path_pattern()?];
-        loop {
-            if self.eat(&TokenKind::Comma) || self.eat(&TokenKind::Keyword(Keyword::Match)) {
-                patterns.push(self.path_pattern()?);
-            } else {
-                break;
-            }
-        }
-        let where_clause = if self.eat(&TokenKind::Keyword(Keyword::Where)) {
-            Some(self.expression()?)
-        } else {
-            None
+    /// The error of [`parse`] for a text that parsed as a pipeline and does
+    /// not lower to one `MATCH … RETURN`: it points at the first clause the
+    /// classic form cannot hold — failing one, at the `RETURN` whose items
+    /// aggregate or alias.
+    fn beyond_simple(&self) -> ParseError {
+        use Keyword::{Limit, Match, Optional, Order, Return, Skip, Unwind, With};
+        let clause = |(index, token): &(usize, &Token)| match token.kind {
+            TokenKind::Keyword(Match) => *index > 0,
+            TokenKind::Keyword(Optional | With | Unwind | Order | Skip | Limit) => true,
+            _ => false,
         };
-        self.expect_keyword(Keyword::Return)?;
-        let return_clause = self.return_clause()?;
-        self.expect(&TokenKind::Eof)?;
-        Ok(Query {
-            patterns,
-            where_clause,
-            return_clause,
-        })
+        let is_return = |(_, token): &(usize, &Token)| token.kind == TokenKind::Keyword(Return);
+        let mut tokens = self.tokens.iter().enumerate();
+        let (_, token) = (tokens.clone().find(clause))
+            .or_else(|| tokens.find(is_return))
+            .expect("a parsed pipeline has a RETURN");
+        ParseError::new(
+            token.position,
+            format!(
+                "expected a single `MATCH … RETURN`, found a clause pipeline ({} here); \
+                 parse it with `parse_pipeline`",
+                token.kind
+            ),
+        )
     }
 
     // --- patterns ------------------------------------------------------------
@@ -145,14 +190,7 @@ impl Parser {
 
     fn node_pattern(&mut self) -> Result<NodePattern, ParseError> {
         self.expect(&TokenKind::LParen)?;
-        let variable = match self.peek() {
-            TokenKind::Ident(name) => {
-                let name = name.clone();
-                self.bump();
-                Some(name)
-            }
-            _ => None,
-        };
+        let variable = self.eat_ident();
         let labels = if self.eat(&TokenKind::Colon) {
             self.label_alternatives()?
         } else {
@@ -189,13 +227,9 @@ impl Parser {
                 // A map value is a literal or a `$param` placeholder; the
                 // placeholder is kept in the AST and resolved against the
                 // caller's bindings when the query graph is built.
-                let value = match self.peek() {
-                    TokenKind::Parameter(name) => {
-                        let name = name.clone();
-                        self.bump();
-                        MapValue::Parameter(name)
-                    }
-                    _ => MapValue::Literal(self.literal()?),
+                let value = match self.eat_parameter() {
+                    Some(name) => MapValue::Parameter(name),
+                    None => MapValue::Literal(self.literal()?),
                 };
                 entries.push((key, value));
                 if !self.eat(&TokenKind::Comma) {
@@ -230,14 +264,7 @@ impl Parser {
 
     fn rel_detail(&mut self) -> Result<RelPattern, ParseError> {
         self.expect(&TokenKind::LBracket)?;
-        let variable = match self.peek() {
-            TokenKind::Ident(name) => {
-                let name = name.clone();
-                self.bump();
-                Some(name)
-            }
-            _ => None,
-        };
+        let variable = self.eat_ident();
         let labels = if self.eat(&TokenKind::Colon) {
             self.label_alternatives()?
         } else {
@@ -265,29 +292,9 @@ impl Parser {
 
     fn path_range(&mut self) -> Result<PathRange, ParseError> {
         // Already consumed `*`. Forms: `*`, `*n`, `*l..`, `*..u`, `*l..u`.
-        let lower = match self.peek() {
-            TokenKind::Integer(value) => {
-                let value = *value;
-                if value < 0 {
-                    return Err(self.error("path bounds must be non-negative"));
-                }
-                self.bump();
-                Some(value as usize)
-            }
-            _ => None,
-        };
+        let lower = self.eat_count();
         if self.eat(&TokenKind::DotDot) {
-            let upper = match self.peek() {
-                TokenKind::Integer(value) => {
-                    let value = *value;
-                    if value < 0 {
-                        return Err(self.error("path bounds must be non-negative"));
-                    }
-                    self.bump();
-                    Some(value as usize)
-                }
-                _ => None,
-            };
+            let upper = self.eat_count();
             let lower = lower.unwrap_or(1);
             match upper {
                 Some(upper) => {
@@ -312,52 +319,6 @@ impl Parser {
         }
     }
 
-    // --- RETURN ----------------------------------------------------------------
-
-    fn return_clause(&mut self) -> Result<ReturnClause, ParseError> {
-        let distinct = self.eat(&TokenKind::Keyword(Keyword::Distinct));
-        let mut items = Vec::new();
-        loop {
-            let item = match self.peek().clone() {
-                TokenKind::Star => {
-                    self.bump();
-                    ReturnItem::All
-                }
-                TokenKind::Keyword(Keyword::Count) => {
-                    self.bump();
-                    self.expect(&TokenKind::LParen)?;
-                    self.expect(&TokenKind::Star)?;
-                    self.expect(&TokenKind::RParen)?;
-                    ReturnItem::CountStar
-                }
-                TokenKind::Ident(variable) => {
-                    self.bump();
-                    if self.eat(&TokenKind::Dot) {
-                        let key = self.ident("property key")?;
-                        let alias = if self.eat(&TokenKind::Keyword(Keyword::As)) {
-                            Some(self.ident("alias")?)
-                        } else {
-                            None
-                        };
-                        ReturnItem::Property {
-                            variable,
-                            key,
-                            alias,
-                        }
-                    } else {
-                        ReturnItem::Variable(variable)
-                    }
-                }
-                other => return Err(self.error(format!("expected return item, found {other}"))),
-            };
-            items.push(item);
-            if !self.eat(&TokenKind::Comma) {
-                break;
-            }
-        }
-        Ok(ReturnClause { items, distinct })
-    }
-
     // --- pipeline queries ------------------------------------------------------
 
     fn pipeline(&mut self) -> Result<Pipeline, ParseError> {
@@ -370,7 +331,7 @@ impl Parser {
                 }
                 TokenKind::Keyword(Keyword::Optional) => {
                     self.bump();
-                    self.expect_keyword(Keyword::Match)?;
+                    self.expect(&TokenKind::Keyword(Keyword::Match))?;
                     stages.push(Stage::OptionalMatch(self.match_stage()?));
                 }
                 TokenKind::Keyword(Keyword::With) => {
@@ -393,7 +354,7 @@ impl Parser {
         if let Some(Stage::OptionalMatch(_)) = stages.first() {
             return Err(self.error("a query cannot start with OPTIONAL MATCH"));
         }
-        self.expect_keyword(Keyword::Return)?;
+        self.expect(&TokenKind::Keyword(Keyword::Return))?;
         let ret = self.projection(false)?;
         self.expect(&TokenKind::Eof)?;
         Ok(Pipeline { stages, ret })
@@ -418,43 +379,35 @@ impl Parser {
     }
 
     fn unwind_stage(&mut self) -> Result<UnwindStage, ParseError> {
-        let source = match self.peek().clone() {
-            TokenKind::LBracket => {
-                self.bump();
-                let mut items = Vec::new();
-                if !matches!(self.peek(), TokenKind::RBracket) {
-                    loop {
-                        items.push(self.literal()?);
-                        if !self.eat(&TokenKind::Comma) {
-                            break;
-                        }
+        let source = if self.eat(&TokenKind::LBracket) {
+            let mut items = Vec::new();
+            if !matches!(self.peek(), TokenKind::RBracket) {
+                loop {
+                    items.push(self.literal()?);
+                    if !self.eat(&TokenKind::Comma) {
+                        break;
                     }
                 }
-                self.expect(&TokenKind::RBracket)?;
-                UnwindSource::List(items)
             }
-            TokenKind::Ident(variable) => {
-                self.bump();
-                if self.eat(&TokenKind::Dot) {
-                    let key = self.ident("property key")?;
-                    UnwindSource::Property { variable, key }
-                } else {
-                    UnwindSource::Variable(variable)
-                }
+            self.expect(&TokenKind::RBracket)?;
+            UnwindSource::List(items)
+        } else if let Some(variable) = self.eat_ident() {
+            match self.property_key()? {
+                Some(key) => UnwindSource::Property { variable, key },
+                None => UnwindSource::Variable(variable),
             }
-            other => {
-                return Err(self.error(format!(
-                    "expected list or variable after UNWIND, found {other}"
-                )))
-            }
+        } else {
+            return Err(self.error(format!(
+                "expected list or variable after UNWIND, found {}",
+                self.peek()
+            )));
         };
-        self.expect_keyword(Keyword::As)?;
+        self.expect(&TokenKind::Keyword(Keyword::As))?;
         let alias = self.ident("UNWIND alias")?;
         Ok(UnwindStage { source, alias })
     }
 
     fn projection(&mut self, is_with: bool) -> Result<Projection, ParseError> {
-        let clause = if is_with { "WITH" } else { "RETURN" };
         let distinct = self.eat(&TokenKind::Keyword(Keyword::Distinct));
         let mut star = false;
         let mut items = Vec::new();
@@ -470,7 +423,7 @@ impl Parser {
                     && !matches!(item.expr, ProjectionExpr::Variable(_))
                 {
                     return Err(self.error(format!(
-                        "{clause} item `{item}` must be aliased (`... AS name`)"
+                        "WITH item `{item}` must be aliased (`... AS name`)"
                     )));
                 }
                 items.push(item);
@@ -481,7 +434,7 @@ impl Parser {
         }
         let mut order_by = Vec::new();
         if self.eat(&TokenKind::Keyword(Keyword::Order)) {
-            self.expect_keyword(Keyword::By)?;
+            self.expect(&TokenKind::Keyword(Keyword::By))?;
             loop {
                 order_by.push(self.sort_key()?);
                 if !self.eat(&TokenKind::Comma) {
@@ -516,17 +469,12 @@ impl Parser {
     }
 
     fn row_count(&mut self, clause: &str) -> Result<usize, ParseError> {
-        match self.peek() {
-            TokenKind::Integer(value) => {
-                let value = *value;
-                if value < 0 {
-                    return Err(self.error(format!("{clause} must be non-negative")));
-                }
-                self.bump();
-                Ok(value as usize)
-            }
-            other => Err(self.error(format!("expected integer after {clause}, found {other}"))),
-        }
+        self.eat_count().ok_or_else(|| {
+            self.error(format!(
+                "expected integer after {clause}, found {}",
+                self.peek()
+            ))
+        })
     }
 
     fn agg_func(keyword: Keyword) -> Option<AggFunc> {
@@ -542,22 +490,20 @@ impl Parser {
     }
 
     fn projection_item(&mut self) -> Result<ProjectionItem, ParseError> {
-        let expr = match self.peek().clone() {
-            TokenKind::Keyword(k) if Self::agg_func(k).is_some() => {
-                let func = Self::agg_func(k).expect("guard checked");
-                self.bump();
-                ProjectionExpr::Aggregate(self.aggregate_call(func)?)
+        let aggregate = match self.peek() {
+            TokenKind::Keyword(keyword) => Self::agg_func(*keyword),
+            _ => None,
+        };
+        let expr = if let Some(func) = aggregate {
+            self.bump();
+            ProjectionExpr::Aggregate(self.aggregate_call(func)?)
+        } else if let Some(variable) = self.eat_ident() {
+            match self.property_key()? {
+                Some(key) => ProjectionExpr::Property { variable, key },
+                None => ProjectionExpr::Variable(variable),
             }
-            TokenKind::Ident(variable) => {
-                self.bump();
-                if self.eat(&TokenKind::Dot) {
-                    let key = self.ident("property key")?;
-                    ProjectionExpr::Property { variable, key }
-                } else {
-                    ProjectionExpr::Variable(variable)
-                }
-            }
-            other => return Err(self.error(format!("expected projection item, found {other}"))),
+        } else {
+            return Err(self.error(format!("expected projection item, found {}", self.peek())));
         };
         let alias = if self.eat(&TokenKind::Keyword(Keyword::As)) {
             Some(self.ident("alias")?)
@@ -583,12 +529,10 @@ impl Parser {
             None
         } else {
             let variable = self.ident("aggregate argument")?;
-            if self.eat(&TokenKind::Dot) {
-                let key = self.ident("property key")?;
-                Some(AggArg::Property { variable, key })
-            } else {
-                Some(AggArg::Variable(variable))
-            }
+            Some(match self.property_key()? {
+                Some(key) => AggArg::Property { variable, key },
+                None => AggArg::Variable(variable),
+            })
         };
         self.expect(&TokenKind::RParen)?;
         Ok(AggregateCall {
@@ -599,15 +543,10 @@ impl Parser {
     }
 
     fn sort_key(&mut self) -> Result<SortKey, ParseError> {
-        let name = self.ident("ORDER BY key")?;
-        let expr = if self.eat(&TokenKind::Dot) {
-            let key = self.ident("property key")?;
-            SortRef::Property {
-                variable: name,
-                key,
-            }
-        } else {
-            SortRef::Name(name)
+        let variable = self.ident("ORDER BY key")?;
+        let expr = match self.property_key()? {
+            Some(key) => SortRef::Property { variable, key },
+            None => SortRef::Name(variable),
         };
         let descending = if self.eat(&TokenKind::Keyword(Keyword::Desc)) {
             true
@@ -654,7 +593,7 @@ impl Parser {
         let left = self.primary()?;
         if self.eat(&TokenKind::Keyword(Keyword::Is)) {
             let negated = self.eat(&TokenKind::Keyword(Keyword::Not));
-            self.expect_keyword(Keyword::Null)?;
+            self.expect(&TokenKind::Keyword(Keyword::Null))?;
             return Ok(Expression::IsNull {
                 operand: Box::new(left),
                 negated,
@@ -679,53 +618,45 @@ impl Parser {
     }
 
     fn primary(&mut self) -> Result<Expression, ParseError> {
-        match self.peek().clone() {
-            TokenKind::LParen => {
-                self.bump();
-                let inner = self.expression()?;
-                self.expect(&TokenKind::RParen)?;
-                Ok(inner)
-            }
-            TokenKind::Ident(variable) => {
-                self.bump();
-                if self.eat(&TokenKind::Dot) {
-                    let key = self.ident("property key")?;
-                    Ok(Expression::Property { variable, key })
-                } else {
-                    Ok(Expression::Variable(variable))
-                }
-            }
-            TokenKind::Parameter(name) => {
-                self.bump();
-                Ok(Expression::Parameter(name))
-            }
-            _ => self.literal().map(Expression::Literal),
+        if self.eat(&TokenKind::LParen) {
+            let inner = self.expression()?;
+            self.expect(&TokenKind::RParen)?;
+            Ok(inner)
+        } else if let Some(variable) = self.eat_ident() {
+            Ok(match self.property_key()? {
+                Some(key) => Expression::Property { variable, key },
+                None => Expression::Variable(variable),
+            })
+        } else if let Some(name) = self.eat_parameter() {
+            Ok(Expression::Parameter(name))
+        } else {
+            self.literal().map(Expression::Literal)
         }
     }
 
     fn literal(&mut self) -> Result<Literal, ParseError> {
-        let literal = match self.peek().clone() {
-            TokenKind::String(value) => Literal::String(value),
-            TokenKind::Integer(value) => Literal::Integer(value),
-            TokenKind::Float(value) => Literal::Float(value),
-            TokenKind::Keyword(Keyword::True) => Literal::Boolean(true),
-            TokenKind::Keyword(Keyword::False) => Literal::Boolean(false),
-            TokenKind::Keyword(Keyword::Null) => Literal::Null,
-            TokenKind::Minus => {
-                self.bump();
-                return match self.peek().clone() {
-                    TokenKind::Integer(value) => {
-                        self.bump();
-                        Ok(Literal::Integer(-value))
-                    }
-                    TokenKind::Float(value) => {
-                        self.bump();
-                        Ok(Literal::Float(-value))
-                    }
-                    other => Err(self.error(format!("expected number after `-`, found {other}"))),
-                };
+        let negative = self.eat(&TokenKind::Minus);
+        let literal = match &mut self.tokens[self.index].kind {
+            TokenKind::Integer(value) => {
+                Some(Literal::Integer(if negative { -*value } else { *value }))
             }
-            other => return Err(self.error(format!("expected literal, found {other}"))),
+            TokenKind::Float(value) => {
+                Some(Literal::Float(if negative { -*value } else { *value }))
+            }
+            _ if negative => None,
+            TokenKind::String(value) => Some(Literal::String(std::mem::take(value))),
+            TokenKind::Keyword(Keyword::True) => Some(Literal::Boolean(true)),
+            TokenKind::Keyword(Keyword::False) => Some(Literal::Boolean(false)),
+            TokenKind::Keyword(Keyword::Null) => Some(Literal::Null),
+            _ => None,
+        };
+        let Some(literal) = literal else {
+            let wanted = if negative {
+                "number after `-`"
+            } else {
+                "literal"
+            };
+            return Err(self.error(format!("expected {wanted}, found {}", self.peek())));
         };
         self.bump();
         Ok(literal)
@@ -735,6 +666,7 @@ impl Parser {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::ReturnItem;
 
     #[test]
     fn parses_paper_example_query() {
@@ -904,9 +836,42 @@ mod tests {
     }
 
     #[test]
-    fn parses_multiple_match_clauses() {
-        let q = parse("MATCH (a)-[:x]->(b) MATCH (b)-[:y]->(c) RETURN *").expect("parse");
-        assert_eq!(q.patterns.len(), 2);
+    fn parse_rejects_exactly_what_does_not_lower_to_a_single_match() {
+        // (text, column of the clause that makes it a pipeline)
+        let pipelines = [
+            ("MATCH (a) RETURN a ORDER BY a.p", 20),
+            ("MATCH (a) RETURN a SKIP 1", 20),
+            ("MATCH (a) RETURN a LIMIT 2", 20),
+            ("MATCH (a) RETURN count(*) AS n", 11),
+            ("MATCH (a) RETURN a AS b", 11),
+            ("MATCH (a) RETURN sum(a.p)", 11),
+            ("MATCH (a) RETURN DISTINCT count(*)", 11),
+            ("MATCH (a) RETURN a, count(*)", 11),
+            ("MATCH (a) OPTIONAL MATCH (a)-[e]->(b) RETURN *", 11),
+            // Two MATCH clauses used to be merged into one pattern list —
+            // query-wide instead of per-clause edge uniqueness.
+            ("MATCH (a)-[:x]->(b) MATCH (b)-[:y]->(c) RETURN *", 21),
+            ("MATCH (a) WITH a RETURN a", 11),
+            ("UNWIND [1] AS x RETURN x", 1),
+        ];
+        for (text, column) in pipelines {
+            let pipeline = parse_pipeline(text).expect(text);
+            assert!(pipeline.as_simple().is_none(), "{text}");
+            let error = parse(text).expect_err(text);
+            assert_eq!((error.position.line, error.position.column), (1, column));
+            assert!(error.message.contains("clause pipeline"), "{error}");
+            assert!(error.message.contains("parse_pipeline"), "{error}");
+        }
+        let simple = [
+            "MATCH (a) RETURN *",
+            "MATCH (a), (b) WHERE a.p = b.p RETURN DISTINCT a.p AS p, b",
+            "MATCH (a)-[e]->(b) RETURN count(*)",
+        ];
+        for text in simple {
+            let lowered = parse_pipeline(text).expect(text).as_simple();
+            assert_eq!(parse(text).ok(), lowered, "{text}");
+            assert!(lowered.is_some(), "{text}");
+        }
     }
 
     #[test]
@@ -1052,6 +1017,17 @@ mod tests {
         ));
         assert!(parse_pipeline("UNWIND a.tags AS t RETURN t").is_ok());
         assert!(parse_pipeline("UNWIND 5 AS t RETURN t").is_err());
+    }
+
+    #[test]
+    fn parse_tokens_takes_the_lexers_output_only() {
+        let mut tokens = lex("MATCH (a) RETURN a,").unwrap();
+        assert!(parse_tokens(tokens.clone()).is_err());
+        // Without the `Eof` the trailing `,` would be eaten forever.
+        tokens.pop();
+        assert!(parse_tokens(tokens).is_err());
+        assert!(parse_tokens(Vec::new()).is_err());
+        assert!(parse_tokens(lex("MATCH (a) RETURN a").unwrap()).is_ok());
     }
 
     #[test]

@@ -61,39 +61,46 @@ pub enum Keyword {
     Avg,
 }
 
+/// Every keyword with its canonical upper-case spelling.
+const KEYWORDS: [(&str, Keyword); 29] = [
+    ("MATCH", Keyword::Match),
+    ("WHERE", Keyword::Where),
+    ("RETURN", Keyword::Return),
+    ("AND", Keyword::And),
+    ("OR", Keyword::Or),
+    ("NOT", Keyword::Not),
+    ("TRUE", Keyword::True),
+    ("FALSE", Keyword::False),
+    ("NULL", Keyword::Null),
+    ("AS", Keyword::As),
+    ("COUNT", Keyword::Count),
+    ("IS", Keyword::Is),
+    ("DISTINCT", Keyword::Distinct),
+    ("WITH", Keyword::With),
+    ("OPTIONAL", Keyword::Optional),
+    ("UNWIND", Keyword::Unwind),
+    ("ORDER", Keyword::Order),
+    ("BY", Keyword::By),
+    ("SKIP", Keyword::Skip),
+    ("LIMIT", Keyword::Limit),
+    ("ASC", Keyword::Asc),
+    ("ASCENDING", Keyword::Asc),
+    ("DESC", Keyword::Desc),
+    ("DESCENDING", Keyword::Desc),
+    ("COLLECT", Keyword::Collect),
+    ("SUM", Keyword::Sum),
+    ("MIN", Keyword::Min),
+    ("MAX", Keyword::Max),
+    ("AVG", Keyword::Avg),
+];
+
 impl Keyword {
     /// Parses a keyword from an identifier, case-insensitively.
     pub fn from_ident(ident: &str) -> Option<Keyword> {
-        match ident.to_ascii_uppercase().as_str() {
-            "MATCH" => Some(Keyword::Match),
-            "WHERE" => Some(Keyword::Where),
-            "RETURN" => Some(Keyword::Return),
-            "AND" => Some(Keyword::And),
-            "OR" => Some(Keyword::Or),
-            "NOT" => Some(Keyword::Not),
-            "TRUE" => Some(Keyword::True),
-            "FALSE" => Some(Keyword::False),
-            "NULL" => Some(Keyword::Null),
-            "AS" => Some(Keyword::As),
-            "COUNT" => Some(Keyword::Count),
-            "IS" => Some(Keyword::Is),
-            "DISTINCT" => Some(Keyword::Distinct),
-            "WITH" => Some(Keyword::With),
-            "OPTIONAL" => Some(Keyword::Optional),
-            "UNWIND" => Some(Keyword::Unwind),
-            "ORDER" => Some(Keyword::Order),
-            "BY" => Some(Keyword::By),
-            "SKIP" => Some(Keyword::Skip),
-            "LIMIT" => Some(Keyword::Limit),
-            "ASC" | "ASCENDING" => Some(Keyword::Asc),
-            "DESC" | "DESCENDING" => Some(Keyword::Desc),
-            "COLLECT" => Some(Keyword::Collect),
-            "SUM" => Some(Keyword::Sum),
-            "MIN" => Some(Keyword::Min),
-            "MAX" => Some(Keyword::Max),
-            "AVG" => Some(Keyword::Avg),
-            _ => None,
-        }
+        KEYWORDS
+            .iter()
+            .find(|(text, _)| text.eq_ignore_ascii_case(ident))
+            .map(|&(_, keyword)| keyword)
     }
 }
 
@@ -161,6 +168,9 @@ pub struct Token {
     pub kind: TokenKind,
     /// Where it starts.
     pub position: Position,
+    /// The bytes of the query text it was lexed from (quotes, backticks and
+    /// the `$` of a parameter included; empty for [`TokenKind::Eof`]).
+    pub span: std::ops::Range<usize>,
 }
 
 impl std::fmt::Display for TokenKind {

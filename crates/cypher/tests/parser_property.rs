@@ -1,14 +1,16 @@
 //! Property-based tests of the Cypher front-end: pretty-printing a random
-//! AST and reparsing it yields the same AST, and CNF conversion preserves
-//! two-valued semantics on comparable values.
+//! AST and reparsing it yields the same AST, CNF conversion preserves
+//! two-valued semantics on comparable values, and no string whatsoever —
+//! grammar-shaped or not — panics the lexer, the parser or the shape fold.
 
 use gradoop_cypher::ast::{
     Direction, MapValue, NodePattern, PathPattern, PathRange, Query, RelPattern, ReturnClause,
     ReturnItem,
 };
+use gradoop_cypher::lexer::{lex, lex_shape};
 use gradoop_cypher::predicates::cnf::to_cnf;
 use gradoop_cypher::predicates::eval::{eval_predicate, Bindings};
-use gradoop_cypher::{parse, CmpOp, Expression, Literal};
+use gradoop_cypher::{parse, parse_pipeline, CmpOp, Expression, Literal};
 use gradoop_epgm::{Label, PropertyValue};
 use proptest::prelude::*;
 
@@ -151,6 +153,60 @@ proptest! {
         let reparsed = parse(&printed)
             .unwrap_or_else(|e| panic!("failed to reparse {printed:?}: {e}"));
         prop_assert_eq!(reparsed, q, "{}", printed);
+    }
+}
+
+// --- byte-level robustness ---------------------------------------------------
+
+/// Arbitrary text: runs of characters the lexer gives a meaning to (lone
+/// quotes, backticks, `$`, `/`, `\\`), multi-byte characters, and whole
+/// fragments — an integer beyond `i64`, keywords, a well-formed clause — so
+/// cases reach past the first token.
+fn arbitrary_text() -> impl Strategy<Value = String> {
+    proptest::collection::vec(
+        prop_oneof![
+            "[ \n\ta-fA-F_0-9'\"`$/\\.,:;|*<>=(){}[+^?!é€𝔸-]{0,8}",
+            Just("]".to_string()),
+            Just("12345678901234567890".to_string()),
+            Just("MATCH (a:A)-[e:x*1..2]->(b {p: 1e9})".to_string()),
+            Just(" WHERE a.p <> $né AND NOT b.q IS NULL".to_string()),
+            Just(" RETURN DISTINCT a.p AS p, count(*) ORDER BY p SKIP 1 LIMIT 2".to_string()),
+            Just(" UNWIND [1, 'x', .5] AS v WITH v OPTIONAL MATCH".to_string()),
+            Just("// comment\n".to_string()),
+        ],
+        0..6,
+    )
+    .prop_map(|parts| parts.concat())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 20_000 })]
+    #[test]
+    fn no_text_panics_the_front_end(text in arbitrary_text()) {
+        // Every entry point answers `Ok` or a `ParseError` whose position
+        // lies in the text — reaching the assertions is the property.
+        let lines = text.lines().count().max(1) + 1;
+        for error in [
+            lex(&text).err(),
+            parse_pipeline(&text).err(),
+            parse(&text).err(),
+        ]
+        .into_iter()
+        .flatten()
+        {
+            prop_assert!(error.position.line <= lines, "{error} in {text:?}");
+        }
+        // One lex gives `lex`'s answer and a shape for any text; every span
+        // is a char-boundary slice, in order, of the text.
+        let (shape, tokens) = lex_shape(&text);
+        prop_assert_eq!(&tokens, &lex(&text), "{:?}", text);
+        prop_assert!(tokens.is_ok() || !shape.is_empty(), "{:?}", text);
+        let mut end = 0;
+        for token in tokens.iter().flatten() {
+            prop_assert!(end <= token.span.start && token.span.start <= token.span.end);
+            prop_assert!(text.get(token.span.clone()).is_some(), "{:?} in {:?}", token, text);
+            end = token.span.end;
+        }
     }
 }
 
