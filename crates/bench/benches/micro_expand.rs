@@ -67,7 +67,7 @@ fn micro_expand(c: &mut Criterion) {
                 candidates,
                 |b, candidates| {
                     b.iter(|| {
-                        expand_embeddings(&input, candidates, &config(1, 3, matching))
+                        expand_embeddings(input.clone(), candidates, &config(1, 3, matching))
                             .data
                             .count()
                     })

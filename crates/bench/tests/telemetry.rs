@@ -190,7 +190,13 @@ fn fused_filter_over_join_counts_match_the_separate_operators() {
     let (left_set, _) = walk(left, &join_explain.children[0]);
     let (right_set, _) = walk(right, &join_explain.children[1]);
     let strategy = JoinStrategy::RepartitionHash;
-    let joined = join_embeddings(&left_set, &right_set, variables, &matching, strategy);
+    let joined = join_embeddings(
+        left_set.clone(),
+        right_set.clone(),
+        variables,
+        &matching,
+        strategy,
+    );
     let clause_list: Vec<_> = clauses
         .iter()
         .map(|&index| query.cross_clauses[index].0.clone())

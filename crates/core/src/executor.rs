@@ -132,6 +132,8 @@ fn walk<S: GraphSource + ?Sized>(
         | PlanNode::ExpandIntersect { input, .. } => vec![input],
         PlanNode::ScanVertices { .. } | PlanNode::ScanEdges { .. } => Vec::new(),
     };
+    // Whatever a child produced is this operator's to consume: nothing else
+    // holds it, so the operators below move its rows instead of copying.
     let (child_sets, children): (Vec<EmbeddingSet>, Vec<ProfileNode>) = child_nodes
         .into_iter()
         .zip(&explain.children)
@@ -147,6 +149,9 @@ fn walk<S: GraphSource + ?Sized>(
             )
         })
         .unzip();
+
+    let mut child_sets = child_sets.into_iter();
+    let mut child = || child_sets.next().expect("one set per child node");
 
     let started = Instant::now();
     let mut actual_strategy = None;
@@ -165,18 +170,11 @@ fn walk<S: GraphSource + ?Sized>(
             filter_and_project_edges(&candidates, query_edge, source_var, target_var, matching)
         }
         PlanNode::Join { variables, .. } => {
-            let (strategy, ship) =
-                choose_strategy_partitioned(&child_sets[0], &child_sets[1], variables);
+            let (left, right) = (child(), child());
+            let (strategy, ship) = choose_strategy_partitioned(&left, &right, variables);
             actual_strategy = Some(strategy);
             actual_ship = Some(ship);
-            join_embeddings_filtered(
-                &child_sets[0],
-                &child_sets[1],
-                variables,
-                matching,
-                strategy,
-                residual,
-            )
+            join_embeddings_filtered(left, right, variables, matching, strategy, residual)
         }
         PlanNode::Expand { edge, .. } => {
             let query_edge = &query.edges[*edge];
@@ -190,28 +188,27 @@ fn walk<S: GraphSource + ?Sized>(
                 upper,
                 matching: *matching,
             };
-            expand_embeddings(&child_sets[0], &candidates, &config)
+            expand_embeddings(child(), &candidates, &config)
         }
         PlanNode::ExpandIntersect { vertex, edges, .. } => {
-            expand_intersect(&child_sets[0], query, source, *vertex, edges, matching)
+            expand_intersect(&child(), query, source, *vertex, edges, matching)
         }
-        PlanNode::Filter { clauses, .. } => filter_embeddings(&child_sets[0], &clauses_of(clauses)),
-        PlanNode::Cartesian { .. } => {
-            cartesian_embeddings(&child_sets[0], &child_sets[1], matching)
-        }
+        PlanNode::Filter { clauses, .. } => filter_embeddings(&child(), &clauses_of(clauses)),
+        PlanNode::Cartesian { .. } => cartesian_embeddings(&child(), &child(), matching),
         PlanNode::ValueJoin {
             left_property,
             right_property,
             ..
         } => {
-            let strategy = choose_strategy(&child_sets[0], &child_sets[1]);
+            let (left, right) = (child(), child());
+            let strategy = choose_strategy(&left, &right);
             actual_strategy = Some(strategy);
             // Value joins key on property values; no named partitioning
             // fact exists for those, so neither side can be forwarded.
             actual_ship = Some(ship_strategies(strategy, false, false));
             value_join_embeddings(
-                &child_sets[0],
-                &child_sets[1],
+                &left,
+                &right,
                 left_property,
                 right_property,
                 matching,

@@ -17,6 +17,15 @@
 //! `BulkIteration` the same way. With awareness disabled the candidates are
 //! re-shuffled and re-indexed every round, which is what the shuffle-
 //! avoidance ablation in the benchmark harness measures.
+//!
+//! Rows are written once. The working set is handed to each superstep by
+//! value, so shipping it to the candidate index moves the states; a state
+//! shares its base embedding with every other path grown from the same input
+//! row; and the embeddings a superstep emits are appended to the one solution
+//! set in place.
+
+use std::cell::RefCell;
+use std::sync::Arc;
 
 use gradoop_dataflow::{
     bulk_iterate_with_invariant_index, bulk_iterate_with_results, Dataset, PartitionKey,
@@ -24,7 +33,7 @@ use gradoop_dataflow::{
 };
 
 use crate::embedding::{Embedding, EntryType};
-use crate::matching::{satisfies_morphism, MatchingConfig, MorphismType};
+use crate::matching::{MatchingConfig, MorphismCheck, MorphismType};
 use crate::operators::{malformed_plan, observe_operator, EmbeddingSet};
 
 /// A candidate edge, projected to `(source, edge, target)` identifiers.
@@ -48,13 +57,21 @@ pub struct ExpandConfig {
     pub matching: MatchingConfig,
 }
 
-/// Working-set element: the base embedding, the path's `via` identifiers
-/// (alternating edge, vertex, edge, ...) and the current end vertex.
-type ExpandState = (Embedding, Vec<u64>, u64);
+/// Working-set element: the base embedding (shared by all paths that start
+/// from it), the path's `via` identifiers (alternating edge, vertex, edge,
+/// ...) and the current end vertex.
+type ExpandState = (Arc<Embedding>, Vec<u64>, u64);
 
-/// Expands `input` along `candidates` according to `config`.
+thread_local! {
+    /// Per-worker id staging buffer of the morphism check on emitted rows.
+    static EMIT_IDS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Expands `input` along `candidates` according to `config`. Takes `input`
+/// by value like every operator that ships its rows; the expansion itself
+/// reads it once, to seed the working set.
 pub fn expand_embeddings(
-    input: &EmbeddingSet,
+    input: EmbeddingSet,
     candidates: &Dataset<EdgeTriple>,
     config: &ExpandConfig,
 ) -> EmbeddingSet {
@@ -62,7 +79,7 @@ pub fn expand_embeddings(
         // A malformed plan, not a data fault: record a classified failure
         // and degrade to an empty result instead of panicking.
         return malformed_plan(
-            input,
+            &input,
             "expand_embeddings",
             format!("expand source `{}` unbound", config.source_variable),
         );
@@ -81,6 +98,7 @@ pub fn expand_embeddings(
     let base_edge_columns = input.meta.edge_columns();
     let base_path_columns = input.meta.path_columns();
     let matching = config.matching;
+    let check = MorphismCheck::new(&meta, &matching);
 
     let emit = |state: &ExpandState| -> Option<Embedding> {
         let (base, via, end) = state;
@@ -92,18 +110,21 @@ pub fn expand_embeddings(
         // Path column + optional target column land in one exact-capacity
         // allocation instead of clone-then-splice.
         let result = base.extend_with_path_and_id(via, close_column.is_none().then_some(*end));
-        satisfies_morphism(&result, &meta, &matching).then_some(result)
+        EMIT_IDS
+            .with(|ids| check.check(&result, &mut ids.borrow_mut()))
+            .then_some(result)
     };
 
     let env = input.data.env().clone();
 
     // Initial working set: empty path anchored at the source column.
-    let initial: Dataset<ExpandState> = input
-        .data
-        .map(move |embedding| (embedding.clone(), Vec::new(), embedding.id(source_column)));
+    let initial: Dataset<ExpandState> = input.data.map(move |embedding| {
+        let end = embedding.id(source_column);
+        (Arc::new(embedding.clone()), Vec::new(), end)
+    });
 
     // Zero-length paths (lower bound 0) are emitted before the iteration.
-    let mut results: Dataset<Embedding> = if config.lower == 0 {
+    let results: Dataset<Embedding> = if config.lower == 0 {
         initial.flat_map(|state, out| out.extend(emit(state)))
     } else {
         env.empty()
@@ -131,7 +152,7 @@ pub fn expand_embeddings(
             index.build_shuffled_bytes()
         };
         let next: Dataset<ExpandState> = index.probe_join(
-            &states,
+            states,
             |(_, _, end)| *end,
             |(base, via, end), (_, edge, target)| {
                 if !valid_extension(
@@ -154,7 +175,7 @@ pub fn expand_embeddings(
                     extended.push(*end);
                     extended.push(*edge);
                 }
-                Some((base.clone(), extended, *target))
+                Some((Arc::clone(base), extended, *target))
             },
         );
         let found: Dataset<Embedding> = if k >= lower {
@@ -200,11 +221,9 @@ pub fn expand_embeddings(
             step(states, &index, k)
         })
     };
-    results = results.union(&iterated);
-
     let rows_in = (input.data.len_untracked() + candidates.len_untracked()) as u64;
     let result = EmbeddingSet {
-        data: results,
+        data: results.union(iterated),
         meta,
     };
     observe_operator("expand_embeddings", rows_in, &result);
@@ -311,7 +330,7 @@ mod tests {
         let env = env();
         let input = starts(&env, &[1]);
         let result = expand_embeddings(
-            &input,
+            input,
             &chain(&env),
             &config(1, 3, MatchingConfig::cypher_default()),
         );
@@ -334,7 +353,7 @@ mod tests {
         let env = env();
         let input = starts(&env, &[1]);
         let result = expand_embeddings(
-            &input,
+            input,
             &chain(&env),
             &config(2, 2, MatchingConfig::cypher_default()),
         );
@@ -352,7 +371,7 @@ mod tests {
         let env = env();
         let input = starts(&env, &[1]);
         let result = expand_embeddings(
-            &input,
+            input,
             &chain(&env),
             &config(0, 1, MatchingConfig::cypher_default()),
         );
@@ -372,7 +391,7 @@ mod tests {
         let candidates = env.from_collection(vec![(1u64, 10u64, 2u64), (2, 11, 1)]);
         let input = starts(&env, &[1]);
         let result = expand_embeddings(
-            &input,
+            input,
             &candidates,
             &config(1, 10, MatchingConfig::cypher_default()),
         );
@@ -387,7 +406,7 @@ mod tests {
         let candidates = env.from_collection(vec![(1u64, 10u64, 2u64), (2, 11, 1)]);
         let input = starts(&env, &[1]);
         let result = expand_embeddings(
-            &input,
+            input,
             &candidates,
             &config(1, 6, MatchingConfig::homomorphism()),
         );
@@ -402,7 +421,7 @@ mod tests {
         let candidates = env.from_collection(vec![(1u64, 10u64, 2u64), (2, 11, 3), (3, 12, 2)]);
         let input = starts(&env, &[1]);
         let result = expand_embeddings(
-            &input,
+            input,
             &candidates,
             &config(1, 5, MatchingConfig::isomorphism()),
         );
@@ -425,7 +444,7 @@ mod tests {
             meta,
         };
         let result = expand_embeddings(
-            &input,
+            input,
             &chain(&env),
             &config(1, 3, MatchingConfig::cypher_default()),
         );
@@ -451,7 +470,7 @@ mod tests {
             env.set_trace_sink(Some(sink.clone()));
             let input = starts(&env, &[1]);
             let result = expand_embeddings(
-                &input,
+                input,
                 &chain(&env),
                 &config(1, 3, MatchingConfig::cypher_default()),
             );
@@ -491,13 +510,13 @@ mod tests {
         let input = starts(&env, &[1]);
         let empty: Dataset<EdgeTriple> = env.empty();
         let strict = expand_embeddings(
-            &input,
+            input.clone(),
             &empty,
             &config(1, 3, MatchingConfig::cypher_default()),
         );
         assert_eq!(strict.data.count(), 0);
         let zero = expand_embeddings(
-            &input,
+            input,
             &empty,
             &config(0, 3, MatchingConfig::cypher_default()),
         );

@@ -12,6 +12,9 @@
 //! join in a chain — is forwarded instead of shuffled (Flink FORWARD), and
 //! the join's output is stamped so the *next* join on those variables can
 //! elide its shuffle too.
+//!
+//! Both inputs are taken by value: a side that has to be shuffled and that
+//! nobody else holds is moved to its join partition, not copied.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -69,8 +72,8 @@ pub fn embedding_join_key(variables: &[String]) -> PartitionKey {
 /// returns an empty embedding set; the engine surfaces the failure as
 /// `CypherError::Execution` after the run.
 pub fn join_embeddings(
-    left: &EmbeddingSet,
-    right: &EmbeddingSet,
+    left: EmbeddingSet,
+    right: EmbeddingSet,
     join_variables: &[String],
     config: &MatchingConfig,
     strategy: JoinStrategy,
@@ -87,8 +90,8 @@ pub fn join_embeddings(
 /// before any residual clause ran — so PROFILE can still report the join's
 /// and the filter's cardinalities separately.
 pub fn join_embeddings_filtered(
-    left: &EmbeddingSet,
-    right: &EmbeddingSet,
+    left: EmbeddingSet,
+    right: EmbeddingSet,
     join_variables: &[String],
     config: &MatchingConfig,
     strategy: JoinStrategy,
@@ -96,7 +99,7 @@ pub fn join_embeddings_filtered(
 ) -> EmbeddingSet {
     if join_variables.is_empty() {
         return malformed_plan(
-            left,
+            &left,
             "join_embeddings",
             "join requires at least one shared variable".to_string(),
         );
@@ -107,7 +110,7 @@ pub fn join_embeddings_filtered(
             Some(column) => right_columns.push(column),
             None => {
                 return malformed_plan(
-                    right,
+                    &right,
                     "join_embeddings",
                     format!("join variable `{v}` unbound on right side"),
                 )
@@ -126,7 +129,7 @@ pub fn join_embeddings_filtered(
             Some(column) => left_key_columns.push(column),
             None => {
                 return malformed_plan(
-                    left,
+                    &left,
                     "join_embeddings",
                     format!("join variable `{v}` unbound on left side"),
                 )
@@ -147,8 +150,9 @@ pub fn join_embeddings_filtered(
     let joined = AtomicU64::new(0);
     let joined_pairs = &joined;
 
+    let rows_in = (left.data.len_untracked() + right.data.len_untracked()) as u64;
     let data = left.data.join_partitioned(
-        &right.data,
+        right.data,
         key_id,
         {
             let columns = left_key_columns;
@@ -181,7 +185,6 @@ pub fn join_embeddings_filtered(
         },
     );
 
-    let rows_in = (left.data.len_untracked() + right.data.len_untracked()) as u64;
     let result = EmbeddingSet { data, meta };
     let extra = if residual_clauses.is_empty() {
         Vec::new()
@@ -234,8 +237,8 @@ mod tests {
         let left = edge_set(&env, &[(1, 10, 2), (3, 11, 4)], ["a", "e1", "b"]);
         let right = edge_set(&env, &[(2, 20, 5), (4, 21, 6)], ["b", "e2", "c"]);
         let joined = join_embeddings(
-            &left,
-            &right,
+            left,
+            right,
             &["b".to_string()],
             &MatchingConfig::homomorphism(),
             JoinStrategy::RepartitionHash,
@@ -257,16 +260,16 @@ mod tests {
         let left = edge_set(&env, &[(1, 10, 2)], ["a", "e1", "b"]);
         let right = edge_set(&env, &[(2, 20, 1), (2, 21, 3)], ["b", "e2", "c"]);
         let homo = join_embeddings(
-            &left,
-            &right,
+            left.clone(),
+            right.clone(),
             &["b".to_string()],
             &MatchingConfig::homomorphism(),
             JoinStrategy::RepartitionHash,
         );
         assert_eq!(homo.data.count(), 2);
         let iso = join_embeddings(
-            &left,
-            &right,
+            left,
+            right,
             &["b".to_string()],
             &MatchingConfig::isomorphism(),
             JoinStrategy::RepartitionHash,
@@ -281,16 +284,16 @@ mod tests {
         let left = edge_set(&env, &[(1, 10, 2)], ["a", "e1", "b"]);
         let right = edge_set(&env, &[(2, 10, 1)], ["b", "e2", "c"]);
         let cypher = join_embeddings(
-            &left,
-            &right,
+            left.clone(),
+            right.clone(),
             &["b".to_string()],
             &MatchingConfig::cypher_default(),
             JoinStrategy::RepartitionHash,
         );
         assert_eq!(cypher.data.count(), 0); // edge 10 bound twice
         let homo = join_embeddings(
-            &left,
-            &right,
+            left,
+            right,
             &["b".to_string()],
             &MatchingConfig::homomorphism(),
             JoinStrategy::RepartitionHash,
@@ -317,8 +320,8 @@ mod tests {
         };
         let right = edge_set(&env, &[(1, 30, 3), (1, 31, 4)], ["a", "e3", "c"]);
         let joined = join_embeddings(
-            &left,
-            &right,
+            left,
+            right,
             &["a".to_string(), "c".to_string()],
             &MatchingConfig::homomorphism(),
             JoinStrategy::RepartitionHash,
@@ -349,8 +352,8 @@ mod tests {
         let last = edge_set(&env, &last_rows, ["b", "e3", "d"]);
 
         let first = join_embeddings(
-            &left,
-            &mid,
+            left,
+            mid,
             &["b".to_string()],
             &MatchingConfig::homomorphism(),
             JoinStrategy::RepartitionHash,
@@ -366,8 +369,8 @@ mod tests {
         // placement fact erased.
         let before = env.metrics();
         let _ = join_embeddings(
-            &first,
-            &last,
+            first.clone(),
+            last.clone(),
             &["b".to_string()],
             &MatchingConfig::homomorphism(),
             JoinStrategy::RepartitionHash,
@@ -380,8 +383,8 @@ mod tests {
             meta: first.meta.clone(),
         };
         let _ = join_embeddings(
-            &unstamped,
-            &last,
+            unstamped,
+            last,
             &["b".to_string()],
             &MatchingConfig::homomorphism(),
             JoinStrategy::RepartitionHash,
@@ -404,8 +407,8 @@ mod tests {
         let left = edge_set(&env, &[(1, 10, 2)], ["a", "e1", "b"]);
         let right = edge_set(&env, &[(2, 20, 3)], ["b", "e2", "c"]);
         let joined = join_embeddings(
-            &left,
-            &right,
+            left,
+            right,
             &["nope".to_string()],
             &MatchingConfig::homomorphism(),
             JoinStrategy::RepartitionHash,

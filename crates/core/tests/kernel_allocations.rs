@@ -10,12 +10,10 @@
 //! * Result decoding: [`ReturnColumns::table_row`] costs exactly one
 //!   allocation per row plus one per string cell.
 //!
-//! The counter is a wrapping global allocator, which is why the test has a
-//! file of its own; it counts per thread, so the test runner's own thread
-//! cannot disturb it.
+//! The counter is a wrapping global allocator (`counting/mod.rs`, shared
+//! with `row_moves.rs`), which is why the test has a file of its own; it
+//! counts per thread, so the test runner's own thread cannot disturb it.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::hint::black_box;
 
 use gradoop_core::operators::filter_and_project_vertices;
@@ -26,38 +24,11 @@ use gradoop_cypher::{parse, QueryGraph};
 use gradoop_dataflow::{CostModel, ExecutionConfig, ExecutionEnvironment, Parts};
 use gradoop_epgm::{properties, GradoopId, PropertyValue, Vertex};
 
-struct CountingAllocator;
-
-thread_local! {
-    // Const-initialized and without a destructor: reading it never
-    // allocates, so the allocator may touch it.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-// SAFETY: every call is forwarded unchanged to `System`; the counter is a
-// plain thread-local integer.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|count| count.set(count.get() + 1));
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|count| count.set(count.get() + 1));
-        System.realloc(ptr, layout, new_size)
-    }
-}
+mod counting;
+use counting::{allocations, CountingAllocator};
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.with(Cell::get)
-}
 
 /// A two-column row `(vertex, vertex)` carrying one property.
 fn row(first: u64, second: u64, property: PropertyValue) -> Embedding {

@@ -1,0 +1,199 @@
+//! "Rows move, they are not copied", as allocation counts.
+//!
+//! * A shuffle that holds the last handle on its input moves the rows: a
+//!   second live handle costs exactly one allocation per heap-carrying row
+//!   more, and that handle still reads its rows in their order.
+//! * A repartition [`join_embeddings`] of two last-held inputs allocates per
+//!   *output* row: no clone per shipped row, no `Vec` per build key.
+//! * [`expand_embeddings`] writes the solution set once: a superstep costs
+//!   the same however many rows earlier supersteps found, and emitting a row
+//!   is one allocation.
+//!
+//! All stages run on a one-worker environment, so their tasks run inline on
+//! this thread and the per-thread counter (`counting/mod.rs`) sees them.
+
+use std::hint::black_box;
+use std::sync::Arc;
+
+use gradoop_core::operators::{
+    expand_embeddings, join_embeddings, EdgeTriple, EmbeddingSet, ExpandConfig,
+};
+use gradoop_core::{Embedding, EmbeddingMetaData, EntryType, MatchingConfig};
+use gradoop_dataflow::cost::StageCosts;
+use gradoop_dataflow::partition::shuffle_by_key;
+use gradoop_dataflow::{CostModel, Dataset, ExecutionConfig, ExecutionEnvironment, JoinStrategy};
+
+mod counting;
+use counting::{allocations, CountingAllocator};
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+fn one_worker() -> ExecutionEnvironment {
+    ExecutionEnvironment::new(ExecutionConfig::with_workers(1).cost_model(CostModel::free()))
+}
+
+#[test]
+fn a_second_handle_costs_a_shuffle_one_clone_per_row_and_keeps_its_rows() {
+    const ROWS: usize = 4_096;
+    let rows: Vec<String> = (0..ROWS).map(|i| format!("row {i:05}")).collect();
+    let shuffle = |handle: Arc<Vec<Vec<String>>>| {
+        let mut stage = StageCosts::new("shuffle", 1);
+        let before = allocations();
+        let placed = black_box(shuffle_by_key(handle, String::len, &mut stage));
+        (allocations() - before, placed)
+    };
+    shuffle(Arc::new(vec![Vec::new()])); // the first stage of a process starts the pool
+    let (moved, _) = shuffle(Arc::new(vec![rows.clone()]));
+    let survivor = Arc::new(vec![rows.clone()]);
+    let (cloned, placed) = shuffle(Arc::clone(&survivor));
+    assert_eq!(cloned - moved, ROWS as u64, "one clone per shared row");
+    assert_eq!(survivor[0], rows, "the surviving handle reads what it had");
+    assert_eq!(placed[0], rows, "placed in source order");
+}
+
+/// `(first, second)` vertex rows under the given variable names.
+fn pairs(
+    env: &ExecutionEnvironment,
+    variables: [&str; 2],
+    rows: impl Iterator<Item = (u64, u64)>,
+) -> EmbeddingSet {
+    let mut meta = EmbeddingMetaData::new();
+    for variable in variables {
+        meta.add_entry(variable, EntryType::Vertex);
+    }
+    let data = env.from_collection(
+        rows.map(|(first, second)| {
+            let mut embedding = Embedding::new();
+            embedding.push_id(first);
+            embedding.push_id(second);
+            embedding
+        })
+        .collect::<Vec<_>>(),
+    );
+    EmbeddingSet { data, meta }
+}
+
+#[test]
+fn a_repartition_join_of_last_held_inputs_allocates_per_output_row() {
+    let env = one_worker();
+    // `pairs` distinct keys, one accepted pair each.
+    let join = |pairs_out: u64| {
+        let left = pairs(&env, ["a", "b"], (0..pairs_out).map(|i| (i, 10_000 + i)));
+        let right = pairs(&env, ["a", "c"], (0..pairs_out).map(|i| (i, 20_000 + i)));
+        let variables = ["a".to_string()];
+        let before = allocations();
+        let joined = black_box(join_embeddings(
+            left,
+            right,
+            &variables,
+            &MatchingConfig::homomorphism(),
+            JoinStrategy::RepartitionHash,
+        ));
+        let spent = allocations() - before;
+        assert_eq!(joined.data.len_untracked() as u64, pairs_out);
+        spent
+    };
+    const PAIRS: u64 = 2_048;
+    join(PAIRS); // the first stage also starts the telemetry registry
+    let (once, twice) = (join(PAIRS), join(2 * PAIRS));
+    let added = twice - once;
+    assert!(
+        (PAIRS..PAIRS + 64).contains(&added),
+        "{PAIRS} more pairs cost {added} more allocations: the output rows \
+         plus buffer regrowth, nothing per shipped row or per key"
+    );
+}
+
+/// `chains` disjoint chains of `length` edges; chain `c` starts at vertex
+/// `c * 1000`. Returns the start vertices as a one-column input and the
+/// candidate triples.
+fn chains(
+    env: &ExecutionEnvironment,
+    chains: u64,
+    length: u64,
+) -> (EmbeddingSet, Dataset<EdgeTriple>) {
+    let mut meta = EmbeddingMetaData::new();
+    meta.add_entry("a", EntryType::Vertex);
+    let starts = (0..chains)
+        .map(|chain| {
+            let mut embedding = Embedding::new();
+            embedding.push_id(chain * 1000);
+            embedding
+        })
+        .collect::<Vec<_>>();
+    let edges = (0..chains)
+        .flat_map(|chain| {
+            (0..length).map(move |i| {
+                let from = chain * 1000 + i;
+                (from, 1_000_000 + from, from + 1)
+            })
+        })
+        .collect::<Vec<EdgeTriple>>();
+    let input = EmbeddingSet {
+        data: env.from_collection(starts),
+        meta,
+    };
+    (input, env.from_collection(edges))
+}
+
+/// Allocations of one `*lower..upper` expansion over `chain_count` chains of
+/// `upper` edges, every path of which is emitted once its length reaches
+/// `lower`.
+fn expand_allocations(
+    env: &ExecutionEnvironment,
+    chain_count: u64,
+    lower: usize,
+    upper: usize,
+) -> u64 {
+    let (input, candidates) = chains(env, chain_count, upper as u64);
+    let config = ExpandConfig {
+        source_variable: "a".into(),
+        edge_variable: "e".into(),
+        target_variable: "b".into(),
+        lower,
+        upper,
+        matching: MatchingConfig::cypher_default(),
+    };
+    let before = allocations();
+    let result = black_box(expand_embeddings(input, &candidates, &config));
+    let spent = allocations() - before;
+    let emitted = chain_count * (upper - lower + 1) as u64;
+    assert_eq!(result.data.len_untracked() as u64, emitted);
+    spent
+}
+
+#[test]
+fn a_superstep_costs_the_same_however_many_rows_are_already_found() {
+    let env = one_worker();
+    expand_allocations(&env, 1, 1, 4); // warm-up, as above
+    let [a16, a32, a64] = [16, 32, 64].map(|k| expand_allocations(&env, 1, 1, k));
+    // One start vertex, one path per superstep: supersteps 33..=64 may cost
+    // what twice supersteps 17..=32 cost, plus buffer regrowth. Re-copying
+    // the solution set every superstep adds 33 + … + 64 = 1552 clones here
+    // against 2 × (17 + … + 32) = 784.
+    assert!(
+        a64 - a32 < 2 * (a32 - a16) + 64,
+        "allocations for *1..16 / 32 / 64 over a chain: {a16} / {a32} / {a64}"
+    );
+}
+
+#[test]
+fn emitting_a_row_is_one_allocation() {
+    let env = one_worker();
+    const STEPS: usize = 8;
+    expand_allocations(&env, 1, 1, 4); // warm-up, as above
+                                       // `*1..8` emits in every superstep, `*8..8` only in the last: the same
+                                       // states, (STEPS - 1) emitted rows per chain apart.
+    let emit_cost = |chain_count: u64| {
+        expand_allocations(&env, chain_count, 1, STEPS)
+            - expand_allocations(&env, chain_count, STEPS, STEPS)
+    };
+    const CHAINS: u64 = 64;
+    let added = emit_cost(2 * CHAINS) - emit_cost(CHAINS);
+    let rows = CHAINS * (STEPS as u64 - 1);
+    assert!(
+        (rows..rows + 64).contains(&added),
+        "{rows} more emitted rows cost {added} more allocations"
+    );
+}

@@ -1,5 +1,12 @@
 //! The [`Dataset`] abstraction: a partitioned, immutable collection plus the
 //! element-wise transformations of the dataflow model.
+//!
+//! Methods that take `&self` read the partitions and leave them alone.
+//! [`Dataset::union`] and [`Dataset::into_partitions`] (and, through it,
+//! [`Dataset::join_partitioned`] and
+//! [`PartitionedIndex::probe_join`](crate::index::PartitionedIndex::probe_join))
+//! take the dataset by value: the last holder of the partitions gives its
+//! rows away instead of having them copied.
 
 use std::hash::Hash;
 use std::sync::Arc;
@@ -11,10 +18,13 @@ use crate::pool::map_partitions;
 
 /// A distributed collection: one partition per simulated worker.
 ///
-/// Datasets are immutable and cheap to clone (partitions are shared behind
-/// an [`Arc`]). Transformations execute eagerly, processing partitions on
-/// parallel threads and charging the simulated clock of the owning
-/// [`ExecutionEnvironment`].
+/// Datasets are immutable while shared and cheap to clone (a clone is one
+/// more handle on the partitions behind an [`Arc`]). Operations that
+/// consume a dataset move its rows when that handle is the last one and
+/// copy them when it is not, so a clone kept elsewhere — a graph snapshot,
+/// an iteration checkpoint — never sees a change. Transformations execute
+/// eagerly, processing partitions on parallel threads and charging the
+/// simulated clock of the owning [`ExecutionEnvironment`].
 ///
 /// A dataset optionally carries a [`Partitioning`] fingerprint recording
 /// that its records are hash-placed by a semantic key. Key-stamped shuffles
@@ -106,6 +116,13 @@ impl<T: Data> Dataset<T> {
     /// built over it) keep the records alive without copying them.
     pub fn partitions_arc(&self) -> Arc<Vec<Vec<T>>> {
         Arc::clone(&self.partitions)
+    }
+
+    /// Gives up this handle on the raw partitions. A consuming operator
+    /// that receives the last handle ([`Arc::try_unwrap`] succeeds) may
+    /// move the rows out instead of cloning them.
+    pub fn into_partitions(self) -> Arc<Vec<Vec<T>>> {
+        self.partitions
     }
 
     /// Number of elements per partition (no cost charged).
@@ -259,23 +276,16 @@ impl<T: Data> Dataset<T> {
     /// shuffle). The fingerprint survives only when both inputs carry the
     /// *same* partitioning; a union of differently (or un-) partitioned
     /// inputs mixes placements and invalidates the claim.
-    pub fn union(&self, other: &Dataset<T>) -> Dataset<T> {
+    ///
+    /// Both inputs are consumed: `other`'s rows are appended to `self`'s
+    /// partitions in place, and each side is copied only if something else
+    /// still holds it.
+    pub fn union(self, other: Dataset<T>) -> Dataset<T> {
         assert_eq!(
             self.env.workers(),
             other.env.workers(),
             "union requires datasets from the same environment"
         );
-        let partitions: Vec<Vec<T>> = self
-            .partitions
-            .iter()
-            .zip(other.partitions.iter())
-            .map(|(a, b)| {
-                let mut merged = Vec::with_capacity(a.len() + b.len());
-                merged.extend_from_slice(a);
-                merged.extend_from_slice(b);
-                merged
-            })
-            .collect();
         let kept = match (self.partitioning, other.partitioning) {
             (Some(a), Some(b)) if a == b => Some(a),
             // An empty side cannot contradict the other side's placement.
@@ -283,19 +293,33 @@ impl<T: Data> Dataset<T> {
             (_, Some(b)) if self.is_empty_untracked() => Some(b),
             _ => None,
         };
-        Dataset::from_partitions(self.env.clone(), partitions).assume_partitioning(kept)
+        let mut merged = Arc::unwrap_or_clone(self.partitions);
+        match Arc::try_unwrap(other.partitions) {
+            Ok(owned) => {
+                for (into, from) in merged.iter_mut().zip(owned) {
+                    into.extend(from);
+                }
+            }
+            Err(shared) => {
+                for (into, from) in merged.iter_mut().zip(shared.iter()) {
+                    into.extend_from_slice(from);
+                }
+            }
+        }
+        Dataset::from_partitions(self.env, merged).assume_partitioning(kept)
     }
 
     /// Repartitions the dataset by an *anonymous* key so equal keys share a
     /// worker. The placement is real but unnamed, so no fingerprint is
-    /// recorded — use [`Dataset::partition_by`] to stamp one.
+    /// recorded — use [`Dataset::partition_by`] to stamp one. The dataset
+    /// is borrowed, so every placed record is a copy.
     pub fn partition_by_key<K, F>(&self, key: F) -> Dataset<T>
     where
         K: Hash,
         F: Fn(&T) -> K + Sync,
     {
         let mut stage = self.env.stage("partition_by_key");
-        let partitions = shuffle_by_key(&self.partitions, key, &mut stage);
+        let partitions = shuffle_by_key(self.partitions_arc(), key, &mut stage);
         self.env.finish_stage(stage);
         Dataset::from_partitions(self.env.clone(), partitions)
     }
@@ -320,7 +344,7 @@ impl<T: Data> Dataset<T> {
             return self.clone();
         }
         let mut stage = self.env.stage("partition_by_key");
-        let partitions = shuffle_by_key(&self.partitions, key, &mut stage);
+        let partitions = shuffle_by_key(self.partitions_arc(), key, &mut stage);
         self.env.finish_stage(stage);
         Dataset::from_partitions(self.env.clone(), partitions).assume_partitioning(Some(target))
     }
@@ -552,7 +576,7 @@ mod tests {
         let env = env(2);
         let a = env.from_collection(vec![1u64, 2]);
         let b = env.from_collection(vec![3u64]);
-        let u = a.union(&b);
+        let u = a.union(b);
         assert_eq!(u.count(), 3);
         assert_eq!(u.partition_sizes().len(), 2);
     }
@@ -633,19 +657,22 @@ mod tests {
         let key = PartitionKey::named("value");
         let a = env.from_collection(0u64..20).partition_by(key, |x| *x);
         let b = env.from_collection(20u64..40).partition_by(key, |x| *x);
-        assert!(a.union(&b).partitioning().is_some());
+        assert!(a.clone().union(b).partitioning().is_some());
         // Union with an unpartitioned, non-empty side invalidates.
         let c = env.from_collection(40u64..60);
-        assert!(a.union(&c).partitioning().is_none());
+        assert!(a.clone().union(c).partitioning().is_none());
         // An empty side cannot contradict the placement.
         let empty = env.empty::<u64>();
-        assert_eq!(a.union(&empty).partitioning(), a.partitioning());
-        assert_eq!(empty.union(&a).partitioning(), a.partitioning());
+        assert_eq!(
+            a.clone().union(empty.clone()).partitioning(),
+            a.partitioning()
+        );
+        assert_eq!(empty.union(a.clone()).partitioning(), a.partitioning());
         // Differently keyed inputs invalidate.
         let other = env
             .from_collection(0u64..20)
             .partition_by(PartitionKey::named("other"), |x| *x);
-        assert!(a.union(&other).partitioning().is_none());
+        assert!(a.union(other).partitioning().is_none());
     }
 
     #[test]
@@ -780,12 +807,12 @@ mod tests {
         let [a, b] = parts.datasets() else {
             unreachable!("two parts")
         };
-        let expected = a.union(b).flat_map(odd_twice);
+        let expected = a.clone().union(b.clone()).flat_map(odd_twice);
         let in_place = parts.flat_map(odd_twice);
         assert_eq!(in_place.partitions(), expected.partitions());
         // Both inputs carry the same fingerprint and so does their union,
         // but a flat_map may rewrite keys: dropped either way.
-        assert!(a.union(b).partitioning().is_some());
+        assert!(a.clone().union(b.clone()).partitioning().is_some());
         assert!(in_place.partitioning().is_none() && expected.partitioning().is_none());
 
         let stages = sink.snapshot().stages;
@@ -839,7 +866,7 @@ mod tests {
             let [a, b] = parts.datasets() else {
                 unreachable!("two parts")
             };
-            a.union(b).flat_map(panic_on_ten)
+            a.clone().union(b.clone()).flat_map(panic_on_ten)
         });
         assert_eq!((failure, stages), over_union);
     }
@@ -856,6 +883,6 @@ mod tests {
     fn union_across_environments_panics() {
         let a = env(2).from_collection(vec![1u64]);
         let b = env(3).from_collection(vec![2u64]);
-        let _ = a.union(&b);
+        let _ = a.union(b);
     }
 }

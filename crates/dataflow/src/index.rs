@@ -8,15 +8,19 @@
 //! table over a key-partitioned dataset, built once with full cost
 //! accounting, then probed any number of times — each probe charges only
 //! the probe side's shuffle and CPU, zero bytes for the build side.
+//!
+//! [`PartitionedIndex::probe_join`] **consumes** the probe dataset: a probe
+//! side that has to be shuffled to the index and whose handle is the last
+//! one is moved there, not copied. Building borrows the indexed dataset.
 
-use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::Arc;
 
 use crate::data::Data;
 use crate::dataset::Dataset;
 use crate::env::ExecutionEnvironment;
-use crate::partition::{shuffle_by_key, PartitionKey, Partitioning};
+use crate::join::{ship_side, ChainedTable};
+use crate::partition::PartitionKey;
 use crate::pool::map_partitions;
 
 /// A hash index over a dataset partitioned on a named key: one table per
@@ -28,13 +32,13 @@ use crate::pool::map_partitions;
 ///
 /// The index does not copy the indexed records: `rows` shares the
 /// co-partitioned partitions (the dataset's own `Arc` when the input was
-/// forwarded) and the per-worker tables map keys to row *indices* into
-/// them, so building is allocation-free per record.
+/// forwarded) and the per-worker `ChainedTable`s link row *indices* into
+/// them, so building is allocation-free per record and per key.
 pub struct PartitionedIndex<K, T> {
     env: ExecutionEnvironment,
     key: PartitionKey,
     rows: Arc<Vec<Vec<T>>>,
-    tables: Arc<Vec<HashMap<K, Vec<u32>>>>,
+    tables: Arc<Vec<ChainedTable<K>>>,
     records: u64,
     build_shuffled_bytes: u64,
 }
@@ -69,27 +73,14 @@ impl<T: Data> Dataset<T> {
     {
         let env = self.env().clone();
         let mut stage = env.stage("index(build)");
-        let target = Partitioning {
-            key: key_id,
-            workers: env.workers(),
-        };
-        let forwarded = env.partition_aware() && self.partitioning() == Some(target);
-        let rows: Arc<Vec<Vec<T>>> = if forwarded {
-            // Share the dataset's own partitions — no records move or copy.
-            self.partitions_arc()
-        } else {
-            Arc::new(shuffle_by_key(self.partitions(), &key, &mut stage))
-        };
+        // Forwarded, `rows` is the dataset's own partitions — no records
+        // move or copy.
+        let rows = ship_side(self.clone(), Some(key_id), &key, &mut stage);
         let build_shuffled_bytes = stage.bytes_sent_total();
 
         // Tables hold row indices into `rows`, not record copies.
-        let tables: Vec<HashMap<K, Vec<u32>>> = map_partitions(&rows, |_, part| {
-            let mut table: HashMap<K, Vec<u32>> = HashMap::with_capacity(part.len());
-            for (i, item) in part.iter().enumerate() {
-                table.entry(key(item)).or_default().push(i as u32);
-            }
-            table
-        });
+        let tables: Vec<ChainedTable<K>> =
+            map_partitions(&rows, |_, part| ChainedTable::build(part, &key));
 
         let memory = env.cost_model().memory_per_worker;
         let mut records = 0u64;
@@ -138,8 +129,10 @@ where
     /// Equi-joins `probe` against the cached index with FlatJoin semantics.
     ///
     /// The probe side is shipped to the index's partitioning (a FORWARD if
-    /// it is already stamped with the index key); the cached tables are
-    /// probed in place. Only probe records and output records are charged —
+    /// it is already stamped with the index key; otherwise its rows are
+    /// moved if `probe` was the last handle on them, copied if not); the
+    /// cached tables are probed in place. Only probe records and output
+    /// records are charged —
     /// the build side costs nothing per probe, which is what makes the
     /// index pay off inside bulk iterations.
     ///
@@ -151,7 +144,7 @@ where
     /// [`Dataset::assume_partitioning`].
     pub fn probe_join<P, O, KP, F>(
         &self,
-        probe: &Dataset<P>,
+        probe: Dataset<P>,
         probe_key: KP,
         join_fn: F,
     ) -> Dataset<O>
@@ -163,29 +156,14 @@ where
     {
         let env = self.env.clone();
         let mut stage = env.stage("join(probe-index)");
-        let target = Partitioning {
-            key: self.key,
-            workers: env.workers(),
-        };
-        let forwarded = env.partition_aware() && probe.partitioning() == Some(target);
-        let shuffled;
-        let probe_parts: &[Vec<P>] = if forwarded {
-            probe.partitions()
-        } else {
-            shuffled = shuffle_by_key(probe.partitions(), &probe_key, &mut stage);
-            &shuffled
-        };
+        let probe_parts = ship_side(probe, Some(self.key), &probe_key, &mut stage);
 
-        let outputs: Vec<Vec<O>> = map_partitions(probe_parts, |i, part| {
+        let outputs: Vec<Vec<O>> = map_partitions(&probe_parts, |i, part| {
             let rows = &self.rows[i];
             let mut out = Vec::new();
             for p in part {
-                if let Some(matches) = self.tables[i].get(&probe_key(p)) {
-                    for &row in matches {
-                        if let Some(o) = join_fn(p, &rows[row as usize]) {
-                            out.push(o);
-                        }
-                    }
+                for row in self.tables[i].matches(&probe_key(p)) {
+                    out.extend(join_fn(p, &rows[row]));
                 }
             }
             out
@@ -245,7 +223,7 @@ mod tests {
         let index = edges.build_partitioned_index(PartitionKey::named("edge.key"), |(k, _)| *k);
         assert_eq!(index.records(), 100);
         let mut rows = index
-            .probe_join(&probe, |p| *p, |p, (_, v)| Some((*p, *v)))
+            .probe_join(probe, |p| *p, |p, (_, v)| Some((*p, *v)))
             .collect();
         rows.sort_unstable();
         assert_eq!(rows, expected);
@@ -265,7 +243,7 @@ mod tests {
         // A probe already partitioned on the key ships nothing at all.
         let probe = env.from_collection(0u64..50).partition_by(key, |p| *p);
         let shuffled_before = env.metrics().bytes_shuffled;
-        let joined = index.probe_join(&probe, |p| *p, |p, (_, v)| Some((*p, *v)));
+        let joined = index.probe_join(probe, |p| *p, |p, (_, v)| Some((*p, *v)));
         assert_eq!(env.metrics().bytes_shuffled, shuffled_before);
         assert_eq!(joined.len_untracked(), 1000);
         // join_fn emits arbitrary records, so no fingerprint is claimed.

@@ -6,6 +6,14 @@
 //! [`bulk_iterate`] provides exactly those while-loop semantics: the body
 //! maps the working set of one iteration to the working set of the next, and
 //! the loop stops at `max_iterations` or on an empty working set.
+//!
+//! The loop owns what it iterates over. The body receives the working set by
+//! value, so a shuffle inside it moves the rows; each iteration's solution
+//! dataset is consumed by [`Dataset::union`] and appended to the one
+//! solution set, which therefore grows in place — linear in the rows found,
+//! not supersteps × rows. A checkpoint is one more handle on both sets: the
+//! superstep after it copies instead of appending, and the snapshot never
+//! sees a later row.
 
 use std::hash::Hash;
 
@@ -76,7 +84,7 @@ where
                 break;
             }
             let (next, found) = body(working, iteration);
-            results = results.union(&found);
+            results = results.union(found);
             working = next;
         }
         return (working, results);
@@ -121,7 +129,7 @@ where
             continue;
         }
         let (next, found) = body(working, iteration);
-        results = results.union(&found);
+        results = results.union(found);
         working = next;
         if interval > 0 && iteration.is_multiple_of(interval) {
             checkpoint = (iteration, working.clone(), results.clone());
@@ -324,7 +332,7 @@ mod tests {
             PartitionKey::named("edge.source"),
             |(src, _)| *src,
             |working, index, _| {
-                let before = index.probe_join(&working, |v| *v, |_, (_, dst)| Some(*dst));
+                let before = index.probe_join(working, |v| *v, |_, (_, dst)| Some(*dst));
                 per_iteration_shuffle.push(env.metrics().bytes_shuffled);
                 (before.clone(), before)
             },

@@ -24,9 +24,19 @@
 //! The join function has *FlatJoin* semantics (paper Section 3.1): it may
 //! reject a pair by returning `None`, which is how isomorphism checks are
 //! fused into joins without materializing rejected embeddings.
+//!
+//! [`Dataset::join_partitioned`] **consumes** both inputs: a side that has to
+//! be shuffled and whose handle is the last one is moved into place, not
+//! copied (see [`shuffle_by_key`]). [`Dataset::join`] borrows; it hands the
+//! same code a second handle on each side, so its shuffles copy.
+//!
+//! The build side of every local hash join is a `ChainedTable`: two flat
+//! allocations per table however many distinct keys there are, so a join
+//! allocates per *output* row only.
 
 use std::collections::HashMap;
 use std::hash::Hash;
+use std::sync::Arc;
 
 use crate::cost::StageCosts;
 use crate::data::Data;
@@ -57,55 +67,87 @@ enum BuildSide {
     Right,
 }
 
-/// One join input after shipping: either forwarded in place (already
-/// partitioned on the join key — no shuffle ran, no bytes charged) or
-/// freshly shuffled.
-enum ShippedSide<'a, T> {
-    Forward(&'a [Vec<T>]),
-    Shuffled(Vec<Vec<T>>),
-}
-
-impl<T> ShippedSide<'_, T> {
-    fn parts(&self) -> &[Vec<T>] {
-        match self {
-            ShippedSide::Forward(parts) => parts,
-            ShippedSide::Shuffled(parts) => parts,
-        }
-    }
-}
-
-/// Ships one join side: FORWARD (free) when the dataset's fingerprint
-/// already matches the named join key and awareness is enabled, else a full
+/// Ships one join side and returns its partitions: the dataset's own,
+/// untouched (FORWARD, free), when its fingerprint already matches the named
+/// join key and awareness is enabled, else the output of a full
 /// `shuffle_by_key` charged to `stage`.
-fn ship_side<'a, T, K, F>(
-    side: &'a Dataset<T>,
+pub(crate) fn ship_side<T, K, F>(
+    side: Dataset<T>,
     key_id: Option<PartitionKey>,
     key: &F,
     stage: &mut StageCosts,
-) -> ShippedSide<'a, T>
+) -> Arc<Vec<Vec<T>>>
 where
     T: Data,
     K: Hash,
     F: Fn(&T) -> K + Sync,
 {
     let env = side.env();
-    if let Some(id) = key_id {
+    let forwarded = key_id.is_some_and(|key| {
         let target = Partitioning {
-            key: id,
+            key,
             workers: env.workers(),
         };
-        if env.partition_aware() && side.partitioning() == Some(target) {
-            return ShippedSide::Forward(side.partitions());
-        }
+        env.partition_aware() && side.partitioning() == Some(target)
+    });
+    if forwarded {
+        side.into_partitions()
+    } else {
+        Arc::new(shuffle_by_key(side.into_partitions(), key, stage))
     }
-    ShippedSide::Shuffled(shuffle_by_key(side.partitions(), key, stage))
+}
+
+/// The build side of a local hash join: key → index of the first row that
+/// carries it, and per row the index of the next row with the same key. Two
+/// allocations per table, none per key. [`ChainedTable::matches`] walks a
+/// chain in insertion order.
+pub(crate) struct ChainedTable<K> {
+    first: HashMap<K, u32>,
+    next: Vec<u32>,
+}
+
+/// End of a chain.
+const NO_ROW: u32 = u32::MAX;
+
+impl<K: Hash + Eq> ChainedTable<K> {
+    /// Indexes `rows` by `key`.
+    pub(crate) fn build<T>(rows: &[T], key: impl Fn(&T) -> K) -> Self {
+        assert!(
+            rows.len() < NO_ROW as usize,
+            "a partition holds fewer than 2^32 - 1 rows"
+        );
+        let mut first: HashMap<K, u32> = HashMap::with_capacity(rows.len());
+        let mut next = vec![NO_ROW; rows.len()];
+        // Back to front, so each row is linked in front of the later rows
+        // of its key and every chain ascends.
+        for (i, row) in rows.iter().enumerate().rev() {
+            if let Some(later) = first.insert(key(row), i as u32) {
+                next[i] = later;
+            }
+        }
+        ChainedTable { first, next }
+    }
+
+    /// Indices of the rows whose key equals `key`, in insertion order.
+    pub(crate) fn matches(&self, key: &K) -> impl Iterator<Item = usize> + '_ {
+        let mut row = self.first.get(key).copied().unwrap_or(NO_ROW);
+        std::iter::from_fn(move || {
+            (row != NO_ROW).then(|| {
+                let current = row as usize;
+                row = self.next[current];
+                current
+            })
+        })
+    }
 }
 
 impl<T: Data> Dataset<T> {
     /// Equi-join with FlatJoin semantics: `join_fn` returns `Some(output)`
     /// to emit a joined element or `None` to reject the pair. The join key
-    /// is anonymous, so no shuffle can be elided; see
-    /// [`Dataset::join_partitioned`] for the partitioning-aware variant.
+    /// is anonymous, so no shuffle can be elided, and both inputs are
+    /// borrowed, so every shuffled record is a copy; see
+    /// [`Dataset::join_partitioned`] for the partitioning-aware, consuming
+    /// variant.
     pub fn join<R, K, O, KL, KR, F>(
         &self,
         right: &Dataset<R>,
@@ -122,7 +164,8 @@ impl<T: Data> Dataset<T> {
         KR: Fn(&R) -> K + Sync,
         F: Fn(&T, &R) -> Option<O> + Sync,
     {
-        self.join_with_key(right, None, left_key, right_key, strategy, join_fn)
+        let (left, right) = (self.clone(), right.clone());
+        left.join_with_key(right, None, left_key, right_key, strategy, join_fn)
     }
 
     /// Like [`Dataset::join`], but names the join key with a
@@ -134,9 +177,12 @@ impl<T: Data> Dataset<T> {
     /// `key_id` must actually describe the values `left_key`/`right_key`
     /// extract — callers that reuse a key id across joins must extract the
     /// same semantic key each time.
+    ///
+    /// Consumes both inputs: a shuffled side moves its rows if this was the
+    /// last handle on it. Pass a clone to keep using an input.
     pub fn join_partitioned<R, K, O, KL, KR, F>(
-        &self,
-        right: &Dataset<R>,
+        self,
+        right: Dataset<R>,
         key_id: PartitionKey,
         left_key: KL,
         right_key: KR,
@@ -155,8 +201,8 @@ impl<T: Data> Dataset<T> {
     }
 
     fn join_with_key<R, K, O, KL, KR, F>(
-        &self,
-        right: &Dataset<R>,
+        self,
+        right: Dataset<R>,
         key_id: Option<PartitionKey>,
         left_key: KL,
         right_key: KR,
@@ -178,10 +224,10 @@ impl<T: Data> Dataset<T> {
             JoinStrategy::BroadcastHashFirst => {
                 // Symmetric to broadcasting the second input: broadcast self
                 // and probe from the right side, flipping the join function.
-                right.broadcast_hash_join(self, key_id, right_key, left_key, |r, l| join_fn(l, r))
+                right.broadcast_hash_join(&self, key_id, right_key, left_key, |r, l| join_fn(l, r))
             }
             JoinStrategy::BroadcastHashSecond => {
-                self.broadcast_hash_join(right, key_id, left_key, right_key, join_fn)
+                self.broadcast_hash_join(&right, key_id, left_key, right_key, join_fn)
             }
             JoinStrategy::RepartitionSortMerge => {
                 self.sort_merge_join(right, key_id, left_key, right_key, join_fn)
@@ -190,8 +236,8 @@ impl<T: Data> Dataset<T> {
     }
 
     fn repartition_hash_join<R, K, O, KL, KR, F>(
-        &self,
-        right: &Dataset<R>,
+        self,
+        right: Dataset<R>,
         key_id: Option<PartitionKey>,
         left_key: KL,
         right_key: KR,
@@ -207,16 +253,14 @@ impl<T: Data> Dataset<T> {
     {
         let env = self.env().clone();
         let mut stage = env.stage("join(repartition-hash)");
-        let left_shipped = ship_side(self, key_id, &left_key, &mut stage);
-        let right_shipped = ship_side(right, key_id, &right_key, &mut stage);
-        let left_parts = left_shipped.parts();
-        let right_parts = right_shipped.parts();
+        let left_parts = ship_side(self, key_id, &left_key, &mut stage);
+        let right_parts = ship_side(right, key_id, &right_key, &mut stage);
 
-        let outputs: Vec<Vec<O>> = map_partition_pairs(left_parts, right_parts, |_, l, r| {
+        let outputs: Vec<Vec<O>> = map_partition_pairs(&left_parts, &right_parts, |_, l, r| {
             local_hash_join(l, r, &left_key, &right_key, &join_fn)
         });
 
-        charge_local_join(&mut stage, left_parts, right_parts, &outputs, &env);
+        charge_local_join(&mut stage, &left_parts, &right_parts, &outputs, &env);
         env.finish_stage(stage);
         // Both sides now sit on partition_for(join key), and every output
         // row carries that key value: the output is partitioned on it.
@@ -317,8 +361,8 @@ impl<T: Data> Dataset<T> {
     }
 
     fn sort_merge_join<R, K, O, KL, KR, F>(
-        &self,
-        right: &Dataset<R>,
+        self,
+        right: Dataset<R>,
         key_id: Option<PartitionKey>,
         left_key: KL,
         right_key: KR,
@@ -334,18 +378,21 @@ impl<T: Data> Dataset<T> {
     {
         let env = self.env().clone();
         let mut stage = env.stage("join(sort-merge)");
-        let left_shipped = ship_side(self, key_id, &left_key, &mut stage);
-        let right_shipped = ship_side(right, key_id, &right_key, &mut stage);
-        let left_parts = left_shipped.parts();
-        let right_parts = right_shipped.parts();
+        let left_parts = ship_side(self, key_id, &left_key, &mut stage);
+        let right_parts = ship_side(right, key_id, &right_key, &mut stage);
 
-        let outputs: Vec<Vec<O>> = map_partition_pairs(left_parts, right_parts, |_, l, r| {
+        let outputs: Vec<Vec<O>> = map_partition_pairs(&left_parts, &right_parts, |_, l, r| {
             local_sort_merge_join(l, r, &left_key, &right_key, &join_fn)
         });
 
         // Charge shuffle-side record counts plus the n·log n sort CPU.
         let model = env.cost_model().clone();
-        for (i, ((l, r), out)) in left_parts.iter().zip(right_parts).zip(&outputs).enumerate() {
+        for (i, ((l, r), out)) in left_parts
+            .iter()
+            .zip(right_parts.iter())
+            .zip(&outputs)
+            .enumerate()
+        {
             let n = (l.len() + r.len()) as f64;
             let sort_cpu = if n > 1.0 {
                 n * n.log2() * model.cpu_seconds_per_record * 0.5
@@ -415,32 +462,18 @@ where
     }
     match build {
         BuildSide::Left => {
-            let mut table: HashMap<K, Vec<&L>> = HashMap::with_capacity(left.len());
-            for l in left {
-                table.entry(left_key(l)).or_default().push(l);
-            }
+            let table = ChainedTable::build(left, left_key);
             for r in right {
-                if let Some(matches) = table.get(&right_key(r)) {
-                    for l in matches {
-                        if let Some(o) = join_fn(l, r) {
-                            out.push(o);
-                        }
-                    }
+                for l in table.matches(&right_key(r)) {
+                    out.extend(join_fn(&left[l], r));
                 }
             }
         }
         BuildSide::Right => {
-            let mut table: HashMap<K, Vec<&R>> = HashMap::with_capacity(right.len());
-            for r in right {
-                table.entry(right_key(r)).or_default().push(r);
-            }
+            let table = ChainedTable::build(right, right_key);
             for l in left {
-                if let Some(matches) = table.get(&left_key(l)) {
-                    for r in matches {
-                        if let Some(o) = join_fn(l, r) {
-                            out.push(o);
-                        }
-                    }
+                for r in table.matches(&left_key(l)) {
+                    out.extend(join_fn(l, &right[r]));
                 }
             }
         }
@@ -577,6 +610,21 @@ mod tests {
     }
 
     #[test]
+    fn chained_table_walks_each_key_in_insertion_order() {
+        let rows = [3u8, 1, 3, 2, 1, 3];
+        let table = ChainedTable::build(&rows, |row| *row);
+        let matches = |key: u8| table.matches(&key).collect::<Vec<_>>();
+        assert_eq!(matches(3), vec![0, 2, 5]);
+        assert_eq!(matches(1), vec![1, 4]);
+        assert_eq!(matches(2), vec![3]);
+        assert!(matches(9).is_empty());
+        assert!(ChainedTable::build(&[] as &[u8], |row| *row)
+            .matches(&3)
+            .next()
+            .is_none());
+    }
+
+    #[test]
     fn repartition_hash_join_matches() {
         assert_eq!(run_join(JoinStrategy::RepartitionHash, 4), expected_pairs());
     }
@@ -690,7 +738,7 @@ mod tests {
             .partition_by(key, |(k, _)| *k);
         env.reset_metrics();
         let joined = left.join_partitioned(
-            &right,
+            right,
             key,
             |l| *l,
             |(k, _)| *k,
@@ -716,7 +764,7 @@ mod tests {
         env.reset_metrics();
         // First join: only `middle` pays a shuffle.
         let first = left.join_partitioned(
-            &middle,
+            middle,
             key,
             |l| *l,
             |(k, _)| *k,
@@ -728,7 +776,7 @@ mod tests {
         // unpartitioned copies, would charge both sides; here the output is
         // already stamped, so the second join only ships `right`.
         let second = first.join_partitioned(
-            &right,
+            right.clone(),
             key,
             |(k, _)| *k,
             |(k, _)| *k,
@@ -753,7 +801,7 @@ mod tests {
             .partition_by(key, |(k, _)| *k);
         env.reset_metrics();
         let joined = left.join_partitioned(
-            &right,
+            right,
             key,
             |l| *l,
             |(k, _)| *k,
@@ -775,7 +823,7 @@ mod tests {
         env.reset_metrics();
         let key = PartitionKey::named("id");
         let _ = left.join_partitioned(
-            &right,
+            right,
             key,
             |l| *l,
             |(k, _)| *k,

@@ -35,8 +35,8 @@ impl<T: Data> Dataset<T> {
     {
         let env = self.env().clone();
         let mut stage = env.stage("join(left-outer-hash)");
-        let left_parts = shuffle_by_key(self.partitions(), &left_key, &mut stage);
-        let right_parts = shuffle_by_key(right.partitions(), &right_key, &mut stage);
+        let left_parts = shuffle_by_key(self.partitions_arc(), &left_key, &mut stage);
+        let right_parts = shuffle_by_key(right.partitions_arc(), &right_key, &mut stage);
 
         let outputs: Vec<Vec<O>> = map_partition_pairs(&left_parts, &right_parts, |_, l, r| {
             let mut table: HashMap<K, Vec<&R>> = HashMap::with_capacity(r.len());
@@ -97,8 +97,8 @@ impl<T: Data> Dataset<T> {
     {
         let env = self.env().clone();
         let mut stage = env.stage("join(left-outer-hash)");
-        let left_parts = shuffle_by_key(self.partitions(), &left_key, &mut stage);
-        let right_parts = shuffle_by_key(right.partitions(), &right_key, &mut stage);
+        let left_parts = shuffle_by_key(self.partitions_arc(), &left_key, &mut stage);
+        let right_parts = shuffle_by_key(right.partitions_arc(), &right_key, &mut stage);
 
         let outputs: Vec<Vec<O>> = map_partition_pairs(&left_parts, &right_parts, |_, l, r| {
             let mut table: HashMap<K, Vec<&R>> = HashMap::with_capacity(r.len());
@@ -172,8 +172,8 @@ impl<T: Data> Dataset<T> {
     {
         let env = self.env().clone();
         let mut stage = env.stage("join(semi-hash)");
-        let left_parts = shuffle_by_key(self.partitions(), &left_key, &mut stage);
-        let right_parts = shuffle_by_key(right.partitions(), &right_key, &mut stage);
+        let left_parts = shuffle_by_key(self.partitions_arc(), &left_key, &mut stage);
+        let right_parts = shuffle_by_key(right.partitions_arc(), &right_key, &mut stage);
 
         let outputs: Vec<Vec<T>> = map_partition_pairs(&left_parts, &right_parts, |_, l, r| {
             let keys: std::collections::HashSet<K> = r.iter().map(&right_key).collect();

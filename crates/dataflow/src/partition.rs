@@ -9,13 +9,21 @@
 //! that fact as a fingerprint (semantic key id + worker count) so later
 //! operators — joins above all — can recognize co-partitioned inputs and
 //! skip the shuffle entirely, mirroring Flink's FORWARD ship strategy.
+//!
+//! [`shuffle_by_key`] **consumes** the partition handle it is given: the
+//! last holder of a dataset gives its rows away (each row is moved into its
+//! bucket), anyone else keeps them and the shuffle clones. Which of the two
+//! happened is observed from the handle, never configured, and changes
+//! neither the output nor a single charged byte. [`shuffle_with_keys`]
+//! (group-by / reduce) borrows its input and always clones.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
+use std::sync::{Arc, Mutex};
 
 use crate::cost::StageCosts;
 use crate::data::Data;
-use crate::pool::map_partitions;
+use crate::pool::{map_partitions, run_indexed};
 
 /// Identity of a *semantic* partitioning key, e.g. "the edge source id" or
 /// "the values of join variables `[a, b]`". Two datasets partitioned under
@@ -66,24 +74,46 @@ pub fn partition_for<K: Hash>(key: &K, workers: usize) -> usize {
 ///
 /// Elements that stay on their current worker are free; elements that move
 /// are charged once on the sender and once on the receiver.
-pub fn shuffle_by_key<T, K, F>(partitions: &[Vec<T>], key: F, stage: &mut StageCosts) -> Vec<Vec<T>>
+///
+/// The handle is consumed. If it is the last one, the rows are moved out of
+/// the input; if anything else still holds the partitions (a graph snapshot
+/// shared by sessions, an iteration checkpoint, a caller that came through
+/// a `&self` method), they stay untouched and every row is cloned. Output
+/// order is the same either way: source partitions in order, rows in order.
+pub fn shuffle_by_key<T, K, F>(
+    partitions: Arc<Vec<Vec<T>>>,
+    key: F,
+    stage: &mut StageCosts,
+) -> Vec<Vec<T>>
 where
     T: Data,
     K: Hash,
     F: Fn(&T) -> K + Sync,
 {
     let workers = partitions.len();
+    // The last holder's partitions are ours to take apart, one per worker.
+    let sources = Arc::try_unwrap(partitions).map(Mutex::new);
     // Phase 1 (parallel): each worker splits its partition into per-target
     // buckets and reports the bytes it sends away.
-    let routed: Vec<(Vec<Vec<T>>, u64)> = map_partitions(partitions, |index, part| {
+    let routed: Vec<(Vec<Vec<T>>, u64)> = run_indexed(workers, |index| {
         let mut buckets: Vec<Vec<T>> = (0..workers).map(|_| Vec::new()).collect();
         let mut bytes_sent = 0u64;
-        for item in part {
-            let target = partition_for(&key(item), workers);
+        let mut place = |item: T| {
+            let target = partition_for(&key(&item), workers);
             if target != index {
                 bytes_sent += item.byte_size() as u64;
             }
-            buckets[target].push(item.clone());
+            buckets[target].push(item);
+        };
+        match &sources {
+            Ok(owned) => {
+                // The guard is released before the rows are routed.
+                let mine = std::mem::take(
+                    &mut owned.lock().expect("held only to take a partition")[index],
+                );
+                mine.into_iter().for_each(&mut place);
+            }
+            Err(shared) => shared[index].iter().for_each(|item| place(item.clone())),
         }
         (buckets, bytes_sent)
     });
@@ -93,7 +123,10 @@ where
     for (source, (buckets, bytes_sent)) in routed.into_iter().enumerate() {
         {
             let w = stage.worker(source);
-            w.records_in += partitions[source].len() as u64;
+            w.records_in += buckets
+                .iter()
+                .map(|bucket| bucket.len() as u64)
+                .sum::<u64>();
             w.bytes_sent += bytes_sent;
         }
         for (target, bucket) in buckets.into_iter().enumerate() {
@@ -177,7 +210,7 @@ mod tests {
     fn shuffle_groups_equal_keys() {
         let partitions: Vec<Vec<u64>> = vec![vec![1, 2, 3, 1], vec![2, 1, 4]];
         let mut stage = StageCosts::new("shuffle", 2);
-        let shuffled = shuffle_by_key(&partitions, |x| *x, &mut stage);
+        let shuffled = shuffle_by_key(Arc::new(partitions), |x| *x, &mut stage);
         assert_eq!(shuffled.iter().map(Vec::len).sum::<usize>(), 7);
         // Every copy of a key must be in the partition the hash assigns.
         for (index, part) in shuffled.iter().enumerate() {
@@ -192,7 +225,7 @@ mod tests {
         // Single worker: nothing can move, so no network traffic.
         let partitions: Vec<Vec<u64>> = vec![vec![1, 2, 3]];
         let mut stage = StageCosts::new("shuffle", 1);
-        let _ = shuffle_by_key(&partitions, |x| *x, &mut stage);
+        let _ = shuffle_by_key(Arc::new(partitions), |x| *x, &mut stage);
         let report = stage.finish(&crate::cost::CostModel::free());
         assert_eq!(report.bytes_shuffled, 0);
     }
@@ -213,7 +246,7 @@ mod tests {
     fn shuffle_on_empty_input_is_empty() {
         let partitions: Vec<Vec<u64>> = vec![vec![], vec![]];
         let mut stage = StageCosts::new("shuffle", 2);
-        let shuffled = shuffle_by_key(&partitions, |x| *x, &mut stage);
+        let shuffled = shuffle_by_key(Arc::new(partitions), |x| *x, &mut stage);
         assert!(shuffled.iter().all(Vec::is_empty));
     }
 }

@@ -279,6 +279,15 @@ where
         .collect()
 }
 
+/// [`try_run_indexed`], re-raising a task's panic on the calling thread.
+pub(crate) fn run_indexed<O, F>(n: usize, f: F) -> Vec<O>
+where
+    O: Send,
+    F: Fn(usize) -> O + Sync,
+{
+    try_run_indexed(n, f).unwrap_or_else(|p| propagate(p))
+}
+
 /// Applies `f` to every partition concurrently and collects the results in
 /// partition order. `f` receives the partition index and the partition's
 /// elements.
@@ -321,7 +330,7 @@ where
     F: Fn(usize, &[A], &[B]) -> O + Sync,
 {
     assert_eq!(left.len(), right.len(), "inputs must be co-partitioned");
-    try_run_indexed(left.len(), |i| f(i, &left[i], &right[i])).unwrap_or_else(|p| propagate(p))
+    run_indexed(left.len(), |i| f(i, &left[i], &right[i]))
 }
 
 #[cfg(test)]

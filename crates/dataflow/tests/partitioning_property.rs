@@ -4,9 +4,21 @@
 //! on the worker the claimed key hashes to — the fingerprint is never a lie.
 //! A second property checks that FORWARD-elided joins agree with a
 //! partition-unaware run byte for byte.
+//!
+//! Three more pin what "the last holder of a dataset gives its rows away"
+//! may not change: a shuffle, join or index probe that moved its input and
+//! one that had to copy it (a second handle was alive) produce the same
+//! partitions in the same order, the same stamps and the same stage reports,
+//! and the surviving handle still reads its rows; the consuming `union` is
+//! the partition-wise concatenation whoever else holds its inputs; and the
+//! chained build table matches duplicate-heavy keys in the order a
+//! `Vec`-per-key table does.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
+use gradoop_dataflow::cost::StageCosts;
+use gradoop_dataflow::partition::shuffle_by_key;
 use gradoop_dataflow::{
     partition_for, CollectingSink, CostModel, Dataset, ExecutionConfig, ExecutionEnvironment,
     JoinStrategy, PartitionKey, Partitioning,
@@ -112,7 +124,7 @@ fn apply(
         }
         Op::UnionSelf => {
             *model = model.iter().flat_map(|r| [*r, *r]).collect();
-            ds.union(&ds)
+            ds.clone().union(ds)
         }
         Op::Distinct => {
             *stamp = None;
@@ -121,6 +133,58 @@ fn apply(
             ds.distinct()
         }
     }
+}
+
+/// A heap-carrying row: moving and cloning it are different operations.
+type Row = (u8, String);
+
+/// `workers` partitions of heap-carrying rows with few distinct keys.
+fn partitioned_rows(workers: usize) -> impl Strategy<Value = Vec<Vec<Row>>> {
+    let row = (0u8..4, 0u16..32).prop_map(|(k, v)| (k, v.to_string()));
+    proptest::collection::vec(proptest::collection::vec(row, 0..24), workers)
+}
+
+/// Two partitionings over the same one to four workers.
+fn two_partitioned_rows() -> impl Strategy<Value = (Vec<Vec<Row>>, Vec<Vec<Row>>)> {
+    (1..5usize).prop_flat_map(|workers| (partitioned_rows(workers), partitioned_rows(workers)))
+}
+
+/// An environment that charges every record and byte, with a sink keeping
+/// the stage reports.
+fn charging_env(workers: usize) -> (ExecutionEnvironment, Arc<CollectingSink>) {
+    let env = ExecutionEnvironment::new(
+        ExecutionConfig::with_workers(workers).cost_model(CostModel::cluster_2017()),
+    );
+    let sink = Arc::new(CollectingSink::new());
+    env.set_trace_sink(Some(sink.clone()));
+    (env, sink)
+}
+
+/// What a local hash join with one `Vec` of rows per key emits: built over
+/// the smaller side, probed in the other side's order, matches in build
+/// order.
+fn vec_per_key_join(left: &[Row], right: &[Row]) -> Vec<(u8, String, String)> {
+    fn table(rows: &[Row]) -> HashMap<u8, Vec<&Row>> {
+        let mut table: HashMap<u8, Vec<&Row>> = HashMap::new();
+        for row in rows {
+            table.entry(row.0).or_default().push(row);
+        }
+        table
+    }
+    let pair = |l: &Row, r: &Row| (l.0, l.1.clone(), r.1.clone());
+    let mut out = Vec::new();
+    if left.len() <= right.len() {
+        let built = table(left);
+        for r in right {
+            out.extend(built.get(&r.0).into_iter().flatten().map(|l| pair(l, r)));
+        }
+    } else {
+        let built = table(right);
+        for l in left {
+            out.extend(built.get(&l.0).into_iter().flatten().map(|r| pair(l, r)));
+        }
+    }
+    out
 }
 
 /// Every record of a stamped dataset must sit on the worker its claimed key
@@ -210,7 +274,7 @@ proptest! {
                 .partition_by(key_k(), |(k, _)| *k);
             let mut joined = left_ds
                 .join_partitioned(
-                    &right_ds,
+                    right_ds,
                     key_k(),
                     |(k, _)| *k,
                     |(k, _)| *k,
@@ -240,5 +304,153 @@ proptest! {
             join_records[0],
             join_records[1]
         );
+    }
+
+    /// Moving the rows of a last-held input and copying the rows of a
+    /// shared one are the same shuffle: partitions, order, stamps and every
+    /// charged record and byte agree, and the shared input is left as it
+    /// was.
+    #[test]
+    fn moved_and_cloned_shuffles_are_indistinguishable(
+        (left, right) in two_partitioned_rows(),
+        key_on_text in any::<bool>(),
+    ) {
+        let workers = left.len();
+        let key = move |row: &Row| if key_on_text { row.1.len() as u8 } else { row.0 };
+
+        // The primitive itself.
+        let mut moved_costs = StageCosts::new("shuffle", workers);
+        let moved = shuffle_by_key(Arc::new(left.clone()), key, &mut moved_costs);
+        let survivor = Arc::new(left.clone());
+        let mut cloned_costs = StageCosts::new("shuffle", workers);
+        let cloned = shuffle_by_key(Arc::clone(&survivor), key, &mut cloned_costs);
+        prop_assert_eq!(&moved, &cloned);
+        prop_assert_eq!(format!("{moved_costs:?}"), format!("{cloned_costs:?}"));
+        prop_assert_eq!(&*survivor, &left);
+
+        // A repartition join feeding an index probe, once owning its inputs
+        // and once with a second handle on each of them alive.
+        let run = |shared: bool| {
+            let (env, sink) = charging_env(workers);
+            let left_ds = Dataset::from_partitions(env.clone(), left.clone());
+            let right_ds = Dataset::from_partitions(env.clone(), right.clone());
+            let index = right_ds.build_partitioned_index(key_v(), key);
+            let survivors = shared.then(|| (left_ds.clone(), right_ds.clone()));
+            let joined = left_ds.join_partitioned(
+                right_ds,
+                key_k(),
+                key,
+                key,
+                JoinStrategy::RepartitionHash,
+                |l, r| Some((l.0, format!("{}-{}", l.1, r.1))),
+            );
+            let join_stamp = joined.partitioning();
+            let also_joined = shared.then(|| joined.clone());
+            let probed = index.probe_join(joined, key, |p, b| Some((p.0, p.1.clone(), b.1.clone())));
+            if let Some((left_kept, right_kept)) = &survivors {
+                assert_eq!(left_kept.partitions(), left.as_slice());
+                assert_eq!(right_kept.partitions(), right.as_slice());
+            }
+            drop(also_joined);
+            (
+                probed.partitions().to_vec(),
+                join_stamp,
+                probed.partitioning(),
+                format!("{:?}", sink.snapshot().stages),
+            )
+        };
+        prop_assert_eq!(run(false), run(true));
+    }
+
+    /// The consuming union is the partition-wise concatenation, with the
+    /// documented stamp, whichever of its inputs somebody else still holds
+    /// — and those holders keep reading what they had.
+    #[test]
+    fn consuming_union_is_the_partitionwise_concatenation(
+        (left, right) in two_partitioned_rows(),
+        left_stamp in 0..3usize,
+        right_stamp in 0..3usize,
+        left_shared in any::<bool>(),
+        right_shared in any::<bool>(),
+    ) {
+        let workers = left.len();
+        let stamp = |choice: usize| {
+            [None, Some(key_k()), Some(key_v())][choice].map(|key| Partitioning { key, workers })
+        };
+        let (env, sink) = charging_env(workers);
+        let a = Dataset::from_partitions(env.clone(), left.clone())
+            .assume_partitioning(stamp(left_stamp));
+        let b = Dataset::from_partitions(env.clone(), right.clone())
+            .assume_partitioning(stamp(right_stamp));
+        let a_kept = left_shared.then(|| a.clone());
+        let b_kept = right_shared.then(|| b.clone());
+        let merged = a.union(b);
+
+        let concatenation: Vec<Vec<Row>> = left
+            .iter()
+            .zip(&right)
+            .map(|(l, r)| l.iter().chain(r).cloned().collect())
+            .collect();
+        prop_assert_eq!(merged.partitions(), concatenation.as_slice());
+        let empty = |parts: &[Vec<Row>]| parts.iter().all(Vec::is_empty);
+        let expected_stamp = match (stamp(left_stamp), stamp(right_stamp)) {
+            (Some(l), Some(r)) if l == r => Some(l),
+            (Some(l), _) if empty(&right) => Some(l),
+            (_, Some(r)) if empty(&left) => Some(r),
+            _ => None,
+        };
+        prop_assert_eq!(merged.partitioning(), expected_stamp);
+        // Flink's union is free: no stage, nothing charged.
+        prop_assert!(sink.snapshot().stages.is_empty());
+        if let Some(kept) = a_kept {
+            prop_assert_eq!(kept.partitions(), left.as_slice());
+        }
+        if let Some(kept) = b_kept {
+            prop_assert_eq!(kept.partitions(), right.as_slice());
+        }
+    }
+
+    /// On duplicate-heavy keys the chained build table yields every match a
+    /// `Vec`-per-key table yields, in the same order — through the
+    /// repartition hash join and through the cached index.
+    #[test]
+    fn chained_table_matches_in_vec_per_key_order(
+        (left, right) in two_partitioned_rows(),
+    ) {
+        let workers = left.len();
+        let key = |row: &Row| row.0;
+        let shuffled = |parts: &[Vec<Row>]| {
+            shuffle_by_key(Arc::new(parts.to_vec()), key, &mut StageCosts::new("model", workers))
+        };
+        let (left_placed, right_placed) = (shuffled(&left), shuffled(&right));
+
+        let (env, _) = charging_env(workers);
+        let left_ds = Dataset::from_partitions(env.clone(), left.clone());
+        let right_ds = Dataset::from_partitions(env.clone(), right.clone());
+        let pair = |l: &Row, r: &Row| Some((l.0, l.1.clone(), r.1.clone()));
+        let joined = left_ds.join(&right_ds, key, key, JoinStrategy::RepartitionHash, pair);
+        let expected: Vec<Vec<(u8, String, String)>> = left_placed
+            .iter()
+            .zip(&right_placed)
+            .map(|(l, r)| vec_per_key_join(l, r))
+            .collect();
+        prop_assert_eq!(joined.partitions(), expected.as_slice());
+
+        // The index is always the build side: probe order outside, build
+        // (insertion) order inside.
+        let index = right_ds.build_partitioned_index(key_k(), key);
+        let probed = index.probe_join(left_ds, key, pair);
+        let expected: Vec<Vec<(u8, String, String)>> = left_placed
+            .iter()
+            .zip(&right_placed)
+            .map(|(probe, build)| {
+                let mut out = Vec::new();
+                for l in probe {
+                    out.extend(build.iter().filter(|r| r.0 == l.0).filter_map(|r| pair(l, r)));
+                }
+                out
+            })
+            .collect();
+        prop_assert_eq!(probed.partitions(), expected.as_slice());
     }
 }

@@ -41,7 +41,7 @@ pub fn single_source_distances(graph: &LogicalGraph, source: GradoopId) -> Logic
             );
         // Keep only genuinely new vertices (distance monotone in BFS).
         frontier = reached.anti_join(&distances, |(vid, _)| *vid, |(vid, _)| *vid);
-        distances = distances.union(&frontier);
+        distances = distances.union(frontier.clone());
     }
 
     super::wcc::annotate(graph, &distances, "distance")

@@ -55,7 +55,7 @@ pub fn connected_components(graph: &LogicalGraph) -> LogicalGraph {
         }
         // Vertices without an improvement keep their label (anti join).
         let unchanged = labels.anti_join(&updated, |(vid, _)| *vid, |(vid, _)| *vid);
-        labels = unchanged.union(&updated);
+        labels = unchanged.union(updated);
     }
 
     annotate(graph, &labels, "component")
@@ -86,7 +86,7 @@ pub(crate) fn annotate(
         .anti_join(values, |v| v.id.0, |(vid, _)| *vid);
     LogicalGraph::new(
         graph.head().clone(),
-        annotated.union(&untouched),
+        annotated.union(untouched),
         graph.edges().clone(),
     )
 }

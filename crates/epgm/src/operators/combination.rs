@@ -31,12 +31,14 @@ impl LogicalGraph {
         let id = head.id;
         let vertices = self
             .vertices()
-            .union(other.vertices())
+            .clone()
+            .union(other.vertices().clone())
             .distinct()
             .map(move |v| v.clone().add_to_graph(id));
         let edges = self
             .edges()
-            .union(other.edges())
+            .clone()
+            .union(other.edges().clone())
             .distinct()
             .map(move |e| e.clone().add_to_graph(id));
         LogicalGraph::new(head, vertices, edges)

@@ -8,9 +8,13 @@ impl GraphCollection {
     /// Union of two collections: all member graphs of either input, with
     /// duplicated graphs (same id) and duplicated elements removed.
     pub fn union_collections(&self, other: &GraphCollection) -> GraphCollection {
-        let heads = self.heads().union(other.heads()).distinct();
-        let vertices = self.vertices().union(other.vertices()).distinct();
-        let edges = self.edges().union(other.edges()).distinct();
+        let heads = self.heads().clone().union(other.heads().clone()).distinct();
+        let vertices = self
+            .vertices()
+            .clone()
+            .union(other.vertices().clone())
+            .distinct();
+        let edges = self.edges().clone().union(other.edges().clone()).distinct();
         GraphCollection::new(heads, vertices, edges)
     }
 

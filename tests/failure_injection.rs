@@ -348,6 +348,54 @@ fn crash_mid_superstep_of_var_length_expansion_recovers() {
     );
 }
 
+/// The solution set grows in place across supersteps, and a checkpoint is
+/// one more handle on it: a superstep that runs after a checkpoint must copy
+/// before it appends, or the rollback would restore rows found later.
+#[test]
+fn a_checkpoint_never_sees_rows_appended_after_it_was_taken() {
+    // Under homomorphism figure 1's knows-cycle feeds all five supersteps.
+    const QUERY: &str = "MATCH (a:Person)-[e:knows*1..5]->(b:Person) RETURN *";
+    let rows = |faults: Option<FaultConfig>| {
+        let env = test_env(2);
+        let graph = figure1_graph(&env);
+        let engine = engine_for(&graph);
+        if let Some(faults) = faults {
+            env.install_faults(faults);
+        }
+        let result = engine
+            .execute(
+                &graph,
+                QUERY,
+                &HashMap::new(),
+                MatchingConfig::homomorphism(),
+            )
+            .unwrap_or_else(|e| panic!("{QUERY:?}: {e}"));
+        let rows = result.rows().expect("RETURN * materializes");
+        env.clear_faults();
+        (rows, env.metrics())
+    };
+    let (clean, _) = rows(None);
+    assert!(clean.len() > 5, "paths of every length");
+    // A checkpoint after every superstep, the third one crashes: two
+    // checkpoints were taken, the second is restored. And a checkpoint after
+    // every other superstep, the fourth one crashes: superstep 3 appended to
+    // the solution set while the checkpoint of superstep 2 held it.
+    for (interval, crashing_superstep) in [(1, 3), (2, 4)] {
+        let schedule = FailureSchedule::none().crash_at_superstep(crashing_superstep, 0);
+        let faults = FaultConfig::new(schedule).checkpoint_interval(interval);
+        let (recovered, metrics) = rows(Some(faults));
+        assert_eq!(
+            recovered, clean,
+            "checkpoint interval {interval}: row for row, in order"
+        );
+        assert!(metrics.recovery_attempts >= 1);
+        assert!(
+            metrics.restored_bytes > 0,
+            "restored from a real checkpoint"
+        );
+    }
+}
+
 #[test]
 fn exhausted_stage_retries_are_classified_execution_errors() {
     // Two crashes on the same stage against a budget of two attempts: the
