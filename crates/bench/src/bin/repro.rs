@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use gradoop_bench::figure1::{figure1_graph, FIGURE1_QUERIES};
 use gradoop_bench::harness::{self, Measurement, ScaleFactor};
 use gradoop_bench::report::{bytes, seconds, speedup, Table};
-use gradoop_core::{CypherEngine, JsonlQueryLog, MatchingConfig};
+use gradoop_core::{CypherEngine, GraphSource, JsonlQueryLog, MatchingConfig};
 use gradoop_dataflow::{
     chrome_trace_json, CollectingSink, ExecutionConfig, ExecutionEnvironment, FailureSchedule,
     FaultConfig,
@@ -254,7 +254,7 @@ fn shuffle_avoidance(config: &LdbcConfig, names: &SelectivityNames) {
 }
 
 /// Fault-tolerance ablation. Three experiments, each asserting its own
-/// acceptance criterion:
+/// acceptance condition:
 ///
 /// 1. every Table-3 pattern (plus the variable-length Q2/Q3) runs once
 ///    fault-free and once under a non-empty failure schedule (worker crash,
@@ -543,69 +543,59 @@ fn ablations(scale: f64) {
     let config = ScaleFactor::Sf10.config(scale);
     let dataset = harness::dataset(&config);
     let names = dataset.names.clone();
-
-    // §3.2: greedy planner with statistics vs without (Flink's default has
-    // no statistics-based reordering).
-    println!("-- query planner: with vs without graph statistics (Q3, 4 workers)");
-    let text = BenchmarkQuery::Q3.text(Some(&names.low));
-    let with_stats = harness::run_query(&config, 4, &text);
     let env = ExecutionEnvironment::new(ExecutionConfig::with_workers(4));
     let graph = harness::graph_on(&env, &dataset.data);
+    let indexed = graph.to_indexed();
+    let engine = CypherEngine::with_statistics(dataset.statistics.clone());
+    // Matches and simulated seconds of one query, the metrics reset first.
+    let run = |engine: &CypherEngine, source: &dyn GraphSource, text: &str| {
+        env.reset_metrics();
+        let matches = engine
+            .execute(
+                source,
+                text,
+                &HashMap::new(),
+                MatchingConfig::cypher_default(),
+            )
+            .unwrap_or_else(|e| panic!("query failed: {e}\n{text}"))
+            .count();
+        (matches, env.simulated_seconds())
+    };
+
+    // §3.2: greedy planner with statistics vs without (Flink's default has
+    // no statistics-based reordering). Both arms read the label index, so
+    // only the operator order differs.
+    println!("-- query planner: with vs without graph statistics (IndexedLogicalGraph, 4 workers)");
     let blind_engine =
         CypherEngine::with_statistics(harness::uniform_statistics(&dataset.statistics));
-    env.reset_metrics();
-    let result = blind_engine
-        .execute(
-            &graph,
-            &text,
-            &HashMap::new(),
-            MatchingConfig::cypher_default(),
-        )
-        .expect("query runs");
-    let blind_matches = result.count();
-    let blind_seconds = env.simulated_seconds();
-    let mut table = Table::new(["planner", "matches", "simulated [s]"]);
-    table.row([
-        "greedy + statistics".to_string(),
-        with_stats.matches.to_string(),
-        seconds(with_stats.simulated_seconds),
-    ]);
-    table.row([
-        "no statistics".to_string(),
-        blind_matches.to_string(),
-        seconds(blind_seconds),
-    ]);
+    let mut table = Table::new(["query", "planner", "matches", "simulated [s]"]);
+    for query in [BenchmarkQuery::Q3, BenchmarkQuery::Q6] {
+        let text = query.text(Some(&names.low));
+        let (informed_matches, informed_seconds) = run(&engine, &indexed, &text);
+        let (blind_matches, blind_seconds) = run(&blind_engine, &indexed, &text);
+        assert_eq!(
+            informed_matches, blind_matches,
+            "{query}: planners disagree"
+        );
+        for (planner, matches, simulated) in [
+            ("greedy + statistics", informed_matches, informed_seconds),
+            ("no statistics", blind_matches, blind_seconds),
+        ] {
+            table.row([
+                query.to_string(),
+                planner.to_string(),
+                matches.to_string(),
+                seconds(simulated),
+            ]);
+        }
+    }
     println!("{table}");
 
     // §3.4: IndexedLogicalGraph vs full scans (Q1).
     println!("-- graph representation: label index vs full scan (Q1, 4 workers)");
     let text = BenchmarkQuery::Q1.text(Some(&names.low));
-    let engine = CypherEngine::with_statistics(dataset.statistics.clone());
-    let env = ExecutionEnvironment::new(ExecutionConfig::with_workers(4));
-    let graph = harness::graph_on(&env, &dataset.data);
-    let indexed = graph.to_indexed();
-    env.reset_metrics();
-    let scan_matches = engine
-        .execute(
-            &graph,
-            &text,
-            &HashMap::new(),
-            MatchingConfig::cypher_default(),
-        )
-        .expect("query runs")
-        .count();
-    let scan_seconds = env.simulated_seconds();
-    env.reset_metrics();
-    let index_matches = engine
-        .execute(
-            &indexed,
-            &text,
-            &HashMap::new(),
-            MatchingConfig::cypher_default(),
-        )
-        .expect("query runs")
-        .count();
-    let index_seconds = env.simulated_seconds();
+    let (scan_matches, scan_seconds) = run(&engine, &graph, &text);
+    let (index_matches, index_seconds) = run(&engine, &indexed, &text);
     assert_eq!(scan_matches, index_matches);
     let mut table = Table::new(["representation", "matches", "simulated [s]"]);
     table.row([

@@ -9,14 +9,14 @@
 //!
 //! | Paper artifact | How to regenerate |
 //! |---|---|
-//! | Figure 3 (speedup over workers) | `repro --fig3`, `benches/fig3_speedup.rs` |
-//! | Figure 4 (runtime vs data size) | `repro --fig4`, `benches/fig4_datasize.rs` |
-//! | Figure 5 (runtime vs selectivity) | `repro --fig5`, `benches/fig5_selectivity.rs` |
-//! | Table 3 (intermediate result sizes) | `repro --table3` (measured by `PROFILE`), `benches/table3_intermediate.rs` |
+//! | Figure 3 (speedup over workers) | `repro --fig3` |
+//! | Figure 4 (runtime vs data size) | `repro --fig4` |
+//! | Figure 5 (runtime vs selectivity) | `repro --fig5` |
+//! | Table 3 (intermediate result sizes) | `repro --table3` (measured by `PROFILE`) |
 //! | Table 4 (runtimes/speedups grid) | `repro --table4` |
 //! | Appendix cardinalities | `repro --cardinalities` |
 //! | EXPLAIN / PROFILE plan trees | `repro --plans`, `repro --profiles` |
-//! | §3.2/§3.3/§3.4 design ablations | `repro --ablations`, `benches/ablation_*.rs`, `benches/micro_*.rs` |
+//! | §3.2/§3.4 design ablations | `repro --ablations` |
 //!
 //! The `repro` binary prints paper-style tables using the **simulated
 //! clock** of the dataflow engine (per-worker makespans, network, spill) —

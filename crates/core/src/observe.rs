@@ -30,7 +30,6 @@ pub fn strategy_name(strategy: JoinStrategy) -> &'static str {
         JoinStrategy::RepartitionHash => "repartition-hash",
         JoinStrategy::BroadcastHashFirst => "broadcast-hash-first",
         JoinStrategy::BroadcastHashSecond => "broadcast-hash-second",
-        JoinStrategy::RepartitionSortMerge => "repartition-sort-merge",
     }
 }
 
@@ -74,7 +73,7 @@ pub fn ship_strategies(
         }
     };
     match strategy {
-        JoinStrategy::RepartitionHash | JoinStrategy::RepartitionSortMerge => [
+        JoinStrategy::RepartitionHash => [
             repartition(left_partitioned),
             repartition(right_partitioned),
         ],
@@ -793,7 +792,7 @@ mod tests {
             [ShipStrategy::Forward, ShipStrategy::Shuffle]
         );
         assert_eq!(
-            ship_strategies(RepartitionSortMerge, true, true),
+            ship_strategies(RepartitionHash, true, true),
             [ShipStrategy::Forward, ShipStrategy::Forward]
         );
         // Broadcast replicates the build side; the other side never moves,

@@ -575,7 +575,7 @@ fn join_partials(
     // placement as is (meaningful here only when it already matches).
     use gradoop_dataflow::JoinStrategy;
     let partitioned_by = match strategy {
-        JoinStrategy::RepartitionHash | JoinStrategy::RepartitionSortMerge => Some(key_set.clone()),
+        JoinStrategy::RepartitionHash => Some(key_set.clone()),
         JoinStrategy::BroadcastHashFirst => right_partitioned.then(|| key_set.clone()),
         JoinStrategy::BroadcastHashSecond => left_partitioned.then(|| key_set.clone()),
     };

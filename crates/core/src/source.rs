@@ -5,7 +5,7 @@
 //! an [`IndexedLogicalGraph`] (paper Section 3.4) serves the pre-partitioned
 //! per-label datasets directly, avoiding the full scan — for a label
 //! alternation several of them, which the leaf reads in place as
-//! [`Parts`]. Benchmarks compare both paths (`ablation_index`).
+//! [`Parts`]. `repro --ablations` compares both paths.
 
 use gradoop_dataflow::{ExecutionEnvironment, Parts};
 use gradoop_epgm::{Edge, IndexedLogicalGraph, Label, LogicalGraph, Vertex};

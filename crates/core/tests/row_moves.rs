@@ -4,7 +4,9 @@
 //!   second live handle costs exactly one allocation per heap-carrying row
 //!   more, and that handle still reads its rows in their order.
 //! * A repartition [`join_embeddings`] of two last-held inputs allocates per
-//!   *output* row: no clone per shipped row, no `Vec` per build key.
+//!   *output* row: no clone per shipped row, no `Vec` per build key. The
+//!   left outer, filtered left outer, semi and anti joins build the same
+//!   table: one key or thousands, it costs the same.
 //! * [`expand_embeddings`] writes the solution set once: a superstep costs
 //!   the same however many rows earlier supersteps found, and emitting a row
 //!   is one allocation.
@@ -103,6 +105,76 @@ fn a_repartition_join_of_last_held_inputs_allocates_per_output_row() {
         "{PAIRS} more pairs cost {added} more allocations: the output rows \
          plus buffer regrowth, nothing per shipped row or per key"
     );
+}
+
+/// A keyed join of one left row against `(key, value)` right rows, returning
+/// its output size.
+type KeyedJoin = dyn Fn(&Dataset<u64>, &Dataset<(u64, u64)>) -> usize;
+
+#[test]
+fn outer_semi_and_anti_join_tables_cost_the_same_however_many_keys_they_hold() {
+    const ROWS: u64 = 2_048;
+    let env = one_worker();
+    let left = env.from_collection(vec![0u64]);
+    // Allocations of one join against `ROWS` right rows carrying `distinct`
+    // keys, key 0 among them.
+    let spent = |join: &KeyedJoin, distinct: u64, emitted: usize| {
+        let right = env.from_collection((0..ROWS).map(|i| (i % distinct, i)).collect::<Vec<_>>());
+        let before = allocations();
+        let out = black_box(join(&left, &right));
+        let spent = allocations() - before;
+        assert_eq!(out, emitted);
+        spent
+    };
+    fn key((k, _): &(u64, u64)) -> u64 {
+        *k
+    }
+    // Every join function emits nothing, so only the shuffles and the table
+    // are counted.
+    let joins: [(&str, &KeyedJoin, usize); 4] = [
+        (
+            "left outer",
+            &|l, r| {
+                l.join_left_outer(r, |k| *k, key, |_, _| None::<u64>)
+                    .len_untracked()
+            },
+            0,
+        ),
+        (
+            "filtered left outer",
+            &|l, r| {
+                l.join_left_outer_filtered(
+                    r,
+                    |k| *k,
+                    key,
+                    |_, (_, v)| v % 2 == 0,
+                    |_, _| None::<u64>,
+                )
+                .len_untracked()
+            },
+            0,
+        ),
+        (
+            "anti",
+            &|l, r| l.anti_join(r, |k| *k, key).len_untracked(),
+            0,
+        ),
+        // The semi join keeps the one left row.
+        (
+            "semi",
+            &|l, r| l.semi_join(r, |k| *k, key).len_untracked(),
+            1,
+        ),
+    ];
+    for (name, join, emitted) in joins {
+        spent(join, 1, emitted); // the first stage also starts the telemetry registry
+        let (one_key, every_key) = (spent(join, 1, emitted), spent(join, ROWS, emitted));
+        assert!(
+            one_key.abs_diff(every_key) < 8,
+            "{name} join over {ROWS} right rows: {one_key} allocations with one key, \
+             {every_key} with {ROWS} keys; the table allocates nothing per key"
+        );
+    }
 }
 
 /// `chains` disjoint chains of `length` edges; chain `c` starts at vertex

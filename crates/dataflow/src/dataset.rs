@@ -131,7 +131,7 @@ impl<T: Data> Dataset<T> {
     }
 
     /// Total number of elements without charging the clock. Flink exposes
-    /// the equivalent through its iteration termination criterion; query
+    /// the equivalent through its iteration termination condition; query
     /// drivers also use it to detect empty intermediate results.
     pub fn len_untracked(&self) -> usize {
         self.partitions.iter().map(Vec::len).sum()

@@ -1,9 +1,9 @@
 //! Equi-join transformations.
 //!
-//! Flink's optimizer chooses between shipping strategies (repartition vs
-//! broadcast vs FORWARD) and local strategies (hash vs sort-merge); the
-//! paper relies on that choice (Section 3.2). All combinations used by the
-//! query engine are implemented here:
+//! Flink's optimizer chooses the shipping strategy of a join (repartition
+//! vs broadcast vs FORWARD); the paper relies on that choice (Section 3.2).
+//! Every strategy the query engine's planner can pick is implemented here,
+//! each with a local hash join:
 //!
 //! * [`JoinStrategy::RepartitionHash`] — both sides are hash-partitioned by
 //!   key; each worker builds a hash table over its smaller side and probes
@@ -11,8 +11,6 @@
 //! * [`JoinStrategy::BroadcastHashSecond`] / [`JoinStrategy::BroadcastHashFirst`]
 //!   — one (small) side is replicated to every worker; the other side stays
 //!   in place. No shuffle of the large side.
-//! * [`JoinStrategy::RepartitionSortMerge`] — both sides are partitioned,
-//!   locally sorted by key hash and merged; charges the extra sort CPU.
 //!
 //! [`Dataset::join_partitioned`] additionally names the join key with a
 //! [`PartitionKey`]: a side whose [`Partitioning`] fingerprint already
@@ -30,7 +28,8 @@
 //! copied (see [`shuffle_by_key`]). [`Dataset::join`] borrows; it hands the
 //! same code a second handle on each side, so its shuffles copy.
 //!
-//! The build side of every local hash join is a `ChainedTable`: two flat
+//! The build side of every local hash join — here and in the outer, semi
+//! and anti joins of `outer_join.rs` — is a `ChainedTable`: two flat
 //! allocations per table however many distinct keys there are, so a join
 //! allocates per *output* row only.
 
@@ -44,7 +43,8 @@ use crate::dataset::Dataset;
 use crate::partition::{shuffle_by_key, PartitionKey, Partitioning};
 use crate::pool::{map_partition_pairs, map_partitions};
 
-/// Shipping + local strategy for an equi-join.
+/// Shipping strategy for an equi-join; the local strategy is always a hash
+/// join.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum JoinStrategy {
     /// Hash-partition both inputs, hash-join locally (Flink
@@ -56,8 +56,6 @@ pub enum JoinStrategy {
     BroadcastHashFirst,
     /// Replicate the *second* (right) input to all workers.
     BroadcastHashSecond,
-    /// Hash-partition both inputs, sort each partition by key and merge.
-    RepartitionSortMerge,
 }
 
 /// Which local side a hash join builds its table over.
@@ -229,9 +227,6 @@ impl<T: Data> Dataset<T> {
             JoinStrategy::BroadcastHashSecond => {
                 self.broadcast_hash_join(&right, key_id, left_key, right_key, join_fn)
             }
-            JoinStrategy::RepartitionSortMerge => {
-                self.sort_merge_join(right, key_id, left_key, right_key, join_fn)
-            }
         }
     }
 
@@ -359,63 +354,6 @@ impl<T: Data> Dataset<T> {
         });
         Dataset::from_partitions(env, outputs).assume_partitioning(stamp)
     }
-
-    fn sort_merge_join<R, K, O, KL, KR, F>(
-        self,
-        right: Dataset<R>,
-        key_id: Option<PartitionKey>,
-        left_key: KL,
-        right_key: KR,
-        join_fn: F,
-    ) -> Dataset<O>
-    where
-        R: Data,
-        O: Data,
-        K: Hash + Eq + Clone + Send + Sync,
-        KL: Fn(&T) -> K + Sync,
-        KR: Fn(&R) -> K + Sync,
-        F: Fn(&T, &R) -> Option<O> + Sync,
-    {
-        let env = self.env().clone();
-        let mut stage = env.stage("join(sort-merge)");
-        let left_parts = ship_side(self, key_id, &left_key, &mut stage);
-        let right_parts = ship_side(right, key_id, &right_key, &mut stage);
-
-        let outputs: Vec<Vec<O>> = map_partition_pairs(&left_parts, &right_parts, |_, l, r| {
-            local_sort_merge_join(l, r, &left_key, &right_key, &join_fn)
-        });
-
-        // Charge shuffle-side record counts plus the n·log n sort CPU.
-        let model = env.cost_model().clone();
-        for (i, ((l, r), out)) in left_parts
-            .iter()
-            .zip(right_parts.iter())
-            .zip(&outputs)
-            .enumerate()
-        {
-            let n = (l.len() + r.len()) as f64;
-            let sort_cpu = if n > 1.0 {
-                n * n.log2() * model.cpu_seconds_per_record * 0.5
-            } else {
-                0.0
-            };
-            let w = stage.worker(i);
-            w.records_in += (l.len() + r.len()) as u64;
-            w.records_out += out.len() as u64;
-            w.extra_cpu_seconds += sort_cpu;
-            // Both sides are copied into sorted scratch runs.
-            let scratch_bytes: u64 = l.iter().map(|e| e.byte_size() as u64).sum::<u64>()
-                + r.iter().map(|e| e.byte_size() as u64).sum::<u64>();
-            w.peak_memory_bytes = w.peak_memory_bytes.max(scratch_bytes);
-            w.scratch_allocations += 2;
-        }
-        env.finish_stage(stage);
-        let stamp = key_id.map(|key| Partitioning {
-            key,
-            workers: env.workers(),
-        });
-        Dataset::from_partitions(env, outputs).assume_partitioning(stamp)
-    }
 }
 
 /// Local hash join: builds over the smaller side, probes with the other.
@@ -476,62 +414,6 @@ where
                     out.extend(join_fn(l, &right[r]));
                 }
             }
-        }
-    }
-    out
-}
-
-/// Local sort-merge join: sorts both sides by key hash and merges runs of
-/// equal hashes, re-checking true key equality inside a run.
-fn local_sort_merge_join<L, R, K, O, KL, KR, F>(
-    left: &[L],
-    right: &[R],
-    left_key: &KL,
-    right_key: &KR,
-    join_fn: &F,
-) -> Vec<O>
-where
-    L: Data,
-    R: Data,
-    K: Hash + Eq,
-    KL: Fn(&L) -> K,
-    KR: Fn(&R) -> K,
-    F: Fn(&L, &R) -> Option<O>,
-{
-    fn key_hash<K: Hash>(key: &K) -> u64 {
-        use std::hash::Hasher;
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut hasher);
-        hasher.finish()
-    }
-
-    let mut l_sorted: Vec<(u64, &L)> = left.iter().map(|l| (key_hash(&left_key(l)), l)).collect();
-    let mut r_sorted: Vec<(u64, &R)> = right.iter().map(|r| (key_hash(&right_key(r)), r)).collect();
-    l_sorted.sort_by_key(|(h, _)| *h);
-    r_sorted.sort_by_key(|(h, _)| *h);
-
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < l_sorted.len() && j < r_sorted.len() {
-        let (lh, rh) = (l_sorted[i].0, r_sorted[j].0);
-        if lh < rh {
-            i += 1;
-        } else if lh > rh {
-            j += 1;
-        } else {
-            let i_end = l_sorted[i..].iter().take_while(|(h, _)| *h == lh).count() + i;
-            let j_end = r_sorted[j..].iter().take_while(|(h, _)| *h == rh).count() + j;
-            for (_, l) in &l_sorted[i..i_end] {
-                for (_, r) in &r_sorted[j..j_end] {
-                    if left_key(l) == right_key(r) {
-                        if let Some(o) = join_fn(l, r) {
-                            out.push(o);
-                        }
-                    }
-                }
-            }
-            i = i_end;
-            j = j_end;
         }
     }
     out
@@ -646,21 +528,12 @@ mod tests {
     }
 
     #[test]
-    fn sort_merge_join_matches() {
-        assert_eq!(
-            run_join(JoinStrategy::RepartitionSortMerge, 4),
-            expected_pairs()
-        );
-    }
-
-    #[test]
     fn all_strategies_agree_on_single_worker() {
         let expected = expected_pairs();
         for strategy in [
             JoinStrategy::RepartitionHash,
             JoinStrategy::BroadcastHashFirst,
             JoinStrategy::BroadcastHashSecond,
-            JoinStrategy::RepartitionSortMerge,
         ] {
             assert_eq!(run_join(strategy, 1), expected, "{strategy:?}");
         }
@@ -789,27 +662,6 @@ mod tests {
         env.reset_metrics();
         let _ = right.partition_by_key(|(k, _)| *k);
         assert_eq!(second_cost, env.metrics().bytes_shuffled);
-    }
-
-    #[test]
-    fn sort_merge_join_forwards_prepartitioned_sides() {
-        let env = ExecutionEnvironment::new(ExecutionConfig::with_workers(4));
-        let key = PartitionKey::named("id");
-        let left = env.from_collection(0u64..200).partition_by(key, |l| *l);
-        let right = env
-            .from_collection((0u64..200).map(|i| (i, i)).collect::<Vec<_>>())
-            .partition_by(key, |(k, _)| *k);
-        env.reset_metrics();
-        let joined = left.join_partitioned(
-            right,
-            key,
-            |l| *l,
-            |(k, _)| *k,
-            JoinStrategy::RepartitionSortMerge,
-            |l, _| Some(*l),
-        );
-        assert_eq!(env.metrics().bytes_shuffled, 0);
-        assert_eq!(joined.len_untracked(), 200);
     }
 
     #[test]

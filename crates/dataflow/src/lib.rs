@@ -8,8 +8,9 @@
 //!
 //! The engine executes the same programming abstractions the paper builds on
 //! (Section 2.4): partitioned [`Dataset`]s and transformations among them —
-//! `map`, `flat_map`, `filter`, equi-`join` (hash, broadcast, sort-merge),
-//! `union`, `distinct`, `group_by`/`reduce` and bulk iteration.
+//! `map`, `flat_map`, `filter`, equi-`join` (repartition or broadcast hash),
+//! left outer, semi and anti joins, `union`, `distinct`, `group_by`/`reduce`
+//! and bulk iteration.
 //!
 //! Partitions are processed by real threads (one logical partition per
 //! simulated worker). In addition to wall-clock execution, every stage is

@@ -1,15 +1,19 @@
-//! Left outer join and anti join.
+//! Left outer, semi and anti joins.
 //!
 //! Flink's dataset API offers outer joins alongside inner joins; the
 //! iterative graph algorithms need them (e.g. "vertices that did not
-//! receive a message keep their state", "frontier minus settled"). Both are
-//! implemented as repartition hash joins.
+//! receive a message keep their state", "frontier minus settled") and
+//! `OPTIONAL MATCH ... WHERE` is a filtered left outer join. All of them are
+//! repartition hash joins over one stage body: both sides are shuffled by
+//! key, each right partition is indexed by the same `ChainedTable` the inner
+//! joins build (two allocations per table, none per key), and each left
+//! partition probes it.
 
-use std::collections::HashMap;
 use std::hash::Hash;
 
 use crate::data::Data;
 use crate::dataset::Dataset;
+use crate::join::ChainedTable;
 use crate::partition::shuffle_by_key;
 use crate::pool::map_partition_pairs;
 
@@ -33,42 +37,7 @@ impl<T: Data> Dataset<T> {
         KR: Fn(&R) -> K + Sync,
         F: Fn(&T, Option<&R>) -> Option<O> + Sync,
     {
-        let env = self.env().clone();
-        let mut stage = env.stage("join(left-outer-hash)");
-        let left_parts = shuffle_by_key(self.partitions_arc(), &left_key, &mut stage);
-        let right_parts = shuffle_by_key(right.partitions_arc(), &right_key, &mut stage);
-
-        let outputs: Vec<Vec<O>> = map_partition_pairs(&left_parts, &right_parts, |_, l, r| {
-            let mut table: HashMap<K, Vec<&R>> = HashMap::with_capacity(r.len());
-            for item in r {
-                table.entry(right_key(item)).or_default().push(item);
-            }
-            let mut out = Vec::new();
-            for item in l {
-                match table.get(&left_key(item)) {
-                    Some(matches) => {
-                        for matched in matches {
-                            out.extend(join_fn(item, Some(matched)));
-                        }
-                    }
-                    None => out.extend(join_fn(item, None)),
-                }
-            }
-            out
-        });
-
-        for (i, ((l, r), out)) in left_parts
-            .iter()
-            .zip(&right_parts)
-            .zip(&outputs)
-            .enumerate()
-        {
-            let w = stage.worker(i);
-            w.records_in += (l.len() + r.len()) as u64;
-            w.records_out += out.len() as u64;
-        }
-        env.finish_stage(stage);
-        Dataset::from_partitions(env, outputs)
+        self.join_left_outer_filtered(right, left_key, right_key, |_, _| true, join_fn)
     }
 
     /// Left outer equi-join with a match predicate: a right element with an
@@ -95,46 +64,28 @@ impl<T: Data> Dataset<T> {
         P: Fn(&T, &R) -> bool + Sync,
         F: Fn(&T, Option<&R>) -> Option<O> + Sync,
     {
-        let env = self.env().clone();
-        let mut stage = env.stage("join(left-outer-hash)");
-        let left_parts = shuffle_by_key(self.partitions_arc(), &left_key, &mut stage);
-        let right_parts = shuffle_by_key(right.partitions_arc(), &right_key, &mut stage);
-
-        let outputs: Vec<Vec<O>> = map_partition_pairs(&left_parts, &right_parts, |_, l, r| {
-            let mut table: HashMap<K, Vec<&R>> = HashMap::with_capacity(r.len());
-            for item in r {
-                table.entry(right_key(item)).or_default().push(item);
-            }
-            let mut out = Vec::new();
-            for item in l {
-                let mut matched = false;
-                if let Some(candidates) = table.get(&left_key(item)) {
-                    for candidate in candidates {
+        self.probe_right_table(
+            "join(left-outer-hash)",
+            right,
+            &left_key,
+            right_key,
+            |l, r, table| {
+                let mut out = Vec::new();
+                for item in l {
+                    let mut matched = false;
+                    for candidate in table.matches(&left_key(item)).map(|i| &r[i]) {
                         if accept(item, candidate) {
                             matched = true;
                             out.extend(join_fn(item, Some(candidate)));
                         }
                     }
+                    if !matched {
+                        out.extend(join_fn(item, None));
+                    }
                 }
-                if !matched {
-                    out.extend(join_fn(item, None));
-                }
-            }
-            out
-        });
-
-        for (i, ((l, r), out)) in left_parts
-            .iter()
-            .zip(&right_parts)
-            .zip(&outputs)
-            .enumerate()
-        {
-            let w = stage.worker(i);
-            w.records_in += (l.len() + r.len()) as u64;
-            w.records_out += out.len() as u64;
-        }
-        env.finish_stage(stage);
-        Dataset::from_partitions(env, outputs)
+                out
+            },
+        )
     }
 
     /// Anti join: keeps the left elements whose key has **no** partner on
@@ -170,17 +121,47 @@ impl<T: Data> Dataset<T> {
         KL: Fn(&T) -> K + Sync,
         KR: Fn(&R) -> K + Sync,
     {
+        self.probe_right_table(
+            "join(semi-hash)",
+            right,
+            &left_key,
+            right_key,
+            |l, _, table| {
+                l.iter()
+                    .filter(|item| table.matches(&left_key(item)).next().is_some())
+                    .cloned()
+                    .collect()
+            },
+        )
+    }
+
+    /// The stage every join of this module runs as `name`: shuffles both
+    /// sides by key, builds a [`ChainedTable`] over each right partition,
+    /// runs `probe(left, right, table)` per partition pair on the pool and
+    /// charges each worker the records it read and wrote.
+    fn probe_right_table<R, K, O, KL, KR, F>(
+        &self,
+        name: &'static str,
+        right: &Dataset<R>,
+        left_key: &KL,
+        right_key: KR,
+        probe: F,
+    ) -> Dataset<O>
+    where
+        R: Data,
+        O: Data,
+        K: Hash + Eq,
+        KL: Fn(&T) -> K + Sync,
+        KR: Fn(&R) -> K + Sync,
+        F: Fn(&[T], &[R], &ChainedTable<K>) -> Vec<O> + Sync,
+    {
         let env = self.env().clone();
-        let mut stage = env.stage("join(semi-hash)");
-        let left_parts = shuffle_by_key(self.partitions_arc(), &left_key, &mut stage);
+        let mut stage = env.stage(name);
+        let left_parts = shuffle_by_key(self.partitions_arc(), left_key, &mut stage);
         let right_parts = shuffle_by_key(right.partitions_arc(), &right_key, &mut stage);
 
-        let outputs: Vec<Vec<T>> = map_partition_pairs(&left_parts, &right_parts, |_, l, r| {
-            let keys: std::collections::HashSet<K> = r.iter().map(&right_key).collect();
-            l.iter()
-                .filter(|item| keys.contains(&left_key(item)))
-                .cloned()
-                .collect()
+        let outputs: Vec<Vec<O>> = map_partition_pairs(&left_parts, &right_parts, |_, l, r| {
+            probe(l, r, &ChainedTable::build(r, &right_key))
         });
 
         for (i, ((l, r), out)) in left_parts

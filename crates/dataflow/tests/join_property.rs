@@ -36,7 +36,6 @@ proptest! {
             JoinStrategy::RepartitionHash,
             JoinStrategy::BroadcastHashFirst,
             JoinStrategy::BroadcastHashSecond,
-            JoinStrategy::RepartitionSortMerge,
         ] {
             let mut got = left_ds
                 .join(

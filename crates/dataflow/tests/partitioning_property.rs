@@ -12,15 +12,16 @@
 //! and the surviving handle still reads its rows; the consuming `union` is
 //! the partition-wise concatenation whoever else holds its inputs; and the
 //! chained build table matches duplicate-heavy keys in the order a
-//! `Vec`-per-key table does.
+//! `Vec`-per-key table does — in the inner joins, the index probe and the
+//! left outer, semi and anti joins, down to their stage reports.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use gradoop_dataflow::cost::StageCosts;
 use gradoop_dataflow::partition::shuffle_by_key;
 use gradoop_dataflow::{
-    partition_for, CollectingSink, CostModel, Dataset, ExecutionConfig, ExecutionEnvironment,
+    partition_for, CollectingSink, CostModel, Data, Dataset, ExecutionConfig, ExecutionEnvironment,
     JoinStrategy, PartitionKey, Partitioning,
 };
 use proptest::prelude::*;
@@ -160,17 +161,19 @@ fn charging_env(workers: usize) -> (ExecutionEnvironment, Arc<CollectingSink>) {
     (env, sink)
 }
 
+/// `rows` indexed by key, one `Vec` per key in row order.
+fn table(rows: &[Row]) -> HashMap<u8, Vec<&Row>> {
+    let mut table: HashMap<u8, Vec<&Row>> = HashMap::new();
+    for row in rows {
+        table.entry(row.0).or_default().push(row);
+    }
+    table
+}
+
 /// What a local hash join with one `Vec` of rows per key emits: built over
 /// the smaller side, probed in the other side's order, matches in build
 /// order.
 fn vec_per_key_join(left: &[Row], right: &[Row]) -> Vec<(u8, String, String)> {
-    fn table(rows: &[Row]) -> HashMap<u8, Vec<&Row>> {
-        let mut table: HashMap<u8, Vec<&Row>> = HashMap::new();
-        for row in rows {
-            table.entry(row.0).or_default().push(row);
-        }
-        table
-    }
     let pair = |l: &Row, r: &Row| (l.0, l.1.clone(), r.1.clone());
     let mut out = Vec::new();
     if left.len() <= right.len() {
@@ -185,6 +188,87 @@ fn vec_per_key_join(left: &[Row], right: &[Row]) -> Vec<(u8, String, String)> {
         }
     }
     out
+}
+
+/// What a left outer join emits per partition pair when the right side is
+/// a `Vec` of rows per key: each left row once per accepted partner, in
+/// right-side order, or once with `None`.
+fn vec_per_key_outer(
+    left: &[Row],
+    right: &[Row],
+    accept: impl Fn(&Row, &Row) -> bool,
+) -> Vec<(u8, String, Option<String>)> {
+    let built = table(right);
+    let mut out = Vec::new();
+    for l in left {
+        let padded = |r: Option<&Row>| (l.0, l.1.clone(), r.map(|r| r.1.clone()));
+        let before = out.len();
+        for r in built
+            .get(&l.0)
+            .into_iter()
+            .flatten()
+            .filter(|r| accept(l, r))
+        {
+            out.push(padded(Some(r)));
+        }
+        if out.len() == before {
+            out.push(padded(None));
+        }
+    }
+    out
+}
+
+/// The left rows whose key is (`semi`) or is not (anti) among the right
+/// side's keys.
+fn hash_set_filter(left: &[Row], right: &[Row], semi: bool) -> Vec<Row> {
+    let keys: HashSet<u8> = right.iter().map(|r| r.0).collect();
+    left.iter()
+        .filter(|l| keys.contains(&l.0) == semi)
+        .cloned()
+        .collect()
+}
+
+/// Runs `join` over fresh datasets on `left` and `right` and returns its
+/// partitions and the rendered report of its one stage.
+fn run_keyed_join<O: Data>(
+    left: &[Vec<Row>],
+    right: &[Vec<Row>],
+    join: impl Fn(&Dataset<Row>, &Dataset<Row>) -> Dataset<O>,
+) -> (Vec<Vec<O>>, String) {
+    let (env, sink) = charging_env(left.len());
+    let joined = join(
+        &Dataset::from_partitions(env.clone(), left.to_vec()),
+        &Dataset::from_partitions(env, right.to_vec()),
+    );
+    let stages = sink.snapshot().stages;
+    assert_eq!(stages.len(), 1, "one stage per keyed join");
+    (joined.partitions().to_vec(), format!("{:?}", stages[0]))
+}
+
+/// What [`run_keyed_join`] must return for a join named `name`: `local` over
+/// each pair of partitions shuffled by the first field, and the report of a
+/// stage that shuffles `left`, then `right`, and charges each worker the
+/// records it read and wrote.
+fn model_keyed_join<O>(
+    name: &'static str,
+    left: &[Vec<Row>],
+    right: &[Vec<Row>],
+    local: impl Fn(&[Row], &[Row]) -> Vec<O>,
+) -> (Vec<Vec<O>>, String) {
+    let mut stage = StageCosts::new(name, left.len());
+    let key = |row: &Row| row.0;
+    let left = shuffle_by_key(Arc::new(left.to_vec()), key, &mut stage);
+    let right = shuffle_by_key(Arc::new(right.to_vec()), key, &mut stage);
+    let outputs: Vec<Vec<O>> = left.iter().zip(&right).map(|(l, r)| local(l, r)).collect();
+    for (i, ((l, r), out)) in left.iter().zip(&right).zip(&outputs).enumerate() {
+        let w = stage.worker(i);
+        w.records_in += (l.len() + r.len()) as u64;
+        w.records_out += out.len() as u64;
+    }
+    (
+        outputs,
+        format!("{:?}", stage.finish(&CostModel::cluster_2017())),
+    )
 }
 
 /// Every record of a stamped dataset must sit on the worker its claimed key
@@ -452,5 +536,35 @@ proptest! {
             })
             .collect();
         prop_assert_eq!(probed.partitions(), expected.as_slice());
+
+        // The left outer, semi and anti joins: partitions, in-partition order
+        // and stage report of a `Vec`-per-key / `HashSet` join over the same
+        // shuffled partitions.
+        let padded = |l: &Row, r: Option<&Row>| Some((l.0, l.1.clone(), r.map(|r| r.1.clone())));
+        let accept = |l: &Row, r: &Row| l.1 <= r.1;
+        prop_assert_eq!(
+            run_keyed_join(&left, &right, |l, r| l.join_left_outer(r, key, key, padded)),
+            model_keyed_join("join(left-outer-hash)", &left, &right, |l, r| {
+                vec_per_key_outer(l, r, |_, _| true)
+            })
+        );
+        prop_assert_eq!(
+            run_keyed_join(&left, &right, |l, r| {
+                l.join_left_outer_filtered(r, key, key, accept, padded)
+            }),
+            model_keyed_join("join(left-outer-hash)", &left, &right, |l, r| {
+                vec_per_key_outer(l, r, accept)
+            })
+        );
+        prop_assert_eq!(
+            run_keyed_join(&left, &right, |l, r| l.semi_join(r, key, key)),
+            model_keyed_join("join(semi-hash)", &left, &right, |l, r| hash_set_filter(l, r, true))
+        );
+        prop_assert_eq!(
+            run_keyed_join(&left, &right, |l, r| l.anti_join(r, key, key)),
+            model_keyed_join("join(left-outer-hash)", &left, &right, |l, r| {
+                hash_set_filter(l, r, false)
+            })
+        );
     }
 }
