@@ -177,7 +177,6 @@ fn table3(scale: f64) {
     println!("(cells are matches (total intermediate embeddings), per PROFILE)");
     println!("{table}");
 
-    shuffle_avoidance(&config, &names);
     fault_tolerance(&config, &names);
 
     println!("-- per-operator intermediate results (low selectivity, from PROFILE)");
@@ -208,49 +207,6 @@ fn table3(scale: f64) {
         }
     }
     println!("{breakdown}");
-}
-
-/// Before/after comparison for the shuffle-avoidance work: the same queries
-/// with partition-aware FORWARD elision + loop-invariant candidate caching
-/// enabled (default) and disabled (naive always-reshuffle execution).
-/// Matches are asserted identical; only costs may differ.
-fn shuffle_avoidance(config: &LdbcConfig, names: &SelectivityNames) {
-    println!("-- shuffle avoidance: partition-aware vs naive (low selectivity, 4 workers)");
-    let mut comparisons: Vec<(String, String)> = table3_patterns(&names.low)
-        .into_iter()
-        .skip(2) // the single-scan and one-join patterns barely shuffle
-        .map(|(name, text)| (name.to_string(), text))
-        .collect();
-    // Q2/Q3 add variable-length expansions, where the loop-invariant
-    // candidate index saves one candidate shuffle per superstep.
-    for query in [BenchmarkQuery::Q2, BenchmarkQuery::Q3] {
-        comparisons.push((query.to_string(), query.text(Some(&names.low))));
-    }
-    let mut table = Table::new([
-        "query",
-        "aware [s]",
-        "naive [s]",
-        "speedup",
-        "shuffled aware",
-        "shuffled naive",
-    ]);
-    for (label, text) in comparisons {
-        let aware = harness::run_query_with(config, 4, &text, true);
-        let naive = harness::run_query_with(config, 4, &text, false);
-        assert_eq!(
-            aware.matches, naive.matches,
-            "shuffle avoidance changed the result of {label}"
-        );
-        table.row([
-            label,
-            seconds(aware.simulated_seconds),
-            seconds(naive.simulated_seconds),
-            speedup(naive.simulated_seconds, aware.simulated_seconds),
-            bytes(aware.bytes_shuffled),
-            bytes(naive.bytes_shuffled),
-        ]);
-    }
-    println!("{table}");
 }
 
 /// Fault-tolerance ablation. Three experiments, each asserting its own
@@ -717,8 +673,8 @@ fn main() {
     };
     if has("--smoke") {
         // CI smoke run: exercise the harness end to end (generation,
-        // planning, execution, PROFILE, the shuffle-avoidance ablation) on
-        // a tiny dataset and exit. Any panic or result mismatch fails CI.
+        // planning, execution, PROFILE, the fault-tolerance ablation) on a
+        // tiny dataset and exit. Any panic or result mismatch fails CI.
         let scale = 0.04;
         println!("Smoke run at scale {scale} (tiny datasets, table 3 + figure 5 only).\n");
         let mut memo = Memo::new(scale);

@@ -1,8 +1,8 @@
 //! Cypher semantics conformance fuzzing.
 //!
 //! The distributed engine has many configurations that must all agree —
-//! planner statistics on/off, partition-aware shuffling on/off, plain vs
-//! label-indexed graphs, four morphism combinations — and the
+//! planner statistics on/off, three planner modes on cyclic patterns, plain
+//! vs label-indexed graphs, four morphism combinations — and the
 //! single-machine reference matcher defines what "agree" means. This
 //! module generates random `(graph, query)` pairs from a seed, runs every
 //! engine configuration, and compares result sets result-for-result

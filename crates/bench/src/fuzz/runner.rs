@@ -11,7 +11,7 @@ use gradoop_core::{
 use gradoop_cypher::ast::Pipeline;
 use gradoop_cypher::{parse, parse_pipeline, QueryGraph};
 use gradoop_dataflow::{CostModel, ExecutionConfig, ExecutionEnvironment};
-use gradoop_epgm::GraphStatistics;
+use gradoop_epgm::{GraphStatistics, LogicalGraph};
 
 use super::gen::{GraphSpec, QuerySpec, Rng};
 use crate::harness::uniform_statistics;
@@ -25,30 +25,23 @@ pub struct EngineConfig {
     /// Strip label statistics (the planner ablation) — exercises the
     /// alternative join orders the greedy planner picks without them.
     pub uniform_stats: bool,
-    /// FORWARD shuffle elision and loop-invariant caching on/off.
-    pub partition_aware: bool,
-    /// Planner mode — cyclic tail-free cases additionally sweep
-    /// [`PlanMode::ForceBinary`] and [`PlanMode::ForceWco`] so the
-    /// worst-case-optimal and binary plans are compared result-for-result
-    /// on every matrix point.
+    /// Planner mode — cyclic cases, with or without a pipeline tail,
+    /// additionally sweep [`PlanMode::ForceBinary`] and
+    /// [`PlanMode::ForceWco`] so the worst-case-optimal and binary plans are
+    /// compared result-for-result on every matrix point.
     pub plan_mode: PlanMode,
 }
 
 impl EngineConfig {
-    /// The full 4-point matrix (cost-based planning; forced plan modes
+    /// The full 2-point matrix (cost-based planning; forced plan modes
     /// are layered on per case by [`run_case`]).
     pub fn matrix() -> Vec<EngineConfig> {
-        let mut out = Vec::new();
-        for uniform_stats in [false, true] {
-            for partition_aware in [false, true] {
-                out.push(EngineConfig {
-                    uniform_stats,
-                    partition_aware,
-                    plan_mode: PlanMode::CostBased,
-                });
-            }
-        }
-        out
+        [false, true]
+            .map(|uniform_stats| EngineConfig {
+                uniform_stats,
+                plan_mode: PlanMode::CostBased,
+            })
+            .to_vec()
     }
 
     /// This configuration with its planner forced to `mode`.
@@ -57,18 +50,14 @@ impl EngineConfig {
         self
     }
 
-    /// Compact label for reports, e.g. `stats+ partition- wco!`.
+    /// Compact label for reports, e.g. `stats- wco!`.
     pub fn label(&self) -> String {
         let mode = match self.plan_mode {
             PlanMode::CostBased => "",
             PlanMode::ForceBinary => " binary!",
             PlanMode::ForceWco => " wco!",
         };
-        format!(
-            "stats{} partition{}{mode}",
-            if self.uniform_stats { "-" } else { "+" },
-            if self.partition_aware { "+" } else { "-" },
-        )
+        format!("stats{}{mode}", if self.uniform_stats { "-" } else { "+" })
     }
 }
 
@@ -198,6 +187,20 @@ pub fn reference_rows(case: &CaseSpec, query: &QueryGraph) -> Vec<Canonical> {
     out
 }
 
+/// The data graph of `case` on a fresh environment, and an engine over it
+/// that plans the way `config` says.
+fn engine_for(case: &CaseSpec, config: &EngineConfig) -> (LogicalGraph, CypherEngine) {
+    let graph = case.graph.build(&free_env(case.workers));
+    let statistics = GraphStatistics::of(&graph);
+    let statistics = if config.uniform_stats {
+        uniform_statistics(&statistics)
+    } else {
+        statistics
+    };
+    let engine = CypherEngine::with_statistics(statistics).with_plan_mode(config.plan_mode);
+    (graph, engine)
+}
+
 /// Runs `case` under one engine configuration and returns its canonical
 /// rows (or the error the engine classified).
 pub fn engine_rows(
@@ -205,18 +208,7 @@ pub fn engine_rows(
     query_text: &str,
     config: &EngineConfig,
 ) -> Result<Vec<Canonical>, String> {
-    let env = ExecutionEnvironment::new(
-        ExecutionConfig::with_workers(case.workers)
-            .cost_model(CostModel::free())
-            .partition_aware(config.partition_aware),
-    );
-    let graph = case.graph.build(&env);
-    let statistics = if config.uniform_stats {
-        uniform_statistics(&GraphStatistics::of(&graph))
-    } else {
-        GraphStatistics::of(&graph)
-    };
-    let engine = CypherEngine::with_statistics(statistics).with_plan_mode(config.plan_mode);
+    let (graph, engine) = engine_for(case, config);
     let result = if case.indexed {
         engine.execute(
             &graph.to_indexed(),
@@ -286,18 +278,7 @@ pub fn pipeline_engine_rows(
     query_text: &str,
     config: &EngineConfig,
 ) -> Result<Vec<Canonical>, String> {
-    let env = ExecutionEnvironment::new(
-        ExecutionConfig::with_workers(case.workers)
-            .cost_model(CostModel::free())
-            .partition_aware(config.partition_aware),
-    );
-    let graph = case.graph.build(&env);
-    let statistics = if config.uniform_stats {
-        uniform_statistics(&GraphStatistics::of(&graph))
-    } else {
-        GraphStatistics::of(&graph)
-    };
-    let engine = CypherEngine::with_statistics(statistics);
+    let (graph, engine) = engine_for(case, config);
     let result = if case.indexed {
         engine.run(
             &graph.to_indexed(),
@@ -314,59 +295,19 @@ pub fn pipeline_engine_rows(
     }
 }
 
-/// Runs a tail-bearing case through the full configuration matrix: the
-/// engine's `run` table against the reference pipeline interpreter's.
-fn run_pipeline_case(case: &CaseSpec, query_text: &str) -> CaseOutcome {
-    let pipeline = match parse_pipeline(query_text) {
-        Ok(pipeline) => pipeline,
-        Err(error) => {
-            return CaseOutcome::Rejected {
-                reason: error.to_string(),
-            }
-        }
-    };
-    let (reference, reference_matches) = match pipeline_reference(case, &pipeline) {
-        Ok(reference) => reference,
-        Err(reason) => return CaseOutcome::Rejected { reason },
-    };
-    let mut executions = 0;
-    for config in EngineConfig::matrix() {
-        executions += 1;
-        let engine = pipeline_engine_rows(case, query_text, &config);
-        if engine.as_ref().ok() != Some(&reference) {
-            return CaseOutcome::Mismatch(Box::new(Mismatch {
-                config,
-                query_text: query_text.to_string(),
-                engine,
-                reference,
-            }));
-        }
-    }
-    CaseOutcome::Passed {
-        executions,
-        reference_matches,
-    }
-}
-
-/// Runs `case` through the full configuration matrix against the
-/// reference. Stops at the first diverging configuration.
-pub fn run_case(case: &CaseSpec) -> CaseOutcome {
-    let query_text = case.query.render();
-    if case.query.tail.is_some() {
-        return run_pipeline_case(case, &query_text);
-    }
-    let query = match parse(&query_text)
-        .map_err(|e| e.to_string())
-        .and_then(|ast| QueryGraph::from_query(&ast).map_err(|e| e.to_string()))
-    {
-        Ok(query) => query,
-        Err(reason) => return CaseOutcome::Rejected { reason },
-    };
-    let reference = reference_rows(case, &query);
-    // Cyclic patterns are where worst-case-optimal and binary plans
-    // genuinely differ, so those cases additionally sweep both forced
-    // planner modes: every matrix point must agree with the reference
-    // under whichever plan shape the mode selects.
+/// Runs `engine` on every matrix point against `reference`, stopping at the
+/// first diverging configuration. Cyclic patterns are where
+/// worst-case-optimal and binary plans genuinely differ, so cyclic cases —
+/// with or without a pipeline tail — additionally sweep both forced planner
+/// modes: every matrix point must agree with the reference under whichever
+/// plan shape the mode selects.
+fn sweep(
+    case: &CaseSpec,
+    query_text: String,
+    reference: Vec<Canonical>,
+    reference_matches: usize,
+    engine: fn(&CaseSpec, &str, &EngineConfig) -> Result<Vec<Canonical>, String>,
+) -> CaseOutcome {
     let modes: &[PlanMode] = if case.query.is_cyclic() {
         &[
             PlanMode::CostBased,
@@ -381,7 +322,7 @@ pub fn run_case(case: &CaseSpec) -> CaseOutcome {
         for &mode in modes {
             let config = config.with_mode(mode);
             executions += 1;
-            let engine = engine_rows(case, &query_text, &config);
+            let engine = engine(case, &query_text, &config);
             if engine.as_ref().ok() != Some(&reference) {
                 return CaseOutcome::Mismatch(Box::new(Mismatch {
                     config,
@@ -394,8 +335,42 @@ pub fn run_case(case: &CaseSpec) -> CaseOutcome {
     }
     CaseOutcome::Passed {
         executions,
-        reference_matches: reference.len(),
+        reference_matches,
     }
+}
+
+/// Runs `case` through the full configuration matrix against the
+/// reference: a tail-bearing case compares the engine's `run` table with
+/// the reference pipeline interpreter's, a plain one its embeddings with
+/// the reference matcher's.
+pub fn run_case(case: &CaseSpec) -> CaseOutcome {
+    let query_text = case.query.render();
+    if case.query.tail.is_some() {
+        let pipeline = match parse_pipeline(&query_text) {
+            Ok(pipeline) => pipeline,
+            Err(error) => {
+                return CaseOutcome::Rejected {
+                    reason: error.to_string(),
+                }
+            }
+        };
+        return match pipeline_reference(case, &pipeline) {
+            Ok((reference, matches)) => {
+                sweep(case, query_text, reference, matches, pipeline_engine_rows)
+            }
+            Err(reason) => CaseOutcome::Rejected { reason },
+        };
+    }
+    let query = match parse(&query_text)
+        .map_err(|e| e.to_string())
+        .and_then(|ast| QueryGraph::from_query(&ast).map_err(|e| e.to_string()))
+    {
+        Ok(query) => query,
+        Err(reason) => return CaseOutcome::Rejected { reason },
+    };
+    let reference = reference_rows(case, &query);
+    let matches = reference.len();
+    sweep(case, query_text, reference, matches, engine_rows)
 }
 
 /// Re-checks whether `case` still diverges under `config` (the shrinker's

@@ -106,10 +106,6 @@ pub struct Measurement {
     pub simulated_seconds: f64,
     /// Wall-clock seconds on this machine.
     pub wall_seconds: f64,
-    /// Bytes that crossed simulated worker boundaries.
-    pub bytes_shuffled: u64,
-    /// Bytes spilled to simulated disk by join build sides.
-    pub bytes_spilled: u64,
     /// Records processed across all stages.
     pub records: u64,
     /// Recovery attempts consumed by injected faults (0 without faults).
@@ -144,24 +140,8 @@ fn result_digest(result: &QueryResult) -> u64 {
 /// workers and returns the measurement. Execution uses the default
 /// (cluster-calibrated) cost model.
 pub fn run_query(config: &LdbcConfig, workers: usize, query_text: &str) -> Measurement {
-    run_query_with(config, workers, query_text, true)
-}
-
-/// [`run_query`] with an explicit partition-awareness switch. Passing
-/// `false` disables FORWARD shuffle elision and loop-invariant candidate
-/// caching, reproducing the naive always-reshuffle execution for the
-/// shuffle-avoidance ablation; results are identical either way, only the
-/// costs differ.
-pub fn run_query_with(
-    config: &LdbcConfig,
-    workers: usize,
-    query_text: &str,
-    partition_aware: bool,
-) -> Measurement {
     let dataset = dataset(config);
-    let env = ExecutionEnvironment::new(
-        ExecutionConfig::with_workers(workers).partition_aware(partition_aware),
-    );
+    let env = ExecutionEnvironment::new(ExecutionConfig::with_workers(workers));
     let graph = graph_on(&env, &dataset.data);
     // Queries run against the label-indexed representation (paper §3.4),
     // like the paper's evaluation; building the index is preprocessing and
@@ -190,8 +170,6 @@ pub fn run_query_with(
         matches,
         simulated_seconds: metrics.simulated_seconds,
         wall_seconds,
-        bytes_shuffled: metrics.bytes_shuffled,
-        bytes_spilled: metrics.bytes_spilled,
         records: metrics.records_in,
         recovery_attempts: metrics.recovery_attempts,
         recovery_seconds: metrics.recovery_seconds,
@@ -242,8 +220,6 @@ pub fn run_query_faulted(
         matches,
         simulated_seconds: metrics.simulated_seconds,
         wall_seconds,
-        bytes_shuffled: metrics.bytes_shuffled,
-        bytes_spilled: metrics.bytes_spilled,
         records: metrics.records_in,
         recovery_attempts: metrics.recovery_attempts,
         recovery_seconds: metrics.recovery_seconds,
@@ -338,23 +314,6 @@ mod tests {
         assert!(m.simulated_seconds > 0.0);
         assert!(m.wall_seconds > 0.0);
         assert!(m.records > 0);
-    }
-
-    #[test]
-    fn partition_awareness_changes_costs_not_results() {
-        let config = LdbcConfig::with_persons(60);
-        let names = dataset(&config).names.clone();
-        let text = BenchmarkQuery::Q3.text(Some(&names.low));
-        let aware = run_query_with(&config, 4, &text, true);
-        let naive = run_query_with(&config, 4, &text, false);
-        assert_eq!(aware.matches, naive.matches);
-        assert!(
-            aware.bytes_shuffled <= naive.bytes_shuffled,
-            "forwarding must not ship more than reshuffling ({} vs {})",
-            aware.bytes_shuffled,
-            naive.bytes_shuffled
-        );
-        assert!(aware.simulated_seconds <= naive.simulated_seconds);
     }
 
     #[test]

@@ -224,7 +224,8 @@ impl CypherEngine {
             match stage {
                 Stage::Match(inner) | Stage::OptionalMatch(inner) => {
                     let optional = matches!(stage, Stage::OptionalMatch(_));
-                    let (query, plan) = plan_match_stage(inner, params, &self.statistics)?;
+                    let (query, plan) =
+                        plan_match_stage(inner, params, &self.statistics, self.plan_mode)?;
                     estimated = (estimated * plan.estimated_cardinality).max(1.0);
                     children.push(ExplainNode::inner(
                         if optional {

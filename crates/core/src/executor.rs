@@ -328,21 +328,19 @@ fn choose_strategy(left: &EmbeddingSet, right: &EmbeddingSet) -> JoinStrategy {
 }
 
 /// Runtime strategy choice for a join on `variables`: reads the inputs'
-/// partitioning facts (when awareness is enabled) and returns the chosen
-/// strategy plus the `[left, right]` ship strategies it implies.
+/// partitioning facts and returns the chosen strategy plus the
+/// `[left, right]` ship strategies it implies.
 fn choose_strategy_partitioned(
     left: &EmbeddingSet,
     right: &EmbeddingSet,
     variables: &[String],
 ) -> (JoinStrategy, [ShipStrategy; 2]) {
-    let env = left.data.env();
-    let aware = env.partition_aware();
     let target = Partitioning {
         key: embedding_join_key(variables),
-        workers: env.workers(),
+        workers: left.data.env().workers(),
     };
-    let left_partitioned = aware && left.data.partitioning() == Some(target);
-    let right_partitioned = aware && right.data.partitioning() == Some(target);
+    let left_partitioned = left.data.partitioning() == Some(target);
+    let right_partitioned = right.data.partitioning() == Some(target);
     let strategy = choose_join_strategy_with_partitioning(
         left.data.len_untracked(),
         right.data.len_untracked(),

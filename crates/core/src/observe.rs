@@ -370,8 +370,8 @@ pub struct ExpandIteration {
     /// Network bytes moved shipping the working set this iteration.
     pub shuffled_bytes: u64,
     /// Network bytes moved shipping the candidate edges this iteration.
-    /// With the loop-invariant index (partition awareness on) this is
-    /// non-zero only in iteration 1.
+    /// The candidate index is loop-invariant, so this is non-zero only in
+    /// iteration 1.
     pub candidate_shuffled_bytes: u64,
 }
 

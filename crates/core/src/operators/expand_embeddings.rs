@@ -10,13 +10,10 @@
 //! reached or no extensible paths remain.
 //!
 //! The candidate edge set is **loop-invariant**: it never changes between
-//! supersteps. With partition awareness enabled (the default) the operator
-//! partitions the candidates by source vertex and hash-indexes them *once*,
-//! before the iteration starts, and every superstep only ships the working
-//! set to the cached index — Flink caches loop-invariant datasets inside a
-//! `BulkIteration` the same way. With awareness disabled the candidates are
-//! re-shuffled and re-indexed every round, which is what the shuffle-
-//! avoidance ablation in the benchmark harness measures.
+//! supersteps. The operator partitions the candidates by source vertex and
+//! hash-indexes them *once*, before the iteration starts, and every
+//! superstep only ships the working set to the cached index — Flink caches
+//! loop-invariant datasets inside a `BulkIteration` the same way.
 //!
 //! Rows are written once. The working set is handed to each superstep by
 //! value, so shipping it to the candidate index moves the states; a state
@@ -27,10 +24,7 @@
 use std::cell::RefCell;
 use std::sync::Arc;
 
-use gradoop_dataflow::{
-    bulk_iterate_with_invariant_index, bulk_iterate_with_results, Dataset, PartitionKey,
-    PartitionedIndex, SpanRecord,
-};
+use gradoop_dataflow::{bulk_iterate_with_results, Dataset, PartitionKey, SpanRecord};
 
 use crate::embedding::{Embedding, EntryType};
 use crate::matching::{MatchingConfig, MorphismCheck, MorphismType};
@@ -131,22 +125,22 @@ pub fn expand_embeddings(
     };
 
     let lower = config.lower.max(1);
-    let aware = env.partition_aware();
-    let candidate_key = PartitionKey::named("expand:candidate.source");
 
-    // The 1-hop expansion probing the candidate index with the working set,
-    // shared by both execution modes. Emits per-iteration PROFILE counters:
-    // path length reached, size of the surviving working set, embeddings
-    // emitted this round, frontier bytes shipped, and candidate-side bytes
-    // shipped (the loop-invariant cache makes the last drop to zero after
-    // round 1). A no-op unless a trace sink is installed.
-    let step_env = env.clone();
-    let step = |states: Dataset<ExpandState>,
-                index: &PartitionedIndex<u64, EdgeTriple>,
-                k: usize|
-     -> (Dataset<ExpandState>, Dataset<Embedding>) {
-        let bytes_before = step_env.metrics().bytes_shuffled;
-        let candidate_bytes = if aware && k > 1 {
+    // Loop-invariant build side: the candidates are shuffled by source
+    // vertex and hash-indexed exactly once, before the first superstep.
+    let index = candidates.build_partitioned_index(
+        PartitionKey::named("expand:candidate.source"),
+        |(source, _, _)| *source,
+    );
+
+    // The 1-hop expansion probing the candidate index with the working set.
+    // Emits per-iteration PROFILE counters: path length reached, size of the
+    // surviving working set, embeddings emitted this round, frontier bytes
+    // shipped, and candidate-side bytes shipped (the index's build, charged
+    // to round 1 only). A no-op unless a trace sink is installed.
+    let (_, iterated) = bulk_iterate_with_results(initial, config.upper, |states, k| {
+        let bytes_before = env.metrics().bytes_shuffled;
+        let candidate_bytes = if k > 1 {
             0
         } else {
             index.build_shuffled_bytes()
@@ -181,10 +175,10 @@ pub fn expand_embeddings(
         let found: Dataset<Embedding> = if k >= lower {
             next.flat_map(|state, out| out.extend(emit(state)))
         } else {
-            step_env.empty()
+            env.empty()
         };
-        let frontier_bytes = step_env.metrics().bytes_shuffled - bytes_before;
-        step_env.emit_span(SpanRecord {
+        let frontier_bytes = env.metrics().bytes_shuffled - bytes_before;
+        env.emit_span(SpanRecord {
             name: "expand/iteration".to_string(),
             wall_seconds: 0.0,
             simulated_seconds: 0.0,
@@ -200,27 +194,7 @@ pub fn expand_embeddings(
             ],
         });
         (next, found)
-    };
-
-    let (_, iterated) = if aware {
-        // Loop-invariant path: candidates are shuffled by source vertex and
-        // hash-indexed exactly once, before the first superstep.
-        bulk_iterate_with_invariant_index(
-            initial,
-            config.upper,
-            candidates,
-            candidate_key,
-            |(source, _, _)| *source,
-            |states, index, k| step(states, index, k),
-        )
-    } else {
-        // Ablation path: re-shuffle and re-index the candidates each round,
-        // like the pre-optimization dataflow did.
-        bulk_iterate_with_results(initial, config.upper, |states, k| {
-            let index = candidates.build_partitioned_index(candidate_key, |(source, _, _)| *source);
-            step(states, &index, k)
-        })
-    };
+    });
     let rows_in = (input.data.len_untracked() + candidates.len_untracked()) as u64;
     let result = EmbeddingSet {
         data: results.union(iterated),
@@ -460,48 +434,35 @@ mod tests {
         use gradoop_dataflow::CollectingSink;
         use std::sync::Arc;
 
-        let iteration_counters = |aware: bool| -> Vec<(f64, f64)> {
-            let env = ExecutionEnvironment::new(
-                ExecutionConfig::with_workers(2)
-                    .cost_model(CostModel::free())
-                    .partition_aware(aware),
-            );
-            let sink = Arc::new(CollectingSink::new());
-            env.set_trace_sink(Some(sink.clone()));
-            let input = starts(&env, &[1]);
-            let result = expand_embeddings(
-                input,
-                &chain(&env),
-                &config(1, 3, MatchingConfig::cypher_default()),
-            );
-            assert_eq!(result.data.count(), 3);
-            sink.snapshot()
-                .spans
-                .iter()
-                .filter(|s| s.name == "expand/iteration")
-                .map(|s| {
-                    (
-                        s.counter("iteration").unwrap(),
-                        s.counter("candidate_shuffled_bytes").unwrap(),
-                    )
-                })
-                .collect()
-        };
+        let env = env();
+        let sink = Arc::new(CollectingSink::new());
+        env.set_trace_sink(Some(sink.clone()));
+        let input = starts(&env, &[1]);
+        let result = expand_embeddings(
+            input,
+            &chain(&env),
+            &config(1, 3, MatchingConfig::cypher_default()),
+        );
+        assert_eq!(result.data.count(), 3);
+        let counters: Vec<(f64, f64)> = sink
+            .snapshot()
+            .spans
+            .iter()
+            .filter(|s| s.name == "expand/iteration")
+            .map(|s| {
+                (
+                    s.counter("iteration").unwrap(),
+                    s.counter("candidate_shuffled_bytes").unwrap(),
+                )
+            })
+            .collect();
 
-        // Loop-invariant caching on: the candidate edges ship in round 1
-        // only; later rounds probe the cached index for free.
-        let aware = iteration_counters(true);
-        assert_eq!(aware.len(), 3);
-        assert!(aware[0].1 > 0.0);
-        assert_eq!(aware[1], (2.0, 0.0));
-        assert_eq!(aware[2], (3.0, 0.0));
-
-        // Ablation: with awareness off every round re-ships the candidates.
-        let unaware = iteration_counters(false);
-        assert_eq!(unaware.len(), 3);
-        for (_, bytes) in &unaware {
-            assert_eq!(*bytes, aware[0].1);
-        }
+        // The candidate edges ship in round 1 only; later rounds probe the
+        // cached index for free.
+        assert_eq!(counters.len(), 3);
+        assert!(counters[0].1 > 0.0);
+        assert_eq!(counters[1], (2.0, 0.0));
+        assert_eq!(counters[2], (3.0, 0.0));
     }
 
     #[test]

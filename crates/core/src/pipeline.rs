@@ -55,7 +55,7 @@ use crate::executor::execute_plan;
 use crate::matching::MatchingConfig;
 use crate::observe::ProfileNode;
 use crate::operators::EmbeddingSet;
-use crate::planner::{plan_query, Estimator, PlanError, QueryPlan};
+use crate::planner::{plan_query_with_mode, Estimator, PlanError, PlanMode, QueryPlan};
 use crate::result::{QueryResult, ReturnColumns};
 use crate::source::GraphSource;
 use crate::values::{
@@ -223,12 +223,14 @@ pub fn execute_pipeline<S: GraphSource + ?Sized>(
 
 /// Plans one `MATCH` stage in isolation (patterns only — the stage `WHERE`
 /// is evaluated row-wise over the combined table so it can see earlier
-/// columns). The plan depends on the stage, the parameters and the graph
-/// statistics alone, never on the working table.
+/// columns) under the engine's plan `mode`. The plan depends on the stage,
+/// the parameters, the graph statistics and the mode alone, never on the
+/// working table.
 pub(crate) fn plan_match_stage(
     stage: &MatchStage,
     params: &HashMap<String, Literal>,
     statistics: &GraphStatistics,
+    mode: PlanMode,
 ) -> Result<(QueryGraph, QueryPlan), CypherError> {
     let query = Query {
         patterns: stage.patterns.clone(),
@@ -239,7 +241,7 @@ pub(crate) fn plan_match_stage(
         },
     };
     let query_graph = QueryGraph::from_query_with_params(&query, params)?;
-    let plan = plan_query(&query_graph, &Estimator::new(statistics))?;
+    let plan = plan_query_with_mode(&query_graph, &Estimator::new(statistics), mode)?;
     Ok((query_graph, plan))
 }
 

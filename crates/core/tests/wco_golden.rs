@@ -225,3 +225,49 @@ fn wco_plans_cut_the_largest_intermediate_result_by_exactly_3x_and_9x() {
         assert!(wco_matches > 0, "{query}");
     }
 }
+
+/// The plan mode reaches the `MATCH` stages of a clause pipeline too: a
+/// stage is planned the way the same pattern is planned on its own, and
+/// every mode returns the same table.
+#[test]
+fn pipeline_match_stages_follow_the_plan_mode() {
+    let pattern = "MATCH (a)-[e1]->(b), (b)-[e2]->(c), (a)-[e3]->(c)";
+    let query = format!("{pattern} WITH a, count(*) AS n RETURN n ORDER BY n");
+    let env = ExecutionEnvironment::with_workers(4);
+    let graph = ring_with_chords(&env, 60);
+    let mut tables = Vec::new();
+    for mode in [
+        PlanMode::CostBased,
+        PlanMode::ForceBinary,
+        PlanMode::ForceWco,
+    ] {
+        let engine = CypherEngine::for_graph(&graph).with_plan_mode(mode);
+        let alone = engine.explain(&format!("{pattern} RETURN *")).unwrap();
+        let staged = engine.explain(&query).unwrap().root.to_text();
+        // On the ring the cost-based planner picks the intersection too
+        // (est 27 against 540 for the wedge join).
+        assert_eq!(
+            alone.root.to_text().contains("wco intersect"),
+            mode != PlanMode::ForceBinary,
+            "{mode:?}:\n{}",
+            alone.to_text()
+        );
+        assert_eq!(
+            staged.contains("wco intersect"),
+            mode != PlanMode::ForceBinary,
+            "{mode:?}:\n{staged}"
+        );
+        let table = engine
+            .run(
+                &graph,
+                &query,
+                &HashMap::new(),
+                MatchingConfig::cypher_default(),
+            )
+            .unwrap();
+        assert!(!table.rows.is_empty(), "{mode:?}");
+        tables.push(table);
+    }
+    assert_eq!(tables[0], tables[1]);
+    assert_eq!(tables[0], tables[2]);
+}

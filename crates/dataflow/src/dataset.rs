@@ -327,10 +327,9 @@ impl<T: Data> Dataset<T> {
     /// Repartitions the dataset by a *named* semantic key and stamps the
     /// result with the matching [`Partitioning`] fingerprint.
     ///
-    /// If the dataset is already partitioned on `key_id` (and the
-    /// environment has partition-awareness enabled), the shuffle is skipped
-    /// entirely — Flink's FORWARD ship strategy: no stage runs, no bytes
-    /// move, no simulated time is charged.
+    /// If the dataset is already partitioned on `key_id`, the shuffle is
+    /// skipped entirely — Flink's FORWARD ship strategy: no stage runs, no
+    /// bytes move, no simulated time is charged.
     pub fn partition_by<K, F>(&self, key_id: PartitionKey, key: F) -> Dataset<T>
     where
         K: Hash,
@@ -340,7 +339,7 @@ impl<T: Data> Dataset<T> {
             key: key_id,
             workers: self.env.workers(),
         };
-        if self.env.partition_aware() && self.partitioning == Some(target) {
+        if self.partitioning == Some(target) {
             return self.clone();
         }
         let mut stage = self.env.stage("partition_by_key");
@@ -673,21 +672,6 @@ mod tests {
             .from_collection(0u64..20)
             .partition_by(PartitionKey::named("other"), |x| *x);
         assert!(a.union(other).partitioning().is_none());
-    }
-
-    #[test]
-    fn partition_awareness_can_be_disabled() {
-        let env = ExecutionEnvironment::new(
-            ExecutionConfig::with_workers(4)
-                .cost_model(CostModel::free())
-                .partition_aware(false),
-        );
-        let key = PartitionKey::named("value");
-        let ds = env.from_collection(0u64..50).partition_by(key, |x| *x);
-        let stages_before = env.metrics().stages;
-        let _ = ds.partition_by(key, |x| *x);
-        // Awareness off: the second partitioning pays the full shuffle.
-        assert!(env.metrics().stages > stages_before);
     }
 
     #[test]

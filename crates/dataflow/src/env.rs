@@ -22,12 +22,6 @@ pub struct ExecutionConfig {
     pub workers: usize,
     /// Cost model used by the simulated clock.
     pub cost_model: CostModel,
-    /// Whether operators may exploit [`Partitioning`](crate::partition::Partitioning)
-    /// fingerprints to skip shuffles of co-partitioned inputs (Flink FORWARD)
-    /// and cache loop-invariant join build sides across bulk-iteration
-    /// supersteps. On by default; benchmarks disable it to measure the
-    /// before/after effect of shuffle avoidance.
-    pub partition_aware: bool,
     /// Optional fault-tolerance policy: a deterministic failure schedule to
     /// inject plus the retry/backoff/checkpoint parameters. `None` (the
     /// default) disables the fault machinery entirely — no counters, no
@@ -41,7 +35,6 @@ impl ExecutionConfig {
         ExecutionConfig {
             workers: workers.max(1),
             cost_model: CostModel::default(),
-            partition_aware: true,
             faults: None,
         }
     }
@@ -49,13 +42,6 @@ impl ExecutionConfig {
     /// Replaces the cost model.
     pub fn cost_model(mut self, model: CostModel) -> Self {
         self.cost_model = model;
-        self
-    }
-
-    /// Enables or disables shuffle avoidance (see
-    /// [`ExecutionConfig::partition_aware`]).
-    pub fn partition_aware(mut self, aware: bool) -> Self {
-        self.partition_aware = aware;
         self
     }
 
@@ -141,12 +127,6 @@ impl ExecutionEnvironment {
     /// The environment's cost model.
     pub fn cost_model(&self) -> &CostModel {
         &self.inner.config.cost_model
-    }
-
-    /// Whether shuffle avoidance is enabled (see
-    /// [`ExecutionConfig::partition_aware`]).
-    pub fn partition_aware(&self) -> bool {
-        self.inner.config.partition_aware
     }
 
     /// Snapshot of the accumulated execution metrics.

@@ -3,9 +3,16 @@
 //! The paper evaluates variable-length path expressions with a bulk
 //! iteration whose body performs a 1-hop expansion; the iteration terminates
 //! when the upper bound is reached or no valid paths remain (Section 3.1).
-//! [`bulk_iterate`] provides exactly those while-loop semantics: the body
-//! maps the working set of one iteration to the working set of the next, and
-//! the loop stops at `max_iterations` or on an empty working set.
+//! [`bulk_iterate_with_results`] provides exactly those while-loop
+//! semantics: the body maps the working set of one iteration to the working
+//! set of the next, and the loop stops at `max_iterations` or on an empty
+//! working set.
+//!
+//! A loop-invariant dataset is not the loop's business: the caller builds
+//! it once, before the loop (for a join side, a
+//! [`PartitionedIndex`](crate::index::PartitionedIndex)), and the body reads
+//! it every superstep — Flink caches loop-invariant datasets inside a
+//! `BulkIteration` the same way.
 //!
 //! The loop owns what it iterates over. The body receives the working set by
 //! value, so a shuffle inside it moves the rows; each iteration's solution
@@ -15,43 +22,22 @@
 //! superstep after it copies instead of appending, and the snapshot never
 //! sees a later row.
 
-use std::hash::Hash;
-
 use crate::cost::StageCosts;
 use crate::data::Data;
 use crate::dataset::Dataset;
 use crate::env::ExecutionEnvironment;
 use crate::fault::{backoff_seconds, ExecutionFailure, FaultConfig};
-use crate::index::PartitionedIndex;
-use crate::partition::PartitionKey;
 use crate::trace::SpanRecord;
 
-/// Runs `body` up to `max_iterations` times, feeding each iteration's output
-/// into the next. Terminates early when the working set becomes empty.
-/// Returns the final working set.
-///
-/// The body receives the 1-based iteration number, mirroring Flink's
-/// iteration runtime context.
-pub fn bulk_iterate<T, F>(initial: Dataset<T>, max_iterations: usize, mut body: F) -> Dataset<T>
-where
-    T: Data,
-    F: FnMut(Dataset<T>, usize) -> Dataset<T>,
-{
-    let mut working = initial;
-    for iteration in 1..=max_iterations {
-        if working.is_empty_untracked() {
-            break;
-        }
-        working = body(working, iteration);
-    }
-    working
-}
-
-/// Like [`bulk_iterate`], but the body additionally emits a "solution"
+/// Runs `body` up to `max_iterations` times, feeding each iteration's
+/// working set into the next and terminating early when the working set
+/// becomes empty. The body receives the 1-based iteration number, mirroring
+/// Flink's iteration runtime context, and additionally emits a "solution"
 /// dataset per iteration; all solutions are unioned into the second return
-/// value. This matches the paper's expansion dataflow, where embeddings
-/// reaching the lower path bound are moved to the result set via a union
-/// transformation while the working set keeps growing paths.
+/// value, the final working set is the first. This matches the paper's
+/// expansion dataflow, where embeddings reaching the lower path bound are
+/// moved to the result set via a union transformation while the working set
+/// keeps growing paths.
 ///
 /// When the environment has a [`FaultConfig`] installed, the iteration is
 /// **checkpointed**: every [`FaultConfig::checkpoint_interval`] supersteps
@@ -223,42 +209,12 @@ fn charge_restore<T: Data, R: Data>(
     });
 }
 
-/// Like [`bulk_iterate_with_results`], but with a *loop-invariant build
-/// side*: `invariant` is partitioned by `key_id` and hash-indexed exactly
-/// once, before the first iteration, and the body probes the cached
-/// [`PartitionedIndex`] every superstep instead of re-shuffling the static
-/// dataset. This is Flink's caching of loop-invariant datasets inside a
-/// `BulkIteration` — the paper's expansion dataflow joins the (changing)
-/// working set with the (static) candidate edges each round, so hoisting
-/// the candidate shuffle out of the loop removes `iterations - 1` shuffles
-/// of the larger side.
-pub fn bulk_iterate_with_invariant_index<T, E, K, R, KF, F>(
-    initial: Dataset<T>,
-    max_iterations: usize,
-    invariant: &Dataset<E>,
-    key_id: PartitionKey,
-    key: KF,
-    mut body: F,
-) -> (Dataset<T>, Dataset<R>)
-where
-    T: Data,
-    E: Data,
-    R: Data,
-    K: Hash + Eq + Clone + Send + Sync,
-    KF: Fn(&E) -> K + Sync,
-    F: FnMut(Dataset<T>, &PartitionedIndex<K, E>, usize) -> (Dataset<T>, Dataset<R>),
-{
-    let index = invariant.build_partitioned_index(key_id, key);
-    bulk_iterate_with_results(initial, max_iterations, |working, iteration| {
-        body(working, &index, iteration)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cost::CostModel;
     use crate::env::{ExecutionConfig, ExecutionEnvironment};
+    use crate::partition::PartitionKey;
 
     fn env(workers: usize) -> ExecutionEnvironment {
         ExecutionEnvironment::new(
@@ -266,11 +222,18 @@ mod tests {
         )
     }
 
+    /// A body that emits no solutions.
+    fn no_results(ds: Dataset<u64>) -> (Dataset<u64>, Dataset<u64>) {
+        let env = ds.env().clone();
+        (ds, env.empty())
+    }
+
     #[test]
     fn iterates_fixed_number_of_times() {
         let env = env(2);
         let initial = env.from_collection(vec![1u64, 2, 3]);
-        let result = bulk_iterate(initial, 5, |ds, _| ds.map(|x| x + 1));
+        let (result, _) =
+            bulk_iterate_with_results(initial, 5, |ds, _| no_results(ds.map(|x| x + 1)));
         let mut values = result.collect();
         values.sort_unstable();
         assert_eq!(values, vec![6, 7, 8]);
@@ -281,9 +244,9 @@ mod tests {
         let env = env(2);
         let initial = env.from_collection(vec![1u64, 2, 3]);
         let mut iterations = 0usize;
-        let result = bulk_iterate(initial, 100, |ds, _| {
+        let (result, _) = bulk_iterate_with_results(initial, 100, |ds, _| {
             iterations += 1;
-            ds.filter(|_| false)
+            no_results(ds.filter(|_| false))
         });
         assert_eq!(iterations, 1);
         assert_eq!(result.count(), 0);
@@ -294,9 +257,9 @@ mod tests {
         let env = env(1);
         let initial = env.from_collection(vec![0u64]);
         let mut seen = Vec::new();
-        let _ = bulk_iterate(initial, 3, |ds, i| {
+        let _ = bulk_iterate_with_results(initial, 3, |ds, i| {
             seen.push(i);
-            ds
+            no_results(ds)
         });
         assert_eq!(seen, vec![1, 2, 3]);
     }
@@ -319,36 +282,32 @@ mod tests {
     fn invariant_side_is_shuffled_exactly_once() {
         let env = ExecutionEnvironment::new(ExecutionConfig::with_workers(4));
         // Static "edge" relation: key -> successor. Walking it three times
-        // must ship the relation over the network exactly once.
+        // must ship the relation over the network exactly once: the index is
+        // built before the loop and every superstep probes it.
         let edges: Dataset<(u64, u64)> =
             env.from_collection((0u64..100).map(|i| (i, (i + 1) % 100)).collect::<Vec<_>>());
         let frontier = env.from_collection(vec![0u64, 7, 42]);
         env.reset_metrics();
+        let index =
+            edges.build_partitioned_index(PartitionKey::named("edge.source"), |(src, _)| *src);
+        let build_bytes = env.metrics().bytes_shuffled;
+        assert_eq!(build_bytes, index.build_shuffled_bytes());
+        assert!(build_bytes > 0);
         let mut per_iteration_shuffle = Vec::new();
-        let (_, reached): (_, Dataset<u64>) = bulk_iterate_with_invariant_index(
-            frontier,
-            3,
-            &edges,
-            PartitionKey::named("edge.source"),
-            |(src, _)| *src,
-            |working, index, _| {
-                let before = index.probe_join(working, |v| *v, |_, (_, dst)| Some(*dst));
-                per_iteration_shuffle.push(env.metrics().bytes_shuffled);
-                (before.clone(), before)
-            },
-        );
+        let (_, reached) = bulk_iterate_with_results(frontier, 3, |working, _| {
+            let before = env.metrics().bytes_shuffled;
+            let next = index.probe_join(working, |v| *v, |_, (_, dst)| Some(*dst));
+            per_iteration_shuffle.push(env.metrics().bytes_shuffled - before);
+            (next.clone(), next)
+        });
         let mut values = reached.collect();
         values.sort_unstable();
         assert_eq!(values, vec![1, 2, 3, 8, 9, 10, 43, 44, 45]);
-        // The build shuffle happened before iteration 1; after that the
-        // only network traffic is the (re-keyed) frontier.
-        let build_bytes = per_iteration_shuffle[0];
-        assert!(build_bytes > 0);
-        let edge_bytes: u64 = 100 * 16; // 100 (u64, u64) records
-                                        // Later iterations never move anywhere near an edge-relation's worth
-                                        // of bytes again.
-        for window in per_iteration_shuffle.windows(2) {
-            assert!(window[1] - window[0] < edge_bytes);
+        // After the build the only network traffic is the (re-keyed)
+        // frontier: three u64s, never anywhere near the relation's bytes.
+        assert_eq!(per_iteration_shuffle.len(), 3);
+        for bytes in per_iteration_shuffle {
+            assert!(bytes <= 3 * 8, "a superstep shipped {bytes} bytes");
         }
     }
 
@@ -356,8 +315,10 @@ mod tests {
     fn zero_iterations_returns_initial() {
         let env = env(2);
         let initial = env.from_collection(vec![7u64]);
-        let result = bulk_iterate(initial, 0, |ds, _| ds.map(|_| unreachable!()));
+        let (result, solutions) =
+            bulk_iterate_with_results(initial, 0, |ds, _| no_results(ds.map(|_| unreachable!())));
         assert_eq!(result.collect(), vec![7]);
+        assert_eq!(solutions.count(), 0);
     }
 
     use crate::fault::{FailureSchedule, FaultConfig};

@@ -67,8 +67,7 @@ enum BuildSide {
 
 /// Ships one join side and returns its partitions: the dataset's own,
 /// untouched (FORWARD, free), when its fingerprint already matches the named
-/// join key and awareness is enabled, else the output of a full
-/// `shuffle_by_key` charged to `stage`.
+/// join key, else the output of a full `shuffle_by_key` charged to `stage`.
 pub(crate) fn ship_side<T, K, F>(
     side: Dataset<T>,
     key_id: Option<PartitionKey>,
@@ -80,13 +79,12 @@ where
     K: Hash,
     F: Fn(&T) -> K + Sync,
 {
-    let env = side.env();
     let forwarded = key_id.is_some_and(|key| {
-        let target = Partitioning {
-            key,
-            workers: env.workers(),
-        };
-        env.partition_aware() && side.partitioning() == Some(target)
+        side.partitioning()
+            == Some(Partitioning {
+                key,
+                workers: side.env().workers(),
+            })
     });
     if forwarded {
         side.into_partitions()
@@ -662,31 +660,6 @@ mod tests {
         env.reset_metrics();
         let _ = right.partition_by_key(|(k, _)| *k);
         assert_eq!(second_cost, env.metrics().bytes_shuffled);
-    }
-
-    #[test]
-    fn disabled_awareness_shuffles_prepartitioned_sides() {
-        let env =
-            ExecutionEnvironment::new(ExecutionConfig::with_workers(4).partition_aware(false));
-        let left = env.from_collection(0u64..1000).partition_by_key(|l| *l);
-        let right = env
-            .from_collection((0u64..1000).map(|i| (i, i)).collect::<Vec<_>>())
-            .partition_by_key(|(k, _)| *k);
-        env.reset_metrics();
-        let key = PartitionKey::named("id");
-        let _ = left.join_partitioned(
-            right,
-            key,
-            |l| *l,
-            |(k, _)| *k,
-            JoinStrategy::RepartitionHash,
-            |l, _| Some(*l),
-        );
-        // Records already sit in place, so the shuffle moves nothing — but
-        // it *runs*: unlike the FORWARD path, the stage scans both sides.
-        // (Byte cost is zero either way here because the placement agrees;
-        // the point is that nothing is elided when awareness is off.)
-        assert!(env.metrics().stages > 0);
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub use fault::{
 };
 pub use index::PartitionedIndex;
 pub use intersect::{build_adjacency_index, probe_intersect, AdjacencyIndex, IntersectStats};
-pub use iterate::{bulk_iterate, bulk_iterate_with_invariant_index, bulk_iterate_with_results};
+pub use iterate::bulk_iterate_with_results;
 pub use join::JoinStrategy;
 pub use json::JsonValue;
 pub use partition::{partition_for, PartitionKey, Partitioning};

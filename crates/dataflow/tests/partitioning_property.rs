@@ -2,8 +2,8 @@
 //! chains the stamp must follow the preserved-or-dropped rules exactly, and
 //! whenever a dataset claims a partitioning, every record must actually sit
 //! on the worker the claimed key hashes to — the fingerprint is never a lie.
-//! A second property checks that FORWARD-elided joins agree with a
-//! partition-unaware run byte for byte.
+//! A second property checks that a FORWARD-elided join finds exactly the
+//! pairs of a nested-loop join while shipping nothing.
 //!
 //! Three more pin what "the last holder of a dataset gives its rows away"
 //! may not change: a shuffle, join or index probe that moved its input and
@@ -331,63 +331,52 @@ proptest! {
     }
 
     /// FORWARD elision is cost-only: a join whose sides are pre-partitioned
-    /// on the join key must produce exactly the results of the same join in
-    /// a partition-unaware environment, while shipping fewer records
-    /// through the join stage.
+    /// on the join key produces exactly the pairs a nested-loop join finds,
+    /// its one stage ships nothing, and it reads each input record once.
     #[test]
-    fn forward_elided_joins_agree_with_partition_unaware_runs(
+    fn forward_elided_joins_agree_with_a_nested_loop_join(
         left in records(),
         right in records(),
         workers in 1..5usize,
     ) {
-        let mut outputs: Vec<Vec<(u8, u16, u16)>> = Vec::new();
-        let mut join_records: Vec<u64> = Vec::new();
-        for aware in [true, false] {
-            let env = ExecutionEnvironment::new(
-                ExecutionConfig::with_workers(workers)
-                    .cost_model(CostModel::free())
-                    .partition_aware(aware),
-            );
-            let sink = Arc::new(CollectingSink::new());
-            env.set_trace_sink(Some(sink.clone()));
-            let left_ds = env
-                .from_collection(left.clone())
-                .partition_by(key_k(), |(k, _)| *k);
-            let right_ds = env
-                .from_collection(right.clone())
-                .partition_by(key_k(), |(k, _)| *k);
-            let mut joined = left_ds
-                .join_partitioned(
-                    right_ds,
-                    key_k(),
-                    |(k, _)| *k,
-                    |(k, _)| *k,
-                    JoinStrategy::RepartitionHash,
-                    |(k, lv), (_, rv)| Some((*k, *lv, *rv)),
-                )
-                .collect();
-            joined.sort_unstable();
-            outputs.push(joined);
-            join_records.push(
-                sink.snapshot()
-                    .stages
-                    .iter()
-                    .filter(|s| s.name.starts_with("join("))
-                    .map(|s| s.records_in)
-                    .sum(),
-            );
+        let (env, sink) = charging_env(workers);
+        let left_ds = env
+            .from_collection(left.clone())
+            .partition_by(key_k(), |(k, _)| *k);
+        let right_ds = env
+            .from_collection(right.clone())
+            .partition_by(key_k(), |(k, _)| *k);
+        let mut joined = left_ds
+            .join_partitioned(
+                right_ds,
+                key_k(),
+                |(k, _)| *k,
+                |(k, _)| *k,
+                JoinStrategy::RepartitionHash,
+                |(k, lv), (_, rv)| Some((*k, *lv, *rv)),
+            )
+            .collect();
+        joined.sort_unstable();
+        let join_stages: Vec<_> = sink
+            .snapshot()
+            .stages
+            .into_iter()
+            .filter(|s| s.name.starts_with("join("))
+            .collect();
+
+        let mut expected: Vec<(u8, u16, u16)> = Vec::new();
+        for (lk, lv) in &left {
+            for (rk, rv) in &right {
+                if lk == rk {
+                    expected.push((*lk, *lv, *rv));
+                }
+            }
         }
-        prop_assert_eq!(
-            &outputs[0],
-            &outputs[1],
-            "FORWARD elision changed the join result"
-        );
-        prop_assert!(
-            join_records[0] <= join_records[1],
-            "the aware join must not ship more records ({} vs {})",
-            join_records[0],
-            join_records[1]
-        );
+        expected.sort_unstable();
+        prop_assert_eq!(joined, expected, "FORWARD elision changed the join result");
+        prop_assert_eq!(join_stages.len(), 1);
+        prop_assert_eq!(join_stages[0].bytes_shuffled, 0);
+        prop_assert_eq!(join_stages[0].records_in, (left.len() + right.len()) as u64);
     }
 
     /// Moving the rows of a last-held input and copying the rows of a
