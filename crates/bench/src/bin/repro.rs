@@ -54,7 +54,7 @@ impl Memo {
         let config = sf.config(self.scale);
         let names = harness::dataset(&config).names.clone();
         let text = query.text(selectivity.map(|s| names.name(s)));
-        let measurement = harness::run_query(&config, workers, &text);
+        let measurement = harness::run_query(&config, workers, &text, None);
         self.cache.insert(key, measurement.clone());
         measurement
     }
@@ -162,7 +162,7 @@ fn table3(scale: f64) {
                 .find(|(p, _)| p == pattern)
                 .map(|(_, text)| text)
                 .expect("pattern exists");
-            let profile = harness::profile_query(&config, 4, &text);
+            let profile = harness::profile_query(&config, 4, &text, None);
             cells.push(format!(
                 "{} ({})",
                 profile.matches,
@@ -240,7 +240,7 @@ fn fault_tolerance(config: &LdbcConfig, names: &SelectivityNames) {
         "clean [s]",
     ]);
     for (label, text) in comparisons {
-        let clean = harness::run_query(config, 4, &text);
+        let clean = harness::run_query(config, 4, &text, None);
         // The crash at stage 0 always fires; the later events fire on
         // queries with enough stages (joins) or supersteps (Q2/Q3).
         let schedule = FailureSchedule::none()
@@ -248,11 +248,11 @@ fn fault_tolerance(config: &LdbcConfig, names: &SelectivityNames) {
             .lost_partition_at_stage(2, 1)
             .straggler_at_stage(4, 2, 4.0)
             .crash_at_superstep(2, 3);
-        let faulted = harness::run_query_faulted(
+        let faulted = harness::run_query(
             config,
             4,
             &text,
-            FaultConfig::new(schedule).checkpoint_interval(2),
+            Some(FaultConfig::new(schedule).checkpoint_interval(2)),
         );
         assert_eq!(
             clean.matches, faulted.matches,
@@ -285,15 +285,15 @@ fn fault_tolerance(config: &LdbcConfig, names: &SelectivityNames) {
 
     println!("-- PROFILE under faults (Q1, worker crash at scan + lost partition)");
     let text = BenchmarkQuery::Q1.text(Some(&names.low));
-    let profile = harness::profile_query_faulted(
+    let profile = harness::profile_query(
         config,
         4,
         &text,
-        FaultConfig::new(
+        Some(FaultConfig::new(
             FailureSchedule::none()
                 .crash_at_stage(0, 0)
                 .lost_partition_at_stage(2, 1),
-        ),
+        )),
     );
     assert!(
         profile.recovery_attempts > 0,
@@ -311,7 +311,7 @@ fn fault_tolerance(config: &LdbcConfig, names: &SelectivityNames) {
     // iteration makes restart-from-scratch redo six supersteps while a
     // checkpointed run redoes at most the interval.
     let text = BenchmarkQuery::Q3.text(Some(&names.low));
-    let clean = harness::run_query(config, 4, &text);
+    let clean = harness::run_query(config, 4, &text, None);
     let schedule = FailureSchedule::none().crash_at_superstep(7, 0);
     let mut table = Table::new([
         "checkpoint interval",
@@ -325,11 +325,11 @@ fn fault_tolerance(config: &LdbcConfig, names: &SelectivityNames) {
     let mut scratch_seconds = f64::NAN;
     let mut checkpointed_restores = 0u64;
     for interval in [0usize, 1, 2, 4] {
-        let m = harness::run_query_faulted(
+        let m = harness::run_query(
             config,
             4,
             &text,
-            FaultConfig::new(schedule.clone()).checkpoint_interval(interval),
+            Some(FaultConfig::new(schedule.clone()).checkpoint_interval(interval)),
         );
         assert_eq!(
             m.matches, clean.matches,
@@ -390,7 +390,7 @@ fn profiles(scale: f64) {
     let names = harness::dataset(&config).names.clone();
     for query in [BenchmarkQuery::Q1, BenchmarkQuery::Q2, BenchmarkQuery::Q3] {
         let text = query.text(Some(&names.low));
-        let profile = harness::profile_query(&config, 4, &text);
+        let profile = harness::profile_query(&config, 4, &text, None);
         println!("-- {query}: {}\n{}", query.title(), profile.to_text());
     }
 }

@@ -7,7 +7,9 @@ use std::time::Instant;
 
 use gradoop_core::{CypherEngine, MatchingConfig, Profile, QueryResult};
 use gradoop_dataflow::{ExecutionConfig, ExecutionEnvironment, FaultConfig};
-use gradoop_epgm::{properties, GradoopId, GraphHead, GraphStatistics, LogicalGraph};
+use gradoop_epgm::{
+    properties, GradoopId, GraphHead, GraphStatistics, IndexedLogicalGraph, LogicalGraph,
+};
 use gradoop_ldbc::{generate, pick_names, GeneratedData, LdbcConfig, SelectivityNames};
 
 /// The two dataset sizes of the paper's evaluation, rescaled ~1000×
@@ -128,29 +130,55 @@ pub struct Measurement {
 fn result_digest(result: &QueryResult) -> u64 {
     use std::collections::hash_map::DefaultHasher;
     use std::hash::{Hash, Hasher};
-    let rows = result.rows().expect("result rows materialize");
-    let mut rendered: Vec<String> = rows.iter().map(|row| format!("{row:?}")).collect();
+    let table = result.rows().expect("result rows materialize");
+    let mut rendered: Vec<String> = table.rows.iter().map(|row| format!("{row:?}")).collect();
     rendered.sort_unstable();
     let mut hasher = DefaultHasher::new();
+    table.columns.hash(&mut hasher);
     rendered.hash(&mut hasher);
     hasher.finish()
 }
 
-/// Runs `query_text` on the dataset of `config` with `workers` simulated
-/// workers and returns the measurement. Execution uses the default
-/// (cluster-calibrated) cost model.
-pub fn run_query(config: &LdbcConfig, workers: usize, query_text: &str) -> Measurement {
+/// The set-up every measured query shares: the dataset of `config` on a
+/// fresh environment of `workers` simulated workers with the default
+/// (cluster-calibrated) cost model, queried in its label-indexed
+/// representation (paper §3.4) like the paper's evaluation, by an engine
+/// over the pre-computed statistics. Building the index is preprocessing
+/// and excluded from the measured time, exactly like the statistics: the
+/// metrics are reset after it. `faults`, when given, are installed last, so
+/// stage 0 of the failure schedule is the first stage of the measured
+/// query — the same convention the chaos tests use. Without them no
+/// injector is installed at all (an empty schedule would still charge
+/// iteration checkpoints).
+fn measured_setup(
+    config: &LdbcConfig,
+    workers: usize,
+    faults: Option<FaultConfig>,
+) -> (ExecutionEnvironment, IndexedLogicalGraph, CypherEngine) {
     let dataset = dataset(config);
     let env = ExecutionEnvironment::new(ExecutionConfig::with_workers(workers));
-    let graph = graph_on(&env, &dataset.data);
-    // Queries run against the label-indexed representation (paper §3.4),
-    // like the paper's evaluation; building the index is preprocessing and
-    // excluded from the measured time, exactly like the pre-computed
-    // statistics.
-    let graph = graph.to_indexed();
+    let graph = graph_on(&env, &dataset.data).to_indexed();
     let engine = CypherEngine::with_statistics(dataset.statistics.clone());
-
     env.reset_metrics();
+    if let Some(faults) = faults {
+        env.install_faults(faults);
+    }
+    (env, graph, engine)
+}
+
+/// Runs `query_text` on the dataset of `config` with `workers` simulated
+/// workers (see [`measured_setup`]) and returns the measurement. Under
+/// `faults`, an exhausted retry budget surfaces as a panic carrying the
+/// classified [`CypherError::Execution`](gradoop_core::CypherError::Execution)
+/// message; a survivable schedule returns a normal [`Measurement`] whose
+/// recovery fields are non-zero.
+pub fn run_query(
+    config: &LdbcConfig,
+    workers: usize,
+    query_text: &str,
+    faults: Option<FaultConfig>,
+) -> Measurement {
+    let (env, graph, engine) = measured_setup(config, workers, faults);
     let wall_start = Instant::now();
     let result = engine
         .execute(
@@ -163,9 +191,6 @@ pub fn run_query(config: &LdbcConfig, workers: usize, query_text: &str) -> Measu
     let matches = result.count();
     let wall_seconds = wall_start.elapsed().as_secs_f64();
     let metrics = env.metrics();
-    // Rendering rows for the digest runs extra (collect) stages; snapshot
-    // the metrics first so the measurement covers the query alone.
-    let result_digest = result_digest(&result);
     Measurement {
         matches,
         simulated_seconds: metrics.simulated_seconds,
@@ -175,72 +200,25 @@ pub fn run_query(config: &LdbcConfig, workers: usize, query_text: &str) -> Measu
         recovery_seconds: metrics.recovery_seconds,
         checkpoint_bytes: metrics.checkpoint_bytes,
         restored_bytes: metrics.restored_bytes,
-        result_digest,
+        // Decoding rows runs no dataflow stage, so no fault can fire in it.
+        result_digest: result_digest(&result),
     }
 }
 
-/// Runs `query_text` with the given fault configuration installed. The
-/// faults are installed *after* the graph is loaded and indexed, so stage 0
-/// of the failure schedule is the first stage of the measured query — the
-/// same convention the chaos tests use. Exhausted retry budgets surface as
-/// a panic carrying the classified [`CypherError::Execution`]
-/// (gradoop_core::CypherError::Execution) message; survivable schedules
-/// return a normal [`Measurement`] whose recovery fields are non-zero.
-pub fn run_query_faulted(
+/// Runs `query_text` under PROFILE: same set-up as [`run_query`], but
+/// returns the per-operator [`Profile`] tree — actual cardinalities,
+/// selectivities, simulated times and estimate-vs-actual errors — instead
+/// of aggregate metrics. The paper's Table 3 intermediate-result counts are
+/// read off this tree; under `faults` it carries the recovery attempts,
+/// recovery seconds and checkpoint/restore bytes the injected faults
+/// charged.
+pub fn profile_query(
     config: &LdbcConfig,
     workers: usize,
     query_text: &str,
-    faults: FaultConfig,
-) -> Measurement {
-    let dataset = dataset(config);
-    let env = ExecutionEnvironment::new(ExecutionConfig::with_workers(workers));
-    let graph = graph_on(&env, &dataset.data).to_indexed();
-    let engine = CypherEngine::with_statistics(dataset.statistics.clone());
-
-    env.reset_metrics();
-    env.install_faults(faults);
-    let wall_start = Instant::now();
-    let result = engine
-        .execute(
-            &graph,
-            query_text,
-            &HashMap::new(),
-            MatchingConfig::cypher_default(),
-        )
-        .unwrap_or_else(|e| panic!("faulted query failed: {e}\n{query_text}"));
-    let matches = result.count();
-    let wall_seconds = wall_start.elapsed().as_secs_f64();
-    let metrics = env.metrics();
-    // Rendering the digest re-runs collection stages; disarm the injector
-    // first so leftover schedule events cannot fire outside the measured
-    // query.
-    env.clear_faults();
-    let result_digest = result_digest(&result);
-    Measurement {
-        matches,
-        simulated_seconds: metrics.simulated_seconds,
-        wall_seconds,
-        records: metrics.records_in,
-        recovery_attempts: metrics.recovery_attempts,
-        recovery_seconds: metrics.recovery_seconds,
-        checkpoint_bytes: metrics.checkpoint_bytes,
-        restored_bytes: metrics.restored_bytes,
-        result_digest,
-    }
-}
-
-/// Runs `query_text` under PROFILE: same setup as [`run_query`] (indexed
-/// graph, pre-computed statistics, default cost model), but returns the
-/// per-operator [`Profile`] tree — actual cardinalities, selectivities,
-/// simulated times and estimate-vs-actual errors — instead of aggregate
-/// metrics. The paper's Table 3 intermediate-result counts are read off
-/// this tree.
-pub fn profile_query(config: &LdbcConfig, workers: usize, query_text: &str) -> Profile {
-    let dataset = dataset(config);
-    let env = ExecutionEnvironment::new(ExecutionConfig::with_workers(workers));
-    let graph = graph_on(&env, &dataset.data).to_indexed();
-    let engine = CypherEngine::with_statistics(dataset.statistics.clone());
-    env.reset_metrics();
+    faults: Option<FaultConfig>,
+) -> Profile {
+    let (_env, graph, engine) = measured_setup(config, workers, faults);
     engine
         .profile(
             &graph,
@@ -249,34 +227,6 @@ pub fn profile_query(config: &LdbcConfig, workers: usize, query_text: &str) -> P
             MatchingConfig::cypher_default(),
         )
         .unwrap_or_else(|e| panic!("query failed: {e}\n{query_text}"))
-}
-
-/// [`profile_query`] with a fault configuration installed after graph
-/// loading and indexing (stage 0 = first query stage). The returned
-/// [`Profile`] carries the recovery attempts, recovery seconds and
-/// checkpoint/restore bytes charged by the injected faults.
-pub fn profile_query_faulted(
-    config: &LdbcConfig,
-    workers: usize,
-    query_text: &str,
-    faults: FaultConfig,
-) -> Profile {
-    let dataset = dataset(config);
-    let env = ExecutionEnvironment::new(ExecutionConfig::with_workers(workers));
-    let graph = graph_on(&env, &dataset.data).to_indexed();
-    let engine = CypherEngine::with_statistics(dataset.statistics.clone());
-    env.reset_metrics();
-    env.install_faults(faults);
-    let profile = engine
-        .profile(
-            &graph,
-            query_text,
-            &HashMap::new(),
-            MatchingConfig::cypher_default(),
-        )
-        .unwrap_or_else(|e| panic!("faulted query failed: {e}\n{query_text}"));
-    env.clear_faults();
-    profile
 }
 
 /// A statistics object with no label information: feeding it to the greedy
@@ -309,7 +259,7 @@ mod tests {
     fn run_query_measures_something() {
         let config = LdbcConfig::with_persons(60);
         let names = dataset(&config).names.clone();
-        let m = run_query(&config, 2, &BenchmarkQuery::Q1.text(Some(&names.low)));
+        let m = run_query(&config, 2, &BenchmarkQuery::Q1.text(Some(&names.low)), None);
         assert!(m.matches > 0);
         assert!(m.simulated_seconds > 0.0);
         assert!(m.wall_seconds > 0.0);
@@ -322,13 +272,13 @@ mod tests {
         let config = LdbcConfig::with_persons(60);
         let names = dataset(&config).names.clone();
         let text = BenchmarkQuery::Q1.text(Some(&names.low));
-        let clean = run_query(&config, 4, &text);
+        let clean = run_query(&config, 4, &text, None);
         let faults = FaultConfig::new(
             FailureSchedule::none()
                 .crash_at_stage(0, 0)
                 .lost_partition_at_stage(1, 1),
         );
-        let faulted = run_query_faulted(&config, 4, &text, faults);
+        let faulted = run_query(&config, 4, &text, Some(faults));
         assert_eq!(clean.matches, faulted.matches);
         assert_eq!(clean.result_digest, faulted.result_digest);
         assert_eq!(clean.recovery_attempts, 0);
@@ -343,11 +293,13 @@ mod tests {
         let config = LdbcConfig::with_persons(60);
         let names = dataset(&config).names.clone();
         let text = BenchmarkQuery::Q1.text(Some(&names.low));
-        let profile = profile_query_faulted(
+        let profile = profile_query(
             &config,
             4,
             &text,
-            FaultConfig::new(FailureSchedule::none().crash_at_stage(0, 0)),
+            Some(FaultConfig::new(
+                FailureSchedule::none().crash_at_stage(0, 0),
+            )),
         );
         assert!(profile.recovery_attempts >= 1);
         assert!(profile.recovery_seconds > 0.0);

@@ -34,8 +34,5 @@ pub mod fuzz;
 pub mod harness;
 pub mod report;
 
-pub use harness::{
-    dataset, profile_query, profile_query_faulted, run_query, run_query_faulted, Measurement,
-    ScaleFactor,
-};
+pub use harness::{dataset, profile_query, run_query, Measurement, ScaleFactor};
 pub use report::Table;

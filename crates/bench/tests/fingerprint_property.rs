@@ -6,10 +6,11 @@
 //! tree. The shape is a fold over the lexer's tokens, so the properties are
 //! stated on tokens: respelling every literal (and the whitespace and
 //! comments between tokens) keeps shape and plan, two lexable texts with
-//! equal shapes have equal token sequences once values are erased, and the
-//! shapes of a benchmark-style corpus are pinned byte for byte. The
-//! hand-pinned pairs are the collisions the character-level normalizer this
-//! fold replaced had, one by one (`RETURN 1, 2` collapsing into `RETURN 1`,
+//! equal shapes have equal token sequences once values are erased, no
+//! shape is ever a pipeline stage's cache key, and the shapes of a
+//! benchmark-style corpus are pinned byte for byte. The hand-pinned pairs
+//! are the collisions the character-level normalizer this fold replaced
+//! had, one by one (`RETURN 1, 2` collapsing into `RETURN 1`,
 //! scientific notation leaking mantissas, `$param` vs inline-literal
 //! spellings, backtick-quoted identifiers, `//` comments and non-ASCII
 //! identifier characters read differently from the lexer).
@@ -294,6 +295,56 @@ fn equal_shapes_have_equal_tokens_once_values_are_erased() {
     assert!(
         shared >= 10_000,
         "only {shared} texts shared a shape with another"
+    );
+}
+
+/// Whether `key` reads as a pipeline stage's plan-cache key: a text's shape,
+/// a newline and the stage index.
+fn is_stage_key(key: &str) -> bool {
+    key.rsplit_once('\n').is_some_and(|(_, index)| {
+        !index.is_empty() && index.bytes().all(|byte| byte.is_ascii_digit())
+    })
+}
+
+/// The plan cache keys stage `i` of a clause pipeline on the text's shape, a
+/// newline and `i`. A shape turns whitespace into one space, so a newline
+/// survives only inside a backticked name, which ends in a backtick:
+/// whatever follows a lexable text's last newline is never a bare number,
+/// and no text's shape is ever another's stage key.
+#[test]
+fn no_shape_is_a_stage_key() {
+    let pinned = [
+        "MATCH (a:`x\n1`) RETURN a",
+        "MATCH (`a\n2`)-[e]->(b) WITH b, count(*) AS n \
+         OPTIONAL MATCH (b)-->(`c\n0`) RETURN n",
+    ];
+    for text in pinned {
+        gradoop_cypher::parse_pipeline(text).expect(text);
+        let shape = normalize_query_shape(text);
+        assert!(shape.contains('\n'), "{shape:?}");
+        assert!(!is_stage_key(&shape), "{shape:?}");
+        assert!(is_stage_key(&format!("{shape}\n1")));
+    }
+
+    let mut rng = Rng::new(seed_from_env(0x57A6));
+    let mut with_newline = 0usize;
+    for _ in 0..20_000 {
+        let text: String = (0..1 + rng.below(6))
+            .map(|_| match rng.below(4) {
+                0 => "`x\n1`",
+                _ => *rng.pick(&FRAGMENTS),
+            })
+            .collect();
+        if lex(&text).is_err() {
+            continue;
+        }
+        let shape = normalize_query_shape(&text);
+        assert!(!is_stage_key(&shape), "{text:?} has the shape {shape:?}");
+        with_newline += usize::from(shape.contains('\n'));
+    }
+    assert!(
+        with_newline >= 1000,
+        "only {with_newline} shapes held a newline"
     );
 }
 

@@ -22,16 +22,14 @@ use gradoop_epgm::{GraphCollection, GraphStatistics, LogicalGraph};
 
 use crate::matching::MatchingConfig;
 use crate::observe::{q_error, Explain, ExplainNode, PlannerTrace, Profile, ProfileNode};
-use crate::pipeline::{
-    execute_match, execute_pipeline, plan_match_stage, table_from_query_result, TableResult,
-};
+use crate::pipeline::{execute_match, execute_pipeline};
 use crate::plancache::PlanCache;
 use crate::planner::{plan_query_with_mode, Estimator, PlanError, PlanMode, QueryPlan};
 use crate::querylog::{
     global_query_log, operators_from_profile, stable_digest, QueryLogRecord, QueryLogSink,
     QueryOutcome, TeeSink,
 };
-use crate::result::QueryResult;
+use crate::result::{QueryResult, TableResult};
 use crate::source::GraphSource;
 
 /// Any failure of a Cypher execution.
@@ -134,13 +132,14 @@ impl CypherEngine {
         self
     }
 
-    /// Installs a shared [`PlanCache`]: a text that is a single plain
-    /// `MATCH … RETURN` is then answered from the cache when its *shape*
-    /// repeats instead of being re-planned, re-binding each execution's
-    /// literals and `$param` values through its freshly built query graph
-    /// (clause pipelines are planned per stage and never cached). Cached
-    /// plans are cost-based against this engine's statistics — share one
-    /// cache only between engines over the same data graph.
+    /// Installs a shared [`PlanCache`]: every `MATCH` is then answered from
+    /// the cache when its text's *shape* repeats instead of being
+    /// re-planned, re-binding each execution's literals and `$param` values
+    /// through its freshly built query graph — a plain `MATCH … RETURN`
+    /// under its shape, stage `i` of a clause pipeline under the shape,
+    /// a newline and `i`. Cached plans are cost-based against this
+    /// engine's statistics — share one cache only between engines over the
+    /// same data graph.
     pub fn with_plan_cache(mut self, cache: Arc<PlanCache>) -> Self {
         self.plan_cache = Some(cache);
         self
@@ -169,25 +168,26 @@ impl CypherEngine {
         params: &HashMap<String, Literal>,
     ) -> Result<(QueryGraph, QueryPlan), CypherError> {
         let (shape, parsed) = read_query(query_text);
-        let (query, plan, _) = self.plan_simple(&single_match(&parsed?)?, &shape, params)?;
+        let (query, plan, _) = self.plan_match(&single_match(&parsed?)?, &shape, params)?;
         Ok((query, plan))
     }
 
-    /// Plans a single `MATCH … RETURN` through the installed [`PlanCache`]
-    /// (when any), keyed on the normalized `shape` + plan mode. The query
-    /// graph is always rebuilt from this call's own parameters, so a cached
-    /// plan's index-based operators resolve against the caller's literal
-    /// bindings. Returns `Some("hit")`/`Some("miss")` for the query log
-    /// when a cache is installed, `None` otherwise.
-    fn plan_simple(
+    /// Plans one `MATCH` — a plain text, or one stage of a pipeline —
+    /// through the installed [`PlanCache`] (when any), under `key` + plan
+    /// mode; `key` is not read without a cache. The query graph is always
+    /// rebuilt from this call's own parameters, so a cached plan's
+    /// index-based operators resolve against the caller's literal bindings.
+    /// Returns `Some("hit")`/`Some("miss")` for the query log when a cache
+    /// is installed, `None` otherwise.
+    fn plan_match(
         &self,
         ast: &Query,
-        shape: &str,
+        key: &str,
         params: &HashMap<String, Literal>,
     ) -> Result<(QueryGraph, QueryPlan, Option<&'static str>), CypherError> {
         let query = QueryGraph::from_query_with_params(ast, params)?;
         let cached = match &self.plan_cache {
-            Some(cache) => match cache.lookup(shape, self.plan_mode, &query) {
+            Some(cache) => match cache.lookup(key, self.plan_mode, &query) {
                 Some(plan) => return Ok((query, (*plan).clone(), Some("hit"))),
                 None => Some(cache),
             },
@@ -196,7 +196,7 @@ impl CypherEngine {
         let plan = plan_query_with_mode(&query, &Estimator::new(&self.statistics), self.plan_mode)?;
         if let Some(cache) = cached {
             cache.insert(
-                shape.to_string(),
+                key.to_string(),
                 self.plan_mode,
                 &query,
                 Arc::new(plan.clone()),
@@ -211,21 +211,32 @@ impl CypherEngine {
     /// sort shown as `order_by(top-k skip=.. limit=..)` and an unbounded
     /// one as `order_by(full-sort)`. Stage plans depend on the stage, the
     /// parameters and the statistics alone, so they are made here, once,
-    /// and handed to the executor.
+    /// through the plan cache, and handed to the executor. Stage `i` is
+    /// cached under `shape`, a newline and `i` (why no text's shape is
+    /// ever another's stage key: [`crate::plancache`]).
     fn plan_pipeline(
         &self,
         pipeline: Pipeline,
+        shape: &str,
         params: &HashMap<String, Literal>,
     ) -> Result<Planned, CypherError> {
         let mut stage_plans = Vec::new();
         let mut children: Vec<ExplainNode> = Vec::new();
         let mut estimated = 1.0f64;
-        for stage in &pipeline.stages {
+        // `"hit"` only when every stage hit.
+        let mut cache = None;
+        for (index, stage) in pipeline.stages.iter().enumerate() {
             match stage {
                 Stage::Match(inner) | Stage::OptionalMatch(inner) => {
                     let optional = matches!(stage, Stage::OptionalMatch(_));
-                    let (query, plan) =
-                        plan_match_stage(inner, params, &self.statistics, self.plan_mode)?;
+                    let key = match &self.plan_cache {
+                        Some(_) => format!("{shape}\n{index}"),
+                        None => String::new(),
+                    };
+                    let (query, plan, event) = self.plan_match(&inner.as_query(), &key, params)?;
+                    if cache != Some("miss") {
+                        cache = event;
+                    }
                     estimated = (estimated * plan.estimated_cardinality).max(1.0);
                     children.push(ExplainNode::inner(
                         if optional {
@@ -256,11 +267,12 @@ impl CypherEngine {
             pipeline,
             stage_plans,
             explain: ExplainNode::inner("pipeline", estimated, children),
+            cache,
         })
     }
 
     /// Plans a parsed text: a single plain `MATCH … RETURN` is one query
-    /// graph and one plan, cacheable under `shape`; everything else is a
+    /// graph and one plan, cached under `shape`; everything else is a
     /// clause pipeline with openCypher's per-`MATCH` uniqueness scope.
     fn plan_text(
         &self,
@@ -269,8 +281,8 @@ impl CypherEngine {
         params: &HashMap<String, Literal>,
     ) -> Result<Planned, CypherError> {
         match pipeline.as_simple() {
-            Some(ast) => self.plan_simple(&ast, shape, params).map(Planned::simple),
-            None => self.plan_pipeline(pipeline, params),
+            Some(ast) => self.plan_match(&ast, shape, params).map(Planned::simple),
+            None => self.plan_pipeline(pipeline, shape, params),
         }
     }
 
@@ -286,7 +298,7 @@ impl CypherEngine {
         matching: MatchingConfig,
     ) -> Result<QueryResult, CypherError> {
         let plan = |pipeline: Pipeline, shape: &str| {
-            self.plan_simple(&single_match(&pipeline)?, shape, params)
+            self.plan_match(&single_match(&pipeline)?, shape, params)
                 .map(Planned::simple)
         };
         match self.observed(source, query_text, params, &matching, plan)? {
@@ -345,7 +357,8 @@ impl CypherEngine {
     /// Runs the full read-only clause surface — `MATCH`, `OPTIONAL MATCH`,
     /// `WITH`, `UNWIND`, aggregation, `ORDER BY`/`SKIP`/`LIMIT` — and
     /// returns a tabular [`TableResult`], whichever of the two executors
-    /// (see `plan_text`) the query took.
+    /// (see `plan_text`) the query took: a plain `MATCH … RETURN` answers
+    /// with [`QueryResult::rows`], a clause pipeline with its own table.
     pub fn run<S: GraphSource + ?Sized>(
         &self,
         source: &S,
@@ -355,7 +368,7 @@ impl CypherEngine {
     ) -> Result<TableResult, CypherError> {
         let plan = |pipeline: Pipeline, shape: &str| self.plan_text(pipeline, shape, params);
         match self.observed(source, query_text, params, &matching, plan)? {
-            (Output::Embeddings(result), _) => table_from_query_result(&result),
+            (Output::Embeddings(result), _) => result.rows(),
             (Output::Table(table), _) => Ok(table),
         }
     }
@@ -405,15 +418,19 @@ impl CypherEngine {
                     pipeline,
                     stage_plans,
                     explain,
-                } => run_pipeline(
-                    source,
-                    &pipeline,
-                    &stage_plans,
-                    explain.estimated_cardinality,
-                    params,
-                    matching,
-                    &collector,
-                ),
+                    cache,
+                } => {
+                    plan_cache = cache;
+                    run_pipeline(
+                        source,
+                        &pipeline,
+                        &stage_plans,
+                        explain.estimated_cardinality,
+                        params,
+                        matching,
+                        &collector,
+                    )
+                }
             };
             env.set_trace_sink(downstream);
             // A failure recorded while the body ran (exhausted retries, a
@@ -511,12 +528,14 @@ enum Planned {
         cache: Option<&'static str>,
     },
     /// A clause pipeline: the plan of every `MATCH`/`OPTIONAL MATCH` stage
-    /// in stage order, and the EXPLAIN tree embedding them. Pipelines are
-    /// planned per stage on every run and never cached.
+    /// in stage order, the EXPLAIN tree embedding them, and the plan-cache
+    /// event (`"hit"` when every stage hit, `"miss"` otherwise; `None`
+    /// without a cache or without a `MATCH`).
     Pipeline {
         pipeline: Pipeline,
         stage_plans: Vec<(QueryGraph, QueryPlan)>,
         explain: ExplainNode,
+        cache: Option<&'static str>,
     },
 }
 
@@ -682,21 +701,13 @@ fn projection_explain(name: &str, projection: &Projection, estimated: f64) -> Ex
 /// derived from a DISTINCT result contain only the returned elements.
 /// A returned binding the plan never materialized poisons the environment
 /// (classified `CypherError::Execution`) instead of panicking.
+/// `RETURN DISTINCT count(*)` never gets here: it is a clause pipeline.
 fn distinct_by_return_items(
     input: &crate::operators::EmbeddingSet,
     query: &QueryGraph,
 ) -> crate::operators::EmbeddingSet {
     use crate::embedding::{Embedding, EmbeddingMetaData, Entry};
     use gradoop_cypher::ReturnItem;
-
-    if query
-        .return_items
-        .iter()
-        .any(|item| matches!(item, ReturnItem::CountStar))
-    {
-        // count(*) counts matches, not distinct rows — leave untouched.
-        return input.clone();
-    }
 
     let mut meta = EmbeddingMetaData::new();
     let mut entry_sources: Vec<usize> = Vec::new();
@@ -805,9 +816,10 @@ impl CypherOperator for LogicalGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::result::ResultValue;
+    use crate::reference::reference_pipeline;
+    use crate::values::Value;
     use gradoop_dataflow::{CostModel, ExecutionConfig, ExecutionEnvironment};
-    use gradoop_epgm::{properties, Edge, GradoopId, GraphHead, Properties, PropertyValue, Vertex};
+    use gradoop_epgm::{properties, Edge, GradoopId, GraphHead, Properties, Vertex};
 
     fn sample_graph() -> LogicalGraph {
         let env = ExecutionEnvironment::new(
@@ -868,12 +880,13 @@ mod tests {
             )
             .unwrap();
         assert_eq!(result.count(), 2);
-        let mut names: Vec<String> = result
-            .rows_as_maps()
-            .expect("rows")
-            .into_iter()
-            .map(|row| match &row["p1.name"] {
-                ResultValue::Property(PropertyValue::String(s)) => s.clone(),
+        let table = result.rows().expect("rows");
+        assert_eq!(table.columns, vec!["p1.name", "u.name"]);
+        let mut names: Vec<String> = table
+            .rows
+            .iter()
+            .map(|row| match &row[0] {
+                Value::Str(s) => s.clone(),
                 other => panic!("unexpected {other:?}"),
             })
             .collect();
@@ -927,7 +940,10 @@ mod tests {
             ),
         ];
 
-        let mut simple_planned = false;
+        // Whether the simple text / the pipeline has been planned before:
+        // its first plan misses, every later one hits — a pipeline's
+        // `MATCH` stage is cached like a plain `MATCH`.
+        let mut planned_before = [false; 2];
         for (view, call) in &views {
             for (text, is_pipeline) in [(SIMPLE, false), (PIPELINE, true)] {
                 for scenario in [Scenario::Ok, Scenario::PlanError, Scenario::Faulted] {
@@ -968,13 +984,14 @@ mod tests {
                     // its parameters were rejected first.
                     let planned = !rejected && scenario != Scenario::PlanError;
                     assert_eq!(record.plan_digest.len(), if planned { 16 } else { 0 });
-                    let cache_event = match (planned && !is_pipeline, simple_planned) {
+                    let seen = &mut planned_before[usize::from(is_pipeline)];
+                    let cache_event = match (planned, *seen) {
                         (false, _) => None,
                         (true, false) => Some("miss"),
                         (true, true) => Some("hit"),
                     };
                     assert_eq!(record.plan_cache, cache_event, "{case}");
-                    simple_planned |= planned && !is_pipeline;
+                    *seen |= planned;
                     if succeeded {
                         assert_eq!(record.matches, 1, "{case}");
                         assert!(record.operators.iter().any(|op| op.rows_out > 0));
@@ -1000,20 +1017,11 @@ mod tests {
         // reference results.
         let cold = CypherEngine::for_graph(&graph);
 
-        let rows_of = |result: &crate::result::QueryResult| {
-            let mut rows: Vec<String> = result
-                .rows_as_maps()
-                .expect("rows")
-                .iter()
-                .map(|row| {
-                    let mut cells: Vec<String> =
-                        row.iter().map(|(k, v)| format!("{k}={v:?}")).collect();
-                    cells.sort();
-                    cells.join("|")
-                })
-                .collect();
+        let rows_of = |result: &QueryResult| {
+            let table = result.rows().expect("rows");
+            let mut rows: Vec<String> = table.rows.iter().map(|row| format!("{row:?}")).collect();
             rows.sort();
-            rows
+            (table.columns, rows)
         };
 
         let query = "MATCH (p:Person {name: $who})-[s:studyAt]->(u:University) \
@@ -1079,6 +1087,65 @@ mod tests {
     }
 
     #[test]
+    fn pipeline_stage_plans_hit_the_cache_and_rebind_parameters() {
+        use crate::querylog::MemoryQueryLog;
+        const TEXT: &str = "MATCH (p:Person {name: $who}) \
+                            OPTIONAL MATCH (p)-[k:knows]->(q:Person) RETURN p.name, q.name";
+        let graph = sample_graph();
+        let log = Arc::new(MemoryQueryLog::new());
+        let cache = Arc::new(PlanCache::default());
+        let engine = CypherEngine::for_graph(&graph)
+            .with_query_log(log.clone())
+            .with_plan_cache(cache.clone());
+        let cold = CypherEngine::for_graph(&graph);
+        let matching = MatchingConfig::cypher_default();
+        let who = |name: &str| HashMap::from([("who".to_string(), Literal::String(name.into()))]);
+
+        let first = engine.run(&graph, TEXT, &who("Alice"), matching).unwrap();
+        let second = engine.run(&graph, TEXT, &who("Eve"), matching).unwrap();
+        assert_eq!(
+            first,
+            cold.run(&graph, TEXT, &who("Alice"), matching).unwrap()
+        );
+        assert_eq!(
+            second,
+            cold.run(&graph, TEXT, &who("Eve"), matching).unwrap()
+        );
+        // The cached plan of the first stage re-binds `$who`: Eve knows
+        // nobody, so the optional stage pads her row.
+        assert_eq!(
+            second.rows,
+            vec![vec![Value::Str("Eve".to_string()), Value::Null]]
+        );
+
+        // One entry per MATCH stage: two misses on the first run, two hits
+        // on the second.
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (2, 2, 2));
+        let records = log.snapshot();
+        let events: Vec<_> = records.iter().map(|record| record.plan_cache).collect();
+        assert_eq!(events, vec![Some("miss"), Some("hit")]);
+        assert_eq!(records[0].plan_digest, records[1].plan_digest);
+    }
+
+    #[test]
+    fn distinct_count_star_is_a_pipeline_that_agrees_with_the_oracle() {
+        const TEXT: &str = "MATCH (p:Person) RETURN DISTINCT count(*)";
+        let graph = sample_graph();
+        let matching = MatchingConfig::cypher_default();
+        let pipeline = gradoop_cypher::parse_pipeline(TEXT).unwrap();
+        assert!(pipeline.as_simple().is_none());
+        let table = CypherEngine::for_graph(&graph)
+            .run(&graph, TEXT, &HashMap::new(), matching)
+            .unwrap();
+        assert_eq!(
+            table,
+            reference_pipeline(&graph, &pipeline, &matching).unwrap()
+        );
+        assert_eq!(table.rows, vec![vec![Value::Int(2)]]);
+    }
+
+    #[test]
     fn count_star_row() {
         let graph = sample_graph();
         let engine = CypherEngine::for_graph(&graph);
@@ -1090,9 +1157,9 @@ mod tests {
                 MatchingConfig::cypher_default(),
             )
             .unwrap();
-        let rows = result.rows().expect("rows");
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].values[0].1, ResultValue::Count(2));
+        let table = result.rows().expect("rows");
+        assert_eq!(table.columns, vec!["count(*)"]);
+        assert_eq!(table.rows, vec![vec![Value::Int(2)]]);
     }
 
     #[test]
@@ -1272,7 +1339,6 @@ mod tests {
 
     #[test]
     fn run_delegates_simple_queries_to_the_classic_path() {
-        use crate::values::Value;
         let graph = sample_graph();
         let engine = CypherEngine::for_graph(&graph);
         let table = engine
@@ -1309,8 +1375,6 @@ mod tests {
 
     #[test]
     fn two_match_clauses_have_one_answer_on_every_entry_point() {
-        use crate::reference::reference_pipeline;
-        use crate::values::Value;
         // Edge uniqueness is scoped per MATCH (Francis et al., *Formal
         // Semantics of the Language Cypher*): each clause binds any of the
         // three edges, 3 × 3 rows. The retired second grammar behind
@@ -1346,7 +1410,6 @@ mod tests {
 
     #[test]
     fn run_executes_with_aggregation_pipelines() {
-        use crate::values::Value;
         let graph = sample_graph();
         let engine = CypherEngine::for_graph(&graph);
         let table = engine
@@ -1368,7 +1431,6 @@ mod tests {
     #[test]
     fn run_pads_optional_match_and_reports_the_pad_count() {
         use crate::querylog::MemoryQueryLog;
-        use crate::values::Value;
         let graph = sample_graph();
         let log = Arc::new(MemoryQueryLog::new());
         let engine = CypherEngine::for_graph(&graph).with_query_log(log.clone());
@@ -1411,7 +1473,6 @@ mod tests {
 
     #[test]
     fn run_unwinds_lists_and_orders_descending() {
-        use crate::values::Value;
         let graph = sample_graph();
         let engine = CypherEngine::for_graph(&graph);
         let table = engine

@@ -201,7 +201,12 @@ fn walk<S: GraphSource + ?Sized>(
             ..
         } => {
             let (left, right) = (child(), child());
-            let strategy = choose_strategy(&left, &right);
+            let strategy = choose_join_strategy(
+                left.data.len_untracked(),
+                right.data.len_untracked(),
+                false,
+                false,
+            );
             actual_strategy = Some(strategy);
             // Value joins key on property values; no named partitioning
             // fact exists for those, so neither side can be forwarded.
@@ -268,63 +273,33 @@ fn walk<S: GraphSource + ?Sized>(
     (result, profile)
 }
 
-/// Join-strategy choice from the two input cardinalities, standing in for
-/// Flink's shipping-strategy optimizer: broadcast a side that is much
-/// smaller than the other, else repartition both. Public so the planner can
-/// predict (from estimates) the choice the executor will make at runtime —
+/// Join-strategy choice from the two input cardinalities and which inputs
+/// are already hash-partitioned on the join key, standing in for Flink's
+/// shipping-strategy optimizer: broadcast a side that is much smaller than
+/// the other, else repartition. A broadcast replicates its side to every
+/// worker so that the other side stays where it is; that only pays while
+/// the stationary side would otherwise have to ship. A side already placed
+/// on the key is forwarded for free by the repartition strategy, so the
+/// side opposite it is never broadcast (and with both in place the join is
+/// shuffle-free). Public so the planner can predict (from estimates and
+/// expected partitioning) the choice the executor will make at runtime —
 /// EXPLAIN reports the prediction, PROFILE the actual choice.
-pub fn choose_join_strategy(left_rows: usize, right_rows: usize) -> JoinStrategy {
-    if right_rows < BROADCAST_THRESHOLD && right_rows * 8 < left_rows {
-        JoinStrategy::BroadcastHashSecond
-    } else if left_rows < BROADCAST_THRESHOLD && left_rows * 8 < right_rows {
-        JoinStrategy::BroadcastHashFirst
-    } else {
-        JoinStrategy::RepartitionHash
-    }
-}
-
-/// Like [`choose_join_strategy`], but aware of which inputs are already
-/// hash-partitioned on the join key. A co-partitioned side is forwarded for
-/// free by the repartition strategies, which changes the trade-off:
-/// repartitioning then only ships the *other* side once, whereas a
-/// broadcast replicates its side to every worker. Broadcasting is left as
-/// the choice only when the side to replicate is much smaller than the side
-/// a repartition join would still have to ship. Public for the same reason
-/// as [`choose_join_strategy`]: the planner predicts this choice from its
-/// estimates and expected partitioning, EXPLAIN reports the prediction,
-/// PROFILE the actual decision.
-pub fn choose_join_strategy_with_partitioning(
+pub fn choose_join_strategy(
     left_rows: usize,
     right_rows: usize,
     left_partitioned: bool,
     right_partitioned: bool,
 ) -> JoinStrategy {
-    match (left_partitioned, right_partitioned) {
-        // Both sides in place: the join is shuffle-free.
-        (true, true) => JoinStrategy::RepartitionHash,
-        // Left in place: repartitioning ships only `right` once. Broadcast
-        // can still win, but only by replicating the *left* side (keeping
-        // right stationary) when it is far smaller than shipping right.
-        (true, false) => {
-            if left_rows < BROADCAST_THRESHOLD && left_rows * 8 < right_rows {
-                JoinStrategy::BroadcastHashFirst
-            } else {
-                JoinStrategy::RepartitionHash
-            }
-        }
-        (false, true) => {
-            if right_rows < BROADCAST_THRESHOLD && right_rows * 8 < left_rows {
-                JoinStrategy::BroadcastHashSecond
-            } else {
-                JoinStrategy::RepartitionHash
-            }
-        }
-        (false, false) => choose_join_strategy(left_rows, right_rows),
+    let worth_broadcasting = |side: usize, stationary: usize, stationary_in_place: bool| {
+        !stationary_in_place && side < BROADCAST_THRESHOLD && side * 8 < stationary
+    };
+    if worth_broadcasting(right_rows, left_rows, left_partitioned) {
+        JoinStrategy::BroadcastHashSecond
+    } else if worth_broadcasting(left_rows, right_rows, right_partitioned) {
+        JoinStrategy::BroadcastHashFirst
+    } else {
+        JoinStrategy::RepartitionHash
     }
-}
-
-fn choose_strategy(left: &EmbeddingSet, right: &EmbeddingSet) -> JoinStrategy {
-    choose_join_strategy(left.data.len_untracked(), right.data.len_untracked())
 }
 
 /// Runtime strategy choice for a join on `variables`: reads the inputs'
@@ -341,7 +316,7 @@ fn choose_strategy_partitioned(
     };
     let left_partitioned = left.data.partitioning() == Some(target);
     let right_partitioned = right.data.partitioning() == Some(target);
-    let strategy = choose_join_strategy_with_partitioning(
+    let strategy = choose_join_strategy(
         left.data.len_untracked(),
         right.data.len_untracked(),
         left_partitioned,

@@ -57,13 +57,13 @@ pub mod values;
 
 pub use embedding::{Embedding, EmbeddingMetaData, Entry, EntryType};
 pub use engine::{CypherEngine, CypherError, CypherOperator};
-pub use executor::{choose_join_strategy, choose_join_strategy_with_partitioning, execute_plan};
+pub use executor::{choose_join_strategy, execute_plan};
 pub use matching::{MatchingConfig, MorphismCheck, MorphismType};
 pub use observe::{
     ship_strategies, ExpandIteration, Explain, ExplainNode, PlannerCandidate, PlannerRound,
     PlannerTrace, Profile, ProfileNode, ShipStrategy,
 };
-pub use pipeline::{check_open_range_caps, execute_pipeline, probe_open_ranges, TableResult};
+pub use pipeline::{check_open_range_caps, execute_pipeline, probe_open_ranges};
 pub use plancache::{PlanCache, PlanCacheStats, DEFAULT_PLAN_CAPACITY};
 pub use planner::{
     plan_query, plan_query_with_mode, Estimator, PlanError, PlanMode, PlanNode, QueryPlan,
@@ -72,8 +72,8 @@ pub use querylog::{
     global_query_log, normalize_query_shape, stable_digest, JsonlQueryLog, MemoryQueryLog,
     OperatorLogEntry, QueryLogRecord, QueryLogSink, QueryOutcome, TeeSink,
 };
-pub use reference::{reference_match, reference_pipeline, RefTable, ReferenceMatch};
-pub use result::{QueryResult, ResultRow, ResultValue, ReturnColumns};
+pub use reference::{reference_match, reference_pipeline, ReferenceMatch};
+pub use result::{QueryResult, ReturnColumns, TableResult};
 pub use source::GraphSource;
 pub use values::{
     canonical_row, canonical_string, cmp_rows, cmp_values, compare_rows_by_keys, fold_aggregate,

@@ -6,8 +6,9 @@
 //! [`Row`]s, mirroring [`reference_pipeline`](crate::reference_pipeline)
 //! operator for operator:
 //!
-//! * each `MATCH` stage is planned by the engine ([`plan_match_stage`]) and
-//!   executed by the classic plan walker under its **own**
+//! * each `MATCH` stage is planned by the engine — its patterns alone
+//!   ([`MatchStage::as_query`]), through the plan cache like any other
+//!   `MATCH` — and executed by the classic plan walker under its **own**
 //!   morphism-uniqueness scope (openCypher's per-`MATCH` uniqueness), then
 //!   hash-joined onto the working table on the canonical string key of the
 //!   shared variables. The walker's operator subtree becomes one child of
@@ -40,14 +41,12 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
 use gradoop_cypher::ast::{
-    MatchStage, Pipeline, Projection, ProjectionExpr, ProjectionItem, Query, ReturnClause,
-    ReturnItem, Stage, UnwindSource, UnwindStage,
+    MatchStage, Pipeline, Projection, ProjectionExpr, ProjectionItem, Stage, UnwindSource,
+    UnwindStage,
 };
 use gradoop_cypher::predicates::eval::eval_expression;
 use gradoop_cypher::{Expression, Literal, QueryGraph};
-use gradoop_dataflow::pool::map_partitions;
 use gradoop_dataflow::{CollectingSink, Dataset, ExecutionFailure, JoinStrategy, StageReport};
-use gradoop_epgm::GraphStatistics;
 
 use crate::embedding::Entry;
 use crate::engine::CypherError;
@@ -55,26 +54,13 @@ use crate::executor::execute_plan;
 use crate::matching::MatchingConfig;
 use crate::observe::ProfileNode;
 use crate::operators::EmbeddingSet;
-use crate::planner::{plan_query_with_mode, Estimator, PlanError, PlanMode, QueryPlan};
-use crate::result::{QueryResult, ReturnColumns};
+use crate::planner::{PlanError, QueryPlan};
+use crate::result::TableResult;
 use crate::source::GraphSource;
 use crate::values::{
     agg_arg_value, canonical_row, canonical_string, cmp_rows, compare_rows_by_keys, fold_aggregate,
     Row, RowScope, Snapshot, Value,
 };
-
-/// The tabular result of a pipeline execution: named columns over value
-/// rows. `ordered` is set when the final `RETURN` carried an `ORDER BY`,
-/// in which case row order is part of the result.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TableResult {
-    /// Output column names, in projection order.
-    pub columns: Vec<String>,
-    /// Result rows.
-    pub rows: Vec<Row>,
-    /// Whether row order is significant.
-    pub ordered: bool,
-}
 
 // --- open-range probe --------------------------------------------------------
 
@@ -165,8 +151,9 @@ pub(crate) fn execute_match<S: GraphSource + ?Sized>(
 /// [`reference_pipeline`](crate::reference_pipeline) exactly — the
 /// conformance fuzzer holds the two against each other.
 ///
-/// `stage_plans` holds the plan of every `MATCH`/`OPTIONAL MATCH` stage in
-/// stage order (see [`plan_match_stage`]). `collector` must be installed as
+/// `stage_plans` holds the query graph and plan of every `MATCH`/`OPTIONAL
+/// MATCH` stage in stage order, each planned from the stage's patterns
+/// alone ([`MatchStage::as_query`]). `collector` must be installed as
 /// (or teed into) the environment's trace sink; the run's PROFILE children
 /// are appended to `profile` in execution order — one operator subtree per
 /// `MATCH` stage, one flat leaf per remaining dataflow stage.
@@ -219,30 +206,6 @@ pub fn execute_pipeline<S: GraphSource + ?Sized>(
         rows,
         ordered: !pipeline.ret.order_by.is_empty(),
     })
-}
-
-/// Plans one `MATCH` stage in isolation (patterns only — the stage `WHERE`
-/// is evaluated row-wise over the combined table so it can see earlier
-/// columns) under the engine's plan `mode`. The plan depends on the stage,
-/// the parameters, the graph statistics and the mode alone, never on the
-/// working table.
-pub(crate) fn plan_match_stage(
-    stage: &MatchStage,
-    params: &HashMap<String, Literal>,
-    statistics: &GraphStatistics,
-    mode: PlanMode,
-) -> Result<(QueryGraph, QueryPlan), CypherError> {
-    let query = Query {
-        patterns: stage.patterns.clone(),
-        where_clause: None,
-        return_clause: ReturnClause {
-            items: vec![ReturnItem::All],
-            distinct: false,
-        },
-    };
-    let query_graph = QueryGraph::from_query_with_params(&query, params)?;
-    let plan = plan_query_with_mode(&query_graph, &Estimator::new(statistics), mode)?;
-    Ok((query_graph, plan))
 }
 
 /// Converts one executed `MATCH` stage's embeddings to rows. Columns are the
@@ -608,48 +571,4 @@ fn apply_projection(
     *columns = out_columns;
     *data = result;
     Ok(())
-}
-
-// --- classic-result conversion -----------------------------------------------
-
-/// Converts a classic [`QueryResult`] (single merged `MATCH` + `RETURN`)
-/// into the tabular pipeline shape, so
-/// [`CypherEngine::run`](crate::CypherEngine::run) returns one result type
-/// for both paths. Column naming matches the reference interpreter (see
-/// [`ReturnColumns`]), and a bare `count(*)` yields the single-row count
-/// table.
-pub(crate) fn table_from_query_result(result: &QueryResult) -> Result<TableResult, CypherError> {
-    if result
-        .query
-        .return_items
-        .iter()
-        .any(|item| matches!(item, ReturnItem::CountStar))
-    {
-        return Ok(TableResult {
-            columns: vec!["count(*)".to_string()],
-            rows: vec![vec![Value::Int(result.embeddings.len_untracked() as i64)]],
-            ordered: false,
-        });
-    }
-    let columns = ReturnColumns::resolve(&result.query, &result.meta)?;
-    // Each partition's rows are decoded as one task on the worker pool and
-    // the batches concatenated in partition order. This is conversion of a
-    // finished result at the driver, not a dataflow stage: it emits no stage
-    // report and stays outside the simulated clock.
-    let batches = map_partitions(result.embeddings.partitions(), |_, part| {
-        let mut offsets = Vec::new();
-        part.iter()
-            .map(|embedding| columns.table_row(embedding, &mut offsets))
-            .collect::<Vec<Row>>()
-    });
-    let mut rows = Vec::with_capacity(result.embeddings.len_untracked());
-    for mut batch in batches {
-        rows.append(&mut batch);
-    }
-    let columns = columns.names().to_vec();
-    Ok(TableResult {
-        columns,
-        rows,
-        ordered: false,
-    })
 }

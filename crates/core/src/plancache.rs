@@ -3,9 +3,10 @@
 //! the tokens themselves, literals and `$param`s replaced by `?` — so a
 //! server running the same parameterized query for many users plans it
 //! once and re-binds `$param` values per execution. (Texts are not
-//! memoized: every run lexes and parses its text exactly once, and that
-//! one parse is what tells a single `MATCH … RETURN`, whose plan is cached
-//! here, from a clause pipeline, which is planned per stage on every run.)
+//! memoized: every run lexes and parses its text exactly once.) Every
+//! `MATCH` is planned through here: a single `MATCH … RETURN` under its
+//! shape, stage `i` of a clause pipeline under the shape, a newline and
+//! `i`.
 //!
 //! ## Why keying on the shape is sound
 //!
@@ -21,6 +22,13 @@
 //! different shapes. As a belt-and-braces check, each entry also records a
 //! structural signature of the query graph it was planned for and a
 //! lookup whose graph disagrees is treated as a miss.
+//!
+//! A pipeline stage's plan is made from the stage's patterns alone, so it
+//! depends on the stage, which the shape and the index fix, and on values
+//! the shape erases. Stage keys cannot collide with shapes: a shape turns
+//! whitespace into one space, so the only newline it can hold sits inside
+//! a backticked name, which ends in a backtick — what follows a shape's
+//! last newline is never a bare stage index.
 //!
 //! A cache is only valid for one set of graph statistics: plans are
 //! cost-based, so engines over different data graphs must not share one

@@ -13,7 +13,7 @@ use std::collections::{BTreeSet, HashMap};
 
 use gradoop_cypher::QueryGraph;
 
-use crate::executor::{choose_join_strategy, choose_join_strategy_with_partitioning};
+use crate::executor::choose_join_strategy;
 use crate::observe::{ship_strategies, ExplainNode, PlannerCandidate, PlannerRound, PlannerTrace};
 use crate::planner::estimation::Estimator;
 use crate::planner::plan::{node_label, PlanNode, QueryPlan};
@@ -239,6 +239,8 @@ pub fn plan_query_with_mode(
                     Some(choose_join_strategy(
                         combined.cardinality.max(0.0) as usize,
                         next.cardinality.max(0.0) as usize,
+                        false,
+                        false,
                     )),
                 )
             }
@@ -564,7 +566,7 @@ fn join_partials(
     let key_set: BTreeSet<String> = variables.iter().cloned().collect();
     let left_partitioned = left.partitioned_by.as_ref() == Some(&key_set);
     let right_partitioned = right.partitioned_by.as_ref() == Some(&key_set);
-    let strategy = choose_join_strategy_with_partitioning(
+    let strategy = choose_join_strategy(
         left.cardinality.max(0.0) as usize,
         right.cardinality.max(0.0) as usize,
         left_partitioned,

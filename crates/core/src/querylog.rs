@@ -79,9 +79,10 @@ pub struct QueryLogRecord {
     /// failed before a plan existed.
     pub plan_digest: String,
     /// `Some("hit")`/`Some("miss")` when the engine consulted a
-    /// [`PlanCache`](crate::plancache::PlanCache) for this run; `None`
-    /// when no cache was installed, planning failed before the lookup, or
-    /// the run took the pipeline path (planned per stage, never cached).
+    /// [`PlanCache`](crate::plancache::PlanCache) for this run — for a
+    /// clause pipeline, `"hit"` only when every `MATCH` stage hit; `None`
+    /// when no cache was installed, planning failed, or the pipeline has
+    /// no `MATCH`.
     pub plan_cache: Option<&'static str>,
     /// How the run ended.
     pub outcome: QueryOutcome,

@@ -22,8 +22,8 @@
 use std::collections::HashMap;
 
 use gradoop_cypher::ast::{
-    MatchStage, Pipeline, Projection, ProjectionExpr, ProjectionItem, Query, ReturnClause,
-    ReturnItem, Stage, UnwindSource, UnwindStage,
+    MatchStage, Pipeline, Projection, ProjectionExpr, ProjectionItem, Stage, UnwindSource,
+    UnwindStage,
 };
 use gradoop_cypher::predicates::eval::{
     eval_clause, eval_expression, eval_predicate, Bindings, SingleElement,
@@ -33,6 +33,7 @@ use gradoop_epgm::{Edge, Label, LogicalGraph, PropertyValue, Vertex};
 
 use crate::embedding::Entry;
 use crate::matching::{MatchingConfig, MorphismType};
+use crate::result::TableResult;
 use crate::values::{
     agg_arg_value, canonical_row, canonical_string, cmp_rows, compare_rows_by_keys, fold_aggregate,
     Row, RowScope, Snapshot, Value,
@@ -447,19 +448,6 @@ impl Bindings for ReferenceBindings<'_> {
 
 // --- pipeline reference interpreter ------------------------------------------
 
-/// The result table of [`reference_pipeline`]: named columns over value
-/// rows. `ordered` is set when the final `RETURN` carried an `ORDER BY`, in
-/// which case row order is significant.
-#[derive(Debug, Clone)]
-pub struct RefTable {
-    /// Output column names, in projection order.
-    pub columns: Vec<String>,
-    /// Result rows.
-    pub rows: Vec<Row>,
-    /// Whether row order is part of the result.
-    pub ordered: bool,
-}
-
 /// Interprets a multi-clause pipeline (`MATCH` / `OPTIONAL MATCH` / `WITH`
 /// / `UNWIND` / final `RETURN`) clause by clause over an in-memory table —
 /// the oracle the conformance fuzzer holds the dataflow lowering against.
@@ -477,11 +465,14 @@ pub struct RefTable {
 ///   `ORDER BY` → `SKIP`/`LIMIT` → trailing `WHERE`, in that order;
 /// * `SKIP`/`LIMIT` without `ORDER BY` cut after the canonical full-row
 ///   sort, so the selection is deterministic and engine-reproducible.
+///
+/// The answer is the engine's own [`TableResult`], so the two compare
+/// directly.
 pub fn reference_pipeline(
     graph: &LogicalGraph,
     pipeline: &Pipeline,
     config: &MatchingConfig,
-) -> Result<RefTable, String> {
+) -> Result<TableResult, String> {
     let snapshot = Snapshot::of(graph);
     let mut columns: Vec<String> = Vec::new();
     let mut rows: Vec<Row> = vec![Vec::new()];
@@ -516,7 +507,7 @@ pub fn reference_pipeline(
         }
     }
     apply_projection(&snapshot, &mut columns, &mut rows, &pipeline.ret)?;
-    Ok(RefTable {
+    Ok(TableResult {
         columns,
         rows,
         ordered: !pipeline.ret.order_by.is_empty(),
@@ -530,17 +521,7 @@ fn match_stage_table(
     stage: &MatchStage,
     config: &MatchingConfig,
 ) -> Result<(Vec<String>, Vec<Row>), String> {
-    let query = Query {
-        patterns: stage.patterns.clone(),
-        // The stage WHERE is evaluated row-wise over the combined table so
-        // it can see earlier columns; the query graph gets patterns only.
-        where_clause: None,
-        return_clause: ReturnClause {
-            items: vec![ReturnItem::All],
-            distinct: false,
-        },
-    };
-    let query_graph = QueryGraph::from_query(&query).map_err(|e| e.to_string())?;
+    let query_graph = QueryGraph::from_query(&stage.as_query()).map_err(|e| e.to_string())?;
     let mut columns: Vec<String> = Vec::new();
     let mut vertex_columns = 0usize;
     for vertex in &query_graph.vertices {
@@ -944,12 +925,12 @@ mod tests {
 
     // --- pipeline interpreter ------------------------------------------------
 
-    fn pipeline(text: &str) -> RefTable {
+    fn pipeline(text: &str) -> TableResult {
         let pipeline = gradoop_cypher::parse_pipeline(text).unwrap();
         reference_pipeline(&graph(), &pipeline, &MatchingConfig::cypher_default()).unwrap()
     }
 
-    fn sorted_rows(table: &RefTable) -> Vec<Row> {
+    fn sorted_rows(table: &TableResult) -> Vec<Row> {
         let mut rows = table.rows.clone();
         rows.sort_by(|a, b| cmp_rows(a, b));
         rows

@@ -1,9 +1,8 @@
 //! Query results: tabular access (paper Table 2) and EPGM post-processing
 //! into a graph collection (Definition 2.4).
 
-use std::collections::HashMap;
-
 use gradoop_cypher::{QueryGraph, ReturnItem};
+use gradoop_dataflow::pool::map_partitions;
 use gradoop_dataflow::JoinStrategy;
 use gradoop_epgm::operators::next_derived_graph_id;
 use gradoop_epgm::{
@@ -42,13 +41,11 @@ enum Cell {
 
 /// The RETURN items of a query resolved against the layout of its result,
 /// once per result: the column names (variables keep their name, properties
-/// use the alias or `var.key`) and where each column reads its value. Both
-/// tabular views — [`QueryResult::rows`] and the [`TableResult`] of
-/// [`CypherEngine::run`] — decode rows through it. `count(*)` is not a
-/// per-row column; the views answer it before resolving.
-///
-/// [`TableResult`]: crate::TableResult
-/// [`CypherEngine::run`]: crate::CypherEngine::run
+/// use the alias or `var.key`) and where each column reads its value. The
+/// tabular view ([`QueryResult::rows`]) and the graph-collection view
+/// ([`QueryResult::to_graph_collection`]) both read cells through it.
+/// `count(*)` is not a per-row column; the table answers it before
+/// resolving.
 pub struct ReturnColumns {
     names: Vec<String>,
     sources: Vec<Source>,
@@ -127,9 +124,9 @@ impl ReturnColumns {
         })
     }
 
-    /// One row of the [`TableResult`](crate::TableResult) view: exactly one
-    /// allocation for the row plus one per string cell (and per path or
-    /// list), none per scalar.
+    /// One row of the [`TableResult`] view: exactly one allocation for the
+    /// row plus one per string cell (and per path or list), none per
+    /// scalar.
     pub fn table_row(&self, embedding: &Embedding, offsets: &mut Vec<usize>) -> Row {
         self.cells(embedding, offsets)
             .map(|cell| match cell {
@@ -141,38 +138,22 @@ impl ReturnColumns {
             })
             .collect()
     }
-
-    /// One row of the [`QueryResult::rows`] view.
-    fn result_row(&self, embedding: &Embedding, offsets: &mut Vec<usize>) -> ResultRow {
-        let values = self.cells(embedding, offsets).map(|cell| match cell {
-            Cell::Entry(Entry::Id(id), _) => ResultValue::Id(id),
-            Cell::Entry(Entry::Path(ids), _) => ResultValue::Path(ids),
-            Cell::Property(value) => ResultValue::Property(value),
-        });
-        ResultRow {
-            values: self.names.iter().cloned().zip(values).collect(),
-        }
-    }
 }
 
-/// A value of one result cell.
+/// The tabular result of a query (paper Table 2): named columns over value
+/// rows. `ordered` is set when the final `RETURN` carried an `ORDER BY`,
+/// in which case row order is part of the result. Every tabular answer is
+/// one: [`CypherEngine::run`](crate::CypherEngine::run),
+/// [`QueryResult::rows`] and the oracle
+/// ([`reference_pipeline`](crate::reference_pipeline)).
 #[derive(Debug, Clone, PartialEq)]
-pub enum ResultValue {
-    /// A bound element identifier.
-    Id(u64),
-    /// A bound path (via identifiers, alternating edge/vertex).
-    Path(Vec<u64>),
-    /// A property value.
-    Property(PropertyValue),
-    /// A `count(*)` aggregate.
-    Count(u64),
-}
-
-/// One row of the tabular result view.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResultRow {
-    /// `(column name, value)` pairs in RETURN order.
-    pub values: Vec<(String, ResultValue)>,
+pub struct TableResult {
+    /// Output column names, in projection order.
+    pub columns: Vec<String>,
+    /// Result rows.
+    pub rows: Vec<Row>,
+    /// Whether row order is significant.
+    pub ordered: bool,
 }
 
 /// The result of a Cypher query execution.
@@ -196,32 +177,44 @@ impl QueryResult {
     }
 
     /// Materializes the tabular view (Table 2): one row per embedding with
-    /// one column per RETURN item. For `RETURN count(*)` a single row with
-    /// the match count is produced. A RETURN item the embeddings do not
-    /// bind (a malformed plan) yields a classified
-    /// [`CypherError::Execution`] instead of panicking.
-    pub fn rows(&self) -> Result<Vec<ResultRow>, CypherError> {
+    /// one column per RETURN item, named like the reference interpreter's
+    /// (see [`ReturnColumns`]); for `RETURN count(*)` the single-row count
+    /// table. A RETURN item the embeddings do not bind (a malformed plan)
+    /// yields a classified [`CypherError::Execution`] instead of panicking.
+    ///
+    /// Each partition's rows are decoded as one task on the worker pool and
+    /// the batches concatenated in partition order. This is conversion of a
+    /// finished result for the caller, not a dataflow stage: it emits no
+    /// stage report and stays outside the simulated clock.
+    pub fn rows(&self) -> Result<TableResult, CypherError> {
         if self
             .query
             .return_items
             .iter()
             .any(|item| matches!(item, ReturnItem::CountStar))
         {
-            return Ok(vec![ResultRow {
-                values: vec![(
-                    "count(*)".to_string(),
-                    ResultValue::Count(self.count() as u64),
-                )],
-            }]);
+            return Ok(TableResult {
+                columns: vec!["count(*)".to_string()],
+                rows: vec![vec![Value::Int(self.embeddings.len_untracked() as i64)]],
+                ordered: false,
+            });
         }
         let columns = ReturnColumns::resolve(&self.query, &self.meta)?;
-        let mut offsets = Vec::new();
-        Ok(self
-            .embeddings
-            .collect()
-            .iter()
-            .map(|embedding| columns.result_row(embedding, &mut offsets))
-            .collect())
+        let batches = map_partitions(self.embeddings.partitions(), |_, part| {
+            let mut offsets = Vec::new();
+            part.iter()
+                .map(|embedding| columns.table_row(embedding, &mut offsets))
+                .collect::<Vec<Row>>()
+        });
+        let mut rows = Vec::with_capacity(self.embeddings.len_untracked());
+        for mut batch in batches {
+            rows.append(&mut batch);
+        }
+        Ok(TableResult {
+            columns: columns.names,
+            rows,
+            ordered: false,
+        })
     }
 
     /// EPGM post-processing (Definition 2.4): one new logical graph per
@@ -249,18 +242,23 @@ impl QueryResult {
         for embedding in &embeddings {
             let graph_id = next_derived_graph_id();
             let mut properties = Properties::new();
-            for (name, value) in columns.result_row(embedding, &mut offsets).values {
-                let property = match value {
-                    ResultValue::Id(id) => PropertyValue::Long(id as i64),
-                    ResultValue::Path(ids) => PropertyValue::List(
+            // Cells go straight from the embedding to head properties, so a
+            // property keeps its exact type and a path is a list of ids.
+            for (name, cell) in columns
+                .names
+                .iter()
+                .zip(columns.cells(embedding, &mut offsets))
+            {
+                let property = match cell {
+                    Cell::Entry(Entry::Id(id), _) => PropertyValue::Long(id as i64),
+                    Cell::Entry(Entry::Path(ids), _) => PropertyValue::List(
                         ids.iter()
                             .map(|id| PropertyValue::Long(*id as i64))
                             .collect(),
                     ),
-                    ResultValue::Property(value) => value,
-                    ResultValue::Count(count) => PropertyValue::Long(count as i64),
+                    Cell::Property(value) => value,
                 };
-                properties.set(&name, property);
+                properties.set(name, property);
             }
             heads.push(GraphHead::new(graph_id, "Match", properties));
 
@@ -322,14 +320,5 @@ impl QueryResult {
         );
 
         Ok(GraphCollection::new(heads, vertices, edges))
-    }
-
-    /// Convenience: result rows keyed by column name, for assertions.
-    pub fn rows_as_maps(&self) -> Result<Vec<HashMap<String, ResultValue>>, CypherError> {
-        Ok(self
-            .rows()?
-            .into_iter()
-            .map(|row| row.values.into_iter().collect())
-            .collect())
     }
 }

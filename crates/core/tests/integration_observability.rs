@@ -250,6 +250,8 @@ fn explain_reports_strategy_chosen_from_estimates() {
                 let expected = choose_join_strategy(
                     node.children[0].estimated_cardinality.max(0.0) as usize,
                     node.children[1].estimated_cardinality.max(0.0) as usize,
+                    false,
+                    false,
                 );
                 assert_eq!(strategy, expected, "{} strategy", node.operator);
             }

@@ -443,6 +443,23 @@ impl Pipeline {
     }
 }
 
+impl MatchStage {
+    /// The stage's patterns as a stand-alone `MATCH … RETURN *`: what one
+    /// `MATCH` of a pipeline plans and matches on its own. The stage
+    /// `WHERE` is left out — it is evaluated row-wise over the combined
+    /// table, where it can see the columns of earlier stages.
+    pub fn as_query(&self) -> Query {
+        Query {
+            patterns: self.patterns.clone(),
+            where_clause: None,
+            return_clause: ReturnClause {
+                items: vec![ReturnItem::All],
+                distinct: false,
+            },
+        }
+    }
+}
+
 // --- pretty printer ----------------------------------------------------------
 
 impl std::fmt::Display for Query {

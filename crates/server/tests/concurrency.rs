@@ -7,7 +7,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use gradoop_core::{canonical_row, CypherEngine, CypherError, ReturnColumns, Row, TableResult};
-use gradoop_cypher::Literal;
+use gradoop_cypher::ast::Stage;
+use gradoop_cypher::{parse_pipeline, Literal};
 use gradoop_dataflow::{CostModel, ExecutionConfig, ExecutionEnvironment};
 use gradoop_ldbc::{generate_graph, BenchmarkQuery, LdbcConfig};
 use gradoop_server::{
@@ -38,22 +39,46 @@ fn digest(table: &TableResult) -> String {
     format!("{}|{}", table.columns.join(","), rows.join(";"))
 }
 
-/// The mixed workload: every benchmark query, operational ones across a
-/// spread of common first names.
+/// A clause pipeline whose first `MATCH` stage takes `$firstName`: every
+/// binding shares the cached plans of both stages.
+const PARAMETERIZED_PIPELINE: &str =
+    "MATCH (p:Person {firstName: $firstName})-[:knows]->(f:Person) WITH p, count(*) AS friends \
+     OPTIONAL MATCH (p)-[:isLocatedIn]->(c:City) RETURN p.lastName, friends, c.name";
+
+/// The clause pipelines of the benchmark's `pipeline` workload.
+const PIPELINES: [&str; 5] = [
+    "MATCH (a:Person)-[:knows]->(b:Person) WITH a, count(*) AS degree \
+     OPTIONAL MATCH (a)-[:studyAt]->(u:University) \
+     RETURN a.firstName, degree ORDER BY degree DESC, a.firstName LIMIT 10",
+    "MATCH (p:Person)-[:hasInterest]->(t:Tag) \
+     RETURN t.name, count(*) AS fans ORDER BY fans DESC, t.name LIMIT 10",
+    "MATCH (p:Person)-[:isLocatedIn]->(c:City) \
+     RETURN DISTINCT c.name AS city, p.lastName AS family ORDER BY city, family",
+    "MATCH (a:Person)-[:knows]->(b:Person) WITH a, count(*) AS degree WHERE degree > 8 \
+     MATCH (a)-[:isLocatedIn]->(c:City) \
+     RETURN c.name, count(*) AS hubs ORDER BY hubs DESC, c.name",
+    "MATCH (p:Person)-[:isLocatedIn]->(c:City) WITH c, collect(p.lastName) AS families \
+     UNWIND families AS family RETURN c.name, family ORDER BY c.name, family",
+];
+
+/// The mixed workload: every benchmark query, operational ones and a
+/// parameterized clause pipeline across a spread of common first names.
 fn workload() -> Vec<(String, HashMap<String, Literal>)> {
     let names = ["Jan", "Maria", "Chen", "Ali"];
+    let bind =
+        |name: &str| HashMap::from([("firstName".to_string(), Literal::String(name.into()))]);
     let mut queries = Vec::new();
     for query in BenchmarkQuery::all() {
         if query.is_operational() {
             for name in names {
-                queries.push((
-                    query.parameterized_text(),
-                    HashMap::from([("firstName".to_string(), Literal::String(name.to_string()))]),
-                ));
+                queries.push((query.parameterized_text(), bind(name)));
             }
         } else {
             queries.push((query.text(None), HashMap::new()));
         }
+    }
+    for name in names {
+        queries.push((PARAMETERIZED_PIPELINE.to_string(), bind(name)));
     }
     queries
 }
@@ -111,13 +136,13 @@ fn concurrent_mixed_workload_is_byte_identical_to_serial_execution() {
     // of their own: counted by each client as it finishes (the others are
     // mostly still querying) and once more after the run, the process
     // holds the 8 clients, at most nproc - 1 pool threads, and the test
-    // harness (main plus at most one thread for each of this file's six
+    // harness (main plus at most one thread for each of this file's eight
     // tests).
     let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
     let most = results.iter().filter_map(|(_, threads)| *threads).max();
     for threads in most.into_iter().chain(process_threads()) {
         assert!(
-            threads <= 8 + parallelism + 6,
+            threads <= 8 + parallelism + 8,
             "{threads} threads for 8 clients on {parallelism} cores"
         );
     }
@@ -206,6 +231,47 @@ fn parameterized_rerun_exceeds_ninety_percent_cache_hit_rate() {
         log.iter().filter(|r| r.plan_cache == Some("miss")).count(),
         3
     );
+}
+
+/// A pipeline's `MATCH` stages are planned through the server's plan cache
+/// like any plain `MATCH`: the second run of each text hits on every stage
+/// and answers what a cold engine answers.
+#[test]
+fn pipeline_reruns_hit_every_match_stage_and_match_a_cold_engine() {
+    let server = QueryServer::new(snapshot(), ServerConfig::default());
+    let session = server.session();
+    let cold = CypherEngine::with_statistics(server.snapshot().statistics().clone());
+    let no_params = HashMap::new();
+    for text in PIPELINES {
+        let stages = parse_pipeline(text)
+            .expect("parses")
+            .stages
+            .iter()
+            .filter(|stage| matches!(stage, Stage::Match(_) | Stage::OptionalMatch(_)))
+            .count() as u64;
+        let first = session.query(text, &no_params).expect("first run");
+        let before = server.stats().plan_cache;
+        let second = session.query(text, &no_params).expect("second run");
+        let after = server.stats().plan_cache;
+        assert_eq!(
+            (after.hits - before.hits, after.misses - before.misses),
+            (stages, 0),
+            "{text}"
+        );
+        let log = server.query_log().snapshot();
+        assert_eq!(
+            log.last().expect("logged").plan_cache,
+            Some("hit"),
+            "{text}"
+        );
+
+        let (_env, graph) = server.snapshot().attach();
+        let expected = cold
+            .run(&graph, text, &no_params, server.config().matching)
+            .expect("cold run");
+        assert_eq!(digest(&second), digest(&expected), "{text}");
+        assert_eq!(digest(&first), digest(&second), "{text}");
+    }
 }
 
 #[test]

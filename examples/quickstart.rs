@@ -103,10 +103,12 @@ fn main() {
         .expect("query executes");
     println!("query plan:\n{}", result.plan.describe(&result.query));
     println!("{} match(es):", result.count());
-    for row in result.rows().expect("rows materialize") {
-        let cells: Vec<String> = row
-            .values
+    let table = result.rows().expect("rows materialize");
+    for row in &table.rows {
+        let cells: Vec<String> = table
+            .columns
             .iter()
+            .zip(row)
             .map(|(name, value)| format!("{name}={value:?}"))
             .collect();
         println!("  {}", cells.join(", "));

@@ -58,7 +58,7 @@ pub mod prelude {
     pub use gradoop_core::{
         reference_match, CypherEngine, CypherError, CypherOperator, Embedding, EmbeddingMetaData,
         Entry, EntryType, GraphSource, MatchingConfig, MorphismType, QueryPlan, QueryResult,
-        ResultRow, ResultValue,
+        TableResult, Value,
     };
     pub use gradoop_cypher::{parse, Literal, QueryGraph};
     pub use gradoop_dataflow::{

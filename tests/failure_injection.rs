@@ -370,12 +370,12 @@ fn a_checkpoint_never_sees_rows_appended_after_it_was_taken() {
                 MatchingConfig::homomorphism(),
             )
             .unwrap_or_else(|e| panic!("{QUERY:?}: {e}"));
-        let rows = result.rows().expect("RETURN * materializes");
+        let table = result.rows().expect("RETURN * materializes");
         env.clear_faults();
-        (rows, env.metrics())
+        (table, env.metrics())
     };
     let (clean, _) = rows(None);
-    assert!(clean.len() > 5, "paths of every length");
+    assert!(clean.rows.len() > 5, "paths of every length");
     // A checkpoint after every superstep, the third one crashes: two
     // checkpoints were taken, the second is restored. And a checkpoint after
     // every other superstep, the fourth one crashes: superstep 3 appended to

@@ -76,16 +76,17 @@ fn tabular_result_matches_table_2a() {
             MatchingConfig::cypher_default(),
         )
         .unwrap();
-    let mut rows: Vec<(String, String)> = result
-        .rows_as_maps()
-        .expect("rows")
-        .into_iter()
+    let table = result.rows().expect("rows");
+    assert_eq!(table.columns, vec!["p1.name", "u.name"]);
+    let mut rows: Vec<(String, String)> = table
+        .rows
+        .iter()
         .map(|row| {
-            let name = |v: &ResultValue| match v {
-                ResultValue::Property(PropertyValue::String(s)) => s.clone(),
+            let name = |v: &Value| match v {
+                Value::Str(s) => s.clone(),
                 other => panic!("{other:?}"),
             };
-            (name(&row["p1.name"]), name(&row["u.name"]))
+            (name(&row[0]), name(&row[1]))
         })
         .collect();
     rows.sort();

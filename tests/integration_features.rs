@@ -74,11 +74,9 @@ fn is_null_finds_missing_properties() {
         "MATCH (p:Person) WHERE p.city IS NULL RETURN p.name",
     );
     assert_eq!(result.count(), 1);
-    let rows = result.rows_as_maps().expect("rows");
-    assert_eq!(
-        rows[0]["p.name"],
-        ResultValue::Property(PropertyValue::String("Bob".into()))
-    );
+    let table = result.rows().expect("rows");
+    assert_eq!(table.columns, vec!["p.name"]);
+    assert_eq!(table.rows[0][0], Value::Str("Bob".into()));
 }
 
 #[test]
@@ -132,12 +130,13 @@ fn return_distinct_rows_are_usable() {
         &graph,
         "MATCH (a:Person)-[e:knows]->(b:Person) RETURN DISTINCT b.name",
     );
-    let mut names: Vec<String> = result
-        .rows_as_maps()
-        .expect("rows")
-        .into_iter()
-        .map(|row| match &row["b.name"] {
-            ResultValue::Property(PropertyValue::String(s)) => s.clone(),
+    let table = result.rows().expect("rows");
+    assert_eq!(table.columns, vec!["b.name"]);
+    let mut names: Vec<String> = table
+        .rows
+        .iter()
+        .map(|row| match &row[0] {
+            Value::Str(s) => s.clone(),
             other => panic!("{other:?}"),
         })
         .collect();
@@ -154,10 +153,7 @@ fn distinct_count_star_counts_matches() {
         &graph,
         "MATCH (a:Person)-[e:knows]->(b:Person) RETURN count(*)",
     );
-    assert_eq!(
-        result.rows().expect("rows")[0].values[0].1,
-        ResultValue::Count(3)
-    );
+    assert_eq!(result.rows().expect("rows").rows, vec![vec![Value::Int(3)]]);
 }
 
 #[test]
@@ -168,9 +164,9 @@ fn aliases_rename_result_columns() {
         &graph,
         "MATCH (p:Person {name: 'Alice'}) RETURN p.name AS who",
     );
-    let rows = result.rows_as_maps().expect("rows");
-    assert!(rows[0].contains_key("who"));
-    assert!(!rows[0].contains_key("p.name"));
+    let table = result.rows().expect("rows");
+    assert!(table.columns.contains(&"who".to_string()));
+    assert!(!table.columns.contains(&"p.name".to_string()));
 }
 
 #[test]
