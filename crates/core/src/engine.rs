@@ -1471,6 +1471,36 @@ mod tests {
             .any(|op| op.name == "join(left-outer-hash)"));
     }
 
+    /// Properties resolve through the graph's element index, so the one
+    /// `collect` of a pipeline run is the final gather of its result rows.
+    #[test]
+    fn a_pipeline_collects_only_its_result_rows() {
+        let graph = sample_graph();
+        let engine = CypherEngine::for_graph(&graph);
+        let sink = Arc::new(CollectingSink::new());
+        graph.env().set_trace_sink(Some(sink.clone()));
+        let table = engine
+            .run(
+                &graph,
+                "MATCH (p:Person) OPTIONAL MATCH (p)-[:studyAt]->(u:University) \
+                 WITH p, u WHERE u.name = 'Uni Leipzig' \
+                 RETURN p.name, u.name ORDER BY p.name",
+                &HashMap::new(),
+                MatchingConfig::cypher_default(),
+            )
+            .unwrap();
+        graph.env().set_trace_sink(None);
+        assert_eq!(table.rows.len(), 2);
+        let collects: Vec<u64> = sink
+            .snapshot()
+            .stages
+            .iter()
+            .filter(|stage| stage.name == "collect")
+            .map(|stage| stage.records_in)
+            .collect();
+        assert_eq!(collects, vec![table.rows.len() as u64]);
+    }
+
     #[test]
     fn run_unwinds_lists_and_orders_descending() {
         let graph = sample_graph();

@@ -77,5 +77,5 @@ pub use result::{QueryResult, ReturnColumns, TableResult};
 pub use source::GraphSource;
 pub use values::{
     canonical_row, canonical_string, cmp_rows, cmp_values, compare_rows_by_keys, fold_aggregate,
-    property_to_value, value_to_property, Row, RowScope, Snapshot, Value,
+    property_to_value, value_to_property, Row, RowScope, Value,
 };

@@ -47,6 +47,7 @@ use gradoop_cypher::ast::{
 use gradoop_cypher::predicates::eval::eval_expression;
 use gradoop_cypher::{Expression, Literal, QueryGraph};
 use gradoop_dataflow::{CollectingSink, Dataset, ExecutionFailure, JoinStrategy, StageReport};
+use gradoop_epgm::ElementIndex;
 
 use crate::embedding::Entry;
 use crate::engine::CypherError;
@@ -59,7 +60,7 @@ use crate::result::TableResult;
 use crate::source::GraphSource;
 use crate::values::{
     agg_arg_value, canonical_row, canonical_string, cmp_rows, compare_rows_by_keys, fold_aggregate,
-    Row, RowScope, Snapshot, Value,
+    Row, RowScope, Value,
 };
 
 // --- open-range probe --------------------------------------------------------
@@ -156,7 +157,10 @@ pub(crate) fn execute_match<S: GraphSource + ?Sized>(
 /// alone ([`MatchStage::as_query`]). `collector` must be installed as
 /// (or teed into) the environment's trace sink; the run's PROFILE children
 /// are appended to `profile` in execution order — one operator subtree per
-/// `MATCH` stage, one flat leaf per remaining dataflow stage.
+/// `MATCH` stage, one flat leaf per remaining dataflow stage. Labels and
+/// properties resolve by id through the source's shared
+/// [`element_index`](GraphSource::element_index), so the only `collect` is
+/// the final gather of the result rows.
 pub fn execute_pipeline<S: GraphSource + ?Sized>(
     pipeline: &Pipeline,
     stage_plans: &[(QueryGraph, QueryPlan)],
@@ -166,7 +170,7 @@ pub fn execute_pipeline<S: GraphSource + ?Sized>(
     collector: &CollectingSink,
     profile: &mut Vec<ProfileNode>,
 ) -> Result<TableResult, CypherError> {
-    let snapshot = Snapshot::of(source);
+    let index = source.element_index();
     let mut columns: Vec<String> = Vec::new();
     // One empty seed row: the first MATCH cross-joins against it on the
     // empty shared-variable key, so no clause needs a special first case.
@@ -181,7 +185,7 @@ pub fn execute_pipeline<S: GraphSource + ?Sized>(
                     execute_match(query_graph, plan, source, matching, collector)?;
                 profile.push(operators);
                 apply_match(
-                    &snapshot,
+                    index,
                     &mut columns,
                     &mut data,
                     inner,
@@ -191,12 +195,12 @@ pub fn execute_pipeline<S: GraphSource + ?Sized>(
                 )?;
             }
             Stage::With(projection) => {
-                apply_projection(&snapshot, &mut columns, &mut data, projection, params)?;
+                apply_projection(index, &mut columns, &mut data, projection, params)?;
             }
-            Stage::Unwind(unwind) => apply_unwind(&snapshot, &mut columns, &mut data, unwind)?,
+            Stage::Unwind(unwind) => apply_unwind(index, &mut columns, &mut data, unwind)?,
         }
     }
-    apply_projection(&snapshot, &mut columns, &mut data, &pipeline.ret, params)?;
+    apply_projection(index, &mut columns, &mut data, &pipeline.ret, params)?;
     // `collect` concatenates partitions in order; ordered datasets hold
     // their merged run in partition 0, so sorted order survives.
     let rows = data.collect();
@@ -264,7 +268,7 @@ fn bind_params(
 }
 
 fn apply_match(
-    snapshot: &Snapshot,
+    index: &ElementIndex,
     columns: &mut Vec<String>,
     data: &mut Dataset<Row>,
     stage: &MatchStage,
@@ -317,7 +321,7 @@ fn apply_match(
                 let scope = RowScope {
                     columns: &out_columns,
                     row: combined,
-                    snapshot,
+                    index,
                 };
                 eval_expression(expr, &scope) == Some(true)
             }
@@ -370,7 +374,7 @@ fn apply_match(
 }
 
 fn apply_unwind(
-    snapshot: &Snapshot,
+    index: &ElementIndex,
     columns: &mut Vec<String>,
     data: &mut Dataset<Row>,
     unwind: &UnwindStage,
@@ -386,7 +390,7 @@ fn apply_unwind(
         let scope = RowScope {
             columns: in_columns,
             row,
-            snapshot,
+            index,
         };
         let source = match &unwind.source {
             UnwindSource::List(items) => Value::List(
@@ -429,7 +433,7 @@ fn eval_projection_item(item: &ProjectionExpr, scope: &RowScope<'_>) -> Value {
 }
 
 fn apply_projection(
-    snapshot: &Snapshot,
+    index: &ElementIndex,
     columns: &mut Vec<String>,
     data: &mut Dataset<Row>,
     projection: &Projection,
@@ -464,7 +468,7 @@ fn apply_projection(
             let scope = RowScope {
                 columns: &in_columns,
                 row,
-                snapshot,
+                index,
             };
             items
                 .iter()
@@ -488,7 +492,7 @@ fn apply_projection(
                                     let scope = RowScope {
                                         columns: &in_columns,
                                         row: member,
-                                        snapshot,
+                                        index,
                                     };
                                     agg_arg_value(&call.arg, &scope)
                                 })
@@ -523,7 +527,7 @@ fn apply_projection(
             let scope = RowScope {
                 columns: &in_columns,
                 row,
-                snapshot,
+                index,
             };
             items
                 .iter()
@@ -550,7 +554,7 @@ fn apply_projection(
         // deterministic. A LIMIT runs as per-partition top-k + merge; only
         // an unbounded sort pays for the full order.
         let cmp = |a: &Row, b: &Row| {
-            compare_rows_by_keys(&projection.order_by, &out_columns, snapshot, a, b)
+            compare_rows_by_keys(&projection.order_by, &out_columns, index, a, b)
         };
         let skip = projection.skip.unwrap_or(0);
         result = match projection.limit {
@@ -563,7 +567,7 @@ fn apply_projection(
             let scope = RowScope {
                 columns: &out_columns,
                 row,
-                snapshot,
+                index,
             };
             eval_expression(expr, &scope) == Some(true)
         });

@@ -29,14 +29,14 @@ use gradoop_cypher::predicates::eval::{
     eval_clause, eval_expression, eval_predicate, Bindings, SingleElement,
 };
 use gradoop_cypher::{QueryEdge, QueryGraph};
-use gradoop_epgm::{Edge, Label, LogicalGraph, PropertyValue, Vertex};
+use gradoop_epgm::{Edge, ElementIndex, Label, LogicalGraph, PropertyValue, Vertex};
 
 use crate::embedding::Entry;
 use crate::matching::{MatchingConfig, MorphismType};
 use crate::result::TableResult;
 use crate::values::{
     agg_arg_value, canonical_row, canonical_string, cmp_rows, compare_rows_by_keys, fold_aggregate,
-    Row, RowScope, Snapshot, Value,
+    Row, RowScope, Value,
 };
 
 /// One match found by the reference matcher: variable → entry.
@@ -473,40 +473,24 @@ pub fn reference_pipeline(
     pipeline: &Pipeline,
     config: &MatchingConfig,
 ) -> Result<TableResult, String> {
-    let snapshot = Snapshot::of(graph);
+    let index = graph.element_index();
     let mut columns: Vec<String> = Vec::new();
     let mut rows: Vec<Row> = vec![Vec::new()];
     for stage in &pipeline.stages {
         match stage {
             Stage::Match(stage) => {
-                apply_match(
-                    graph,
-                    &snapshot,
-                    &mut columns,
-                    &mut rows,
-                    stage,
-                    config,
-                    false,
-                )?;
+                apply_match(graph, index, &mut columns, &mut rows, stage, config, false)?;
             }
             Stage::OptionalMatch(stage) => {
-                apply_match(
-                    graph,
-                    &snapshot,
-                    &mut columns,
-                    &mut rows,
-                    stage,
-                    config,
-                    true,
-                )?;
+                apply_match(graph, index, &mut columns, &mut rows, stage, config, true)?;
             }
             Stage::With(projection) => {
-                apply_projection(&snapshot, &mut columns, &mut rows, projection)?;
+                apply_projection(index, &mut columns, &mut rows, projection)?;
             }
-            Stage::Unwind(unwind) => apply_unwind(&snapshot, &mut columns, &mut rows, unwind)?,
+            Stage::Unwind(unwind) => apply_unwind(index, &mut columns, &mut rows, unwind)?,
         }
     }
-    apply_projection(&snapshot, &mut columns, &mut rows, &pipeline.ret)?;
+    apply_projection(index, &mut columns, &mut rows, &pipeline.ret)?;
     Ok(TableResult {
         columns,
         rows,
@@ -563,7 +547,7 @@ fn join_equal(a: &Value, b: &Value) -> bool {
 
 fn apply_match(
     graph: &LogicalGraph,
-    snapshot: &Snapshot,
+    index: &ElementIndex,
     columns: &mut Vec<String>,
     rows: &mut Vec<Row>,
     stage: &MatchStage,
@@ -597,7 +581,7 @@ fn apply_match(
                 let scope = RowScope {
                     columns: &out_columns,
                     row: &combined,
-                    snapshot,
+                    index,
                 };
                 if eval_expression(expr, &scope) != Some(true) {
                     continue;
@@ -618,7 +602,7 @@ fn apply_match(
 }
 
 fn apply_unwind(
-    snapshot: &Snapshot,
+    index: &ElementIndex,
     columns: &mut Vec<String>,
     rows: &mut Vec<Row>,
     unwind: &UnwindStage,
@@ -631,7 +615,7 @@ fn apply_unwind(
         let scope = RowScope {
             columns,
             row,
-            snapshot,
+            index,
         };
         let source = match &unwind.source {
             UnwindSource::List(items) => Value::List(
@@ -674,7 +658,7 @@ fn eval_projection_item(item: &ProjectionExpr, scope: &RowScope<'_>) -> Value {
 }
 
 fn apply_projection(
-    snapshot: &Snapshot,
+    index: &ElementIndex,
     columns: &mut Vec<String>,
     rows: &mut Vec<Row>,
     projection: &Projection,
@@ -704,7 +688,7 @@ fn apply_projection(
             let scope = RowScope {
                 columns,
                 row,
-                snapshot,
+                index,
             };
             let key_values: Vec<Value> = items
                 .iter()
@@ -744,7 +728,7 @@ fn apply_projection(
                                     let scope = RowScope {
                                         columns,
                                         row: member,
-                                        snapshot,
+                                        index,
                                     };
                                     agg_arg_value(&call.arg, &scope)
                                 })
@@ -762,7 +746,7 @@ fn apply_projection(
                 let scope = RowScope {
                     columns,
                     row,
-                    snapshot,
+                    index,
                 };
                 items
                     .iter()
@@ -777,9 +761,8 @@ fn apply_projection(
         out_rows.retain(|row| seen.insert(canonical_row(row)));
     }
     if !projection.order_by.is_empty() || projection.skip.is_some() || projection.limit.is_some() {
-        out_rows.sort_by(|a, b| {
-            compare_rows_by_keys(&projection.order_by, &out_columns, snapshot, a, b)
-        });
+        out_rows
+            .sort_by(|a, b| compare_rows_by_keys(&projection.order_by, &out_columns, index, a, b));
         let skip = projection.skip.unwrap_or(0);
         let limit = projection.limit.unwrap_or(usize::MAX);
         out_rows = out_rows.into_iter().skip(skip).take(limit).collect();
@@ -789,7 +772,7 @@ fn apply_projection(
             let scope = RowScope {
                 columns: &out_columns,
                 row,
-                snapshot,
+                index,
             };
             eval_expression(expr, &scope) == Some(true)
         });

@@ -5,10 +5,12 @@
 //! an [`IndexedLogicalGraph`] (paper Section 3.4) serves the pre-partitioned
 //! per-label datasets directly, avoiding the full scan — for a label
 //! alternation several of them, which the leaf reads in place as
-//! [`Parts`]. `repro --ablations` compares both paths.
+//! [`Parts`]. `repro --ablations` compares both paths. Both share the
+//! graph's [`ElementIndex`], through which pipeline rows resolve labels and
+//! properties by id.
 
 use gradoop_dataflow::{ExecutionEnvironment, Parts};
-use gradoop_epgm::{Edge, IndexedLogicalGraph, Label, LogicalGraph, Vertex};
+use gradoop_epgm::{Edge, ElementIndex, IndexedLogicalGraph, Label, LogicalGraph, Vertex};
 
 /// Provider of label-restricted element datasets.
 pub trait GraphSource {
@@ -18,6 +20,8 @@ pub trait GraphSource {
     fn vertices_for_labels(&self, labels: &[Label]) -> Parts<Vertex>;
     /// Edges whose label is in `labels` (all edges if empty).
     fn edges_for_labels(&self, labels: &[Label]) -> Parts<Edge>;
+    /// The graph's id → element index, built once per graph on first use.
+    fn element_index(&self) -> &ElementIndex;
 }
 
 impl GraphSource for LogicalGraph {
@@ -38,6 +42,10 @@ impl GraphSource for LogicalGraph {
         }
         self.edges().filter(|e| labels.contains(&e.label)).into()
     }
+
+    fn element_index(&self) -> &ElementIndex {
+        LogicalGraph::element_index(self)
+    }
 }
 
 impl GraphSource for IndexedLogicalGraph {
@@ -51,6 +59,10 @@ impl GraphSource for IndexedLogicalGraph {
 
     fn edges_for_labels(&self, labels: &[Label]) -> Parts<Edge> {
         IndexedLogicalGraph::edges_for_labels(self, labels)
+    }
+
+    fn element_index(&self) -> &ElementIndex {
+        IndexedLogicalGraph::element_index(self)
     }
 }
 

@@ -13,24 +13,28 @@
 //! the dataflow lowering use **exactly these functions**, so the
 //! conformance fuzzer compares the two matchers' clause orchestration, not
 //! two re-implementations of value semantics.
+//!
+//! Rows hold element ids, never element data. A label or property is
+//! resolved by id through the queried graph's [`ElementIndex`]
+//! ([`GraphSource::element_index`](crate::GraphSource::element_index)),
+//! which reads the graph's shared partitions in place and is built once
+//! per graph, so a query copies no part of the graph to evaluate its rows.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::collections::HashMap;
 
 use gradoop_cypher::ast::{AggArg, AggFunc, SortKey, SortRef};
 use gradoop_cypher::predicates::eval::{compare_values, eval_expression, Bindings};
 use gradoop_cypher::{CmpOp, Expression};
-use gradoop_dataflow::{Data, Parts};
-use gradoop_epgm::{Label, Properties, PropertyValue};
-
-use crate::source::GraphSource;
+use gradoop_dataflow::Data;
+use gradoop_epgm::{ElementIndex, Label, Properties, PropertyValue};
 
 /// A value bound to one column of a pipeline row.
 ///
-/// Vertices and edges stay references (their id) — properties are resolved
-/// against the query's [`Snapshot`] on demand, mirroring the embedding
-/// layout of the classic path. `Vertex` and `Edge` are distinct variants
-/// because the two id spaces may overlap.
+/// Vertices and edges stay references (their id) — labels and properties
+/// are resolved by id through the graph's [`ElementIndex`] on demand,
+/// mirroring the embedding layout of the classic path. `Vertex` and `Edge`
+/// are distinct variants because the two id spaces may overlap.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// SQL/Cypher NULL (also the padding of `OPTIONAL MATCH`).
@@ -268,110 +272,73 @@ pub fn canonical_row(row: &[Value]) -> String {
     out
 }
 
-// --- graph snapshot ----------------------------------------------------------
-
-/// Label and properties of one element.
-#[derive(Debug, Clone)]
-pub struct ElementData {
-    /// The element's label.
-    pub label: Label,
-    /// The element's properties.
-    pub properties: Properties,
-}
-
-/// Materialized label/property lookup for every element of the queried
-/// graph, built once per pipeline query. Rows store element ids; every
-/// property access (projections, predicates, sort keys) resolves here.
-#[derive(Debug, Default)]
-pub struct Snapshot {
-    /// Vertex id → element data.
-    pub vertices: HashMap<u64, ElementData>,
-    /// Edge id → element data.
-    pub edges: HashMap<u64, ElementData>,
-}
-
-impl Snapshot {
-    /// Collects the full graph from a source.
-    pub fn of<S: GraphSource + ?Sized>(source: &S) -> Snapshot {
-        /// Without a label restriction either source serves one dataset,
-        /// collected (and charged) as one stage into a map sized up front.
-        fn lookup<T: Data>(
-            elements: Parts<T>,
-            entry: fn(T) -> (u64, ElementData),
-        ) -> HashMap<u64, ElementData> {
-            let mut lookup = HashMap::with_capacity(elements.len_untracked());
-            for dataset in elements.datasets() {
-                lookup.extend(dataset.collect().into_iter().map(entry));
-            }
-            lookup
-        }
-        Snapshot {
-            vertices: lookup(source.vertices_for_labels(&[]), |v| {
-                let (label, properties) = (v.label, v.properties);
-                (v.id.0, ElementData { label, properties })
-            }),
-            edges: lookup(source.edges_for_labels(&[]), |e| {
-                let (label, properties) = (e.label, e.properties);
-                (e.id.0, ElementData { label, properties })
-            }),
-        }
-    }
-
-    fn element(&self, value: &Value) -> Option<&ElementData> {
-        match value {
-            Value::Vertex(id) => self.vertices.get(id),
-            Value::Edge(id) => self.edges.get(id),
-            _ => None,
-        }
-    }
-}
-
 // --- row-scoped evaluation ---------------------------------------------------
 
 /// [`Bindings`] over one pipeline row: columns are visible by name, element
-/// columns resolve labels/properties through the snapshot, and scalar
-/// columns surface through [`Bindings::value`].
+/// columns resolve labels/properties by id through the graph's
+/// [`ElementIndex`], and scalar columns surface through [`Bindings::value`].
 pub struct RowScope<'a> {
     /// Column names, parallel to `row`.
     pub columns: &'a [String],
     /// The row under evaluation.
     pub row: &'a [Value],
-    /// Element lookup.
-    pub snapshot: &'a Snapshot,
+    /// Element lookup by id.
+    pub index: &'a ElementIndex,
 }
 
-impl RowScope<'_> {
+impl<'a> RowScope<'a> {
     /// The value bound to a column, if the column exists.
-    pub fn get(&self, name: &str) -> Option<&Value> {
+    pub fn get(&self, name: &str) -> Option<&'a Value> {
         self.columns
             .iter()
             .position(|c| c == name)
             .map(|i| &self.row[i])
     }
 
+    /// Label and properties of the element bound to `variable`: `None` for
+    /// missing columns, non-elements, NULL-padded and unknown elements.
+    fn element(&self, variable: &str) -> Option<(&'a Label, &'a Properties)> {
+        match self.get(variable)? {
+            Value::Vertex(id) => self.index.vertex(*id).map(|v| (&v.label, &v.properties)),
+            Value::Edge(id) => self.index.edge(*id).map(|e| (&e.label, &e.properties)),
+            _ => None,
+        }
+    }
+
+    /// The stored property, where [`RowScope::element`] finds an element
+    /// and it has the key.
+    fn stored_property(&self, variable: &str, key: &str) -> Option<&'a PropertyValue> {
+        self.element(variable)?.1.get(key)
+    }
+
     /// Property access in the row domain: NULL for missing columns,
     /// non-elements, NULL-padded elements and absent keys.
     pub fn property_value(&self, variable: &str, key: &str) -> Value {
-        self.get(variable)
-            .and_then(|v| self.snapshot.element(v))
-            .and_then(|e| e.properties.get(key))
-            .map(property_to_value)
-            .unwrap_or(Value::Null)
+        self.stored_property(variable, key)
+            .map_or(Value::Null, property_to_value)
+    }
+}
+
+/// [`value_to_property`] of [`Value::from`] in one step: integers widen to
+/// `Long`, floats to `Double`, lists element-wise.
+fn widened(value: &PropertyValue) -> PropertyValue {
+    match value {
+        PropertyValue::Int(i) => PropertyValue::Long(i64::from(*i)),
+        PropertyValue::Float(f) => PropertyValue::Double(f64::from(*f)),
+        PropertyValue::List(items) => PropertyValue::List(items.iter().map(widened).collect()),
+        other => other.clone(),
     }
 }
 
 impl Bindings for RowScope<'_> {
     fn property(&self, variable: &str, key: &str) -> Option<PropertyValue> {
-        match self.property_value(variable, key) {
-            Value::Null => None,
-            value => Some(value_to_property(&value)),
-        }
+        self.stored_property(variable, key)
+            .filter(|value| !matches!(value, PropertyValue::Null))
+            .map(widened)
     }
 
     fn label(&self, variable: &str) -> Option<Label> {
-        self.get(variable)
-            .and_then(|v| self.snapshot.element(v))
-            .map(|e| e.label.clone())
+        self.element(variable).map(|(label, _)| label.clone())
     }
 
     fn element_id(&self, variable: &str) -> Option<u64> {
@@ -407,11 +374,14 @@ pub fn values_equal(a: &Value, b: &Value) -> Option<bool> {
 
 // --- sorting -----------------------------------------------------------------
 
-/// Resolves one `ORDER BY` key against a row.
-fn sort_value(key: &SortRef, scope: &RowScope<'_>) -> Value {
+/// Resolves one `ORDER BY` key against a row: a column by reference, a
+/// property as its row-domain value.
+fn sort_value<'a>(key: &SortRef, scope: &RowScope<'a>) -> Cow<'a, Value> {
     match key {
-        SortRef::Name(name) => scope.get(name).cloned().unwrap_or(Value::Null),
-        SortRef::Property { variable, key } => scope.property_value(variable, key),
+        SortRef::Name(name) => scope
+            .get(name)
+            .map_or(Cow::Owned(Value::Null), Cow::Borrowed),
+        SortRef::Property { variable, key } => Cow::Owned(scope.property_value(variable, key)),
     }
 }
 
@@ -423,21 +393,21 @@ fn sort_value(key: &SortRef, scope: &RowScope<'_>) -> Value {
 pub fn compare_rows_by_keys(
     keys: &[SortKey],
     columns: &[String],
-    snapshot: &Snapshot,
+    index: &ElementIndex,
     a: &[Value],
     b: &[Value],
 ) -> Ordering {
+    let scope_a = RowScope {
+        columns,
+        row: a,
+        index,
+    };
+    let scope_b = RowScope {
+        columns,
+        row: b,
+        index,
+    };
     for key in keys {
-        let scope_a = RowScope {
-            columns,
-            row: a,
-            snapshot,
-        };
-        let scope_b = RowScope {
-            columns,
-            row: b,
-            snapshot,
-        };
         let (va, vb) = (
             sort_value(&key.expr, &scope_a),
             sort_value(&key.expr, &scope_b),
@@ -647,7 +617,7 @@ mod tests {
     #[test]
     fn sort_comparator_orders_keys_then_tiebreaks() {
         let columns = vec!["x".to_string(), "y".to_string()];
-        let snapshot = Snapshot::default();
+        let index = ElementIndex::default();
         let keys = vec![SortKey {
             expr: SortRef::Name("x".into()),
             descending: true,
@@ -655,32 +625,54 @@ mod tests {
         let a = vec![Value::Int(1), Value::Str("a".into())];
         let b = vec![Value::Int(2), Value::Str("b".into())];
         assert_eq!(
-            compare_rows_by_keys(&keys, &columns, &snapshot, &a, &b),
+            compare_rows_by_keys(&keys, &columns, &index, &a, &b),
             Ordering::Greater
         );
         // Tied key → canonical full-row tiebreak on y.
         let c = vec![Value::Int(1), Value::Str("b".into())];
         assert_eq!(
-            compare_rows_by_keys(&keys, &columns, &snapshot, &a, &c),
+            compare_rows_by_keys(&keys, &columns, &index, &a, &c),
             Ordering::Less
         );
         // DESC puts NULL first.
         let n = vec![Value::Null, Value::Str("n".into())];
         assert_eq!(
-            compare_rows_by_keys(&keys, &columns, &snapshot, &n, &a),
+            compare_rows_by_keys(&keys, &columns, &index, &n, &a),
             Ordering::Less
         );
     }
 
     #[test]
+    fn properties_widen_in_one_step_as_through_the_row_domain() {
+        use PropertyValue::*;
+        let values = [
+            Null,
+            Boolean(true),
+            Int(-3),
+            Long(7),
+            Float(1.5),
+            Double(2.5),
+            String("x".into()),
+            List(vec![Int(1), Float(0.5), Null, List(vec![Int(2)])]),
+        ];
+        for value in values {
+            assert_eq!(
+                widened(&value),
+                value_to_property(&Value::from(value.clone())),
+                "{value:?}"
+            );
+        }
+    }
+
+    #[test]
     fn row_scope_resolves_scalars_and_nulls() {
         let columns = vec!["p".to_string()];
-        let snapshot = Snapshot::default();
+        let index = ElementIndex::default();
         let row = vec![Value::Int(7)];
         let scope = RowScope {
             columns: &columns,
             row: &row,
-            snapshot: &snapshot,
+            index: &index,
         };
         // `p > 0` with a scalar column resolves through Bindings::value.
         let expr = Expression::Comparison {
@@ -694,7 +686,7 @@ mod tests {
         let scope = RowScope {
             columns: &columns,
             row: &row,
-            snapshot: &snapshot,
+            index: &index,
         };
         assert_eq!(eval_row_expression(&expr, &scope), None);
         let is_null = Expression::IsNull {

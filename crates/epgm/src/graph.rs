@@ -1,9 +1,12 @@
 //! Logical graphs and graph collections (Definition 2.1), the two main
 //! programming abstractions of Gradoop (paper Section 2.4).
 
+use std::sync::{Arc, OnceLock};
+
 use gradoop_dataflow::{Dataset, ExecutionEnvironment};
 
 use crate::element::{Edge, GraphHead, Vertex};
+use crate::element_index::ElementIndex;
 use crate::id::{GradoopId, IdGenerator};
 use crate::label::Label;
 use crate::properties::Properties;
@@ -18,6 +21,8 @@ pub struct LogicalGraph {
     head: GraphHead,
     vertices: Dataset<Vertex>,
     edges: Dataset<Edge>,
+    /// Built on first use; clones and re-homed copies share it.
+    element_index: Arc<OnceLock<ElementIndex>>,
 }
 
 impl LogicalGraph {
@@ -28,6 +33,7 @@ impl LogicalGraph {
             head,
             vertices,
             edges,
+            element_index: Arc::default(),
         }
     }
 
@@ -90,15 +96,25 @@ impl LogicalGraph {
         self.edges.count()
     }
 
+    /// The id → element index over this graph's partitions, built on the
+    /// first call (no dataflow stage is charged) and shared with every
+    /// clone, re-homed copy and label-indexed view of the graph.
+    pub fn element_index(&self) -> &ElementIndex {
+        self.element_index
+            .get_or_init(|| ElementIndex::of(&self.vertices, &self.edges))
+    }
+
     /// Re-homes the graph onto another environment without copying any
     /// element data (see [`Dataset::rehomed`]) — the snapshot-sharing
     /// primitive that lets concurrent sessions run over one immutable
-    /// graph, each with a private environment.
+    /// graph, each with a private environment. The copy shares the
+    /// graph's element index.
     pub fn rehomed(&self, env: &ExecutionEnvironment) -> Self {
         LogicalGraph {
             head: self.head.clone(),
             vertices: self.vertices.rehomed(env),
             edges: self.edges.rehomed(env),
+            element_index: Arc::clone(&self.element_index),
         }
     }
 

@@ -12,17 +12,17 @@ use std::collections::HashMap;
 use gradoop_dataflow::{Dataset, Parts};
 
 use crate::element::{Edge, GraphHead, Vertex};
+use crate::element_index::ElementIndex;
 use crate::graph::LogicalGraph;
 use crate::label::Label;
 
 /// A logical graph whose vertices and edges are partitioned by type label.
 #[derive(Clone, Debug)]
 pub struct IndexedLogicalGraph {
-    head: GraphHead,
+    /// The un-indexed graph: the full datasets and the element index.
+    graph: LogicalGraph,
     vertices_by_label: HashMap<Label, Dataset<Vertex>>,
     edges_by_label: HashMap<Label, Dataset<Edge>>,
-    all_vertices: Dataset<Vertex>,
-    all_edges: Dataset<Edge>,
 }
 
 impl IndexedLogicalGraph {
@@ -62,22 +62,26 @@ impl IndexedLogicalGraph {
             .collect();
 
         IndexedLogicalGraph {
-            head: graph.head().clone(),
+            graph: graph.clone(),
             vertices_by_label,
             edges_by_label,
-            all_vertices: graph.vertices().clone(),
-            all_edges: graph.edges().clone(),
         }
     }
 
     /// The graph head.
     pub fn head(&self) -> &GraphHead {
-        &self.head
+        self.graph.head()
     }
 
     /// The owning environment.
     pub fn env(&self) -> &gradoop_dataflow::ExecutionEnvironment {
-        self.all_vertices.env()
+        self.graph.env()
+    }
+
+    /// The id → element index of the graph, shared with the graph it was
+    /// built from (see [`LogicalGraph::element_index`]).
+    pub fn element_index(&self) -> &ElementIndex {
+        self.graph.element_index()
     }
 
     /// Labels with at least one vertex.
@@ -97,7 +101,7 @@ impl IndexedLogicalGraph {
     /// predicate — the planner must scan).
     pub fn vertices_for_labels(&self, labels: &[Label]) -> Parts<Vertex> {
         if labels.is_empty() {
-            return self.all_vertices.clone().into();
+            return self.graph.vertices().clone().into();
         }
         Parts::new(self.env(), label_parts(&self.vertices_by_label, labels))
     }
@@ -107,7 +111,7 @@ impl IndexedLogicalGraph {
     /// [`IndexedLogicalGraph::vertices_for_labels`].
     pub fn edges_for_labels(&self, labels: &[Label]) -> Parts<Edge> {
         if labels.is_empty() {
-            return self.all_edges.clone().into();
+            return self.graph.edges().clone().into();
         }
         Parts::new(self.env(), label_parts(&self.edges_by_label, labels))
     }
@@ -117,10 +121,11 @@ impl IndexedLogicalGraph {
     /// [`Dataset::rehomed`]): every label dataset keeps sharing its
     /// partitions, only the owning environment changes. Building the index
     /// scans the graph once per label — re-homing it is O(labels) `Arc`
-    /// clones, which is what makes per-query environments affordable.
+    /// clones, which is what makes per-query environments affordable. The
+    /// element index is shared too, not rebuilt.
     pub fn rehomed(&self, env: &gradoop_dataflow::ExecutionEnvironment) -> Self {
         IndexedLogicalGraph {
-            head: self.head.clone(),
+            graph: self.graph.rehomed(env),
             vertices_by_label: self
                 .vertices_by_label
                 .iter()
@@ -131,18 +136,12 @@ impl IndexedLogicalGraph {
                 .iter()
                 .map(|(label, ds)| (label.clone(), ds.rehomed(env)))
                 .collect(),
-            all_vertices: self.all_vertices.rehomed(env),
-            all_edges: self.all_edges.rehomed(env),
         }
     }
 
-    /// The un-indexed view of this graph.
+    /// The un-indexed view of this graph, sharing its element index.
     pub fn as_logical_graph(&self) -> LogicalGraph {
-        LogicalGraph::new(
-            self.head.clone(),
-            self.all_vertices.clone(),
-            self.all_edges.clone(),
-        )
+        self.graph.clone()
     }
 }
 
@@ -159,7 +158,8 @@ fn label_parts<T>(by_label: &HashMap<Label, Dataset<T>>, labels: &[Label]) -> Ve
 }
 
 impl LogicalGraph {
-    /// Builds the label-indexed representation of this graph.
+    /// Builds the label-indexed representation of this graph. It shares
+    /// this graph's element index.
     pub fn to_indexed(&self) -> IndexedLogicalGraph {
         IndexedLogicalGraph::from_graph(self)
     }

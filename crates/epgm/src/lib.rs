@@ -17,12 +17,14 @@
 //! * the analytical operators of Gradoop (subgraph, transformation,
 //!   aggregation, selection, set operations, combination, grouping) so the
 //!   Cypher operator can be composed into analytical programs;
-//! * the [`IndexedLogicalGraph`] label index (paper Section 3.4);
+//! * the [`IndexedLogicalGraph`] label index (paper Section 3.4) and the
+//!   [`ElementIndex`] id lookup a graph and all its views share;
 //! * pre-computed [`GraphStatistics`] for the query planner (Section 3.2);
 //! * a CSV data source/sink mirroring the Gradoop CSV format.
 
 pub mod algorithms;
 pub mod element;
+pub mod element_index;
 pub mod graph;
 pub mod id;
 pub mod indexed;
@@ -34,6 +36,7 @@ pub mod statistics;
 
 pub use algorithms::{connected_components, page_rank, single_source_distances, PageRankConfig};
 pub use element::{Edge, Element, GraphHead, Vertex};
+pub use element_index::ElementIndex;
 pub use graph::{GraphCollection, GraphFactory, LogicalGraph};
 pub use id::{GradoopId, GradoopIdSet, IdGenerator};
 pub use indexed::IndexedLogicalGraph;

@@ -7,6 +7,9 @@
 //! Re-homing shares the underlying partition `Arc`s — no element data is
 //! copied and the per-label index is not rebuilt — so attaching is O(labels)
 //! pointer clones while execution state stays fully isolated per query.
+//! The graph's id → element index, through which clause pipelines resolve
+//! properties, is shared the same way: the first query that needs it builds
+//! it, once, and every attachment reads that one.
 
 use gradoop_dataflow::ExecutionEnvironment;
 use gradoop_epgm::{GraphStatistics, IndexedLogicalGraph, LogicalGraph};

@@ -10,6 +10,7 @@ use gradoop_core::{canonical_row, CypherEngine, CypherError, ReturnColumns, Row,
 use gradoop_cypher::ast::Stage;
 use gradoop_cypher::{parse_pipeline, Literal};
 use gradoop_dataflow::{CostModel, ExecutionConfig, ExecutionEnvironment};
+use gradoop_epgm::ElementIndex;
 use gradoop_ldbc::{generate_graph, BenchmarkQuery, LdbcConfig};
 use gradoop_server::{
     DeadlineSink, GraphSnapshot, QueryServer, ServerConfig, ServerError, DEADLINE_SITE,
@@ -135,14 +136,14 @@ fn concurrent_mixed_workload_is_byte_identical_to_serial_execution() {
     // Stages run on the clients and the process-wide pool, not on threads
     // of their own: counted by each client as it finishes (the others are
     // mostly still querying) and once more after the run, the process
-    // holds the 8 clients, at most nproc - 1 pool threads, and the test
-    // harness (main plus at most one thread for each of this file's eight
-    // tests).
+    // holds the 8 clients, the 8 of this file's other 8-session test if it
+    // runs alongside, at most nproc - 1 pool threads, and the test harness
+    // (main plus at most one thread for each of this file's nine tests).
     let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
     let most = results.iter().filter_map(|(_, threads)| *threads).max();
     for threads in most.into_iter().chain(process_threads()) {
         assert!(
-            threads <= 8 + parallelism + 8,
+            threads <= 2 * 8 + parallelism + 9,
             "{threads} threads for 8 clients on {parallelism} cores"
         );
     }
@@ -151,6 +152,61 @@ fn concurrent_mixed_workload_is_byte_identical_to_serial_execution() {
     assert_eq!(server.stats().queries, total);
     assert_eq!(server.stats().failed, 0);
     assert_eq!(server.in_flight(), 0);
+}
+
+/// The first pipelines on a fresh snapshot build its element index while
+/// seven other sessions race them: every session answers what a serial run
+/// answers, and all of them resolve properties through one index.
+#[test]
+fn concurrent_pipelines_on_a_fresh_snapshot_share_one_element_index() {
+    let no_params = HashMap::new();
+    // Serial reference over a snapshot of its own, so the tested one starts
+    // without an index.
+    let reference = snapshot();
+    let reference_engine = CypherEngine::with_statistics(reference.statistics().clone());
+    let expected: Vec<String> = PIPELINES
+        .iter()
+        .map(|text| {
+            let (_env, graph) = reference.attach();
+            let table = reference_engine
+                .run(&graph, text, &no_params, ServerConfig::default().matching)
+                .expect("serial reference run");
+            digest(&table)
+        })
+        .collect();
+
+    let server = QueryServer::new(snapshot(), ServerConfig::default());
+    let expected = Arc::new(expected);
+    let handles: Vec<_> = (0..8)
+        .map(|client| {
+            let server = Arc::clone(&server);
+            let expected = Arc::clone(&expected);
+            std::thread::spawn(move || {
+                let session = server.session();
+                for step in 0..PIPELINES.len() {
+                    let index = (step + client) % PIPELINES.len();
+                    let table = session
+                        .query(PIPELINES[index], &HashMap::new())
+                        .expect("concurrent run");
+                    assert_eq!(
+                        digest(&table),
+                        expected[index],
+                        "client {client} pipeline {index} diverged from serial execution"
+                    );
+                }
+                let (_env, graph) = server.snapshot().attach();
+                graph.element_index() as *const ElementIndex as usize
+            })
+        })
+        .collect();
+    let seen: Vec<usize> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+    let shared = server.snapshot().graph().element_index() as *const ElementIndex as usize;
+    assert_eq!(seen, vec![shared; 8]);
+    assert!(std::ptr::eq(
+        server.snapshot().indexed().element_index(),
+        server.snapshot().graph().element_index()
+    ));
+    assert_eq!(server.stats().failed, 0);
 }
 
 /// Result rows are decoded partition by partition on the worker pool; the
