@@ -141,13 +141,6 @@ impl Embedding {
         self.buf[prefix..prefix + 4].copy_from_slice(&len.to_le_bytes());
     }
 
-    /// Appends a property slot from its already-encoded bytes (a
-    /// length-prefixed range of another embedding's propData). Zero-decode
-    /// path used by projection.
-    pub(crate) fn push_raw_property(&mut self, encoded: &[u8]) {
-        self.buf.extend_from_slice(encoded);
-    }
-
     /// The encoded (length-prefixed) property slots, in index order.
     fn raw_properties(&self) -> impl Iterator<Item = &[u8]> {
         raw_slots(self.prop_section())

@@ -9,7 +9,6 @@
 //! [`CypherEngine::profile`] and the query log are views over that run, and
 //! [`CypherEngine::explain`] is the same front half without the execution.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -135,11 +134,10 @@ impl CypherEngine {
     /// Installs a shared [`PlanCache`]: every `MATCH` is then answered from
     /// the cache when its text's *shape* repeats instead of being
     /// re-planned, re-binding each execution's literals and `$param` values
-    /// through its freshly built query graph — a plain `MATCH … RETURN`
-    /// under its shape, stage `i` of a clause pipeline under the shape,
-    /// a newline and `i`. Cached plans are cost-based against this
-    /// engine's statistics — share one cache only between engines over the
-    /// same data graph.
+    /// through its freshly built query graph — stage `i` of every text under
+    /// the shape, a newline and `i` (a plain `MATCH … RETURN` is stage 0).
+    /// Cached plans are cost-based against this engine's statistics — share
+    /// one cache only between engines over the same data graph.
     pub fn with_plan_cache(mut self, cache: Arc<PlanCache>) -> Self {
         self.plan_cache = Some(cache);
         self
@@ -160,136 +158,95 @@ impl CypherEngine {
         &self.statistics
     }
 
-    /// Plans `query_text` — a single plain `MATCH … RETURN` — without
-    /// executing it.
-    pub fn plan(
-        &self,
-        query_text: &str,
-        params: &HashMap<String, Literal>,
-    ) -> Result<(QueryGraph, QueryPlan), CypherError> {
-        let (shape, parsed) = read_query(query_text);
-        let (query, plan, _) = self.plan_match(&single_match(&parsed?)?, &shape, params)?;
-        Ok((query, plan))
-    }
-
-    /// Plans one `MATCH` — a plain text, or one stage of a pipeline —
-    /// through the installed [`PlanCache`] (when any), under `key` + plan
-    /// mode; `key` is not read without a cache. The query graph is always
-    /// rebuilt from this call's own parameters, so a cached plan's
-    /// index-based operators resolve against the caller's literal bindings.
-    /// Returns `Some("hit")`/`Some("miss")` for the query log when a cache
-    /// is installed, `None` otherwise.
+    /// Plans one `MATCH` — stage `index` of a text — through the installed
+    /// [`PlanCache`] (when any), under the text's `shape`, a newline and
+    /// `index`, plus the plan mode; no key is built without a cache. The
+    /// query graph is always rebuilt from this call's own parameters, so a
+    /// cached plan's index-based operators resolve against the caller's
+    /// literal bindings. Returns `Some("hit")`/`Some("miss")` for the query
+    /// log when a cache is installed, `None` otherwise.
     fn plan_match(
         &self,
         ast: &Query,
-        key: &str,
+        shape: &str,
+        index: usize,
         params: &HashMap<String, Literal>,
     ) -> Result<(QueryGraph, QueryPlan, Option<&'static str>), CypherError> {
         let query = QueryGraph::from_query_with_params(ast, params)?;
-        let cached = match &self.plan_cache {
-            Some(cache) => match cache.lookup(key, self.plan_mode, &query) {
-                Some(plan) => return Ok((query, (*plan).clone(), Some("hit"))),
-                None => Some(cache),
-            },
-            None => None,
-        };
-        let plan = plan_query_with_mode(&query, &Estimator::new(&self.statistics), self.plan_mode)?;
-        if let Some(cache) = cached {
-            cache.insert(
-                key.to_string(),
-                self.plan_mode,
-                &query,
-                Arc::new(plan.clone()),
-            );
-        }
-        Ok((query, plan, cached.map(|_| "miss")))
-    }
-
-    /// Plans a multi-clause pipeline: one greedy plan per `MATCH` /
-    /// `OPTIONAL MATCH` stage, embedded in the EXPLAIN tree — one child per
-    /// clause, projection stages listing their steps, a `LIMIT`-bearing
-    /// sort shown as `order_by(top-k skip=.. limit=..)` and an unbounded
-    /// one as `order_by(full-sort)`. Stage plans depend on the stage, the
-    /// parameters and the statistics alone, so they are made here, once,
-    /// through the plan cache, and handed to the executor. Stage `i` is
-    /// cached under `shape`, a newline and `i` (why no text's shape is
-    /// ever another's stage key: [`crate::plancache`]).
-    fn plan_pipeline(
-        &self,
-        pipeline: Pipeline,
-        shape: &str,
-        params: &HashMap<String, Literal>,
-    ) -> Result<Planned, CypherError> {
-        let mut stage_plans = Vec::new();
-        let mut children: Vec<ExplainNode> = Vec::new();
-        let mut estimated = 1.0f64;
-        // `"hit"` only when every stage hit.
-        let mut cache = None;
-        for (index, stage) in pipeline.stages.iter().enumerate() {
-            match stage {
-                Stage::Match(inner) | Stage::OptionalMatch(inner) => {
-                    let optional = matches!(stage, Stage::OptionalMatch(_));
-                    let key = match &self.plan_cache {
-                        Some(_) => format!("{shape}\n{index}"),
-                        None => String::new(),
-                    };
-                    let (query, plan, event) = self.plan_match(&inner.as_query(), &key, params)?;
-                    if cache != Some("miss") {
-                        cache = event;
-                    }
-                    estimated = (estimated * plan.estimated_cardinality).max(1.0);
-                    children.push(ExplainNode::inner(
-                        if optional {
-                            "optional_match(left-outer-join)"
-                        } else {
-                            "match(join)"
-                        },
-                        estimated,
-                        vec![plan.explain.clone()],
-                    ));
-                    stage_plans.push((query, plan));
-                }
-                Stage::With(projection) => {
-                    estimated = projection_estimate(projection, estimated);
-                    children.push(projection_explain("with", projection, estimated));
-                }
-                Stage::Unwind(unwind) => {
-                    children.push(ExplainNode::leaf(
-                        format!("unwind({})", unwind.alias),
-                        estimated,
-                    ));
-                }
+        let cached = self
+            .plan_cache
+            .as_ref()
+            .map(|cache| (cache, format!("{shape}\n{index}")));
+        if let Some((cache, key)) = &cached {
+            if let Some(plan) = cache.lookup(key, self.plan_mode, &query) {
+                return Ok((query, (*plan).clone(), Some("hit")));
             }
         }
-        estimated = projection_estimate(&pipeline.ret, estimated);
-        children.push(projection_explain("return", &pipeline.ret, estimated));
-        Ok(Planned::Pipeline {
-            pipeline,
-            stage_plans,
-            explain: ExplainNode::inner("pipeline", estimated, children),
-            cache,
-        })
+        let plan = plan_query_with_mode(&query, &Estimator::new(&self.statistics), self.plan_mode)?;
+        let event = cached.map(|(cache, key)| {
+            cache.insert(key, self.plan_mode, &query, Arc::new(plan.clone()));
+            "miss"
+        });
+        Ok((query, plan, event))
     }
 
-    /// Plans a parsed text: a single plain `MATCH … RETURN` is one query
-    /// graph and one plan, cached under `shape`; everything else is a
-    /// clause pipeline with openCypher's per-`MATCH` uniqueness scope.
+    /// Plans a parsed text: one greedy plan per `MATCH` / `OPTIONAL MATCH`
+    /// stage, made once, through the plan cache, and handed to the run body.
+    /// A plain `MATCH … RETURN` ([`Pipeline::as_simple`]) is the one-stage
+    /// case: its stage plans the whole lowered query (`WHERE` and return
+    /// items included) and its EXPLAIN tree is that plan's. Every other
+    /// stage plans its patterns alone ([`MatchStage::as_query`]) under
+    /// openCypher's per-`MATCH` uniqueness scope, and the text's EXPLAIN
+    /// tree is a `pipeline` root with one child per clause. With
+    /// `plain_only` a clause pipeline is refused before any stage is planned.
+    ///
+    /// [`MatchStage::as_query`]: gradoop_cypher::ast::MatchStage::as_query
     fn plan_text(
         &self,
         pipeline: Pipeline,
         shape: &str,
         params: &HashMap<String, Literal>,
+        plain_only: bool,
     ) -> Result<Planned, CypherError> {
-        match pipeline.as_simple() {
-            Some(ast) => self.plan_match(&ast, shape, params).map(Planned::simple),
-            None => self.plan_pipeline(pipeline, shape, params),
+        let simple = pipeline.as_simple();
+        if plain_only && simple.is_none() {
+            return Err(clause_pipeline_error());
         }
+        let mut stages = Vec::new();
+        // `"hit"` only when every stage hit.
+        let mut cache = None;
+        for (index, stage) in pipeline.stages.iter().enumerate() {
+            if let Stage::Match(inner) | Stage::OptionalMatch(inner) = stage {
+                let stage_query;
+                let ast = match &simple {
+                    Some(query) => query,
+                    None => {
+                        stage_query = inner.as_query();
+                        &stage_query
+                    }
+                };
+                let (query, plan, event) = self.plan_match(ast, shape, index, params)?;
+                if cache != Some("miss") {
+                    cache = event;
+                }
+                stages.push((query, plan));
+            }
+        }
+        let explain = simple
+            .is_none()
+            .then(|| pipeline_explain(&pipeline, &stages));
+        Ok(Planned {
+            pipeline,
+            stages,
+            explain,
+            cache,
+        })
     }
 
     /// Parses, plans and executes `query_text` — a single plain
     /// `MATCH … RETURN` — against `source`, returning the matched
-    /// embeddings. A clause pipeline is a classified error that names
-    /// [`run`](CypherEngine::run).
+    /// embeddings. A clause pipeline (`RETURN DISTINCT` included) is a
+    /// classified error that names [`run`](CypherEngine::run).
     pub fn execute<S: GraphSource + ?Sized>(
         &self,
         source: &S,
@@ -297,13 +254,9 @@ impl CypherEngine {
         params: &HashMap<String, Literal>,
         matching: MatchingConfig,
     ) -> Result<QueryResult, CypherError> {
-        let plan = |pipeline: Pipeline, shape: &str| {
-            self.plan_match(&single_match(&pipeline)?, shape, params)
-                .map(Planned::simple)
-        };
-        match self.observed(source, query_text, params, &matching, plan)? {
+        match self.observed(source, query_text, params, &matching, true)? {
             (Output::Embeddings(result), _) => Ok(*result),
-            // `plan` above hands out `Planned::Simple` alone.
+            // `plain_only` lets no clause pipeline get this far.
             (Output::Table(_), _) => Err(clause_pipeline_error()),
         }
     }
@@ -322,9 +275,13 @@ impl CypherEngine {
         params: &HashMap<String, Literal>,
     ) -> Result<Explain, CypherError> {
         let (shape, parsed) = read_query(query_text);
-        let (root, planner) = match self.plan_text(parsed?, &shape, params)? {
-            Planned::Simple { plan, .. } => (plan.explain, plan.planner),
-            Planned::Pipeline { explain, .. } => (explain, PlannerTrace::default()),
+        let planned = self.plan_text(parsed?, &shape, params, false)?;
+        let (root, planner) = match planned.explain {
+            Some(root) => (root, PlannerTrace::default()),
+            None => {
+                let (_, plan) = planned.stages.into_iter().next().expect("one stage");
+                (plan.explain, plan.planner)
+            }
         };
         Ok(Explain {
             query: query_text.to_string(),
@@ -349,16 +306,15 @@ impl CypherEngine {
         params: &HashMap<String, Literal>,
         matching: MatchingConfig,
     ) -> Result<Profile, CypherError> {
-        let plan = |pipeline: Pipeline, shape: &str| self.plan_text(pipeline, shape, params);
-        let (_, profile) = self.observed(source, query_text, params, &matching, plan)?;
+        let (_, profile) = self.observed(source, query_text, params, &matching, false)?;
         Ok(profile)
     }
 
     /// Runs the full read-only clause surface — `MATCH`, `OPTIONAL MATCH`,
-    /// `WITH`, `UNWIND`, aggregation, `ORDER BY`/`SKIP`/`LIMIT` — and
-    /// returns a tabular [`TableResult`], whichever of the two executors
-    /// (see `plan_text`) the query took: a plain `MATCH … RETURN` answers
-    /// with [`QueryResult::rows`], a clause pipeline with its own table.
+    /// `WITH`, `UNWIND`, aggregation, `DISTINCT`, `ORDER BY`/`SKIP`/`LIMIT`
+    /// — and returns a tabular [`TableResult`]: a plain `MATCH … RETURN`
+    /// answers with [`QueryResult::rows`], any other text with the clause
+    /// table.
     pub fn run<S: GraphSource + ?Sized>(
         &self,
         source: &S,
@@ -366,8 +322,7 @@ impl CypherEngine {
         params: &HashMap<String, Literal>,
         matching: MatchingConfig,
     ) -> Result<TableResult, CypherError> {
-        let plan = |pipeline: Pipeline, shape: &str| self.plan_text(pipeline, shape, params);
-        match self.observed(source, query_text, params, &matching, plan)? {
+        match self.observed(source, query_text, params, &matching, false)? {
             (Output::Embeddings(result), _) => result.rows(),
             (Output::Table(table), _) => Ok(table),
         }
@@ -375,17 +330,18 @@ impl CypherEngine {
 
     /// The one observed run behind [`execute`](CypherEngine::execute),
     /// [`run`](CypherEngine::run) and [`profile`](CypherEngine::profile):
-    /// reads the text once (shape and AST), plans it through `plan`, executes
-    /// the plan with a per-query collector teed in front of the caller's
-    /// trace sink, classifies the outcome, builds the [`Profile`] and appends exactly
-    /// one [`QueryLogRecord`] — successful or not.
+    /// reads the text once (shape and AST), plans it (refusing a clause
+    /// pipeline with `plain_only`), executes the plan with a per-query
+    /// collector teed in front of the caller's trace sink, classifies the
+    /// outcome, builds the [`Profile`] and appends exactly one
+    /// [`QueryLogRecord`] — successful or not.
     fn observed<S: GraphSource + ?Sized>(
         &self,
         source: &S,
         query_text: &str,
         params: &HashMap<String, Literal>,
         matching: &MatchingConfig,
-        plan: impl FnOnce(Pipeline, &str) -> Result<Planned, CypherError>,
+        plain_only: bool,
     ) -> Result<(Output, Profile), CypherError> {
         let started = Instant::now();
         let (shape, parsed) = read_query(query_text);
@@ -393,9 +349,11 @@ impl CypherEngine {
         let before = env.metrics();
         let mut plan_digest = String::new();
         let mut plan_cache = None;
-        let planned = parsed.and_then(|pipeline| plan(pipeline, &shape));
+        let planned =
+            parsed.and_then(|pipeline| self.plan_text(pipeline, &shape, params, plain_only));
         let ran = planned.and_then(|planned| {
             plan_digest = stable_digest(&planned.explain().to_text());
+            plan_cache = planned.cache;
             // Tee stages and spans into a per-query collector — the plan
             // walker attributes them to operators — without clobbering a
             // caller-installed sink (a Chrome-trace export, the server's
@@ -409,29 +367,7 @@ impl CypherEngine {
             // Drop any stale poison from a previous failed run on this
             // environment, so this execution is judged on its own faults.
             let _ = env.take_execution_failure();
-            let ran = match planned {
-                Planned::Simple { query, plan, cache } => {
-                    plan_cache = cache;
-                    run_simple(source, query, plan, matching, &collector)
-                }
-                Planned::Pipeline {
-                    pipeline,
-                    stage_plans,
-                    explain,
-                    cache,
-                } => {
-                    plan_cache = cache;
-                    run_pipeline(
-                        source,
-                        &pipeline,
-                        &stage_plans,
-                        explain.estimated_cardinality,
-                        params,
-                        matching,
-                        &collector,
-                    )
-                }
-            };
+            let ran = run_planned(source, planned, params, matching, &collector);
             env.set_trace_sink(downstream);
             // A failure recorded while the body ran (exhausted retries, a
             // tripped deadline, a malformed plan) outranks its result: the
@@ -445,7 +381,23 @@ impl CypherEngine {
         let wall_seconds = started.elapsed().as_secs_f64();
         let simulated_seconds = metrics.simulated_seconds - before.simulated_seconds;
         let recovery_attempts = metrics.recovery_attempts - before.recovery_attempts;
-        let outcome = ran.map(|ran| {
+        let recovery_seconds = metrics.recovery_seconds - before.recovery_seconds;
+        let checkpoint_bytes = metrics.checkpoint_bytes - before.checkpoint_bytes;
+        let restored_bytes = metrics.restored_bytes - before.restored_bytes;
+        let scratch_allocations = metrics.scratch_allocations - before.scratch_allocations;
+        let outcome = ran.map(|mut ran| {
+            if let Output::Table(_) = ran.output {
+                // The `pipeline` root carries the run's totals.
+                let root = &mut ran.root;
+                root.simulated_seconds = simulated_seconds;
+                root.wall_seconds = wall_seconds;
+                root.stages = metrics.stages - before.stages;
+                root.recovery_attempts = recovery_attempts;
+                root.recovery_seconds = recovery_seconds;
+                root.checkpoint_bytes = checkpoint_bytes;
+                root.restored_bytes = restored_bytes;
+                root.scratch_allocations = scratch_allocations;
+            }
             let profile = Profile {
                 query: query_text.to_string(),
                 root: ran.root,
@@ -454,11 +406,11 @@ impl CypherEngine {
                 simulated_seconds,
                 wall_seconds,
                 recovery_attempts,
-                recovery_seconds: metrics.recovery_seconds - before.recovery_seconds,
-                checkpoint_bytes: metrics.checkpoint_bytes - before.checkpoint_bytes,
-                restored_bytes: metrics.restored_bytes - before.restored_bytes,
+                recovery_seconds,
+                checkpoint_bytes,
+                restored_bytes,
                 peak_memory_bytes: metrics.peak_memory_bytes,
-                scratch_allocations: metrics.scratch_allocations - before.scratch_allocations,
+                scratch_allocations,
             };
             (ran.output, profile)
         });
@@ -501,66 +453,50 @@ fn read_query(query_text: &str) -> (String, Result<Pipeline, CypherError>) {
     (shape, parsed)
 }
 
-/// Lowers a parsed text to the single plain `MATCH … RETURN` that
-/// [`CypherEngine::execute`] and [`CypherEngine::plan`] answer.
-fn single_match(pipeline: &Pipeline) -> Result<Query, CypherError> {
-    pipeline.as_simple().ok_or_else(clause_pipeline_error)
-}
-
 fn clause_pipeline_error() -> CypherError {
     CypherError::QueryGraph(QueryGraphError(
-        "the text is a clause pipeline (several reading clauses, ORDER BY / SKIP / LIMIT, \
-         aggregates or aliased variables in RETURN), not a single `MATCH … RETURN` with one \
-         query graph and embeddings for a result: use `CypherEngine::run`"
+        "the text is a clause pipeline (several reading clauses, RETURN DISTINCT, \
+         ORDER BY / SKIP / LIMIT, aggregates or aliased variables in RETURN), not a single \
+         `MATCH … RETURN` with one query graph and embeddings for a result: use \
+         `CypherEngine::run`"
             .to_string(),
     ))
 }
 
-/// A parsed and planned query — what `explain` renders and what one
-/// observed run executes.
-enum Planned {
-    /// A single plain `MATCH … RETURN`: one merged query graph and its plan,
-    /// with the plan-cache event (`"hit"`/`"miss"`) when a cache is
-    /// installed.
-    Simple {
-        query: QueryGraph,
-        plan: QueryPlan,
-        cache: Option<&'static str>,
-    },
-    /// A clause pipeline: the plan of every `MATCH`/`OPTIONAL MATCH` stage
-    /// in stage order, the EXPLAIN tree embedding them, and the plan-cache
-    /// event (`"hit"` when every stage hit, `"miss"` otherwise; `None`
-    /// without a cache or without a `MATCH`).
-    Pipeline {
-        pipeline: Pipeline,
-        stage_plans: Vec<(QueryGraph, QueryPlan)>,
-        explain: ExplainNode,
-        cache: Option<&'static str>,
-    },
+/// A parsed and planned text — what `explain` renders and what one observed
+/// run executes. Every text is a clause pipeline; a plain `MATCH … RETURN`
+/// is the one-stage case.
+struct Planned {
+    pipeline: Pipeline,
+    /// The query graph and plan of every `MATCH`/`OPTIONAL MATCH` stage, in
+    /// stage order.
+    stages: Vec<(QueryGraph, QueryPlan)>,
+    /// The `pipeline` EXPLAIN tree embedding the stage plans; `None` for a
+    /// plain text, whose tree is its one plan's.
+    explain: Option<ExplainNode>,
+    /// The plan-cache event: `"hit"` when every stage hit, `"miss"`
+    /// otherwise; `None` without a cache or without a `MATCH`.
+    cache: Option<&'static str>,
 }
 
 impl Planned {
-    fn simple((query, plan, cache): (QueryGraph, QueryPlan, Option<&'static str>)) -> Self {
-        Planned::Simple { query, plan, cache }
-    }
-
     /// The annotated plan tree (what EXPLAIN prints and the plan digest
     /// hashes).
     fn explain(&self) -> &ExplainNode {
-        match self {
-            Planned::Simple { plan, .. } => &plan.explain,
-            Planned::Pipeline { explain, .. } => explain,
+        match &self.explain {
+            Some(root) => root,
+            None => &self.stages[0].1.explain,
         }
     }
 }
 
-/// The result of a run in the shape its executor produced.
+/// The result of a run: a plain text's embeddings or a clause table.
 enum Output {
     Embeddings(Box<QueryResult>),
     Table(TableResult),
 }
 
-/// What an executed body hands back to [`CypherEngine::observed`].
+/// What the run body hands back to [`CypherEngine::observed`].
 struct Ran {
     output: Output,
     root: ProfileNode,
@@ -568,73 +504,54 @@ struct Ran {
     matches: u64,
 }
 
-/// The classic body: one plan over one merged query graph, then
-/// `RETURN DISTINCT` if asked for.
-fn run_simple<S: GraphSource + ?Sized>(
+/// The one run body: every `MATCH` runs through [`execute_match`]. A plain
+/// text answers with its one walk's embeddings and operator tree; any other
+/// text with the clause table under a `pipeline` profile root, whose run
+/// totals [`CypherEngine::observed`] fills in.
+fn run_planned<S: GraphSource + ?Sized>(
     source: &S,
-    query: QueryGraph,
-    plan: QueryPlan,
-    matching: &MatchingConfig,
-    collector: &CollectingSink,
-) -> Result<Ran, CypherError> {
-    let (mut set, root) = execute_match(&query, &plan, source, matching, collector)?;
-    if query.distinct {
-        set = distinct_by_return_items(&set, &query);
-    }
-    Ok(Ran {
-        root,
-        planner: plan.planner.clone(),
-        matches: set.data.len_untracked() as u64,
-        output: Output::Embeddings(Box::new(QueryResult {
-            embeddings: set.data,
-            meta: set.meta,
-            query,
-            plan,
-        })),
-    })
-}
-
-/// The pipeline body: the clause-by-clause executor under a `pipeline`
-/// profile root that carries the run's totals.
-fn run_pipeline<S: GraphSource + ?Sized>(
-    source: &S,
-    pipeline: &Pipeline,
-    stage_plans: &[(QueryGraph, QueryPlan)],
-    estimated_cardinality: f64,
+    planned: Planned,
     params: &HashMap<String, Literal>,
     matching: &MatchingConfig,
     collector: &CollectingSink,
 ) -> Result<Ran, CypherError> {
-    let env = source.env();
-    let before = env.metrics();
-    let started = Instant::now();
+    let Some(explain) = planned.explain else {
+        let (query, plan) = planned
+            .stages
+            .into_iter()
+            .next()
+            .expect("a plain text has one MATCH");
+        let (set, root) = execute_match(&query, &plan, source, matching, collector)?;
+        return Ok(Ran {
+            root,
+            planner: plan.planner.clone(),
+            matches: set.data.len_untracked() as u64,
+            output: Output::Embeddings(Box::new(QueryResult {
+                embeddings: set.data,
+                meta: set.meta,
+                query,
+                plan,
+            })),
+        });
+    };
     let mut children = Vec::new();
     let table = execute_pipeline(
-        pipeline,
-        stage_plans,
+        &planned.pipeline,
+        &planned.stages,
         params,
         source,
         matching,
         collector,
         &mut children,
     )?;
-    let metrics = env.metrics();
     let matches = table.rows.len() as u64;
     let mut root = ProfileNode {
         operator: "pipeline".to_string(),
-        estimated_cardinality,
+        estimated_cardinality: explain.estimated_cardinality,
         rows_in: children.first().map_or(0, |child| child.rows_in),
         rows_out: matches,
         selectivity: 1.0,
-        simulated_seconds: metrics.simulated_seconds - before.simulated_seconds,
-        wall_seconds: started.elapsed().as_secs_f64(),
-        stages: metrics.stages - before.stages,
-        estimate_error: q_error(estimated_cardinality, matches),
-        recovery_attempts: metrics.recovery_attempts - before.recovery_attempts,
-        recovery_seconds: metrics.recovery_seconds - before.recovery_seconds,
-        checkpoint_bytes: metrics.checkpoint_bytes - before.checkpoint_bytes,
-        restored_bytes: metrics.restored_bytes - before.restored_bytes,
-        scratch_allocations: metrics.scratch_allocations - before.scratch_allocations,
+        estimate_error: q_error(explain.estimated_cardinality, matches),
         children,
         ..ProfileNode::default()
     };
@@ -647,33 +564,68 @@ fn run_pipeline<S: GraphSource + ?Sized>(
     })
 }
 
-/// Output-cardinality estimate of one projection stage: aggregation
-/// collapses toward the group count (modeled as a square root), `LIMIT`
-/// caps the estimate outright.
-fn projection_estimate(projection: &Projection, input: f64) -> f64 {
-    let mut estimated = input;
-    if projection
+/// The EXPLAIN tree of a clause pipeline: one child per clause under a
+/// `pipeline` root — each `MATCH` stage's plan, projection stages listing
+/// their steps, a `LIMIT`-bearing sort shown as
+/// `order_by(top-k skip=.. limit=..)` and an unbounded one as
+/// `order_by(full-sort)`.
+fn pipeline_explain(pipeline: &Pipeline, stages: &[(QueryGraph, QueryPlan)]) -> ExplainNode {
+    let mut plans = stages.iter().map(|(_, plan)| plan);
+    let mut children = Vec::new();
+    let mut estimated = 1.0f64;
+    for stage in &pipeline.stages {
+        match stage {
+            Stage::Match(_) | Stage::OptionalMatch(_) => {
+                let plan = plans.next().expect("one plan per MATCH stage");
+                estimated = (estimated * plan.estimated_cardinality).max(1.0);
+                children.push(ExplainNode::inner(
+                    if matches!(stage, Stage::OptionalMatch(_)) {
+                        "optional_match(left-outer-join)"
+                    } else {
+                        "match(join)"
+                    },
+                    estimated,
+                    vec![plan.explain.clone()],
+                ));
+            }
+            Stage::With(projection) => {
+                let with = projection_explain("with", projection, estimated);
+                estimated = with.estimated_cardinality;
+                children.push(with);
+            }
+            Stage::Unwind(unwind) => {
+                children.push(ExplainNode::leaf(
+                    format!("unwind({})", unwind.alias),
+                    estimated,
+                ));
+            }
+        }
+    }
+    let ret = projection_explain("return", &pipeline.ret, estimated);
+    estimated = ret.estimated_cardinality;
+    children.push(ret);
+    ExplainNode::inner("pipeline", estimated, children)
+}
+
+/// EXPLAIN node for a `WITH`/`RETURN` stage over `input` estimated rows, one
+/// step leaf per applied sub-operation in evaluation order. Aggregation
+/// collapses the estimate toward the group count (modeled as a square
+/// root), `LIMIT` caps it outright.
+fn projection_explain(name: &str, projection: &Projection, input: f64) -> ExplainNode {
+    let aggregates = projection
         .items
         .iter()
-        .any(|i| matches!(i.expr, ProjectionExpr::Aggregate(_)))
-    {
+        .any(|i| matches!(i.expr, ProjectionExpr::Aggregate(_)));
+    let mut estimated = input;
+    if aggregates {
         estimated = estimated.sqrt().max(1.0);
     }
     if let Some(limit) = projection.limit {
         estimated = estimated.min(limit as f64).max(0.0);
     }
-    estimated.max(1.0)
-}
-
-/// EXPLAIN node for a `WITH`/`RETURN` stage, one step leaf per applied
-/// sub-operation in evaluation order.
-fn projection_explain(name: &str, projection: &Projection, estimated: f64) -> ExplainNode {
+    let estimated = estimated.max(1.0);
     let mut steps: Vec<ExplainNode> = Vec::new();
-    if projection
-        .items
-        .iter()
-        .any(|i| matches!(i.expr, ProjectionExpr::Aggregate(_)))
-    {
+    if aggregates {
         steps.push(ExplainNode::leaf("aggregate(group_reduce)", estimated));
     }
     if projection.distinct {
@@ -693,97 +645,6 @@ fn projection_explain(name: &str, projection: &Projection, estimated: f64) -> Ex
         steps.push(ExplainNode::leaf("filter(where)", estimated));
     }
     ExplainNode::inner(name, estimated, steps)
-}
-
-/// `RETURN DISTINCT`: projects embeddings to the returned bindings and
-/// deduplicates (a distributed `distinct` over the projected rows). The
-/// resulting embeddings bind only the returned variables, so match graphs
-/// derived from a DISTINCT result contain only the returned elements.
-/// A returned binding the plan never materialized poisons the environment
-/// (classified `CypherError::Execution`) instead of panicking.
-/// `RETURN DISTINCT count(*)` never gets here: it is a clause pipeline.
-fn distinct_by_return_items(
-    input: &crate::operators::EmbeddingSet,
-    query: &QueryGraph,
-) -> crate::operators::EmbeddingSet {
-    use crate::embedding::{Embedding, EmbeddingMetaData, Entry};
-    use gradoop_cypher::ReturnItem;
-
-    let mut meta = EmbeddingMetaData::new();
-    let mut entry_sources: Vec<usize> = Vec::new();
-    let mut property_sources: Vec<usize> = Vec::new();
-    for item in &query.return_items {
-        match item {
-            ReturnItem::Variable(variable) => {
-                if meta.column(variable).is_none() {
-                    let Some(column) = input.meta.column(variable) else {
-                        return crate::operators::malformed_plan(
-                            input,
-                            "distinct_by_return_items",
-                            format!("returned variable `{variable}` unbound"),
-                        );
-                    };
-                    let Some(entry_type) = input.meta.entry_type(variable) else {
-                        return crate::operators::malformed_plan(
-                            input,
-                            "distinct_by_return_items",
-                            format!("returned variable `{variable}` has no entry type"),
-                        );
-                    };
-                    entry_sources.push(column);
-                    meta.add_entry(variable, entry_type);
-                }
-            }
-            ReturnItem::Property { variable, key, .. } => {
-                let Some(index) = input.meta.property_index(variable, key) else {
-                    return crate::operators::malformed_plan(
-                        input,
-                        "distinct_by_return_items",
-                        format!("returned property `{variable}.{key}` unbound"),
-                    );
-                };
-                property_sources.push(index);
-                meta.add_property(variable, key);
-            }
-            ReturnItem::CountStar | ReturnItem::All => {}
-        }
-    }
-
-    thread_local! {
-        /// Per-worker scratch of the one prefix walk per row.
-        static OFFSETS: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
-    }
-    let located = property_sources
-        .iter()
-        .map(|index| index + 1)
-        .max()
-        .unwrap_or(0);
-    let data = input
-        .data
-        .map(move |embedding| {
-            let mut projected = Embedding::new();
-            for &column in &entry_sources {
-                match embedding.entry(column) {
-                    Entry::Id(id) => projected.push_id(id),
-                    Entry::Path(ids) => projected.push_path(&ids),
-                }
-            }
-            OFFSETS.with(|cell| {
-                let offsets = &mut *cell.borrow_mut();
-                embedding.property_offsets(located, offsets);
-                for &index in &property_sources {
-                    // Re-append the canonical encoded bytes instead of
-                    // decoding and re-encoding the value: the raw encoding
-                    // is what `distinct` hashes anyway, so the per-row
-                    // decode (and any string allocation it implies) is pure
-                    // waste.
-                    projected.push_raw_property(embedding.raw_property_at(offsets[index]));
-                }
-            });
-            projected
-        })
-        .distinct();
-    crate::operators::EmbeddingSet { data, meta }
 }
 
 /// The EPGM pattern-matching operator (Definition 2.4): `g.cypher(q, ...)`.
@@ -1217,31 +1078,6 @@ mod tests {
     }
 
     #[test]
-    fn unbound_distinct_return_variable_is_classified_not_a_panic() {
-        use crate::embedding::EmbeddingMetaData;
-        use crate::operators::EmbeddingSet;
-        use gradoop_cypher::{parse, QueryGraph};
-
-        let env = ExecutionEnvironment::new(
-            ExecutionConfig::with_workers(2).cost_model(CostModel::free()),
-        );
-        // An embedding set that binds nothing, paired with a DISTINCT
-        // query returning `n`: the projection cannot find the column. The
-        // old code panicked; now it poisons the environment so `execute`
-        // surfaces a classified execution error.
-        let input = EmbeddingSet {
-            data: env.from_collection(vec![crate::embedding::Embedding::new()]),
-            meta: EmbeddingMetaData::new(),
-        };
-        let query = QueryGraph::from_query(&parse("MATCH (n) RETURN DISTINCT n").unwrap()).unwrap();
-        let projected = distinct_by_return_items(&input, &query);
-        assert_eq!(projected.data.count(), 0);
-        let failure = env.take_execution_failure().expect("poisoned");
-        assert!(failure.message.contains("`n` unbound"));
-        assert!(failure.site.contains("distinct_by_return_items"));
-    }
-
-    #[test]
     fn unbound_return_item_yields_classified_result_error() {
         // A hand-assembled result whose embeddings never bound the returned
         // variable: materialization reports a classified error, not a panic.
@@ -1381,10 +1217,34 @@ mod tests {
         // `execute` merged the clauses into one pattern list — query-wide
         // uniqueness, 6 rows — so one text had two answers.
         const TEXT: &str = "MATCH (a)-[e1]->(b) MATCH (c)-[e2]->(d) RETURN count(*)";
+        // `DISTINCT` is a table operation, so this text is a clause pipeline
+        // too: two people study at one university.
+        const DISTINCT: &str = "MATCH (p:Person)-[:studyAt]->(u:University) \
+                                RETURN DISTINCT u.name";
         let graph = sample_graph();
-        let engine = CypherEngine::for_graph(&graph);
+        let cache = Arc::new(PlanCache::default());
+        let engine = CypherEngine::for_graph(&graph).with_plan_cache(cache.clone());
         let no_params = HashMap::new();
         let matching = MatchingConfig::cypher_default();
+
+        for text in [TEXT, DISTINCT] {
+            let rejections = [
+                engine.execute(&graph, text, &no_params, matching).err(),
+                graph.cypher(text, matching).err(),
+            ];
+            for rejection in rejections {
+                match rejection {
+                    Some(CypherError::QueryGraph(error)) => {
+                        assert!(error.0.contains("clause pipeline"), "{error}");
+                        assert!(error.0.contains("`CypherEngine::run`"), "{error}");
+                    }
+                    other => panic!("expected a classified rejection, got {other:?}"),
+                }
+            }
+        }
+        // Refused before any stage is planned: not one plan-cache lookup.
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (0, 0));
 
         let table = engine.run(&graph, TEXT, &no_params, matching).unwrap();
         assert_eq!(table.rows, vec![vec![Value::Int(9)]]);
@@ -1392,20 +1252,17 @@ mod tests {
         let reference = reference_pipeline(&graph, &pipeline, &matching).unwrap();
         assert_eq!(reference.rows, vec![vec![Value::Int(9)]]);
 
-        let rejections = [
-            engine.execute(&graph, TEXT, &no_params, matching).err(),
-            engine.plan(TEXT, &no_params).err(),
-            graph.cypher(TEXT, matching).err(),
-        ];
-        for rejection in rejections {
-            match rejection {
-                Some(CypherError::QueryGraph(error)) => {
-                    assert!(error.0.contains("clause pipeline"), "{error}");
-                    assert!(error.0.contains("`CypherEngine::run`"), "{error}");
-                }
-                other => panic!("expected a classified rejection, got {other:?}"),
-            }
-        }
+        let table = engine.run(&graph, DISTINCT, &no_params, matching).unwrap();
+        let pipeline = gradoop_cypher::parse_pipeline(DISTINCT).unwrap();
+        assert_eq!(
+            table,
+            reference_pipeline(&graph, &pipeline, &matching).unwrap()
+        );
+        assert_eq!(table.columns, vec!["u.name"]);
+        assert_eq!(
+            table.rows,
+            vec![vec![Value::Str("Uni Leipzig".to_string())]]
+        );
     }
 
     #[test]
@@ -1620,6 +1477,18 @@ mod tests {
             )
             .unwrap();
         assert_eq!(ok.count(), 55);
+    }
+
+    #[test]
+    fn planning_a_range_costs_the_same_for_any_upper_bound() {
+        // The planner once summed fanout^k hop by hop: EXPLAIN of
+        // `*1..10000000` took a second, and this bound never finished.
+        let graph = sample_graph();
+        let engine = CypherEngine::for_graph(&graph);
+        let explain = engine
+            .explain("MATCH (a)-[e*1..9223372036854775807]->(b) RETURN count(*)")
+            .unwrap();
+        assert!(explain.root.to_text().contains("ExpandEmbeddings"));
     }
 
     #[test]

@@ -63,7 +63,6 @@ pub use observe::{
     ship_strategies, ExpandIteration, Explain, ExplainNode, PlannerCandidate, PlannerRound,
     PlannerTrace, Profile, ProfileNode, ShipStrategy,
 };
-pub use pipeline::{check_open_range_caps, execute_pipeline, probe_open_ranges};
 pub use plancache::{PlanCache, PlanCacheStats, DEFAULT_PLAN_CAPACITY};
 pub use planner::{
     plan_query, plan_query_with_mode, Estimator, PlanError, PlanMode, PlanNode, QueryPlan,

@@ -680,7 +680,8 @@ pub struct Profile {
     pub root: ProfileNode,
     /// The planner's decision log.
     pub planner: PlannerTrace,
-    /// Final match count (after `RETURN DISTINCT` deduplication, if any).
+    /// Final match count: a plain text's embeddings, or a clause
+    /// pipeline's result rows (after `DISTINCT`, aggregation and paging).
     pub matches: u64,
     /// Total simulated seconds of the run.
     pub simulated_seconds: f64,

@@ -1,6 +1,6 @@
 //! Dataflow lowering of multi-clause Cypher pipelines.
 //!
-//! [`execute_pipeline`] runs the full read-only clause surface — `MATCH`,
+//! `execute_pipeline` runs the full read-only clause surface — `MATCH`,
 //! `OPTIONAL MATCH`, `WITH`, `UNWIND`, aggregation, `DISTINCT`,
 //! `ORDER BY`/`SKIP`/`LIMIT` — clause by clause over a working table of
 //! [`Row`]s, mirroring [`reference_pipeline`](crate::reference_pipeline)
@@ -30,8 +30,8 @@
 //! * `UNWIND` is a flat-map: `NULL` produces no rows, a list one row per
 //!   element, a scalar a single row.
 //!
-//! The module also hosts the open-range probe ([`probe_open_ranges`] /
-//! [`check_open_range_caps`]): unbounded variable-length patterns (`*`,
+//! The module also hosts the open-range probe (`probe_open_ranges` /
+//! `check_open_range_caps`): unbounded variable-length patterns (`*`,
 //! `*2..`) carry a parser-substituted hop cap, and instead of silently
 //! truncating results at the cap the executor expands one hop further and
 //! raises a classified [`CypherError::Execution`] when anything is found
@@ -71,7 +71,7 @@ use crate::values::{
 /// inspects after execution. Plans stay unchanged — `EXPLAIN` shows the
 /// cap the user would hit, and the executor reads ranges from the query
 /// graph it is handed at runtime.
-pub fn probe_open_ranges(query: &QueryGraph) -> (QueryGraph, Vec<(String, usize)>) {
+pub(crate) fn probe_open_ranges(query: &QueryGraph) -> (QueryGraph, Vec<(String, usize)>) {
     let mut probe = query.clone();
     let mut caps = Vec::new();
     for edge in &mut probe.edges {
@@ -89,7 +89,7 @@ pub fn probe_open_ranges(query: &QueryGraph) -> (QueryGraph, Vec<(String, usize)
 /// substituted hop cap. Finding one means the cap would have silently
 /// truncated the result set, so a classified execution error is returned
 /// instead of a partial answer.
-pub fn check_open_range_caps(
+pub(crate) fn check_open_range_caps(
     set: &EmbeddingSet,
     caps: &[(String, usize)],
 ) -> Result<(), CypherError> {
@@ -161,7 +161,7 @@ pub(crate) fn execute_match<S: GraphSource + ?Sized>(
 /// properties resolve by id through the source's shared
 /// [`element_index`](GraphSource::element_index), so the only `collect` is
 /// the final gather of the result rows.
-pub fn execute_pipeline<S: GraphSource + ?Sized>(
+pub(crate) fn execute_pipeline<S: GraphSource + ?Sized>(
     pipeline: &Pipeline,
     stage_plans: &[(QueryGraph, QueryPlan)],
     params: &HashMap<String, Literal>,

@@ -4,9 +4,9 @@
 //! server running the same parameterized query for many users plans it
 //! once and re-binds `$param` values per execution. (Texts are not
 //! memoized: every run lexes and parses its text exactly once.) Every
-//! `MATCH` is planned through here: a single `MATCH … RETURN` under its
-//! shape, stage `i` of a clause pipeline under the shape, a newline and
-//! `i`.
+//! `MATCH` is planned through here under one key rule: stage `i` of a text
+//! under its shape, a newline and `i`, a plain `MATCH … RETURN` being
+//! stage 0.
 //!
 //! ## Why keying on the shape is sound
 //!
@@ -23,12 +23,12 @@
 //! structural signature of the query graph it was planned for and a
 //! lookup whose graph disagrees is treated as a miss.
 //!
-//! A pipeline stage's plan is made from the stage's patterns alone, so it
-//! depends on the stage, which the shape and the index fix, and on values
-//! the shape erases. Stage keys cannot collide with shapes: a shape turns
-//! whitespace into one space, so the only newline it can hold sits inside
-//! a backticked name, which ends in a backtick — what follows a shape's
-//! last newline is never a bare stage index.
+//! A stage's plan is made from the stage's query alone (a plain text's
+//! whole lowered query, any other stage's patterns), so it depends on the
+//! stage, which the shape and the index fix, and on values the shape
+//! erases. Two keys cannot collide unless shape and index both match: an
+//! index holds no newline, so a key splits into shape and index at its
+//! last newline in exactly one way.
 //!
 //! A cache is only valid for one set of graph statistics: plans are
 //! cost-based, so engines over different data graphs must not share one
@@ -80,7 +80,6 @@ struct GraphSignature {
     edges: Vec<EdgeSignature>,
     cross_clauses: usize,
     return_items: usize,
-    distinct: bool,
 }
 
 /// The structural facts of one query edge a cached plan depends on.
@@ -113,7 +112,6 @@ impl GraphSignature {
                 .collect(),
             cross_clauses: query.cross_clauses.len(),
             return_items: query.return_items.len(),
-            distinct: query.distinct,
         }
     }
 }

@@ -660,6 +660,21 @@ fn build_join_candidate(
     Ok((consumed, current))
 }
 
+/// Σ `fanout^k` for `k` in `lower..=upper`: the embeddings one input row
+/// grows into over the path lengths, the zero-length path contributing its
+/// single embedding. The closed-form geometric sum costs the same for any
+/// bound — the parser accepts bounds up to `i64::MAX` — and overflows to
+/// infinity instead of wrapping.
+fn path_growth(fanout: f64, lower: usize, upper: usize) -> f64 {
+    // No terms when `upper < lower`.
+    let terms = (upper as f64 - lower as f64 + 1.0).max(0.0);
+    if fanout == 1.0 {
+        terms
+    } else {
+        fanout.powf(lower as f64) * (fanout.powf(terms) - 1.0) / (fanout - 1.0)
+    }
+}
+
 fn build_expand_candidate(
     query: &QueryGraph,
     estimator: &Estimator,
@@ -701,13 +716,8 @@ fn build_expand_candidate(
         }
     };
 
-    // Σ fanout^k over the path lengths, with the zero-length path
-    // contributing its single embedding.
     let fanout = estimator.edge_fanout(query, edge_index).max(0.001);
-    let mut growth = 0.0;
-    for k in lower..=upper {
-        growth += fanout.powi(k as i32);
-    }
+    let growth = path_growth(fanout, lower, upper);
     let closes_cycle = input.variables.contains(&target_var);
     let mut cardinality = input.cardinality * growth;
     if closes_cycle {
@@ -1111,5 +1121,33 @@ mod tests {
         let text = plan.describe(&query);
         assert!(!text.contains("ScanVertices"), "{text}");
         assert!(text.contains("ScanEdges(e:knows)"), "{text}");
+    }
+
+    #[test]
+    fn path_growth_is_the_per_hop_sum_in_closed_form() {
+        for fanout in [0.001f64, 0.3, 0.9, 1.0, 1.5, 2.0, 7.25] {
+            for lower in 0..4usize {
+                for upper in lower..lower + 12 {
+                    let summed: f64 = (lower..=upper).map(|k| fanout.powi(k as i32)).sum();
+                    let closed = path_growth(fanout, lower, upper);
+                    let error = ((closed - summed) / summed).abs();
+                    assert!(
+                        error <= 1e-12,
+                        "{fanout} {lower}..{upper}: {closed} vs {summed}"
+                    );
+                }
+            }
+        }
+        assert_eq!(path_growth(2.0, 3, 2), 0.0);
+        assert_eq!(path_growth(1.0, 5, 2), 0.0);
+    }
+
+    #[test]
+    fn path_growth_overflows_to_infinity_instead_of_wrapping() {
+        // `k as i32` wrapped 2^31 to i32::MIN: 2^-2147483648 summed to 0.
+        assert_eq!(path_growth(2.0, 1 << 31, 1 << 31), f64::INFINITY);
+        assert_eq!(path_growth(2.0, 1, usize::MAX), f64::INFINITY);
+        assert_eq!(path_growth(1.0, 1, 1 << 40), (1u64 << 40) as f64);
+        assert!(path_growth(0.5, 1, usize::MAX) <= 1.0);
     }
 }

@@ -152,8 +152,6 @@ pub enum ReturnItem {
 pub struct ReturnClause {
     /// Returned items, in declaration order.
     pub items: Vec<ReturnItem>,
-    /// `RETURN DISTINCT ...` — deduplicate result rows.
-    pub distinct: bool,
 }
 
 // --- pipeline queries --------------------------------------------------------
@@ -362,14 +360,16 @@ pub enum SortRef {
 impl Pipeline {
     /// Recognizes pipelines expressible in the single-clause core —
     /// exactly one plain `MATCH` stage and a projection without
-    /// ordering/paging/aggregation — so the engine can route them through
-    /// the original planner/executor path unchanged.
+    /// `DISTINCT`, ordering, paging or aggregation — whose answer is the
+    /// plan walker's embeddings. `DISTINCT` is a table operation: a text
+    /// that asks for it is a clause pipeline.
     pub fn as_simple(&self) -> Option<Query> {
         let [Stage::Match(stage)] = self.stages.as_slice() else {
             return None;
         };
         let p = &self.ret;
-        if !p.order_by.is_empty()
+        if p.distinct
+            || !p.order_by.is_empty()
             || p.skip.is_some()
             || p.limit.is_some()
             || p.where_clause.is_some()
@@ -393,9 +393,6 @@ impl Pipeline {
         {
             // A bare `count(*)` is the classic hardcoded CountStar path;
             // aliased or grouped counts go through the pipeline executor.
-            if p.distinct {
-                return None;
-            }
             vec![ReturnItem::CountStar]
         } else {
             let mut items = Vec::with_capacity(p.items.len());
@@ -422,10 +419,7 @@ impl Pipeline {
         Some(Query {
             patterns: stage.patterns.clone(),
             where_clause: stage.where_clause.clone(),
-            return_clause: ReturnClause {
-                items,
-                distinct: p.distinct,
-            },
+            return_clause: ReturnClause { items },
         })
     }
 
@@ -454,7 +448,6 @@ impl MatchStage {
             where_clause: None,
             return_clause: ReturnClause {
                 items: vec![ReturnItem::All],
-                distinct: false,
             },
         }
     }
@@ -475,9 +468,6 @@ impl std::fmt::Display for Query {
             write!(f, " WHERE {where_clause}")?;
         }
         write!(f, " RETURN ")?;
-        if self.return_clause.distinct {
-            write!(f, "DISTINCT ")?;
-        }
         for (i, item) in self.return_clause.items.iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
@@ -774,7 +764,6 @@ mod tests {
             where_clause: None,
             return_clause: ReturnClause {
                 items: vec![ReturnItem::All],
-                distinct: false,
             },
         };
         assert_eq!(

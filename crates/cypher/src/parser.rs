@@ -8,8 +8,8 @@
 //! `AND`/`OR`/`NOT` and parentheses, and a `RETURN` projection with
 //! aggregates, aliases and `ORDER BY` / `SKIP` / `LIMIT`. The paper's
 //! pattern-matching core — one `MATCH … [WHERE …] RETURN` of `*`,
-//! variables, property accesses or `count(*)` — is the special case
-//! [`parse`] lowers out of it through [`Pipeline::as_simple`].
+//! variables, property accesses or `count(*)`, without `DISTINCT` — is the
+//! special case [`parse`] lowers out of it through [`Pipeline::as_simple`].
 
 use crate::ast::{
     AggArg, AggFunc, AggregateCall, Direction, MapValue, MatchStage, NodePattern, PathPattern,
@@ -29,9 +29,9 @@ pub const DEFAULT_MAX_HOPS: usize = 10;
 
 /// Parses a single `MATCH … [WHERE …] RETURN …` into the classic [`Query`]
 /// AST: [`parse_pipeline`] followed by [`Pipeline::as_simple`]. A text that
-/// parses but is a clause pipeline (a second reading clause, `ORDER BY` /
-/// `SKIP` / `LIMIT`, aggregates or aliased variables in `RETURN`) is an
-/// error at the clause that makes it one.
+/// parses but is a clause pipeline (a second reading clause, `DISTINCT`,
+/// `ORDER BY` / `SKIP` / `LIMIT`, aggregates or aliased variables in
+/// `RETURN`) is an error at the clause that makes it one.
 pub fn parse(input: &str) -> Result<Query, ParseError> {
     let mut parser = Parser {
         tokens: lex(input)?,
@@ -151,8 +151,8 @@ impl Parser {
 
     /// The error of [`parse`] for a text that parsed as a pipeline and does
     /// not lower to one `MATCH … RETURN`: it points at the first clause the
-    /// classic form cannot hold — failing one, at the `RETURN` whose items
-    /// aggregate or alias.
+    /// classic form cannot hold — failing one, at the `RETURN` that is
+    /// `DISTINCT` or whose items aggregate or alias.
     fn beyond_simple(&self) -> ParseError {
         use Keyword::{Limit, Match, Optional, Order, Return, Skip, Unwind, With};
         let clause = |(index, token): &(usize, &Token)| match token.kind {
@@ -846,6 +846,8 @@ mod tests {
             ("MATCH (a) RETURN a AS b", 11),
             ("MATCH (a) RETURN sum(a.p)", 11),
             ("MATCH (a) RETURN DISTINCT count(*)", 11),
+            // DISTINCT is a table operation, not a property of the match.
+            ("MATCH (a) RETURN DISTINCT a.p", 11),
             ("MATCH (a) RETURN a, count(*)", 11),
             ("MATCH (a) OPTIONAL MATCH (a)-[e]->(b) RETURN *", 11),
             // Two MATCH clauses used to be merged into one pattern list —
@@ -864,7 +866,7 @@ mod tests {
         }
         let simple = [
             "MATCH (a) RETURN *",
-            "MATCH (a), (b) WHERE a.p = b.p RETURN DISTINCT a.p AS p, b",
+            "MATCH (a), (b) WHERE a.p = b.p RETURN a.p AS p, b",
             "MATCH (a)-[e]->(b) RETURN count(*)",
         ];
         for text in simple {
@@ -888,14 +890,14 @@ mod tests {
 
     #[test]
     fn parses_return_distinct() {
-        let q = parse("MATCH (a)-[e]->(b) RETURN DISTINCT a.name, b.name").expect("parse");
-        assert!(q.return_clause.distinct);
-        assert_eq!(q.return_clause.items.len(), 2);
-        let q = parse("MATCH (a) RETURN a").expect("parse");
-        assert!(!q.return_clause.distinct);
+        let p = parse_pipeline("MATCH (a)-[e]->(b) RETURN DISTINCT a.name, b.name").expect("parse");
+        assert!(p.ret.distinct);
+        assert_eq!(p.ret.items.len(), 2);
+        let p = parse_pipeline("MATCH (a) RETURN a").expect("parse");
+        assert!(!p.ret.distinct);
         // Pretty-printed DISTINCT survives a reparse.
-        let q = parse("MATCH (a) RETURN DISTINCT *").expect("parse");
-        assert_eq!(parse(&q.to_string()).expect("reparse"), q);
+        let p = parse_pipeline("MATCH (a) RETURN DISTINCT *").expect("parse");
+        assert_eq!(parse_pipeline(&p.to_string()).expect("reparse"), p);
     }
 
     #[test]
@@ -1039,10 +1041,10 @@ mod tests {
     #[test]
     fn as_simple_recognizes_classic_queries() {
         let simple = |text: &str| parse_pipeline(text).expect("parse").as_simple();
-        let classic = simple("MATCH (a)-[e]->(b) WHERE a.p = 1 RETURN DISTINCT a.p, b").unwrap();
+        let classic = simple("MATCH (a)-[e]->(b) WHERE a.p = 1 RETURN a.p, b").unwrap();
         assert_eq!(
             classic,
-            parse("MATCH (a)-[e]->(b) WHERE a.p = 1 RETURN DISTINCT a.p, b").unwrap()
+            parse("MATCH (a)-[e]->(b) WHERE a.p = 1 RETURN a.p, b").unwrap()
         );
         assert_eq!(
             simple("MATCH (a) RETURN count(*)")
@@ -1051,6 +1053,7 @@ mod tests {
                 .items,
             vec![ReturnItem::CountStar]
         );
+        assert!(simple("MATCH (a) RETURN DISTINCT a.p, a").is_none());
         assert!(simple("MATCH (a) RETURN a ORDER BY a.p").is_none());
         assert!(simple("MATCH (a) RETURN a LIMIT 2").is_none());
         assert!(simple("MATCH (a) RETURN count(*) AS n").is_none());

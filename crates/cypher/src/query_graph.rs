@@ -86,8 +86,6 @@ pub struct QueryGraph {
     pub where_expression: Option<Expression>,
     /// Normalized RETURN items (`*` expanded to all named variables).
     pub return_items: Vec<ReturnItem>,
-    /// `RETURN DISTINCT` — deduplicate result rows.
-    pub distinct: bool,
 }
 
 impl QueryGraph {
@@ -257,7 +255,6 @@ impl Builder {
             cross_clauses,
             where_expression,
             return_items,
-            distinct: query.return_clause.distinct,
         })
     }
 

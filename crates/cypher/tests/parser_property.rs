@@ -140,7 +140,6 @@ fn query() -> impl Strategy<Value = Query> {
             where_clause: None,
             return_clause: ReturnClause {
                 items: vec![ReturnItem::All],
-                distinct: false,
             },
         }
     })

@@ -6,15 +6,13 @@
 //! cargo run --release --example query_planning
 //! ```
 
-use std::collections::HashMap;
-
 use gradoop::prelude::*;
 
 fn explain(engine: &CypherEngine, title: &str, query: &str) {
-    let (query_graph, plan) = engine
-        .plan(query, &HashMap::new())
+    let explain = engine
+        .explain(query)
         .unwrap_or_else(|e| panic!("{title}: {e}"));
-    println!("--- {title}\n{query}\n\n{}", plan.describe(&query_graph));
+    println!("--- {title}\n{query}\n\n{}", explain.root.to_text());
 }
 
 fn main() {

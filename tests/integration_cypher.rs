@@ -178,17 +178,16 @@ fn query_plans_are_explainable() {
     let env = test_env(2);
     let graph = figure1_graph(&env);
     let engine = CypherEngine::for_graph(&graph);
-    let (query, plan) = engine
-        .plan(
+    let explain = engine
+        .explain(
             "MATCH (p1:Person)-[s:studyAt]->(u:University) \
              WHERE u.name = 'Uni Leipzig' RETURN p1.name",
-            &HashMap::new(),
         )
         .unwrap();
-    let text = plan.describe(&query);
+    let text = explain.root.to_text();
     assert!(text.contains("ScanVertices(u:University)"), "{text}");
     assert!(text.contains("JoinEmbeddings"), "{text}");
-    assert!(plan.estimated_cardinality > 0.0);
+    assert!(explain.estimated_cardinality > 0.0);
 }
 
 #[test]

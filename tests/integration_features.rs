@@ -65,6 +65,18 @@ fn run(graph: &LogicalGraph, query: &str) -> QueryResult {
         .unwrap_or_else(|e| panic!("{query}: {e}"))
 }
 
+/// `RETURN DISTINCT` is a table operation: it is answered by `run`.
+fn table(graph: &LogicalGraph, query: &str) -> TableResult {
+    CypherEngine::for_graph(graph)
+        .run(
+            graph,
+            query,
+            &HashMap::new(),
+            MatchingConfig::cypher_default(),
+        )
+        .unwrap_or_else(|e| panic!("{query}: {e}"))
+}
+
 #[test]
 fn is_null_finds_missing_properties() {
     let env = test_env(2);
@@ -108,29 +120,28 @@ fn return_distinct_deduplicates_rows() {
         "MATCH (a:Person)-[e:knows]->(b:Person) RETURN a.city",
     );
     assert_eq!(all.count(), 3);
-    let distinct = run(
+    let distinct = table(
         &graph,
         "MATCH (a:Person)-[e:knows]->(b:Person) RETURN DISTINCT a.city",
     );
-    assert_eq!(distinct.count(), 1, "Leipzig twice collapses to one row");
+    assert_eq!(distinct.rows.len(), 1, "Leipzig twice collapses to one row");
 
     // Distinct over a variable keeps one row per bound element.
-    let sources = run(
+    let sources = table(
         &graph,
         "MATCH (a:Person)-[e:knows]->(b:Person) RETURN DISTINCT a",
     );
-    assert_eq!(sources.count(), 2); // Alice and Eve
+    assert_eq!(sources.rows.len(), 2); // Alice and Eve
 }
 
 #[test]
 fn return_distinct_rows_are_usable() {
     let env = test_env(2);
     let graph = people_graph(&env);
-    let result = run(
+    let table = table(
         &graph,
         "MATCH (a:Person)-[e:knows]->(b:Person) RETURN DISTINCT b.name",
     );
-    let table = result.rows().expect("rows");
     assert_eq!(table.columns, vec!["b.name"]);
     let mut names: Vec<String> = table
         .rows
