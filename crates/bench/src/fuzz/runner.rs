@@ -5,8 +5,8 @@
 use std::collections::{BTreeMap, HashMap};
 
 use gradoop_core::{
-    canonical_row, reference_match, reference_pipeline, CypherEngine, Entry, MatchingConfig,
-    MorphismType, PlanMode, QueryResult, Row,
+    canonical_row, reference_match, reference_pipeline, CypherEngine, EmbeddingRead, Entry,
+    MatchingConfig, MorphismType, PlanMode, QueryResult, Row,
 };
 use gradoop_cypher::ast::Pipeline;
 use gradoop_cypher::{parse, parse_pipeline, QueryGraph};

@@ -12,19 +12,28 @@
 //! column is read in constant time. Property access walks length prefixes
 //! until the requested index — exactly the trade-off described in the paper.
 //!
-//! The three sections live back-to-back in **one** byte buffer
-//! (`[idData][pathData][propData]`, delimited by two offsets), so copying
-//! or merging an embedding is a constant number of `memcpy`s into a single
-//! allocation. [`Embedding::merge_into`] — the join kernel — computes the
-//! exact output size first and writes into a caller-provided scratch
-//! embedding whose buffer is reused across a whole morsel; rejected join
-//! pairs therefore allocate nothing, and each emitted embedding costs
-//! exactly one allocation (the clone out of the scratch buffer). The leaf
-//! operators have the same contract through [`Embedding::leaf`]: the row is
-//! sized first and every value is encoded straight into its buffer.
+//! The three sections of a row sit back-to-back (`[idData][pathData]
+//! [propData]`, delimited by two offsets), and rows sit back-to-back in
+//! shared append-only chunks (`chunk.rs`, 64 KiB each). A row is written
+//! once, in the calling thread's scratch [`EmbeddingWriter`] — the merge
+//! kernel [`Embedding::merge_into`], [`EmbeddingWriter::extend`] and the
+//! leaf row [`Embedding::leaf`] write there — then checked, and only a row
+//! that survives is committed to the thread's current chunk with one
+//! `memcpy` ([`Embedding::write`]). A rejected row therefore costs nothing,
+//! an emitted row costs no allocation of its own (one per 64 KiB of rows),
+//! and an [`Embedding`] is a 24-byte handle — the chunk's `Arc`, the row's
+//! range and its two section offsets — that clones with a reference-count
+//! bump. Committed rows and the scratch row are read through one API,
+//! [`EmbeddingRead`].
+
+use std::cell::RefCell;
+use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use gradoop_dataflow::Data;
 use gradoop_epgm::{Properties, PropertyValue};
+
+use super::chunk::{self, ChunkRow};
 
 /// Bytes per `idData` entry: flag + 64-bit payload.
 pub const ID_ENTRY_SIZE: usize = 9;
@@ -42,196 +51,68 @@ pub enum Entry {
     Path(Vec<u64>),
 }
 
-/// An embedding: one (partial) match of the query graph.
+/// Read access to one row's layout, shared by committed rows
+/// ([`Embedding`]) and the row being written ([`EmbeddingWriter`]), so a
+/// morphism check or a predicate reads either the same way.
 ///
-/// `buf[..path_start]` is the idData section, `buf[path_start..prop_start]`
-/// the pathData section and `buf[prop_start..]` the propData section.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
-pub struct Embedding {
-    buf: Vec<u8>,
-    path_start: u32,
-    prop_start: u32,
-}
+/// `bytes()[..path_start()]` is the idData section,
+/// `bytes()[path_start()..prop_start()]` the pathData section and
+/// `bytes()[prop_start()..]` the propData section.
+pub trait EmbeddingRead {
+    /// The row's bytes.
+    fn bytes(&self) -> &[u8];
+    /// Where the pathData section starts.
+    fn path_start(&self) -> usize;
+    /// Where the propData section starts.
+    fn prop_start(&self) -> usize;
 
-impl Embedding {
-    /// The empty embedding.
-    pub fn new() -> Self {
-        Embedding::default()
+    /// The idData section.
+    fn id_data(&self) -> &[u8] {
+        &self.bytes()[..self.path_start()]
+    }
+
+    /// The pathData section.
+    fn path_data(&self) -> &[u8] {
+        &self.bytes()[self.path_start()..self.prop_start()]
+    }
+
+    /// The propData section.
+    fn prop_data(&self) -> &[u8] {
+        &self.bytes()[self.prop_start()..]
     }
 
     /// Number of `idData` entries (columns).
-    pub fn columns(&self) -> usize {
-        self.path_start as usize / ID_ENTRY_SIZE
-    }
-
-    fn id_section(&self) -> &[u8] {
-        &self.buf[..self.path_start as usize]
-    }
-
-    fn path_section(&self) -> &[u8] {
-        &self.buf[self.path_start as usize..self.prop_start as usize]
-    }
-
-    fn prop_section(&self) -> &[u8] {
-        &self.buf[self.prop_start as usize..]
-    }
-
-    /// The row a leaf operator emits — `ids` as identifier columns, then the
-    /// value of each of `keys` in `properties` (`NULL` for a missing key) —
-    /// in one allocation of the exact final size. Byte for byte what
-    /// `push_id` per id followed by `push_property` per key builds.
-    pub fn leaf(ids: &[u64], properties: &Properties, keys: &[String]) -> Embedding {
-        let value = |key: &String| properties.get(key).unwrap_or(&PropertyValue::Null);
-        let id_bytes = ids.len() * ID_ENTRY_SIZE;
-        let prop_bytes: usize = keys.iter().map(|key| 4 + value(key).byte_size()).sum();
-        let mut embedding = Embedding {
-            buf: Vec::with_capacity(id_bytes + prop_bytes),
-            path_start: id_bytes as u32,
-            prop_start: id_bytes as u32,
-        };
-        for id in ids {
-            embedding.buf.push(FLAG_ID);
-            embedding.buf.extend_from_slice(&id.to_le_bytes());
-        }
-        for key in keys {
-            embedding.push_property(value(key));
-        }
-        debug_assert_eq!(embedding.buf.len(), id_bytes + prop_bytes);
-        embedding
-    }
-
-    /// Appends an identifier column.
-    pub fn push_id(&mut self, id: u64) {
-        let mut entry = [0u8; ID_ENTRY_SIZE];
-        entry[0] = FLAG_ID;
-        entry[1..].copy_from_slice(&id.to_le_bytes());
-        let at = self.path_start as usize;
-        self.buf.splice(at..at, entry);
-        self.path_start += ID_ENTRY_SIZE as u32;
-        self.prop_start += ID_ENTRY_SIZE as u32;
-    }
-
-    /// Appends a path column holding `ids` (the `via` identifiers).
-    pub fn push_path(&mut self, ids: &[u64]) {
-        let offset = (self.prop_start - self.path_start) as u64;
-        let mut entry = [0u8; ID_ENTRY_SIZE];
-        entry[0] = FLAG_PATH;
-        entry[1..].copy_from_slice(&offset.to_le_bytes());
-        let at = self.path_start as usize;
-        self.buf.splice(at..at, entry);
-        self.path_start += ID_ENTRY_SIZE as u32;
-        self.prop_start += ID_ENTRY_SIZE as u32;
-
-        let mut payload = Vec::with_capacity(4 + ids.len() * 8);
-        payload.extend_from_slice(&(ids.len() as u32).to_le_bytes());
-        for id in ids {
-            payload.extend_from_slice(&id.to_le_bytes());
-        }
-        let at = self.prop_start as usize;
-        self.buf.splice(at..at, payload);
-        self.prop_start += (4 + ids.len() * 8) as u32;
-    }
-
-    /// Appends a property value, encoded in place behind its length prefix.
-    pub fn push_property(&mut self, value: &PropertyValue) {
-        let prefix = self.buf.len();
-        self.buf.extend_from_slice(&[0; 4]);
-        value.write_bytes(&mut self.buf);
-        let len = (self.buf.len() - prefix - 4) as u32;
-        self.buf[prefix..prefix + 4].copy_from_slice(&len.to_le_bytes());
-    }
-
-    /// The encoded (length-prefixed) property slots, in index order.
-    fn raw_properties(&self) -> impl Iterator<Item = &[u8]> {
-        raw_slots(self.prop_section())
-    }
-
-    /// The encoded (length-prefixed) bytes of the property at `index`.
-    pub(crate) fn raw_property(&self, index: usize) -> &[u8] {
-        self.raw_properties()
-            .nth(index)
-            .expect("property index within the layout")
-    }
-
-    /// Where each of the property slots `0..count` starts within propData,
-    /// found in one walk over the length prefixes. For a reader of several
-    /// properties of one row ([`Embedding::raw_property_at`]), which would
-    /// otherwise walk from the front once per property.
-    pub(crate) fn property_offsets(&self, count: usize, offsets: &mut Vec<usize>) {
-        offsets.clear();
-        let mut next = 0;
-        offsets.extend(self.raw_properties().take(count).map(|slot| {
-            let start = next;
-            next += slot.len();
-            start
-        }));
-        assert_eq!(offsets.len(), count, "property index within the layout");
-    }
-
-    /// The encoded (length-prefixed) property slot that starts at `offset`
-    /// of propData, as located by [`Embedding::property_offsets`].
-    pub(crate) fn raw_property_at(&self, offset: usize) -> &[u8] {
-        raw_slots(&self.prop_section()[offset..])
-            .next()
-            .expect("offset of a property slot")
-    }
-
-    fn entry_payload(&self, column: usize) -> (u8, u64) {
-        let start = column * ID_ENTRY_SIZE;
-        assert!(
-            start + ID_ENTRY_SIZE <= self.path_start as usize,
-            "column {column} out of bounds ({} columns)",
-            self.columns()
-        );
-        let flag = self.buf[start];
-        let payload = u64::from_le_bytes(
-            self.buf[start + 1..start + ID_ENTRY_SIZE]
-                .try_into()
-                .expect("fixed width"),
-        );
-        (flag, payload)
+    fn columns(&self) -> usize {
+        self.path_start() / ID_ENTRY_SIZE
     }
 
     /// `true` when the column holds a path.
-    pub fn is_path(&self, column: usize) -> bool {
-        self.entry_payload(column).0 == FLAG_PATH
+    fn is_path(&self, column: usize) -> bool {
+        entry_payload(self, column).0 == FLAG_PATH
     }
 
     /// The identifier in `column`. Panics if the column holds a path.
-    pub fn id(&self, column: usize) -> u64 {
-        let (flag, payload) = self.entry_payload(column);
+    fn id(&self, column: usize) -> u64 {
+        let (flag, payload) = entry_payload(self, column);
         assert_eq!(flag, FLAG_ID, "column {column} holds a path, not an id");
         payload
     }
 
-    /// Byte range of `column`'s path payload (count prefix + ids) within
-    /// the pathData section.
-    fn path_payload_range(&self, offset: usize) -> (usize, usize) {
-        let paths = self.path_section();
-        let count = u32::from_le_bytes(paths[offset..offset + 4].try_into().expect("length prefix"))
-            as usize;
-        (count, offset + 4)
-    }
-
     /// The path identifiers in `column`. Panics if the column holds an id.
-    pub fn path(&self, column: usize) -> Vec<u64> {
+    fn path(&self, column: usize) -> Vec<u64> {
         self.path_iter(column).collect()
     }
 
     /// Number of identifiers in `column`'s path, without decoding them.
-    pub fn path_len(&self, column: usize) -> usize {
-        let (flag, payload) = self.entry_payload(column);
-        assert_eq!(flag, FLAG_PATH, "column {column} holds an id, not a path");
-        self.path_payload_range(payload as usize).0
+    fn path_len(&self, column: usize) -> usize {
+        path_payload(self, column).0
     }
 
     /// Iterates `column`'s path identifiers without allocating. Panics if
     /// the column holds an id.
-    pub fn path_iter(&self, column: usize) -> impl Iterator<Item = u64> + '_ {
-        let (flag, payload) = self.entry_payload(column);
-        assert_eq!(flag, FLAG_PATH, "column {column} holds an id, not a path");
-        let (count, ids_at) = self.path_payload_range(payload as usize);
-        let paths = self.path_section();
+    fn path_iter(&self, column: usize) -> impl Iterator<Item = u64> + '_ {
+        let (count, ids_at) = path_payload(self, column);
+        let paths = self.path_data();
         (0..count).map(move |i| {
             let start = ids_at + i * 8;
             u64::from_le_bytes(paths[start..start + 8].try_into().expect("id"))
@@ -239,7 +120,7 @@ impl Embedding {
     }
 
     /// The decoded entry in `column`.
-    pub fn entry(&self, column: usize) -> Entry {
+    fn entry(&self, column: usize) -> Entry {
         if self.is_path(column) {
             Entry::Path(self.path(column))
         } else {
@@ -248,142 +129,49 @@ impl Embedding {
     }
 
     /// Number of property slots.
-    pub fn property_count(&self) -> usize {
-        self.raw_properties().count()
+    fn property_count(&self) -> usize {
+        raw_slots(self.prop_data()).count()
     }
 
     /// The property value at `index`. Walks length prefixes (linear in the
     /// index, as in the paper).
-    pub fn property(&self, index: usize) -> PropertyValue {
-        let encoded = self.raw_property(index);
+    fn property(&self, index: usize) -> PropertyValue {
+        let encoded = raw_slots(self.prop_data())
+            .nth(index)
+            .expect("property index within the layout");
         PropertyValue::from_bytes(&encoded[4..]).expect("embedding property bytes are well-formed")
     }
 
-    /// Merges `other` into `self` (the join operation): appends all of
-    /// `other`'s columns except those in `skip_columns` (the join columns,
-    /// already present on the left) and all its properties. Allocates the
-    /// exact output size once; see [`Embedding::merge_into`] for the
-    /// allocation-free kernel.
-    pub fn merge(&self, other: &Embedding, skip_columns: &[usize]) -> Embedding {
-        let mut out = Embedding::new();
-        self.merge_into(other, skip_columns, &mut out);
-        out
+    /// Where each of the property slots `0..count` starts within propData,
+    /// found in one walk over the length prefixes. For a reader of several
+    /// properties of one row ([`EmbeddingRead::raw_property_at`]), which
+    /// would otherwise walk from the front once per property.
+    fn property_offsets(&self, count: usize, offsets: &mut Vec<usize>) {
+        offsets.clear();
+        let mut next = 0;
+        offsets.extend(raw_slots(self.prop_data()).take(count).map(|slot| {
+            let start = next;
+            next += slot.len();
+            start
+        }));
+        assert_eq!(offsets.len(), count, "property index within the layout");
     }
 
-    /// The merge kernel: writes `self ⋈ other` into `out`, reusing `out`'s
-    /// buffer. Sizes every section exactly (reading only the fixed-width
-    /// entries and path count prefixes of `other`), then copies each
-    /// section with raw extends — kept path payloads move as single
-    /// `memcpy`s and only their 8-byte offsets are rebased. No per-column
-    /// or per-path allocation happens; `out` grows at most once.
-    pub fn merge_into(&self, other: &Embedding, skip_columns: &[usize], out: &mut Embedding) {
-        // Pass 1: exact size of the kept part of `other`.
-        let mut kept_id_bytes = 0usize;
-        let mut kept_path_bytes = 0usize;
-        for column in 0..other.columns() {
-            if skip_columns.contains(&column) {
-                continue;
-            }
-            kept_id_bytes += ID_ENTRY_SIZE;
-            let (flag, payload) = other.entry_payload(column);
-            if flag == FLAG_PATH {
-                let (count, _) = other.path_payload_range(payload as usize);
-                kept_path_bytes += 4 + count * 8;
-            }
-        }
-        let other_props = other.prop_section();
-        let total = self.buf.len() + kept_id_bytes + kept_path_bytes + other_props.len();
-
-        out.buf.clear();
-        out.buf.reserve(total);
-
-        // idData: left entries verbatim, kept right entries with rebased
-        // path offsets.
-        out.buf.extend_from_slice(self.id_section());
-        let left_path_len = (self.prop_start - self.path_start) as u64;
-        let mut appended_path_bytes = 0u64;
-        for column in 0..other.columns() {
-            if skip_columns.contains(&column) {
-                continue;
-            }
-            let (flag, payload) = other.entry_payload(column);
-            if flag == FLAG_ID {
-                let start = column * ID_ENTRY_SIZE;
-                out.buf
-                    .extend_from_slice(&other.buf[start..start + ID_ENTRY_SIZE]);
-            } else {
-                out.buf.push(FLAG_PATH);
-                out.buf
-                    .extend_from_slice(&(left_path_len + appended_path_bytes).to_le_bytes());
-                let (count, _) = other.path_payload_range(payload as usize);
-                appended_path_bytes += 4 + count as u64 * 8;
-            }
-        }
-        out.path_start = (self.path_start as usize + kept_id_bytes) as u32;
-
-        // pathData: left payloads verbatim, kept right payloads as raw
-        // ranges in column order (matching the offsets written above).
-        out.buf.extend_from_slice(self.path_section());
-        for column in 0..other.columns() {
-            if skip_columns.contains(&column) {
-                continue;
-            }
-            let (flag, payload) = other.entry_payload(column);
-            if flag == FLAG_PATH {
-                let (count, ids_at) = other.path_payload_range(payload as usize);
-                let paths = other.path_section();
-                out.buf
-                    .extend_from_slice(&paths[ids_at - 4..ids_at + count * 8]);
-            }
-        }
-        out.prop_start =
-            (out.path_start as usize + self.path_section().len() + kept_path_bytes) as u32;
-
-        // propData: both sides verbatim.
-        out.buf.extend_from_slice(self.prop_section());
-        out.buf.extend_from_slice(other_props);
-        debug_assert_eq!(out.buf.len(), total);
-    }
-
-    /// Extends the embedding by one path column and (optionally) one id
-    /// column — the expand step's emit — in a single exact-size allocation
-    /// instead of clone + push_path + push_id.
-    pub fn extend_with_path_and_id(&self, via: &[u64], end: Option<u64>) -> Embedding {
-        let new_entries = ID_ENTRY_SIZE * (1 + usize::from(end.is_some()));
-        let payload_bytes = 4 + via.len() * 8;
-        let mut buf = Vec::with_capacity(self.buf.len() + new_entries + payload_bytes);
-
-        buf.extend_from_slice(self.id_section());
-        buf.push(FLAG_PATH);
-        buf.extend_from_slice(&((self.prop_start - self.path_start) as u64).to_le_bytes());
-        if let Some(end) = end {
-            buf.push(FLAG_ID);
-            buf.extend_from_slice(&end.to_le_bytes());
-        }
-        let path_start = (self.path_start as usize + new_entries) as u32;
-
-        buf.extend_from_slice(self.path_section());
-        buf.extend_from_slice(&(via.len() as u32).to_le_bytes());
-        for id in via {
-            buf.extend_from_slice(&id.to_le_bytes());
-        }
-        let prop_start = (path_start as usize + self.path_section().len() + payload_bytes) as u32;
-
-        buf.extend_from_slice(self.prop_section());
-        Embedding {
-            buf,
-            path_start,
-            prop_start,
-        }
+    /// The encoded (length-prefixed) property slot that starts at `offset`
+    /// of propData, as located by [`EmbeddingRead::property_offsets`].
+    fn raw_property_at(&self, offset: usize) -> &[u8] {
+        raw_slots(&self.prop_data()[offset..])
+            .next()
+            .expect("offset of a property slot")
     }
 
     /// All identifiers bound by the embedding, with path contents expanded.
     /// `vertex_columns` / `edge_columns` / `path_columns` select what to
     /// visit; path entries alternate edge, vertex, edge, ... identifiers.
     /// Does not allocate beyond what `out` needs to grow.
-    pub fn collect_ids(&self, columns: &[usize], out: &mut Vec<u64>) {
+    fn collect_ids(&self, columns: &[usize], out: &mut Vec<u64>) {
         for &column in columns {
-            let (flag, payload) = self.entry_payload(column);
+            let (flag, payload) = entry_payload(self, column);
             if flag == FLAG_ID {
                 out.push(payload);
             } else {
@@ -391,6 +179,34 @@ impl Embedding {
             }
         }
     }
+}
+
+/// The flag and the 64-bit payload of `column`'s idData entry.
+fn entry_payload<R: EmbeddingRead + ?Sized>(row: &R, column: usize) -> (u8, u64) {
+    let ids = row.id_data();
+    let start = column * ID_ENTRY_SIZE;
+    assert!(
+        start + ID_ENTRY_SIZE <= ids.len(),
+        "column {column} out of bounds ({} columns)",
+        row.columns()
+    );
+    let payload = u64::from_le_bytes(
+        ids[start + 1..start + ID_ENTRY_SIZE]
+            .try_into()
+            .expect("fixed width"),
+    );
+    (ids[start], payload)
+}
+
+/// `column`'s path: its id count and where its ids start within pathData.
+/// Panics if the column holds an id.
+fn path_payload<R: EmbeddingRead + ?Sized>(row: &R, column: usize) -> (usize, usize) {
+    let (flag, offset) = entry_payload(row, column);
+    assert_eq!(flag, FLAG_PATH, "column {column} holds an id, not a path");
+    let offset = offset as usize;
+    let prefix = &row.path_data()[offset..offset + 4];
+    let count = u32::from_le_bytes(prefix.try_into().expect("length prefix")) as usize;
+    (count, offset + 4)
 }
 
 /// Splits propData (or a tail of it that starts at a slot) into its
@@ -404,9 +220,293 @@ fn raw_slots(mut rest: &[u8]) -> impl Iterator<Item = &[u8]> {
     })
 }
 
+/// An embedding: one (partial) match of the query graph, committed to a
+/// shared chunk and immutable from then on.
+#[derive(Clone)]
+pub struct Embedding {
+    row: ChunkRow,
+    path_start: u32,
+    prop_start: u32,
+}
+
+thread_local! {
+    /// This thread's scratch row for [`Embedding::write`].
+    static SCRATCH: RefCell<EmbeddingWriter> = const { RefCell::new(EmbeddingWriter::new()) };
+}
+
+impl Embedding {
+    /// Writes one row in this thread's scratch writer (cleared first) and
+    /// commits it if `write` returns `true` — the way every kernel produces
+    /// its rows: a row `write` rejects is never committed and costs nothing.
+    pub fn write(write: impl FnOnce(&mut EmbeddingWriter) -> bool) -> Option<Embedding> {
+        let run = move |row: &mut EmbeddingWriter| {
+            row.clear();
+            write(row).then(|| row.commit())
+        };
+        SCRATCH.with(|cell| match cell.try_borrow_mut() {
+            Ok(mut row) => run(&mut row),
+            // Only reachable if `write` itself writes a row.
+            Err(_) => run(&mut EmbeddingWriter::new()),
+        })
+    }
+
+    /// The row a leaf operator emits — `ids` as identifier columns, then the
+    /// value of each of `keys` in `properties` (`NULL` for a missing key).
+    /// Byte for byte what `push_id` per id followed by `push_property` per
+    /// key builds.
+    pub fn leaf(ids: &[u64], properties: &Properties, keys: &[String]) -> Embedding {
+        Embedding::write(|row| {
+            for &id in ids {
+                row.push_id(id);
+            }
+            for key in keys {
+                row.push_property(properties.get(key).unwrap_or(&PropertyValue::Null));
+            }
+            true
+        })
+        .expect("a leaf row is always committed")
+    }
+
+    /// Merges `other` into `self` (the join operation): appends all of
+    /// `other`'s columns except those in `skip_columns` (the join columns,
+    /// already present on the left) and all its properties, and commits the
+    /// result. See [`Embedding::merge_into`] for the kernel.
+    pub fn merge(&self, other: &Embedding, skip_columns: &[usize]) -> Embedding {
+        let mut out = EmbeddingWriter::new();
+        self.merge_into(other, skip_columns, &mut out);
+        out.commit()
+    }
+
+    /// The merge kernel: writes `self ⋈ other` into `out`, reusing `out`'s
+    /// buffer. Sizes every section exactly (reading only the fixed-width
+    /// entries and path count prefixes of `other`), then copies each
+    /// section with raw extends — kept path payloads move as single
+    /// `memcpy`s and only their 8-byte offsets are rebased. No per-column
+    /// or per-path allocation happens; `out` grows at most once.
+    pub fn merge_into(&self, other: &Embedding, skip_columns: &[usize], out: &mut EmbeddingWriter) {
+        let kept = || (0..other.columns()).filter(|column| !skip_columns.contains(column));
+        // Pass 1: exact size of the kept part of `other`.
+        let mut kept_id_bytes = 0usize;
+        let mut kept_path_bytes = 0usize;
+        for column in kept() {
+            kept_id_bytes += ID_ENTRY_SIZE;
+            if other.is_path(column) {
+                kept_path_bytes += 4 + other.path_len(column) * 8;
+            }
+        }
+        let total = self.bytes().len() + kept_id_bytes + kept_path_bytes + other.prop_data().len();
+
+        let buf = &mut out.buf;
+        buf.clear();
+        buf.reserve(total);
+
+        // idData: left entries verbatim, kept right entries with rebased
+        // path offsets.
+        buf.extend_from_slice(self.id_data());
+        let mut path_offset = self.path_data().len() as u64;
+        for column in kept() {
+            if other.is_path(column) {
+                buf.push(FLAG_PATH);
+                buf.extend_from_slice(&path_offset.to_le_bytes());
+                path_offset += 4 + other.path_len(column) as u64 * 8;
+            } else {
+                let start = column * ID_ENTRY_SIZE;
+                buf.extend_from_slice(&other.id_data()[start..start + ID_ENTRY_SIZE]);
+            }
+        }
+        out.path_start = buf.len() as u32;
+
+        // pathData: left payloads verbatim, kept right payloads as raw
+        // ranges in column order (matching the offsets written above).
+        buf.extend_from_slice(self.path_data());
+        for column in kept() {
+            if other.is_path(column) {
+                let (count, ids_at) = path_payload(other, column);
+                buf.extend_from_slice(&other.path_data()[ids_at - 4..ids_at + count * 8]);
+            }
+        }
+        out.prop_start = buf.len() as u32;
+
+        // propData: both sides verbatim.
+        buf.extend_from_slice(self.prop_data());
+        buf.extend_from_slice(other.prop_data());
+        debug_assert_eq!(buf.len(), total);
+    }
+}
+
+impl EmbeddingRead for Embedding {
+    fn bytes(&self) -> &[u8] {
+        self.row.bytes()
+    }
+
+    fn path_start(&self) -> usize {
+        self.path_start as usize
+    }
+
+    fn prop_start(&self) -> usize {
+        self.prop_start as usize
+    }
+}
+
+impl PartialEq for Embedding {
+    fn eq(&self, other: &Embedding) -> bool {
+        (self.path_start, self.prop_start) == (other.path_start, other.prop_start)
+            && self.bytes() == other.bytes()
+    }
+}
+
+impl Eq for Embedding {}
+
+impl Hash for Embedding {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.bytes().hash(state);
+        self.path_start.hash(state);
+        self.prop_start.hash(state);
+    }
+}
+
+impl fmt::Debug for Embedding {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Embedding")
+            .field("bytes", &self.bytes())
+            .field("path_start", &self.path_start)
+            .field("prop_start", &self.prop_start)
+            .finish()
+    }
+}
+
 impl Data for Embedding {
     fn byte_size(&self) -> usize {
-        12 + self.buf.len()
+        12 + self.bytes().len()
+    }
+}
+
+/// The row being written: a reusable byte buffer in the embedding layout.
+/// [`EmbeddingWriter::commit`] copies it into the calling thread's current
+/// chunk as an [`Embedding`]; the writer keeps its buffer for the next row.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct EmbeddingWriter {
+    buf: Vec<u8>,
+    path_start: u32,
+    prop_start: u32,
+}
+
+impl EmbeddingWriter {
+    /// An empty row.
+    pub const fn new() -> Self {
+        EmbeddingWriter {
+            buf: Vec::new(),
+            path_start: 0,
+            prop_start: 0,
+        }
+    }
+
+    /// Empties the row, keeping the buffer's capacity.
+    fn clear(&mut self) {
+        self.buf.clear();
+        self.path_start = 0;
+        self.prop_start = 0;
+    }
+
+    /// Inserts `bytes` at `at`, shifting what follows.
+    fn insert(&mut self, at: usize, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+        self.buf[at..].rotate_right(bytes.len());
+    }
+
+    /// Appends an identifier column.
+    pub fn push_id(&mut self, id: u64) {
+        let mut entry = [FLAG_ID; ID_ENTRY_SIZE];
+        entry[1..].copy_from_slice(&id.to_le_bytes());
+        self.insert(self.path_start as usize, &entry);
+        self.path_start += ID_ENTRY_SIZE as u32;
+        self.prop_start += ID_ENTRY_SIZE as u32;
+    }
+
+    /// Appends a path column holding `ids` (the `via` identifiers).
+    pub fn push_path(&mut self, ids: &[u64]) {
+        let mut entry = [FLAG_PATH; ID_ENTRY_SIZE];
+        entry[1..].copy_from_slice(&u64::from(self.prop_start - self.path_start).to_le_bytes());
+        self.insert(self.path_start as usize, &entry);
+        self.path_start += ID_ENTRY_SIZE as u32;
+        self.prop_start += ID_ENTRY_SIZE as u32;
+
+        let end = self.buf.len();
+        self.buf
+            .extend_from_slice(&(ids.len() as u32).to_le_bytes());
+        for id in ids {
+            self.buf.extend_from_slice(&id.to_le_bytes());
+        }
+        let payload = self.buf.len() - end;
+        self.buf[self.prop_start as usize..].rotate_right(payload);
+        self.prop_start += (4 + ids.len() * 8) as u32;
+    }
+
+    /// Appends a property value, encoded in place behind its length prefix.
+    pub fn push_property(&mut self, value: &PropertyValue) {
+        let prefix = self.buf.len();
+        self.buf.extend_from_slice(&[0; 4]);
+        value.write_bytes(&mut self.buf);
+        let len = (self.buf.len() - prefix - 4) as u32;
+        self.buf[prefix..prefix + 4].copy_from_slice(&len.to_le_bytes());
+    }
+
+    /// Writes `base` extended by one path column holding `path` (if any)
+    /// and then one identifier column per id of `ids`, in one pass — the
+    /// expand step's emit and the intersection's closing edges plus new
+    /// vertex.
+    pub fn extend(
+        &mut self,
+        base: &Embedding,
+        path: Option<&[u64]>,
+        ids: impl IntoIterator<Item = u64>,
+    ) {
+        let buf = &mut self.buf;
+        buf.clear();
+        buf.extend_from_slice(base.id_data());
+        if path.is_some() {
+            buf.push(FLAG_PATH);
+            buf.extend_from_slice(&(base.path_data().len() as u64).to_le_bytes());
+        }
+        for id in ids {
+            buf.push(FLAG_ID);
+            buf.extend_from_slice(&id.to_le_bytes());
+        }
+        self.path_start = buf.len() as u32;
+
+        buf.extend_from_slice(base.path_data());
+        if let Some(via) = path {
+            buf.extend_from_slice(&(via.len() as u32).to_le_bytes());
+            for id in via {
+                buf.extend_from_slice(&id.to_le_bytes());
+            }
+        }
+        self.prop_start = buf.len() as u32;
+
+        buf.extend_from_slice(base.prop_data());
+    }
+
+    /// Commits the row: one `memcpy` into this thread's current chunk.
+    pub fn commit(&self) -> Embedding {
+        Embedding {
+            row: chunk::commit(&self.buf),
+            path_start: self.path_start,
+            prop_start: self.prop_start,
+        }
+    }
+}
+
+impl EmbeddingRead for EmbeddingWriter {
+    fn bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    fn path_start(&self) -> usize {
+        self.path_start as usize
+    }
+
+    fn prop_start(&self) -> usize {
+        self.prop_start as usize
     }
 }
 
@@ -416,7 +516,7 @@ mod tests {
 
     #[test]
     fn id_columns_roundtrip() {
-        let mut e = Embedding::new();
+        let mut e = EmbeddingWriter::new();
         e.push_id(10);
         e.push_id(u64::MAX);
         assert_eq!(e.columns(), 2);
@@ -429,7 +529,7 @@ mod tests {
     fn paper_example_layout() {
         // Second row of Table 2b: fv(p1)=10, path via [5,20,7], fv(p2)=30,
         // properties Alice / Bob.
-        let mut e = Embedding::new();
+        let mut e = EmbeddingWriter::new();
         e.push_id(10);
         e.push_path(&[5, 20, 7]);
         e.push_id(30);
@@ -447,7 +547,7 @@ mod tests {
 
     #[test]
     fn multiple_paths_use_offsets() {
-        let mut e = Embedding::new();
+        let mut e = EmbeddingWriter::new();
         e.push_path(&[1, 2, 3]);
         e.push_path(&[]);
         e.push_path(&[9]);
@@ -463,7 +563,7 @@ mod tests {
     fn interleaved_pushes_keep_sections_consistent() {
         // Pushing ids/paths/properties in arbitrary order must keep the
         // single-buffer sections delimited correctly.
-        let mut e = Embedding::new();
+        let mut e = EmbeddingWriter::new();
         e.push_property(&PropertyValue::Long(1));
         e.push_id(10);
         e.push_path(&[7, 8]);
@@ -479,17 +579,17 @@ mod tests {
 
     #[test]
     fn merge_appends_and_skips_join_columns() {
-        let mut left = Embedding::new();
+        let mut left = EmbeddingWriter::new();
         left.push_id(1);
         left.push_id(2);
         left.push_property(&PropertyValue::Long(100));
 
-        let mut right = Embedding::new();
+        let mut right = EmbeddingWriter::new();
         right.push_id(2); // join column — skipped
         right.push_id(3);
         right.push_property(&PropertyValue::Long(200));
 
-        let merged = left.merge(&right, &[0]);
+        let merged = left.commit().merge(&right.commit(), &[0]);
         assert_eq!(merged.columns(), 3);
         assert_eq!(merged.id(0), 1);
         assert_eq!(merged.id(1), 2);
@@ -500,15 +600,15 @@ mod tests {
 
     #[test]
     fn merge_rebases_path_offsets() {
-        let mut left = Embedding::new();
+        let mut left = EmbeddingWriter::new();
         left.push_path(&[1, 2]);
         left.push_id(7);
 
-        let mut right = Embedding::new();
+        let mut right = EmbeddingWriter::new();
         right.push_id(7);
         right.push_path(&[3, 4, 5]);
 
-        let merged = left.merge(&right, &[0]);
+        let merged = left.commit().merge(&right.commit(), &[0]);
         assert_eq!(merged.columns(), 3);
         assert_eq!(merged.path(0), vec![1, 2]);
         assert_eq!(merged.id(1), 7);
@@ -517,46 +617,79 @@ mod tests {
 
     #[test]
     fn merge_into_reuses_scratch_and_matches_merge() {
-        let mut left = Embedding::new();
+        let mut left = EmbeddingWriter::new();
         left.push_path(&[1, 2]);
         left.push_id(7);
         left.push_property(&PropertyValue::String("a".into()));
 
-        let mut right = Embedding::new();
+        let mut right = EmbeddingWriter::new();
         right.push_id(7);
         right.push_path(&[3]);
         right.push_property(&PropertyValue::String("b".into()));
 
-        let mut scratch = Embedding::new();
+        let (left, right) = (left.commit(), right.commit());
+        let mut scratch = EmbeddingWriter::new();
         // Pre-dirty the scratch to prove it is fully overwritten.
         left.merge_into(&left, &[], &mut scratch);
         left.merge_into(&right, &[0], &mut scratch);
-        assert_eq!(scratch, left.merge(&right, &[0]));
+        assert_eq!(scratch.commit(), left.merge(&right, &[0]));
         assert_eq!(scratch.path(0), vec![1, 2]);
         assert_eq!(scratch.path(2), vec![3]);
         assert_eq!(scratch.property(1), PropertyValue::String("b".into()));
     }
 
     #[test]
-    fn extend_with_path_and_id_matches_pushes() {
-        let mut base = Embedding::new();
+    fn extend_matches_pushes() {
+        let mut base = EmbeddingWriter::new();
         base.push_id(10);
         base.push_path(&[4, 5]);
         base.push_property(&PropertyValue::Long(9));
+        let committed = base.commit();
+        let mut extended = EmbeddingWriter::new();
 
         let mut expected = base.clone();
         expected.push_path(&[6, 7, 8]);
         expected.push_id(42);
-        assert_eq!(base.extend_with_path_and_id(&[6, 7, 8], Some(42)), expected);
+        extended.extend(&committed, Some(&[6, 7, 8]), [42]);
+        assert_eq!(extended, expected);
 
         let mut open = base.clone();
         open.push_path(&[6]);
-        assert_eq!(base.extend_with_path_and_id(&[6], None), open);
+        extended.extend(&committed, Some(&[6]), None);
+        assert_eq!(extended, open);
+
+        let mut closing = base.clone();
+        closing.push_id(11);
+        closing.push_id(3);
+        extended.extend(&committed, None, [11, 3]);
+        assert_eq!(extended, closing);
+    }
+
+    #[test]
+    fn write_commits_only_accepted_rows_and_reads_like_the_writer() {
+        let mut expected = EmbeddingWriter::new();
+        expected.push_id(7);
+        expected.push_path(&[1, 2, 3]);
+        expected.push_property(&PropertyValue::String("Alice".into()));
+        let written = Embedding::write(|row| {
+            *row = expected.clone();
+            true
+        })
+        .unwrap();
+        assert_eq!(written.bytes(), expected.bytes());
+        assert_eq!(
+            (written.path_start(), written.prop_start()),
+            (expected.path_start(), expected.prop_start())
+        );
+        assert_eq!(written.entry(1), expected.entry(1));
+        assert_eq!(written.property(0), expected.property(0));
+        assert_eq!(written.clone(), written);
+        assert_eq!(Embedding::write(|row| row.columns() > 0), None);
     }
 
     #[test]
     fn collect_ids_expands_paths() {
-        let mut e = Embedding::new();
+        let mut e = EmbeddingWriter::new();
         e.push_id(10);
         e.push_path(&[5, 20, 7]);
         e.push_id(30);
@@ -579,7 +712,7 @@ mod tests {
             PropertyValue::String("Uni Leipzig".into()),
             PropertyValue::List(vec![PropertyValue::Int(1)]),
         ];
-        let mut e = Embedding::new();
+        let mut e = EmbeddingWriter::new();
         for v in &values {
             e.push_property(v);
         }
@@ -591,25 +724,31 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of bounds")]
     fn out_of_bounds_column_panics() {
-        let e = Embedding::new();
+        let e = EmbeddingWriter::new();
         let _ = e.id(0);
     }
 
     #[test]
     #[should_panic(expected = "holds a path")]
     fn reading_path_as_id_panics() {
-        let mut e = Embedding::new();
+        let mut e = EmbeddingWriter::new();
         e.push_path(&[1]);
         let _ = e.id(0);
     }
 
     #[test]
     fn byte_size_tracks_payload() {
-        let mut e = Embedding::new();
-        let empty = e.byte_size();
+        let mut e = EmbeddingWriter::new();
+        let empty = e.commit().byte_size();
+        assert_eq!(empty, 12);
         e.push_id(1);
-        assert_eq!(e.byte_size(), empty + ID_ENTRY_SIZE);
+        assert_eq!(e.commit().byte_size(), empty + ID_ENTRY_SIZE);
         e.push_path(&[1, 2]);
-        assert_eq!(e.byte_size(), empty + 2 * ID_ENTRY_SIZE + 4 + 16);
+        assert_eq!(e.commit().byte_size(), empty + 2 * ID_ENTRY_SIZE + 4 + 16);
+    }
+
+    #[test]
+    fn a_handle_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<Embedding>(), 24);
     }
 }

@@ -6,9 +6,11 @@
 //! every embedding of a dataset shares the same layout, so shipping the
 //! mapping with each row would waste network bandwidth.
 
+use std::borrow::Cow;
+
 use gradoop_epgm::{Label, PropertyValue};
 
-use crate::embedding::Embedding;
+use crate::embedding::EmbeddingRead;
 
 /// What kind of element a column binds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,19 +154,20 @@ impl EmbeddingMetaData {
 }
 
 /// [`gradoop_cypher::Bindings`] view of one embedding under a layout, used
-/// to evaluate cross-variable predicates on embeddings.
-pub struct EmbeddingBindings<'a> {
+/// to evaluate cross-variable predicates on embeddings — committed rows and
+/// the row a kernel is still writing alike.
+pub struct EmbeddingBindings<'a, R> {
     /// The embedding.
-    pub embedding: &'a Embedding,
+    pub embedding: &'a R,
     /// Its layout.
     pub meta: &'a EmbeddingMetaData,
 }
 
-impl gradoop_cypher::Bindings for EmbeddingBindings<'_> {
-    fn property(&self, variable: &str, key: &str) -> Option<PropertyValue> {
+impl<R: EmbeddingRead> gradoop_cypher::Bindings for EmbeddingBindings<'_, R> {
+    fn property(&self, variable: &str, key: &str) -> Option<Cow<'_, PropertyValue>> {
         let index = self.meta.property_index(variable, key)?;
         let value = self.embedding.property(index);
-        (!value.is_null()).then_some(value)
+        (!value.is_null()).then_some(Cow::Owned(value))
     }
 
     fn label(&self, _variable: &str) -> Option<Label> {
@@ -234,7 +237,7 @@ mod tests {
         let mut meta = EmbeddingMetaData::new();
         meta.add_entry("p1", EntryType::Vertex);
         meta.add_property("p1", "name");
-        let mut embedding = Embedding::new();
+        let mut embedding = crate::embedding::EmbeddingWriter::new();
         embedding.push_id(42);
         embedding.push_property(&PropertyValue::String("Alice".into()));
         let bindings = EmbeddingBindings {
@@ -242,8 +245,8 @@ mod tests {
             meta: &meta,
         };
         assert_eq!(
-            bindings.property("p1", "name"),
-            Some(PropertyValue::String("Alice".into()))
+            bindings.property("p1", "name").as_deref(),
+            Some(&PropertyValue::String("Alice".into()))
         );
         assert_eq!(bindings.property("p1", "age"), None);
         assert_eq!(bindings.element_id("p1"), Some(42));

@@ -5,10 +5,13 @@
 //! (or paths), plus the property values later predicates and the RETURN
 //! clause need. Embeddings are shuffled between workers constantly, so both
 //! (de)serialization and read/write access must be cheap — hence the
-//! compact three-byte-array layout.
+//! compact three-byte-array layout, with rows packed back to back in shared
+//! append-only chunks.
 
+mod chunk;
 mod data;
 mod meta_data;
 
-pub use data::{Embedding, Entry, ID_ENTRY_SIZE};
+pub use chunk::{pinned_chunk_bytes, CHUNK_BYTES};
+pub use data::{Embedding, EmbeddingRead, EmbeddingWriter, Entry, ID_ENTRY_SIZE};
 pub use meta_data::{EmbeddingBindings, EmbeddingMetaData, EntryType};

@@ -55,7 +55,9 @@ pub mod result;
 pub mod source;
 pub mod values;
 
-pub use embedding::{Embedding, EmbeddingMetaData, Entry, EntryType};
+pub use embedding::{
+    Embedding, EmbeddingMetaData, EmbeddingRead, EmbeddingWriter, Entry, EntryType,
+};
 pub use engine::{CypherEngine, CypherError, CypherOperator};
 pub use executor::{choose_join_strategy, execute_plan};
 pub use matching::{MatchingConfig, MorphismCheck, MorphismType};

@@ -6,7 +6,9 @@
 //! requires the mapping to be injective: no two query vertices (edges) may
 //! bind the same data vertex (edge).
 
-use crate::embedding::{Embedding, EmbeddingMetaData};
+use std::cell::RefCell;
+
+use crate::embedding::{EmbeddingMetaData, EmbeddingRead};
 
 /// Mapping semantics for one element kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,14 +62,19 @@ impl Default for MatchingConfig {
 
 /// A uniqueness check compiled against one embedding layout: the vertex,
 /// edge and path column sets are resolved once per operator instead of once
-/// per embedding, and the id buffer is caller-provided scratch so a whole
-/// morsel of checks shares a single allocation.
+/// per embedding, and the ids are staged in a per-thread buffer, so a check
+/// allocates nothing once that buffer has grown.
 #[derive(Debug, Clone)]
 pub struct MorphismCheck {
     vertex_columns: Vec<usize>,
     edge_columns: Vec<usize>,
     path_columns: Vec<usize>,
     config: MatchingConfig,
+}
+
+thread_local! {
+    /// Per-thread id staging buffer of [`MorphismCheck::check`].
+    static IDS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
 impl MorphismCheck {
@@ -81,48 +88,39 @@ impl MorphismCheck {
         }
     }
 
-    /// Checks the uniqueness constraints on `embedding`, using `scratch` as
-    /// the id staging buffer (cleared on entry).
-    pub fn check(&self, embedding: &Embedding, scratch: &mut Vec<u64>) -> bool {
-        if self.config.vertices == MorphismType::Isomorphism {
-            scratch.clear();
-            embedding.collect_ids(&self.vertex_columns, scratch);
-            for &column in &self.path_columns {
-                // Odd positions are the intermediate vertices.
-                scratch.extend(embedding.path_iter(column).skip(1).step_by(2));
-            }
-            if has_duplicates(scratch) {
-                return false;
-            }
-        }
-        if self.config.edges == MorphismType::Isomorphism {
-            scratch.clear();
-            embedding.collect_ids(&self.edge_columns, scratch);
-            for &column in &self.path_columns {
-                // Even positions are the path's edges.
-                scratch.extend(embedding.path_iter(column).step_by(2));
-            }
-            if has_duplicates(scratch) {
-                return false;
-            }
-        }
-        true
+    /// Checks the uniqueness constraints of the configured semantics on
+    /// `embedding` — a committed row or the row being written: under vertex
+    /// (edge) isomorphism, all bound vertex (edge) identifiers, including
+    /// those inside paths, where entries alternate edge, vertex, edge, ...,
+    /// must be pairwise distinct.
+    pub fn check(&self, embedding: &impl EmbeddingRead) -> bool {
+        IDS.with(|ids| {
+            let ids = &mut *ids.borrow_mut();
+            let vertices = self.config.vertices == MorphismType::Isomorphism;
+            let edges = self.config.edges == MorphismType::Isomorphism;
+            // Odd path positions are the intermediate vertices, even ones
+            // the path's edges.
+            !(vertices && self.repeats(embedding, &self.vertex_columns, 1, ids)
+                || edges && self.repeats(embedding, &self.edge_columns, 0, ids))
+        })
     }
-}
 
-/// Checks the uniqueness constraints of `config` on an embedding: under
-/// vertex (edge) isomorphism, all bound vertex (edge) identifiers —
-/// including those inside paths, where entries alternate edge, vertex,
-/// edge, ... — must be pairwise distinct.
-///
-/// Convenience form of [`MorphismCheck`] for one-off checks; hot loops
-/// should compile the check once and reuse a scratch buffer.
-pub fn satisfies_morphism(
-    embedding: &Embedding,
-    meta: &EmbeddingMetaData,
-    config: &MatchingConfig,
-) -> bool {
-    MorphismCheck::new(meta, config).check(embedding, &mut Vec::new())
+    /// Whether `columns` plus the path positions `first, first + 2, ...`
+    /// bind some identifier twice.
+    fn repeats(
+        &self,
+        embedding: &impl EmbeddingRead,
+        columns: &[usize],
+        first: usize,
+        ids: &mut Vec<u64>,
+    ) -> bool {
+        ids.clear();
+        embedding.collect_ids(columns, ids);
+        for &column in &self.path_columns {
+            ids.extend(embedding.path_iter(column).skip(first).step_by(2));
+        }
+        has_duplicates(ids)
+    }
 }
 
 fn has_duplicates(ids: &mut [u64]) -> bool {
@@ -133,7 +131,15 @@ fn has_duplicates(ids: &mut [u64]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::embedding::EntryType;
+    use crate::embedding::{EmbeddingWriter, EntryType};
+
+    fn satisfies_morphism(
+        embedding: &impl EmbeddingRead,
+        meta: &EmbeddingMetaData,
+        config: &MatchingConfig,
+    ) -> bool {
+        MorphismCheck::new(meta, config).check(embedding)
+    }
 
     fn triangle_meta() -> EmbeddingMetaData {
         let mut meta = EmbeddingMetaData::new();
@@ -143,8 +149,8 @@ mod tests {
         meta
     }
 
-    fn embedding(a: u64, e: u64, b: u64) -> Embedding {
-        let mut emb = Embedding::new();
+    fn embedding(a: u64, e: u64, b: u64) -> EmbeddingWriter {
+        let mut emb = EmbeddingWriter::new();
         emb.push_id(a);
         emb.push_id(e);
         emb.push_id(b);
@@ -171,7 +177,7 @@ mod tests {
         let mut meta = EmbeddingMetaData::new();
         meta.add_entry("e1", EntryType::Edge);
         meta.add_entry("e2", EntryType::Edge);
-        let mut emb = Embedding::new();
+        let mut emb = EmbeddingWriter::new();
         emb.push_id(5);
         emb.push_id(5);
         let homo_v_iso_e = MatchingConfig::cypher_default();
@@ -191,7 +197,7 @@ mod tests {
         meta.add_entry("b", EntryType::Vertex);
 
         // Path via [e5, v20, e7]; endpoint a=10, b=30.
-        let mut ok = Embedding::new();
+        let mut ok = EmbeddingWriter::new();
         ok.push_id(10);
         ok.push_path(&[5, 20, 7]);
         ok.push_id(30);
@@ -202,7 +208,7 @@ mod tests {
         ));
 
         // Intermediate vertex equals an endpoint: vertex-ISO must reject.
-        let mut dup_vertex = Embedding::new();
+        let mut dup_vertex = EmbeddingWriter::new();
         dup_vertex.push_id(10);
         dup_vertex.push_path(&[5, 10, 7]);
         dup_vertex.push_id(30);
@@ -219,7 +225,7 @@ mod tests {
         ));
 
         // Repeated edge inside the path: edge-ISO must reject.
-        let mut dup_edge = Embedding::new();
+        let mut dup_edge = EmbeddingWriter::new();
         dup_edge.push_id(10);
         dup_edge.push_path(&[5, 20, 5]);
         dup_edge.push_id(30);

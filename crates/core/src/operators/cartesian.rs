@@ -3,27 +3,31 @@
 
 use gradoop_dataflow::JoinStrategy;
 
-use crate::matching::{satisfies_morphism, MatchingConfig};
+use crate::embedding::Embedding;
+use crate::matching::{MatchingConfig, MorphismCheck};
 use crate::operators::{observe_operator, EmbeddingSet};
 
 /// Combines every left embedding with every right embedding, subject to the
-/// morphism semantics. The (smaller) right side is broadcast.
+/// morphism semantics. The (smaller) right side is broadcast. Each pair is
+/// merged into the thread's scratch row and checked there, so a rejected
+/// pair commits nothing.
 pub fn cartesian_embeddings(
     left: &EmbeddingSet,
     right: &EmbeddingSet,
     config: &MatchingConfig,
 ) -> EmbeddingSet {
     let meta = left.meta.merge(&right.meta, &[]);
-    let merged_meta = meta.clone();
-    let config = *config;
+    let check = MorphismCheck::new(&meta, config);
     let data = left.data.join(
         &right.data,
         |_| (),
         |_| (),
         JoinStrategy::BroadcastHashSecond,
         move |l, r| {
-            let merged = l.merge(r, &[]);
-            satisfies_morphism(&merged, &merged_meta, &config).then_some(merged)
+            Embedding::write(|row| {
+                l.merge_into(r, &[], row);
+                check.check(row)
+            })
         },
     );
     let rows_in = (left.data.len_untracked() + right.data.len_untracked()) as u64;
@@ -35,7 +39,7 @@ pub fn cartesian_embeddings(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::embedding::{Embedding, EmbeddingMetaData, EntryType};
+    use crate::embedding::{EmbeddingMetaData, EmbeddingWriter, EntryType};
     use gradoop_dataflow::{CostModel, ExecutionConfig, ExecutionEnvironment};
 
     fn vertices(env: &ExecutionEnvironment, variable: &str, ids: &[u64]) -> EmbeddingSet {
@@ -44,9 +48,9 @@ mod tests {
         let data = env.from_collection(
             ids.iter()
                 .map(|id| {
-                    let mut emb = Embedding::new();
+                    let mut emb = EmbeddingWriter::new();
                     emb.push_id(*id);
-                    emb
+                    emb.commit()
                 })
                 .collect::<Vec<_>>(),
         );

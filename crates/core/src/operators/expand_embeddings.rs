@@ -17,16 +17,15 @@
 //!
 //! Rows are written once. The working set is handed to each superstep by
 //! value, so shipping it to the candidate index moves the states; a state
-//! shares its base embedding with every other path grown from the same input
-//! row; and the embeddings a superstep emits are appended to the one solution
-//! set in place.
-
-use std::cell::RefCell;
-use std::sync::Arc;
+//! shares its base embedding (a handle on a chunk row) with every other path
+//! grown from the same input row; an emitted row is written and checked in
+//! the thread's scratch row and committed only if it survives; and the
+//! embeddings a superstep emits are appended to the one solution set in
+//! place.
 
 use gradoop_dataflow::{bulk_iterate_with_results, Dataset, PartitionKey, SpanRecord};
 
-use crate::embedding::{Embedding, EntryType};
+use crate::embedding::{Embedding, EmbeddingRead, EntryType};
 use crate::matching::{MatchingConfig, MorphismCheck, MorphismType};
 use crate::operators::{malformed_plan, observe_operator, EmbeddingSet};
 
@@ -51,15 +50,10 @@ pub struct ExpandConfig {
     pub matching: MatchingConfig,
 }
 
-/// Working-set element: the base embedding (shared by all paths that start
-/// from it), the path's `via` identifiers (alternating edge, vertex, edge,
-/// ...) and the current end vertex.
-type ExpandState = (Arc<Embedding>, Vec<u64>, u64);
-
-thread_local! {
-    /// Per-worker id staging buffer of the morphism check on emitted rows.
-    static EMIT_IDS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
-}
+/// Working-set element: the base embedding (a handle shared by all paths
+/// that start from it), the path's `via` identifiers (alternating edge,
+/// vertex, edge, ...) and the current end vertex.
+type ExpandState = (Embedding, Vec<u64>, u64);
 
 /// Expands `input` along `candidates` according to `config`. Takes `input`
 /// by value like every operator that ships its rows; the expansion itself
@@ -101,12 +95,12 @@ pub fn expand_embeddings(
                 return None;
             }
         }
-        // Path column + optional target column land in one exact-capacity
-        // allocation instead of clone-then-splice.
-        let result = base.extend_with_path_and_id(via, close_column.is_none().then_some(*end));
-        EMIT_IDS
-            .with(|ids| check.check(&result, &mut ids.borrow_mut()))
-            .then_some(result)
+        // Path column + optional target column are written in one pass and
+        // committed only if the row passes the check.
+        Embedding::write(|row| {
+            row.extend(base, Some(via), close_column.is_none().then_some(*end));
+            check.check(row)
+        })
     };
 
     let env = input.data.env().clone();
@@ -114,7 +108,7 @@ pub fn expand_embeddings(
     // Initial working set: empty path anchored at the source column.
     let initial: Dataset<ExpandState> = input.data.map(move |embedding| {
         let end = embedding.id(source_column);
-        (Arc::new(embedding.clone()), Vec::new(), end)
+        (embedding.clone(), Vec::new(), end)
     });
 
     // Zero-length paths (lower bound 0) are emitted before the iteration.
@@ -169,7 +163,7 @@ pub fn expand_embeddings(
                     extended.push(*end);
                     extended.push(*edge);
                 }
-                Some((Arc::clone(base), extended, *target))
+                Some((base.clone(), extended, *target))
             },
         );
         let found: Dataset<Embedding> = if k >= lower {
@@ -206,7 +200,7 @@ pub fn expand_embeddings(
 
 /// Checks whether extending a path with `edge` keeps it viable under the
 /// configured semantics. The final embedding is re-checked by
-/// [`satisfies_morphism`]; this pre-check prunes states that could never
+/// [`MorphismCheck::check`]; this pre-check prunes states that could never
 /// produce a valid embedding, keeping intermediate results small — the
 /// "keep only paths that satisfy the specified query semantics" step of the
 /// paper's iteration body.
@@ -260,7 +254,7 @@ fn valid_extension(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::embedding::EmbeddingMetaData;
+    use crate::embedding::{EmbeddingMetaData, EmbeddingWriter};
     use gradoop_dataflow::{CostModel, ExecutionConfig, ExecutionEnvironment};
 
     fn env() -> ExecutionEnvironment {
@@ -274,9 +268,9 @@ mod tests {
         let data = env.from_collection(
             ids.iter()
                 .map(|id| {
-                    let mut emb = Embedding::new();
+                    let mut emb = EmbeddingWriter::new();
                     emb.push_id(*id);
-                    emb
+                    emb.commit()
                 })
                 .collect::<Vec<_>>(),
         );
@@ -410,11 +404,11 @@ mod tests {
         let mut meta = EmbeddingMetaData::new();
         meta.add_entry("a", EntryType::Vertex);
         meta.add_entry("b", EntryType::Vertex);
-        let mut emb = Embedding::new();
+        let mut emb = EmbeddingWriter::new();
         emb.push_id(1);
         emb.push_id(3);
         let input = EmbeddingSet {
-            data: env.from_collection(vec![emb]),
+            data: env.from_collection(vec![emb.commit()]),
             meta,
         };
         let result = expand_embeddings(

@@ -9,24 +9,16 @@
 //! are replicated (charged like a broadcast-join build) and the probe runs
 //! partition-local, so no embedding is ever shuffled.
 
-use std::cell::RefCell;
 use std::collections::HashSet;
 
 use gradoop_cypher::predicates::eval::{eval_predicate, SingleElement};
 use gradoop_cypher::QueryGraph;
 use gradoop_dataflow::{build_adjacency_index, probe_intersect, AdjacencyIndex, SpanRecord};
 
-use crate::embedding::EntryType;
+use crate::embedding::{Embedding, EmbeddingRead, EntryType};
 use crate::matching::{MatchingConfig, MorphismCheck};
 use crate::operators::{edge_triples, malformed_plan, observe_operator, EmbeddingSet};
 use crate::source::GraphSource;
-
-thread_local! {
-    /// Per-worker morphism-check scratch: candidate embeddings are checked
-    /// before they are pushed, so rejected ones still cost one clone but
-    /// never a scratch allocation.
-    static WCO_SCRATCH: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
-}
 
 /// Extends `input` by the query vertex `vertex`, closing all `edges` at
 /// once via sorted-adjacency intersection.
@@ -125,15 +117,12 @@ pub fn expand_intersect<S: GraphSource + ?Sized>(
             if !admissible.contains(&w) {
                 return;
             }
-            let mut embedding = row.clone();
-            for &edge_id in edge_ids {
-                embedding.push_id(edge_id);
-            }
-            embedding.push_id(w);
-            let ok = WCO_SCRATCH.with(|cell| check.check(&embedding, &mut cell.borrow_mut()));
-            if ok {
-                out.push(embedding);
-            }
+            // The closing edges and the new vertex are written in one pass
+            // and committed only if the row passes the check.
+            out.extend(Embedding::write(|embedding| {
+                embedding.extend(row, None, edge_ids.iter().copied().chain([w]));
+                check.check(embedding)
+            }));
         },
     );
 

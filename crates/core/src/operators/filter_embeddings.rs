@@ -40,7 +40,7 @@ pub fn filter_embeddings(input: &EmbeddingSet, clauses: &[CnfClause]) -> Embeddi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::embedding::{Embedding, EmbeddingMetaData, EntryType};
+    use crate::embedding::{EmbeddingMetaData, EmbeddingWriter, EntryType};
     use gradoop_cypher::predicates::cnf::to_cnf;
     use gradoop_cypher::{parse, Expression};
     use gradoop_dataflow::{CostModel, ExecutionConfig, ExecutionEnvironment};
@@ -63,12 +63,12 @@ mod tests {
                 .iter()
                 .enumerate()
                 .map(|(i, (g1, g2))| {
-                    let mut emb = Embedding::new();
+                    let mut emb = EmbeddingWriter::new();
                     emb.push_id(i as u64 * 2);
                     emb.push_id(i as u64 * 2 + 1);
                     emb.push_property(&PropertyValue::String((*g1).into()));
                     emb.push_property(&PropertyValue::String((*g2).into()));
-                    emb
+                    emb.commit()
                 })
                 .collect::<Vec<_>>(),
         );

@@ -113,6 +113,7 @@ pub fn edge_triples(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::embedding::EmbeddingRead;
     use crate::matching::MatchingConfig;
     use gradoop_cypher::{parse, QueryGraph};
     use gradoop_dataflow::{CostModel, ExecutionConfig, ExecutionEnvironment};

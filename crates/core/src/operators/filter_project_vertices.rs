@@ -63,6 +63,7 @@ pub fn filter_and_project_vertices(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::embedding::EmbeddingRead;
     use gradoop_cypher::{parse, QueryGraph};
     use gradoop_dataflow::{CostModel, ExecutionConfig, ExecutionEnvironment};
     use gradoop_epgm::{properties, GradoopId, PropertyValue};

@@ -16,14 +16,13 @@
 //! Both inputs are taken by value: a side that has to be shuffled and that
 //! nobody else holds is moved to its join partition, not copied.
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use gradoop_cypher::predicates::eval::eval_clause;
 use gradoop_cypher::CnfClause;
 use gradoop_dataflow::{JoinStrategy, PartitionKey};
 
-use crate::embedding::{Embedding, EmbeddingBindings};
+use crate::embedding::{Embedding, EmbeddingBindings, EmbeddingRead};
 use crate::matching::{MatchingConfig, MorphismCheck};
 use crate::operators::{malformed_plan, observe_operator_with, EmbeddingSet};
 
@@ -43,14 +42,6 @@ fn extract_key(embedding: &Embedding, columns: &[usize]) -> JoinKey {
         [a, b] => JoinKey::Two(embedding.id(*a), embedding.id(*b)),
         _ => JoinKey::Many(columns.iter().map(|&c| embedding.id(c)).collect()),
     }
-}
-
-thread_local! {
-    /// Per-worker scratch for the join kernel: the merged embedding is
-    /// staged here, checked, and only cloned out (one exact-size
-    /// allocation) if it survives; rejected pairs allocate nothing.
-    static JOIN_SCRATCH: RefCell<(Embedding, Vec<u64>)> =
-        RefCell::new((Embedding::new(), Vec::new()));
 }
 
 /// The canonical [`PartitionKey`] for embeddings hash-placed by the ids of
@@ -82,9 +73,9 @@ pub fn join_embeddings(
 }
 
 /// [`join_embeddings`] with `residual_clauses` fused into the join kernel:
-/// each clause is evaluated on the merged embedding *while it still lives
-/// in the per-worker scratch buffer*, so embeddings a post-join filter
-/// would drop are never allocated, materialized or shuffled. The executor
+/// each clause is evaluated on the merged embedding *while it is still the
+/// thread's scratch row* ([`Embedding::write`]), so embeddings a post-join
+/// filter would drop are never committed, materialized or shuffled. The executor
 /// uses this to collapse Filter-over-Join plan steps; the operator span then
 /// carries a `rows_joined` counter — the pairs the join alone produced,
 /// before any residual clause ran — so PROFILE can still report the join's
@@ -164,23 +155,20 @@ pub fn join_embeddings_filtered(
         },
         strategy,
         move |l, r| {
-            JOIN_SCRATCH.with(|cell| {
-                let (scratch, ids) = &mut *cell.borrow_mut();
-                l.merge_into(r, &skip, scratch);
-                if !check.check(scratch, ids) {
-                    return None;
+            Embedding::write(|row| {
+                l.merge_into(r, &skip, row);
+                if !check.check(row) {
+                    return false;
                 }
-                if !clauses.is_empty() {
-                    joined_pairs.fetch_add(1, Ordering::Relaxed);
-                    let bindings = EmbeddingBindings {
-                        embedding: scratch,
-                        meta: &merged_meta,
-                    };
-                    if !clauses.iter().all(|clause| eval_clause(clause, &bindings)) {
-                        return None;
-                    }
+                if clauses.is_empty() {
+                    return true;
                 }
-                Some(scratch.clone())
+                joined_pairs.fetch_add(1, Ordering::Relaxed);
+                let bindings = EmbeddingBindings {
+                    embedding: &*row,
+                    meta: &merged_meta,
+                };
+                clauses.iter().all(|clause| eval_clause(clause, &bindings))
             })
         },
     );
@@ -199,7 +187,7 @@ pub fn join_embeddings_filtered(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::embedding::{Embedding, EmbeddingMetaData, EntryType};
+    use crate::embedding::{Embedding, EmbeddingMetaData, EmbeddingWriter, EntryType};
     use gradoop_dataflow::{CostModel, Dataset, ExecutionConfig, ExecutionEnvironment};
 
     fn env() -> ExecutionEnvironment {
@@ -219,11 +207,11 @@ mod tests {
         let data: Dataset<Embedding> = env.from_collection(
             rows.iter()
                 .map(|(a, e, b)| {
-                    let mut emb = Embedding::new();
+                    let mut emb = EmbeddingWriter::new();
                     emb.push_id(*a);
                     emb.push_id(*e);
                     emb.push_id(*b);
-                    emb
+                    emb.commit()
                 })
                 .collect::<Vec<_>>(),
         );
@@ -310,12 +298,12 @@ mod tests {
         left_meta.add_entry("a", EntryType::Vertex);
         left_meta.add_entry("b", EntryType::Vertex);
         left_meta.add_entry("c", EntryType::Vertex);
-        let mut emb = Embedding::new();
+        let mut emb = EmbeddingWriter::new();
         emb.push_id(1);
         emb.push_id(2);
         emb.push_id(3);
         let left = EmbeddingSet {
-            data: env.from_collection(vec![emb]),
+            data: env.from_collection(vec![emb.commit()]),
             meta: left_meta,
         };
         let right = edge_set(&env, &[(1, 30, 3), (1, 31, 4)], ["a", "e3", "c"]);

@@ -8,7 +8,8 @@
 //! otherwise disconnected query components, replacing a cartesian product
 //! followed by a filter.
 
-use crate::matching::{satisfies_morphism, MatchingConfig};
+use crate::embedding::{Embedding, EmbeddingRead};
+use crate::matching::{MatchingConfig, MorphismCheck};
 use crate::operators::{malformed_plan, observe_operator, EmbeddingSet};
 use gradoop_dataflow::JoinStrategy;
 
@@ -53,8 +54,7 @@ pub fn value_join_embeddings(
     };
 
     let meta = left.meta.merge(&right.meta, &[]);
-    let merged_meta = meta.clone();
-    let config = *config;
+    let check = MorphismCheck::new(&meta, config);
 
     let data = left.data.join(
         &right.data,
@@ -67,8 +67,10 @@ pub fn value_join_embeddings(
             if l.property(left_index).is_null() {
                 return None;
             }
-            let merged = l.merge(r, &[]);
-            satisfies_morphism(&merged, &merged_meta, &config).then_some(merged)
+            Embedding::write(|row| {
+                l.merge_into(r, &[], row);
+                check.check(row)
+            })
         },
     );
     let rows_in = (left.data.len_untracked() + right.data.len_untracked()) as u64;
@@ -80,7 +82,7 @@ pub fn value_join_embeddings(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::embedding::{Embedding, EmbeddingMetaData, EntryType};
+    use crate::embedding::{EmbeddingMetaData, EmbeddingWriter, EntryType};
     use gradoop_dataflow::{CostModel, ExecutionConfig, ExecutionEnvironment};
     use gradoop_epgm::PropertyValue;
 
@@ -102,13 +104,13 @@ mod tests {
         let data = env.from_collection(
             rows.iter()
                 .map(|(id, value)| {
-                    let mut e = Embedding::new();
+                    let mut e = EmbeddingWriter::new();
                     e.push_id(*id);
                     e.push_property(&match value {
                         Some(s) => PropertyValue::String((*s).into()),
                         None => PropertyValue::Null,
                     });
-                    e
+                    e.commit()
                 })
                 .collect::<Vec<_>>(),
         );

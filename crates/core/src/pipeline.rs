@@ -49,7 +49,7 @@ use gradoop_cypher::{Expression, Literal, QueryGraph};
 use gradoop_dataflow::{CollectingSink, Dataset, ExecutionFailure, JoinStrategy, StageReport};
 use gradoop_epgm::ElementIndex;
 
-use crate::embedding::Entry;
+use crate::embedding::{EmbeddingRead, Entry};
 use crate::engine::CypherError;
 use crate::executor::execute_plan;
 use crate::matching::MatchingConfig;

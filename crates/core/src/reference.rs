@@ -19,6 +19,7 @@
 //! `true` — so an NNF/CNF/split bug that makes the engine *admit* a row
 //! Cypher would filter shows up as a divergence from this matcher.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use gradoop_cypher::ast::{
@@ -409,13 +410,19 @@ struct ReferenceBindings<'a> {
 }
 
 impl Bindings for ReferenceBindings<'_> {
-    fn property(&self, variable: &str, key: &str) -> Option<PropertyValue> {
+    fn property(&self, variable: &str, key: &str) -> Option<Cow<'_, PropertyValue>> {
         if let Some(id) = self.vertex_bindings.get(variable) {
-            return self.graph.vertices.get(id)?.properties.get(key).cloned();
+            return self
+                .graph
+                .vertices
+                .get(id)?
+                .properties
+                .get(key)
+                .map(Cow::Borrowed);
         }
         if let Some(Entry::Id(id)) = self.edge_bindings.get(variable) {
             let edge = self.graph.edges.iter().find(|e| e.id.0 == *id)?;
-            return edge.properties.get(key).cloned();
+            return edge.properties.get(key).map(Cow::Borrowed);
         }
         None
     }

@@ -9,7 +9,7 @@ use gradoop_epgm::{
     GradoopId, GraphCollection, GraphHead, LogicalGraph, Properties, PropertyValue,
 };
 
-use crate::embedding::{Embedding, EmbeddingMetaData, Entry, EntryType};
+use crate::embedding::{Embedding, EmbeddingMetaData, EmbeddingRead, Entry, EntryType};
 use crate::engine::CypherError;
 use crate::planner::QueryPlan;
 use crate::values::{Row, Value};

@@ -331,10 +331,10 @@ fn widened(value: &PropertyValue) -> PropertyValue {
 }
 
 impl Bindings for RowScope<'_> {
-    fn property(&self, variable: &str, key: &str) -> Option<PropertyValue> {
+    fn property(&self, variable: &str, key: &str) -> Option<Cow<'_, PropertyValue>> {
         self.stored_property(variable, key)
             .filter(|value| !matches!(value, PropertyValue::Null))
-            .map(widened)
+            .map(|value| Cow::Owned(widened(value)))
     }
 
     fn label(&self, variable: &str) -> Option<Label> {
@@ -366,9 +366,9 @@ pub fn eval_row_expression(expr: &Expression, scope: &RowScope<'_>) -> Option<bo
 /// `Some(false)` / unknown), via the shared [`compare_values`].
 pub fn values_equal(a: &Value, b: &Value) -> Option<bool> {
     compare_values(
-        Some(value_to_property(a)),
+        Some(&value_to_property(a)),
         CmpOp::Eq,
-        Some(value_to_property(b)),
+        Some(&value_to_property(b)),
     )
 }
 

@@ -1,9 +1,9 @@
 //! Property-based tests of the byte-array embedding layout: every sequence
 //! of writes reads back exactly, merge behaves like concatenation with
-//! column skips, and the exact-size leaf constructor builds what the push
-//! sequence builds.
+//! column skips, and the leaf constructor commits what the push sequence
+//! writes.
 
-use gradoop_core::{Embedding, Entry};
+use gradoop_core::{Embedding, EmbeddingRead, EmbeddingWriter, Entry};
 use gradoop_epgm::{Properties, PropertyValue};
 use proptest::prelude::*;
 
@@ -50,7 +50,7 @@ fn any_value() -> impl Strategy<Value = PropertyValue> {
 }
 
 fn build(writes: &[Write], props: &[PropertyValue]) -> Embedding {
-    let mut embedding = Embedding::new();
+    let mut embedding = EmbeddingWriter::new();
     for write in writes {
         match write {
             Write::Id(id) => embedding.push_id(*id),
@@ -60,7 +60,7 @@ fn build(writes: &[Write], props: &[PropertyValue]) -> Embedding {
     for value in props {
         embedding.push_property(value);
     }
-    embedding
+    embedding.commit()
 }
 
 fn expected_entry(write: &Write) -> Entry {
@@ -123,7 +123,7 @@ proptest! {
     #[test]
     fn merge_with_empty_right_is_identity(ws in writes(), props in properties()) {
         let embedding = build(&ws, &props);
-        let merged = embedding.merge(&Embedding::new(), &[]);
+        let merged = embedding.merge(&EmbeddingWriter::new().commit(), &[]);
         prop_assert_eq!(merged, embedding);
     }
 
@@ -142,7 +142,7 @@ proptest! {
             .collect();
         let keys: Vec<String> = asked.iter().map(|key| format!("k{key}")).collect();
 
-        let mut pushed = Embedding::new();
+        let mut pushed = EmbeddingWriter::new();
         for id in &ids {
             pushed.push_id(*id);
         }
@@ -151,8 +151,8 @@ proptest! {
             pushed.push_property(&value);
         }
         let leaf = Embedding::leaf(&ids, &properties, &keys);
-        // `Embedding: Eq` compares the buffer and both section offsets.
-        prop_assert_eq!(&leaf, &pushed);
+        // `Embedding: Eq` compares the bytes and both section offsets.
+        prop_assert_eq!(&leaf, &pushed.commit());
         prop_assert_eq!(leaf.property_count(), keys.len());
         for (index, key) in keys.iter().enumerate() {
             let expected = properties.get(key).cloned().unwrap_or(PropertyValue::Null);

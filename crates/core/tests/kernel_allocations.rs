@@ -1,28 +1,38 @@
 //! Allocation budgets of the per-row kernels, as equalities.
 //!
-//! * The join kernel: probing a pair with [`Embedding::merge_into`] into a
-//!   reused scratch row plus [`MorphismCheck::check`] with a reused id
-//!   buffer costs exactly one heap allocation per accepted pair (the clone
-//!   of the survivor) and none per rejected pair.
-//! * The leaf scan: [`filter_and_project_vertices`] costs exactly one
-//!   allocation per emitted row ([`Embedding::leaf`]) and none per row its
-//!   predicate rejects.
+//! Committed rows live in shared 64 KiB chunks, each of which costs
+//! [`ALLOCATIONS_PER_CHUNK`] allocations; a row costs none of its own.
+//!
+//! * The join kernel: merging a pair into the thread's scratch row with
+//!   [`Embedding::merge_into`], checking it with [`MorphismCheck::check`]
+//!   and committing the survivor ([`Embedding::write`]) costs one chunk per
+//!   64 KiB of accepted pairs and nothing per rejected pair.
+//! * The leaf scan: [`filter_and_project_vertices`] costs one chunk per
+//!   64 KiB of emitted rows and nothing per row its predicate rejects — a
+//!   string equality included, which reads the property and the literal in
+//!   place.
+//! * The cartesian product: a pair the morphism check rejects costs nothing.
 //! * Result decoding: [`ReturnColumns::table_row`] costs exactly one
 //!   allocation per row plus one per string cell.
 //!
 //! The counter is a wrapping global allocator (`counting/mod.rs`, shared
 //! with `row_moves.rs`), which is why the test has a file of its own; it
 //! counts per thread, so the test runner's own thread cannot disturb it.
+//! Every test runs on a thread of its own, whose first committed row starts
+//! its first chunk; rows a test only reads are committed on another thread
+//! ([`elsewhere`]) so that they do not move this thread's chunk boundaries.
 
 use std::hint::black_box;
 
-use gradoop_core::operators::filter_and_project_vertices;
+use gradoop_core::embedding::CHUNK_BYTES;
+use gradoop_core::operators::{cartesian_embeddings, filter_and_project_vertices, EmbeddingSet};
 use gradoop_core::{
-    Embedding, EmbeddingMetaData, EntryType, MatchingConfig, MorphismCheck, ReturnColumns, Value,
+    Embedding, EmbeddingMetaData, EmbeddingRead, EmbeddingWriter, EntryType, MatchingConfig,
+    MorphismCheck, ReturnColumns, Value,
 };
-use gradoop_cypher::{parse, QueryGraph};
+use gradoop_cypher::{parse, QueryGraph, QueryVertex};
 use gradoop_dataflow::{CostModel, ExecutionConfig, ExecutionEnvironment, Parts};
-use gradoop_epgm::{properties, GradoopId, PropertyValue, Vertex};
+use gradoop_epgm::{properties, GradoopId, Properties, PropertyValue, Vertex};
 
 mod counting;
 use counting::{allocations, CountingAllocator};
@@ -30,21 +40,47 @@ use counting::{allocations, CountingAllocator};
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
+/// What one chunk costs: the `Arc` that shares it and its byte buffer.
+const ALLOCATIONS_PER_CHUNK: u64 = 2;
+
+/// Chunks a thread allocates to commit `rows` rows of `bytes` bytes each
+/// after `earlier` rows of the same size: a chunk holds
+/// `CHUNK_BYTES / bytes` of them.
+fn chunks_for(earlier: u64, rows: u64, bytes: usize) -> u64 {
+    let per_chunk = (CHUNK_BYTES / bytes) as u64;
+    (earlier + rows).div_ceil(per_chunk) - earlier.div_ceil(per_chunk)
+}
+
+/// Runs `make` on a thread of its own, so the rows it commits leave this
+/// thread's current chunk as it was.
+fn elsewhere<T: Send>(make: impl FnOnce() -> T + Send) -> T {
+    std::thread::scope(|scope| scope.spawn(make).join().expect("helper thread"))
+}
+
 /// A two-column row `(vertex, vertex)` carrying one property.
 fn row(first: u64, second: u64, property: PropertyValue) -> Embedding {
-    let mut embedding = Embedding::new();
+    let mut embedding = EmbeddingWriter::new();
     embedding.push_id(first);
     embedding.push_id(second);
     embedding.push_property(&property);
-    embedding
+    embedding.commit()
+}
+
+fn one_worker() -> ExecutionEnvironment {
+    ExecutionEnvironment::new(ExecutionConfig::with_workers(1).cost_model(CostModel::free()))
 }
 
 #[test]
-fn fused_join_kernel_allocates_once_per_accepted_pair_and_never_per_rejected_pair() {
-    let left = row(1, 2, PropertyValue::String("Alice".into()));
-    let right = row(1, 3, PropertyValue::Long(1984));
-    // Joined on column 0 this repeats vertex 2, which isomorphism rejects.
-    let duplicate = row(1, 2, PropertyValue::Long(7));
+fn fused_join_kernel_allocates_per_chunk_of_accepted_pairs_and_never_per_rejected_pair() {
+    let (left, right, duplicate) = elsewhere(|| {
+        (
+            row(1, 2, PropertyValue::String("Alice".into())),
+            row(1, 3, PropertyValue::Long(1984)),
+            // Joined on column 0 this repeats vertex 2, which isomorphism
+            // rejects.
+            row(1, 2, PropertyValue::Long(7)),
+        )
+    });
     let mut meta = EmbeddingMetaData::new();
     meta.add_entry("a", EntryType::Vertex);
     meta.add_entry("b", EntryType::Vertex);
@@ -52,30 +88,39 @@ fn fused_join_kernel_allocates_once_per_accepted_pair_and_never_per_rejected_pai
     meta.add_property("a", "name");
     meta.add_property("c", "yob");
     let check = MorphismCheck::new(&meta, &MatchingConfig::isomorphism());
+    let join = |right: &Embedding| {
+        Embedding::write(|row| {
+            left.merge_into(right, &[0], row);
+            check.check(row)
+        })
+    };
 
-    // Warm the scratch buffers so their capacity is settled.
-    let mut scratch = Embedding::new();
-    let mut ids = Vec::new();
-    left.merge_into(&right, &[0], &mut scratch);
-    assert!(check.check(&scratch, &mut ids));
+    // The first accepted pair also settles this thread's scratch row, its
+    // id buffer and its first chunk. Three id columns, "Alice" and 1984.
+    const ROW_BYTES: usize = 3 * 9 + (4 + 1 + 4 + 5) + (4 + 9);
+    assert_eq!(join(&right).expect("accepted").bytes().len(), ROW_BYTES);
 
     const PAIRS: u64 = 10_000;
     let before = allocations();
     for _ in 0..PAIRS {
-        left.merge_into(&right, &[0], &mut scratch);
-        assert!(check.check(&scratch, &mut ids));
-        black_box(scratch.clone());
+        black_box(join(&right).expect("accepted"));
     }
     let accepted = allocations() - before;
 
     let before = allocations();
     for _ in 0..PAIRS {
-        left.merge_into(&duplicate, &[0], &mut scratch);
-        assert!(!check.check(&scratch, &mut ids));
+        assert!(join(&duplicate).is_none());
     }
     let rejected = allocations() - before;
 
-    assert_eq!(accepted, PAIRS, "one allocation per output embedding");
+    // 1 213 rows of 54 bytes fill a chunk: the 10 001 rows need 9 chunks,
+    // the first of which the warm-up allocated.
+    assert_eq!(chunks_for(1, PAIRS, ROW_BYTES), 8);
+    assert_eq!(
+        accepted,
+        ALLOCATIONS_PER_CHUNK * chunks_for(1, PAIRS, ROW_BYTES),
+        "one chunk per 64 KiB of output rows, nothing per row"
+    );
     assert_eq!(rejected, 0, "rejected pairs must not allocate");
 }
 
@@ -83,15 +128,13 @@ fn query(text: &str) -> QueryGraph {
     QueryGraph::from_query(&parse(text).unwrap()).unwrap()
 }
 
+fn person_properties(yob: i64) -> Properties {
+    properties! {"firstName" => "Alice", "lastName" => "Liddell", "yob" => yob}
+}
+
 /// `count` persons with two string properties, all born in `yob`.
 fn persons(env: &ExecutionEnvironment, count: u64, yob: i64) -> Parts<Vertex> {
-    let person = |id| {
-        Vertex::new(
-            GradoopId(id),
-            "Person",
-            properties! {"firstName" => "Alice", "lastName" => "Liddell", "yob" => yob},
-        )
-    };
+    let person = |id| Vertex::new(GradoopId(id), "Person", person_properties(yob));
     env.from_collection((0..count).map(person).collect::<Vec<_>>())
         .into()
 }
@@ -99,14 +142,14 @@ fn persons(env: &ExecutionEnvironment, count: u64, yob: i64) -> Parts<Vertex> {
 /// One worker, so the stage runs on this thread and the per-thread counter
 /// sees all of it.
 #[test]
-fn leaf_scan_allocates_once_per_emitted_row_and_never_per_rejected_row() {
+fn leaf_scan_allocates_per_chunk_of_emitted_rows_and_never_per_rejected_row() {
     const ROWS: u64 = 4_096;
-    let env =
-        ExecutionEnvironment::new(ExecutionConfig::with_workers(1).cost_model(CostModel::free()));
-    let graph = query("MATCH (p:Person) WHERE p.yob > 1980 RETURN p.firstName, p.lastName");
-    let vertex = &graph.vertices[0];
+    let env = one_worker();
+    let by_yob = query("MATCH (p:Person) WHERE p.yob > 1980 RETURN p.firstName, p.lastName");
+    let by_name = query("MATCH (p:Person) WHERE p.firstName = 'Bob' RETURN p.lastName");
+    let vertex = &by_yob.vertices[0];
     assert_eq!(vertex.required_keys.len(), 3);
-    let scan = |candidates: &Parts<Vertex>, expected_rows: u64| {
+    let scan = |vertex: &QueryVertex, candidates: &Parts<Vertex>, expected_rows: u64| {
         let before = allocations();
         let result = black_box(filter_and_project_vertices(candidates, vertex));
         let spent = allocations() - before;
@@ -117,21 +160,80 @@ fn leaf_scan_allocates_once_per_emitted_row_and_never_per_rejected_row() {
     let twice_rejected = persons(&env, 2 * ROWS, 1970);
     // What the output partition costs on its own: the growth of a vector
     // of `ROWS` embeddings, whatever the standard library's policy is.
+    let sample = elsewhere(|| EmbeddingWriter::new().commit());
     let before = allocations();
     let mut partition = Vec::new();
-    (0..ROWS).for_each(|_| partition.push(Embedding::new()));
+    (0..ROWS).for_each(|_| partition.push(sample.clone()));
     let partition_growth = allocations() - before;
     black_box(partition);
 
     // The first stage of a process also starts the pool and the telemetry
     // registry; after it, a scan has a fixed cost per stage.
-    scan(&rejected, 0);
-    let fixed = scan(&rejected, 0);
-    assert_eq!(scan(&twice_rejected, 0), fixed, "rejected rows allocate");
+    scan(vertex, &rejected, 0);
+    let fixed = scan(vertex, &rejected, 0);
     assert_eq!(
-        scan(&accepted, ROWS) - fixed,
-        ROWS + partition_growth,
-        "one allocation per emitted row"
+        scan(vertex, &twice_rejected, 0),
+        fixed,
+        "rejected rows allocate"
+    );
+
+    // `firstName = 'Bob'` rejects every Alice, reading the property and the
+    // literal in place.
+    let named = &by_name.vertices[0];
+    scan(named, &rejected, 0);
+    assert_eq!(
+        scan(named, &twice_rejected, 0),
+        scan(named, &rejected, 0),
+        "rows a string equality rejects allocate"
+    );
+
+    // The first emitted row also settles this thread's scratch row and its
+    // first chunk. One id column, "Alice", "Liddell" and 1984.
+    const ROW_BYTES: usize = 9 + (4 + 1 + 4 + 5) + (4 + 1 + 4 + 7) + (4 + 9);
+    let first = Embedding::leaf(&[0], &person_properties(1984), &vertex.required_keys);
+    assert_eq!(first.bytes().len(), ROW_BYTES);
+    assert_eq!(chunks_for(1, ROWS, ROW_BYTES), 3);
+    assert_eq!(
+        scan(vertex, &accepted, ROWS) - fixed,
+        ALLOCATIONS_PER_CHUNK * chunks_for(1, ROWS, ROW_BYTES) + partition_growth,
+        "one chunk per 64 KiB of emitted rows, nothing per row"
+    );
+}
+
+/// `count` one-column rows binding `variable` to vertex 5.
+fn fives(env: &ExecutionEnvironment, variable: &str, count: usize) -> EmbeddingSet {
+    let mut meta = EmbeddingMetaData::new();
+    meta.add_entry(variable, EntryType::Vertex);
+    let mut five = EmbeddingWriter::new();
+    five.push_id(5);
+    EmbeddingSet {
+        data: env.from_collection(vec![five.commit(); count]),
+        meta,
+    }
+}
+
+#[test]
+fn rejected_cartesian_pairs_allocate_nothing() {
+    const ROWS: usize = 2_048;
+    let env = one_worker();
+    // Every pair binds vertex 5 twice, which vertex isomorphism rejects.
+    let product = |left_rows: usize| {
+        let (left, right) = (fives(&env, "a", left_rows), fives(&env, "b", 1));
+        let before = allocations();
+        let result = black_box(cartesian_embeddings(
+            &left,
+            &right,
+            &MatchingConfig::isomorphism(),
+        ));
+        let spent = allocations() - before;
+        assert_eq!(result.data.len_untracked(), 0);
+        spent
+    };
+    product(ROWS); // the first stage also starts the telemetry registry
+    assert_eq!(
+        product(2 * ROWS),
+        product(ROWS),
+        "a rejected pair allocates"
     );
 }
 

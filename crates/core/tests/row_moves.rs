@@ -3,13 +3,14 @@
 //! * A shuffle that holds the last handle on its input moves the rows: a
 //!   second live handle costs exactly one allocation per heap-carrying row
 //!   more, and that handle still reads its rows in their order.
-//! * A repartition [`join_embeddings`] of two last-held inputs allocates per
-//!   *output* row: no clone per shipped row, no `Vec` per build key. The
-//!   left outer, filtered left outer, semi and anti joins build the same
-//!   table: one key or thousands, it costs the same.
+//! * A repartition [`join_embeddings`] of two last-held inputs allocates
+//!   per 64 KiB chunk of *output* rows: no clone per shipped row, no `Vec`
+//!   per build key, no allocation per output row. The left outer, filtered
+//!   left outer, semi and anti joins build the same table: one key or
+//!   thousands, it costs the same.
 //! * [`expand_embeddings`] writes the solution set once: a superstep costs
-//!   the same however many rows earlier supersteps found, and emitting a row
-//!   is one allocation.
+//!   the same however many rows earlier supersteps found, and emitted rows
+//!   share chunks: no allocation per row.
 //!
 //! All stages run on a one-worker environment, so their tasks run inline on
 //! this thread and the per-thread counter (`counting/mod.rs`) sees them.
@@ -17,10 +18,11 @@
 use std::hint::black_box;
 use std::sync::Arc;
 
+use gradoop_core::embedding::CHUNK_BYTES;
 use gradoop_core::operators::{
     expand_embeddings, join_embeddings, EdgeTriple, EmbeddingSet, ExpandConfig,
 };
-use gradoop_core::{Embedding, EmbeddingMetaData, EntryType, MatchingConfig};
+use gradoop_core::{EmbeddingMetaData, EmbeddingWriter, EntryType, MatchingConfig};
 use gradoop_dataflow::cost::StageCosts;
 use gradoop_dataflow::partition::shuffle_by_key;
 use gradoop_dataflow::{CostModel, Dataset, ExecutionConfig, ExecutionEnvironment, JoinStrategy};
@@ -66,23 +68,33 @@ fn pairs(
     }
     let data = env.from_collection(
         rows.map(|(first, second)| {
-            let mut embedding = Embedding::new();
+            let mut embedding = EmbeddingWriter::new();
             embedding.push_id(first);
             embedding.push_id(second);
-            embedding
+            embedding.commit()
         })
         .collect::<Vec<_>>(),
     );
     EmbeddingSet { data, meta }
 }
 
+/// Runs `make` on a thread of its own, so the rows it commits leave this
+/// thread's current chunk as it was.
+fn elsewhere<T: Send>(make: impl FnOnce() -> T + Send) -> T {
+    std::thread::scope(|scope| scope.spawn(make).join().expect("helper thread"))
+}
+
 #[test]
-fn a_repartition_join_of_last_held_inputs_allocates_per_output_row() {
+fn a_repartition_join_of_last_held_inputs_allocates_per_chunk_of_output_rows() {
     let env = one_worker();
     // `pairs` distinct keys, one accepted pair each.
     let join = |pairs_out: u64| {
-        let left = pairs(&env, ["a", "b"], (0..pairs_out).map(|i| (i, 10_000 + i)));
-        let right = pairs(&env, ["a", "c"], (0..pairs_out).map(|i| (i, 20_000 + i)));
+        let (left, right) = elsewhere(|| {
+            (
+                pairs(&env, ["a", "b"], (0..pairs_out).map(|i| (i, 10_000 + i))),
+                pairs(&env, ["a", "c"], (0..pairs_out).map(|i| (i, 20_000 + i))),
+            )
+        });
         let variables = ["a".to_string()];
         let before = allocations();
         let joined = black_box(join_embeddings(
@@ -99,11 +111,19 @@ fn a_repartition_join_of_last_held_inputs_allocates_per_output_row() {
     const PAIRS: u64 = 2_048;
     join(PAIRS); // the first stage also starts the telemetry registry
     let (once, twice) = (join(PAIRS), join(2 * PAIRS));
+    // This thread commits every output row: 2 048, 2 048 and 4 096 rows of
+    // three id columns, 2 427 of which fill a chunk. The run of 4 096 rows
+    // starts two chunks, the run of 2 048 one; a chunk is an `Arc` and a
+    // buffer.
+    let chunks = |committed: u64| committed.div_ceil((CHUNK_BYTES / 27) as u64);
+    let chunk_allocations =
+        2 * ((chunks(8 * 1024) - chunks(4 * 1024)) - (chunks(4 * 1024) - chunks(2 * 1024)));
+    assert_eq!(chunk_allocations, 2);
     let added = twice - once;
     assert!(
-        (PAIRS..PAIRS + 64).contains(&added),
-        "{PAIRS} more pairs cost {added} more allocations: the output rows \
-         plus buffer regrowth, nothing per shipped row or per key"
+        (chunk_allocations..chunk_allocations + 64).contains(&added),
+        "{PAIRS} more pairs cost {added} more allocations: their chunks plus \
+         buffer regrowth, nothing per output row, per shipped row or per key"
     );
 }
 
@@ -189,9 +209,9 @@ fn chains(
     meta.add_entry("a", EntryType::Vertex);
     let starts = (0..chains)
         .map(|chain| {
-            let mut embedding = Embedding::new();
+            let mut embedding = EmbeddingWriter::new();
             embedding.push_id(chain * 1000);
-            embedding
+            embedding.commit()
         })
         .collect::<Vec<_>>();
     let edges = (0..chains)
@@ -251,7 +271,7 @@ fn a_superstep_costs_the_same_however_many_rows_are_already_found() {
 }
 
 #[test]
-fn emitting_a_row_is_one_allocation() {
+fn emitted_rows_share_chunks() {
     let env = one_worker();
     const STEPS: usize = 8;
     expand_allocations(&env, 1, 1, 4); // warm-up, as above
@@ -263,9 +283,24 @@ fn emitting_a_row_is_one_allocation() {
     };
     const CHAINS: u64 = 64;
     let added = emit_cost(2 * CHAINS) - emit_cost(CHAINS);
+    // The extra rows: a path of k edges holds 2k - 1 ids, so its row is
+    // three entries, a count and those ids. Together they fill less than a
+    // chunk; chunk starts fall differently in the four expansions, which is
+    // a few allocations (two per chunk) besides buffer regrowth, where one
+    // allocation per row would add `rows`.
     let rows = CHAINS * (STEPS as u64 - 1);
+    let bytes = CHAINS as usize
+        * (1..STEPS)
+            .map(|k| 3 * 9 + 4 + 8 * (2 * k - 1))
+            .sum::<usize>();
     assert!(
-        (rows..rows + 64).contains(&added),
+        bytes < CHUNK_BYTES,
+        "{rows} rows of {bytes} bytes fit in one chunk"
+    );
+    const SLACK: u64 = 2 * 2 + 64;
+    assert!(rows > SLACK);
+    assert!(
+        added < SLACK,
         "{rows} more emitted rows cost {added} more allocations"
     );
 }

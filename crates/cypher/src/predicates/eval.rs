@@ -15,15 +15,19 @@
 //! semantics exactly: a CNF predicate is true iff every clause contains an
 //! atom that is `Some(true)`.
 
+use std::borrow::Cow;
+use std::cmp::Ordering;
+
 use gradoop_epgm::{Label, Properties, PropertyValue};
 
 use crate::predicates::cnf::{Atom, CnfClause, CnfPredicate, Operand};
-use crate::predicates::expr::{CmpOp, Expression};
+use crate::predicates::expr::{CmpOp, Expression, Literal};
 
 /// Read access to the bindings of query variables.
 pub trait Bindings {
-    /// Property `key` of the element bound to `variable`.
-    fn property(&self, variable: &str, key: &str) -> Option<PropertyValue>;
+    /// Property `key` of the element bound to `variable`: borrowed where
+    /// the bindings hold the value, decoded where they hold its bytes.
+    fn property(&self, variable: &str, key: &str) -> Option<Cow<'_, PropertyValue>>;
     /// Label of the element bound to `variable`.
     fn label(&self, variable: &str) -> Option<Label>;
     /// Identity of the element bound to `variable` (for `a = b` on
@@ -52,9 +56,9 @@ pub struct SingleElement<'a> {
 }
 
 impl Bindings for SingleElement<'_> {
-    fn property(&self, variable: &str, key: &str) -> Option<PropertyValue> {
+    fn property(&self, variable: &str, key: &str) -> Option<Cow<'_, PropertyValue>> {
         (variable == self.variable)
-            .then(|| self.properties.get(key).cloned())
+            .then(|| self.properties.get(key).map(Cow::Borrowed))
             .flatten()
     }
 
@@ -67,13 +71,28 @@ impl Bindings for SingleElement<'_> {
     }
 }
 
-fn resolve(operand: &Operand, bindings: &impl Bindings) -> Option<PropertyValue> {
+fn resolve<'a>(
+    operand: &'a Operand,
+    bindings: &'a impl Bindings,
+) -> Option<Cow<'a, PropertyValue>> {
     match operand {
-        Operand::Literal(literal) => Some(literal.to_property_value()),
+        Operand::Literal(literal) => Some(Cow::Owned(literal.to_property_value())),
         Operand::Property { variable, key } => bindings.property(variable, key),
         Operand::Variable(variable) => bindings
             .element_id(variable)
-            .map(|id| PropertyValue::Long(id as i64)),
+            .map(|id| Cow::Owned(PropertyValue::Long(id as i64))),
+    }
+}
+
+/// Whether `ordering` (of left against right) satisfies `op`.
+fn holds(op: CmpOp, ordering: Ordering) -> bool {
+    match op {
+        CmpOp::Eq => ordering == Ordering::Equal,
+        CmpOp::Neq => ordering != Ordering::Equal,
+        CmpOp::Lt => ordering == Ordering::Less,
+        CmpOp::Gt => ordering == Ordering::Greater,
+        CmpOp::Lte => ordering != Ordering::Greater,
+        CmpOp::Gte => ordering != Ordering::Less,
     }
 }
 
@@ -83,9 +102,9 @@ fn resolve(operand: &Operand, bindings: &impl Bindings) -> Option<PropertyValue>
 /// (cross-type `=` is false, cross-type `<>` is true) while the ordering
 /// operators are unknown when the values are incomparable.
 pub fn compare_values(
-    l: Option<PropertyValue>,
+    l: Option<&PropertyValue>,
     op: CmpOp,
-    r: Option<PropertyValue>,
+    r: Option<&PropertyValue>,
 ) -> Option<bool> {
     let (l, r) = (l?, r?);
     if l.is_null() || r.is_null() {
@@ -94,10 +113,57 @@ pub fn compare_values(
     match op {
         CmpOp::Eq => Some(l == r),
         CmpOp::Neq => Some(l != r),
-        CmpOp::Lt => Some(l.compare(&r)? == std::cmp::Ordering::Less),
-        CmpOp::Gt => Some(l.compare(&r)? == std::cmp::Ordering::Greater),
-        CmpOp::Lte => Some(l.compare(&r)? != std::cmp::Ordering::Greater),
-        CmpOp::Gte => Some(l.compare(&r)? != std::cmp::Ordering::Less),
+        _ => Some(holds(op, l.compare(r)?)),
+    }
+}
+
+/// `value op 'text'` with the string literal read where the query holds
+/// it, not converted per row: [`compare_values`] against
+/// `PropertyValue::String(text)`.
+fn compare_text(value: Option<&PropertyValue>, op: CmpOp, text: &str) -> Option<bool> {
+    match value? {
+        PropertyValue::Null => None,
+        PropertyValue::String(s) => Some(holds(op, s.as_str().cmp(text))),
+        // Cross-type: `=` is false, `<>` is true, ordering is unknown.
+        _ => match op {
+            CmpOp::Eq => Some(false),
+            CmpOp::Neq => Some(true),
+            _ => None,
+        },
+    }
+}
+
+/// The same comparison with its operands swapped: `a < b` is `b > a`.
+fn mirrored(op: CmpOp) -> CmpOp {
+    match op {
+        CmpOp::Lt => CmpOp::Gt,
+        CmpOp::Gt => CmpOp::Lt,
+        CmpOp::Lte => CmpOp::Gte,
+        CmpOp::Gte => CmpOp::Lte,
+        CmpOp::Eq | CmpOp::Neq => op,
+    }
+}
+
+/// Kleene comparison of two operands, reading property values in place
+/// and comparing a string literal without converting it.
+fn compare_operands(
+    left: &Operand,
+    op: CmpOp,
+    right: &Operand,
+    bindings: &impl Bindings,
+) -> Option<bool> {
+    match (left, right) {
+        (_, Operand::Literal(Literal::String(text))) => {
+            compare_text(resolve(left, bindings).as_deref(), op, text)
+        }
+        (Operand::Literal(Literal::String(text)), _) => {
+            compare_text(resolve(right, bindings).as_deref(), mirrored(op), text)
+        }
+        _ => compare_values(
+            resolve(left, bindings).as_deref(),
+            op,
+            resolve(right, bindings).as_deref(),
+        ),
     }
 }
 
@@ -126,9 +192,7 @@ pub fn eval_atom(atom: &Atom, bindings: &impl Bindings) -> Option<bool> {
             let has = labels.iter().any(|l| label == l.as_str());
             Some(has != *negated)
         }
-        Atom::Comparison { left, op, right } => {
-            compare_values(resolve(left, bindings), *op, resolve(right, bindings))
-        }
+        Atom::Comparison { left, op, right } => compare_operands(left, *op, right, bindings),
     }
 }
 
@@ -175,7 +239,7 @@ fn eval_value(expr: &Expression, bindings: &impl Bindings) -> PropertyValue {
         Expression::Literal(literal) => literal.to_property_value(),
         Expression::Property { variable, key } => bindings
             .property(variable, key)
-            .unwrap_or(PropertyValue::Null),
+            .map_or(PropertyValue::Null, Cow::into_owned),
         Expression::Variable(variable) => bindings
             .element_id(variable)
             .map(|id| PropertyValue::Long(id as i64))
@@ -204,18 +268,18 @@ pub fn eval_expression(expr: &Expression, bindings: &impl Bindings) -> Option<bo
         // Kleene NOT: unknown stays unknown.
         Expression::Not(inner) => eval_expression(inner, bindings).map(|v| !v),
         Expression::Comparison { left, op, right } => compare_values(
-            Some(eval_value(left, bindings)),
+            Some(&eval_value(left, bindings)),
             *op,
-            Some(eval_value(right, bindings)),
+            Some(&eval_value(right, bindings)),
         ),
         Expression::IsNull { operand, negated } => {
             Some(eval_value(operand, bindings).is_null() != *negated)
         }
         // A bare value in boolean position: `x = TRUE`, mirroring to_nnf.
         other => compare_values(
-            Some(eval_value(other, bindings)),
+            Some(&eval_value(other, bindings)),
             CmpOp::Eq,
-            Some(PropertyValue::Boolean(true)),
+            Some(&PropertyValue::Boolean(true)),
         ),
     }
 }

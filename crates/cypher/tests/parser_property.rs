@@ -13,6 +13,7 @@ use gradoop_cypher::predicates::eval::{eval_predicate, Bindings};
 use gradoop_cypher::{parse, parse_pipeline, CmpOp, Expression, Literal};
 use gradoop_epgm::{Label, PropertyValue};
 use proptest::prelude::*;
+use std::borrow::Cow;
 
 // --- AST generation ----------------------------------------------------------
 
@@ -219,10 +220,10 @@ struct TotalBindings {
 }
 
 impl Bindings for TotalBindings {
-    fn property(&self, variable: &str, key: &str) -> Option<PropertyValue> {
+    fn property(&self, variable: &str, key: &str) -> Option<Cow<'_, PropertyValue>> {
         match (variable, key) {
-            ("a", "p") => Some(PropertyValue::Long(self.a_p)),
-            ("b", "p") => Some(PropertyValue::Long(self.b_p)),
+            ("a", "p") => Some(Cow::Owned(PropertyValue::Long(self.a_p))),
+            ("b", "p") => Some(Cow::Owned(PropertyValue::Long(self.b_p))),
             _ => None,
         }
     }
@@ -287,8 +288,8 @@ fn eval_direct(expr: &Expression, bindings: &TotalBindings) -> bool {
                 match e {
                     Expression::Literal(Literal::Integer(v)) => *v,
                     Expression::Property { variable, key } => {
-                        match bindings.property(variable, key) {
-                            Some(PropertyValue::Long(v)) => v,
+                        match bindings.property(variable, key).as_deref() {
+                            Some(PropertyValue::Long(v)) => *v,
                             other => panic!("unexpected {other:?}"),
                         }
                     }

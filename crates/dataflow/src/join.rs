@@ -31,7 +31,8 @@
 //! The build side of every local hash join — here and in the outer, semi
 //! and anti joins of `outer_join.rs` — is a `ChainedTable`: two flat
 //! allocations per table however many distinct keys there are, so a join
-//! allocates per *output* row only.
+//! allocates nothing per shipped row or per key; what an output row costs
+//! is up to the join function that writes it.
 
 use std::collections::HashMap;
 use std::hash::Hash;

@@ -57,8 +57,8 @@ pub use gradoop_ldbc as ldbc;
 pub mod prelude {
     pub use gradoop_core::{
         reference_match, CypherEngine, CypherError, CypherOperator, Embedding, EmbeddingMetaData,
-        Entry, EntryType, GraphSource, MatchingConfig, MorphismType, QueryPlan, QueryResult,
-        TableResult, Value,
+        EmbeddingRead, Entry, EntryType, GraphSource, MatchingConfig, MorphismType, QueryPlan,
+        QueryResult, TableResult, Value,
     };
     pub use gradoop_cypher::{parse, Literal, QueryGraph};
     pub use gradoop_dataflow::{
