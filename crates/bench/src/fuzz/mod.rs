@@ -40,7 +40,7 @@ pub use gen::{
     GraphSpec, LitSpec, NodePat, QuerySpec, Rng, TailSpec, Term, VertexSpec,
 };
 pub use runner::{
-    engine_rows, pipeline_engine_rows, random_case, reference_rows, run_case, still_fails,
+    engine_rows, pipeline_engine_rows, random_case, reference_rows, run_case, still_fails, Answer,
     Canonical, CaseOutcome, CaseSpec, EngineConfig, Mismatch, MORPHISMS,
 };
 pub use shrink::shrink;
@@ -351,8 +351,17 @@ fn json_string_list(items: &[String]) -> String {
     format!("[{}]", quoted.join(", "))
 }
 
-fn canonical_rows_json(rows: &[Canonical]) -> String {
-    let rendered: Vec<String> = rows.iter().map(|row| format!("{row:?}")).collect();
+fn answer_json(answer: &Answer) -> String {
+    let rendered: Vec<String> = match answer {
+        Answer::Matches(rows) => rows.iter().map(|row| format!("{row:?}")).collect(),
+        Answer::Table {
+            columns,
+            ordered,
+            rows,
+        } => std::iter::once(format!("columns {columns:?}, ordered {ordered}"))
+            .chain(rows.iter().map(|row| format!("{:?}", row.0)))
+            .collect(),
+    };
     json_string_list(&rendered)
 }
 
@@ -387,7 +396,7 @@ pub fn archive_repro(
         })
         .collect();
     let engine_rows = match &mismatch.engine {
-        Ok(rows) => canonical_rows_json(rows),
+        Ok(answer) => answer_json(answer),
         Err(error) => format!("\"error: {}\"", json_escape(error)),
     };
     let body = format!(
@@ -403,7 +412,7 @@ pub fn archive_repro(
         json_string_list(&vertices),
         json_string_list(&edges),
         engine_rows,
-        canonical_rows_json(&mismatch.reference),
+        answer_json(&mismatch.reference),
     );
     std::fs::write(&path, body).ok()?;
     eprintln!("conformance repro archived at {}", path.display());

@@ -5,8 +5,8 @@
 use std::collections::{BTreeMap, HashMap};
 
 use gradoop_core::{
-    canonical_row, reference_match, reference_pipeline, CypherEngine, EmbeddingRead, Entry,
-    MatchingConfig, MorphismType, PlanMode, QueryResult, Row,
+    reference_match, reference_pipeline, CypherEngine, EmbeddingRead, Entry, MatchingConfig,
+    MorphismType, PlanMode, QueryResult, RowKey, TableResult,
 };
 use gradoop_cypher::ast::Pipeline;
 use gradoop_cypher::{parse, parse_pipeline, QueryGraph};
@@ -18,6 +18,25 @@ use crate::harness::uniform_statistics;
 
 /// Canonical form of one match: variable → printable entry, order-free.
 pub type Canonical = BTreeMap<String, String>;
+
+/// One side's answer to a case, as the runner compares it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Answer {
+    /// A plain case's matches, sorted.
+    Matches(Vec<Canonical>),
+    /// A pipeline case's table. Rows compare under [`RowKey`] equality, the
+    /// one both executors group and deduplicate by, so the two may pick
+    /// different but equivalent representatives (`2` and `2.0`); an
+    /// unordered table's rows are sorted by that key's order.
+    Table {
+        /// The column names.
+        columns: Vec<String>,
+        /// Whether row order is part of the answer.
+        ordered: bool,
+        /// The rows.
+        rows: Vec<RowKey>,
+    },
+}
 
 /// One point of the engine configuration matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,10 +133,10 @@ pub struct Mismatch {
     pub config: EngineConfig,
     /// The query text that diverged.
     pub query_text: String,
-    /// Engine rows (or the classified error it returned).
-    pub engine: Result<Vec<Canonical>, String>,
-    /// Reference rows.
-    pub reference: Vec<Canonical>,
+    /// The engine's answer (or the classified error it returned).
+    pub engine: Result<Answer, String>,
+    /// The reference's answer.
+    pub reference: Answer,
 }
 
 /// Outcome of running one case through the full matrix.
@@ -201,13 +220,13 @@ fn engine_for(case: &CaseSpec, config: &EngineConfig) -> (LogicalGraph, CypherEn
     (graph, engine)
 }
 
-/// Runs `case` under one engine configuration and returns its canonical
-/// rows (or the error the engine classified).
+/// Runs `case` under one engine configuration and returns its sorted
+/// canonical matches (or the error the engine classified).
 pub fn engine_rows(
     case: &CaseSpec,
     query_text: &str,
     config: &EngineConfig,
-) -> Result<Vec<Canonical>, String> {
+) -> Result<Answer, String> {
     let (graph, engine) = engine_for(case, config);
     let result = if case.indexed {
         engine.execute(
@@ -220,64 +239,41 @@ pub fn engine_rows(
         engine.execute(&graph, query_text, &HashMap::new(), case.matching)
     };
     match result {
-        Ok(result) => canonicalize(&result),
+        Ok(result) => canonicalize(&result).map(Answer::Matches),
         Err(error) => Err(error.to_string()),
     }
 }
 
-/// Canonical form of a pipeline table: a header entry recording the column
-/// list and orderedness, then one entry per result row — position-keyed
-/// when row order is part of the result, sorted otherwise. Reusing the
-/// simple-path `Canonical` row shape keeps `Mismatch` and the JSON archive
-/// format uniform across both comparison routes.
-fn canonical_table(columns: &[String], rows: &[Row], ordered: bool) -> Vec<Canonical> {
-    let mut out = Vec::new();
-    let mut header = Canonical::new();
-    header.insert("#columns".to_string(), columns.join(","));
-    header.insert("#ordered".to_string(), ordered.to_string());
-    out.push(header);
-    let mut rendered: Vec<String> = rows.iter().map(|row| canonical_row(row)).collect();
-    if ordered {
-        for (position, row) in rendered.into_iter().enumerate() {
-            let mut entry = Canonical::new();
-            entry.insert("#pos".to_string(), format!("{position:06}"));
-            entry.insert("row".to_string(), row);
-            out.push(entry);
-        }
-    } else {
-        rendered.sort();
-        for row in rendered {
-            let mut entry = Canonical::new();
-            entry.insert("row".to_string(), row);
-            out.push(entry);
-        }
+/// A pipeline table as the runner compares it.
+fn table_answer(table: TableResult) -> Answer {
+    let mut rows: Vec<RowKey> = table.rows.into_iter().map(RowKey).collect();
+    if !table.ordered {
+        rows.sort();
     }
-    out
+    Answer::Table {
+        columns: table.columns,
+        ordered: table.ordered,
+        rows,
+    }
 }
 
-/// Reference (ground-truth) table for a pipeline case, canonicalized, plus
-/// its row count. `Err` carries the reference's rejection message.
-fn pipeline_reference(
-    case: &CaseSpec,
-    pipeline: &Pipeline,
-) -> Result<(Vec<Canonical>, usize), String> {
+/// Reference (ground-truth) table for a pipeline case, plus its row count.
+/// `Err` carries the reference's rejection message.
+fn pipeline_reference(case: &CaseSpec, pipeline: &Pipeline) -> Result<(Answer, usize), String> {
     let env = free_env(case.workers);
     let graph = case.graph.build(&env);
     let table = reference_pipeline(&graph, pipeline, &case.matching)?;
     let matches = table.rows.len();
-    Ok((
-        canonical_table(&table.columns, &table.rows, table.ordered),
-        matches,
-    ))
+    Ok((table_answer(table), matches))
 }
 
 /// Runs a pipeline case (one with a tail) under one engine configuration
-/// through `CypherEngine::run`, canonicalized.
+/// through `CypherEngine::run`.
 pub fn pipeline_engine_rows(
     case: &CaseSpec,
     query_text: &str,
     config: &EngineConfig,
-) -> Result<Vec<Canonical>, String> {
+) -> Result<Answer, String> {
     let (graph, engine) = engine_for(case, config);
     let result = if case.indexed {
         engine.run(
@@ -290,7 +286,7 @@ pub fn pipeline_engine_rows(
         engine.run(&graph, query_text, &HashMap::new(), case.matching)
     };
     match result {
-        Ok(table) => Ok(canonical_table(&table.columns, &table.rows, table.ordered)),
+        Ok(table) => Ok(table_answer(table)),
         Err(error) => Err(error.to_string()),
     }
 }
@@ -304,9 +300,9 @@ pub fn pipeline_engine_rows(
 fn sweep(
     case: &CaseSpec,
     query_text: String,
-    reference: Vec<Canonical>,
+    reference: Answer,
     reference_matches: usize,
-    engine: fn(&CaseSpec, &str, &EngineConfig) -> Result<Vec<Canonical>, String>,
+    engine: fn(&CaseSpec, &str, &EngineConfig) -> Result<Answer, String>,
 ) -> CaseOutcome {
     let modes: &[PlanMode] = if case.query.is_cyclic() {
         &[
@@ -370,7 +366,13 @@ pub fn run_case(case: &CaseSpec) -> CaseOutcome {
     };
     let reference = reference_rows(case, &query);
     let matches = reference.len();
-    sweep(case, query_text, reference, matches, engine_rows)
+    sweep(
+        case,
+        query_text,
+        Answer::Matches(reference),
+        matches,
+        engine_rows,
+    )
 }
 
 /// Re-checks whether `case` still diverges under `config` (the shrinker's
@@ -392,7 +394,7 @@ pub fn still_fails(case: &CaseSpec, config: &EngineConfig) -> Option<Mismatch> {
         return None;
     }
     let query = QueryGraph::from_query(&parse(&query_text).ok()?).ok()?;
-    let reference = reference_rows(case, &query);
+    let reference = Answer::Matches(reference_rows(case, &query));
     let engine = engine_rows(case, &query_text, config);
     if engine.as_ref().ok() != Some(&reference) {
         Some(Mismatch {

@@ -77,6 +77,6 @@ pub use reference::{reference_match, reference_pipeline, ReferenceMatch};
 pub use result::{QueryResult, ReturnColumns, TableResult};
 pub use source::GraphSource;
 pub use values::{
-    canonical_row, canonical_string, cmp_rows, cmp_values, compare_rows_by_keys, fold_aggregate,
-    property_to_value, value_to_property, Row, RowScope, Value,
+    cmp_rows, cmp_values, compare_rows_by_keys, fold_aggregate, value_to_property, Row, RowKey,
+    RowScope, Value,
 };

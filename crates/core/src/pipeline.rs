@@ -10,8 +10,8 @@
 //!   ([`MatchStage::as_query`]), through the plan cache like any other
 //!   `MATCH` — and executed by the classic plan walker under its **own**
 //!   morphism-uniqueness scope (openCypher's per-`MATCH` uniqueness), then
-//!   hash-joined onto the working table on the canonical string key of the
-//!   shared variables. The walker's operator subtree becomes one child of
+//!   hash-joined onto the working table on the [`RowKey`] of the shared
+//!   variables. The walker's operator subtree becomes one child of
 //!   the pipeline's PROFILE; every other dataflow stage stays a flat leaf;
 //! * `OPTIONAL MATCH` lowers onto
 //!   [`join_left_outer_filtered`](gradoop_dataflow::Dataset::join_left_outer_filtered):
@@ -21,12 +21,12 @@
 //!   log can show them;
 //! * `WITH`/`RETURN` apply projection → aggregation
 //!   ([`group_reduce`](gradoop_dataflow::Dataset::group_reduce) keyed on
-//!   the canonical grouping row) → `DISTINCT` → `ORDER BY` →
+//!   the [`RowKey`] of the grouping values) → `DISTINCT` → `ORDER BY` →
 //!   `SKIP`/`LIMIT` → trailing `WHERE`. A `LIMIT`-bearing sort runs as
 //!   per-partition top-k ([`ordered_top_k`](gradoop_dataflow::Dataset::ordered_top_k));
 //!   without a limit the full sort is used, and `SKIP`/`LIMIT` without
-//!   `ORDER BY` first sorts by the canonical full-row order so the cut is
-//!   deterministic;
+//!   `ORDER BY` first sorts by the full-row [`cmp_rows`] order so the cut
+//!   is deterministic;
 //! * `UNWIND` is a flat-map: `NULL` produces no rows, a list one row per
 //!   element, a scalar a single row.
 //!
@@ -59,8 +59,7 @@ use crate::planner::{PlanError, QueryPlan};
 use crate::result::TableResult;
 use crate::source::GraphSource;
 use crate::values::{
-    agg_arg_value, canonical_row, canonical_string, cmp_rows, compare_rows_by_keys, fold_aggregate,
-    Row, RowScope, Value,
+    agg_arg_value, cmp_rows, compare_rows_by_keys, fold_aggregate, Row, RowKey, RowScope, Value,
 };
 
 // --- open-range probe --------------------------------------------------------
@@ -291,25 +290,11 @@ fn apply_match(
         None => None,
     };
 
-    // NULL never joins: `canonical_string(Null)` can only meet an
-    // element-valued right side, so a NULL-bound shared variable finds no
-    // partner — the row drops (inner) or re-pads (optional).
-    let left_shared = shared.clone();
-    let left_key = move |row: &Row| -> String {
-        left_shared
-            .iter()
-            .map(|&(li, _)| canonical_string(&row[li]))
-            .collect::<Vec<_>>()
-            .join("|")
-    };
-    let right_shared = shared.clone();
-    let right_key = move |row: &Row| -> String {
-        right_shared
-            .iter()
-            .map(|&(_, mi)| canonical_string(&row[mi]))
-            .collect::<Vec<_>>()
-            .join("|")
-    };
+    // NULL never joins: the right side binds elements only, so a NULL-bound
+    // shared variable finds no partner — the row drops (inner) or re-pads
+    // (optional).
+    let left_key = |row: &Row| RowKey(shared.iter().map(|&(li, _)| row[li].clone()).collect());
+    let right_key = |row: &Row| RowKey(shared.iter().map(|&(_, mi)| row[mi].clone()).collect());
     let combine = |left: &Row, right: &Row| -> Row {
         let mut combined = left.clone();
         combined.extend(new_columns.iter().map(|&mi| right[mi].clone()));
@@ -461,9 +446,9 @@ fn apply_projection(
     let in_columns = columns.clone();
 
     let mut result: Dataset<Row> = if has_aggregate {
-        // Group by the non-aggregate items on the canonical key row; each
-        // group folds its members in canonical row order (so `collect`
-        // agrees with the reference interpreter).
+        // Group by the key of the non-aggregate items; each group folds its
+        // members in `cmp_rows` order (so `collect` agrees with the
+        // reference interpreter).
         let key_values = |row: &Row| -> Vec<Value> {
             let scope = RowScope {
                 columns: &in_columns,
@@ -477,7 +462,7 @@ fn apply_projection(
                 .collect()
         };
         let grouped = data.group_reduce(
-            |row| canonical_row(&key_values(row)),
+            |row| RowKey(key_values(row)),
             |_key, members| {
                 let mut members: Vec<Row> = members.to_vec();
                 members.sort_by(|a, b| cmp_rows(a, b));
@@ -538,7 +523,7 @@ fn apply_projection(
 
     if projection.distinct {
         result = result.group_reduce(
-            |row| canonical_row(row),
+            |row| RowKey(row.clone()),
             |_key, members| {
                 members
                     .iter()
@@ -550,7 +535,7 @@ fn apply_projection(
     }
     if !projection.order_by.is_empty() || projection.skip.is_some() || projection.limit.is_some() {
         // With no explicit sort keys `compare_rows_by_keys` falls through
-        // to the canonical full-row order, making a bare SKIP/LIMIT cut
+        // to the full-row `cmp_rows` order, making a bare SKIP/LIMIT cut
         // deterministic. A LIMIT runs as per-partition top-k + merge; only
         // an unbounded sort pays for the full order.
         let cmp = |a: &Row, b: &Row| {

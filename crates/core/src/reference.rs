@@ -20,7 +20,7 @@
 //! Cypher would filter shows up as a divergence from this matcher.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use gradoop_cypher::ast::{
     MatchStage, Pipeline, Projection, ProjectionExpr, ProjectionItem, Stage, UnwindSource,
@@ -36,8 +36,7 @@ use crate::embedding::Entry;
 use crate::matching::{MatchingConfig, MorphismType};
 use crate::result::TableResult;
 use crate::values::{
-    agg_arg_value, canonical_row, canonical_string, cmp_rows, compare_rows_by_keys, fold_aggregate,
-    Row, RowScope, Value,
+    agg_arg_value, cmp_rows, compare_rows_by_keys, fold_aggregate, Row, RowKey, RowScope, Value,
 };
 
 /// One match found by the reference matcher: variable → entry.
@@ -470,8 +469,9 @@ impl Bindings for ReferenceBindings<'_> {
 ///   partner: the row is dropped (or re-padded when optional);
 /// * `WITH` / `RETURN` apply projection → aggregation → `DISTINCT` →
 ///   `ORDER BY` → `SKIP`/`LIMIT` → trailing `WHERE`, in that order;
-/// * `SKIP`/`LIMIT` without `ORDER BY` cut after the canonical full-row
-///   sort, so the selection is deterministic and engine-reproducible.
+/// * `SKIP`/`LIMIT` without `ORDER BY` cut after the full-row
+///   [`cmp_rows`] sort, so the selection is deterministic and
+///   engine-reproducible.
 ///
 /// The answer is the engine's own [`TableResult`], so the two compare
 /// directly.
@@ -544,14 +544,6 @@ fn match_stage_table(
     Ok((columns, rows))
 }
 
-/// Join equality for shared variables: canonical equality with NULL joining
-/// nothing — exactly the engine's canonical-key hash join.
-fn join_equal(a: &Value, b: &Value) -> bool {
-    !matches!(a, Value::Null)
-        && !matches!(b, Value::Null)
-        && canonical_string(a) == canonical_string(b)
-}
-
 fn apply_match(
     graph: &LogicalGraph,
     index: &ElementIndex,
@@ -572,14 +564,19 @@ fn apply_match(
         .collect();
     let mut out_columns = columns.clone();
     out_columns.extend(new_columns.iter().map(|&mi| match_columns[mi].clone()));
+    // Shared variables join on their `RowKey`, and NULL joins nothing:
+    // the engine's hash join, pair by pair.
+    let match_keys: Vec<RowKey> = match_rows
+        .iter()
+        .map(|m| RowKey(shared.iter().map(|&(_, mi)| m[mi].clone()).collect()))
+        .collect();
     let mut out: Vec<Row> = Vec::new();
     for row in rows.iter() {
+        let key = RowKey(shared.iter().map(|&(li, _)| row[li].clone()).collect());
+        let joins = !key.0.contains(&Value::Null);
         let mut matched = false;
-        for match_row in &match_rows {
-            if !shared
-                .iter()
-                .all(|&(li, mi)| join_equal(&row[li], &match_row[mi]))
-            {
+        for (match_row, match_key) in match_rows.iter().zip(&match_keys) {
+            if !joins || key != *match_key {
                 continue;
             }
             let mut combined = row.clone();
@@ -687,27 +684,28 @@ fn apply_projection(
         .any(|i| matches!(i.expr, ProjectionExpr::Aggregate(_)));
 
     let mut out_rows: Vec<Row> = if has_aggregate {
-        // Group by the non-aggregate items; each group folds its members in
-        // canonical row order (so `collect` agrees with the engine).
-        let mut order: Vec<String> = Vec::new();
-        let mut groups: HashMap<String, (Vec<Value>, Vec<Row>)> = HashMap::new();
+        // Group by the key of the non-aggregate items; each group folds its
+        // members in `cmp_rows` order (so `collect` agrees with the engine).
+        let mut groups: Vec<(RowKey, Vec<Row>)> = Vec::new();
+        let mut index_of: HashMap<RowKey, usize> = HashMap::new();
         for row in rows.iter() {
             let scope = RowScope {
                 columns,
                 row,
                 index,
             };
-            let key_values: Vec<Value> = items
-                .iter()
-                .filter(|i| !matches!(i.expr, ProjectionExpr::Aggregate(_)))
-                .map(|i| eval_projection_item(&i.expr, &scope))
-                .collect();
-            let key = canonical_row(&key_values);
-            let group = groups.entry(key.clone()).or_insert_with(|| {
-                order.push(key);
-                (key_values, Vec::new())
+            let key = RowKey(
+                items
+                    .iter()
+                    .filter(|i| !matches!(i.expr, ProjectionExpr::Aggregate(_)))
+                    .map(|i| eval_projection_item(&i.expr, &scope))
+                    .collect(),
+            );
+            let at = *index_of.entry(key.clone()).or_insert_with(|| {
+                groups.push((key, Vec::new()));
+                groups.len() - 1
             });
-            group.1.push(row.clone());
+            groups[at].1.push(row.clone());
         }
         if groups.is_empty()
             && items
@@ -715,16 +713,13 @@ fn apply_projection(
                 .all(|i| matches!(i.expr, ProjectionExpr::Aggregate(_)))
         {
             // A global aggregate over no rows still emits one row.
-            order.push(String::new());
-            groups.insert(String::new(), (Vec::new(), Vec::new()));
+            groups.push((RowKey(Vec::new()), Vec::new()));
         }
-        order
-            .iter()
-            .map(|key| {
-                let (key_values, members) = &groups[key];
-                let mut members = members.clone();
+        groups
+            .into_iter()
+            .map(|(key, mut members)| {
                 members.sort_by(|a, b| cmp_rows(a, b));
-                let mut key_iter = key_values.iter();
+                let mut key_iter = key.0.into_iter();
                 items
                     .iter()
                     .map(|item| match &item.expr {
@@ -742,7 +737,7 @@ fn apply_projection(
                                 .collect();
                             fold_aggregate(call.func, call.distinct, &args)
                         }
-                        _ => key_iter.next().expect("grouping key").clone(),
+                        _ => key_iter.next().expect("grouping key"),
                     })
                     .collect()
             })
@@ -764,8 +759,8 @@ fn apply_projection(
     };
 
     if projection.distinct {
-        let mut seen = std::collections::HashSet::new();
-        out_rows.retain(|row| seen.insert(canonical_row(row)));
+        let mut seen = HashSet::new();
+        out_rows.retain(|row| seen.insert(RowKey(row.clone())));
     }
     if !projection.order_by.is_empty() || projection.skip.is_some() || projection.limit.is_some() {
         out_rows

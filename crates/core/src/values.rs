@@ -5,8 +5,8 @@
 //! `Vec<Value>` under a schema of column names. This module defines that
 //! value domain plus every row-level primitive the two executors share —
 //! expression evaluation ([`RowScope`]), the total order used by `ORDER BY`
-//! ([`cmp_values`]), the injective rendering used for grouping and
-//! `DISTINCT` ([`canonical_string`]), and the aggregate folds
+//! ([`cmp_values`]), the key that joins, groups and deduplicates rows under
+//! that order's equivalence ([`RowKey`]), and the aggregate folds
 //! ([`fold_aggregate`]).
 //!
 //! The reference interpreter ([`crate::reference::reference_pipeline`]) and
@@ -22,11 +22,13 @@
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
+use std::collections::HashSet;
+use std::hash::{Hash, Hasher};
 
 use gradoop_cypher::ast::{AggArg, AggFunc, SortKey, SortRef};
-use gradoop_cypher::predicates::eval::{compare_values, eval_expression, Bindings};
-use gradoop_cypher::{CmpOp, Expression};
+use gradoop_cypher::predicates::eval::Bindings;
 use gradoop_dataflow::Data;
+use gradoop_epgm::properties::cmp_i64_f64;
 use gradoop_epgm::{ElementIndex, Label, Properties, PropertyValue};
 
 /// A value bound to one column of a pipeline row.
@@ -91,11 +93,6 @@ impl From<PropertyValue> for Value {
     }
 }
 
-/// [`Value::from`] for a borrowed property value.
-pub fn property_to_value(value: &PropertyValue) -> Value {
-    Value::from(value.clone())
-}
-
 /// Projects a row value back into the property domain for predicate
 /// evaluation. Elements become their id as a `Long` (matching the classic
 /// evaluator's identity comparisons); paths have no property-domain
@@ -110,19 +107,6 @@ pub fn value_to_property(value: &Value) -> PropertyValue {
         Value::Vertex(id) | Value::Edge(id) => PropertyValue::Long(*id as i64),
         Value::Path(_) => PropertyValue::Null,
         Value::List(items) => PropertyValue::List(items.iter().map(value_to_property).collect()),
-    }
-}
-
-/// A float that denotes an integer collapses to that integer (`2.0` → `2`),
-/// so equality, grouping keys and the canonical rendering agree with
-/// numeric comparison. `NaN` and non-integral floats stay floats.
-fn canon(value: &Value) -> Value {
-    match value {
-        Value::Float(f) if f.fract() == 0.0 && *f >= i64::MIN as f64 && *f <= i64::MAX as f64 => {
-            Value::Int(*f as i64)
-        }
-        Value::List(items) => Value::List(items.iter().map(canon).collect()),
-        other => other.clone(),
     }
 }
 
@@ -156,10 +140,12 @@ fn cmp_f64(a: f64, b: f64) -> Ordering {
 }
 
 /// Total, deterministic order over the whole value domain: used by
-/// `ORDER BY`, min/max aggregates and the canonical row tiebreak. Values of
-/// different types order by type rank (booleans < numbers < strings <
-/// vertices < edges < paths < lists < NULL); numbers compare numerically
-/// across `Int`/`Float`.
+/// `ORDER BY`, min/max aggregates and the full-row tiebreak, and the
+/// equivalence every [`RowKey`] keys on. Values of different types order by
+/// type rank (booleans < numbers < strings < vertices < edges < paths <
+/// lists < NULL); numbers compare exactly by value across `Int`/`Float`
+/// (through [`cmp_i64_f64`], as [`PropertyValue`] compares them), with NaN
+/// above every other number.
 pub fn cmp_values(a: &Value, b: &Value) -> Ordering {
     let (ra, rb) = (type_rank(a), type_rank(b));
     if ra != rb {
@@ -168,8 +154,10 @@ pub fn cmp_values(a: &Value, b: &Value) -> Ordering {
     match (a, b) {
         (Value::Bool(x), Value::Bool(y)) => x.cmp(y),
         (Value::Int(x), Value::Int(y)) => x.cmp(y),
-        (Value::Int(x), Value::Float(y)) => cmp_f64(*x as f64, *y),
-        (Value::Float(x), Value::Int(y)) => cmp_f64(*x, *y as f64),
+        (Value::Int(x), Value::Float(y)) => cmp_i64_f64(*x, *y).unwrap_or(Ordering::Less),
+        (Value::Float(x), Value::Int(y)) => {
+            cmp_i64_f64(*y, *x).map_or(Ordering::Greater, Ordering::reverse)
+        }
         (Value::Float(x), Value::Float(y)) => cmp_f64(*x, *y),
         (Value::Str(x), Value::Str(y)) => x.cmp(y),
         (Value::Vertex(x), Value::Vertex(y)) | (Value::Edge(x), Value::Edge(y)) => x.cmp(y),
@@ -200,76 +188,73 @@ pub fn cmp_rows(a: &[Value], b: &[Value]) -> Ordering {
     a.len().cmp(&b.len())
 }
 
-/// Injective rendering of a value, stable across runs: the grouping /
-/// `DISTINCT` key and the conformance harness's row encoding. Two values
-/// render equal iff [`cmp_values`] says `Equal` (floats collapse via
-/// [`canon`]; string content is length-prefixed so list renderings stay
-/// unambiguous).
-pub fn canonical_string(value: &Value) -> String {
-    fn render(value: &Value, out: &mut String) {
-        match value {
-            Value::Null => out.push('0'),
-            Value::Bool(b) => out.push_str(if *b { "b:1" } else { "b:0" }),
-            Value::Int(i) => {
-                out.push_str("i:");
-                out.push_str(&i.to_string());
-            }
-            Value::Float(f) => {
-                out.push_str("f:");
-                out.push_str(&format!("{f:?}"));
-            }
-            Value::Str(s) => {
-                out.push_str("s:");
-                out.push_str(&s.len().to_string());
-                out.push(':');
-                out.push_str(s);
-            }
-            Value::Vertex(id) => {
-                out.push_str("v:");
-                out.push_str(&id.to_string());
-            }
-            Value::Edge(id) => {
-                out.push_str("e:");
-                out.push_str(&id.to_string());
-            }
-            Value::Path(via) => {
-                out.push_str("p:[");
-                for (i, id) in via.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&id.to_string());
-                }
-                out.push(']');
-            }
-            Value::List(items) => {
-                out.push_str("l:[");
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    render(item, out);
-                }
-                out.push(']');
-            }
-        }
+/// A row as a hash key: what clause-table joins, grouping and `DISTINCT`
+/// key on. Two keys are equal exactly when [`cmp_rows`] says `Equal`
+/// (`Int(2)` meets `Float(2.0)`, NULL meets NULL, every NaN is one value),
+/// and they order by [`cmp_rows`], so the one order defines both.
+#[derive(Debug, Clone)]
+pub struct RowKey(pub Row);
+
+impl PartialEq for RowKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
     }
-    let mut out = String::new();
-    render(&canon(value), &mut out);
-    out
 }
 
-/// Canonical rendering of a whole row (`|`-joined canonical values — still
-/// injective thanks to the length prefixes).
-pub fn canonical_row(row: &[Value]) -> String {
-    let mut out = String::new();
-    for (i, value) in row.iter().enumerate() {
-        if i > 0 {
-            out.push('|');
-        }
-        out.push_str(&canonical_string(value));
+impl Eq for RowKey {}
+
+impl PartialOrd for RowKey {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
-    out
+}
+
+impl Ord for RowKey {
+    fn cmp(&self, other: &Self) -> Ordering {
+        cmp_rows(&self.0, &other.0)
+    }
+}
+
+/// Equal keys hash equally: a number hashes through its `f64` image, as
+/// [`PropertyValue`]'s `Hash` does (an `Int` equal to a `Float` is exactly
+/// that float), with `-0.0` as `0` and every NaN as one value.
+impl Hash for RowKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        fn number<H: Hasher>(x: f64, state: &mut H) {
+            let x = if x.is_nan() {
+                f64::NAN
+            } else if x == 0.0 {
+                0.0
+            } else {
+                x
+            };
+            state.write_u64(x.to_bits());
+        }
+        fn hash_value<H: Hasher>(value: &Value, state: &mut H) {
+            state.write_u8(type_rank(value));
+            match value {
+                Value::Null => {}
+                Value::Bool(b) => b.hash(state),
+                Value::Int(i) => number(*i as f64, state),
+                Value::Float(f) => number(*f, state),
+                Value::Str(s) => s.hash(state),
+                Value::Vertex(id) | Value::Edge(id) => id.hash(state),
+                Value::Path(via) => via.hash(state),
+                Value::List(items) => {
+                    state.write_usize(items.len());
+                    items.iter().for_each(|item| hash_value(item, state));
+                }
+            }
+        }
+        state.write_usize(self.0.len());
+        self.0.iter().for_each(|item| hash_value(item, state));
+    }
+}
+
+impl Data for RowKey {
+    fn byte_size(&self) -> usize {
+        self.0.byte_size()
+    }
 }
 
 // --- row-scoped evaluation ---------------------------------------------------
@@ -315,7 +300,7 @@ impl<'a> RowScope<'a> {
     /// non-elements, NULL-padded elements and absent keys.
     pub fn property_value(&self, variable: &str, key: &str) -> Value {
         self.stored_property(variable, key)
-            .map_or(Value::Null, property_to_value)
+            .map_or(Value::Null, |value| Value::from(value.clone()))
     }
 }
 
@@ -356,22 +341,6 @@ impl Bindings for RowScope<'_> {
     }
 }
 
-/// Kleene evaluation of a `WHERE` expression over a row — delegates to the
-/// shared ground-truth evaluator with row-scoped bindings.
-pub fn eval_row_expression(expr: &Expression, scope: &RowScope<'_>) -> Option<bool> {
-    eval_expression(expr, scope)
-}
-
-/// Row-domain equality under Cypher's comparison rules (`Some(true)` /
-/// `Some(false)` / unknown), via the shared [`compare_values`].
-pub fn values_equal(a: &Value, b: &Value) -> Option<bool> {
-    compare_values(
-        Some(&value_to_property(a)),
-        CmpOp::Eq,
-        Some(&value_to_property(b)),
-    )
-}
-
 // --- sorting -----------------------------------------------------------------
 
 /// Resolves one `ORDER BY` key against a row: a column by reference, a
@@ -387,9 +356,9 @@ fn sort_value<'a>(key: &SortRef, scope: &RowScope<'a>) -> Cow<'a, Value> {
 
 /// The total `ORDER BY` comparator: explicit sort keys first (descending
 /// keys reversed, which also flips NULL placement exactly as Cypher does),
-/// then the canonical full-row order as tiebreak so `SKIP`/`LIMIT` cut
+/// then the full-row [`cmp_rows`] order as tiebreak so `SKIP`/`LIMIT` cut
 /// deterministically even across tied keys. With no keys this is the plain
-/// canonical row order (used for `SKIP`/`LIMIT` without `ORDER BY`).
+/// [`cmp_rows`] order (used for `SKIP`/`LIMIT` without `ORDER BY`).
 pub fn compare_rows_by_keys(
     keys: &[SortKey],
     columns: &[String],
@@ -439,18 +408,17 @@ pub fn agg_arg_value(arg: &Option<AggArg>, scope: &RowScope<'_>) -> Value {
 
 /// Folds one aggregate over the argument values of a group, in member
 /// order. NULLs are skipped (except that `count(*)` arguments are never
-/// NULL). `DISTINCT` dedups by canonical rendering, keeping first
-/// occurrences.
+/// NULL). `DISTINCT` keeps the first occurrence of each [`RowKey`].
 pub fn fold_aggregate(func: AggFunc, distinct: bool, values: &[Value]) -> Value {
     let non_null: Vec<&Value> = values
         .iter()
         .filter(|v| !matches!(v, Value::Null))
         .collect();
     let deduped: Vec<&Value> = if distinct {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = HashSet::new();
         non_null
             .into_iter()
-            .filter(|v| seen.insert(canonical_string(v)))
+            .filter(|v| seen.insert(RowKey(vec![(*v).clone()])))
             .collect()
     } else {
         non_null
@@ -519,61 +487,8 @@ pub fn fold_aggregate(func: AggFunc, distinct: bool, values: &[Value]) -> Value 
 mod tests {
     use super::*;
     use gradoop_cypher::ast::SortKey;
-
-    #[test]
-    fn canonical_string_collapses_numeric_types() {
-        assert_eq!(canonical_string(&Value::Int(2)), "i:2");
-        assert_eq!(canonical_string(&Value::Float(2.0)), "i:2");
-        assert_eq!(canonical_string(&Value::Float(2.5)), "f:2.5");
-        assert_ne!(
-            canonical_string(&Value::Vertex(5)),
-            canonical_string(&Value::Edge(5))
-        );
-        // Length prefixes keep list renderings unambiguous.
-        let a = Value::List(vec![Value::Str("a,b".into()), Value::Str("c".into())]);
-        let b = Value::List(vec![Value::Str("a".into()), Value::Str("b,c".into())]);
-        assert_ne!(canonical_string(&a), canonical_string(&b));
-    }
-
-    #[test]
-    fn cmp_values_is_total_and_matches_canonical_equality() {
-        let values = [
-            Value::Null,
-            Value::Bool(false),
-            Value::Bool(true),
-            Value::Int(-1),
-            Value::Int(2),
-            Value::Float(2.0),
-            Value::Float(2.5),
-            Value::Float(f64::NAN),
-            Value::Str("a".into()),
-            Value::Vertex(1),
-            Value::Edge(1),
-            Value::Path(vec![1, 2, 3]),
-            Value::List(vec![Value::Int(1)]),
-        ];
-        for a in &values {
-            for b in &values {
-                let ordering = cmp_values(a, b);
-                assert_eq!(ordering.reverse(), cmp_values(b, a), "{a:?} vs {b:?}");
-                assert_eq!(
-                    ordering == Ordering::Equal,
-                    canonical_string(a) == canonical_string(b),
-                    "{a:?} vs {b:?}"
-                );
-            }
-        }
-        // Numeric coercion: Int(2) == Float(2.0).
-        assert_eq!(
-            cmp_values(&Value::Int(2), &Value::Float(2.0)),
-            Ordering::Equal
-        );
-        // NULL sorts last.
-        assert_eq!(
-            cmp_values(&Value::Null, &Value::Str("z".into())),
-            Ordering::Greater
-        );
-    }
+    use gradoop_cypher::predicates::eval::eval_expression;
+    use gradoop_cypher::{CmpOp, Expression};
 
     #[test]
     fn aggregates_fold_as_specified() {
@@ -628,7 +543,7 @@ mod tests {
             compare_rows_by_keys(&keys, &columns, &index, &a, &b),
             Ordering::Greater
         );
-        // Tied key → canonical full-row tiebreak on y.
+        // Tied key → full-row tiebreak on y.
         let c = vec![Value::Int(1), Value::Str("b".into())];
         assert_eq!(
             compare_rows_by_keys(&keys, &columns, &index, &a, &c),
@@ -680,7 +595,7 @@ mod tests {
             op: CmpOp::Gt,
             right: Box::new(Expression::Literal(gradoop_cypher::Literal::Integer(0))),
         };
-        assert_eq!(eval_row_expression(&expr, &scope), Some(true));
+        assert_eq!(eval_expression(&expr, &scope), Some(true));
         // NULL-padded column: comparison unknown, IS NULL true.
         let row = vec![Value::Null];
         let scope = RowScope {
@@ -688,11 +603,11 @@ mod tests {
             row: &row,
             index: &index,
         };
-        assert_eq!(eval_row_expression(&expr, &scope), None);
+        assert_eq!(eval_expression(&expr, &scope), None);
         let is_null = Expression::IsNull {
             operand: Box::new(Expression::Variable("p".into())),
             negated: false,
         };
-        assert_eq!(eval_row_expression(&is_null, &scope), Some(true));
+        assert_eq!(eval_expression(&is_null, &scope), Some(true));
     }
 }

@@ -7,6 +7,9 @@
 //!   several allocations per element.
 //! * The `ORDER BY` comparator reads named columns by reference: comparing
 //!   rows on string columns allocates nothing.
+//! * Clause-table joins, grouping and `DISTINCT` key on typed values, not
+//!   on rendered strings: a pipeline allocates the same whether its ids
+//!   have 1 or 16 digits and its grouped names 3 or 30 bytes.
 //!
 //! The engine runs on a one-worker environment, so every stage's task runs
 //! inline on this thread and the per-thread counter (`counting/mod.rs`)
@@ -161,4 +164,67 @@ fn comparing_rows_on_named_string_columns_allocates_nothing() {
         ));
     }
     assert_eq!(allocations() - before, 0);
+}
+
+/// Five persons in a ring of `knows` edges. `wide` gives every id 16
+/// digits instead of 1 and every name 30 bytes instead of 3; nothing else
+/// differs.
+fn ring(wide: bool) -> LogicalGraph {
+    const PERSONS: u64 = 5;
+    let base = if wide { 1_000_000_000_000_000 } else { 0 };
+    let env =
+        ExecutionEnvironment::new(ExecutionConfig::with_workers(1).cost_model(CostModel::free()));
+    let vertices: Vec<Vertex> = (0..PERSONS)
+        .map(|i| {
+            let name = if wide {
+                format!("p{i:029}")
+            } else {
+                format!("p{i:02}")
+            };
+            Vertex::new(GradoopId(base + i), "Person", properties! {"name" => name})
+        })
+        .collect();
+    let edges: Vec<Edge> = (0..PERSONS)
+        .map(|i| {
+            Edge::new(
+                GradoopId(base + PERSONS + i),
+                "knows",
+                GradoopId(base + i),
+                GradoopId(base + (i + 1) % PERSONS),
+                Properties::new(),
+            )
+        })
+        .collect();
+    let head = GraphHead::new(GradoopId(100), "g", Properties::new());
+    LogicalGraph::from_data(&env, head, vertices, edges)
+}
+
+#[test]
+fn clause_table_keys_cost_the_same_however_wide_the_key_values() {
+    const TEXT: &str = "MATCH (a:Person)-[:knows]->(b:Person) MATCH (b)-[:knows]->(c:Person) \
+                        WITH c.name AS name, count(*) AS paths RETURN DISTINCT name, paths";
+    let (narrow, wide) = (ring(false), ring(true));
+    let engine = CypherEngine::for_graph(&narrow).with_query_log(Arc::new(Discard));
+    let run = |graph: &LogicalGraph| {
+        let before = allocations();
+        let table = black_box(
+            engine
+                .run(
+                    graph,
+                    TEXT,
+                    &HashMap::new(),
+                    MatchingConfig::cypher_default(),
+                )
+                .unwrap(),
+        );
+        let spent = allocations() - before;
+        assert_eq!(table.rows.len(), 5);
+        assert!(table.rows.iter().all(|row| row[1] == Value::Int(1)));
+        spent
+    };
+    // The first runs also start the telemetry registry and build each
+    // graph's element index.
+    run(&narrow);
+    run(&wide);
+    assert_eq!(run(&wide), run(&narrow));
 }

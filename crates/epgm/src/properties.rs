@@ -44,14 +44,16 @@ mod tag {
     pub const FLOAT: u8 = 7;
 }
 
-/// Exact three-way comparison of an `i64` against an `f64`.
+/// Exact three-way comparison of an `i64` against an `f64`; `None` when
+/// `y` is NaN. The row value order (`gradoop_core::cmp_values`) uses it
+/// too, so both value domains share one numeric comparison.
 ///
 /// Both `x as f64` and `y as i64` lose precision beyond 2^53, which is how
 /// `Long(2^53 + 1)` used to compare `Equal` to `Long(2^53)`. Instead we
 /// compare against `floor(y)`, which is exactly representable as `i64`
 /// whenever `y` is within the `i64` range, and break ties on the fractional
 /// part.
-fn cmp_i64_f64(x: i64, y: f64) -> Option<Ordering> {
+pub fn cmp_i64_f64(x: i64, y: f64) -> Option<Ordering> {
     if y.is_nan() {
         return None;
     }

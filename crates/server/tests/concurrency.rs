@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use gradoop_core::{canonical_row, CypherEngine, CypherError, ReturnColumns, Row, TableResult};
+use gradoop_core::{CypherEngine, CypherError, ReturnColumns, Row, RowKey, TableResult};
 use gradoop_cypher::ast::Stage;
 use gradoop_cypher::{parse_pipeline, Literal};
 use gradoop_dataflow::{CostModel, ExecutionConfig, ExecutionEnvironment};
@@ -31,13 +31,17 @@ fn process_threads() -> Option<usize> {
     line.trim().parse().ok()
 }
 
-/// Order-insensitive digest of a result table.
-fn digest(table: &TableResult) -> String {
-    let mut rows: Vec<String> = table.rows.iter().map(|row| canonical_row(row)).collect();
+/// A result table as two runs compare it: its columns and its rows under
+/// `RowKey` equality, sorted by that key's order unless row order is part
+/// of the answer.
+type Digest = (Vec<String>, Vec<RowKey>);
+
+fn digest(table: &TableResult) -> Digest {
+    let mut rows: Vec<RowKey> = table.rows.iter().cloned().map(RowKey).collect();
     if !table.ordered {
         rows.sort();
     }
-    format!("{}|{}", table.columns.join(","), rows.join(";"))
+    (table.columns.clone(), rows)
 }
 
 /// A clause pipeline whose first `MATCH` stage takes `$firstName`: every
@@ -91,7 +95,7 @@ fn concurrent_mixed_workload_is_byte_identical_to_serial_execution() {
 
     // Serial reference: a cold engine over the same snapshot, no cache.
     let reference_engine = CypherEngine::with_statistics(server.snapshot().statistics().clone());
-    let expected: Vec<String> = workload
+    let expected: Vec<Digest> = workload
         .iter()
         .map(|(text, params)| {
             let (env, graph) = server.snapshot().attach();
@@ -164,7 +168,7 @@ fn concurrent_pipelines_on_a_fresh_snapshot_share_one_element_index() {
     // without an index.
     let reference = snapshot();
     let reference_engine = CypherEngine::with_statistics(reference.statistics().clone());
-    let expected: Vec<String> = PIPELINES
+    let expected: Vec<Digest> = PIPELINES
         .iter()
         .map(|text| {
             let (_env, graph) = reference.attach();

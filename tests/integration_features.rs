@@ -6,6 +6,8 @@ mod common;
 use std::collections::HashMap;
 
 use common::test_env;
+use gradoop::core::{cmp_values, reference_pipeline, RowKey};
+use gradoop::cypher::parse_pipeline;
 use gradoop::prelude::*;
 
 fn people_graph(env: &ExecutionEnvironment) -> LogicalGraph {
@@ -195,4 +197,66 @@ fn is_null_on_path_variables_is_rejected_gracefully() {
         "MATCH (a:Person)-[e:knows]->(b:Person) WHERE e IS NOT NULL RETURN *",
     );
     assert_eq!(result.count(), 3);
+}
+
+/// `text`'s table from `CypherEngine::run` and from `reference_pipeline`,
+/// rows as keys: the two executors may pick different but equal
+/// representatives (`2` and `2.0`).
+fn both_executors(graph: &LogicalGraph, text: &str) -> (Vec<RowKey>, Vec<RowKey>) {
+    let engine = table(graph, text);
+    let pipeline = parse_pipeline(text).expect("parses");
+    let reference = reference_pipeline(graph, &pipeline, &MatchingConfig::cypher_default())
+        .unwrap_or_else(|e| panic!("{text}: {e}"));
+    let keys = |rows: Vec<Vec<Value>>| rows.into_iter().map(RowKey).collect();
+    (keys(engine.rows), keys(reference.rows))
+}
+
+#[test]
+fn order_by_is_a_total_order_where_floats_cannot_tell_integers_apart() {
+    // 2^53 + 1 + 2k, (2^53 + 2k).0 and 2^53 + 2k for k in 0..4, interleaved
+    // over 40 values: an `as f64` comparison makes 2^53 + 1 equal to 2^53.0
+    // equal to 2^53 but greater than 2^53, which the sort rejects as no
+    // total order.
+    const TWO_53: i64 = 1 << 53;
+    let items: Vec<String> = (0..40)
+        .map(|i| {
+            let k = 2 * (i % 4);
+            match i % 3 {
+                0 => (TWO_53 + 1 + k).to_string(),
+                1 => format!("{}.0", TWO_53 + k),
+                _ => (TWO_53 + k).to_string(),
+            }
+        })
+        .collect();
+    let text = format!("UNWIND [{}] AS x RETURN x ORDER BY x", items.join(", "));
+    let env = test_env(2);
+    let graph = people_graph(&env);
+    let (engine, reference) = both_executors(&graph, &text);
+    assert_eq!(engine.len(), 40);
+    assert!(engine
+        .windows(2)
+        .all(|pair| cmp_values(&pair[0].0[0], &pair[1].0[0]).is_le()));
+    assert_eq!(engine, reference);
+}
+
+#[test]
+fn distinct_keeps_2_pow_63_apart_from_i64_max() {
+    let env = test_env(2);
+    let graph = people_graph(&env);
+    let (engine, reference) = both_executors(
+        &graph,
+        "UNWIND [9223372036854775807, 9223372036854775808.0] AS x RETURN DISTINCT x",
+    );
+    assert_eq!((engine.len(), reference.len()), (2, 2));
+}
+
+#[test]
+fn distinct_collapses_an_integer_and_its_exact_float() {
+    let env = test_env(2);
+    let graph = people_graph(&env);
+    let (engine, reference) = both_executors(
+        &graph,
+        "UNWIND [9007199254740992, 9007199254740992.0] AS x RETURN DISTINCT x",
+    );
+    assert_eq!((engine.len(), reference.len()), (1, 1));
 }
