@@ -481,16 +481,16 @@ fn forced_wco_plans_the_intersect_and_forced_binary_never_does() {
 
     let wco = plan_query_with_mode(&query, &Estimator::new(&stats), PlanMode::ForceWco).unwrap();
     assert!(
-        wco.describe(&query).contains("wco intersect"),
+        wco.explain.to_text().contains("wco intersect"),
         "forced-WCO triangle plan has no intersect:\n{}",
-        wco.describe(&query)
+        wco.explain.to_text()
     );
     let binary =
         plan_query_with_mode(&query, &Estimator::new(&stats), PlanMode::ForceBinary).unwrap();
     assert!(
-        !binary.describe(&query).contains("wco intersect"),
+        !binary.explain.to_text().contains("wco intersect"),
         "forced-binary plan contains an intersect:\n{}",
-        binary.describe(&query)
+        binary.explain.to_text()
     );
 
     // And the WCO execution reports its intersection work through PROFILE.

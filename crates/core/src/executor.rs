@@ -194,7 +194,7 @@ fn walk<S: GraphSource + ?Sized>(
             expand_intersect(&child(), query, source, *vertex, edges, matching)
         }
         PlanNode::Filter { clauses, .. } => filter_embeddings(&child(), &clauses_of(clauses)),
-        PlanNode::Cartesian { .. } => cartesian_embeddings(&child(), &child(), matching),
+        PlanNode::Cartesian { .. } => cartesian_embeddings(child(), child(), matching),
         PlanNode::ValueJoin {
             left_property,
             right_property,
@@ -212,8 +212,8 @@ fn walk<S: GraphSource + ?Sized>(
             // fact exists for those, so neither side can be forwarded.
             actual_ship = Some(ship_strategies(strategy, false, false));
             value_join_embeddings(
-                &left,
-                &right,
+                left,
+                right,
                 left_property,
                 right_property,
                 matching,

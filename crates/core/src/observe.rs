@@ -112,8 +112,7 @@ pub fn q_error(estimated: f64, actual: u64) -> f64 {
 /// One operator of the annotated plan tree produced by the planner.
 #[derive(Debug, Clone)]
 pub struct ExplainNode {
-    /// Operator label, e.g. `"ScanVertices(u:University)"` — the same
-    /// format as [`QueryPlan::describe`](crate::QueryPlan::describe).
+    /// Operator label, e.g. `"ScanVertices(u:University)"`.
     pub operator: String,
     /// Estimated result cardinality of this operator.
     pub estimated_cardinality: f64,

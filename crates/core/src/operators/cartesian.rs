@@ -10,16 +10,17 @@ use crate::operators::{observe_operator, EmbeddingSet};
 /// Combines every left embedding with every right embedding, subject to the
 /// morphism semantics. The (smaller) right side is broadcast. Each pair is
 /// merged into the thread's scratch row and checked there, so a rejected
-/// pair commits nothing.
+/// pair commits nothing. Consumes both inputs.
 pub fn cartesian_embeddings(
-    left: &EmbeddingSet,
-    right: &EmbeddingSet,
+    left: EmbeddingSet,
+    right: EmbeddingSet,
     config: &MatchingConfig,
 ) -> EmbeddingSet {
     let meta = left.meta.merge(&right.meta, &[]);
     let check = MorphismCheck::new(&meta, config);
+    let rows_in = (left.data.len_untracked() + right.data.len_untracked()) as u64;
     let data = left.data.join(
-        &right.data,
+        right.data,
         |_| (),
         |_| (),
         JoinStrategy::BroadcastHashSecond,
@@ -30,7 +31,6 @@ pub fn cartesian_embeddings(
             })
         },
     );
-    let rows_in = (left.data.len_untracked() + right.data.len_untracked()) as u64;
     let result = EmbeddingSet { data, meta };
     observe_operator("cartesian_embeddings", rows_in, &result);
     result
@@ -64,7 +64,7 @@ mod tests {
         );
         let a = vertices(&env, "a", &[1, 2]);
         let b = vertices(&env, "b", &[1, 2, 3]);
-        let product = cartesian_embeddings(&a, &b, &MatchingConfig::homomorphism());
+        let product = cartesian_embeddings(a, b, &MatchingConfig::homomorphism());
         assert_eq!(product.data.count(), 6);
         assert_eq!(product.meta.columns(), 2);
     }
@@ -76,7 +76,7 @@ mod tests {
         );
         let a = vertices(&env, "a", &[1, 2]);
         let b = vertices(&env, "b", &[1, 2, 3]);
-        let product = cartesian_embeddings(&a, &b, &MatchingConfig::isomorphism());
+        let product = cartesian_embeddings(a, b, &MatchingConfig::isomorphism());
         // (1,1) and (2,2) are pruned.
         assert_eq!(product.data.count(), 4);
     }
@@ -88,7 +88,7 @@ mod tests {
         );
         let a = vertices(&env, "a", &[1]);
         let b = vertices(&env, "b", &[]);
-        let product = cartesian_embeddings(&a, &b, &MatchingConfig::homomorphism());
+        let product = cartesian_embeddings(a, b, &MatchingConfig::homomorphism());
         assert_eq!(product.data.count(), 0);
     }
 }

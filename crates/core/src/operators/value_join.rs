@@ -20,10 +20,10 @@ use gradoop_dataflow::JoinStrategy;
 /// and property slots (nothing is skipped: the sides share no variables).
 /// An unbound join property means a malformed plan: the operator records a
 /// classified execution failure instead of panicking and returns an empty
-/// set.
+/// set. Consumes both inputs.
 pub fn value_join_embeddings(
-    left: &EmbeddingSet,
-    right: &EmbeddingSet,
+    left: EmbeddingSet,
+    right: EmbeddingSet,
     left_property: &(String, String),
     right_property: &(String, String),
     config: &MatchingConfig,
@@ -31,7 +31,7 @@ pub fn value_join_embeddings(
 ) -> EmbeddingSet {
     let Some(left_index) = left.meta.property_index(&left_property.0, &left_property.1) else {
         return malformed_plan(
-            left,
+            &left,
             "value_join_embeddings",
             format!(
                 "value-join property `{}.{}` unbound on left side",
@@ -44,7 +44,7 @@ pub fn value_join_embeddings(
         .property_index(&right_property.0, &right_property.1)
     else {
         return malformed_plan(
-            right,
+            &right,
             "value_join_embeddings",
             format!(
                 "value-join property `{}.{}` unbound on right side",
@@ -56,8 +56,9 @@ pub fn value_join_embeddings(
     let meta = left.meta.merge(&right.meta, &[]);
     let check = MorphismCheck::new(&meta, config);
 
+    let rows_in = (left.data.len_untracked() + right.data.len_untracked()) as u64;
     let data = left.data.join(
-        &right.data,
+        right.data,
         move |embedding| embedding.property(left_index),
         move |embedding| embedding.property(right_index),
         strategy,
@@ -73,7 +74,6 @@ pub fn value_join_embeddings(
             })
         },
     );
-    let rows_in = (left.data.len_untracked() + right.data.len_untracked()) as u64;
     let result = EmbeddingSet { data, meta };
     observe_operator("value_join_embeddings", rows_in, &result);
     result
@@ -137,8 +137,8 @@ mod tests {
             &[(10, Some("Leipzig")), (11, Some("Berlin"))],
         );
         let joined = value_join_embeddings(
-            &people,
-            &unis,
+            people,
+            unis,
             &("p".to_string(), "city".to_string()),
             &("u".to_string(), "city".to_string()),
             &MatchingConfig::cypher_default(),
@@ -163,8 +163,8 @@ mod tests {
         let left = side(&env, "a", "k", &[(1, None), (2, Some("x"))]);
         let right = side(&env, "b", "k", &[(10, None), (11, Some("x"))]);
         let joined = value_join_embeddings(
-            &left,
-            &right,
+            left,
+            right,
             &("a".to_string(), "k".to_string()),
             &("b".to_string(), "k".to_string()),
             &MatchingConfig::cypher_default(),
@@ -181,8 +181,8 @@ mod tests {
         let left = side(&env, "a", "k", &[(1, Some("x"))]);
         let right = side(&env, "b", "k", &[(1, Some("x"))]);
         let homo = value_join_embeddings(
-            &left,
-            &right,
+            left.clone(),
+            right.clone(),
             &("a".to_string(), "k".to_string()),
             &("b".to_string(), "k".to_string()),
             &MatchingConfig::homomorphism(),
@@ -190,8 +190,8 @@ mod tests {
         );
         assert_eq!(homo.data.count(), 1);
         let iso = value_join_embeddings(
-            &left,
-            &right,
+            left,
+            right,
             &("a".to_string(), "k".to_string()),
             &("b".to_string(), "k".to_string()),
             &MatchingConfig::isomorphism(),
@@ -206,8 +206,8 @@ mod tests {
         let left = side(&env, "a", "k", &[(1, Some("x"))]);
         let right = side(&env, "b", "k", &[(2, Some("x"))]);
         let joined = value_join_embeddings(
-            &left,
-            &right,
+            left,
+            right,
             &("a".to_string(), "nope".to_string()),
             &("b".to_string(), "k".to_string()),
             &MatchingConfig::cypher_default(),

@@ -183,10 +183,10 @@ pub(crate) fn execute_pipeline<S: GraphSource + ?Sized>(
                 let (set, operators) =
                     execute_match(query_graph, plan, source, matching, collector)?;
                 profile.push(operators);
-                apply_match(
+                data = apply_match(
                     index,
                     &mut columns,
-                    &mut data,
+                    data,
                     inner,
                     stage_rows(query_graph, &set)?,
                     params,
@@ -194,12 +194,12 @@ pub(crate) fn execute_pipeline<S: GraphSource + ?Sized>(
                 )?;
             }
             Stage::With(projection) => {
-                apply_projection(index, &mut columns, &mut data, projection, params)?;
+                data = apply_projection(index, &mut columns, data, projection, params)?;
             }
-            Stage::Unwind(unwind) => apply_unwind(index, &mut columns, &mut data, unwind)?,
+            Stage::Unwind(unwind) => data = apply_unwind(index, &mut columns, data, unwind)?,
         }
     }
-    apply_projection(index, &mut columns, &mut data, &pipeline.ret, params)?;
+    let data = apply_projection(index, &mut columns, data, &pipeline.ret, params)?;
     // `collect` concatenates partitions in order; ordered datasets hold
     // their merged run in partition 0, so sorted order survives.
     let rows = data.collect();
@@ -266,15 +266,17 @@ fn bind_params(
     Ok(bound)
 }
 
+/// Joins one executed `MATCH` stage onto the working table `data`, which it
+/// consumes: the join moves the table's rows instead of copying them.
 fn apply_match(
     index: &ElementIndex,
     columns: &mut Vec<String>,
-    data: &mut Dataset<Row>,
+    data: Dataset<Row>,
     stage: &MatchStage,
     (match_columns, match_rows): (Vec<String>, Dataset<Row>),
     params: &HashMap<String, Literal>,
     optional: bool,
-) -> Result<(), CypherError> {
+) -> Result<Dataset<Row>, CypherError> {
     let shared: Vec<(usize, usize)> = match_columns
         .iter()
         .enumerate()
@@ -317,7 +319,7 @@ fn apply_match(
     let joined = if optional {
         let padded = AtomicU64::new(0);
         let result = data.join_left_outer_filtered(
-            &match_rows,
+            match_rows,
             left_key,
             right_key,
             |left, right| accepts(&combine(left, right)),
@@ -333,7 +335,7 @@ fn apply_match(
         );
         // Surface the padding count as a stage report so PROFILE and the
         // query log show how many rows the outer join NULL-padded.
-        if let Some(sink) = data.env().trace_sink() {
+        if let Some(sink) = result.env().trace_sink() {
             sink.on_stage(&StageReport {
                 name: "optional_match(pad)".to_string(),
                 records_out: padded.load(AtomicOrdering::Relaxed),
@@ -343,7 +345,7 @@ fn apply_match(
         result
     } else {
         data.join(
-            &match_rows,
+            match_rows,
             left_key,
             right_key,
             JoinStrategy::RepartitionHash,
@@ -354,16 +356,15 @@ fn apply_match(
         )
     };
     *columns = out_columns;
-    *data = joined;
-    Ok(())
+    Ok(joined)
 }
 
 fn apply_unwind(
     index: &ElementIndex,
     columns: &mut Vec<String>,
-    data: &mut Dataset<Row>,
+    data: Dataset<Row>,
     unwind: &UnwindStage,
-) -> Result<(), CypherError> {
+) -> Result<Dataset<Row>, CypherError> {
     if columns.contains(&unwind.alias) {
         return Err(CypherError::Plan(PlanError(format!(
             "UNWIND alias `{}` is already bound",
@@ -405,8 +406,7 @@ fn apply_unwind(
         }
     });
     columns.push(unwind.alias.clone());
-    *data = unwound;
-    Ok(())
+    Ok(unwound)
 }
 
 fn eval_projection_item(item: &ProjectionExpr, scope: &RowScope<'_>) -> Value {
@@ -417,13 +417,15 @@ fn eval_projection_item(item: &ProjectionExpr, scope: &RowScope<'_>) -> Value {
     }
 }
 
+/// Applies one `WITH`/`RETURN` projection to the working table `data`,
+/// which it consumes: grouping and `DISTINCT` move the table's rows.
 fn apply_projection(
     index: &ElementIndex,
     columns: &mut Vec<String>,
-    data: &mut Dataset<Row>,
+    data: Dataset<Row>,
     projection: &Projection,
     params: &HashMap<String, Literal>,
-) -> Result<(), CypherError> {
+) -> Result<Dataset<Row>, CypherError> {
     let items: Vec<ProjectionItem> = if projection.star {
         columns
             .iter()
@@ -464,7 +466,6 @@ fn apply_projection(
         let grouped = data.group_reduce(
             |row| RowKey(key_values(row)),
             |_key, members| {
-                let mut members: Vec<Row> = members.to_vec();
                 members.sort_by(|a, b| cmp_rows(a, b));
                 let mut key_iter = key_values(&members[0]).into_iter();
                 items
@@ -503,7 +504,7 @@ fn apply_projection(
                     _ => unreachable!("all items are aggregates"),
                 })
                 .collect();
-            data.env().from_collection(vec![empty_folds])
+            grouped.env().from_collection(vec![empty_folds])
         } else {
             grouped
         }
@@ -525,11 +526,11 @@ fn apply_projection(
         result = result.group_reduce(
             |row| RowKey(row.clone()),
             |_key, members| {
-                members
-                    .iter()
+                let first = members
+                    .iter_mut()
                     .min_by(|a, b| cmp_rows(a, b))
-                    .expect("group is non-empty")
-                    .clone()
+                    .expect("group is non-empty");
+                std::mem::take(first)
             },
         );
     }
@@ -558,6 +559,5 @@ fn apply_projection(
         });
     }
     *columns = out_columns;
-    *data = result;
-    Ok(())
+    Ok(result)
 }

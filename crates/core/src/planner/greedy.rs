@@ -71,8 +71,8 @@ struct Partial {
     explain: ExplainNode,
 }
 
-/// Explain mirror for a freshly constructed plan node: same label as
-/// `describe()`, the partial's estimated cardinality, given children.
+/// Explain mirror for a freshly constructed plan node: the node's label,
+/// the partial's estimated cardinality, given children.
 fn explain_for(
     query: &QueryGraph,
     node: &PlanNode,
@@ -958,14 +958,14 @@ mod tests {
     fn selective_predicate_is_joined_early() {
         // The university scan (10 labeled, equality selecting 1/10) is by
         // far the cheapest side; the greedy planner must start from it.
-        let (query, plan) = plan(
+        let (_, plan) = plan(
             "MATCH (p:Person)-[s:studyAt]->(u:University) \
              WHERE u.name = 'Uni Leipzig' RETURN p.name",
         );
         // The first committed join involves the studyAt edge; its estimated
         // result must be far below the unfiltered edge count.
         assert!(plan.estimated_cardinality < 100.0);
-        let text = plan.describe(&query);
+        let text = plan.explain.to_text();
         assert!(text.contains("ScanVertices(u:University)"));
     }
 
@@ -975,7 +975,7 @@ mod tests {
 
     #[test]
     fn triangle_query_plans_all_three_edges() {
-        let (query, plan) = plan(TRIANGLE);
+        let (_, plan) = plan(TRIANGLE);
         let mut edges = Vec::new();
         collect_edges(&plan.root, &mut edges);
         edges.sort_unstable();
@@ -984,19 +984,19 @@ mod tests {
         // per open (p1, p2) pair the estimate is knows-fanout² / |V| · the
         // Person selectivity of p3 (≈ 0.02 rows) versus the thousands of
         // open 2-paths the binary closing join would materialize.
-        let text = plan.describe(&query);
+        let text = plan.explain.to_text();
         assert!(text.contains("wco intersect p3"), "{text}");
         assert!(!text.contains("JoinEmbeddings(on p1, p3)"), "{text}");
     }
 
     #[test]
     fn forced_binary_triangle_closes_with_a_two_variable_join() {
-        let (query, plan) = plan_with_mode(TRIANGLE, PlanMode::ForceBinary);
+        let (_, plan) = plan_with_mode(TRIANGLE, PlanMode::ForceBinary);
         let mut edges = Vec::new();
         collect_edges(&plan.root, &mut edges);
         edges.sort_unstable();
         assert_eq!(edges, vec![0, 1, 2]);
-        let text = plan.describe(&query);
+        let text = plan.explain.to_text();
         assert!(!text.contains("wco intersect"), "{text}");
         assert!(
             text.contains("JoinEmbeddings(on p1, p3)")
@@ -1019,7 +1019,7 @@ mod tests {
 
     #[test]
     fn four_clique_intersects_three_edges_at_once() {
-        let (query, plan) = plan_with_mode(
+        let (_, plan) = plan_with_mode(
             "MATCH (a:Person)-[:knows]->(b:Person), (a)-[:knows]->(c:Person), \
                    (a)-[:knows]->(d:Person), (b)-[:knows]->(c), \
                    (b)-[:knows]->(d), (c)-[:knows]->(d) RETURN *",
@@ -1029,7 +1029,7 @@ mod tests {
         collect_edges(&plan.root, &mut edges);
         edges.sort_unstable();
         assert_eq!(edges, (0..6).collect::<Vec<_>>());
-        let text = plan.describe(&query);
+        let text = plan.explain.to_text();
         // The last vertex is bound by intersecting all three of its edges.
         assert!(
             text.lines()
@@ -1040,11 +1040,11 @@ mod tests {
 
     #[test]
     fn forced_wco_falls_back_to_binary_on_acyclic_queries() {
-        let (query, plan) = plan_with_mode(
+        let (_, plan) = plan_with_mode(
             "MATCH (p:Person)-[s:studyAt]->(u:University) RETURN *",
             PlanMode::ForceWco,
         );
-        let text = plan.describe(&query);
+        let text = plan.explain.to_text();
         assert!(!text.contains("wco intersect"), "{text}");
         let mut edges = Vec::new();
         collect_edges(&plan.root, &mut edges);
@@ -1053,12 +1053,12 @@ mod tests {
 
     #[test]
     fn undirected_cycle_is_wco_eligible() {
-        let (query, plan) = plan_with_mode(
+        let (_, plan) = plan_with_mode(
             "MATCH (a:Person)-[:knows]-(b:Person), (b)-[:knows]-(c:Person), \
                    (a)-[:knows]-(c) RETURN *",
             PlanMode::ForceWco,
         );
-        let text = plan.describe(&query);
+        let text = plan.explain.to_text();
         assert!(text.contains("wco intersect"), "{text}");
         let mut edges = Vec::new();
         collect_edges(&plan.root, &mut edges);
@@ -1068,35 +1068,34 @@ mod tests {
 
     #[test]
     fn cross_filter_is_placed_once_variables_bound() {
-        let (query, plan) = plan(
+        let (_, plan) = plan(
             "MATCH (p1:Person)-[:knows]->(p2:Person) \
              WHERE p1.gender <> p2.gender RETURN *",
         );
-        let text = plan.describe(&query);
+        let text = plan.explain.to_text();
         assert!(text.contains("FilterEmbeddings"), "{text}");
     }
 
     #[test]
     fn disconnected_query_uses_cartesian() {
-        let (query, plan) = plan("MATCH (a:Person), (b:University) RETURN *");
-        let text = plan.describe(&query);
+        let (_, plan) = plan("MATCH (a:Person), (b:University) RETURN *");
+        let text = plan.explain.to_text();
         assert!(text.contains("CartesianProduct"), "{text}");
     }
 
     #[test]
     fn variable_length_edge_becomes_expand() {
-        let (query, plan) = plan("MATCH (a:Person)-[e:knows*1..3]->(b:Person) RETURN *");
-        let text = plan.describe(&query);
+        let (_, plan) = plan("MATCH (a:Person)-[e:knows*1..3]->(b:Person) RETURN *");
+        let text = plan.explain.to_text();
         assert!(text.contains("ExpandEmbeddings(e *1..3)"), "{text}");
         // The target side is joined afterwards.
         assert!(text.contains("JoinEmbeddings(on b)"), "{text}");
-        let _ = query;
     }
 
     #[test]
     fn cross_component_equality_becomes_value_join() {
-        let (query, plan) = plan("MATCH (a:Person), (b:University) WHERE a.name = b.name RETURN *");
-        let text = plan.describe(&query);
+        let (_, plan) = plan("MATCH (a:Person), (b:University) WHERE a.name = b.name RETURN *");
+        let text = plan.explain.to_text();
         assert!(
             text.contains("ValueJoinEmbeddings(a.name = b.name)")
                 || text.contains("ValueJoinEmbeddings(b.name = a.name)"),
@@ -1109,16 +1108,16 @@ mod tests {
 
     #[test]
     fn non_equality_cross_clause_keeps_cartesian() {
-        let (query, plan) = plan("MATCH (a:Person), (b:University) WHERE a.name < b.name RETURN *");
-        let text = plan.describe(&query);
+        let (_, plan) = plan("MATCH (a:Person), (b:University) WHERE a.name < b.name RETURN *");
+        let text = plan.explain.to_text();
         assert!(text.contains("CartesianProduct"), "{text}");
         assert!(text.contains("FilterEmbeddings"), "{text}");
     }
 
     #[test]
     fn trivial_vertices_are_not_scanned() {
-        let (query, plan) = plan("MATCH (a)-[e:knows]->(b) RETURN count(*)");
-        let text = plan.describe(&query);
+        let (_, plan) = plan("MATCH (a)-[e:knows]->(b) RETURN count(*)");
+        let text = plan.explain.to_text();
         assert!(!text.contains("ScanVertices"), "{text}");
         assert!(text.contains("ScanEdges(e:knows)"), "{text}");
     }

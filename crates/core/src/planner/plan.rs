@@ -90,23 +90,9 @@ pub struct QueryPlan {
     pub planner: PlannerTrace,
 }
 
-impl QueryPlan {
-    /// Human-readable plan tree (one node per line, children indented),
-    /// resolving leaf indices to query variables.
-    pub fn describe(&self, query: &QueryGraph) -> String {
-        let mut out = String::new();
-        describe_node(&self.root, query, 0, &mut out);
-        out.push_str(&format!(
-            "estimated cardinality: {:.0}\n",
-            self.estimated_cardinality
-        ));
-        out
-    }
-}
-
 /// One-line label of a plan node (no children), resolving leaf indices to
-/// query variables. Shared by [`QueryPlan::describe`] and the
-/// [`ExplainNode`]s the planner builds alongside the plan.
+/// query variables: the operator of each [`ExplainNode`] the planner
+/// builds alongside the plan.
 pub(crate) fn node_label(node: &PlanNode, query: &QueryGraph) -> String {
     match node {
         PlanNode::ScanVertices { vertex } => {
@@ -165,57 +151,5 @@ pub(crate) fn node_label(node: &PlanNode, query: &QueryGraph) -> String {
             "ValueJoinEmbeddings({}.{} = {}.{})",
             left_property.0, left_property.1, right_property.0, right_property.1
         ),
-    }
-}
-
-fn describe_node(node: &PlanNode, query: &QueryGraph, depth: usize, out: &mut String) {
-    let indent = "  ".repeat(depth);
-    out.push_str(&format!("{indent}{}\n", node_label(node, query)));
-    match node {
-        PlanNode::Join { left, right, .. }
-        | PlanNode::Cartesian { left, right }
-        | PlanNode::ValueJoin { left, right, .. } => {
-            describe_node(left, query, depth + 1, out);
-            describe_node(right, query, depth + 1, out);
-        }
-        PlanNode::Expand { input, .. }
-        | PlanNode::Filter { input, .. }
-        | PlanNode::ExpandIntersect { input, .. } => {
-            describe_node(input, query, depth + 1, out);
-        }
-        PlanNode::ScanVertices { .. } | PlanNode::ScanEdges { .. } => {}
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use gradoop_cypher::parse;
-
-    #[test]
-    fn describe_renders_tree() {
-        let query = QueryGraph::from_query(
-            &parse("MATCH (p:Person)-[e:knows]->(q:Person) WHERE p.a <> q.a RETURN *").unwrap(),
-        )
-        .unwrap();
-        let plan = QueryPlan {
-            root: PlanNode::Filter {
-                input: Box::new(PlanNode::Join {
-                    left: Box::new(PlanNode::ScanVertices { vertex: 0 }),
-                    right: Box::new(PlanNode::ScanEdges { edge: 0 }),
-                    variables: vec!["p".to_string()],
-                }),
-                clauses: vec![0],
-            },
-            estimated_cardinality: 42.0,
-            explain: ExplainNode::leaf("FilterEmbeddings(p.a <> q.a)", 42.0),
-            planner: PlannerTrace::default(),
-        };
-        let text = plan.describe(&query);
-        assert!(text.contains("ScanVertices(p:Person)"));
-        assert!(text.contains("ScanEdges(e:knows)"));
-        assert!(text.contains("JoinEmbeddings(on p)"));
-        assert!(text.contains("FilterEmbeddings"));
-        assert!(text.contains("estimated cardinality: 42"));
     }
 }

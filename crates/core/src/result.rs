@@ -288,8 +288,8 @@ impl QueryResult {
             |(id, _)| *id,
             |id, members| (*id, members.iter().map(|(_, g)| *g).collect::<Vec<u64>>()),
         );
-        let vertices = data_graph.vertices().join(
-            &vertex_groups,
+        let vertices = data_graph.vertices().clone().join(
+            vertex_groups,
             |v| v.id.0,
             |(id, _)| *id,
             JoinStrategy::RepartitionHash,
@@ -305,8 +305,8 @@ impl QueryResult {
             |(id, _)| *id,
             |id, members| (*id, members.iter().map(|(_, g)| *g).collect::<Vec<u64>>()),
         );
-        let edges = data_graph.edges().join(
-            &edge_groups,
+        let edges = data_graph.edges().clone().join(
+            edge_groups,
             |e| e.id.0,
             |(id, _)| *id,
             JoinStrategy::RepartitionHash,

@@ -251,12 +251,6 @@ impl Hash for RowKey {
     }
 }
 
-impl Data for RowKey {
-    fn byte_size(&self) -> usize {
-        self.0.byte_size()
-    }
-}
-
 // --- row-scoped evaluation ---------------------------------------------------
 
 /// [`Bindings`] over one pipeline row: columns are visible by name, element

@@ -221,8 +221,8 @@ fn rejected_cartesian_pairs_allocate_nothing() {
         let (left, right) = (fives(&env, "a", left_rows), fives(&env, "b", 1));
         let before = allocations();
         let result = black_box(cartesian_embeddings(
-            &left,
-            &right,
+            left,
+            right,
             &MatchingConfig::isomorphism(),
         ));
         let spent = allocations() - before;

@@ -6,8 +6,12 @@
 //! * A repartition [`join_embeddings`] of two last-held inputs allocates
 //!   per 64 KiB chunk of *output* rows: no clone per shipped row, no `Vec`
 //!   per build key, no allocation per output row. The left outer, filtered
-//!   left outer, semi and anti joins build the same table: one key or
-//!   thousands, it costs the same.
+//!   left outer, semi and anti joins run the same stage and build the same
+//!   table: one key or thousands, it costs the same, and the table's memory
+//!   is charged (and spills) as the inner join's is.
+//! * [`Dataset::group_reduce`] indexes its groups with that table and
+//!   gathers each group into one reused buffer: one group or thousands, it
+//!   costs the same.
 //! * [`expand_embeddings`] writes the solution set once: a superstep costs
 //!   the same however many rows earlier supersteps found, and emitted rows
 //!   share chunks: no allocation per row.
@@ -25,7 +29,9 @@ use gradoop_core::operators::{
 use gradoop_core::{EmbeddingMetaData, EmbeddingWriter, EntryType, MatchingConfig};
 use gradoop_dataflow::cost::StageCosts;
 use gradoop_dataflow::partition::shuffle_by_key;
-use gradoop_dataflow::{CostModel, Dataset, ExecutionConfig, ExecutionEnvironment, JoinStrategy};
+use gradoop_dataflow::{
+    CollectingSink, CostModel, Dataset, ExecutionConfig, ExecutionEnvironment, JoinStrategy,
+};
 
 mod counting;
 use counting::{allocations, CountingAllocator};
@@ -129,7 +135,7 @@ fn a_repartition_join_of_last_held_inputs_allocates_per_chunk_of_output_rows() {
 
 /// A keyed join of one left row against `(key, value)` right rows, returning
 /// its output size.
-type KeyedJoin = dyn Fn(&Dataset<u64>, &Dataset<(u64, u64)>) -> usize;
+type KeyedJoin = dyn Fn(Dataset<u64>, Dataset<(u64, u64)>) -> usize;
 
 #[test]
 fn outer_semi_and_anti_join_tables_cost_the_same_however_many_keys_they_hold() {
@@ -141,7 +147,7 @@ fn outer_semi_and_anti_join_tables_cost_the_same_however_many_keys_they_hold() {
     let spent = |join: &KeyedJoin, distinct: u64, emitted: usize| {
         let right = env.from_collection((0..ROWS).map(|i| (i % distinct, i)).collect::<Vec<_>>());
         let before = allocations();
-        let out = black_box(join(&left, &right));
+        let out = black_box(join(left.clone(), right));
         let spent = allocations() - before;
         assert_eq!(out, emitted);
         spent
@@ -150,7 +156,7 @@ fn outer_semi_and_anti_join_tables_cost_the_same_however_many_keys_they_hold() {
         *k
     }
     // Every join function emits nothing, so only the shuffles and the table
-    // are counted.
+    // are counted; the right side is moved, the left one copied.
     let joins: [(&str, &KeyedJoin, usize); 4] = [
         (
             "left outer",
@@ -193,6 +199,77 @@ fn outer_semi_and_anti_join_tables_cost_the_same_however_many_keys_they_hold() {
             one_key.abs_diff(every_key) < 8,
             "{name} join over {ROWS} right rows: {one_key} allocations with one key, \
              {every_key} with {ROWS} keys; the table allocates nothing per key"
+        );
+    }
+}
+
+#[test]
+fn grouping_costs_the_same_however_many_groups_it_holds() {
+    const ROWS: u64 = 2_048;
+    let env = one_worker();
+    let spent = |groups: u64| {
+        let rows = env.from_collection((0..ROWS).map(|i| (i % groups, i)).collect::<Vec<_>>());
+        let before = allocations();
+        let sums = black_box(rows.group_reduce(
+            |(k, _)| *k,
+            |k, members| (*k, members.iter().map(|(_, v)| v).sum::<u64>()),
+        ));
+        let spent = allocations() - before;
+        assert_eq!(sums.len_untracked() as u64, groups);
+        spent
+    };
+    spent(1); // the first stage also starts the telemetry registry
+    let (one_group, every_group) = (spent(1), spent(ROWS));
+    assert!(
+        one_group.abs_diff(every_group) < 32,
+        "grouping {ROWS} rows: {one_group} allocations into one group, \
+         {every_group} into {ROWS}; a group allocates nothing of its own"
+    );
+}
+
+#[test]
+fn an_outer_join_charges_and_spills_its_build_side_as_an_inner_join_does() {
+    let env = ExecutionEnvironment::new(ExecutionConfig::with_workers(1).cost_model(CostModel {
+        memory_per_worker: 16,
+        ..CostModel::free()
+    }));
+    let sink = Arc::new(CollectingSink::new());
+    env.set_trace_sink(Some(sink.clone()));
+    let left = || env.from_collection((0u64..100).collect::<Vec<_>>());
+    let right = || env.from_collection((0u64..100).map(|i| (i, i)).collect::<Vec<_>>());
+    let key = |(k, _): &(u64, u64)| *k;
+    let inner = left().join(
+        right(),
+        |l| *l,
+        key,
+        JoinStrategy::RepartitionHash,
+        |l, _| Some(*l),
+    );
+    let outer = left().join_left_outer(right(), |l| *l, key, |l, _| Some(*l));
+    let semi = left().semi_join(right(), |l| *l, key);
+    let anti = left().anti_join(right(), |l| *l, key);
+    assert_eq!(
+        [inner, outer, semi, anti].map(|joined| joined.len_untracked()),
+        [100, 100, 100, 0]
+    );
+    let stages = sink.snapshot().stages;
+    let names: Vec<&str> = stages.iter().map(|stage| stage.name.as_str()).collect();
+    assert_eq!(
+        names,
+        [
+            "join(repartition-hash)",
+            "join(left-outer-hash)",
+            "join(semi-hash)",
+            "join(left-outer-hash)"
+        ]
+    );
+    for stage in &stages {
+        assert!(
+            stage.bytes_spilled > 0 && stage.peak_memory_bytes > 0,
+            "{}: {} bytes spilled, peak memory {} bytes",
+            stage.name,
+            stage.bytes_spilled,
+            stage.peak_memory_bytes
         );
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! Methods that take `&self` read the partitions and leave them alone.
 //! [`Dataset::union`] and [`Dataset::into_partitions`] (and, through it,
-//! [`Dataset::join_partitioned`] and
+//! every join, [`Dataset::group_reduce`] and
 //! [`PartitionedIndex::probe_join`](crate::index::PartitionedIndex::probe_join))
 //! take the dataset by value: the last holder of the partitions gives its
 //! rows away instead of having them copied.
@@ -28,10 +28,10 @@ use crate::pool::map_partitions;
 ///
 /// A dataset optionally carries a [`Partitioning`] fingerprint recording
 /// that its records are hash-placed by a semantic key. Key-stamped shuffles
-/// ([`Dataset::partition_by`]) set it, partition-local operations (`filter`,
-/// [`Dataset::flat_map_preserving`]) keep it, and everything that moves or
-/// rewrites records clears it. Joins consult the fingerprint to skip
-/// shuffles of already co-partitioned inputs (Flink's FORWARD strategy).
+/// ([`Dataset::partition_by`]) set it, `filter` keeps it, and everything
+/// that moves or rewrites records clears it. Joins consult the fingerprint
+/// to skip shuffles of already co-partitioned inputs (Flink's FORWARD
+/// strategy).
 pub struct Dataset<T> {
     env: ExecutionEnvironment,
     partitions: Arc<Vec<Vec<T>>>,
@@ -125,11 +125,6 @@ impl<T: Data> Dataset<T> {
         self.partitions
     }
 
-    /// Number of elements per partition (no cost charged).
-    pub fn partition_sizes(&self) -> Vec<usize> {
-        self.partitions.iter().map(Vec::len).collect()
-    }
-
     /// Total number of elements without charging the clock. Flink exposes
     /// the equivalent through its iteration termination condition; query
     /// drivers also use it to detect empty intermediate results.
@@ -156,31 +151,13 @@ impl<T: Data> Dataset<T> {
     /// Element-wise transformation emitting zero or more outputs
     /// (Flink `flatMap`). The paper's leaf operators fuse select, project
     /// and transform into a single `FlatMap` (Section 3.1); higher layers
-    /// do the same through this method. Drops the partitioning fingerprint;
-    /// use [`Dataset::flat_map_preserving`] when outputs keep their input's
-    /// semantic key.
+    /// do the same through this method. Output records may carry arbitrary
+    /// new keys, so any partitioning fingerprint is dropped.
     pub fn flat_map<O: Data, F>(&self, f: F) -> Dataset<O>
     where
         F: Fn(&T, &mut Vec<O>) + Sync,
     {
         self.transform_one("flat_map", false, |part, out| {
-            for item in part {
-                f(item, out);
-            }
-        })
-    }
-
-    /// Like [`Dataset::flat_map`], but asserts that every emitted record
-    /// carries the same semantic partitioning key as the record it was
-    /// derived from, so the input's partitioning fingerprint (if any)
-    /// remains valid on the output. The caller is responsible for that
-    /// invariant — a key-rewriting function passed here silently produces a
-    /// wrong fingerprint.
-    pub fn flat_map_preserving<O: Data, F>(&self, f: F) -> Dataset<O>
-    where
-        F: Fn(&T, &mut Vec<O>) + Sync,
-    {
-        self.transform_one("flat_map", true, |part, out| {
             for item in part {
                 f(item, out);
             }
@@ -348,29 +325,6 @@ impl<T: Data> Dataset<T> {
         Dataset::from_partitions(self.env.clone(), partitions).assume_partitioning(Some(target))
     }
 
-    /// Spreads elements evenly over all workers (Flink `rebalance`).
-    /// Useful to break skew introduced by key-based shuffles.
-    pub fn rebalance(&self) -> Dataset<T> {
-        let workers = self.env.workers();
-        let mut stage = self.env.stage("rebalance");
-        let mut partitions: Vec<Vec<T>> = (0..workers).map(|_| Vec::new()).collect();
-        let mut next = 0usize;
-        for (source, part) in self.partitions.iter().enumerate() {
-            stage.worker(source).records_in += part.len() as u64;
-            for item in part {
-                if next != source {
-                    let bytes = item.byte_size() as u64;
-                    stage.worker(source).bytes_sent += bytes;
-                    stage.worker(next).bytes_received += bytes;
-                }
-                partitions[next].push(item.clone());
-                next = (next + 1) % workers;
-            }
-        }
-        self.env.finish_stage(stage);
-        Dataset::from_partitions(self.env.clone(), partitions)
-    }
-
     /// Counts elements. Counting is distributed: each worker counts its
     /// partition, only the per-worker counts travel to the driver.
     pub fn count(&self) -> usize {
@@ -505,7 +459,10 @@ impl<T: Data> From<Dataset<T>> for Parts<T> {
 impl<T: Data> std::fmt::Debug for Dataset<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Dataset")
-            .field("partitions", &self.partition_sizes())
+            .field(
+                "partitions",
+                &self.partitions.iter().map(Vec::len).collect::<Vec<_>>(),
+            )
             .field("partitioning", &self.partitioning)
             .finish()
     }
@@ -577,7 +534,7 @@ mod tests {
         let b = env.from_collection(vec![3u64]);
         let u = a.union(b);
         assert_eq!(u.count(), 3);
-        assert_eq!(u.partition_sizes().len(), 2);
+        assert_eq!(u.partitions().len(), 2);
     }
 
     #[test]
@@ -620,7 +577,7 @@ mod tests {
         let again = ds.partition_by(key, |(k, _)| *k);
         assert_eq!(env.metrics().stages, stages_before);
         assert_eq!(again.partitioning(), ds.partitioning());
-        assert_eq!(again.partition_sizes(), ds.partition_sizes());
+        assert_eq!(again.partitions(), ds.partitions());
         // A different key still shuffles and re-stamps.
         let other = PartitionKey::named("pair.second");
         let reshuffled = ds.partition_by(other, |(_, v)| *v);
@@ -635,19 +592,14 @@ mod tests {
     }
 
     #[test]
-    fn filter_and_preserving_flat_map_keep_partitioning() {
+    fn filter_keeps_partitioning() {
         let env = env(4);
         let key = PartitionKey::named("value");
         let ds = env.from_collection(0u64..50).partition_by(key, |x| *x);
         assert!(ds.filter(|x| *x % 2 == 0).partitioning().is_some());
-        assert!(ds
-            .flat_map_preserving(|x, out| out.push(*x))
-            .partitioning()
-            .is_some());
-        // Plain map/flat_map may rewrite keys: fingerprint dropped.
+        // map/flat_map may rewrite keys: fingerprint dropped.
         assert!(ds.map(|x| *x + 1).partitioning().is_none());
         assert!(ds.flat_map(|x, out| out.push(*x)).partitioning().is_none());
-        assert!(ds.rebalance().partitioning().is_none());
     }
 
     #[test]
@@ -672,20 +624,6 @@ mod tests {
             .from_collection(0u64..20)
             .partition_by(PartitionKey::named("other"), |x| *x);
         assert!(a.union(other).partitioning().is_none());
-    }
-
-    #[test]
-    fn rebalance_evens_out_partitions() {
-        let env = env(4);
-        // All data on one worker.
-        let skewed = Dataset::from_partitions(
-            env.clone(),
-            vec![(0u64..100).collect(), vec![], vec![], vec![]],
-        );
-        let balanced = skewed.rebalance();
-        for size in balanced.partition_sizes() {
-            assert_eq!(size, 25);
-        }
     }
 
     #[test]
@@ -817,7 +755,8 @@ mod tests {
         let (env, sink, _) = two_parts();
         let nothing = Parts::<u64>::new(&env, Vec::new());
         let out = nothing.flat_map(|x, out| out.push(*x));
-        assert_eq!(out.partition_sizes(), vec![0, 0, 0]);
+        assert!(out.partitions().iter().all(Vec::is_empty));
+        assert_eq!(out.partitions().len(), 3);
         let stages = sink.snapshot().stages;
         assert_eq!(stages.len(), 1);
         assert_eq!((stages[0].records_in, stages[0].seconds), (0, 0.5));

@@ -356,7 +356,7 @@ mod tests {
     fn from_collection_distributes_round_robin() {
         let env = ExecutionEnvironment::with_workers(3);
         let ds = env.from_collection(0u64..10);
-        let sizes = ds.partition_sizes();
+        let sizes: Vec<usize> = ds.partitions().iter().map(Vec::len).collect();
         assert_eq!(sizes, vec![4, 3, 3]);
         assert_eq!(ds.count(), 10);
     }

@@ -209,8 +209,9 @@ mod tests {
         let probe = env.from_collection(0u64..10);
         let expected = {
             let mut rows = probe
+                .clone()
                 .join(
-                    &edges,
+                    edges.clone(),
                     |p| *p,
                     |(k, _)| *k,
                     JoinStrategy::RepartitionHash,

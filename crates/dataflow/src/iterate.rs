@@ -63,52 +63,34 @@ where
     let env = initial.env().clone();
     let mut working = initial;
     let mut results: Dataset<R> = env.empty();
-    let Some(fault_config) = env.fault_config() else {
-        // Fault-free fast path: no snapshots, no superstep accounting.
-        for iteration in 1..=max_iterations {
-            if working.is_empty_untracked() {
-                break;
-            }
-            let (next, found) = body(working, iteration);
-            results = results.union(found);
-            working = next;
-        }
-        return (working, results);
-    };
-
-    let interval = fault_config.checkpoint_interval;
-    // The initial state doubles as the superstep-0 "checkpoint"; with
-    // interval 0 it is never replaced, so recovery restarts from scratch.
-    let mut checkpoint: (usize, Dataset<T>, Dataset<R>) = (0, working.clone(), results.clone());
+    // Under a fault policy the initial state doubles as the superstep-0
+    // checkpoint; with interval 0 it is never replaced, so recovery restarts
+    // from scratch. Without one no checkpoint is taken: nothing else holds
+    // the solution set, so every superstep appends to it in place.
+    let mut checkpoint = env
+        .fault_config()
+        .map(|config| (config, 0usize, working.clone(), results.clone()));
     let mut restores: u32 = 0;
     let mut iteration = 1usize;
-    while iteration <= max_iterations {
-        if working.is_empty_untracked() {
-            break;
-        }
+    while iteration <= max_iterations && !working.is_empty_untracked() {
         if let Some(event) = env.begin_superstep_fault() {
+            let Some((config, at, saved_working, saved_results)) = checkpoint.clone() else {
+                unreachable!("superstep faults fire only under a fault policy")
+            };
             restores += 1;
-            if restores >= fault_config.max_attempts {
+            if restores >= config.max_attempts {
                 env.record_execution_failure(ExecutionFailure {
                     site: format!("superstep {iteration}"),
                     attempts: restores,
                     message: format!(
                         "retry budget exhausted during bulk iteration \
                          (max_attempts = {}, fault: {:?})",
-                        fault_config.max_attempts, event.kind
+                        config.max_attempts, event.kind
                     ),
                 });
                 break;
             }
-            let (at, saved_working, saved_results) = checkpoint.clone();
-            charge_restore(
-                &env,
-                &fault_config,
-                &saved_working,
-                &saved_results,
-                at,
-                restores,
-            );
+            charge_restore(&env, &config, &saved_working, &saved_results, at, restores);
             working = saved_working;
             results = saved_results;
             iteration = at + 1;
@@ -117,9 +99,13 @@ where
         let (next, found) = body(working, iteration);
         results = results.union(found);
         working = next;
-        if interval > 0 && iteration.is_multiple_of(interval) {
-            checkpoint = (iteration, working.clone(), results.clone());
-            charge_checkpoint(&env, &working, &results, iteration);
+        if let Some((config, at, saved_working, saved_results)) = &mut checkpoint {
+            let interval = config.checkpoint_interval;
+            if interval > 0 && iteration.is_multiple_of(interval) {
+                (*at, *saved_working, *saved_results) =
+                    (iteration, working.clone(), results.clone());
+                charge_checkpoint(&env, &working, &results, iteration);
+            }
         }
         iteration += 1;
     }

@@ -23,22 +23,24 @@
 //! reject a pair by returning `None`, which is how isomorphism checks are
 //! fused into joins without materializing rejected embeddings.
 //!
-//! [`Dataset::join_partitioned`] **consumes** both inputs: a side that has to
-//! be shuffled and whose handle is the last one is moved into place, not
-//! copied (see [`shuffle_by_key`]). [`Dataset::join`] borrows; it hands the
-//! same code a second handle on each side, so its shuffles copy.
+//! Every join **consumes** both inputs: a side that has to be shuffled and
+//! whose handle is the last one is moved into place, not copied (see
+//! [`shuffle_by_key`]). Pass a clone to keep using an input.
 //!
-//! The build side of every local hash join — here and in the outer, semi
-//! and anti joins of `outer_join.rs` — is a `ChainedTable`: two flat
-//! allocations per table however many distinct keys there are, so a join
-//! allocates nothing per shipped row or per key; what an output row costs
-//! is up to the join function that writes it.
+//! Every repartitioned join — the inner joins here and the outer, semi and
+//! anti joins of `outer_join.rs` — runs as one stage body,
+//! `Dataset::repartition_join`: it ships both sides, builds one
+//! `ChainedTable` per partition (two flat allocations however many
+//! distinct keys there are, so a join allocates nothing per shipped row or
+//! per key), hands each partition pair to the join's probe, and charges the
+//! memory of the side it built. What an output row costs is up to the join
+//! function that writes it.
 
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::Arc;
 
-use crate::cost::StageCosts;
+use crate::cost::{StageCosts, WorkerCost};
 use crate::data::Data;
 use crate::dataset::Dataset;
 use crate::partition::{shuffle_by_key, PartitionKey, Partitioning};
@@ -59,9 +61,29 @@ pub enum JoinStrategy {
     BroadcastHashSecond,
 }
 
-/// Which local side a hash join builds its table over.
+/// Which side a repartitioned join builds each partition's table over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BuildSide {
+pub(crate) enum Build {
+    /// The side with fewer rows in the partition (inner joins).
+    Smaller,
+    /// Always the right side (outer, semi and anti joins, whose probe walks
+    /// every left row).
+    Right,
+}
+
+impl Build {
+    /// The side a partition of `left` and `right` rows builds over.
+    fn side(self, left: usize, right: usize) -> BuildSide {
+        match self {
+            Build::Smaller if left <= right => BuildSide::Left,
+            _ => BuildSide::Right,
+        }
+    }
+}
+
+/// Which local side a hash join built its table over.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum BuildSide {
     Left,
     Right,
 }
@@ -94,10 +116,11 @@ where
     }
 }
 
-/// The build side of a local hash join: key → index of the first row that
-/// carries it, and per row the index of the next row with the same key. Two
-/// allocations per table, none per key. [`ChainedTable::matches`] walks a
-/// chain in insertion order.
+/// The build side of a local hash join and the index of a group-by: key →
+/// index of the first row that carries it, and per row the index of the
+/// next row with the same key. Two allocations per table, none per key.
+/// [`ChainedTable::matches`] walks a chain in insertion order;
+/// [`ChainedTable::heads`] lists the keys in the order they first appear.
 pub(crate) struct ChainedTable<K> {
     first: HashMap<K, u32>,
     next: Vec<u32>,
@@ -107,13 +130,25 @@ pub(crate) struct ChainedTable<K> {
 const NO_ROW: u32 = u32::MAX;
 
 impl<K: Hash + Eq> ChainedTable<K> {
-    /// Indexes `rows` by `key`.
-    pub(crate) fn build<T>(rows: &[T], key: impl Fn(&T) -> K) -> Self {
+    /// Indexes a join's build side `rows` by `key`. The key map is sized
+    /// for every row to carry a key of its own, so it is allocated once
+    /// however many distinct keys there are.
+    pub(crate) fn build<'a, T>(rows: &'a [T], key: impl Fn(&'a T) -> K) -> Self {
+        Self::index(rows, HashMap::with_capacity(rows.len()), key)
+    }
+
+    /// Indexes `rows` by a group key, which may borrow from the rows.
+    /// Groups are usually far fewer than rows, so the key map grows with
+    /// the keys instead of being sized for the rows.
+    pub(crate) fn group<'a, T>(rows: &'a [T], key: impl Fn(&'a T) -> K) -> Self {
+        Self::index(rows, HashMap::new(), key)
+    }
+
+    fn index<'a, T>(rows: &'a [T], mut first: HashMap<K, u32>, key: impl Fn(&'a T) -> K) -> Self {
         assert!(
             rows.len() < NO_ROW as usize,
             "a partition holds fewer than 2^32 - 1 rows"
         );
-        let mut first: HashMap<K, u32> = HashMap::with_capacity(rows.len());
         let mut next = vec![NO_ROW; rows.len()];
         // Back to front, so each row is linked in front of the later rows
         // of its key and every chain ascends.
@@ -136,18 +171,30 @@ impl<K: Hash + Eq> ChainedTable<K> {
             })
         })
     }
+
+    /// The first row of every key, ascending: the keys in first-seen order.
+    pub(crate) fn heads(&self) -> impl Iterator<Item = usize> + '_ {
+        let mut linked = vec![false; self.next.len()];
+        for &later in &self.next {
+            if later != NO_ROW {
+                linked[later as usize] = true;
+            }
+        }
+        (0..self.next.len()).filter(move |&row| !linked[row])
+    }
 }
 
 impl<T: Data> Dataset<T> {
     /// Equi-join with FlatJoin semantics: `join_fn` returns `Some(output)`
     /// to emit a joined element or `None` to reject the pair. The join key
-    /// is anonymous, so no shuffle can be elided, and both inputs are
-    /// borrowed, so every shuffled record is a copy; see
-    /// [`Dataset::join_partitioned`] for the partitioning-aware, consuming
-    /// variant.
+    /// is anonymous, so no shuffle can be elided; see
+    /// [`Dataset::join_partitioned`] for the partitioning-aware variant.
+    ///
+    /// Consumes both inputs: a shuffled side moves its rows if this was the
+    /// last handle on it. Pass a clone to keep using an input.
     pub fn join<R, K, O, KL, KR, F>(
-        &self,
-        right: &Dataset<R>,
+        self,
+        right: Dataset<R>,
         left_key: KL,
         right_key: KR,
         strategy: JoinStrategy,
@@ -156,13 +203,12 @@ impl<T: Data> Dataset<T> {
     where
         R: Data,
         O: Data,
-        K: Hash + Eq + Clone + Send + Sync,
+        K: Hash + Eq,
         KL: Fn(&T) -> K + Sync,
         KR: Fn(&R) -> K + Sync,
         F: Fn(&T, &R) -> Option<O> + Sync,
     {
-        let (left, right) = (self.clone(), right.clone());
-        left.join_with_key(right, None, left_key, right_key, strategy, join_fn)
+        self.join_with_key(right, None, left_key, right_key, strategy, join_fn)
     }
 
     /// Like [`Dataset::join`], but names the join key with a
@@ -174,9 +220,6 @@ impl<T: Data> Dataset<T> {
     /// `key_id` must actually describe the values `left_key`/`right_key`
     /// extract — callers that reuse a key id across joins must extract the
     /// same semantic key each time.
-    ///
-    /// Consumes both inputs: a shuffled side moves its rows if this was the
-    /// last handle on it. Pass a clone to keep using an input.
     pub fn join_partitioned<R, K, O, KL, KR, F>(
         self,
         right: Dataset<R>,
@@ -189,7 +232,7 @@ impl<T: Data> Dataset<T> {
     where
         R: Data,
         O: Data,
-        K: Hash + Eq + Clone + Send + Sync,
+        K: Hash + Eq,
         KL: Fn(&T) -> K + Sync,
         KR: Fn(&R) -> K + Sync,
         F: Fn(&T, &R) -> Option<O> + Sync,
@@ -209,15 +252,20 @@ impl<T: Data> Dataset<T> {
     where
         R: Data,
         O: Data,
-        K: Hash + Eq + Clone + Send + Sync,
+        K: Hash + Eq,
         KL: Fn(&T) -> K + Sync,
         KR: Fn(&R) -> K + Sync,
         F: Fn(&T, &R) -> Option<O> + Sync,
     {
         match strategy {
-            JoinStrategy::RepartitionHash => {
-                self.repartition_hash_join(right, key_id, left_key, right_key, join_fn)
-            }
+            JoinStrategy::RepartitionHash => self.repartition_join(
+                "join(repartition-hash)",
+                right,
+                key_id,
+                (&left_key, &right_key),
+                Build::Smaller,
+                |l, r, side, table| probe_inner(l, r, side, table, &left_key, &right_key, &join_fn),
+            ),
             JoinStrategy::BroadcastHashFirst => {
                 // Symmetric to broadcasting the second input: broadcast self
                 // and probe from the right side, flipping the join function.
@@ -229,32 +277,62 @@ impl<T: Data> Dataset<T> {
         }
     }
 
-    fn repartition_hash_join<R, K, O, KL, KR, F>(
+    /// The one stage body of every repartitioned join, run as `name`.
+    ///
+    /// Ships both sides on the join key ([`ship_side`]: moved when this is
+    /// the last handle, FORWARD when the fingerprint already matches
+    /// `key_id`), builds one [`ChainedTable`] per partition over the side
+    /// `build` names, runs `probe(left, right, built side, table)` per
+    /// partition pair on the pool, and charges each worker the records it
+    /// read and wrote plus the peak memory, one scratch allocation and the
+    /// spill overflow of the side it built.
+    pub(crate) fn repartition_join<R, K, O, KL, KR, F>(
         self,
+        name: &'static str,
         right: Dataset<R>,
         key_id: Option<PartitionKey>,
-        left_key: KL,
-        right_key: KR,
-        join_fn: F,
+        (left_key, right_key): (&KL, &KR),
+        build: Build,
+        probe: F,
     ) -> Dataset<O>
     where
         R: Data,
         O: Data,
-        K: Hash + Eq + Clone + Send + Sync,
+        K: Hash + Eq,
         KL: Fn(&T) -> K + Sync,
         KR: Fn(&R) -> K + Sync,
-        F: Fn(&T, &R) -> Option<O> + Sync,
+        F: Fn(&[T], &[R], BuildSide, &ChainedTable<K>) -> Vec<O> + Sync,
     {
         let env = self.env().clone();
-        let mut stage = env.stage("join(repartition-hash)");
-        let left_parts = ship_side(self, key_id, &left_key, &mut stage);
-        let right_parts = ship_side(right, key_id, &right_key, &mut stage);
+        let mut stage = env.stage(name);
+        let left_parts = ship_side(self, key_id, left_key, &mut stage);
+        let right_parts = ship_side(right, key_id, right_key, &mut stage);
 
         let outputs: Vec<Vec<O>> = map_partition_pairs(&left_parts, &right_parts, |_, l, r| {
-            local_hash_join(l, r, &left_key, &right_key, &join_fn)
+            let side = build.side(l.len(), r.len());
+            let table = match side {
+                BuildSide::Left => ChainedTable::build(l, left_key),
+                BuildSide::Right => ChainedTable::build(r, right_key),
+            };
+            probe(l, r, side, &table)
         });
 
-        charge_local_join(&mut stage, &left_parts, &right_parts, &outputs, &env);
+        let memory = env.cost_model().memory_per_worker;
+        for (i, ((l, r), out)) in left_parts
+            .iter()
+            .zip(right_parts.iter())
+            .zip(&outputs)
+            .enumerate()
+        {
+            let build_bytes = match build.side(l.len(), r.len()) {
+                BuildSide::Left => bytes_of(l),
+                BuildSide::Right => bytes_of(r),
+            };
+            let w = stage.worker(i);
+            w.records_in += (l.len() + r.len()) as u64;
+            w.records_out += out.len() as u64;
+            charge_build(w, build_bytes, memory);
+        }
         env.finish_stage(stage);
         // Both sides now sit on partition_for(join key), and every output
         // row carries that key value: the output is partitioned on it.
@@ -276,7 +354,7 @@ impl<T: Data> Dataset<T> {
     where
         R: Data,
         O: Data,
-        K: Hash + Eq + Clone + Send + Sync,
+        K: Hash + Eq,
         KL: Fn(&T) -> K + Sync,
         KR: Fn(&R) -> K + Sync,
         F: Fn(&T, &R) -> Option<O> + Sync,
@@ -290,11 +368,7 @@ impl<T: Data> Dataset<T> {
         // charges the replication but probes the original records through
         // borrows — no copy is materialized.
         let broadcast: Vec<&R> = right.partitions().iter().flatten().collect();
-        let fragment_bytes: Vec<u64> = right
-            .partitions()
-            .iter()
-            .map(|p| p.iter().map(|e| e.byte_size() as u64).sum())
-            .collect();
+        let fragment_bytes: Vec<u64> = right.partitions().iter().map(|p| bytes_of(p)).collect();
         let total_bytes: u64 = fragment_bytes.iter().sum();
         for (i, bytes) in fragment_bytes.iter().enumerate() {
             let w = stage.worker(i);
@@ -303,46 +377,37 @@ impl<T: Data> Dataset<T> {
         }
 
         // Each worker builds over its smaller local side: the stationary
-        // fragment or the full broadcast set. The choice is forced here so
-        // the memory/spill accounting below charges the side actually built.
-        let build_sides: Vec<BuildSide> = self
-            .partitions()
-            .iter()
-            .map(|left| {
-                if left.len() <= broadcast.len() {
-                    BuildSide::Left
-                } else {
-                    BuildSide::Right
-                }
-            })
-            .collect();
-        let outputs: Vec<Vec<O>> = map_partitions(self.partitions(), |i, left| {
-            local_hash_join_forced(
+        // fragment or the full broadcast set; the accounting below charges
+        // the side actually built.
+        let broadcast_key = |r: &&R| right_key(r);
+        let outputs: Vec<Vec<O>> = map_partitions(self.partitions(), |_, left| {
+            let side = Build::Smaller.side(left.len(), broadcast.len());
+            let table = match side {
+                BuildSide::Left => ChainedTable::build(left, &left_key),
+                BuildSide::Right => ChainedTable::build(&broadcast, broadcast_key),
+            };
+            probe_inner(
                 left,
                 &broadcast,
+                side,
+                &table,
                 &left_key,
-                &|r: &&R| right_key(r),
-                &|l: &T, r: &&R| join_fn(l, r),
-                build_sides[i],
+                broadcast_key,
+                |l: &T, r: &&R| join_fn(l, r),
             )
         });
 
         let right_records = broadcast.len() as u64;
-        let broadcast_bytes = total_bytes;
         let memory = env.cost_model().memory_per_worker;
         for (i, (left, out)) in self.partitions().iter().zip(&outputs).enumerate() {
-            let build_bytes: u64 = match build_sides[i] {
-                BuildSide::Left => left.iter().map(|e| e.byte_size() as u64).sum(),
-                BuildSide::Right => broadcast_bytes,
+            let build_bytes: u64 = match Build::Smaller.side(left.len(), broadcast.len()) {
+                BuildSide::Left => bytes_of(left),
+                BuildSide::Right => total_bytes,
             };
             let w = stage.worker(i);
             w.records_in += left.len() as u64 + right_records;
             w.records_out += out.len() as u64;
-            w.peak_memory_bytes = w.peak_memory_bytes.max(build_bytes);
-            w.scratch_allocations += 1;
-            if build_bytes as usize > memory {
-                w.bytes_spilled += build_bytes - memory as u64;
-            }
+            charge_build(w, build_bytes, memory);
         }
         env.finish_stage(stage);
         // Outputs stay on the stationary side's workers, so its fingerprint
@@ -355,51 +420,27 @@ impl<T: Data> Dataset<T> {
     }
 }
 
-/// Local hash join: builds over the smaller side, probes with the other.
-fn local_hash_join<L, R, K, O, KL, KR, F>(
+/// The inner-join probe of a table built over `side`: walks the other
+/// side's rows in order and, per row, its matches in build order, emitting
+/// every pair `join_fn` accepts.
+fn probe_inner<L, R, K, O>(
     left: &[L],
     right: &[R],
-    left_key: &KL,
-    right_key: &KR,
-    join_fn: &F,
+    side: BuildSide,
+    table: &ChainedTable<K>,
+    left_key: impl Fn(&L) -> K,
+    right_key: impl Fn(&R) -> K,
+    join_fn: impl Fn(&L, &R) -> Option<O>,
 ) -> Vec<O>
 where
-    K: Hash + Eq + Clone,
-    KL: Fn(&L) -> K,
-    KR: Fn(&R) -> K,
-    F: Fn(&L, &R) -> Option<O>,
-{
-    let build = if left.len() <= right.len() {
-        BuildSide::Left
-    } else {
-        BuildSide::Right
-    };
-    local_hash_join_forced(left, right, left_key, right_key, join_fn, build)
-}
-
-/// Local hash join with an explicitly forced build side, so cost accounting
-/// can charge exactly the side whose table is materialized.
-fn local_hash_join_forced<L, R, K, O, KL, KR, F>(
-    left: &[L],
-    right: &[R],
-    left_key: &KL,
-    right_key: &KR,
-    join_fn: &F,
-    build: BuildSide,
-) -> Vec<O>
-where
-    K: Hash + Eq + Clone,
-    KL: Fn(&L) -> K,
-    KR: Fn(&R) -> K,
-    F: Fn(&L, &R) -> Option<O>,
+    K: Hash + Eq,
 {
     let mut out = Vec::new();
     if left.is_empty() || right.is_empty() {
         return out;
     }
-    match build {
+    match side {
         BuildSide::Left => {
-            let table = ChainedTable::build(left, left_key);
             for r in right {
                 for l in table.matches(&right_key(r)) {
                     out.extend(join_fn(&left[l], r));
@@ -407,7 +448,6 @@ where
             }
         }
         BuildSide::Right => {
-            let table = ChainedTable::build(right, right_key);
             for l in left {
                 for r in table.matches(&left_key(l)) {
                     out.extend(join_fn(l, &right[r]));
@@ -418,32 +458,19 @@ where
     out
 }
 
-/// Charges a repartitioned local join: record counts plus memory pressure.
-fn charge_local_join<L: Data, R: Data, O: Data>(
-    stage: &mut StageCosts,
-    left_parts: &[Vec<L>],
-    right_parts: &[Vec<R>],
-    outputs: &[Vec<O>],
-    env: &crate::env::ExecutionEnvironment,
-) {
-    let memory = env.cost_model().memory_per_worker;
-    for (i, ((l, r), out)) in left_parts.iter().zip(right_parts).zip(outputs).enumerate() {
-        // The local join builds over the smaller side by record count.
-        let build_bytes: u64 = if l.len() <= r.len() {
-            l.iter().map(|e| e.byte_size() as u64).sum()
-        } else {
-            r.iter().map(|e| e.byte_size() as u64).sum()
-        };
-        let w = stage.worker(i);
-        w.records_in += (l.len() + r.len()) as u64;
-        w.records_out += out.len() as u64;
-        w.peak_memory_bytes = w.peak_memory_bytes.max(build_bytes);
-        w.scratch_allocations += 1;
-        if build_bytes as usize > memory {
-            // Grace-hash-style spill: the overflow fraction of the build side
-            // is written out and re-read.
-            w.bytes_spilled += build_bytes - memory as u64;
-        }
+/// Serialized bytes of `rows`.
+fn bytes_of<T: Data>(rows: &[T]) -> u64 {
+    rows.iter().map(|e| e.byte_size() as u64).sum()
+}
+
+/// Charges a worker for the hash table it built over `build_bytes`: the
+/// peak memory, one scratch allocation, and — grace-hash style — the
+/// overflow beyond the `memory` budget, written out and re-read.
+fn charge_build(w: &mut WorkerCost, build_bytes: u64, memory: usize) {
+    w.peak_memory_bytes = w.peak_memory_bytes.max(build_bytes);
+    w.scratch_allocations += 1;
+    if build_bytes as usize > memory {
+        w.bytes_spilled += build_bytes - memory as u64;
     }
 }
 
@@ -479,7 +506,7 @@ mod tests {
             (9, "x".to_string()),
         ]);
         let joined = left.join(
-            &right,
+            right,
             |l| *l,
             |(k, _)| *k,
             strategy,
@@ -503,6 +530,7 @@ mod tests {
             .matches(&3)
             .next()
             .is_none());
+        assert_eq!(table.heads().collect::<Vec<_>>(), vec![0, 1, 3]);
     }
 
     #[test]
@@ -544,7 +572,7 @@ mod tests {
         let left = env.from_collection(vec![1u64, 2]);
         let right = env.from_collection(vec![(1u64, 10u64), (2, 20)]);
         let joined = left.join(
-            &right,
+            right,
             |l| *l,
             |(k, _)| *k,
             JoinStrategy::RepartitionHash,
@@ -559,7 +587,7 @@ mod tests {
         let left = env.from_collection(vec![1u64, 1]);
         let right = env.from_collection(vec![(1u64, 1u64), (1, 2), (1, 3)]);
         let joined = left.join(
-            &right,
+            right,
             |l| *l,
             |(k, _)| *k,
             JoinStrategy::RepartitionHash,
@@ -574,7 +602,7 @@ mod tests {
         let left = env.from_collection(Vec::<u64>::new());
         let right = env.from_collection(vec![(1u64, 2u64)]);
         let joined = left.join(
-            &right,
+            right,
             |l| *l,
             |(k, _)| *k,
             JoinStrategy::RepartitionHash,
@@ -591,7 +619,7 @@ mod tests {
         let right = env.from_collection((0u64..1000).map(|i| (i, i)).collect::<Vec<_>>());
         env.reset_metrics();
         let _ = left.join(
-            &right,
+            right,
             |l| *l,
             |(k, _)| *k,
             JoinStrategy::RepartitionHash,
@@ -674,7 +702,7 @@ mod tests {
         let right = env.from_collection((0u64..100).map(|i| (i, i)).collect::<Vec<_>>());
         env.reset_metrics();
         let _ = left.join(
-            &right,
+            right,
             |l| *l,
             |(k, _)| *k,
             JoinStrategy::RepartitionHash,
@@ -698,7 +726,7 @@ mod tests {
         let right = env.from_collection((0u64..200).map(|i| (i % 10, i)).collect::<Vec<_>>());
         env.reset_metrics();
         let joined = left.join(
-            &right,
+            right,
             |l| *l,
             |(k, _)| *k,
             JoinStrategy::BroadcastHashSecond,
@@ -719,7 +747,7 @@ mod tests {
         let right = env.from_collection(vec![(1u64, 1u64), (2, 2)]);
         env.reset_metrics();
         let _ = left.join(
-            &right,
+            right,
             |l| *l,
             |(k, _)| *k,
             JoinStrategy::BroadcastHashSecond,

@@ -3,19 +3,18 @@
 //! Flink's dataset API offers outer joins alongside inner joins; the
 //! iterative graph algorithms need them (e.g. "vertices that did not
 //! receive a message keep their state", "frontier minus settled") and
-//! `OPTIONAL MATCH ... WHERE` is a filtered left outer join. All of them are
-//! repartition hash joins over one stage body: both sides are shuffled by
-//! key, each right partition is indexed by the same `ChainedTable` the inner
-//! joins build (two allocations per table, none per key), and each left
-//! partition probes it.
+//! `OPTIONAL MATCH ... WHERE` is a filtered left outer join. All of them run
+//! as the one repartitioned join stage of `join.rs`: both sides are shipped
+//! by key (moved when the join holds their last handle), each right
+//! partition is indexed by a `ChainedTable` (two allocations per table, none
+//! per key) whose memory and spill the stage charges, and each left
+//! partition probes it. Like the inner joins they consume both inputs.
 
 use std::hash::Hash;
 
 use crate::data::Data;
 use crate::dataset::Dataset;
-use crate::join::ChainedTable;
-use crate::partition::shuffle_by_key;
-use crate::pool::map_partition_pairs;
+use crate::join::Build;
 
 impl<T: Data> Dataset<T> {
     /// Left outer equi-join: `join_fn` receives every left element together
@@ -23,8 +22,8 @@ impl<T: Data> Dataset<T> {
     /// key. Emits one output per (left, match) pair and one per unmatched
     /// left element (when `join_fn` returns `Some`).
     pub fn join_left_outer<R, K, O, KL, KR, F>(
-        &self,
-        right: &Dataset<R>,
+        self,
+        right: Dataset<R>,
         left_key: KL,
         right_key: KR,
         join_fn: F,
@@ -32,7 +31,7 @@ impl<T: Data> Dataset<T> {
     where
         R: Data,
         O: Data,
-        K: Hash + Eq + Clone + Send + Sync,
+        K: Hash + Eq,
         KL: Fn(&T) -> K + Sync,
         KR: Fn(&R) -> K + Sync,
         F: Fn(&T, Option<&R>) -> Option<O> + Sync,
@@ -48,8 +47,8 @@ impl<T: Data> Dataset<T> {
     /// match decision rather than a post-filter (a post-filter would drop
     /// the row instead of NULL-padding it).
     pub fn join_left_outer_filtered<R, K, O, KL, KR, P, F>(
-        &self,
-        right: &Dataset<R>,
+        self,
+        right: Dataset<R>,
         left_key: KL,
         right_key: KR,
         accept: P,
@@ -58,18 +57,19 @@ impl<T: Data> Dataset<T> {
     where
         R: Data,
         O: Data,
-        K: Hash + Eq + Clone + Send + Sync,
+        K: Hash + Eq,
         KL: Fn(&T) -> K + Sync,
         KR: Fn(&R) -> K + Sync,
         P: Fn(&T, &R) -> bool + Sync,
         F: Fn(&T, Option<&R>) -> Option<O> + Sync,
     {
-        self.probe_right_table(
+        self.repartition_join(
             "join(left-outer-hash)",
             right,
-            &left_key,
-            right_key,
-            |l, r, table| {
+            None,
+            (&left_key, &right_key),
+            Build::Right,
+            |l, r, _, table| {
                 let mut out = Vec::new();
                 for item in l {
                     let mut matched = false;
@@ -91,14 +91,14 @@ impl<T: Data> Dataset<T> {
     /// Anti join: keeps the left elements whose key has **no** partner on
     /// the right side.
     pub fn anti_join<R, K, KL, KR>(
-        &self,
-        right: &Dataset<R>,
+        self,
+        right: Dataset<R>,
         left_key: KL,
         right_key: KR,
     ) -> Dataset<T>
     where
         R: Data,
-        K: Hash + Eq + Clone + Send + Sync,
+        K: Hash + Eq,
         KL: Fn(&T) -> K + Sync,
         KR: Fn(&R) -> K + Sync,
     {
@@ -110,72 +110,30 @@ impl<T: Data> Dataset<T> {
     /// Semi join: keeps the left elements whose key has at least one
     /// partner on the right side (each left element at most once).
     pub fn semi_join<R, K, KL, KR>(
-        &self,
-        right: &Dataset<R>,
+        self,
+        right: Dataset<R>,
         left_key: KL,
         right_key: KR,
     ) -> Dataset<T>
     where
         R: Data,
-        K: Hash + Eq + Clone + Send + Sync,
+        K: Hash + Eq,
         KL: Fn(&T) -> K + Sync,
         KR: Fn(&R) -> K + Sync,
     {
-        self.probe_right_table(
+        self.repartition_join(
             "join(semi-hash)",
             right,
-            &left_key,
-            right_key,
-            |l, _, table| {
+            None,
+            (&left_key, &right_key),
+            Build::Right,
+            |l, _, _, table| {
                 l.iter()
                     .filter(|item| table.matches(&left_key(item)).next().is_some())
                     .cloned()
                     .collect()
             },
         )
-    }
-
-    /// The stage every join of this module runs as `name`: shuffles both
-    /// sides by key, builds a [`ChainedTable`] over each right partition,
-    /// runs `probe(left, right, table)` per partition pair on the pool and
-    /// charges each worker the records it read and wrote.
-    fn probe_right_table<R, K, O, KL, KR, F>(
-        &self,
-        name: &'static str,
-        right: &Dataset<R>,
-        left_key: &KL,
-        right_key: KR,
-        probe: F,
-    ) -> Dataset<O>
-    where
-        R: Data,
-        O: Data,
-        K: Hash + Eq,
-        KL: Fn(&T) -> K + Sync,
-        KR: Fn(&R) -> K + Sync,
-        F: Fn(&[T], &[R], &ChainedTable<K>) -> Vec<O> + Sync,
-    {
-        let env = self.env().clone();
-        let mut stage = env.stage(name);
-        let left_parts = shuffle_by_key(self.partitions_arc(), left_key, &mut stage);
-        let right_parts = shuffle_by_key(right.partitions_arc(), &right_key, &mut stage);
-
-        let outputs: Vec<Vec<O>> = map_partition_pairs(&left_parts, &right_parts, |_, l, r| {
-            probe(l, r, &ChainedTable::build(r, &right_key))
-        });
-
-        for (i, ((l, r), out)) in left_parts
-            .iter()
-            .zip(&right_parts)
-            .zip(&outputs)
-            .enumerate()
-        {
-            let w = stage.worker(i);
-            w.records_in += (l.len() + r.len()) as u64;
-            w.records_out += out.len() as u64;
-        }
-        env.finish_stage(stage);
-        Dataset::from_partitions(env, outputs)
     }
 }
 
@@ -196,7 +154,7 @@ mod tests {
         let left = env.from_collection(vec![1u64, 2, 3]);
         let right = env.from_collection(vec![(2u64, "two".to_string())]);
         let joined = left.join_left_outer(
-            &right,
+            right,
             |l| *l,
             |(k, _)| *k,
             |l, matched| Some((*l, matched.map(|(_, v)| v.clone()).unwrap_or_default())),
@@ -219,7 +177,7 @@ mod tests {
         let left = env.from_collection(vec![1u64]);
         let right = env.from_collection(vec![(1u64, 10u64), (1, 20)]);
         let joined = left.join_left_outer(
-            &right,
+            right,
             |l| *l,
             |(k, _)| *k,
             |_, matched| matched.map(|(_, v)| *v),
@@ -238,7 +196,7 @@ mod tests {
         // padded, not dropped.
         let right = env.from_collection(vec![(2u64, 10u64), (2, 99), (3, 99)]);
         let joined = left.join_left_outer_filtered(
-            &right,
+            right,
             |l| *l,
             |(k, _)| *k,
             |_, (_, v)| *v != 99,
@@ -254,7 +212,7 @@ mod tests {
         let env = env(3);
         let left = env.from_collection(0u64..10);
         let right = env.from_collection((0u64..10).filter(|i| i % 2 == 0).collect::<Vec<_>>());
-        let odd = left.anti_join(&right, |l| *l, |r| *r);
+        let odd = left.anti_join(right, |l| *l, |r| *r);
         let mut rows = odd.collect();
         rows.sort_unstable();
         assert_eq!(rows, vec![1, 3, 5, 7, 9]);
@@ -267,7 +225,7 @@ mod tests {
         // Key 1 appears twice on the right — left element 1 must still
         // appear only once.
         let right = env.from_collection(vec![1u64, 1]);
-        let mut rows = left.semi_join(&right, |l| *l, |r| *r).collect();
+        let mut rows = left.semi_join(right, |l| *l, |r| *r).collect();
         rows.sort_unstable();
         assert_eq!(rows, vec![1]);
     }
@@ -278,7 +236,7 @@ mod tests {
         let left = env.from_collection(vec![5u64]);
         let right = env.from_collection(Vec::<u64>::new());
         let joined = left.join_left_outer(
-            &right,
+            right,
             |l| *l,
             |r| *r,
             |l, matched| Some((*l, matched.is_none())),

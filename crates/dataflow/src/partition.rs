@@ -15,7 +15,8 @@
 //! bucket), anyone else keeps them and the shuffle clones. Which of the two
 //! happened is observed from the handle, never configured, and changes
 //! neither the output nor a single charged byte. [`shuffle_with_keys`]
-//! (group-by / reduce) borrows its input and always clones.
+//! (group-by / reduce) is the same shuffle, routed by the same loop, that
+//! keeps each record's key beside it.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -23,7 +24,7 @@ use std::sync::{Arc, Mutex};
 
 use crate::cost::StageCosts;
 use crate::data::Data;
-use crate::pool::{map_partitions, run_indexed};
+use crate::pool::run_indexed;
 
 /// Identity of a *semantic* partitioning key, e.g. "the edge source id" or
 /// "the values of join variables `[a, b]`". Two datasets partitioned under
@@ -50,9 +51,9 @@ impl PartitionKey {
 /// hash-placed by, and over how many workers. Carried by
 /// [`Dataset`](crate::Dataset) as metadata; it is a claim about *placement*
 /// (`record` is on `partition_for(key(record), workers)`), so it stays
-/// valid under partition-local transformations (`filter`, key-preserving
-/// `flat_map`) and is invalidated by anything that moves or rewrites
-/// records (`map`, `rebalance`, unions of differently partitioned inputs).
+/// valid under partition-local transformations (`filter`) and is
+/// invalidated by anything that moves or rewrites records (`map`,
+/// `flat_map`, unions of differently partitioned inputs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Partitioning {
     /// The semantic key records are placed by.
@@ -77,9 +78,9 @@ pub fn partition_for<K: Hash>(key: &K, workers: usize) -> usize {
 ///
 /// The handle is consumed. If it is the last one, the rows are moved out of
 /// the input; if anything else still holds the partitions (a graph snapshot
-/// shared by sessions, an iteration checkpoint, a caller that came through
-/// a `&self` method), they stay untouched and every row is cloned. Output
-/// order is the same either way: source partitions in order, rows in order.
+/// shared by sessions, an iteration checkpoint, a caller that kept a
+/// clone), they stay untouched and every row is cloned. Output order is the
+/// same either way: source partitions in order, rows in order.
 pub fn shuffle_by_key<T, K, F>(
     partitions: Arc<Vec<Vec<T>>>,
     key: F,
@@ -90,20 +91,62 @@ where
     K: Hash,
     F: Fn(&T) -> K + Sync,
 {
+    route(partitions, key, |_, item| item, stage)
+}
+
+/// [`shuffle_by_key`], but each element's computed key rides along to the
+/// receiving worker so downstream grouping reuses it instead of re-deriving
+/// it per record — group keys can be expensive (rendered group-by rows,
+/// decoded property values). It consumes the handle the same way, and its
+/// cost accounting is identical: the keys are engine-side scratch (a real
+/// system re-hashes on the receiver), so only `T`'s bytes are charged.
+pub fn shuffle_with_keys<T, K, F>(
+    partitions: Arc<Vec<Vec<T>>>,
+    key: F,
+    stage: &mut StageCosts,
+) -> Vec<Vec<(K, T)>>
+where
+    T: Data,
+    K: Hash + Send,
+    F: Fn(&T) -> K + Sync,
+{
+    route(partitions, key, |k, item| (k, item), stage)
+}
+
+/// The routing loop of both shuffles. Each source worker takes its rows
+/// (last handle) or clones them (shared), computes each row's key once,
+/// files `entry(key, row)` in the bucket of the key's target worker and
+/// adds the row's bytes to that bucket when it leaves the worker. The
+/// buckets are then charged (sender and receiver) and concatenated per
+/// target in source order.
+fn route<T, K, E, F, M>(
+    partitions: Arc<Vec<Vec<T>>>,
+    key: F,
+    entry: M,
+    stage: &mut StageCosts,
+) -> Vec<Vec<E>>
+where
+    T: Data,
+    K: Hash,
+    E: Send,
+    F: Fn(&T) -> K + Sync,
+    M: Fn(K, T) -> E + Sync,
+{
     let workers = partitions.len();
     // The last holder's partitions are ours to take apart, one per worker.
     let sources = Arc::try_unwrap(partitions).map(Mutex::new);
-    // Phase 1 (parallel): each worker splits its partition into per-target
-    // buckets and reports the bytes it sends away.
-    let routed: Vec<(Vec<Vec<T>>, u64)> = run_indexed(workers, |index| {
-        let mut buckets: Vec<Vec<T>> = (0..workers).map(|_| Vec::new()).collect();
-        let mut bytes_sent = 0u64;
+    // Phase 1 (parallel): per source, one (entries, bytes moved) bucket per
+    // target worker.
+    let routed: Vec<Vec<(Vec<E>, u64)>> = run_indexed(workers, |index| {
+        let mut buckets: Vec<(Vec<E>, u64)> = (0..workers).map(|_| (Vec::new(), 0)).collect();
         let mut place = |item: T| {
-            let target = partition_for(&key(&item), workers);
+            let k = key(&item);
+            let target = partition_for(&k, workers);
+            let (entries, bytes) = &mut buckets[target];
             if target != index {
-                bytes_sent += item.byte_size() as u64;
+                *bytes += item.byte_size() as u64;
             }
-            buckets[target].push(item);
+            entries.push(entry(k, item));
         };
         match &sources {
             Ok(owned) => {
@@ -115,78 +158,19 @@ where
             }
             Err(shared) => shared[index].iter().for_each(|item| place(item.clone())),
         }
-        (buckets, bytes_sent)
+        buckets
     });
 
     // Phase 2: charge costs and regroup buckets by target worker.
-    let mut result: Vec<Vec<T>> = (0..workers).map(|_| Vec::new()).collect();
-    for (source, (buckets, bytes_sent)) in routed.into_iter().enumerate() {
-        {
-            let w = stage.worker(source);
-            w.records_in += buckets
-                .iter()
-                .map(|bucket| bucket.len() as u64)
-                .sum::<u64>();
-            w.bytes_sent += bytes_sent;
-        }
-        for (target, bucket) in buckets.into_iter().enumerate() {
+    let mut result: Vec<Vec<E>> = (0..workers).map(|_| Vec::new()).collect();
+    for (source, buckets) in routed.into_iter().enumerate() {
+        for (target, (entries, bytes)) in buckets.into_iter().enumerate() {
+            stage.worker(source).records_in += entries.len() as u64;
             if target != source {
-                let received: u64 = bucket.iter().map(|i| i.byte_size() as u64).sum();
-                stage.worker(target).bytes_received += received;
+                stage.worker(source).bytes_sent += bytes;
+                stage.worker(target).bytes_received += bytes;
             }
-            result[target].extend(bucket);
-        }
-    }
-    result
-}
-
-/// [`shuffle_by_key`], but each element's computed key rides along to the
-/// receiving worker so downstream grouping reuses it instead of re-deriving
-/// it per record — group keys can be expensive (rendered group-by rows,
-/// decoded property values). Cost accounting is identical to
-/// [`shuffle_by_key`]: the keys are engine-side scratch (a real system
-/// re-hashes on the receiver), so only `T`'s bytes are charged.
-pub fn shuffle_with_keys<T, K, F>(
-    partitions: &[Vec<T>],
-    key: F,
-    stage: &mut StageCosts,
-) -> Vec<Vec<(K, T)>>
-where
-    T: Data,
-    K: Hash + Send,
-    F: Fn(&T) -> K + Sync,
-{
-    // Per-source routing result: one bucket per target worker, plus the
-    // bytes this source sent off-worker.
-    type Routed<K, T> = Vec<(Vec<Vec<(K, T)>>, u64)>;
-    let workers = partitions.len();
-    let routed: Routed<K, T> = map_partitions(partitions, |index, part| {
-        let mut buckets: Vec<Vec<(K, T)>> = (0..workers).map(|_| Vec::new()).collect();
-        let mut bytes_sent = 0u64;
-        for item in part {
-            let k = key(item);
-            let target = partition_for(&k, workers);
-            if target != index {
-                bytes_sent += item.byte_size() as u64;
-            }
-            buckets[target].push((k, item.clone()));
-        }
-        (buckets, bytes_sent)
-    });
-
-    let mut result: Vec<Vec<(K, T)>> = (0..workers).map(|_| Vec::new()).collect();
-    for (source, (buckets, bytes_sent)) in routed.into_iter().enumerate() {
-        {
-            let w = stage.worker(source);
-            w.records_in += partitions[source].len() as u64;
-            w.bytes_sent += bytes_sent;
-        }
-        for (target, bucket) in buckets.into_iter().enumerate() {
-            if target != source {
-                let received: u64 = bucket.iter().map(|(_, i)| i.byte_size() as u64).sum();
-                stage.worker(target).bytes_received += received;
-            }
-            result[target].extend(bucket);
+            result[target].extend(entries);
         }
     }
     result

@@ -320,6 +320,23 @@ where
     try_run_indexed(partitions.len(), |i| f(i, &partitions[i]))
 }
 
+/// [`map_partitions`] over partitions it owns: task `i` takes partition `i`
+/// by value, so it may move the rows out instead of cloning them.
+pub fn map_owned_partitions<I, O, F>(partitions: Vec<Vec<I>>, f: F) -> Vec<O>
+where
+    I: Send,
+    O: Send,
+    F: Fn(usize, Vec<I>) -> O + Sync,
+{
+    let n = partitions.len();
+    let slots = Mutex::new(partitions);
+    run_indexed(n, |i| {
+        // The guard is released before the task runs.
+        let mine = std::mem::take(&mut slots.lock().expect("held only to take a partition")[i]);
+        f(i, mine)
+    })
+}
+
 /// Variant of [`map_partitions`] for two co-partitioned inputs (e.g. the
 /// build and probe sides of a hash join after repartitioning).
 pub fn map_partition_pairs<A, B, O, F>(left: &[Vec<A>], right: &[Vec<B>], f: F) -> Vec<O>

@@ -1,59 +1,73 @@
 //! Grouping and aggregation transformations (Flink `groupBy` + `reduce`).
+//!
+//! Grouping consumes its input: the shuffle moves the rows when it holds
+//! their last handle, and each key's computed value rides along with its
+//! row ([`shuffle_with_keys`]). Every shuffled partition is then indexed by
+//! the `ChainedTable` the joins build, borrowing those keys — no allocation
+//! per group — and groups are emitted in the order their keys first
+//! appear, so repeated runs over the same input produce identical
+//! partitions.
 
-use std::collections::HashMap;
 use std::hash::Hash;
 
 use crate::data::Data;
 use crate::dataset::Dataset;
-use crate::pool::map_partitions;
+use crate::join::ChainedTable;
+use crate::partition::shuffle_with_keys;
+use crate::pool::{map_owned_partitions, map_partitions};
 
 impl<T: Data> Dataset<T> {
     /// Groups elements by key (shuffling equal keys to one worker) and
     /// reduces every group with `reduce`, which sees the key and all group
-    /// members. Equivalent to Flink's `groupBy(...).reduceGroup(...)`.
+    /// members, in input order, as one mutable slice it may reorder or take
+    /// rows from. Equivalent to Flink's `groupBy(...).reduceGroup(...)`.
     ///
     /// Groups are emitted in first-seen key order within each partition, so
-    /// repeated runs over the same input produce byte-identical output —
-    /// `HashMap` iteration order must never leak into partition contents
-    /// (the fault-tolerance tests compare result digests).
-    pub fn group_reduce<K, O, KF, RF>(&self, key: KF, reduce: RF) -> Dataset<O>
+    /// repeated runs over the same input produce identical output — hash
+    /// order must never leak into partition contents (the fault-tolerance
+    /// tests compare result digests). Members are moved into one scratch
+    /// buffer reused for every group of a partition, so a group costs no
+    /// allocation of its own.
+    pub fn group_reduce<K, O, KF, RF>(self, key: KF, reduce: RF) -> Dataset<O>
     where
-        K: Data + Hash + Eq,
+        K: Hash + Eq + Send,
         O: Data,
         KF: Fn(&T) -> K + Sync,
-        RF: Fn(&K, &[T]) -> O + Sync,
+        RF: Fn(&K, &mut [T]) -> O + Sync,
     {
         let env = self.env().clone();
         // The shuffle computes each record's key exactly once and lets it
         // ride along to the grouping stage — group keys can be expensive
-        // (rendered group-by rows), so they must not be re-derived per
-        // record after the shuffle.
+        // (grouping rows, decoded property values), so they must not be
+        // re-derived per record after the shuffle.
         let mut shuffle_stage = env.stage("partition_by_key");
-        let keyed =
-            crate::partition::shuffle_with_keys(self.partitions(), &key, &mut shuffle_stage);
+        let keyed = shuffle_with_keys(self.into_partitions(), &key, &mut shuffle_stage);
         env.finish_stage(shuffle_stage);
         let mut stage = env.stage("group_reduce");
-        let outputs: Vec<Vec<O>> = map_partitions(&keyed, |_, part| {
-            let mut order: Vec<(K, Vec<T>)> = Vec::new();
-            let mut index: HashMap<&K, usize> = HashMap::new();
-            for (k, item) in part {
-                match index.get(k) {
-                    Some(&at) => order[at].1.push(item.clone()),
-                    None => {
-                        index.insert(k, order.len());
-                        order.push((k.clone(), vec![item.clone()]));
-                    }
-                }
-            }
-            order
-                .iter()
-                .map(|(k, members)| reduce(k, members))
+        for (i, part) in keyed.iter().enumerate() {
+            stage.worker(i).records_in += part.len() as u64;
+        }
+        let outputs: Vec<Vec<O>> = map_owned_partitions(keyed, |_, part| {
+            let (keys, mut rows): (Vec<K>, Vec<Option<T>>) =
+                part.into_iter().map(|(k, row)| (k, Some(row))).unzip();
+            let table = ChainedTable::group(&keys, |k| k);
+            let mut members: Vec<T> = Vec::new();
+            table
+                .heads()
+                .map(|head| {
+                    let key = &keys[head];
+                    members.clear();
+                    members.extend(
+                        table
+                            .matches(&key)
+                            .map(|row| rows[row].take().expect("a row is in one group")),
+                    );
+                    reduce(key, &mut members)
+                })
                 .collect()
         });
-        for (i, (inp, out)) in keyed.iter().zip(&outputs).enumerate() {
-            let w = stage.worker(i);
-            w.records_in += inp.len() as u64;
-            w.records_out += out.len() as u64;
+        for (i, out) in outputs.iter().enumerate() {
+            stage.worker(i).records_out += out.len() as u64;
         }
         env.finish_stage(stage);
         Dataset::from_partitions(env, outputs)
@@ -61,21 +75,22 @@ impl<T: Data> Dataset<T> {
 
     /// Counts elements per key. A pre-aggregation runs on each worker before
     /// the shuffle (Flink's combiner), so only one record per key and worker
-    /// crosses the network.
+    /// crosses the network. Like [`Dataset::group_reduce`], every stage
+    /// emits its keys in first-seen order.
     pub fn count_by_key<K, KF>(&self, key: KF) -> Dataset<(K, u64)>
     where
         K: Data + Hash + Eq,
         KF: Fn(&T) -> K + Sync,
     {
         // Local pre-aggregation.
-        let partial: Dataset<(K, u64)> = self.transform_grouped_local(&key);
+        let partial: Dataset<(K, u64)> = self.count_locally(&key);
         partial.group_reduce(
             |(k, _)| k.clone(),
             |k, members| (k.clone(), members.iter().map(|(_, c)| *c).sum()),
         )
     }
 
-    fn transform_grouped_local<K, KF>(&self, key: &KF) -> Dataset<(K, u64)>
+    fn count_locally<K, KF>(&self, key: &KF) -> Dataset<(K, u64)>
     where
         K: Data + Hash + Eq,
         KF: Fn(&T) -> K + Sync,
@@ -83,11 +98,15 @@ impl<T: Data> Dataset<T> {
         let env = self.env().clone();
         let mut stage = env.stage("count_by_key(combine)");
         let outputs: Vec<Vec<(K, u64)>> = map_partitions(self.partitions(), |_, part| {
-            let mut counts: HashMap<K, u64> = HashMap::new();
-            for item in part {
-                *counts.entry(key(item)).or_insert(0) += 1;
-            }
-            counts.into_iter().collect()
+            let table = ChainedTable::group(part, key);
+            table
+                .heads()
+                .map(|head| {
+                    let k = key(&part[head]);
+                    let count = table.matches(&k).count() as u64;
+                    (k, count)
+                })
+                .collect()
         });
         for (i, (inp, out)) in self.partitions().iter().zip(&outputs).enumerate() {
             let w = stage.worker(i);
@@ -148,7 +167,7 @@ mod tests {
 
     #[test]
     fn group_reduce_output_order_is_deterministic() {
-        // Many distinct keys so a HashMap iteration leak would almost
+        // Many distinct keys so a hash-order leak would almost
         // surely reorder something between runs (and across key types whose
         // hashes collide differently). Identical runs must produce
         // identical partition contents, and the order must be the
@@ -190,6 +209,29 @@ mod tests {
         let mut counts = ds.count_by_key(|x| *x).collect();
         counts.sort();
         assert_eq!(counts, vec![(1, 2), (2, 1), (3, 3)]);
+    }
+
+    #[test]
+    fn count_by_key_output_order_is_deterministic() {
+        // 500 keys over 4 workers: a combiner that emitted in hash order
+        // would reorder the partitions of fresh environments.
+        let counts = || {
+            let env = env(4);
+            let ds = env.from_collection((0u64..2_000).map(|i| (i * 7919) % 500));
+            ds.count_by_key(|x| *x).partitions().to_vec()
+        };
+        let reference = counts();
+        assert_eq!(reference.iter().map(Vec::len).sum::<usize>(), 500);
+        for _ in 0..5 {
+            assert_eq!(counts(), reference);
+        }
+        // First-seen order through the combiner and the final reduce.
+        let env = env(1);
+        let ds = env.from_collection(vec![3u64, 1, 3, 2, 1, 3]);
+        assert_eq!(
+            ds.count_by_key(|x| *x).collect(),
+            vec![(3, 3), (1, 2), (2, 1)]
+        );
     }
 
     #[test]

@@ -38,8 +38,9 @@ proptest! {
             JoinStrategy::BroadcastHashSecond,
         ] {
             let mut got = left_ds
+                .clone()
                 .join(
-                    &right_ds,
+                    right_ds.clone(),
                     |(k, _)| *k,
                     |(k, _)| *k,
                     strategy,
@@ -64,10 +65,12 @@ proptest! {
             right.iter().map(|(k, _)| *k).collect();
 
         let mut semi = left_ds
-            .semi_join(&right_ds, |(k, _)| *k, |(k, _)| *k)
+            .clone()
+            .semi_join(right_ds.clone(), |(k, _)| *k, |(k, _)| *k)
             .collect();
         let mut anti = left_ds
-            .anti_join(&right_ds, |(k, _)| *k, |(k, _)| *k)
+            .clone()
+            .anti_join(right_ds.clone(), |(k, _)| *k, |(k, _)| *k)
             .collect();
         semi.sort_unstable();
         anti.sort_unstable();
@@ -89,7 +92,7 @@ proptest! {
 
         // Left outer join covers every left row at least once.
         let outer = left_ds.join_left_outer(
-            &right_ds,
+            right_ds,
             |(k, _)| *k,
             |(k, _)| *k,
             |l, _| Some(*l),

@@ -50,24 +50,21 @@ enum Op {
     MapIncrement,
     /// Partition-local, record-preserving: stamp survives.
     FilterEven,
-    /// Partition-local duplication via `flat_map_preserving`: stamp survives.
+    /// Duplication via `flat_map`, which may rewrite keys: stamp dropped.
     FlatMapDup,
-    /// Moves records round-robin: stamp dropped.
-    Rebalance,
     /// Union with itself: both sides carry the same stamp, so it survives.
     UnionSelf,
     /// Shuffles anonymously and deduplicates: stamp dropped.
     Distinct,
 }
 
-const OPS: [Op; 9] = [
+const OPS: [Op; 8] = [
     Op::PartitionByK,
     Op::PartitionByV,
     Op::PartitionAnon,
     Op::MapIncrement,
     Op::FilterEven,
     Op::FlatMapDup,
-    Op::Rebalance,
     Op::UnionSelf,
     Op::Distinct,
 ];
@@ -113,15 +110,12 @@ fn apply(
             ds.filter(|(_, v)| v % 2 == 0)
         }
         Op::FlatMapDup => {
+            *stamp = None;
             *model = model.iter().flat_map(|r| [*r, *r]).collect();
-            ds.flat_map_preserving(|r, out| {
+            ds.flat_map(|r, out| {
                 out.push(*r);
                 out.push(*r);
             })
-        }
-        Op::Rebalance => {
-            *stamp = None;
-            ds.rebalance()
         }
         Op::UnionSelf => {
             *model = model.iter().flat_map(|r| [*r, *r]).collect();
@@ -233,12 +227,12 @@ fn hash_set_filter(left: &[Row], right: &[Row], semi: bool) -> Vec<Row> {
 fn run_keyed_join<O: Data>(
     left: &[Vec<Row>],
     right: &[Vec<Row>],
-    join: impl Fn(&Dataset<Row>, &Dataset<Row>) -> Dataset<O>,
+    join: impl Fn(Dataset<Row>, Dataset<Row>) -> Dataset<O>,
 ) -> (Vec<Vec<O>>, String) {
     let (env, sink) = charging_env(left.len());
     let joined = join(
-        &Dataset::from_partitions(env.clone(), left.to_vec()),
-        &Dataset::from_partitions(env, right.to_vec()),
+        Dataset::from_partitions(env.clone(), left.to_vec()),
+        Dataset::from_partitions(env, right.to_vec()),
     );
     let stages = sink.snapshot().stages;
     assert_eq!(stages.len(), 1, "one stage per keyed join");
@@ -248,7 +242,8 @@ fn run_keyed_join<O: Data>(
 /// What [`run_keyed_join`] must return for a join named `name`: `local` over
 /// each pair of partitions shuffled by the first field, and the report of a
 /// stage that shuffles `left`, then `right`, and charges each worker the
-/// records it read and wrote.
+/// records it read and wrote plus the memory and one scratch allocation of
+/// the right side it built its table over.
 fn model_keyed_join<O>(
     name: &'static str,
     left: &[Vec<Row>],
@@ -261,9 +256,12 @@ fn model_keyed_join<O>(
     let right = shuffle_by_key(Arc::new(right.to_vec()), key, &mut stage);
     let outputs: Vec<Vec<O>> = left.iter().zip(&right).map(|(l, r)| local(l, r)).collect();
     for (i, ((l, r), out)) in left.iter().zip(&right).zip(&outputs).enumerate() {
+        let build_bytes: u64 = r.iter().map(|row| row.byte_size() as u64).sum();
         let w = stage.worker(i);
         w.records_in += (l.len() + r.len()) as u64;
         w.records_out += out.len() as u64;
+        w.peak_memory_bytes = w.peak_memory_bytes.max(build_bytes);
+        w.scratch_allocations += 1;
     }
     (
         outputs,
@@ -501,7 +499,9 @@ proptest! {
         let left_ds = Dataset::from_partitions(env.clone(), left.clone());
         let right_ds = Dataset::from_partitions(env.clone(), right.clone());
         let pair = |l: &Row, r: &Row| Some((l.0, l.1.clone(), r.1.clone()));
-        let joined = left_ds.join(&right_ds, key, key, JoinStrategy::RepartitionHash, pair);
+        let joined = left_ds
+            .clone()
+            .join(right_ds.clone(), key, key, JoinStrategy::RepartitionHash, pair);
         let expected: Vec<Vec<(u8, String, String)>> = left_placed
             .iter()
             .zip(&right_placed)

@@ -24,7 +24,7 @@ pub fn single_source_distances(graph: &LogicalGraph, source: GradoopId) -> Logic
         // One hop from the frontier.
         let reached = frontier
             .join(
-                &adjacency,
+                adjacency.clone(),
                 |(vid, _)| *vid,
                 |(src, _)| *src,
                 JoinStrategy::RepartitionHash,
@@ -40,11 +40,11 @@ pub fn single_source_distances(graph: &LogicalGraph, source: GradoopId) -> Logic
                 },
             );
         // Keep only genuinely new vertices (distance monotone in BFS).
-        frontier = reached.anti_join(&distances, |(vid, _)| *vid, |(vid, _)| *vid);
+        frontier = reached.anti_join(distances.clone(), |(vid, _)| *vid, |(vid, _)| *vid);
         distances = distances.union(frontier.clone());
     }
 
-    super::wcc::annotate(graph, &distances, "distance")
+    super::wcc::annotate(graph, distances, "distance")
 }
 
 #[cfg(test)]

@@ -41,8 +41,8 @@ pub fn page_rank(graph: &LogicalGraph, config: &PageRankConfig) -> LogicalGraph 
 
     for _ in 0..config.iterations {
         // Rank each source distributes per out-edge.
-        let per_edge_share = ranks.join(
-            &out_degrees,
+        let per_edge_share = ranks.clone().join(
+            out_degrees.clone(),
             |(vid, _)| *vid,
             |(vid, _)| *vid,
             JoinStrategy::RepartitionHash,
@@ -51,8 +51,9 @@ pub fn page_rank(graph: &LogicalGraph, config: &PageRankConfig) -> LogicalGraph 
         // Dangling vertices (no out-edges) spread their rank evenly: their
         // total is the overall rank minus what the linked vertices hold.
         let linked_rank = per_edge_share
+            .clone()
             .join(
-                &out_degrees,
+                out_degrees.clone(),
                 |(vid, _)| *vid,
                 |(vid, _)| *vid,
                 JoinStrategy::RepartitionHash,
@@ -65,7 +66,7 @@ pub fn page_rank(graph: &LogicalGraph, config: &PageRankConfig) -> LogicalGraph 
         // Contributions routed along edges, summed per target.
         let incoming = per_edge_share
             .join(
-                &adjacency,
+                adjacency.clone(),
                 |(vid, _)| *vid,
                 |(source, _)| *source,
                 JoinStrategy::RepartitionHash,
@@ -80,7 +81,7 @@ pub fn page_rank(graph: &LogicalGraph, config: &PageRankConfig) -> LogicalGraph 
         // outer join gives vertices without contributions the bare base.
         let base = (1.0 - damping) / vertex_count + damping * dangling / vertex_count;
         ranks = ranks.join_left_outer(
-            &incoming,
+            incoming,
             |(vid, _)| *vid,
             |(vid, _)| *vid,
             move |(vid, _), matched| {
@@ -91,8 +92,8 @@ pub fn page_rank(graph: &LogicalGraph, config: &PageRankConfig) -> LogicalGraph 
     }
 
     let key = "pageRank".to_string();
-    let vertices = graph.vertices().join(
-        &ranks,
+    let vertices = graph.vertices().clone().join(
+        ranks,
         |v| v.id.0,
         |(vid, _)| *vid,
         JoinStrategy::RepartitionHash,
@@ -195,6 +196,46 @@ mod tests {
         let g = page_rank(&graph(&[(1, 2)], 2), &PageRankConfig::default());
         let total: f64 = ranks_of(&g).values().sum();
         assert!((total - 1.0).abs() < 1e-6, "total {total}");
+    }
+
+    #[test]
+    fn two_runs_on_one_graph_are_bit_identical() {
+        // Enough sources of uneven out-degree over 4 workers, and vertices
+        // without out-edges, that an out-degree table emitted in hash order
+        // would change the order the floating-point sums run in.
+        let env = ExecutionEnvironment::new(
+            ExecutionConfig::with_workers(4).cost_model(CostModel::free()),
+        );
+        let vertices = 300u64;
+        let edge = |i: u64, s: u64, t: u64| {
+            Edge::new(
+                GradoopId(1000 + i),
+                "E",
+                GradoopId(s),
+                GradoopId(t),
+                Properties::new(),
+            )
+        };
+        let g = LogicalGraph::from_data(
+            &env,
+            GraphHead::new(GradoopId(100), "g", Properties::new()),
+            (1..=vertices)
+                .map(|id| Vertex::new(GradoopId(id), "V", Properties::new()))
+                .collect(),
+            (0..3 * vertices)
+                .map(|i| edge(i, 1 + (i * i) % 211, 1 + (i * 7919 + 13) % vertices))
+                .collect(),
+        );
+        let ranks = || -> Vec<(u64, u64)> {
+            let ranked = page_rank(&g, &PageRankConfig::default());
+            let mut ranks: Vec<(u64, u64)> = ranks_of(&ranked)
+                .into_iter()
+                .map(|(id, rank)| (id, rank.to_bits()))
+                .collect();
+            ranks.sort_unstable();
+            ranks
+        };
+        assert_eq!(ranks(), ranks());
     }
 
     #[test]

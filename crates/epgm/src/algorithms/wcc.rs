@@ -28,8 +28,9 @@ pub fn connected_components(graph: &LogicalGraph) -> LogicalGraph {
     for _ in 0..max_rounds {
         // Propagate labels to neighbors and keep the minimum per vertex.
         let proposals = labels
+            .clone()
             .join(
-                &pairs,
+                pairs.clone(),
                 |(vid, _)| *vid,
                 |(source, _)| *source,
                 JoinStrategy::RepartitionHash,
@@ -43,8 +44,8 @@ pub fn connected_components(graph: &LogicalGraph) -> LogicalGraph {
                 },
             );
         // Merge proposals into the current labels.
-        let updated = labels.join(
-            &proposals,
+        let updated = labels.clone().join(
+            proposals,
             |(vid, _)| *vid,
             |(vid, _)| *vid,
             JoinStrategy::RepartitionHash,
@@ -54,11 +55,11 @@ pub fn connected_components(graph: &LogicalGraph) -> LogicalGraph {
             break;
         }
         // Vertices without an improvement keep their label (anti join).
-        let unchanged = labels.anti_join(&updated, |(vid, _)| *vid, |(vid, _)| *vid);
+        let unchanged = labels.anti_join(updated.clone(), |(vid, _)| *vid, |(vid, _)| *vid);
         labels = unchanged.union(updated);
     }
 
-    annotate(graph, &labels, "component")
+    annotate(graph, labels, "component")
 }
 
 /// Joins per-vertex values back onto the graph's vertices as a property.
@@ -66,12 +67,12 @@ pub fn connected_components(graph: &LogicalGraph) -> LogicalGraph {
 /// semantics — e.g. BFS leaves unreachable vertices unannotated).
 pub(crate) fn annotate(
     graph: &LogicalGraph,
-    values: &Dataset<(u64, u64)>,
+    values: Dataset<(u64, u64)>,
     key: &str,
 ) -> LogicalGraph {
     let key = key.to_string();
-    let annotated = graph.vertices().join(
-        values,
+    let annotated = graph.vertices().clone().join(
+        values.clone(),
         |v| v.id.0,
         |(vid, _)| *vid,
         JoinStrategy::RepartitionHash,
@@ -83,6 +84,7 @@ pub(crate) fn annotate(
     );
     let untouched = graph
         .vertices()
+        .clone()
         .anti_join(values, |v| v.id.0, |(vid, _)| *vid);
     LogicalGraph::new(
         graph.head().clone(),

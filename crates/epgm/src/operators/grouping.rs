@@ -132,15 +132,15 @@ impl LogicalGraph {
             move |v| (v.id.0, vertex_group_key(v, &vkeys))
         });
         let ekeys = config.edge_keys.clone();
-        let with_source = self.edges().join(
-            &assignments,
+        let with_source = self.edges().clone().join(
+            assignments.clone(),
             |e| e.source.0,
             |(id, _)| *id,
             JoinStrategy::RepartitionHash,
             |e, (_, group)| Some((e.clone(), group.clone())),
         );
         let routed = with_source.join(
-            &assignments,
+            assignments,
             |(e, _)| e.target.0,
             |(id, _)| *id,
             JoinStrategy::RepartitionHash,

@@ -26,8 +26,9 @@ impl LogicalGraph {
         let vertex_ids = self.vertices().map(|v| v.id.0);
         let edges = self
             .edges()
-            .semi_join(&vertex_ids, |e| e.source.0, |id| *id)
-            .semi_join(&vertex_ids, |e| e.target.0, |id| *id);
+            .clone()
+            .semi_join(vertex_ids.clone(), |e| e.source.0, |id| *id)
+            .semi_join(vertex_ids, |e| e.target.0, |id| *id);
         LogicalGraph::new(self.head().clone(), self.vertices().clone(), edges)
     }
 

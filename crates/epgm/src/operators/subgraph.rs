@@ -44,8 +44,8 @@ impl LogicalGraph {
                 out.push(e.target);
             })
             .distinct();
-        let vertices = self.vertices().join(
-            &incident,
+        let vertices = self.vertices().clone().join(
+            incident,
             |v| v.id,
             |id| *id,
             JoinStrategy::RepartitionHash,
@@ -61,15 +61,15 @@ fn verify_edges(
     edges: &gradoop_dataflow::Dataset<Edge>,
 ) -> gradoop_dataflow::Dataset<Edge> {
     let vertex_ids = vertices.map(|v| v.id);
-    let with_source = edges.join(
-        &vertex_ids,
+    let with_source = edges.clone().join(
+        vertex_ids.clone(),
         |e| e.source,
         |id| *id,
         JoinStrategy::RepartitionHash,
         |e, _| Some(e.clone()),
     );
     with_source.join(
-        &vertex_ids,
+        vertex_ids,
         |e| e.target,
         |id| *id,
         JoinStrategy::RepartitionHash,

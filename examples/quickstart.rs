@@ -101,7 +101,7 @@ fn main() {
             MatchingConfig::cypher_default(),
         )
         .expect("query executes");
-    println!("query plan:\n{}", result.plan.describe(&result.query));
+    println!("query plan:\n{}", result.plan.explain.to_text());
     println!("{} match(es):", result.count());
     let table = result.rows().expect("rows materialize");
     for row in &table.rows {
