@@ -36,7 +36,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use gradoop_cypher::QueryGraph;
 use gradoop_dataflow::MetricsRegistry;
@@ -169,6 +169,14 @@ impl PlanCache {
         }
     }
 
+    /// The cache state, recovered if another session panicked while
+    /// holding the lock: every update leaves the map valid (at worst one
+    /// entry was evicted and its replacement not inserted), so a panicking
+    /// session does not take the cache down for the others.
+    fn state(&self) -> MutexGuard<'_, CacheInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Looks up the plan cached for `(shape, mode)`, validating it against
     /// the structure of the freshly built `query` graph. Counts a hit or a
     /// miss; on a miss the caller plans and [`insert`](PlanCache::insert)s.
@@ -178,20 +186,19 @@ impl PlanCache {
         mode: PlanMode,
         query: &QueryGraph,
     ) -> Option<Arc<QueryPlan>> {
-        let mut inner = self.inner.lock().unwrap();
+        let key = (shape.to_string(), mode_key(mode));
+        let signature = GraphSignature::of(query);
+        let mut inner = self.state();
         inner.tick += 1;
         let tick = inner.tick;
-        let found = inner
-            .plans
-            .get_mut(&(shape.to_string(), mode_key(mode)))
-            .and_then(|entry| {
-                if entry.signature == GraphSignature::of(query) {
-                    entry.last_used = tick;
-                    Some(entry.plan.clone())
-                } else {
-                    None
-                }
-            });
+        let found = inner.plans.get_mut(&key).and_then(|entry| {
+            if entry.signature == signature {
+                entry.last_used = tick;
+                Some(entry.plan.clone())
+            } else {
+                None
+            }
+        });
         drop(inner);
         match &found {
             Some(_) => {
@@ -211,12 +218,12 @@ impl PlanCache {
     /// Stores `plan` for `(shape, mode)`, remembering the structure of the
     /// `query` graph it was planned for.
     pub fn insert(&self, shape: String, mode: PlanMode, query: &QueryGraph, plan: Arc<QueryPlan>) {
-        let mut inner = self.inner.lock().unwrap();
+        let key = (shape, mode_key(mode));
+        let signature = GraphSignature::of(query);
+        let mut inner = self.state();
         inner.tick += 1;
         let tick = inner.tick;
-        if inner.plans.len() >= self.capacity
-            && !inner.plans.contains_key(&(shape.clone(), mode_key(mode)))
-        {
+        if inner.plans.len() >= self.capacity && !inner.plans.contains_key(&key) {
             let least_recent = inner.plans.iter().min_by_key(|(_, entry)| entry.last_used);
             if let Some(key) = least_recent.map(|(key, _)| key.clone()) {
                 inner.plans.remove(&key);
@@ -227,10 +234,10 @@ impl PlanCache {
                 .add(1);
         }
         inner.plans.insert(
-            (shape, mode_key(mode)),
+            key,
             PlanEntry {
                 plan,
-                signature: GraphSignature::of(query),
+                signature,
                 last_used: tick,
             },
         );
@@ -242,7 +249,7 @@ impl PlanCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            entries: self.inner.lock().unwrap().plans.len() as u64,
+            entries: self.state().plans.len() as u64,
         }
     }
 }
@@ -321,6 +328,34 @@ mod tests {
         // Same key but a structurally different graph: the guard refuses.
         let (other, _) = plan_for("MATCH (a)-->(b)-->(c) RETURN a");
         assert!(cache.lookup("shape", PlanMode::CostBased, &other).is_none());
+    }
+
+    #[test]
+    fn a_poisoned_lock_does_not_take_the_cache_down() {
+        let cache = PlanCache::new(2);
+        let (query, plan) = plan_for("MATCH (a) RETURN a");
+        cache.insert("s1".into(), PlanMode::CostBased, &query, plan.clone());
+        // A session panics while it holds the cache's lock.
+        let panicked = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _held = cache.inner.lock().unwrap();
+                    panic!("session panics holding the plan cache");
+                })
+                .join()
+        });
+        assert!(panicked.is_err());
+        assert!(cache.inner.is_poisoned());
+
+        assert!(cache.lookup("s1", PlanMode::CostBased, &query).is_some());
+        cache.insert("s2".into(), PlanMode::CostBased, &query, plan.clone());
+        cache.insert("s3".into(), PlanMode::CostBased, &query, plan);
+        // s1 was used before s2 was inserted: it is the one evicted.
+        assert!(cache.lookup("s1", PlanMode::CostBased, &query).is_none());
+        assert!(cache.lookup("s3", PlanMode::CostBased, &query).is_some());
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (2, 1));
+        assert_eq!((stats.evictions, stats.entries), (1, 2));
     }
 
     #[test]

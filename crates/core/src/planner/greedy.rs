@@ -8,6 +8,13 @@
 //! until one plan covers the query graph. Cross-variable filters are placed
 //! as soon as all their variables are bound; disconnected components are
 //! combined by cartesian products at the end.
+//!
+//! A plain edge's candidate is its edge scan joined to the partials that
+//! bind its endpoints. When those are two different partials, the scan
+//! joins the endpoint with the smaller estimated intermediate first (the
+//! source on a tie), but the candidate is estimated — and competes in its
+//! round — as if the source came first: the estimator is not
+//! order-independent, and the order only decides how the tree is built.
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -538,13 +545,32 @@ fn edge_scan_partial(query: &QueryGraph, estimator: &Estimator, edge_index: usiz
     }
 }
 
-fn join_partials(
-    query: &QueryGraph,
+/// What join estimation reads of one input: its cardinality and its
+/// per-variable distinct counts.
+#[derive(Clone, Copy)]
+struct Estimate<'a> {
+    cardinality: f64,
+    distinct: &'a HashMap<String, f64>,
+}
+
+impl Partial {
+    fn estimate(&self) -> Estimate<'_> {
+        Estimate {
+            cardinality: self.cardinality,
+            distinct: &self.distinct,
+        }
+    }
+}
+
+/// Estimated cardinality of joining `left` and `right` on `variables`, from
+/// cardinalities and distinct counts alone (a side without a distinct count
+/// for a variable counts every row as distinct).
+fn join_cardinality(
     estimator: &Estimator,
-    left: Partial,
-    right: Partial,
-    variables: Vec<String>,
-) -> Partial {
+    left: Estimate<'_>,
+    right: Estimate<'_>,
+    variables: &[String],
+) -> f64 {
     let pairs: Vec<(f64, f64)> = variables
         .iter()
         .map(|v| {
@@ -554,12 +580,46 @@ fn join_partials(
             )
         })
         .collect();
-    let cardinality = estimator.join_cardinality(left.cardinality, right.cardinality, &pairs);
+    estimator.join_cardinality(left.cardinality, right.cardinality, &pairs)
+}
+
+/// Distinct counts of a join's output: each variable keeps the smaller of
+/// its two sides' counts, capped by the output `cardinality`.
+fn joined_distinct(
+    left: &HashMap<String, f64>,
+    right: &HashMap<String, f64>,
+    cardinality: f64,
+) -> HashMap<String, f64> {
     let mut distinct = HashMap::new();
-    for (variable, value) in left.distinct.iter().chain(right.distinct.iter()) {
+    for (variable, value) in left.iter().chain(right.iter()) {
         let entry = distinct.entry(variable.clone()).or_insert(*value);
         *entry = entry.min(*value).min(cardinality.max(1.0));
     }
+    distinct
+}
+
+/// Joins two partials on `variables`, estimating the output from theirs.
+fn join_partials(
+    query: &QueryGraph,
+    estimator: &Estimator,
+    left: Partial,
+    right: Partial,
+    variables: Vec<String>,
+) -> Partial {
+    let cardinality = join_cardinality(estimator, left.estimate(), right.estimate(), &variables);
+    let distinct = joined_distinct(&left.distinct, &right.distinct, cardinality);
+    build_join(query, left, right, variables, cardinality, distinct)
+}
+
+/// Joins two partials on `variables` under the given output estimate.
+fn build_join(
+    query: &QueryGraph,
+    left: Partial,
+    right: Partial,
+    variables: Vec<String>,
+    cardinality: f64,
+    distinct: HashMap<String, f64>,
+) -> Partial {
     // Predict the join strategy the executor will pick if the estimated
     // input cardinalities come true, including which inputs it will find
     // already partitioned on the join key and therefore forward.
@@ -605,6 +665,14 @@ fn join_partials(
     }
 }
 
+/// Builds the binary candidate covering one plain edge: its scan joined to
+/// the partials binding its endpoints, returning the partials it consumes.
+///
+/// When the endpoints live in two different partials, the scan joins the
+/// one with the smaller estimated intermediate first, the source on a tie.
+/// The candidate's own estimate stays the source-first one whichever order
+/// is built: the estimator is order-dependent, and the greedy rounds
+/// compare candidates on that estimate.
 fn build_join_candidate(
     query: &QueryGraph,
     estimator: &Estimator,
@@ -618,10 +686,7 @@ fn build_join_candidate(
     let target_var = query.vertices[edge.target].variable.clone();
     let scan = edge_scan_partial(query, estimator, edge_index);
 
-    let mut consumed = Vec::new();
-    let mut current = scan;
-
-    match (source_partial, target_partial) {
+    Ok(match (source_partial, target_partial) {
         (Some(s), Some(t)) if s == t => {
             // Both endpoints live in the same partial: one join on both
             // endpoint variables (or just one for loops).
@@ -629,35 +694,63 @@ fn build_join_candidate(
             if source_var != target_var {
                 join_vars.push(target_var);
             }
-            current = join_partials(query, estimator, partials[s].clone(), current, join_vars);
-            consumed.push(s);
+            let joined = join_partials(query, estimator, partials[s].clone(), scan, join_vars);
+            (vec![s], joined)
         }
-        (source, target) => {
-            if let Some(s) = source {
-                current = join_partials(
+        (Some(s), Some(t)) => {
+            let (source, target) = (&partials[s], &partials[t]);
+            let (source_key, target_key) = (vec![source_var], vec![target_var]);
+            let via_source =
+                join_cardinality(estimator, source.estimate(), scan.estimate(), &source_key);
+            let via_target =
+                join_cardinality(estimator, target.estimate(), scan.estimate(), &target_key);
+            let joined = if via_target < via_source {
+                // Target first, under the source-first estimate.
+                let first_distinct = joined_distinct(&source.distinct, &scan.distinct, via_source);
+                let first = Estimate {
+                    cardinality: via_source,
+                    distinct: &first_distinct,
+                };
+                let cardinality =
+                    join_cardinality(estimator, target.estimate(), first, &target_key);
+                let distinct = joined_distinct(&target.distinct, &first_distinct, cardinality);
+                let inner = join_partials(query, estimator, target.clone(), scan, target_key);
+                build_join(
                     query,
-                    estimator,
-                    partials[s].clone(),
-                    current,
-                    vec![source_var.clone()],
-                );
-                consumed.push(s);
-            }
-            if let Some(t) = target {
-                if source_var != target_var {
-                    current = join_partials(
-                        query,
-                        estimator,
-                        partials[t].clone(),
-                        current,
-                        vec![target_var],
-                    );
-                    consumed.push(t);
-                }
-            }
+                    source.clone(),
+                    inner,
+                    source_key,
+                    cardinality,
+                    distinct,
+                )
+            } else {
+                let inner = join_partials(query, estimator, source.clone(), scan, source_key);
+                join_partials(query, estimator, target.clone(), inner, target_key)
+            };
+            (vec![s, t], joined)
         }
-    }
-    Ok((consumed, current))
+        (Some(s), None) => {
+            let joined = join_partials(
+                query,
+                estimator,
+                partials[s].clone(),
+                scan,
+                vec![source_var],
+            );
+            (vec![s], joined)
+        }
+        (None, Some(t)) => {
+            let joined = join_partials(
+                query,
+                estimator,
+                partials[t].clone(),
+                scan,
+                vec![target_var],
+            );
+            (vec![t], joined)
+        }
+        (None, None) => (Vec::new(), scan),
+    })
 }
 
 /// Σ `fanout^k` for `k` in `lower..=upper`: the embeddings one input row
@@ -1120,6 +1213,179 @@ mod tests {
         let text = plan.explain.to_text();
         assert!(!text.contains("ScanVertices"), "{text}");
         assert!(text.contains("ScanEdges(e:knows)"), "{text}");
+    }
+
+    /// `stats()` plus `Message` vertices created by persons, a
+    /// `Person.firstName` an equality selects 1/100 of and a
+    /// `Message.content` it selects 1/38 of.
+    fn creator_stats() -> GraphStatistics {
+        let mut stats = stats();
+        stats
+            .vertex_count_by_label
+            .insert(Label::new("Message"), 380);
+        stats
+            .edge_count_by_label
+            .insert(Label::new("hasCreator"), 380);
+        stats
+            .distinct_source_by_label
+            .insert(Label::new("hasCreator"), 380);
+        stats
+            .distinct_target_by_label
+            .insert(Label::new("hasCreator"), 300);
+        stats
+            .distinct_vertex_property_values
+            .insert((Label::new("Person"), "firstName".to_string()), 100);
+        stats
+            .distinct_vertex_property_values
+            .insert((Label::new("Message"), "content".to_string()), 38);
+        stats
+    }
+
+    fn plan_creators(text: &str, mode: PlanMode) -> QueryPlan {
+        let query = QueryGraph::from_query(&parse(text).unwrap()).unwrap();
+        let stats = creator_stats();
+        plan_query_with_mode(&query, &Estimator::new(&stats), mode).expect("plan")
+    }
+
+    fn join(left: PlanNode, right: PlanNode, variable: &str) -> PlanNode {
+        PlanNode::Join {
+            left: Box::new(left),
+            right: Box::new(right),
+            variables: vec![variable.to_string()],
+        }
+    }
+
+    /// A greedy round as `(chosen, estimate, [(candidate, estimate)])`.
+    type Round = (String, f64, Vec<(String, f64)>);
+
+    /// Every greedy round, estimates exact.
+    fn rounds(plan: &QueryPlan) -> Vec<Round> {
+        plan.planner
+            .rounds
+            .iter()
+            .map(|round| {
+                let candidates = round
+                    .candidates
+                    .iter()
+                    .map(|c| (c.edge_variable.clone(), c.estimated_cardinality))
+                    .collect();
+                (
+                    round.chosen_edge.clone(),
+                    round.chosen_cardinality,
+                    candidates,
+                )
+            })
+            .collect()
+    }
+
+    const SELECTIVE_CREATOR: &str = "MATCH (p:Person)<-[:hasCreator]-(m:Message) \
+                                     WHERE p.firstName = 'Jan' RETURN *";
+
+    #[test]
+    fn edge_joins_its_selective_endpoint_first() {
+        // `m ⋈ hasCreator` estimates 380 rows, `p ⋈ hasCreator` 7.6: the
+        // scan joins the six `Jan`s (its target) before the messages.
+        for mode in [
+            PlanMode::CostBased,
+            PlanMode::ForceBinary,
+            PlanMode::ForceWco,
+        ] {
+            let plan = plan_creators(SELECTIVE_CREATOR, mode);
+            let (p, m) = (0, 1);
+            let expected = join(
+                PlanNode::ScanVertices { vertex: m },
+                join(
+                    PlanNode::ScanVertices { vertex: p },
+                    PlanNode::ScanEdges { edge: 0 },
+                    "p",
+                ),
+                "m",
+            );
+            assert_eq!(plan.root, expected, "{mode:?}\n{}", plan.explain.to_text());
+        }
+    }
+
+    #[test]
+    fn equally_cheap_endpoints_keep_source_first() {
+        // Both `Person` scans estimate 600 and either join 3 000 rows.
+        let (_, plan) = plan("MATCH (a:Person)-[e:knows]->(b:Person) RETURN *");
+        let expected = join(
+            PlanNode::ScanVertices { vertex: 1 },
+            join(
+                PlanNode::ScanVertices { vertex: 0 },
+                PlanNode::ScanEdges { edge: 0 },
+                "a",
+            ),
+            "b",
+        );
+        assert_eq!(plan.root, expected, "{}", plan.explain.to_text());
+    }
+
+    #[test]
+    fn reordering_keeps_the_source_first_estimates() {
+        // Pinned from the source-first planner: the root estimate and every
+        // round's menu are what they were before the order could change.
+        let both = plan_creators(
+            "MATCH (p:Person)<-[:hasCreator]-(m:Message) \
+             WHERE p.firstName = 'Jan' AND m.content = 'x' RETURN *",
+            PlanMode::CostBased,
+        );
+        // Source-first, `m ⋈ hasCreator` (10) then `⋈ p` estimates 6;
+        // target-first, `p ⋈ hasCreator` (7.6) then `⋈ m` would be 7.6.
+        let source_first = 6.000000000000005;
+        assert_eq!(both.estimated_cardinality, source_first);
+        assert_eq!(
+            rounds(&both),
+            vec![(
+                "__e0".to_string(),
+                source_first,
+                vec![("__e0".to_string(), source_first)]
+            )]
+        );
+        // The tree is built target-first: the root keeps the source-first
+        // estimate, the inner join carries its own.
+        assert!(matches!(&both.root, PlanNode::Join { variables, .. } if variables == &["m"]));
+        assert_eq!(both.explain.estimated_cardinality, source_first);
+        assert_eq!(both.explain.children[1].operator, "JoinEmbeddings(on p)");
+        assert_eq!(
+            both.explain.children[1].estimated_cardinality,
+            7.600000000000006
+        );
+
+        let cyclic = plan_creators(
+            "MATCH (p1:Person)-[:knows]->(p2:Person), (p2)<-[:hasCreator]-(m:Message), \
+                   (m)-[:hasCreator]->(p1) WHERE p1.firstName = 'Jan' RETURN *",
+            PlanMode::ForceBinary,
+        );
+        let round = |chosen: &str, estimate: f64, menu: &[(&str, f64)]| {
+            let menu = menu.iter().map(|(e, c)| (e.to_string(), *c)).collect();
+            (chosen.to_string(), estimate, menu)
+        };
+        assert_eq!(cyclic.estimated_cardinality, 0.08290909090909097);
+        assert_eq!(
+            rounds(&cyclic),
+            vec![
+                round(
+                    "__e2",
+                    7.600000000000006,
+                    &[
+                        ("__e0", 36.00000000000003),
+                        ("__e1", 380.0),
+                        ("__e2", 7.600000000000006)
+                    ]
+                ),
+                round(
+                    "__e1",
+                    7.600000000000006,
+                    &[("__e0", 45.60000000000004), ("__e1", 7.600000000000006)]
+                ),
+                round(
+                    "__e0",
+                    0.08290909090909097,
+                    &[("__e0", 0.08290909090909097)]
+                ),
+            ]
+        );
     }
 
     #[test]
