@@ -205,6 +205,9 @@ pub struct FuzzReport {
     pub rejected: usize,
     /// Total engine executions across all configurations.
     pub executions: usize,
+    /// Accepted (not rejected) cases whose pattern is cyclic: each runs
+    /// under every planner mode on every matrix point.
+    pub accepted_cyclic: usize,
     /// Total matches the reference produced (a coverage proxy: campaigns
     /// that only generate empty results test little).
     pub reference_matches: usize,
@@ -297,6 +300,7 @@ pub fn run_conformance(config: &FuzzConfig) -> FuzzReport {
         cases: config.cases,
         rejected: 0,
         executions: 0,
+        accepted_cyclic: 0,
         reference_matches: 0,
         features: FeatureCounts::default(),
         mismatches: Vec::new(),
@@ -305,17 +309,20 @@ pub fn run_conformance(config: &FuzzConfig) -> FuzzReport {
     for case_index in 0..config.cases {
         let case = random_case(&mut rng);
         report.features.record(&case);
+        let cyclic = usize::from(case.query.is_cyclic());
         match run_case(&case) {
             CaseOutcome::Passed {
                 executions,
                 reference_matches,
             } => {
                 report.executions += executions;
+                report.accepted_cyclic += cyclic;
                 report.reference_matches += reference_matches;
             }
             CaseOutcome::Rejected { .. } => report.rejected += 1,
             CaseOutcome::Mismatch(mismatch) => {
                 report.executions += 1;
+                report.accepted_cyclic += cyclic;
                 let (shrunk, mismatch) = if config.archive {
                     shrink(&case, &mismatch.config.clone(), *mismatch)
                 } else {

@@ -11,7 +11,7 @@
 //!
 //! The candidate edge set is **loop-invariant**: it never changes between
 //! supersteps. The operator partitions the candidates by source vertex and
-//! hash-indexes them *once*, before the iteration starts, and every
+//! indexes them *once*, before the iteration starts, and every
 //! superstep only ships the working set to the cached index — Flink caches
 //! loop-invariant datasets inside a `BulkIteration` the same way.
 //!
@@ -23,7 +23,9 @@
 //! embeddings a superstep emits are appended to the one solution set in
 //! place.
 
-use gradoop_dataflow::{bulk_iterate_with_results, Dataset, PartitionKey, SpanRecord};
+use gradoop_dataflow::{
+    bulk_iterate_with_results, AdjacencyIndex, Dataset, PartitionKey, SpanRecord,
+};
 
 use crate::embedding::{Embedding, EmbeddingRead, EntryType};
 use crate::matching::{MatchingConfig, MorphismCheck, MorphismType};
@@ -121,10 +123,11 @@ pub fn expand_embeddings(
     let lower = config.lower.max(1);
 
     // Loop-invariant build side: the candidates are shuffled by source
-    // vertex and hash-indexed exactly once, before the first superstep.
-    let index = candidates.build_partitioned_index(
+    // vertex and indexed exactly once, before the first superstep.
+    let index = AdjacencyIndex::partitioned(
+        candidates,
         PartitionKey::named("expand:candidate.source"),
-        |(source, _, _)| *source,
+        |&(source, edge, target)| (source, target, edge),
     );
 
     // The 1-hop expansion probing the candidate index with the working set.
@@ -142,12 +145,12 @@ pub fn expand_embeddings(
         let next: Dataset<ExpandState> = index.probe_join(
             states,
             |(_, _, end)| *end,
-            |(base, via, end), (_, edge, target)| {
+            |(base, via, end), target, edge| {
                 if !valid_extension(
                     base,
                     via,
                     *end,
-                    *edge,
+                    edge,
                     &base_vertex_columns,
                     &base_edge_columns,
                     &base_path_columns,
@@ -157,13 +160,13 @@ pub fn expand_embeddings(
                 }
                 let mut extended = Vec::with_capacity(via.len() + 2);
                 if via.is_empty() {
-                    extended.push(*edge);
+                    extended.push(edge);
                 } else {
                     extended.extend_from_slice(via);
                     extended.push(*end);
-                    extended.push(*edge);
+                    extended.push(edge);
                 }
-                Some((base.clone(), extended, *target))
+                Some((base.clone(), extended, target))
             },
         );
         let found: Dataset<Embedding> = if k >= lower {

@@ -13,7 +13,7 @@ use std::collections::HashSet;
 
 use gradoop_cypher::predicates::eval::{eval_predicate, SingleElement};
 use gradoop_cypher::QueryGraph;
-use gradoop_dataflow::{build_adjacency_index, probe_intersect, AdjacencyIndex, SpanRecord};
+use gradoop_dataflow::{probe_intersect, AdjacencyIndex, SpanRecord};
 
 use crate::embedding::{Embedding, EmbeddingRead, EntryType};
 use crate::matching::{MatchingConfig, MorphismCheck};
@@ -72,7 +72,7 @@ pub fn expand_intersect<S: GraphSource + ?Sized>(
         } else {
             triples.map(|t| (t.2, t.0, t.1))
         };
-        indexes.push(build_adjacency_index(&oriented, "wco(build-adjacency)"));
+        indexes.push(AdjacencyIndex::replicated(&oriented, |&t| t));
     }
 
     // Admissible bindings of the new vertex: label plus element-centric

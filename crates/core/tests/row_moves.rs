@@ -12,6 +12,9 @@
 //! * [`Dataset::group_reduce`] indexes its groups with that table and
 //!   gathers each group into one reused buffer: one group or thousands, it
 //!   costs the same.
+//! * Either placement of the [`AdjacencyIndex`] — the expand index, one
+//!   layout per worker, and the replicated WCO index — lays its runs out in
+//!   one `Vec` under one key table: one key or thousands, it costs the same.
 //! * [`expand_embeddings`] writes the solution set once: a superstep costs
 //!   the same however many rows earlier supersteps found, and emitted rows
 //!   share chunks: no allocation per row.
@@ -30,7 +33,8 @@ use gradoop_core::{EmbeddingMetaData, EmbeddingWriter, EntryType, MatchingConfig
 use gradoop_dataflow::cost::StageCosts;
 use gradoop_dataflow::partition::shuffle_by_key;
 use gradoop_dataflow::{
-    CollectingSink, CostModel, Dataset, ExecutionConfig, ExecutionEnvironment, JoinStrategy,
+    AdjacencyIndex, CollectingSink, CostModel, Dataset, ExecutionConfig, ExecutionEnvironment,
+    JoinStrategy, PartitionKey,
 };
 
 mod counting;
@@ -225,6 +229,35 @@ fn grouping_costs_the_same_however_many_groups_it_holds() {
         "grouping {ROWS} rows: {one_group} allocations into one group, \
          {every_group} into {ROWS}; a group allocates nothing of its own"
     );
+}
+
+#[test]
+fn an_adjacency_index_costs_the_same_however_many_keys_it_holds() {
+    const ROWS: u64 = 2_048;
+    let env = one_worker();
+    // Allocations of one build over `ROWS` triples carrying `distinct` keys.
+    let spent = |distinct: u64, replicated: bool| {
+        let triples =
+            env.from_collection((0..ROWS).map(|i| (i % distinct, i, i)).collect::<Vec<_>>());
+        let before = allocations();
+        let index = black_box(if replicated {
+            AdjacencyIndex::replicated(&triples, |&t| t)
+        } else {
+            AdjacencyIndex::partitioned(&triples, PartitionKey::named("adjacency.key"), |&t| t)
+        });
+        let spent = allocations() - before;
+        assert_eq!(index.candidates(0, 0).len() as u64, ROWS / distinct);
+        spent
+    };
+    for (name, replicated) in [("partitioned", false), ("replicated", true)] {
+        spent(1, replicated); // the first stage also starts the telemetry registry
+        let (one_key, every_key) = (spent(1, replicated), spent(ROWS, replicated));
+        assert_eq!(
+            one_key, every_key,
+            "{name} index over {ROWS} triples: {one_key} allocations with one key, \
+             {every_key} with {ROWS} keys; a key allocates nothing of its own"
+        );
+    }
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! Methods that take `&self` read the partitions and leave them alone.
 //! [`Dataset::union`] and [`Dataset::into_partitions`] (and, through it,
 //! every join, [`Dataset::group_reduce`] and
-//! [`PartitionedIndex::probe_join`](crate::index::PartitionedIndex::probe_join))
+//! [`AdjacencyIndex::probe_join`](crate::index::AdjacencyIndex::probe_join))
 //! take the dataset by value: the last holder of the partitions gives its
 //! rows away instead of having them copied.
 
@@ -112,8 +112,7 @@ impl<T: Data> Dataset<T> {
     }
 
     /// Shared handle to the raw partitions. Lets operators that outlive the
-    /// dataset (e.g. a [`PartitionedIndex`](crate::index::PartitionedIndex)
-    /// built over it) keep the records alive without copying them.
+    /// dataset keep the records alive without copying them.
     pub fn partitions_arc(&self) -> Arc<Vec<Vec<T>>> {
         Arc::clone(&self.partitions)
     }

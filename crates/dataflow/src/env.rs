@@ -167,7 +167,7 @@ impl ExecutionEnvironment {
                     let (report, failure) =
                         finish_stage_with_faults(stage, model, &events, injector.config());
                     if let Some(failure) = failure {
-                        injector.record_failure(failure);
+                        self.record_execution_failure(failure);
                     }
                     report
                 }
@@ -259,27 +259,16 @@ impl ExecutionEnvironment {
     /// operators can surface malformed-plan errors on fault-free
     /// environments too.
     pub fn record_execution_failure(&self, failure: ExecutionFailure) {
-        if let Some(injector) = self.inner.fault.lock().unwrap().as_mut() {
-            injector.record_failure(failure);
-            return;
-        }
         self.inner.poison.lock().unwrap().get_or_insert(failure);
     }
 
     /// Removes and returns the recorded execution failure, if any. The
     /// query engine calls this after running a plan; a `Some` means retries
     /// were exhausted (or an operator hit a terminal error) and the
-    /// computed datasets must be discarded. Injector-recorded failures take
-    /// precedence over the plain poison slot.
+    /// computed datasets must be discarded. Installing or clearing a fault
+    /// injector leaves a recorded failure in place.
     pub fn take_execution_failure(&self) -> Option<ExecutionFailure> {
-        let injected = self
-            .inner
-            .fault
-            .lock()
-            .unwrap()
-            .as_mut()
-            .and_then(FaultInjector::take_failure);
-        injected.or_else(|| self.inner.poison.lock().unwrap().take())
+        self.inner.poison.lock().unwrap().take()
     }
 
     /// Installs (or, with `None`, removes) the environment's trace sink.
@@ -359,6 +348,27 @@ mod tests {
         let sizes: Vec<usize> = ds.partitions().iter().map(Vec::len).collect();
         assert_eq!(sizes, vec![4, 3, 3]);
         assert_eq!(ds.count(), 10);
+    }
+
+    #[test]
+    fn a_failure_recorded_under_a_fault_injector_survives_clear_faults_and_is_taken_once() {
+        let env = ExecutionEnvironment::with_workers(2);
+        env.install_faults(
+            FaultConfig::new(crate::fault::FailureSchedule::none().crash_at_stage(0, 0))
+                .max_attempts(1),
+        );
+        // The crash exhausts the first stage's one attempt and poisons the
+        // environment; an operator failure recorded later loses to it.
+        let _ = env.from_collection(0u64..10).count();
+        env.record_execution_failure(ExecutionFailure {
+            site: "operator".to_string(),
+            attempts: 1,
+            message: "later".to_string(),
+        });
+        env.clear_faults();
+        let failure = env.take_execution_failure().expect("the crash is kept");
+        assert_ne!(failure.site, "operator");
+        assert!(env.take_execution_failure().is_none());
     }
 
     #[test]

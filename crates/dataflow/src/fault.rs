@@ -419,7 +419,6 @@ pub struct FaultInjector {
     stages_seen: u64,
     supersteps_seen: u64,
     name_counts: HashMap<String, u64>,
-    failure: Option<ExecutionFailure>,
 }
 
 impl FaultInjector {
@@ -433,7 +432,6 @@ impl FaultInjector {
             stages_seen: 0,
             supersteps_seen: 0,
             name_counts: HashMap::new(),
-            failure: None,
         }
     }
 
@@ -499,17 +497,6 @@ impl FaultInjector {
     /// Supersteps counted so far.
     pub fn supersteps_seen(&self) -> u64 {
         self.supersteps_seen
-    }
-
-    /// Records a terminal failure; the first one wins and poisons the
-    /// environment until taken.
-    pub fn record_failure(&mut self, failure: ExecutionFailure) {
-        self.failure.get_or_insert(failure);
-    }
-
-    /// Removes and returns the recorded failure, if any.
-    pub fn take_failure(&mut self) -> Option<ExecutionFailure> {
-        self.failure.take()
     }
 }
 

@@ -1,147 +1,220 @@
-//! Loop-invariant partitioned hash indexes.
+//! The adjacency index both path operators read.
 //!
 //! The paper's variable-length path operator (Section 3.1) relies on Flink's
 //! bulk iteration keeping the *static* candidate-edge dataset partitioned
-//! and cached across supersteps: the edges are shuffled and hash-indexed
-//! once, and every iteration only ships the (changing) working set to the
-//! index. [`PartitionedIndex`] is that building block: a per-worker hash
-//! table over a key-partitioned dataset, built once with full cost
-//! accounting, then probed any number of times — each probe charges only
-//! the probe side's shuffle and CPU, zero bytes for the build side.
+//! and cached across supersteps: the edges are shuffled and indexed once,
+//! and every iteration only ships the (changing) working set to the index.
+//! The worst-case-optimal intersection (`intersect.rs`) needs the same
+//! lists, sorted, on every worker. [`AdjacencyIndex`] serves both: one
+//! compressed-sparse-row layout over `(key, neighbor, edge)` triples, placed
+//! one of two ways.
 //!
-//! [`PartitionedIndex::probe_join`] **consumes** the probe dataset: a probe
-//! side that has to be shuffled to the index and whose handle is the last
-//! one is moved there, not copied. Building borrows the indexed dataset.
+//! * [`AdjacencyIndex::partitioned`] (the expand index): one layout per
+//!   worker over the triples the key hash-places there, built in an
+//!   `"index(build)"` stage that charges the one-time shuffle.
+//!   [`AdjacencyIndex::probe_join`] ships the probe side to it and
+//!   **consumes** that side: a last-held probe is moved, not copied.
+//! * [`AdjacencyIndex::replicated`] (the WCO index): one layout every worker
+//!   reads, built in a `"wco(build-adjacency)"` stage charged like a
+//!   broadcast-join build and probed partition-local by
+//!   [`probe_intersect`](crate::intersect::probe_intersect).
+//!
+//! Both builds charge each worker its records in, the peak memory of the
+//! layout it holds, one scratch allocation and the overflow beyond the
+//! memory budget, as every hash-join build does.
 
-use std::hash::Hash;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::data::Data;
 use crate::dataset::Dataset;
 use crate::env::ExecutionEnvironment;
-use crate::join::{ship_side, ChainedTable};
+use crate::join::{bytes_of, charge_build, charge_replication, ship_side};
 use crate::partition::PartitionKey;
 use crate::pool::map_partitions;
 
-/// A hash index over a dataset partitioned on a named key: one table per
-/// worker, each covering exactly the keys that hash-place on that worker.
-///
-/// Built by [`Dataset::build_partitioned_index`]; probed by
-/// [`PartitionedIndex::probe_join`]. The build charges the one-time shuffle,
-/// table-build CPU and memory pressure; probes are build-side-free.
-///
-/// The index does not copy the indexed records: `rows` shares the
-/// co-partitioned partitions (the dataset's own `Arc` when the input was
-/// forwarded) and the per-worker `ChainedTable`s link row *indices* into
-/// them, so building is allocation-free per record and per key.
-pub struct PartitionedIndex<K, T> {
+/// One compressed-sparse-row layout: every key's `(neighbor, edge)` run,
+/// sorted, back to back in one `Vec`, and where each key's run lies. Its
+/// allocations do not depend on how many keys it holds.
+#[derive(Debug)]
+struct Csr {
+    /// Key → index of its run.
+    runs: HashMap<u64, u32>,
+    /// Run `r` is `entries[offsets[r]..offsets[r + 1]]`.
+    offsets: Vec<u32>,
+    entries: Vec<(u64, u64)>,
+}
+
+impl Csr {
+    /// Lays out the `triple` of every row: a counting pass numbers the keys
+    /// and sizes their runs, a second pass fills the runs without hashing
+    /// again, and each run is sorted on its own.
+    fn build<'a, T: 'a>(
+        rows: impl Iterator<Item = &'a T> + Clone,
+        triple: impl Fn(&T) -> (u64, u64, u64),
+    ) -> Csr {
+        let len = rows.clone().count();
+        assert!(
+            len < u32::MAX as usize,
+            "an adjacency index holds fewer than 2^32 - 1 triples"
+        );
+        let mut runs: HashMap<u64, u32> = HashMap::with_capacity(len);
+        let mut offsets: Vec<u32> = Vec::with_capacity(len + 1);
+        let mut run_of: Vec<u32> = Vec::with_capacity(len);
+        for row in rows.clone() {
+            let fresh = offsets.len() as u32;
+            let run = *runs.entry(triple(row).0).or_insert_with(|| {
+                offsets.push(0);
+                fresh
+            });
+            offsets[run as usize] += 1;
+            run_of.push(run);
+        }
+        // Each run's end, then — filling every run from its end — its start.
+        for r in 1..offsets.len() {
+            offsets[r] += offsets[r - 1];
+        }
+        let mut entries = vec![(0, 0); len];
+        for (row, &run) in rows.zip(&run_of) {
+            let (_, neighbor, edge) = triple(row);
+            offsets[run as usize] -= 1;
+            entries[offsets[run as usize] as usize] = (neighbor, edge);
+        }
+        offsets.push(len as u32);
+        for run in offsets.windows(2) {
+            entries[run[0] as usize..run[1] as usize].sort_unstable();
+        }
+        Csr {
+            runs,
+            offsets,
+            entries,
+        }
+    }
+
+    fn candidates(&self, key: u64) -> &[(u64, u64)] {
+        let Some(&run) = self.runs.get(&key) else {
+            return &[];
+        };
+        &self.entries[self.offsets[run as usize] as usize..self.offsets[run as usize + 1] as usize]
+    }
+}
+
+/// Sorted `(neighbor, edge)` candidates per key, partitioned or replicated
+/// (see the module docs). Cloning shares the layouts.
+#[derive(Debug, Clone)]
+pub struct AdjacencyIndex {
     env: ExecutionEnvironment,
-    key: PartitionKey,
-    rows: Arc<Vec<Vec<T>>>,
-    tables: Arc<Vec<ChainedTable<K>>>,
+    /// The key the triples are hash-placed by; `None` when replicated.
+    key: Option<PartitionKey>,
+    /// One layout per worker when partitioned, one in all when replicated.
+    csrs: Arc<Vec<Csr>>,
     records: u64,
     build_shuffled_bytes: u64,
 }
 
-impl<K, T> Clone for PartitionedIndex<K, T> {
-    fn clone(&self) -> Self {
-        PartitionedIndex {
-            env: self.env.clone(),
-            key: self.key,
-            rows: Arc::clone(&self.rows),
-            tables: Arc::clone(&self.tables),
-            records: self.records,
-            build_shuffled_bytes: self.build_shuffled_bytes,
-        }
-    }
-}
-
-impl<T: Data> Dataset<T> {
-    /// Partitions the dataset by `key_id` (a FORWARD if it is already
-    /// stamped with that key) and builds one hash table per worker over the
-    /// co-located records. Shuffle traffic, build CPU (records in) and
-    /// memory overflow of the tables are charged once, in a dedicated
-    /// `"index(build)"` stage.
-    pub fn build_partitioned_index<K, F>(
-        &self,
-        key_id: PartitionKey,
-        key: F,
-    ) -> PartitionedIndex<K, T>
+impl AdjacencyIndex {
+    /// Partitions `rows` by the key of their `triple` (a FORWARD if they are
+    /// already stamped with `key_id`) and lays out, per worker, the triples
+    /// placed there. Charged once, in an `"index(build)"` stage.
+    pub fn partitioned<T, F>(rows: &Dataset<T>, key_id: PartitionKey, triple: F) -> Self
     where
-        K: Hash + Eq + Clone + Send + Sync,
-        F: Fn(&T) -> K + Sync,
+        T: Data,
+        F: Fn(&T) -> (u64, u64, u64) + Sync,
     {
-        let env = self.env().clone();
+        let env = rows.env().clone();
         let mut stage = env.stage("index(build)");
-        // Forwarded, `rows` is the dataset's own partitions — no records
-        // move or copy.
-        let rows = ship_side(self.clone(), Some(key_id), &key, &mut stage);
+        let key = |row: &T| triple(row).0;
+        let placed = ship_side(rows.clone(), Some(key_id), &key, &mut stage);
         let build_shuffled_bytes = stage.bytes_sent_total();
-
-        // Tables hold row indices into `rows`, not record copies.
-        let tables: Vec<ChainedTable<K>> =
-            map_partitions(&rows, |_, part| ChainedTable::build(part, &key));
-
+        let csrs = map_partitions(&placed, |_, part| Csr::build(part.iter(), &triple));
         let memory = env.cost_model().memory_per_worker;
-        let mut records = 0u64;
-        for (i, part) in rows.iter().enumerate() {
-            let build_bytes: u64 = part.iter().map(|e| e.byte_size() as u64).sum();
+        for (i, part) in placed.iter().enumerate() {
             let w = stage.worker(i);
             w.records_in += part.len() as u64;
-            if build_bytes as usize > memory {
-                w.bytes_spilled += build_bytes - memory as u64;
-            }
-            records += part.len() as u64;
+            charge_build(w, bytes_of(part), memory);
         }
         env.finish_stage(stage);
-        PartitionedIndex {
+        AdjacencyIndex {
+            records: rows.len_untracked() as u64,
             env,
-            key: key_id,
-            rows,
-            tables: Arc::new(tables),
-            records,
+            key: Some(key_id),
+            csrs: Arc::new(csrs),
             build_shuffled_bytes,
         }
     }
-}
 
-impl<K, T> PartitionedIndex<K, T>
-where
-    K: Hash + Eq + Clone + Send + Sync,
-    T: Data,
-{
-    /// The semantic key the index is partitioned on.
-    pub fn partition_key(&self) -> PartitionKey {
+    /// Lays out the `triple`s of all of `rows` once, for every worker to
+    /// read. Charged in a `"wco(build-adjacency)"` stage like a broadcast
+    /// build: each worker sends its fragment to every other and holds the
+    /// whole index.
+    pub fn replicated<T, F>(rows: &Dataset<T>, triple: F) -> Self
+    where
+        T: Data,
+        F: Fn(&T) -> (u64, u64, u64),
+    {
+        let env = rows.env().clone();
+        let mut stage = env.stage("wco(build-adjacency)");
+        let total_bytes = charge_replication(rows.partitions(), &mut stage);
+        let memory = env.cost_model().memory_per_worker;
+        for (i, part) in rows.partitions().iter().enumerate() {
+            let w = stage.worker(i);
+            w.records_in += part.len() as u64;
+            charge_build(w, total_bytes, memory);
+        }
+        let build_shuffled_bytes = stage.bytes_sent_total();
+        let csr = Csr::build(rows.partitions().iter().flatten(), triple);
+        env.finish_stage(stage);
+        AdjacencyIndex {
+            records: rows.len_untracked() as u64,
+            env,
+            key: None,
+            csrs: Arc::new(vec![csr]),
+            build_shuffled_bytes,
+        }
+    }
+
+    /// The sorted `(neighbor, edge)` candidates of `key` that `worker` holds
+    /// (empty when it holds none). A replicated index answers every worker
+    /// alike.
+    pub fn candidates(&self, worker: usize, key: u64) -> &[(u64, u64)] {
+        let csr = match self.key {
+            Some(_) => &self.csrs[worker],
+            None => &self.csrs[0],
+        };
+        csr.candidates(key)
+    }
+
+    /// The key a partitioned index is placed by; `None` when replicated.
+    pub fn partition_key(&self) -> Option<PartitionKey> {
         self.key
     }
 
-    /// Total records indexed.
+    /// Total triples indexed.
     pub fn records(&self) -> u64 {
         self.records
     }
 
-    /// Network bytes the one-time build shuffle moved. Zero if the input
-    /// was already partitioned on the index key.
+    /// Network bytes the one-time build moved: the shuffle of a partitioned
+    /// index (zero if its input was already placed by the key), the
+    /// replication of a replicated one.
     pub fn build_shuffled_bytes(&self) -> u64 {
         self.build_shuffled_bytes
     }
 
-    /// Equi-joins `probe` against the cached index with FlatJoin semantics.
+    /// Joins `probe` against a partitioned index with FlatJoin semantics:
+    /// `join_fn(row, neighbor, edge)` sees each candidate of the row's
+    /// `probe_key`, in `(neighbor, edge)` order.
     ///
-    /// The probe side is shipped to the index's partitioning (a FORWARD if
-    /// it is already stamped with the index key; otherwise its rows are
-    /// moved if `probe` was the last handle on them, copied if not); the
-    /// cached tables are probed in place. Only probe records and output
-    /// records are charged —
-    /// the build side costs nothing per probe, which is what makes the
-    /// index pay off inside bulk iterations.
+    /// The probe side is shipped to the index's placement (a FORWARD if it
+    /// is already stamped with the index key; otherwise its rows are moved
+    /// if `probe` was the last handle on them, copied if not); the layouts
+    /// are read in place. Only probe and output records are charged — the
+    /// index costs nothing per probe, which is what makes it pay off inside
+    /// bulk iterations.
     ///
-    /// The output carries *no* partitioning fingerprint: its records sit
-    /// where the probe key of the input placed them, but `join_fn` emits
-    /// arbitrary records that need not contain that key (an expand step
-    /// joins on the path's end vertex and emits the *next* end vertex). A
-    /// caller whose output provably retains the key can re-stamp with
-    /// [`Dataset::assume_partitioning`].
+    /// The output carries *no* partitioning fingerprint: `join_fn` emits
+    /// arbitrary records that need not contain the key (an expand step
+    /// joins on the path's end vertex and emits the *next* end vertex).
     pub fn probe_join<P, O, KP, F>(
         &self,
         probe: Dataset<P>,
@@ -151,19 +224,19 @@ where
     where
         P: Data,
         O: Data,
-        KP: Fn(&P) -> K + Sync,
-        F: Fn(&P, &T) -> Option<O> + Sync,
+        KP: Fn(&P) -> u64 + Sync,
+        F: Fn(&P, u64, u64) -> Option<O> + Sync,
     {
+        assert!(self.key.is_some(), "probe_join reads a partitioned index");
         let env = self.env.clone();
         let mut stage = env.stage("join(probe-index)");
-        let probe_parts = ship_side(probe, Some(self.key), &probe_key, &mut stage);
+        let probe_parts = ship_side(probe, self.key, &probe_key, &mut stage);
 
         let outputs: Vec<Vec<O>> = map_partitions(&probe_parts, |i, part| {
-            let rows = &self.rows[i];
             let mut out = Vec::new();
             for p in part {
-                for row in self.tables[i].matches(&probe_key(p)) {
-                    out.extend(join_fn(p, &rows[row]));
+                for &(neighbor, edge) in self.candidates(i, probe_key(p)) {
+                    out.extend(join_fn(p, neighbor, edge));
                 }
             }
             out
@@ -179,15 +252,6 @@ where
     }
 }
 
-impl<K, T> std::fmt::Debug for PartitionedIndex<K, T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PartitionedIndex")
-            .field("key", &self.key)
-            .field("records", &self.records)
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,6 +263,11 @@ mod tests {
         ExecutionEnvironment::new(
             ExecutionConfig::with_workers(workers).cost_model(CostModel::free()),
         )
+    }
+
+    /// `(key, value)` pairs indexed as `key → (value, value)`.
+    fn pair_triple(&(key, value): &(u64, u64)) -> (u64, u64, u64) {
+        (key, value, value)
     }
 
     #[test]
@@ -221,10 +290,11 @@ mod tests {
             rows.sort_unstable();
             rows
         };
-        let index = edges.build_partitioned_index(PartitionKey::named("edge.key"), |(k, _)| *k);
+        let index =
+            AdjacencyIndex::partitioned(&edges, PartitionKey::named("edge.key"), pair_triple);
         assert_eq!(index.records(), 100);
         let mut rows = index
-            .probe_join(probe, |p| *p, |p, (_, v)| Some((*p, *v)))
+            .probe_join(probe, |p| *p, |p, v, _| Some((*p, v)))
             .collect();
         rows.sort_unstable();
         assert_eq!(rows, expected);
@@ -237,14 +307,14 @@ mod tests {
         let edges: Dataset<(u64, u64)> =
             env.from_collection((0u64..1000).map(|i| (i % 50, i)).collect::<Vec<_>>());
         env.reset_metrics();
-        let index = edges.build_partitioned_index(key, |(k, _)| *k);
+        let index = AdjacencyIndex::partitioned(&edges, key, pair_triple);
         let build_bytes = env.metrics().bytes_shuffled;
         assert!(build_bytes > 0);
         assert_eq!(index.build_shuffled_bytes(), build_bytes);
         // A probe already partitioned on the key ships nothing at all.
         let probe = env.from_collection(0u64..50).partition_by(key, |p| *p);
         let shuffled_before = env.metrics().bytes_shuffled;
-        let joined = index.probe_join(probe, |p| *p, |p, (_, v)| Some((*p, *v)));
+        let joined = index.probe_join(probe, |p| *p, |p, v, _| Some((*p, v)));
         assert_eq!(env.metrics().bytes_shuffled, shuffled_before);
         assert_eq!(joined.len_untracked(), 1000);
         // join_fn emits arbitrary records, so no fingerprint is claimed.
@@ -259,7 +329,7 @@ mod tests {
             .from_collection((0u64..500).map(|i| (i % 20, i)).collect::<Vec<_>>())
             .partition_by(key, |(k, _)| *k);
         env.reset_metrics();
-        let index = edges.build_partitioned_index(key, |(k, _)| *k);
+        let index = AdjacencyIndex::partitioned(&edges, key, pair_triple);
         assert_eq!(index.build_shuffled_bytes(), 0);
         assert_eq!(env.metrics().bytes_shuffled, 0);
     }
@@ -274,7 +344,27 @@ mod tests {
         let edges: Dataset<(u64, u64)> =
             env.from_collection((0u64..100).map(|i| (i, i)).collect::<Vec<_>>());
         env.reset_metrics();
-        let _ = edges.build_partitioned_index(PartitionKey::named("k"), |(k, _)| *k);
+        let _ = AdjacencyIndex::partitioned(&edges, PartitionKey::named("k"), pair_triple);
         assert!(env.metrics().bytes_spilled > 0);
+    }
+
+    #[test]
+    fn every_adjacency_build_charges_its_memory_and_one_scratch_allocation_per_worker() {
+        let env = ExecutionEnvironment::new(ExecutionConfig::with_workers(2));
+        let sink = Arc::new(crate::trace::CollectingSink::new());
+        env.set_trace_sink(Some(sink.clone()));
+        let triples = env.from_collection((0..100u64).map(|i| (i, i + 1, i)).collect::<Vec<_>>());
+        let _ = AdjacencyIndex::partitioned(&triples, PartitionKey::named("k"), |&t| t);
+        let _ = AdjacencyIndex::replicated(&triples, |&t| t);
+        let stages = sink.snapshot().stages;
+        let names: Vec<&str> = stages.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["index(build)", "wco(build-adjacency)"]);
+        for stage in &stages {
+            assert_eq!(stage.scratch_allocations, 2, "{}", stage.name);
+        }
+        // A worker of the partitioned index holds its share of the 2400
+        // bytes, every worker of the replicated one all of them.
+        assert!((1..2400).contains(&stages[0].peak_memory_bytes));
+        assert_eq!(stages[1].peak_memory_bytes, 2400);
     }
 }

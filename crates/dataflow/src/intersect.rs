@@ -8,52 +8,19 @@
 //! lists of the already-bound endpoints and emits only vertices present in
 //! all of them.
 //!
-//! Two pieces live here:
-//!
-//! * [`build_adjacency_index`] — a replicated, sorted adjacency index over
-//!   oriented `(key, neighbor, edge_id)` triples. Replication is charged
-//!   like a broadcast join build (every worker ships its fragment to all
-//!   others), and a build larger than the per-worker memory budget spills.
-//! * [`probe_intersect`] — a partition-local probe: for every probe row the
-//!   caller names one adjacency key per closing edge, the kernel leapfrogs
-//!   the candidate lists and hands each surviving `(neighbor, edge ids)`
-//!   combination back to an emit closure. No shuffle runs — probe rows are
-//!   extended in place.
+//! [`probe_intersect`] is that probe, partition-local: for every probe row
+//! the caller names one key per closing edge, the kernel leapfrogs the
+//! sorted candidate runs of a replicated
+//! [`AdjacencyIndex`](crate::index::AdjacencyIndex) and hands each
+//! surviving `(neighbor, edge ids)` combination back to an emit closure. No
+//! shuffle runs — probe rows are extended in place.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use crate::data::Data;
 use crate::dataset::Dataset;
+use crate::index::AdjacencyIndex;
 use crate::pool::map_partitions;
-
-/// A replicated adjacency index: `key → sorted candidates`, where each
-/// candidate is a `(neighbor, edge_id)` pair sorted by neighbor (then edge
-/// id). Sharing is by [`Arc`], so cloning the index — e.g. to move it into
-/// worker closures — never copies the lists.
-#[derive(Debug, Clone)]
-pub struct AdjacencyIndex {
-    map: Arc<HashMap<u64, Vec<(u64, u64)>>>,
-}
-
-impl AdjacencyIndex {
-    /// The sorted `(neighbor, edge_id)` candidates of `key` (empty when the
-    /// key has no adjacent candidate edges).
-    pub fn candidates(&self, key: u64) -> &[(u64, u64)] {
-        self.map.get(&key).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Number of distinct keys in the index.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// `true` if the index holds no keys.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-}
 
 /// Counters of one [`probe_intersect`] run, surfaced through PROFILE as
 /// `wco: intersected=…` next to the ordinary rows-out count.
@@ -64,53 +31,6 @@ pub struct IntersectStats {
     pub rows_intersected: u64,
     /// Embeddings emitted by the intersection.
     pub rows_emitted: u64,
-}
-
-/// Builds a replicated sorted adjacency index over oriented
-/// `(key, neighbor, edge_id)` triples.
-///
-/// The simulation charges full replication — every worker sends its
-/// fragment to all peers and receives every other fragment, exactly like a
-/// broadcast-join build — plus the memory pressure of holding the whole
-/// index per worker, spilling the overflow beyond the per-worker budget.
-pub fn build_adjacency_index(
-    triples: &Dataset<(u64, u64, u64)>,
-    name: &'static str,
-) -> AdjacencyIndex {
-    let env = triples.env().clone();
-    let workers = env.workers();
-    let mut stage = env.stage(name);
-
-    let fragment_bytes: Vec<u64> = triples
-        .partitions()
-        .iter()
-        .map(|p| p.iter().map(|e| e.byte_size() as u64).sum())
-        .collect();
-    let total_bytes: u64 = fragment_bytes.iter().sum();
-    let memory = env.cost_model().memory_per_worker;
-    for (i, bytes) in fragment_bytes.iter().enumerate() {
-        let w = stage.worker(i);
-        w.records_in += triples.partitions()[i].len() as u64;
-        w.bytes_sent += bytes * (workers as u64 - 1);
-        w.bytes_received += total_bytes - bytes;
-        w.peak_memory_bytes = w.peak_memory_bytes.max(total_bytes);
-        w.scratch_allocations += 1;
-        if total_bytes as usize > memory {
-            w.bytes_spilled += total_bytes - memory as u64;
-        }
-    }
-
-    let mut map: HashMap<u64, Vec<(u64, u64)>> = HashMap::new();
-    for part in triples.partitions() {
-        for &(key, neighbor, edge_id) in part {
-            map.entry(key).or_default().push((neighbor, edge_id));
-        }
-    }
-    for list in map.values_mut() {
-        list.sort_unstable();
-    }
-    env.finish_stage(stage);
-    AdjacencyIndex { map: Arc::new(map) }
 }
 
 /// Reusable per-partition scratch for the leapfrog loop, so a whole
@@ -233,7 +153,11 @@ where
     let parts = probe.partitions();
     let rows_intersected = AtomicU64::new(0);
 
-    let outputs: Vec<Vec<O>> = map_partitions(parts, |_, rows| {
+    debug_assert!(
+        indexes.iter().all(|index| index.partition_key().is_none()),
+        "the intersection reads replicated indexes"
+    );
+    let outputs: Vec<Vec<O>> = map_partitions(parts, |worker, rows| {
         let mut out = Vec::new();
         let mut key_scratch = Vec::new();
         let mut lists: Vec<&[(u64, u64)]> = Vec::new();
@@ -250,7 +174,7 @@ where
             lists.clear();
             let mut viable = true;
             for (index, &key) in indexes.iter().zip(&key_scratch) {
-                let list = index.candidates(key);
+                let list = index.candidates(worker, key);
                 fetched += list.len() as u64;
                 if list.is_empty() {
                     viable = false;
@@ -310,16 +234,16 @@ mod tests {
     fn candidates_are_sorted_by_neighbor() {
         let env = env(2);
         let triples = env.from_collection(vec![(7u64, 9u64, 1u64), (7, 3, 2), (7, 5, 0)]);
-        let index = build_adjacency_index(&triples, "wco(test-index)");
-        assert_eq!(index.candidates(7), &[(3, 2), (5, 0), (9, 1)]);
-        assert!(index.candidates(42).is_empty());
+        let index = AdjacencyIndex::replicated(&triples, |&t| t);
+        assert_eq!(index.candidates(0, 7), &[(3, 2), (5, 0), (9, 1)]);
+        assert!(index.candidates(1, 42).is_empty());
     }
 
     #[test]
     fn triangle_intersection_finds_common_neighbors() {
         let env = env(2);
         let triples = env.from_collection(forward_edges());
-        let index = build_adjacency_index(&triples, "wco(test-index)");
+        let index = AdjacencyIndex::replicated(&triples, |&t| t);
         // Probe rows are (a, b) pairs of a bound edge a→b; intersect
         // out(a) ∩ out(b) to close the triangle a→w, b→w.
         let pairs = env.from_collection(vec![(0u64, 1u64), (0, 2), (1, 2)]);
@@ -356,7 +280,7 @@ mod tests {
             (1, 2, 20),
             (1, 2, 21),
         ]);
-        let index = build_adjacency_index(&triples, "wco(test-index)");
+        let index = AdjacencyIndex::replicated(&triples, |&t| t);
         let pairs = env.from_collection(vec![(0u64, 1u64)]);
         let (closed, stats) = probe_intersect(
             &pairs,
@@ -377,7 +301,7 @@ mod tests {
     fn empty_intersection_emits_nothing() {
         let env = env(2);
         let triples = env.from_collection(vec![(0u64, 1u64, 5u64), (2, 3, 6)]);
-        let index = build_adjacency_index(&triples, "wco(test-index)");
+        let index = AdjacencyIndex::replicated(&triples, |&t| t);
         let pairs = env.from_collection(vec![(0u64, 2u64), (7, 8)]);
         let (closed, stats) = probe_intersect(
             &pairs,
@@ -394,7 +318,7 @@ mod tests {
         let env = ExecutionEnvironment::new(ExecutionConfig::with_workers(4));
         let triples = env.from_collection((0..100u64).map(|i| (i, i + 1, i)).collect::<Vec<_>>());
         env.reset_metrics();
-        let _ = build_adjacency_index(&triples, "wco(test-index)");
+        let _ = AdjacencyIndex::replicated(&triples, |&t| t);
         assert!(
             env.metrics().bytes_shuffled > 0,
             "replication must be charged"
@@ -410,7 +334,7 @@ mod tests {
         let env = ExecutionEnvironment::new(config);
         let triples = env.from_collection((0..100u64).map(|i| (i, i + 1, i)).collect::<Vec<_>>());
         env.reset_metrics();
-        let _ = build_adjacency_index(&triples, "wco(test-index)");
+        let _ = AdjacencyIndex::replicated(&triples, |&t| t);
         assert!(env.metrics().bytes_spilled > 0);
     }
 }

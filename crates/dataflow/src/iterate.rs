@@ -9,8 +9,8 @@
 //! working set.
 //!
 //! A loop-invariant dataset is not the loop's business: the caller builds
-//! it once, before the loop (for a join side, a
-//! [`PartitionedIndex`](crate::index::PartitionedIndex)), and the body reads
+//! it once, before the loop (for a join side, a partitioned
+//! [`AdjacencyIndex`](crate::index::AdjacencyIndex)), and the body reads
 //! it every superstep — Flink caches loop-invariant datasets inside a
 //! `BulkIteration` the same way.
 //!
@@ -200,6 +200,7 @@ mod tests {
     use super::*;
     use crate::cost::CostModel;
     use crate::env::{ExecutionConfig, ExecutionEnvironment};
+    use crate::index::AdjacencyIndex;
     use crate::partition::PartitionKey;
 
     fn env(workers: usize) -> ExecutionEnvironment {
@@ -274,15 +275,18 @@ mod tests {
             env.from_collection((0u64..100).map(|i| (i, (i + 1) % 100)).collect::<Vec<_>>());
         let frontier = env.from_collection(vec![0u64, 7, 42]);
         env.reset_metrics();
-        let index =
-            edges.build_partitioned_index(PartitionKey::named("edge.source"), |(src, _)| *src);
+        let index = AdjacencyIndex::partitioned(
+            &edges,
+            PartitionKey::named("edge.source"),
+            |&(src, dst)| (src, dst, dst),
+        );
         let build_bytes = env.metrics().bytes_shuffled;
         assert_eq!(build_bytes, index.build_shuffled_bytes());
         assert!(build_bytes > 0);
         let mut per_iteration_shuffle = Vec::new();
         let (_, reached) = bulk_iterate_with_results(frontier, 3, |working, _| {
             let before = env.metrics().bytes_shuffled;
-            let next = index.probe_join(working, |v| *v, |_, (_, dst)| Some(*dst));
+            let next = index.probe_join(working, |v| *v, |_, dst, _| Some(dst));
             per_iteration_shuffle.push(env.metrics().bytes_shuffled - before);
             (next.clone(), next)
         });

@@ -360,21 +360,13 @@ impl<T: Data> Dataset<T> {
         F: Fn(&T, &R) -> Option<O> + Sync,
     {
         let env = self.env().clone();
-        let workers = env.workers();
         let mut stage = env.stage("join(broadcast-hash)");
 
-        // Broadcast the right side: every worker sends its fragment to all
-        // other workers and receives every other fragment. The simulation
-        // charges the replication but probes the original records through
-        // borrows — no copy is materialized.
+        // Broadcast the right side. The simulation charges the replication
+        // but probes the original records through borrows — no copy is
+        // materialized.
         let broadcast: Vec<&R> = right.partitions().iter().flatten().collect();
-        let fragment_bytes: Vec<u64> = right.partitions().iter().map(|p| bytes_of(p)).collect();
-        let total_bytes: u64 = fragment_bytes.iter().sum();
-        for (i, bytes) in fragment_bytes.iter().enumerate() {
-            let w = stage.worker(i);
-            w.bytes_sent += bytes * (workers as u64 - 1);
-            w.bytes_received += total_bytes - bytes;
-        }
+        let total_bytes = charge_replication(right.partitions(), &mut stage);
 
         // Each worker builds over its smaller local side: the stationary
         // fragment or the full broadcast set; the accounting below charges
@@ -413,7 +405,10 @@ impl<T: Data> Dataset<T> {
         // Outputs stay on the stationary side's workers, so its fingerprint
         // carries over when it already matches the named join key.
         let stamp = key_id.and_then(|key| {
-            let target = Partitioning { key, workers };
+            let target = Partitioning {
+                key,
+                workers: env.workers(),
+            };
             (self.partitioning() == Some(target)).then_some(target)
         });
         Dataset::from_partitions(env, outputs).assume_partitioning(stamp)
@@ -459,14 +454,28 @@ where
 }
 
 /// Serialized bytes of `rows`.
-fn bytes_of<T: Data>(rows: &[T]) -> u64 {
+pub(crate) fn bytes_of<T: Data>(rows: &[T]) -> u64 {
     rows.iter().map(|e| e.byte_size() as u64).sum()
 }
 
-/// Charges a worker for the hash table it built over `build_bytes`: the
+/// Charges the replication of `fragments` to every worker — each sends its
+/// fragment to all others and receives every other fragment — and returns
+/// the bytes of the whole replicated set.
+pub(crate) fn charge_replication<T: Data>(fragments: &[Vec<T>], stage: &mut StageCosts) -> u64 {
+    let bytes: Vec<u64> = fragments.iter().map(|part| bytes_of(part)).collect();
+    let total: u64 = bytes.iter().sum();
+    for (i, &fragment) in bytes.iter().enumerate() {
+        let w = stage.worker(i);
+        w.bytes_sent += fragment * (bytes.len() as u64 - 1);
+        w.bytes_received += total - fragment;
+    }
+    total
+}
+
+/// Charges a worker for the table or index it built over `build_bytes`: the
 /// peak memory, one scratch allocation, and — grace-hash style — the
 /// overflow beyond the `memory` budget, written out and re-read.
-fn charge_build(w: &mut WorkerCost, build_bytes: u64, memory: usize) {
+pub(crate) fn charge_build(w: &mut WorkerCost, build_bytes: u64, memory: usize) {
     w.peak_memory_bytes = w.peak_memory_bytes.max(build_bytes);
     w.scratch_allocations += 1;
     if build_bytes as usize > memory {

@@ -58,8 +58,8 @@ pub use env::{ExecutionConfig, ExecutionEnvironment};
 pub use fault::{
     ExecutionFailure, FailureSchedule, FaultConfig, FaultEvent, FaultInjector, FaultKind, FaultSite,
 };
-pub use index::PartitionedIndex;
-pub use intersect::{build_adjacency_index, probe_intersect, AdjacencyIndex, IntersectStats};
+pub use index::AdjacencyIndex;
+pub use intersect::{probe_intersect, IntersectStats};
 pub use iterate::bulk_iterate_with_results;
 pub use join::JoinStrategy;
 pub use json::JsonValue;

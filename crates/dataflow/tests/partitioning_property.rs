@@ -12,8 +12,11 @@
 //! and the surviving handle still reads its rows; the consuming `union` is
 //! the partition-wise concatenation whoever else holds its inputs; and the
 //! chained build table matches duplicate-heavy keys in the order a
-//! `Vec`-per-key table does — in the inner joins, the index probe and the
-//! left outer, semi and anti joins, down to their stage reports.
+//! `Vec`-per-key table does — in the inner joins and the left outer, semi
+//! and anti joins, down to their stage reports — while the adjacency index
+//! probe walks each key's run in `(neighbor, edge)` order. A last property
+//! checks that the partitioned and replicated adjacency index return equal
+//! candidates for every key.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -21,8 +24,8 @@ use std::sync::Arc;
 use gradoop_dataflow::cost::StageCosts;
 use gradoop_dataflow::partition::shuffle_by_key;
 use gradoop_dataflow::{
-    partition_for, CollectingSink, CostModel, Data, Dataset, ExecutionConfig, ExecutionEnvironment,
-    JoinStrategy, PartitionKey, Partitioning,
+    partition_for, AdjacencyIndex, CollectingSink, CostModel, Data, Dataset, ExecutionConfig,
+    ExecutionEnvironment, JoinStrategy, PartitionKey, Partitioning,
 };
 use proptest::prelude::*;
 
@@ -137,6 +140,14 @@ type Row = (u8, String);
 fn partitioned_rows(workers: usize) -> impl Strategy<Value = Vec<Vec<Row>>> {
     let row = (0u8..4, 0u16..32).prop_map(|(k, v)| (k, v.to_string()));
     proptest::collection::vec(proptest::collection::vec(row, 0..24), workers)
+}
+
+/// The adjacency triple of a row under `key`: the row's number `v` gives
+/// the neighbor `v / 8` and the edge `v`, so runs hold equal neighbors with
+/// different edges.
+fn row_triple(key: impl Fn(&Row) -> u8, row: &Row) -> (u64, u64, u64) {
+    let v: u64 = row.1.parse().expect("rows carry numbers");
+    (u64::from(key(row)), v / 8, v)
 }
 
 /// Two partitionings over the same one to four workers.
@@ -405,7 +416,7 @@ proptest! {
             let (env, sink) = charging_env(workers);
             let left_ds = Dataset::from_partitions(env.clone(), left.clone());
             let right_ds = Dataset::from_partitions(env.clone(), right.clone());
-            let index = right_ds.build_partitioned_index(key_v(), key);
+            let index = AdjacencyIndex::partitioned(&right_ds, key_v(), |r| row_triple(key, r));
             let survivors = shared.then(|| (left_ds.clone(), right_ds.clone()));
             let joined = left_ds.join_partitioned(
                 right_ds,
@@ -417,7 +428,11 @@ proptest! {
             );
             let join_stamp = joined.partitioning();
             let also_joined = shared.then(|| joined.clone());
-            let probed = index.probe_join(joined, key, |p, b| Some((p.0, p.1.clone(), b.1.clone())));
+            let probed = index.probe_join(
+                joined,
+                |p| u64::from(key(p)),
+                |p, neighbor, _| Some((p.0, p.1.clone(), neighbor)),
+            );
             if let Some((left_kept, right_kept)) = &survivors {
                 assert_eq!(left_kept.partitions(), left.as_slice());
                 assert_eq!(right_kept.partitions(), right.as_slice());
@@ -482,8 +497,9 @@ proptest! {
     }
 
     /// On duplicate-heavy keys the chained build table yields every match a
-    /// `Vec`-per-key table yields, in the same order — through the
-    /// repartition hash join and through the cached index.
+    /// `Vec`-per-key table yields, in the same order, through the
+    /// repartition hash join; the adjacency index yields them in
+    /// `(neighbor, edge)` order within each key.
     #[test]
     fn chained_table_matches_in_vec_per_key_order(
         (left, right) in two_partitioned_rows(),
@@ -509,17 +525,33 @@ proptest! {
             .collect();
         prop_assert_eq!(joined.partitions(), expected.as_slice());
 
-        // The index is always the build side: probe order outside, build
-        // (insertion) order inside.
-        let index = right_ds.build_partitioned_index(key_k(), key);
-        let probed = index.probe_join(left_ds, key, pair);
-        let expected: Vec<Vec<(u8, String, String)>> = left_placed
+        // The index is always the build side: probe order outside, each
+        // key's run sorted by `(neighbor, edge)` inside. Its key is a `u64`,
+        // which hash-places rows apart from the `u8` join key.
+        let index = AdjacencyIndex::partitioned(&right_ds, key_k(), |r| row_triple(key, r));
+        let wide = |row: &Row| u64::from(row.0);
+        let probed = index.probe_join(left_ds, wide, |l, neighbor, edge| {
+            Some((l.0, l.1.clone(), neighbor, edge))
+        });
+        let wide_placed = |parts: &[Vec<Row>]| {
+            shuffle_by_key(Arc::new(parts.to_vec()), wide, &mut StageCosts::new("model", workers))
+        };
+        let expected: Vec<Vec<(u8, String, u64, u64)>> = wide_placed(&left)
             .iter()
-            .zip(&right_placed)
+            .zip(&wide_placed(&right))
             .map(|(probe, build)| {
                 let mut out = Vec::new();
                 for l in probe {
-                    out.extend(build.iter().filter(|r| r.0 == l.0).filter_map(|r| pair(l, r)));
+                    let mut run: Vec<(u64, u64)> = build
+                        .iter()
+                        .filter(|r| r.0 == l.0)
+                        .map(|r| {
+                            let (_, neighbor, edge) = row_triple(key, r);
+                            (neighbor, edge)
+                        })
+                        .collect();
+                    run.sort_unstable();
+                    out.extend(run.into_iter().map(|(n, e)| (l.0, l.1.clone(), n, e)));
                 }
                 out
             })
@@ -555,5 +587,42 @@ proptest! {
                 hash_set_filter(l, r, false)
             })
         );
+    }
+
+    /// Both placements of the adjacency index answer every key alike: the
+    /// worker a key hash-places on holds exactly the replicated run, sorted
+    /// by `(neighbor, edge)`, and no other worker holds any of it.
+    #[test]
+    fn adjacency_placements_return_equal_candidates_for_every_key(
+        parts in (1..5usize).prop_flat_map(|workers| proptest::collection::vec(
+            proptest::collection::vec((0u64..12, 0u64..6, 0u64..64), 0..32),
+            workers,
+        )),
+    ) {
+        let workers = parts.len();
+        let (env, _) = charging_env(workers);
+        let triples = Dataset::from_partitions(env, parts.clone());
+        let partitioned =
+            AdjacencyIndex::partitioned(&triples, PartitionKey::named("adjacency.key"), |&t| t);
+        let replicated = AdjacencyIndex::replicated(&triples, |&t| t);
+        for key in 0..13u64 {
+            let mut run: Vec<(u64, u64)> = parts
+                .iter()
+                .flatten()
+                .filter(|t| t.0 == key)
+                .map(|&(_, neighbor, edge)| (neighbor, edge))
+                .collect();
+            run.sort_unstable();
+            let home = partition_for(&key, workers);
+            for worker in 0..workers {
+                prop_assert_eq!(replicated.candidates(worker, key), run.as_slice());
+                let held = partitioned.candidates(worker, key);
+                if worker == home {
+                    prop_assert_eq!(held, run.as_slice());
+                } else {
+                    prop_assert!(held.is_empty());
+                }
+            }
+        }
     }
 }

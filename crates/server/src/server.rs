@@ -20,7 +20,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gradoop_core::{
-    CypherEngine, CypherError, MatchingConfig, MemoryQueryLog, PlanCache, PlanCacheStats, PlanMode,
+    CypherEngine, CypherError, MatchingConfig, MemoryQueryLog, PlanCache, PlanCacheStats,
     TableResult, DEFAULT_PLAN_CAPACITY,
 };
 use gradoop_cypher::Literal;
@@ -42,12 +42,11 @@ pub struct ServerConfig {
     /// (measured from the call, i.e. including admission wait). `None`
     /// means no deadline.
     pub default_deadline: Option<Duration>,
-    /// Plan-cache capacity in distinct (shape, plan mode) entries.
+    /// Plan-cache capacity in distinct query shapes (every query is planned
+    /// with the engine's default plan mode).
     pub plan_cache_capacity: usize,
     /// Morphism semantics every query runs under.
     pub matching: MatchingConfig,
-    /// Plan mode every query is planned with.
-    pub plan_mode: PlanMode,
 }
 
 impl Default for ServerConfig {
@@ -58,7 +57,6 @@ impl Default for ServerConfig {
             default_deadline: None,
             plan_cache_capacity: DEFAULT_PLAN_CAPACITY,
             matching: MatchingConfig::cypher_default(),
-            plan_mode: PlanMode::CostBased,
         }
     }
 }
@@ -148,7 +146,6 @@ impl QueryServer {
         let plan_cache = Arc::new(PlanCache::new(config.plan_cache_capacity));
         let query_log = Arc::new(MemoryQueryLog::new());
         let engine = CypherEngine::with_statistics(snapshot.statistics().clone())
-            .with_plan_mode(config.plan_mode)
             .with_plan_cache(Arc::clone(&plan_cache))
             .with_query_log(query_log.clone());
         Arc::new(QueryServer {

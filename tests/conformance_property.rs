@@ -12,7 +12,8 @@
 mod common;
 
 use common::{test_seed, ReproHint};
-use gradoop_bench::fuzz::{run_conformance, FuzzConfig};
+use gradoop::core::PlanMode;
+use gradoop_bench::fuzz::{run_conformance, EngineConfig, FuzzConfig};
 
 /// Case budget for the in-suite batch: large enough to exercise every
 /// generator feature (WHERE trees, NOT, IS NULL, var-length paths,
@@ -32,10 +33,25 @@ fn engine_matches_reference_on_random_cases() {
         "conformance mismatches found:\n{}",
         report.summary()
     );
-    // The batch must actually exercise the engine: every configuration of
-    // every accepted case executed, and the reference produced matches
-    // (otherwise the generator drifted into a corner of empty results).
-    assert!(report.executions >= 8 * (CASES - report.rejected) / 2);
+    // The batch must actually exercise the engine: every accepted case ran
+    // on every matrix point, a cyclic one under every planner mode, and the
+    // reference produced matches (otherwise the generator drifted into a
+    // corner of empty results).
+    let accepted = CASES - report.rejected;
+    let plan_modes = [
+        PlanMode::CostBased,
+        PlanMode::ForceBinary,
+        PlanMode::ForceWco,
+    ]
+    .len();
+    let runs_per_point = accepted + (plan_modes - 1) * report.accepted_cyclic;
+    assert_eq!(
+        report.executions,
+        EngineConfig::matrix().len() * runs_per_point,
+        "{} accepted cases, {} of them cyclic",
+        accepted,
+        report.accepted_cyclic
+    );
     assert!(report.reference_matches > 0);
     assert!(report.features.where_clause > 0);
     assert!(report.features.negation > 0);
