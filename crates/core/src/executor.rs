@@ -188,7 +188,7 @@ fn walk<S: GraphSource + ?Sized>(
                 upper,
                 matching: *matching,
             };
-            expand_embeddings(child(), &candidates, &config)
+            expand_embeddings(child(), candidates, &config)
         }
         PlanNode::ExpandIntersect { vertex, edges, .. } => {
             expand_intersect(&child(), query, source, *vertex, edges, matching)

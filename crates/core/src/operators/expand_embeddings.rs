@@ -57,12 +57,13 @@ pub struct ExpandConfig {
 /// vertex, edge, ...) and the current end vertex.
 type ExpandState = (Embedding, Vec<u64>, u64);
 
-/// Expands `input` along `candidates` according to `config`. Takes `input`
-/// by value like every operator that ships its rows; the expansion itself
-/// reads it once, to seed the working set.
+/// Expands `input` along `candidates` according to `config`. Takes both by
+/// value like every operator that ships its rows: the expansion reads
+/// `input` once, to seed the working set, and moves a last-held
+/// `candidates` into the index it builds.
 pub fn expand_embeddings(
     input: EmbeddingSet,
-    candidates: &Dataset<EdgeTriple>,
+    candidates: Dataset<EdgeTriple>,
     config: &ExpandConfig,
 ) -> EmbeddingSet {
     let Some(source_column) = input.meta.column(&config.source_variable) else {
@@ -124,6 +125,7 @@ pub fn expand_embeddings(
 
     // Loop-invariant build side: the candidates are shuffled by source
     // vertex and indexed exactly once, before the first superstep.
+    let rows_in = (input.data.len_untracked() + candidates.len_untracked()) as u64;
     let index = AdjacencyIndex::partitioned(
         candidates,
         PartitionKey::named("expand:candidate.source"),
@@ -192,7 +194,6 @@ pub fn expand_embeddings(
         });
         (next, found)
     });
-    let rows_in = (input.data.len_untracked() + candidates.len_untracked()) as u64;
     let result = EmbeddingSet {
         data: results.union(iterated),
         meta,
@@ -302,7 +303,7 @@ mod tests {
         let input = starts(&env, &[1]);
         let result = expand_embeddings(
             input,
-            &chain(&env),
+            chain(&env),
             &config(1, 3, MatchingConfig::cypher_default()),
         );
         let rows = result.data.collect();
@@ -325,7 +326,7 @@ mod tests {
         let input = starts(&env, &[1]);
         let result = expand_embeddings(
             input,
-            &chain(&env),
+            chain(&env),
             &config(2, 2, MatchingConfig::cypher_default()),
         );
         let rows = result.data.collect();
@@ -343,7 +344,7 @@ mod tests {
         let input = starts(&env, &[1]);
         let result = expand_embeddings(
             input,
-            &chain(&env),
+            chain(&env),
             &config(0, 1, MatchingConfig::cypher_default()),
         );
         let rows = result.data.collect();
@@ -363,7 +364,7 @@ mod tests {
         let input = starts(&env, &[1]);
         let result = expand_embeddings(
             input,
-            &candidates,
+            candidates,
             &config(1, 10, MatchingConfig::cypher_default()),
         );
         // Edge-ISO: 1->2 (len 1), 1->2->1 (len 2). Vertex repeats allowed
@@ -378,7 +379,7 @@ mod tests {
         let input = starts(&env, &[1]);
         let result = expand_embeddings(
             input,
-            &candidates,
+            candidates,
             &config(1, 6, MatchingConfig::homomorphism()),
         );
         // One path per length 1..=6.
@@ -393,7 +394,7 @@ mod tests {
         let input = starts(&env, &[1]);
         let result = expand_embeddings(
             input,
-            &candidates,
+            candidates,
             &config(1, 5, MatchingConfig::isomorphism()),
         );
         // 1->2 and 1->2->3 only; 1->2->3->2 revisits vertex 2.
@@ -416,7 +417,7 @@ mod tests {
         };
         let result = expand_embeddings(
             input,
-            &chain(&env),
+            chain(&env),
             &config(1, 3, MatchingConfig::cypher_default()),
         );
         let rows = result.data.collect();
@@ -437,7 +438,7 @@ mod tests {
         let input = starts(&env, &[1]);
         let result = expand_embeddings(
             input,
-            &chain(&env),
+            chain(&env),
             &config(1, 3, MatchingConfig::cypher_default()),
         );
         assert_eq!(result.data.count(), 3);
@@ -469,13 +470,13 @@ mod tests {
         let empty: Dataset<EdgeTriple> = env.empty();
         let strict = expand_embeddings(
             input.clone(),
-            &empty,
+            empty.clone(),
             &config(1, 3, MatchingConfig::cypher_default()),
         );
         assert_eq!(strict.data.count(), 0);
         let zero = expand_embeddings(
             input,
-            &empty,
+            empty,
             &config(0, 3, MatchingConfig::cypher_default()),
         );
         assert_eq!(zero.data.count(), 1);

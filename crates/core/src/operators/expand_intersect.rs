@@ -67,12 +67,16 @@ pub fn expand_intersect<S: GraphSource + ?Sized>(
         bound_columns.push(column);
         let keyed_by_source = query_edge.undirected || query_edge.target == vertex;
         let triples = edge_triples(&source.edges_for_labels(&query_edge.labels), query_edge);
-        let oriented = if keyed_by_source {
-            triples.map(|t| (t.0, t.2, t.1))
-        } else {
-            triples.map(|t| (t.2, t.0, t.1))
-        };
-        indexes.push(AdjacencyIndex::replicated(&oriented, |&t| t));
+        indexes.push(AdjacencyIndex::replicated(
+            &triples,
+            |&(source, edge, target)| {
+                if keyed_by_source {
+                    (source, target, edge)
+                } else {
+                    (target, source, edge)
+                }
+            },
+        ));
     }
 
     // Admissible bindings of the new vertex: label plus element-centric

@@ -22,6 +22,7 @@
 //! [`CypherEngine::with_query_log`](crate::CypherEngine::with_query_log)
 //! to stream records to a JSONL file.
 
+use std::collections::VecDeque;
 use std::io::Write as _;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -171,10 +172,11 @@ pub trait QueryLogSink: Send + Sync {
 pub const MEMORY_LOG_CAPACITY: usize = 1024;
 
 /// A [`QueryLogSink`] that buffers the most recent records in memory —
-/// the engine's always-on default.
+/// the engine's always-on default. A ring: once full, each record evicts
+/// the oldest in constant time.
 #[derive(Default)]
 pub struct MemoryQueryLog {
-    records: Mutex<Vec<QueryLogRecord>>,
+    records: Mutex<VecDeque<QueryLogRecord>>,
 }
 
 impl MemoryQueryLog {
@@ -185,12 +187,12 @@ impl MemoryQueryLog {
 
     /// Snapshot of the retained records, oldest first.
     pub fn snapshot(&self) -> Vec<QueryLogRecord> {
-        self.records.lock().unwrap().clone()
+        self.records.lock().unwrap().iter().cloned().collect()
     }
 
     /// Removes and returns the retained records, oldest first.
     pub fn drain(&self) -> Vec<QueryLogRecord> {
-        std::mem::take(&mut *self.records.lock().unwrap())
+        std::mem::take(&mut *self.records.lock().unwrap()).into()
     }
 
     /// Number of retained records.
@@ -208,9 +210,9 @@ impl QueryLogSink for MemoryQueryLog {
     fn log(&self, record: &QueryLogRecord) {
         let mut records = self.records.lock().unwrap();
         if records.len() >= MEMORY_LOG_CAPACITY {
-            records.remove(0);
+            records.pop_front();
         }
-        records.push(record.clone());
+        records.push_back(record.clone());
     }
 }
 
@@ -493,6 +495,37 @@ mod tests {
         assert!(!log.is_empty());
         assert_eq!(log.drain().len(), MEMORY_LOG_CAPACITY);
         assert!(log.is_empty());
+    }
+
+    #[test]
+    fn memory_log_keeps_the_newest_records_oldest_first() {
+        let log = MemoryQueryLog::new();
+        let record = |matches: u64| QueryLogRecord {
+            query: "RETURN 1".into(),
+            shape: "RETURN ?".into(),
+            fingerprint: stable_digest("RETURN ?"),
+            plan_digest: String::new(),
+            plan_cache: None,
+            outcome: QueryOutcome::Ok,
+            error: None,
+            matches,
+            wall_seconds: 0.0,
+            simulated_seconds: 0.0,
+            operators: vec![],
+            max_q_error: 1.0,
+            recovery_attempts: 0,
+            peak_memory_bytes: 0,
+        };
+        let logged = MEMORY_LOG_CAPACITY as u64 + 5;
+        for matches in 0..logged {
+            log.log(&record(matches));
+        }
+        let kept: Vec<u64> = (5..logged).collect();
+        let matches = |records: Vec<QueryLogRecord>| -> Vec<u64> {
+            records.iter().map(|r| r.matches).collect()
+        };
+        assert_eq!(matches(log.snapshot()), kept);
+        assert_eq!(matches(log.drain()), kept);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use gradoop_cypher::{QueryGraph, ReturnItem};
 use gradoop_dataflow::pool::map_partitions;
 use gradoop_dataflow::JoinStrategy;
-use gradoop_epgm::operators::next_derived_graph_id;
+use gradoop_epgm::graph::next_derived_graph_id;
 use gradoop_epgm::{
     GradoopId, GraphCollection, GraphHead, LogicalGraph, Properties, PropertyValue,
 };

@@ -5,10 +5,10 @@
 //!   more, and that handle still reads its rows in their order.
 //! * A repartition [`join_embeddings`] of two last-held inputs allocates
 //!   per 64 KiB chunk of *output* rows: no clone per shipped row, no `Vec`
-//!   per build key, no allocation per output row. The left outer, filtered
-//!   left outer, semi and anti joins run the same stage and build the same
-//!   table: one key or thousands, it costs the same, and the table's memory
-//!   is charged (and spills) as the inner join's is.
+//!   per build key, no allocation per output row. The left outer join runs
+//!   the same stage and builds the same table, with or without a match
+//!   predicate: one key or thousands, it costs the same, and the table's
+//!   memory is charged (and spills) as the inner join's is.
 //! * [`Dataset::group_reduce`] indexes its groups with that table and
 //!   gathers each group into one reused buffer: one group or thousands, it
 //!   costs the same.
@@ -142,18 +142,18 @@ fn a_repartition_join_of_last_held_inputs_allocates_per_chunk_of_output_rows() {
 type KeyedJoin = dyn Fn(Dataset<u64>, Dataset<(u64, u64)>) -> usize;
 
 #[test]
-fn outer_semi_and_anti_join_tables_cost_the_same_however_many_keys_they_hold() {
+fn outer_join_tables_cost_the_same_however_many_keys_they_hold() {
     const ROWS: u64 = 2_048;
     let env = one_worker();
     let left = env.from_collection(vec![0u64]);
     // Allocations of one join against `ROWS` right rows carrying `distinct`
     // keys, key 0 among them.
-    let spent = |join: &KeyedJoin, distinct: u64, emitted: usize| {
+    let spent = |join: &KeyedJoin, distinct: u64| {
         let right = env.from_collection((0..ROWS).map(|i| (i % distinct, i)).collect::<Vec<_>>());
         let before = allocations();
         let out = black_box(join(left.clone(), right));
         let spent = allocations() - before;
-        assert_eq!(out, emitted);
+        assert_eq!(out, 0);
         spent
     };
     fn key((k, _): &(u64, u64)) -> u64 {
@@ -161,44 +161,19 @@ fn outer_semi_and_anti_join_tables_cost_the_same_however_many_keys_they_hold() {
     }
     // Every join function emits nothing, so only the shuffles and the table
     // are counted; the right side is moved, the left one copied.
-    let joins: [(&str, &KeyedJoin, usize); 4] = [
-        (
-            "left outer",
-            &|l, r| {
-                l.join_left_outer(r, |k| *k, key, |_, _| None::<u64>)
-                    .len_untracked()
-            },
-            0,
-        ),
-        (
-            "filtered left outer",
-            &|l, r| {
-                l.join_left_outer_filtered(
-                    r,
-                    |k| *k,
-                    key,
-                    |_, (_, v)| v % 2 == 0,
-                    |_, _| None::<u64>,
-                )
+    let joins: [(&str, &KeyedJoin); 2] = [
+        ("left outer", &|l, r| {
+            l.join_left_outer_filtered(r, |k| *k, key, |_, _| true, |_, _| None::<u64>)
                 .len_untracked()
-            },
-            0,
-        ),
-        (
-            "anti",
-            &|l, r| l.anti_join(r, |k| *k, key).len_untracked(),
-            0,
-        ),
-        // The semi join keeps the one left row.
-        (
-            "semi",
-            &|l, r| l.semi_join(r, |k| *k, key).len_untracked(),
-            1,
-        ),
+        }),
+        ("filtered left outer", &|l, r| {
+            l.join_left_outer_filtered(r, |k| *k, key, |_, (_, v)| v % 2 == 0, |_, _| None::<u64>)
+                .len_untracked()
+        }),
     ];
-    for (name, join, emitted) in joins {
-        spent(join, 1, emitted); // the first stage also starts the telemetry registry
-        let (one_key, every_key) = (spent(join, 1, emitted), spent(join, ROWS, emitted));
+    for (name, join) in joins {
+        spent(join, 1); // the first stage also starts the telemetry registry
+        let (one_key, every_key) = (spent(join, 1), spent(join, ROWS));
         assert!(
             one_key.abs_diff(every_key) < 8,
             "{name} join over {ROWS} right rows: {one_key} allocations with one key, \
@@ -243,7 +218,7 @@ fn an_adjacency_index_costs_the_same_however_many_keys_it_holds() {
         let index = black_box(if replicated {
             AdjacencyIndex::replicated(&triples, |&t| t)
         } else {
-            AdjacencyIndex::partitioned(&triples, PartitionKey::named("adjacency.key"), |&t| t)
+            AdjacencyIndex::partitioned(triples, PartitionKey::named("adjacency.key"), |&t| t)
         });
         let spent = allocations() - before;
         assert_eq!(index.candidates(0, 0).len() as u64, ROWS / distinct);
@@ -278,24 +253,14 @@ fn an_outer_join_charges_and_spills_its_build_side_as_an_inner_join_does() {
         JoinStrategy::RepartitionHash,
         |l, _| Some(*l),
     );
-    let outer = left().join_left_outer(right(), |l| *l, key, |l, _| Some(*l));
-    let semi = left().semi_join(right(), |l| *l, key);
-    let anti = left().anti_join(right(), |l| *l, key);
+    let outer = left().join_left_outer_filtered(right(), |l| *l, key, |_, _| true, |l, _| Some(*l));
     assert_eq!(
-        [inner, outer, semi, anti].map(|joined| joined.len_untracked()),
-        [100, 100, 100, 0]
+        [inner, outer].map(|joined| joined.len_untracked()),
+        [100, 100]
     );
     let stages = sink.snapshot().stages;
     let names: Vec<&str> = stages.iter().map(|stage| stage.name.as_str()).collect();
-    assert_eq!(
-        names,
-        [
-            "join(repartition-hash)",
-            "join(left-outer-hash)",
-            "join(semi-hash)",
-            "join(left-outer-hash)"
-        ]
-    );
+    assert_eq!(names, ["join(repartition-hash)", "join(left-outer-hash)"]);
     for stage in &stages {
         assert!(
             stage.bytes_spilled > 0 && stage.peak_memory_bytes > 0,
@@ -358,7 +323,7 @@ fn expand_allocations(
         matching: MatchingConfig::cypher_default(),
     };
     let before = allocations();
-    let result = black_box(expand_embeddings(input, &candidates, &config));
+    let result = black_box(expand_embeddings(input, candidates, &config));
     let spent = allocations() - before;
     let emitted = chain_count * (upper - lower + 1) as u64;
     assert_eq!(result.data.len_untracked() as u64, emitted);

@@ -116,15 +116,19 @@ impl AdjacencyIndex {
     /// Partitions `rows` by the key of their `triple` (a FORWARD if they are
     /// already stamped with `key_id`) and lays out, per worker, the triples
     /// placed there. Charged once, in an `"index(build)"` stage.
-    pub fn partitioned<T, F>(rows: &Dataset<T>, key_id: PartitionKey, triple: F) -> Self
+    ///
+    /// Consumes `rows` like a join consumes its sides: a last-held input is
+    /// moved into place, not copied. Pass a clone to keep using it.
+    pub fn partitioned<T, F>(rows: Dataset<T>, key_id: PartitionKey, triple: F) -> Self
     where
         T: Data,
         F: Fn(&T) -> (u64, u64, u64) + Sync,
     {
         let env = rows.env().clone();
+        let records = rows.len_untracked() as u64;
         let mut stage = env.stage("index(build)");
         let key = |row: &T| triple(row).0;
-        let placed = ship_side(rows.clone(), Some(key_id), &key, &mut stage);
+        let placed = ship_side(rows, Some(key_id), &key, &mut stage);
         let build_shuffled_bytes = stage.bytes_sent_total();
         let csrs = map_partitions(&placed, |_, part| Csr::build(part.iter(), &triple));
         let memory = env.cost_model().memory_per_worker;
@@ -135,7 +139,7 @@ impl AdjacencyIndex {
         }
         env.finish_stage(stage);
         AdjacencyIndex {
-            records: rows.len_untracked() as u64,
+            records,
             env,
             key: Some(key_id),
             csrs: Arc::new(csrs),
@@ -291,7 +295,7 @@ mod tests {
             rows
         };
         let index =
-            AdjacencyIndex::partitioned(&edges, PartitionKey::named("edge.key"), pair_triple);
+            AdjacencyIndex::partitioned(edges, PartitionKey::named("edge.key"), pair_triple);
         assert_eq!(index.records(), 100);
         let mut rows = index
             .probe_join(probe, |p| *p, |p, v, _| Some((*p, v)))
@@ -307,7 +311,7 @@ mod tests {
         let edges: Dataset<(u64, u64)> =
             env.from_collection((0u64..1000).map(|i| (i % 50, i)).collect::<Vec<_>>());
         env.reset_metrics();
-        let index = AdjacencyIndex::partitioned(&edges, key, pair_triple);
+        let index = AdjacencyIndex::partitioned(edges, key, pair_triple);
         let build_bytes = env.metrics().bytes_shuffled;
         assert!(build_bytes > 0);
         assert_eq!(index.build_shuffled_bytes(), build_bytes);
@@ -329,7 +333,7 @@ mod tests {
             .from_collection((0u64..500).map(|i| (i % 20, i)).collect::<Vec<_>>())
             .partition_by(key, |(k, _)| *k);
         env.reset_metrics();
-        let index = AdjacencyIndex::partitioned(&edges, key, pair_triple);
+        let index = AdjacencyIndex::partitioned(edges, key, pair_triple);
         assert_eq!(index.build_shuffled_bytes(), 0);
         assert_eq!(env.metrics().bytes_shuffled, 0);
     }
@@ -344,7 +348,7 @@ mod tests {
         let edges: Dataset<(u64, u64)> =
             env.from_collection((0u64..100).map(|i| (i, i)).collect::<Vec<_>>());
         env.reset_metrics();
-        let _ = AdjacencyIndex::partitioned(&edges, PartitionKey::named("k"), pair_triple);
+        let _ = AdjacencyIndex::partitioned(edges, PartitionKey::named("k"), pair_triple);
         assert!(env.metrics().bytes_spilled > 0);
     }
 
@@ -354,7 +358,7 @@ mod tests {
         let sink = Arc::new(crate::trace::CollectingSink::new());
         env.set_trace_sink(Some(sink.clone()));
         let triples = env.from_collection((0..100u64).map(|i| (i, i + 1, i)).collect::<Vec<_>>());
-        let _ = AdjacencyIndex::partitioned(&triples, PartitionKey::named("k"), |&t| t);
+        let _ = AdjacencyIndex::partitioned(triples.clone(), PartitionKey::named("k"), |&t| t);
         let _ = AdjacencyIndex::replicated(&triples, |&t| t);
         let stages = sink.snapshot().stages;
         let names: Vec<&str> = stages.iter().map(|s| s.name.as_str()).collect();

@@ -276,7 +276,7 @@ mod tests {
         let frontier = env.from_collection(vec![0u64, 7, 42]);
         env.reset_metrics();
         let index = AdjacencyIndex::partitioned(
-            &edges,
+            edges,
             PartitionKey::named("edge.source"),
             |&(src, dst)| (src, dst, dst),
         );

@@ -27,8 +27,8 @@
 //! whose handle is the last one is moved into place, not copied (see
 //! [`shuffle_by_key`]). Pass a clone to keep using an input.
 //!
-//! Every repartitioned join — the inner joins here and the outer, semi and
-//! anti joins of `outer_join.rs` — runs as one stage body,
+//! Every repartitioned join — the inner joins here and the filtered left
+//! outer join of `outer_join.rs` — runs as one stage body,
 //! `Dataset::repartition_join`: it ships both sides, builds one
 //! `ChainedTable` per partition (two flat allocations however many
 //! distinct keys there are, so a join allocates nothing per shipped row or
@@ -66,8 +66,8 @@ pub enum JoinStrategy {
 pub(crate) enum Build {
     /// The side with fewer rows in the partition (inner joins).
     Smaller,
-    /// Always the right side (outer, semi and anti joins, whose probe walks
-    /// every left row).
+    /// Always the right side (the left outer join, whose probe walks every
+    /// left row).
     Right,
 }
 

@@ -9,7 +9,7 @@
 //! The engine executes the same programming abstractions the paper builds on
 //! (Section 2.4): partitioned [`Dataset`]s and transformations among them —
 //! `map`, `flat_map`, `filter`, equi-`join` (repartition or broadcast hash),
-//! left outer, semi and anti joins, `union`, `distinct`, `group_by`/`reduce`
+//! the filtered left outer join, `union`, `distinct`, `group_by`/`reduce`
 //! and bulk iteration.
 //!
 //! Partitions are processed by real threads (one logical partition per

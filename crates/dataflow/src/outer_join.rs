@@ -1,14 +1,12 @@
-//! Left outer, semi and anti joins.
+//! The filtered left outer join.
 //!
-//! Flink's dataset API offers outer joins alongside inner joins; the
-//! iterative graph algorithms need them (e.g. "vertices that did not
-//! receive a message keep their state", "frontier minus settled") and
-//! `OPTIONAL MATCH ... WHERE` is a filtered left outer join. All of them run
-//! as the one repartitioned join stage of `join.rs`: both sides are shipped
-//! by key (moved when the join holds their last handle), each right
-//! partition is indexed by a `ChainedTable` (two allocations per table, none
-//! per key) whose memory and spill the stage charges, and each left
-//! partition probes it. Like the inner joins they consume both inputs.
+//! `OPTIONAL MATCH ... WHERE` is a left outer join whose predicate decides
+//! what counts as a match. It runs as the one repartitioned join stage of
+//! `join.rs`: both sides are shipped by key (moved when the join holds
+//! their last handle), each right partition is indexed by a `ChainedTable`
+//! (two allocations per table, none per key) whose memory and spill the
+//! stage charges, and each left partition probes it. Like the inner joins
+//! it consumes both inputs.
 
 use std::hash::Hash;
 
@@ -17,28 +15,6 @@ use crate::dataset::Dataset;
 use crate::join::Build;
 
 impl<T: Data> Dataset<T> {
-    /// Left outer equi-join: `join_fn` receives every left element together
-    /// with its matches (`Some`) or `None` when the right side has no equal
-    /// key. Emits one output per (left, match) pair and one per unmatched
-    /// left element (when `join_fn` returns `Some`).
-    pub fn join_left_outer<R, K, O, KL, KR, F>(
-        self,
-        right: Dataset<R>,
-        left_key: KL,
-        right_key: KR,
-        join_fn: F,
-    ) -> Dataset<O>
-    where
-        R: Data,
-        O: Data,
-        K: Hash + Eq,
-        KL: Fn(&T) -> K + Sync,
-        KR: Fn(&R) -> K + Sync,
-        F: Fn(&T, Option<&R>) -> Option<O> + Sync,
-    {
-        self.join_left_outer_filtered(right, left_key, right_key, |_, _| true, join_fn)
-    }
-
     /// Left outer equi-join with a match predicate: a right element with an
     /// equal key only counts as a partner when `accept` holds for the pair.
     /// A left element whose key-equal candidates **all** fail `accept` is
@@ -87,54 +63,6 @@ impl<T: Data> Dataset<T> {
             },
         )
     }
-
-    /// Anti join: keeps the left elements whose key has **no** partner on
-    /// the right side.
-    pub fn anti_join<R, K, KL, KR>(
-        self,
-        right: Dataset<R>,
-        left_key: KL,
-        right_key: KR,
-    ) -> Dataset<T>
-    where
-        R: Data,
-        K: Hash + Eq,
-        KL: Fn(&T) -> K + Sync,
-        KR: Fn(&R) -> K + Sync,
-    {
-        self.join_left_outer(right, left_key, right_key, |item, matched| {
-            matched.is_none().then(|| item.clone())
-        })
-    }
-
-    /// Semi join: keeps the left elements whose key has at least one
-    /// partner on the right side (each left element at most once).
-    pub fn semi_join<R, K, KL, KR>(
-        self,
-        right: Dataset<R>,
-        left_key: KL,
-        right_key: KR,
-    ) -> Dataset<T>
-    where
-        R: Data,
-        K: Hash + Eq,
-        KL: Fn(&T) -> K + Sync,
-        KR: Fn(&R) -> K + Sync,
-    {
-        self.repartition_join(
-            "join(semi-hash)",
-            right,
-            None,
-            (&left_key, &right_key),
-            Build::Right,
-            |l, _, _, table| {
-                l.iter()
-                    .filter(|item| table.matches(&left_key(item)).next().is_some())
-                    .cloned()
-                    .collect()
-            },
-        )
-    }
 }
 
 #[cfg(test)]
@@ -153,10 +81,11 @@ mod tests {
         let env = env(3);
         let left = env.from_collection(vec![1u64, 2, 3]);
         let right = env.from_collection(vec![(2u64, "two".to_string())]);
-        let joined = left.join_left_outer(
+        let joined = left.join_left_outer_filtered(
             right,
             |l| *l,
             |(k, _)| *k,
+            |_, _| true,
             |l, matched| Some((*l, matched.map(|(_, v)| v.clone()).unwrap_or_default())),
         );
         let mut rows = joined.collect();
@@ -176,10 +105,11 @@ mod tests {
         let env = env(2);
         let left = env.from_collection(vec![1u64]);
         let right = env.from_collection(vec![(1u64, 10u64), (1, 20)]);
-        let joined = left.join_left_outer(
+        let joined = left.join_left_outer_filtered(
             right,
             |l| *l,
             |(k, _)| *k,
+            |_, _| true,
             |_, matched| matched.map(|(_, v)| *v),
         );
         let mut rows = joined.collect();
@@ -208,37 +138,15 @@ mod tests {
     }
 
     #[test]
-    fn anti_join_removes_matched_keys() {
-        let env = env(3);
-        let left = env.from_collection(0u64..10);
-        let right = env.from_collection((0u64..10).filter(|i| i % 2 == 0).collect::<Vec<_>>());
-        let odd = left.anti_join(right, |l| *l, |r| *r);
-        let mut rows = odd.collect();
-        rows.sort_unstable();
-        assert_eq!(rows, vec![1, 3, 5, 7, 9]);
-    }
-
-    #[test]
-    fn semi_join_keeps_each_left_once() {
-        let env = env(2);
-        let left = env.from_collection(vec![1u64, 2, 3]);
-        // Key 1 appears twice on the right — left element 1 must still
-        // appear only once.
-        let right = env.from_collection(vec![1u64, 1]);
-        let mut rows = left.semi_join(right, |l| *l, |r| *r).collect();
-        rows.sort_unstable();
-        assert_eq!(rows, vec![1]);
-    }
-
-    #[test]
     fn outer_join_on_empty_right_is_all_none() {
         let env = env(2);
         let left = env.from_collection(vec![5u64]);
         let right = env.from_collection(Vec::<u64>::new());
-        let joined = left.join_left_outer(
+        let joined = left.join_left_outer_filtered(
             right,
             |l| *l,
             |r| *r,
+            |_, _| true,
             |l, matched| Some((*l, matched.is_none())),
         );
         assert_eq!(joined.collect(), vec![(5, true)]);

@@ -116,28 +116,6 @@ impl<T: Data> Dataset<T> {
         env.finish_stage(stage);
         Dataset::from_partitions(env, outputs)
     }
-
-    /// Global aggregation: folds each partition locally, then combines the
-    /// per-worker partials at the driver. Only the partials travel.
-    pub fn aggregate<A, FF, CF>(&self, init: A, fold: FF, combine: CF) -> A
-    where
-        A: Data,
-        FF: Fn(A, &T) -> A + Sync,
-        CF: Fn(A, A) -> A,
-    {
-        let env = self.env().clone();
-        let mut stage = env.stage("aggregate");
-        let partials: Vec<A> = map_partitions(self.partitions(), |_, part| {
-            part.iter().fold(init.clone(), &fold)
-        });
-        for (i, (inp, partial)) in self.partitions().iter().zip(&partials).enumerate() {
-            let w = stage.worker(i);
-            w.records_in += inp.len() as u64;
-            w.bytes_sent += partial.byte_size() as u64;
-        }
-        env.finish_stage(stage);
-        partials.into_iter().fold(init, combine)
-    }
 }
 
 #[cfg(test)]
@@ -239,21 +217,5 @@ mod tests {
         let env = env(2);
         let ds = env.from_collection(Vec::<u64>::new());
         assert!(ds.count_by_key(|x| *x).collect().is_empty());
-    }
-
-    #[test]
-    fn aggregate_folds_globally() {
-        let env = env(4);
-        let ds = env.from_collection(0u64..101);
-        let sum = ds.aggregate(0u64, |acc, x| acc + x, |a, b| a + b);
-        assert_eq!(sum, 5050);
-    }
-
-    #[test]
-    fn aggregate_min_max() {
-        let env = env(3);
-        let ds = env.from_collection(vec![5u64, 3, 9, 1]);
-        let max = ds.aggregate(0u64, |acc, x| acc.max(*x), |a, b| a.max(b));
-        assert_eq!(max, 9);
     }
 }

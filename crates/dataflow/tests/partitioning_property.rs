@@ -12,13 +12,13 @@
 //! and the surviving handle still reads its rows; the consuming `union` is
 //! the partition-wise concatenation whoever else holds its inputs; and the
 //! chained build table matches duplicate-heavy keys in the order a
-//! `Vec`-per-key table does — in the inner joins and the left outer, semi
-//! and anti joins, down to their stage reports — while the adjacency index
-//! probe walks each key's run in `(neighbor, edge)` order. A last property
-//! checks that the partitioned and replicated adjacency index return equal
-//! candidates for every key.
+//! `Vec`-per-key table does — in the inner joins and the left outer join,
+//! with or without a match predicate, down to their stage reports — while
+//! the adjacency index probe walks each key's run in `(neighbor, edge)`
+//! order. A last property checks that the partitioned and replicated
+//! adjacency index return equal candidates for every key.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use gradoop_dataflow::cost::StageCosts;
@@ -223,16 +223,6 @@ fn vec_per_key_outer(
     out
 }
 
-/// The left rows whose key is (`semi`) or is not (anti) among the right
-/// side's keys.
-fn hash_set_filter(left: &[Row], right: &[Row], semi: bool) -> Vec<Row> {
-    let keys: HashSet<u8> = right.iter().map(|r| r.0).collect();
-    left.iter()
-        .filter(|l| keys.contains(&l.0) == semi)
-        .cloned()
-        .collect()
-}
-
 /// Runs `join` over fresh datasets on `left` and `right` and returns its
 /// partitions and the rendered report of its one stage.
 fn run_keyed_join<O: Data>(
@@ -416,7 +406,7 @@ proptest! {
             let (env, sink) = charging_env(workers);
             let left_ds = Dataset::from_partitions(env.clone(), left.clone());
             let right_ds = Dataset::from_partitions(env.clone(), right.clone());
-            let index = AdjacencyIndex::partitioned(&right_ds, key_v(), |r| row_triple(key, r));
+            let index = AdjacencyIndex::partitioned(right_ds.clone(), key_v(), |r| row_triple(key, r));
             let survivors = shared.then(|| (left_ds.clone(), right_ds.clone()));
             let joined = left_ds.join_partitioned(
                 right_ds,
@@ -528,7 +518,7 @@ proptest! {
         // The index is always the build side: probe order outside, each
         // key's run sorted by `(neighbor, edge)` inside. Its key is a `u64`,
         // which hash-places rows apart from the `u8` join key.
-        let index = AdjacencyIndex::partitioned(&right_ds, key_k(), |r| row_triple(key, r));
+        let index = AdjacencyIndex::partitioned(right_ds, key_k(), |r| row_triple(key, r));
         let wide = |row: &Row| u64::from(row.0);
         let probed = index.probe_join(left_ds, wide, |l, neighbor, edge| {
             Some((l.0, l.1.clone(), neighbor, edge))
@@ -558,13 +548,15 @@ proptest! {
             .collect();
         prop_assert_eq!(probed.partitions(), expected.as_slice());
 
-        // The left outer, semi and anti joins: partitions, in-partition order
-        // and stage report of a `Vec`-per-key / `HashSet` join over the same
-        // shuffled partitions.
+        // The left outer join, with and without a match predicate: partitions,
+        // in-partition order and stage report of a `Vec`-per-key join over the
+        // same shuffled partitions.
         let padded = |l: &Row, r: Option<&Row>| Some((l.0, l.1.clone(), r.map(|r| r.1.clone())));
         let accept = |l: &Row, r: &Row| l.1 <= r.1;
         prop_assert_eq!(
-            run_keyed_join(&left, &right, |l, r| l.join_left_outer(r, key, key, padded)),
+            run_keyed_join(&left, &right, |l, r| {
+                l.join_left_outer_filtered(r, key, key, |_, _| true, padded)
+            }),
             model_keyed_join("join(left-outer-hash)", &left, &right, |l, r| {
                 vec_per_key_outer(l, r, |_, _| true)
             })
@@ -575,16 +567,6 @@ proptest! {
             }),
             model_keyed_join("join(left-outer-hash)", &left, &right, |l, r| {
                 vec_per_key_outer(l, r, accept)
-            })
-        );
-        prop_assert_eq!(
-            run_keyed_join(&left, &right, |l, r| l.semi_join(r, key, key)),
-            model_keyed_join("join(semi-hash)", &left, &right, |l, r| hash_set_filter(l, r, true))
-        );
-        prop_assert_eq!(
-            run_keyed_join(&left, &right, |l, r| l.anti_join(r, key, key)),
-            model_keyed_join("join(left-outer-hash)", &left, &right, |l, r| {
-                hash_set_filter(l, r, false)
             })
         );
     }
@@ -603,7 +585,7 @@ proptest! {
         let (env, _) = charging_env(workers);
         let triples = Dataset::from_partitions(env, parts.clone());
         let partitioned =
-            AdjacencyIndex::partitioned(&triples, PartitionKey::named("adjacency.key"), |&t| t);
+            AdjacencyIndex::partitioned(triples.clone(), PartitionKey::named("adjacency.key"), |&t| t);
         let replicated = AdjacencyIndex::replicated(&triples, |&t| t);
         for key in 0..13u64 {
             let mut run: Vec<(u64, u64)> = parts

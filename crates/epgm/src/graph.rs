@@ -1,15 +1,14 @@
 //! Logical graphs and graph collections (Definition 2.1), the two main
 //! programming abstractions of Gradoop (paper Section 2.4).
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use gradoop_dataflow::{Dataset, ExecutionEnvironment};
 
 use crate::element::{Edge, GraphHead, Vertex};
 use crate::element_index::ElementIndex;
-use crate::id::{GradoopId, IdGenerator};
-use crate::label::Label;
-use crate::properties::Properties;
+use crate::id::GradoopId;
 
 /// A single property graph: one graph head plus vertex and edge datasets.
 ///
@@ -125,6 +124,16 @@ impl LogicalGraph {
     }
 }
 
+/// Head ids for derived graphs start at 2^40 to avoid colliding with data
+/// ids produced by loaders and generators.
+static DERIVED_GRAPH_IDS: AtomicU64 = AtomicU64::new(1 << 40);
+
+/// Returns a fresh graph-head id for a derived graph, such as one match
+/// graph of the Cypher operator's result collection.
+pub fn next_derived_graph_id() -> GradoopId {
+    GradoopId(DERIVED_GRAPH_IDS.fetch_add(1, Ordering::Relaxed))
+}
+
 /// A set of possibly overlapping logical graphs, represented — exactly like
 /// in Gradoop — by three datasets: graph heads, vertices and edges, where
 /// vertices/edges record their graph membership.
@@ -189,42 +198,11 @@ impl GraphCollection {
     }
 }
 
-/// Factory producing logical graphs with fresh identifiers.
-#[derive(Debug)]
-pub struct GraphFactory {
-    env: ExecutionEnvironment,
-    ids: IdGenerator,
-}
-
-impl GraphFactory {
-    /// A factory whose generated ids start above `first_free_id`.
-    pub fn new(env: ExecutionEnvironment, first_free_id: u64) -> Self {
-        GraphFactory {
-            env,
-            ids: IdGenerator::starting_at(first_free_id),
-        }
-    }
-
-    /// The factory's environment.
-    pub fn env(&self) -> &ExecutionEnvironment {
-        &self.env
-    }
-
-    /// A fresh identifier.
-    pub fn next_id(&self) -> GradoopId {
-        self.ids.next_id()
-    }
-
-    /// Creates a fresh graph head.
-    pub fn graph_head(&self, label: impl Into<Label>, properties: Properties) -> GraphHead {
-        GraphHead::new(self.next_id(), label, properties)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::properties;
+    use crate::properties::Properties;
     use gradoop_dataflow::{CostModel, ExecutionConfig};
 
     fn env() -> ExecutionEnvironment {
@@ -283,12 +261,10 @@ mod tests {
     }
 
     #[test]
-    fn factory_creates_unique_heads() {
-        let env = env();
-        let factory = GraphFactory::new(env, 1000);
-        let a = factory.graph_head("A", Properties::new());
-        let b = factory.graph_head("B", Properties::new());
-        assert_ne!(a.id, b.id);
-        assert!(a.id.0 >= 1000);
+    fn derived_graph_ids_are_fresh_and_above_data_ids() {
+        let a = next_derived_graph_id();
+        let b = next_derived_graph_id();
+        assert_ne!(a, b);
+        assert!(a.0 >= 1 << 40 && b.0 >= 1 << 40);
     }
 }

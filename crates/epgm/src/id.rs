@@ -5,8 +5,6 @@
 //! sufficient; only the *fixed width* matters for the embedding layout
 //! (paper Section 3.3), which [`GradoopId`] preserves.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use gradoop_dataflow::Data;
 
 /// A fixed-width element identifier.
@@ -46,32 +44,6 @@ impl From<u64> for GradoopId {
 impl std::fmt::Display for GradoopId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}", self.0)
-    }
-}
-
-/// Thread-safe generator of unique identifiers.
-#[derive(Debug)]
-pub struct IdGenerator {
-    next: AtomicU64,
-}
-
-impl IdGenerator {
-    /// Generator starting at `first`.
-    pub fn starting_at(first: u64) -> Self {
-        IdGenerator {
-            next: AtomicU64::new(first),
-        }
-    }
-
-    /// Returns a fresh, never-before-returned identifier.
-    pub fn next_id(&self) -> GradoopId {
-        GradoopId(self.next.fetch_add(1, Ordering::Relaxed))
-    }
-}
-
-impl Default for IdGenerator {
-    fn default() -> Self {
-        IdGenerator::starting_at(0)
     }
 }
 
@@ -160,15 +132,6 @@ mod tests {
             let id = GradoopId(value);
             assert_eq!(GradoopId::from_bytes(id.to_bytes()), id);
         }
-    }
-
-    #[test]
-    fn generator_yields_unique_ids() {
-        let gen = IdGenerator::default();
-        let a = gen.next_id();
-        let b = gen.next_id();
-        assert_ne!(a, b);
-        assert_eq!(b.0, a.0 + 1);
     }
 
     #[test]

@@ -14,15 +14,11 @@
 //!   [`Properties`], [`GraphHead`], [`Vertex`], [`Edge`];
 //! * [`LogicalGraph`] and [`GraphCollection`] backed by dataflow datasets
 //!   (graph heads `L`, vertices `V`, edges `E` — paper Table 1);
-//! * the analytical operators of Gradoop (subgraph, transformation,
-//!   aggregation, selection, set operations, combination, grouping) so the
-//!   Cypher operator can be composed into analytical programs;
 //! * the [`IndexedLogicalGraph`] label index (paper Section 3.4) and the
 //!   [`ElementIndex`] id lookup a graph and all its views share;
 //! * pre-computed [`GraphStatistics`] for the query planner (Section 3.2);
 //! * a CSV data source/sink mirroring the Gradoop CSV format.
 
-pub mod algorithms;
 pub mod element;
 pub mod element_index;
 pub mod graph;
@@ -30,17 +26,14 @@ pub mod id;
 pub mod indexed;
 pub mod io;
 pub mod label;
-pub mod operators;
 pub mod properties;
 pub mod statistics;
 
-pub use algorithms::{connected_components, page_rank, single_source_distances, PageRankConfig};
 pub use element::{Edge, Element, GraphHead, Vertex};
 pub use element_index::ElementIndex;
-pub use graph::{GraphCollection, GraphFactory, LogicalGraph};
-pub use id::{GradoopId, GradoopIdSet, IdGenerator};
+pub use graph::{GraphCollection, LogicalGraph};
+pub use id::{GradoopId, GradoopIdSet};
 pub use indexed::IndexedLogicalGraph;
 pub use label::Label;
-pub use operators::{AggregateFunction, GroupingConfig};
 pub use properties::{Properties, PropertyValue};
 pub use statistics::GraphStatistics;

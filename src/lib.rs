@@ -12,7 +12,7 @@
 //! * [`dataflow`] — the shared-nothing dataflow engine (Apache Flink
 //!   substitute) with a simulated-time cost model;
 //! * [`epgm`] — the Extended Property Graph Model: logical graphs, graph
-//!   collections and Gradoop's analytical operators;
+//!   collections, the label index, statistics and CSV I/O;
 //! * [`cypher`] — the Cypher front-end (parser, AST, predicates, query
 //!   graph);
 //! * [`core`] — the query engine: embeddings, query operators, greedy
@@ -67,10 +67,9 @@ pub mod prelude {
         JoinStrategy,
     };
     pub use gradoop_epgm::{
-        connected_components, page_rank, properties, single_source_distances, AggregateFunction,
-        Edge, Element, GradoopId, GradoopIdSet, GraphCollection, GraphHead, GraphStatistics,
-        GroupingConfig, IndexedLogicalGraph, Label, LogicalGraph, PageRankConfig, Properties,
-        PropertyValue, Vertex,
+        properties, Edge, Element, GradoopId, GradoopIdSet, GraphCollection, GraphHead,
+        GraphStatistics, IndexedLogicalGraph, Label, LogicalGraph, Properties, PropertyValue,
+        Vertex,
     };
     pub use gradoop_ldbc::{
         generate, generate_graph, pick_names, table3_patterns, BenchmarkQuery, LdbcConfig,

@@ -102,7 +102,7 @@ fn tabular_result_matches_table_2a() {
 #[test]
 fn graph_collection_output_supports_post_processing() {
     // Def. 2.4: the operator returns logical graphs that are added to the
-    // collection; bindings are head properties, so EPGM selection works.
+    // collection; bindings are head properties, so the heads can be filtered.
     let env = test_env(2);
     let graph = figure1_graph(&env);
     let matches = graph
@@ -112,16 +112,20 @@ fn graph_collection_output_supports_post_processing() {
         )
         .unwrap();
     assert_eq!(matches.graph_count(), 2);
-    // Post-process with the EPGM selection operator: only 2016 enrolments.
-    let selected = matches.select(|head| {
-        head.properties
-            .get("s.classYear")
-            .and_then(|v| v.as_i64())
-            .map(|year| year >= 2016)
-            .unwrap_or(false)
-    });
-    assert_eq!(selected.graph_count(), 1);
-    let head = selected.heads().collect().pop().unwrap();
+    // Post-process on the head properties: only 2016 enrolments.
+    let mut selected: Vec<GraphHead> = matches
+        .heads()
+        .collect()
+        .into_iter()
+        .filter(|head| {
+            head.properties
+                .get("s.classYear")
+                .and_then(|v| v.as_i64())
+                .is_some_and(|year| year >= 2016)
+        })
+        .collect();
+    assert_eq!(selected.len(), 1);
+    let head = selected.pop().unwrap();
     assert_eq!(
         head.properties.get("p.name"),
         Some(&PropertyValue::String("Bob".into()))
@@ -221,4 +225,76 @@ fn simulated_clock_advances_during_queries() {
     assert!(metrics.simulated_seconds > 0.0);
     assert!(metrics.stages > 0);
     assert!(metrics.records_in > 0);
+}
+
+#[test]
+fn indexed_graph_source_for_queries() {
+    let env = test_env(2);
+    let graph = figure1_graph(&env);
+    let indexed = graph.to_indexed();
+    let engine = CypherEngine::for_graph(&graph);
+    let query = "MATCH (p:Person)-[s:studyAt]->(u:University) RETURN *";
+    let plain = engine
+        .execute(
+            &graph,
+            query,
+            &Default::default(),
+            MatchingConfig::cypher_default(),
+        )
+        .unwrap();
+    let indexed_result = engine
+        .execute(
+            &indexed,
+            query,
+            &Default::default(),
+            MatchingConfig::cypher_default(),
+        )
+        .unwrap();
+    assert_eq!(plain.count(), 2);
+    assert_eq!(indexed_result.count(), 2);
+}
+
+/// A label repeated in an alternation used to read its per-label dataset
+/// of the index twice, so the indexed source answered `:A|A` with every
+/// match doubled while the scan source counted it once.
+#[test]
+fn repeated_labels_in_an_alternation_count_once_on_either_source() {
+    let env = test_env(2);
+    let graph = figure1_graph(&env);
+    let indexed = graph.to_indexed();
+    let engine = CypherEngine::for_graph(&graph);
+    let count = |source: &dyn GraphSource, query: &str| {
+        engine
+            .execute(
+                source,
+                query,
+                &Default::default(),
+                MatchingConfig::homomorphism(),
+            )
+            .unwrap()
+            .count()
+    };
+    for (repeated, plain_form) in [
+        (
+            "MATCH (p:Person|Person) RETURN *",
+            "MATCH (p:Person) RETURN *",
+        ),
+        (
+            "MATCH (x:Person|University|Person) RETURN *",
+            "MATCH (x:Person|University) RETURN *",
+        ),
+        (
+            "MATCH (a)-[e:knows|knows]->(b) RETURN *",
+            "MATCH (a)-[e:knows]->(b) RETURN *",
+        ),
+        (
+            "MATCH (a:Person)-[e:knows|knows*1..2]->(b:Person|Person) RETURN *",
+            "MATCH (a:Person)-[e:knows*1..2]->(b:Person) RETURN *",
+        ),
+    ] {
+        let expected = count(&graph, plain_form);
+        assert!(expected > 0, "{plain_form}");
+        assert_eq!(count(&graph, repeated), expected, "scan: {repeated}");
+        assert_eq!(count(&indexed, repeated), expected, "indexed: {repeated}");
+    }
 }
