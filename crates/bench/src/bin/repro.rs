@@ -89,7 +89,10 @@ fn fig3(memo: &mut Memo) {
         (BenchmarkQuery::Q6, ScaleFactor::Sf10, None),
     ];
     for (query, sf, selectivity) in series {
-        let base = memo.get(query, sf, selectivity, 1).simulated_seconds;
+        let base = memo
+            .get(query, sf, selectivity, 1)
+            .metrics
+            .simulated_seconds;
         let mut cells = vec![format!(
             "Q{}.{}",
             query.number(),
@@ -99,8 +102,8 @@ fn fig3(memo: &mut Memo) {
             let m = memo.get(query, sf, selectivity, workers);
             cells.push(format!(
                 "{} {}",
-                seconds(m.simulated_seconds),
-                speedup(base, m.simulated_seconds)
+                seconds(m.metrics.simulated_seconds),
+                speedup(base, m.metrics.simulated_seconds)
             ));
         }
         table.row(cells);
@@ -117,11 +120,11 @@ fn fig4(memo: &mut Memo) {
         let large = memo.get(query, ScaleFactor::Sf100, selectivity, 16);
         table.row([
             query.to_string(),
-            seconds(small.simulated_seconds),
-            seconds(large.simulated_seconds),
+            seconds(small.metrics.simulated_seconds),
+            seconds(large.metrics.simulated_seconds),
             format!(
                 "{:.1}x",
-                large.simulated_seconds / small.simulated_seconds.max(1e-9)
+                large.metrics.simulated_seconds / small.metrics.simulated_seconds.max(1e-9)
             ),
         ]);
     }
@@ -135,7 +138,7 @@ fn fig5(memo: &mut Memo) {
         let mut cells = vec![query.to_string()];
         for selectivity in Selectivity::all() {
             let m = memo.get(query, ScaleFactor::Sf10, Some(selectivity), 4);
-            cells.push(seconds(m.simulated_seconds));
+            cells.push(seconds(m.metrics.simulated_seconds));
         }
         table.row(cells);
     }
@@ -182,18 +185,7 @@ fn table3(scale: f64) {
     println!("-- per-operator intermediate results (low selectivity, from PROFILE)");
     let mut breakdown = Table::new(["pattern", "operator", "rows out", "q-error"]);
     for (pattern, profile) in &low_profiles {
-        let mut nodes = Vec::new();
-        fn walk<'a>(
-            node: &'a gradoop_core::ProfileNode,
-            out: &mut Vec<&'a gradoop_core::ProfileNode>,
-        ) {
-            out.push(node);
-            for child in &node.children {
-                walk(child, out);
-            }
-        }
-        walk(&profile.root, &mut nodes);
-        for (index, node) in nodes.iter().enumerate() {
+        for (index, node) in profile.root.pre_order().enumerate() {
             breakdown.row([
                 if index == 0 {
                     pattern.clone()
@@ -263,21 +255,21 @@ fn fault_tolerance(config: &LdbcConfig, names: &SelectivityNames) {
             "fault injection changed the result rows of {label}"
         );
         assert!(
-            faulted.recovery_attempts > 0,
+            faulted.metrics.recovery_attempts > 0,
             "the schedule must actually fire on {label}"
         );
         assert!(
-            faulted.simulated_seconds > clean.simulated_seconds,
+            faulted.metrics.simulated_seconds > clean.metrics.simulated_seconds,
             "recovery must cost simulated time on {label}"
         );
         table.row([
             label,
             faulted.matches.to_string(),
             "yes".to_string(),
-            faulted.recovery_attempts.to_string(),
-            seconds(faulted.recovery_seconds),
-            seconds(faulted.simulated_seconds),
-            seconds(clean.simulated_seconds),
+            faulted.metrics.recovery_attempts.to_string(),
+            seconds(faulted.metrics.recovery_seconds),
+            seconds(faulted.metrics.simulated_seconds),
+            seconds(clean.metrics.simulated_seconds),
         ]);
     }
     println!("(identical = equal match counts and byte-identical sorted result rows)");
@@ -296,11 +288,11 @@ fn fault_tolerance(config: &LdbcConfig, names: &SelectivityNames) {
         )),
     );
     assert!(
-        profile.recovery_attempts > 0,
+        profile.metrics.recovery_attempts > 0,
         "PROFILE must report the injected recovery attempts"
     );
     assert!(
-        profile.recovery_seconds > 0.0,
+        profile.metrics.recovery_seconds > 0.0,
         "PROFILE must report the simulated recovery cost"
     );
     println!("{}", profile.to_text());
@@ -340,23 +332,23 @@ fn fault_tolerance(config: &LdbcConfig, names: &SelectivityNames) {
             "checkpoint interval {interval} changed the result rows"
         );
         assert!(
-            m.recovery_attempts > 0,
+            m.metrics.recovery_attempts > 0,
             "the superstep crash must fire (interval {interval})"
         );
         if interval == 0 {
             // Restart-from-scratch baseline: the crash rolls the iteration
             // back to the initial working set.
-            scratch_seconds = m.simulated_seconds;
-        } else if m.restored_bytes > 0 {
+            scratch_seconds = m.metrics.simulated_seconds;
+        } else if m.metrics.restored_bytes > 0 {
             // A checkpoint preceded the crash: recovery re-runs fewer
             // supersteps and must beat the scratch restart even after
             // paying for the checkpoint writes.
             checkpointed_restores += 1;
             assert!(
-                m.simulated_seconds < scratch_seconds,
+                m.metrics.simulated_seconds < scratch_seconds,
                 "checkpoint interval {interval} ({}s) must beat restart \
                  from scratch ({scratch_seconds}s)",
-                m.simulated_seconds
+                m.metrics.simulated_seconds
             );
         }
         table.row([
@@ -366,14 +358,14 @@ fn fault_tolerance(config: &LdbcConfig, names: &SelectivityNames) {
                 interval.to_string()
             },
             m.matches.to_string(),
-            m.recovery_attempts.to_string(),
-            bytes(m.restored_bytes),
-            bytes(m.checkpoint_bytes),
-            seconds(m.simulated_seconds),
+            m.metrics.recovery_attempts.to_string(),
+            bytes(m.metrics.restored_bytes),
+            bytes(m.metrics.checkpoint_bytes),
+            seconds(m.metrics.simulated_seconds),
             if interval == 0 {
                 "-".to_string()
             } else {
-                speedup(scratch_seconds, m.simulated_seconds)
+                speedup(scratch_seconds, m.metrics.simulated_seconds)
             },
         ]);
     }
@@ -401,7 +393,10 @@ fn table4(memo: &mut Memo) {
     for query in [BenchmarkQuery::Q1, BenchmarkQuery::Q2, BenchmarkQuery::Q3] {
         for selectivity in [Selectivity::Low, Selectivity::Medium, Selectivity::High] {
             for sf in ScaleFactor::all() {
-                let base = memo.get(query, sf, Some(selectivity), 1).simulated_seconds;
+                let base = memo
+                    .get(query, sf, Some(selectivity), 1)
+                    .metrics
+                    .simulated_seconds;
                 let mut cells = vec![
                     query.to_string(),
                     selectivity.to_string(),
@@ -411,8 +406,8 @@ fn table4(memo: &mut Memo) {
                     let m = memo.get(query, sf, Some(selectivity), workers);
                     cells.push(format!(
                         "{} {}",
-                        seconds(m.simulated_seconds),
-                        speedup(base, m.simulated_seconds)
+                        seconds(m.metrics.simulated_seconds),
+                        speedup(base, m.metrics.simulated_seconds)
                     ));
                 }
                 table.row(cells);
@@ -424,14 +419,15 @@ fn table4(memo: &mut Memo) {
     for query in [BenchmarkQuery::Q4, BenchmarkQuery::Q5, BenchmarkQuery::Q6] {
         let base = memo
             .get(query, ScaleFactor::Sf10, None, 1)
+            .metrics
             .simulated_seconds;
         let mut cells = vec![query.to_string(), "-".to_string(), "SF 10".to_string()];
         for workers in WORKER_COUNTS {
             let m = memo.get(query, ScaleFactor::Sf10, None, workers);
             cells.push(format!(
                 "{} {}",
-                seconds(m.simulated_seconds),
-                speedup(base, m.simulated_seconds)
+                seconds(m.metrics.simulated_seconds),
+                speedup(base, m.metrics.simulated_seconds)
             ));
         }
         table.row(cells);
@@ -444,7 +440,7 @@ fn table4(memo: &mut Memo) {
             "-".to_string(),
             "-".to_string(),
             "-".to_string(),
-            seconds(m16.simulated_seconds),
+            seconds(m16.metrics.simulated_seconds),
         ]);
     }
     println!("{table}");

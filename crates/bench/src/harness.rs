@@ -6,7 +6,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use gradoop_core::{CypherEngine, MatchingConfig, Profile, QueryResult};
-use gradoop_dataflow::{ExecutionConfig, ExecutionEnvironment, FaultConfig};
+use gradoop_dataflow::{ExecutionConfig, ExecutionEnvironment, ExecutionMetrics, FaultConfig};
 use gradoop_epgm::{
     properties, GradoopId, GraphHead, GraphStatistics, IndexedLogicalGraph, LogicalGraph,
 };
@@ -104,21 +104,12 @@ pub fn graph_on(env: &ExecutionEnvironment, data: &GeneratedData) -> LogicalGrap
 pub struct Measurement {
     /// Number of matches (the paper counts matches too).
     pub matches: usize,
-    /// Simulated cluster time in seconds (per-stage makespans).
-    pub simulated_seconds: f64,
     /// Wall-clock seconds on this machine.
     pub wall_seconds: f64,
-    /// Records processed across all stages.
-    pub records: u64,
-    /// Recovery attempts consumed by injected faults (0 without faults).
-    pub recovery_attempts: u64,
-    /// Simulated seconds spent on recovery, included in
-    /// [`simulated_seconds`](Measurement::simulated_seconds).
-    pub recovery_seconds: f64,
-    /// Bytes written to durable storage by iteration checkpoints.
-    pub checkpoint_bytes: u64,
-    /// Bytes re-read from durable storage during recovery.
-    pub restored_bytes: u64,
+    /// Totals of the query's stages: simulated cluster time (per-stage
+    /// makespans), records, and the recovery attempts, seconds and
+    /// checkpoint/restore bytes injected faults cost (0 without faults).
+    pub metrics: ExecutionMetrics,
     /// Order-independent digest over the rendered result rows. Two runs
     /// with equal digests returned byte-identical result sets — the chaos
     /// experiments compare faulted runs against fault-free ones with this.
@@ -190,16 +181,10 @@ pub fn run_query(
         .unwrap_or_else(|e| panic!("query failed: {e}\n{query_text}"));
     let matches = result.count();
     let wall_seconds = wall_start.elapsed().as_secs_f64();
-    let metrics = env.metrics();
     Measurement {
         matches,
-        simulated_seconds: metrics.simulated_seconds,
         wall_seconds,
-        records: metrics.records_in,
-        recovery_attempts: metrics.recovery_attempts,
-        recovery_seconds: metrics.recovery_seconds,
-        checkpoint_bytes: metrics.checkpoint_bytes,
-        restored_bytes: metrics.restored_bytes,
+        metrics: env.metrics(),
         // Decoding rows runs no dataflow stage, so no fault can fire in it.
         result_digest: result_digest(&result),
     }
@@ -261,9 +246,9 @@ mod tests {
         let names = dataset(&config).names.clone();
         let m = run_query(&config, 2, &BenchmarkQuery::Q1.text(Some(&names.low)), None);
         assert!(m.matches > 0);
-        assert!(m.simulated_seconds > 0.0);
+        assert!(m.metrics.simulated_seconds > 0.0);
         assert!(m.wall_seconds > 0.0);
-        assert!(m.records > 0);
+        assert!(m.metrics.records_in > 0);
     }
 
     #[test]
@@ -281,10 +266,10 @@ mod tests {
         let faulted = run_query(&config, 4, &text, Some(faults));
         assert_eq!(clean.matches, faulted.matches);
         assert_eq!(clean.result_digest, faulted.result_digest);
-        assert_eq!(clean.recovery_attempts, 0);
-        assert_eq!(faulted.recovery_attempts, 2);
-        assert!(faulted.recovery_seconds > 0.0);
-        assert!(faulted.simulated_seconds > clean.simulated_seconds);
+        assert_eq!(clean.metrics.recovery_attempts, 0);
+        assert_eq!(faulted.metrics.recovery_attempts, 2);
+        assert!(faulted.metrics.recovery_seconds > 0.0);
+        assert!(faulted.metrics.simulated_seconds > clean.metrics.simulated_seconds);
     }
 
     #[test]
@@ -301,8 +286,8 @@ mod tests {
                 FailureSchedule::none().crash_at_stage(0, 0),
             )),
         );
-        assert!(profile.recovery_attempts >= 1);
-        assert!(profile.recovery_seconds > 0.0);
+        assert!(profile.metrics.recovery_attempts >= 1);
+        assert!(profile.metrics.recovery_seconds > 0.0);
     }
 
     #[test]

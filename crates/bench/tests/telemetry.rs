@@ -217,8 +217,8 @@ fn fused_filter_over_join_counts_match_the_separate_operators() {
         "the filter must drop a pair for the comparison to mean anything"
     );
     // The fused filter ran inside the join's stage.
-    assert_eq!(filter.stages, 0);
-    assert!(join.stages > 0);
+    assert_eq!(filter.metrics.stages, 0);
+    assert!(join.metrics.stages > 0);
 }
 
 /// The worker pool counts the batches it is handed and those in which a

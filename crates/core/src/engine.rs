@@ -16,7 +16,7 @@ use std::time::Instant;
 use gradoop_cypher::ast::{Pipeline, Projection, ProjectionExpr, Query, Stage};
 use gradoop_cypher::lexer::lex_shape;
 use gradoop_cypher::{parse_tokens, Literal, ParseError, QueryGraph, QueryGraphError};
-use gradoop_dataflow::{CollectingSink, ExecutionFailure};
+use gradoop_dataflow::{CollectingSink, ExecutionFailure, ExecutionMetrics};
 use gradoop_epgm::{GraphCollection, GraphStatistics, LogicalGraph};
 
 use crate::matching::MatchingConfig;
@@ -346,9 +346,9 @@ impl CypherEngine {
         let started = Instant::now();
         let (shape, parsed) = read_query(query_text);
         let env = source.env();
-        let before = env.metrics();
         let mut plan_digest = String::new();
         let mut plan_cache = None;
+        let mut metrics = ExecutionMetrics::default();
         let planned =
             parsed.and_then(|pipeline| self.plan_text(pipeline, &shape, params, plain_only));
         let ran = planned.and_then(|planned| {
@@ -357,18 +357,17 @@ impl CypherEngine {
             // Tee stages and spans into a per-query collector — the plan
             // walker attributes them to operators — without clobbering a
             // caller-installed sink (a Chrome-trace export, the server's
-            // deadline sink).
+            // deadline sink). The tee folds the run's totals.
             let collector = Arc::new(CollectingSink::new());
             let downstream = env.trace_sink();
-            env.set_trace_sink(Some(Arc::new(TeeSink::new(
-                downstream.clone(),
-                collector.clone(),
-            ))));
+            let tee = Arc::new(TeeSink::new(downstream.clone(), collector.clone()));
+            env.set_trace_sink(Some(tee.clone()));
             // Drop any stale poison from a previous failed run on this
             // environment, so this execution is judged on its own faults.
             let _ = env.take_execution_failure();
             let ran = run_planned(source, planned, params, matching, &collector);
             env.set_trace_sink(downstream);
+            metrics = tee.metrics();
             // A failure recorded while the body ran (exhausted retries, a
             // tripped deadline, a malformed plan) outranks its result: the
             // computed datasets are discarded.
@@ -377,40 +376,20 @@ impl CypherEngine {
                 None => ran,
             }
         });
-        let metrics = env.metrics();
         let wall_seconds = started.elapsed().as_secs_f64();
-        let simulated_seconds = metrics.simulated_seconds - before.simulated_seconds;
-        let recovery_attempts = metrics.recovery_attempts - before.recovery_attempts;
-        let recovery_seconds = metrics.recovery_seconds - before.recovery_seconds;
-        let checkpoint_bytes = metrics.checkpoint_bytes - before.checkpoint_bytes;
-        let restored_bytes = metrics.restored_bytes - before.restored_bytes;
-        let scratch_allocations = metrics.scratch_allocations - before.scratch_allocations;
         let outcome = ran.map(|mut ran| {
             if let Output::Table(_) = ran.output {
                 // The `pipeline` root carries the run's totals.
-                let root = &mut ran.root;
-                root.simulated_seconds = simulated_seconds;
-                root.wall_seconds = wall_seconds;
-                root.stages = metrics.stages - before.stages;
-                root.recovery_attempts = recovery_attempts;
-                root.recovery_seconds = recovery_seconds;
-                root.checkpoint_bytes = checkpoint_bytes;
-                root.restored_bytes = restored_bytes;
-                root.scratch_allocations = scratch_allocations;
+                ran.root.wall_seconds = wall_seconds;
+                ran.root.metrics = metrics;
             }
             let profile = Profile {
                 query: query_text.to_string(),
                 root: ran.root,
                 planner: ran.planner,
                 matches: ran.matches,
-                simulated_seconds,
                 wall_seconds,
-                recovery_attempts,
-                recovery_seconds,
-                checkpoint_bytes,
-                restored_bytes,
-                peak_memory_bytes: metrics.peak_memory_bytes,
-                scratch_allocations,
+                metrics,
             };
             (ran.output, profile)
         });
@@ -432,13 +411,15 @@ impl CypherEngine {
             error: outcome.as_ref().err().map(|error| error.to_string()),
             matches: outcome.as_ref().map_or(0, |(_, profile)| profile.matches),
             wall_seconds,
-            simulated_seconds,
+            simulated_seconds: metrics.simulated_seconds,
             operators,
             max_q_error,
-            recovery_attempts,
-            peak_memory_bytes: outcome
-                .as_ref()
-                .map_or(0, |(_, profile)| profile.root.subtree_peak_memory_bytes()),
+            recovery_attempts: metrics.recovery_attempts,
+            peak_memory_bytes: if outcome.is_ok() {
+                metrics.peak_memory_bytes
+            } else {
+                0
+            },
         });
         outcome
     }
@@ -545,7 +526,7 @@ fn run_planned<S: GraphSource + ?Sized>(
         &mut children,
     )?;
     let matches = table.rows.len() as u64;
-    let mut root = ProfileNode {
+    let root = ProfileNode {
         operator: "pipeline".to_string(),
         estimated_cardinality: explain.estimated_cardinality,
         rows_in: children.first().map_or(0, |child| child.rows_in),
@@ -555,7 +536,6 @@ fn run_planned<S: GraphSource + ?Sized>(
         children,
         ..ProfileNode::default()
     };
-    root.peak_memory_bytes = root.subtree_peak_memory_bytes();
     Ok(Ran {
         output: Output::Table(table),
         root,
@@ -1039,9 +1019,20 @@ mod tests {
             assert!(head.properties.contains_key("p.name"));
         }
         // Result graphs are part of the collection's element membership.
-        let first = matches.graph(heads[0].id).expect("match graph");
-        assert_eq!(first.vertex_count(), 2);
-        assert_eq!(first.edge_count(), 1);
+        let first = heads[0].id;
+        let vertices = matches.vertices().collect();
+        let edges = matches.edges().collect();
+        assert_eq!(
+            vertices
+                .iter()
+                .filter(|v| v.graph_ids.contains(first))
+                .count(),
+            2
+        );
+        assert_eq!(
+            edges.iter().filter(|e| e.graph_ids.contains(first)).count(),
+            1
+        );
     }
 
     #[test]
@@ -1168,8 +1159,8 @@ mod tests {
             .unwrap();
         graph.env().clear_faults();
         assert_eq!(profile.matches, clean.count() as u64);
-        assert_eq!(profile.recovery_attempts, 2);
-        assert!(profile.recovery_seconds >= 0.0);
+        assert_eq!(profile.metrics.recovery_attempts, 2);
+        assert!(profile.metrics.recovery_seconds >= 0.0);
         assert!(profile.to_text().contains("recovery: attempts=2"));
     }
 

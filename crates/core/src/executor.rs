@@ -267,7 +267,9 @@ fn walk<S: GraphSource + ?Sized>(
         children,
         ..planned(rows_out)
     };
-    profile.absorb_stages(&drained.stages);
+    for report in &drained.stages {
+        profile.metrics.record(report);
+    }
     spent.stages.append(&mut drained.stages);
     spent.spans.append(&mut drained.spans);
     (result, profile)

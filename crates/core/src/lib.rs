@@ -71,7 +71,7 @@ pub use planner::{
 };
 pub use querylog::{
     global_query_log, normalize_query_shape, stable_digest, JsonlQueryLog, MemoryQueryLog,
-    OperatorLogEntry, QueryLogRecord, QueryLogSink, QueryOutcome, TeeSink,
+    OperatorLogEntry, QueryLogRecord, QueryLogSink, QueryOutcome,
 };
 pub use reference::{reference_match, reference_pipeline, ReferenceMatch};
 pub use result::{QueryResult, ReturnColumns, TableResult};

@@ -17,14 +17,16 @@
 //!   variable-length expansion, and the estimate-vs-actual q-error;
 //! * [`Explain`] / [`Profile`] — the top-level documents returned by
 //!   [`CypherEngine::explain`](crate::CypherEngine::explain) and
-//!   [`CypherEngine::profile`](crate::CypherEngine::profile), with pretty
-//!   text and JSON renderers. JSON is emitted through the dependency-free
-//!   [`JsonValue`] model (the offline stand-in for `serde_json`), so every
-//!   document can be parsed back and compared.
+//!   [`CypherEngine::profile`](crate::CypherEngine::profile), rendered as
+//!   pretty text.
+//!
+//! Every stage total — per operator and per run — is an
+//! [`ExecutionMetrics`] built by [`ExecutionMetrics::record`], the one fold
+//! over [`StageReport`]s.
 
-use gradoop_dataflow::{JoinStrategy, JsonValue, StageReport};
+use gradoop_dataflow::{ExecutionMetrics, JoinStrategy, StageReport};
 
-/// Stable lower-case name of a join strategy, used in text and JSON output.
+/// Stable lower-case name of a join strategy, used in text output.
 pub fn strategy_name(strategy: JoinStrategy) -> &'static str {
     match strategy {
         JoinStrategy::RepartitionHash => "repartition-hash",
@@ -46,7 +48,7 @@ pub enum ShipStrategy {
     Broadcast,
 }
 
-/// Stable lower-case name of a ship strategy, used in text and JSON output.
+/// Stable lower-case name of a ship strategy, used in text output.
 pub fn ship_name(ship: ShipStrategy) -> &'static str {
     match ship {
         ShipStrategy::Forward => "forward",
@@ -89,8 +91,8 @@ pub fn ship_pair_name(pair: [ShipStrategy; 2]) -> String {
 
 /// Ceiling for [`q_error`]: estimates that are non-finite (NaN, ±∞) or
 /// astronomically wrong report this sentinel instead of propagating `inf`
-/// or `NaN` into PROFILE text/JSON (where non-finite numbers render as
-/// `null` and break downstream consumers).
+/// or `NaN` into PROFILE text and the query log (whose JSON renders
+/// non-finite numbers as `null`, breaking downstream consumers).
 pub const Q_ERROR_CAP: f64 = 1.0e12;
 
 /// The estimate-vs-actual q-error: `max(est/act, act/est)`, with both sides
@@ -178,30 +180,21 @@ impl ExplainNode {
         }
     }
 
-    /// The subtree as a JSON document.
-    pub fn to_json_value(&self) -> JsonValue {
-        let mut pairs = vec![
-            ("operator", JsonValue::string(self.operator.clone())),
-            (
-                "estimated_cardinality",
-                JsonValue::Number(self.estimated_cardinality),
-            ),
-        ];
-        if let Some(strategy) = self.estimated_strategy {
-            pairs.push((
-                "estimated_strategy",
-                JsonValue::string(strategy_name(strategy)),
-            ));
-        }
-        if let Some(ship) = self.estimated_ship {
-            pairs.push(("estimated_ship", JsonValue::string(ship_pair_name(ship))));
-        }
-        pairs.push((
-            "children",
-            JsonValue::Array(self.children.iter().map(|c| c.to_json_value()).collect()),
-        ));
-        JsonValue::object(pairs)
+    /// The subtree's nodes in pre-order: a node before its children,
+    /// children left to right.
+    pub fn pre_order(&self) -> impl Iterator<Item = &ExplainNode> {
+        pre_order(self, |node| &node.children)
     }
+}
+
+/// Pre-order walk of a plan tree, without recursion.
+fn pre_order<T>(root: &T, children: fn(&T) -> &[T]) -> impl Iterator<Item = &T> {
+    let mut stack = vec![root];
+    std::iter::from_fn(move || {
+        let node = stack.pop()?;
+        stack.extend(children(node).iter().rev());
+        Some(node)
+    })
 }
 
 /// One candidate the greedy planner evaluated in a planning round.
@@ -252,45 +245,6 @@ impl PlannerTrace {
         }
         out
     }
-
-    /// The decision log as a JSON document.
-    pub fn to_json_value(&self) -> JsonValue {
-        JsonValue::Array(
-            self.rounds
-                .iter()
-                .map(|round| {
-                    JsonValue::object(vec![
-                        ("chosen_edge", JsonValue::string(round.chosen_edge.clone())),
-                        (
-                            "chosen_cardinality",
-                            JsonValue::Number(round.chosen_cardinality),
-                        ),
-                        (
-                            "candidates",
-                            JsonValue::Array(
-                                round
-                                    .candidates
-                                    .iter()
-                                    .map(|c| {
-                                        JsonValue::object(vec![
-                                            (
-                                                "edge_variable",
-                                                JsonValue::string(c.edge_variable.clone()),
-                                            ),
-                                            (
-                                                "estimated_cardinality",
-                                                JsonValue::Number(c.estimated_cardinality),
-                                            ),
-                                        ])
-                                    })
-                                    .collect(),
-                            ),
-                        ),
-                    ])
-                })
-                .collect(),
-        )
-    }
 }
 
 /// The EXPLAIN document: annotated plan tree plus planner decision log.
@@ -323,37 +277,12 @@ impl Explain {
         out
     }
 
-    /// The document as a [`JsonValue`].
-    pub fn to_json_value(&self) -> JsonValue {
-        JsonValue::object(vec![
-            ("query", JsonValue::string(self.query.clone())),
-            (
-                "estimated_cardinality",
-                JsonValue::Number(self.estimated_cardinality),
-            ),
-            ("plan", self.root.to_json_value()),
-            ("planner", self.planner.to_json_value()),
-        ])
-    }
-
-    /// The document as compact JSON text.
-    pub fn to_json(&self) -> String {
-        self.to_json_value().to_json()
-    }
-
     /// All join strategies reported in the plan, pre-order.
     pub fn join_strategies(&self) -> Vec<(String, JoinStrategy)> {
-        fn walk(node: &ExplainNode, out: &mut Vec<(String, JoinStrategy)>) {
-            if let Some(strategy) = node.estimated_strategy {
-                out.push((node.operator.clone(), strategy));
-            }
-            for child in &node.children {
-                walk(child, out);
-            }
-        }
-        let mut out = Vec::new();
-        walk(&self.root, &mut out);
-        out
+        self.root
+            .pre_order()
+            .filter_map(|node| node.estimated_strategy.map(|s| (node.operator.clone(), s)))
+            .collect()
     }
 }
 
@@ -408,32 +337,15 @@ pub struct ProfileNode {
     pub selectivity: f64,
     /// Total bytes of the produced embeddings.
     pub embedding_bytes: u64,
-    /// Simulated seconds charged by this operator (children excluded).
-    pub simulated_seconds: f64,
     /// Wall-clock seconds spent in this operator (children excluded).
     pub wall_seconds: f64,
-    /// Dataflow stages this operator executed.
-    pub stages: u64,
     /// Estimate-vs-actual q-error (see [`q_error`]).
     pub estimate_error: f64,
-    /// Recovery attempts consumed by this operator's stages (retries after
-    /// injected crashes/lost partitions, checkpoint rollbacks). Zero on a
-    /// fault-free run.
-    pub recovery_attempts: u64,
-    /// Simulated seconds this operator spent on recovery (wasted attempts,
-    /// backoff, restores). Included in
-    /// [`simulated_seconds`](ProfileNode::simulated_seconds).
-    pub recovery_seconds: f64,
-    /// Bytes this operator's bulk iterations wrote as checkpoints.
-    pub checkpoint_bytes: u64,
-    /// Bytes re-read from durable storage while recovering.
-    pub restored_bytes: u64,
-    /// Peak transient bytes (join build sides, sort runs) held by the most
-    /// loaded worker across this operator's stages.
-    pub peak_memory_bytes: u64,
-    /// Scratch buffers (hash tables, sort runs) allocated by this
-    /// operator's stages, summed over workers.
-    pub scratch_allocations: u64,
+    /// Totals of the dataflow stages this operator executed (children
+    /// excluded): simulated seconds, stage count, recovery, checkpoint and
+    /// restore bytes, the per-worker memory peak and scratch allocations.
+    /// A clause pipeline's `pipeline` root holds the whole run's instead.
+    pub metrics: ExecutionMetrics,
     /// Per-iteration counters (variable-length expansion only).
     pub iterations: Vec<ExpandIteration>,
     /// Adjacency candidate-list entries fetched by worst-case-optimal
@@ -445,23 +357,6 @@ pub struct ProfileNode {
 }
 
 impl ProfileNode {
-    /// Folds the dataflow stages this operator executed into its counters:
-    /// simulated time, stage count, recovery and memory.
-    pub(crate) fn absorb_stages(&mut self, stages: &[StageReport]) {
-        self.simulated_seconds = stages.iter().map(|s| s.seconds).sum();
-        self.stages = stages.len() as u64;
-        self.recovery_attempts = stages.iter().map(|s| s.attempts.saturating_sub(1)).sum();
-        self.recovery_seconds = stages.iter().map(|s| s.recovery_seconds).sum();
-        self.checkpoint_bytes = stages.iter().map(|s| s.checkpoint_bytes).sum();
-        self.restored_bytes = stages.iter().map(|s| s.restored_bytes).sum();
-        self.peak_memory_bytes = stages
-            .iter()
-            .map(|s| s.peak_memory_bytes)
-            .max()
-            .unwrap_or(0);
-        self.scratch_allocations = stages.iter().map(|s| s.scratch_allocations).sum();
-    }
-
     /// The flat profile leaf of one dataflow stage no plan operator claimed
     /// (the projection, aggregation and join stages of a clause pipeline).
     pub(crate) fn of_stage(report: &StageReport) -> ProfileNode {
@@ -474,17 +369,14 @@ impl ProfileNode {
             estimate_error: 1.0,
             ..ProfileNode::default()
         };
-        node.absorb_stages(std::slice::from_ref(report));
+        node.metrics.record(report);
         node
     }
 
-    /// Largest [`peak_memory_bytes`](ProfileNode::peak_memory_bytes) in the
-    /// subtree — the run's per-worker memory high-water mark.
-    pub(crate) fn subtree_peak_memory_bytes(&self) -> u64 {
-        self.children
-            .iter()
-            .map(ProfileNode::subtree_peak_memory_bytes)
-            .fold(self.peak_memory_bytes, u64::max)
+    /// The subtree's nodes in pre-order: a node before its children,
+    /// children left to right.
+    pub fn pre_order(&self) -> impl Iterator<Item = &ProfileNode> {
+        pre_order(self, |node| &node.children)
     }
 
     /// Renders the subtree as indented text, one operator per line.
@@ -505,7 +397,7 @@ impl ProfileNode {
             self.estimated_cardinality,
             self.estimate_error,
             self.embedding_bytes,
-            self.simulated_seconds,
+            self.metrics.simulated_seconds,
             self.wall_seconds,
         ));
         if let Some(strategy) = self.actual_strategy {
@@ -514,22 +406,23 @@ impl ProfileNode {
         if let Some(ship) = self.actual_ship {
             out.push_str(&format!("  ship={}", ship_pair_name(ship)));
         }
-        if self.peak_memory_bytes > 0 || self.scratch_allocations > 0 {
+        let metrics = &self.metrics;
+        if metrics.peak_memory_bytes > 0 || metrics.scratch_allocations > 0 {
             out.push_str(&format!(
                 "  mem_peak={}B allocs={}",
-                self.peak_memory_bytes, self.scratch_allocations
+                metrics.peak_memory_bytes, metrics.scratch_allocations
             ));
         }
         if self.rows_intersected > 0 {
             out.push_str(&format!("  wco: intersected={}", self.rows_intersected));
         }
-        if self.recovery_attempts > 0 || self.checkpoint_bytes > 0 || self.restored_bytes > 0 {
+        if recovered(metrics) {
             out.push_str(&format!(
                 "  retries={} t_recovery={:.4}s ckpt={}B restored={}B",
-                self.recovery_attempts,
-                self.recovery_seconds,
-                self.checkpoint_bytes,
-                self.restored_bytes,
+                metrics.recovery_attempts,
+                metrics.recovery_seconds,
+                metrics.checkpoint_bytes,
+                metrics.restored_bytes,
             ));
         }
         out.push('\n');
@@ -549,125 +442,25 @@ impl ProfileNode {
         }
     }
 
-    /// The subtree as a JSON document.
-    pub fn to_json_value(&self) -> JsonValue {
-        let mut pairs = vec![
-            ("operator", JsonValue::string(self.operator.clone())),
-            (
-                "estimated_cardinality",
-                JsonValue::Number(self.estimated_cardinality),
-            ),
-            ("rows_in", JsonValue::Number(self.rows_in as f64)),
-            ("rows_out", JsonValue::Number(self.rows_out as f64)),
-            ("selectivity", JsonValue::Number(self.selectivity)),
-            (
-                "embedding_bytes",
-                JsonValue::Number(self.embedding_bytes as f64),
-            ),
-            (
-                "simulated_seconds",
-                JsonValue::Number(self.simulated_seconds),
-            ),
-            ("wall_seconds", JsonValue::Number(self.wall_seconds)),
-            ("stages", JsonValue::Number(self.stages as f64)),
-            ("estimate_error", JsonValue::Number(self.estimate_error)),
-            (
-                "peak_memory_bytes",
-                JsonValue::Number(self.peak_memory_bytes as f64),
-            ),
-            (
-                "scratch_allocations",
-                JsonValue::Number(self.scratch_allocations as f64),
-            ),
-        ];
-        if let Some(strategy) = self.estimated_strategy {
-            pairs.push((
-                "estimated_strategy",
-                JsonValue::string(strategy_name(strategy)),
-            ));
-        }
-        if let Some(strategy) = self.actual_strategy {
-            pairs.push((
-                "actual_strategy",
-                JsonValue::string(strategy_name(strategy)),
-            ));
-        }
-        if let Some(ship) = self.actual_ship {
-            pairs.push(("actual_ship", JsonValue::string(ship_pair_name(ship))));
-        }
-        if self.recovery_attempts > 0 || self.checkpoint_bytes > 0 || self.restored_bytes > 0 {
-            pairs.push((
-                "recovery_attempts",
-                JsonValue::Number(self.recovery_attempts as f64),
-            ));
-            pairs.push(("recovery_seconds", JsonValue::Number(self.recovery_seconds)));
-            pairs.push((
-                "checkpoint_bytes",
-                JsonValue::Number(self.checkpoint_bytes as f64),
-            ));
-            pairs.push((
-                "restored_bytes",
-                JsonValue::Number(self.restored_bytes as f64),
-            ));
-        }
-        if self.rows_intersected > 0 {
-            pairs.push((
-                "rows_intersected",
-                JsonValue::Number(self.rows_intersected as f64),
-            ));
-        }
-        if !self.iterations.is_empty() {
-            pairs.push((
-                "iterations",
-                JsonValue::Array(
-                    self.iterations
-                        .iter()
-                        .map(|i| {
-                            JsonValue::object(vec![
-                                ("iteration", JsonValue::Number(i.iteration as f64)),
-                                ("frontier_rows", JsonValue::Number(i.frontier_rows as f64)),
-                                ("emitted_rows", JsonValue::Number(i.emitted_rows as f64)),
-                                ("shuffled_bytes", JsonValue::Number(i.shuffled_bytes as f64)),
-                                (
-                                    "candidate_shuffled_bytes",
-                                    JsonValue::Number(i.candidate_shuffled_bytes as f64),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ));
-        }
-        pairs.push((
-            "children",
-            JsonValue::Array(self.children.iter().map(|c| c.to_json_value()).collect()),
-        ));
-        JsonValue::object(pairs)
-    }
-
     /// Pre-order flattening to `(operator, rows_out)` — the Table 3
     /// "intermediate result count per operator" view.
     pub fn operator_rows(&self) -> Vec<(String, u64)> {
-        fn walk(node: &ProfileNode, out: &mut Vec<(String, u64)>) {
-            out.push((node.operator.clone(), node.rows_out));
-            for child in &node.children {
-                walk(child, out);
-            }
-        }
-        let mut out = Vec::new();
-        walk(self, &mut out);
-        out
+        self.pre_order()
+            .map(|node| (node.operator.clone(), node.rows_out))
+            .collect()
     }
 
     /// Sum of `rows_out` over all non-root operators — the paper's
     /// "intermediate results" measure (Table 3).
     pub fn intermediate_rows(&self) -> u64 {
-        self.operator_rows()
-            .iter()
-            .skip(1)
-            .map(|(_, rows)| rows)
-            .sum()
+        self.pre_order().skip(1).map(|node| node.rows_out).sum()
     }
+}
+
+/// True when stages retried, checkpointed or restored: only then do PROFILE
+/// lines carry recovery counters.
+fn recovered(metrics: &ExecutionMetrics) -> bool {
+    metrics.recovery_attempts > 0 || metrics.checkpoint_bytes > 0 || metrics.restored_bytes > 0
 }
 
 /// The PROFILE document: profiled plan tree, planner log and query totals.
@@ -682,23 +475,12 @@ pub struct Profile {
     /// Final match count: a plain text's embeddings, or a clause
     /// pipeline's result rows (after `DISTINCT`, aggregation and paging).
     pub matches: u64,
-    /// Total simulated seconds of the run.
-    pub simulated_seconds: f64,
     /// Total wall-clock seconds of the run.
     pub wall_seconds: f64,
-    /// Total recovery attempts across the run (0 on a fault-free run).
-    pub recovery_attempts: u64,
-    /// Total simulated seconds spent on recovery, included in
-    /// [`simulated_seconds`](Profile::simulated_seconds).
-    pub recovery_seconds: f64,
-    /// Total checkpoint bytes written by bulk iterations.
-    pub checkpoint_bytes: u64,
-    /// Total bytes re-read from durable storage during recovery.
-    pub restored_bytes: u64,
-    /// Peak transient bytes held by the most loaded worker across the run.
-    pub peak_memory_bytes: u64,
-    /// Scratch buffers allocated across the run, summed over workers.
-    pub scratch_allocations: u64,
+    /// Totals of the stages this run submitted: simulated seconds,
+    /// recovery, checkpoint and restore bytes, the run's own per-worker
+    /// memory peak and scratch allocations.
+    pub metrics: ExecutionMetrics,
 }
 
 impl Profile {
@@ -707,23 +489,24 @@ impl Profile {
         let mut out = String::new();
         out.push_str(&format!("PROFILE {}\n", self.query));
         out.push_str(&self.root.to_text());
+        let metrics = &self.metrics;
         out.push_str(&format!(
             "matches: {}   simulated: {:.4}s   wall: {:.4}s\n",
-            self.matches, self.simulated_seconds, self.wall_seconds
+            self.matches, metrics.simulated_seconds, self.wall_seconds
         ));
-        if self.peak_memory_bytes > 0 || self.scratch_allocations > 0 {
+        if metrics.peak_memory_bytes > 0 || metrics.scratch_allocations > 0 {
             out.push_str(&format!(
                 "memory: peak={}B   scratch allocations={}\n",
-                self.peak_memory_bytes, self.scratch_allocations
+                metrics.peak_memory_bytes, metrics.scratch_allocations
             ));
         }
-        if self.recovery_attempts > 0 || self.checkpoint_bytes > 0 || self.restored_bytes > 0 {
+        if recovered(metrics) {
             out.push_str(&format!(
                 "recovery: attempts={}   simulated: {:.4}s   checkpoints: {}B   restored: {}B\n",
-                self.recovery_attempts,
-                self.recovery_seconds,
-                self.checkpoint_bytes,
-                self.restored_bytes,
+                metrics.recovery_attempts,
+                metrics.recovery_seconds,
+                metrics.checkpoint_bytes,
+                metrics.restored_bytes,
             ));
         }
         if !self.planner.rounds.is_empty() {
@@ -731,47 +514,6 @@ impl Profile {
             out.push_str(&self.planner.to_text());
         }
         out
-    }
-
-    /// The document as a [`JsonValue`].
-    pub fn to_json_value(&self) -> JsonValue {
-        JsonValue::object(vec![
-            ("query", JsonValue::string(self.query.clone())),
-            ("matches", JsonValue::Number(self.matches as f64)),
-            (
-                "simulated_seconds",
-                JsonValue::Number(self.simulated_seconds),
-            ),
-            ("wall_seconds", JsonValue::Number(self.wall_seconds)),
-            (
-                "recovery_attempts",
-                JsonValue::Number(self.recovery_attempts as f64),
-            ),
-            ("recovery_seconds", JsonValue::Number(self.recovery_seconds)),
-            (
-                "checkpoint_bytes",
-                JsonValue::Number(self.checkpoint_bytes as f64),
-            ),
-            (
-                "restored_bytes",
-                JsonValue::Number(self.restored_bytes as f64),
-            ),
-            (
-                "peak_memory_bytes",
-                JsonValue::Number(self.peak_memory_bytes as f64),
-            ),
-            (
-                "scratch_allocations",
-                JsonValue::Number(self.scratch_allocations as f64),
-            ),
-            ("plan", self.root.to_json_value()),
-            ("planner", self.planner.to_json_value()),
-        ])
-    }
-
-    /// The document as compact JSON text.
-    pub fn to_json(&self) -> String {
-        self.to_json_value().to_json()
     }
 }
 
@@ -822,16 +564,13 @@ mod tests {
             rows_out: 3,
             selectivity: 0.6,
             embedding_bytes: 96,
-            simulated_seconds: 0.5,
             wall_seconds: 0.001,
-            stages: 2,
             estimate_error: q_error(10.0, 3),
-            recovery_attempts: 0,
-            recovery_seconds: 0.0,
-            checkpoint_bytes: 0,
-            restored_bytes: 0,
-            peak_memory_bytes: 0,
-            scratch_allocations: 0,
+            metrics: ExecutionMetrics {
+                simulated_seconds: 0.5,
+                stages: 2,
+                ..ExecutionMetrics::default()
+            },
             iterations: vec![],
             rows_intersected: 0,
             children: vec![],
@@ -846,16 +585,9 @@ mod tests {
             rows_out: 4,
             selectivity: 4.0 / 3.0,
             embedding_bytes: 128,
-            simulated_seconds: 1.25,
             wall_seconds: 0.002,
-            stages: 5,
             estimate_error: q_error(4.0, 4),
-            recovery_attempts: 1,
-            recovery_seconds: 0.25,
-            checkpoint_bytes: 128,
-            restored_bytes: 64,
-            peak_memory_bytes: 2048,
-            scratch_allocations: 3,
+            metrics: recovered_metrics(1.25, 5),
             iterations: vec![
                 ExpandIteration {
                     iteration: 1,
@@ -889,14 +621,23 @@ mod tests {
                 }],
             },
             matches: 4,
-            simulated_seconds: 1.75,
             wall_seconds: 0.003,
+            metrics: recovered_metrics(1.75, 7),
+        }
+    }
+
+    /// Totals of stages that retried once, checkpointed and restored.
+    fn recovered_metrics(simulated_seconds: f64, stages: u64) -> ExecutionMetrics {
+        ExecutionMetrics {
+            simulated_seconds,
+            stages,
             recovery_attempts: 1,
             recovery_seconds: 0.25,
             checkpoint_bytes: 128,
             restored_bytes: 64,
             peak_memory_bytes: 2048,
             scratch_allocations: 3,
+            ..ExecutionMetrics::default()
         }
     }
 
@@ -931,27 +672,7 @@ mod tests {
     }
 
     #[test]
-    fn profile_json_round_trips() {
-        let profile = sample_profile();
-        let json = profile.to_json();
-        let parsed = JsonValue::parse(&json).expect("profile JSON parses");
-        assert!(parsed.semantically_eq(&profile.to_json_value()));
-        // Spot-check nested content survives.
-        let plan = parsed.get("plan").unwrap();
-        assert_eq!(
-            plan.get("operator").and_then(JsonValue::as_str),
-            Some("ExpandEmbeddings(e *1..2)")
-        );
-        assert_eq!(
-            plan.get("iterations")
-                .and_then(JsonValue::as_array)
-                .map(<[_]>::len),
-            Some(2)
-        );
-    }
-
-    #[test]
-    fn explain_json_and_text_render() {
+    fn explain_text_and_join_strategies_render() {
         let explain = Explain {
             query: "MATCH (a)-[e]->(b) RETURN *".into(),
             root: ExplainNode {
@@ -972,8 +693,6 @@ mod tests {
         assert!(text.contains("strategy=broadcast-hash-second"));
         assert!(text.contains("ship=forward,broadcast"), "{text}");
         assert!(text.contains("  ScanVertices(a)"));
-        let parsed = JsonValue::parse(&explain.to_json()).unwrap();
-        assert!(parsed.semantically_eq(&explain.to_json_value()));
         assert_eq!(
             explain.join_strategies(),
             vec![(
@@ -994,6 +713,38 @@ mod tests {
             ]
         );
         assert_eq!(profile.root.intermediate_rows(), 3);
+        assert_eq!(
+            profile
+                .root
+                .pre_order()
+                .map(|node| node.iterations.len())
+                .collect::<Vec<_>>(),
+            vec![2, 0]
+        );
+    }
+
+    #[test]
+    fn explain_pre_order_visits_children_left_to_right() {
+        let leaf = |name: &str| ExplainNode::leaf(name, 1.0);
+        let root = ExplainNode::inner(
+            "JoinEmbeddings(on b)",
+            1.0,
+            vec![
+                ExplainNode::inner("JoinEmbeddings(on a)", 1.0, vec![leaf("A"), leaf("B")]),
+                leaf("C"),
+            ],
+        );
+        let order: Vec<&str> = root.pre_order().map(|n| n.operator.as_str()).collect();
+        assert_eq!(
+            order,
+            [
+                "JoinEmbeddings(on b)",
+                "JoinEmbeddings(on a)",
+                "A",
+                "B",
+                "C"
+            ]
+        );
     }
 
     #[test]

@@ -24,10 +24,10 @@
 
 use std::collections::VecDeque;
 use std::io::Write as _;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use gradoop_cypher::lexer::lex_shape;
-use gradoop_dataflow::{JsonValue, SpanRecord, StageReport, TraceSink};
+use gradoop_dataflow::{ExecutionMetrics, JsonValue, SpanRecord, StageReport, TraceSink};
 
 use crate::observe::ProfileNode;
 
@@ -187,17 +187,17 @@ impl MemoryQueryLog {
 
     /// Snapshot of the retained records, oldest first.
     pub fn snapshot(&self) -> Vec<QueryLogRecord> {
-        self.records.lock().unwrap().iter().cloned().collect()
+        lock(&self.records).iter().cloned().collect()
     }
 
     /// Removes and returns the retained records, oldest first.
     pub fn drain(&self) -> Vec<QueryLogRecord> {
-        std::mem::take(&mut *self.records.lock().unwrap()).into()
+        std::mem::take(&mut *lock(&self.records)).into()
     }
 
     /// Number of retained records.
     pub fn len(&self) -> usize {
-        self.records.lock().unwrap().len()
+        lock(&self.records).len()
     }
 
     /// True when no records are retained.
@@ -208,7 +208,7 @@ impl MemoryQueryLog {
 
 impl QueryLogSink for MemoryQueryLog {
     fn log(&self, record: &QueryLogRecord) {
-        let mut records = self.records.lock().unwrap();
+        let mut records = lock(&self.records);
         if records.len() >= MEMORY_LOG_CAPACITY {
             records.pop_front();
         }
@@ -237,8 +237,7 @@ impl JsonlQueryLog {
 
 impl QueryLogSink for JsonlQueryLog {
     fn log(&self, record: &QueryLogRecord) {
-        let mut file = self.file.lock().unwrap();
-        let _ = writeln!(file, "{}", record.to_jsonl());
+        let _ = writeln!(lock(&self.file), "{}", record.to_jsonl());
     }
 }
 
@@ -252,27 +251,48 @@ pub fn global_query_log() -> Arc<MemoryQueryLog> {
         .clone()
 }
 
-/// A [`TraceSink`] that forwards every event to an optional downstream
-/// sink *and* a collector — how the engine attributes stages and spans to
-/// plan operators without clobbering a user-installed sink.
-pub struct TeeSink {
+/// Locks `mutex`, taking it over if a thread panicked while holding it:
+/// every update of the log's ring, file and run totals leaves whole values
+/// behind, so one panicking query does not take telemetry down for the
+/// others.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The trace sink of one query run: forwards every event to an optional
+/// downstream sink *and* a collector — how the engine attributes stages and
+/// spans to plan operators without clobbering a user-installed sink — and
+/// folds every stage into the run's totals as it arrives, so they count
+/// this run's stages only, failed runs included.
+pub(crate) struct TeeSink {
     downstream: Option<Arc<dyn TraceSink>>,
     collector: Arc<dyn TraceSink>,
+    metrics: Mutex<ExecutionMetrics>,
 }
 
 impl TeeSink {
     /// Creates a tee over `downstream` (kept, may be `None`) and
     /// `collector` (always fed).
-    pub fn new(downstream: Option<Arc<dyn TraceSink>>, collector: Arc<dyn TraceSink>) -> Self {
+    pub(crate) fn new(
+        downstream: Option<Arc<dyn TraceSink>>,
+        collector: Arc<dyn TraceSink>,
+    ) -> Self {
         TeeSink {
             downstream,
             collector,
+            metrics: Mutex::default(),
         }
+    }
+
+    /// Totals of the stages seen so far.
+    pub(crate) fn metrics(&self) -> ExecutionMetrics {
+        *lock(&self.metrics)
     }
 }
 
 impl TraceSink for TeeSink {
     fn on_stage(&self, report: &StageReport) {
+        lock(&self.metrics).record(report);
         if let Some(downstream) = &self.downstream {
             downstream.on_stage(report);
         }
@@ -313,23 +333,19 @@ pub fn stable_digest(text: &str) -> String {
 /// Builds the per-operator rows/bytes list and worst q-error from a
 /// profiled plan tree.
 pub(crate) fn operators_from_profile(root: &ProfileNode) -> (Vec<OperatorLogEntry>, f64) {
-    fn walk(node: &ProfileNode, out: &mut Vec<OperatorLogEntry>, worst: &mut f64) {
-        out.push(OperatorLogEntry {
-            name: node.operator.clone(),
-            rows_out: node.rows_out,
-            bytes: node.embedding_bytes,
-        });
-        if node.estimate_error > *worst {
-            *worst = node.estimate_error;
-        }
-        for child in &node.children {
-            walk(child, out, worst);
-        }
-    }
-    let mut out = Vec::new();
-    let mut worst = 1.0;
-    walk(root, &mut out, &mut worst);
-    (out, worst)
+    let mut worst = 1.0f64;
+    let operators = root
+        .pre_order()
+        .map(|node| {
+            worst = worst.max(node.estimate_error);
+            OperatorLogEntry {
+                name: node.operator.clone(),
+                rows_out: node.rows_out,
+                bytes: node.embedding_bytes,
+            }
+        })
+        .collect();
+    (operators, worst)
 }
 
 #[cfg(test)]
@@ -526,6 +542,38 @@ mod tests {
         };
         assert_eq!(matches(log.snapshot()), kept);
         assert_eq!(matches(log.drain()), kept);
+    }
+
+    #[test]
+    fn a_poisoned_memory_log_keeps_recording() {
+        let log = MemoryQueryLog::new();
+        let record = |matches: u64| QueryLogRecord {
+            query: "RETURN 1".into(),
+            shape: "RETURN ?".into(),
+            fingerprint: stable_digest("RETURN ?"),
+            plan_digest: String::new(),
+            plan_cache: None,
+            outcome: QueryOutcome::Ok,
+            error: None,
+            matches,
+            wall_seconds: 0.0,
+            simulated_seconds: 0.0,
+            operators: vec![],
+            max_q_error: 1.0,
+            recovery_attempts: 0,
+            peak_memory_bytes: 0,
+        };
+        log.log(&record(1));
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = log.records.lock().unwrap();
+            panic!("poison the ring");
+        }));
+        assert!(panicked.is_err());
+        assert!(log.records.is_poisoned());
+        log.log(&record(2));
+        let matches: Vec<u64> = log.snapshot().iter().map(|r| r.matches).collect();
+        assert_eq!(matches, [1, 2]);
+        assert_eq!(log.len(), 2);
     }
 
     #[test]

@@ -1,16 +1,16 @@
 //! End-to-end observability tests on the paper's Figure 1 sample graph:
 //! `PROFILE` must report the actual per-operator cardinalities, `EXPLAIN`
 //! must report the join strategies the executor would choose from the
-//! estimates, and both must render to round-trippable JSON.
+//! estimates, and a run's totals must count that run's stages only.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use gradoop_core::{
-    choose_join_strategy, ship_strategies, CypherEngine, MatchingConfig, Profile, ProfileNode,
+    choose_join_strategy, ship_strategies, CypherEngine, MatchingConfig, MemoryQueryLog, Profile,
     ShipStrategy,
 };
-use gradoop_dataflow::{CollectingSink, ExecutionConfig, ExecutionEnvironment, JsonValue};
+use gradoop_dataflow::{CollectingSink, ExecutionConfig, ExecutionEnvironment};
 use gradoop_epgm::{properties, Edge, GradoopId, GraphHead, LogicalGraph, Properties, Vertex};
 
 /// The social-network sample of the paper's Figure 1 (simplified): persons
@@ -76,18 +76,6 @@ fn profile(graph: &LogicalGraph, text: &str) -> Profile {
         .expect("query profiles")
 }
 
-fn nodes(root: &ProfileNode) -> Vec<&ProfileNode> {
-    fn walk<'a>(node: &'a ProfileNode, out: &mut Vec<&'a ProfileNode>) {
-        out.push(node);
-        for child in &node.children {
-            walk(child, out);
-        }
-    }
-    let mut out = Vec::new();
-    walk(root, &mut out);
-    out
-}
-
 const TWO_HOP: &str = "MATCH (a:Person)-[e1:knows]->(b:Person)-[e2:knows]->(c:Person) RETURN *";
 
 #[test]
@@ -100,12 +88,12 @@ fn profile_reports_actual_cardinalities_for_two_hop_query() {
     assert_eq!(p.matches, 3);
     assert_eq!(p.root.rows_out, 3);
 
-    for node in nodes(&p.root) {
+    for node in p.root.pre_order() {
         // Every operator carries actual rows-in/rows-out, simulated time
         // and a computed estimate-vs-actual error.
         assert!(node.rows_in > 0, "{} saw no input", node.operator);
         assert!(
-            node.simulated_seconds > 0.0,
+            node.metrics.simulated_seconds > 0.0,
             "{} has no cost",
             node.operator
         );
@@ -126,11 +114,12 @@ fn profile_reports_actual_cardinalities_for_two_hop_query() {
     }
     // The per-operator counts sum to a non-trivial intermediate footprint.
     assert!(p.root.intermediate_rows() > 0);
-    assert!(p.simulated_seconds > 0.0);
+    assert!(p.metrics.simulated_seconds > 0.0);
 
     // The leaf scans saw the real data: 3 Person vertices out of 4.
-    let scans: Vec<_> = nodes(&p.root)
-        .into_iter()
+    let scans: Vec<_> = p
+        .root
+        .pre_order()
         .filter(|n| n.operator.starts_with("ScanVertices"))
         .collect();
     assert!(!scans.is_empty());
@@ -158,8 +147,9 @@ fn profile_records_variable_length_expansion_iterations() {
         &graph,
         "MATCH (a:Person)-[e:knows*1..3]->(b:Person) RETURN *",
     );
-    let expand = nodes(&p.root)
-        .into_iter()
+    let expand = p
+        .root
+        .pre_order()
         .find(|n| n.operator.starts_with("ExpandEmbeddings"))
         .expect("plan contains an expand operator");
     assert!(
@@ -180,8 +170,9 @@ fn expansion_ships_candidate_edges_only_in_the_first_iteration() {
         &graph,
         "MATCH (a:Person)-[e:knows*1..3]->(b:Person) RETURN *",
     );
-    let expand = nodes(&p.root)
-        .into_iter()
+    let expand = p
+        .root
+        .pre_order()
         .find(|n| n.operator.starts_with("ExpandEmbeddings"))
         .expect("plan contains an expand operator");
     assert!(
@@ -205,19 +196,6 @@ fn expansion_ships_candidate_edges_only_in_the_first_iteration() {
 }
 
 #[test]
-fn profile_json_round_trips() {
-    let graph = figure1_graph();
-    let p = profile(&graph, TWO_HOP);
-    let json = p.to_json();
-    let parsed = JsonValue::parse(&json).expect("profile JSON parses");
-    assert!(
-        parsed.semantically_eq(&p.to_json_value()),
-        "to_json round-trips"
-    );
-    assert_eq!(parsed.get("matches").and_then(JsonValue::as_f64), Some(3.0));
-}
-
-#[test]
 fn explain_reports_strategy_chosen_from_estimates() {
     let graph = figure1_graph();
     let engine = CypherEngine::for_graph(&graph);
@@ -229,7 +207,7 @@ fn explain_reports_strategy_chosen_from_estimates() {
     // what choose_join_strategy picks for the children's estimates.
     let strategies = explain.join_strategies();
     assert!(!strategies.is_empty(), "2-hop plan joins embeddings");
-    fn check(node: &gradoop_core::ExplainNode) {
+    for node in explain.root.pre_order() {
         if let Some(strategy) = node.estimated_strategy {
             assert_eq!(node.children.len(), 2);
             let ship = node
@@ -256,19 +234,11 @@ fn explain_reports_strategy_chosen_from_estimates() {
                 assert_eq!(strategy, expected, "{} strategy", node.operator);
             }
         }
-        for child in &node.children {
-            check(child);
-        }
     }
-    check(&explain.root);
 
     // The planner decision log covers both edges of the pattern.
     assert_eq!(explain.planner.rounds.len(), 2);
     assert!(!explain.planner.rounds[0].candidates.is_empty());
-
-    // EXPLAIN JSON round-trips too.
-    let parsed = JsonValue::parse(&explain.to_json()).expect("explain JSON parses");
-    assert!(parsed.semantically_eq(&explain.to_json_value()));
 }
 
 #[test]
@@ -298,4 +268,41 @@ fn profile_restores_previously_installed_trace_sink() {
     assert!(sink.stage_count() >= 1, "the caller's sink saw no stage");
     assert!(sink.span_count() >= 1, "the caller's sink saw no span");
     graph.env().set_trace_sink(None);
+}
+
+/// A run's totals count the stages that run submitted, not everything its
+/// environment ever ran: a scan profiled after a join on the same
+/// environment reports its own memory peak (none), as its query-log record
+/// always did.
+#[test]
+fn profile_reports_the_run_peak_not_the_environment_peak() {
+    let graph = figure1_graph();
+    let log = Arc::new(MemoryQueryLog::new());
+    let engine = CypherEngine::for_graph(&graph).with_query_log(log.clone());
+    let profile = |text: &str| {
+        engine
+            .profile(
+                &graph,
+                text,
+                &HashMap::new(),
+                MatchingConfig::cypher_default(),
+            )
+            .expect("query profiles")
+    };
+
+    let join = profile(TWO_HOP);
+    assert!(
+        join.metrics.peak_memory_bytes > 0,
+        "the join builds a table"
+    );
+    let scan = profile("MATCH (a:Person) RETURN *");
+    let records = log.snapshot();
+    let scan_record = records.last().expect("the scan is logged");
+    assert_eq!(scan_record.query, "MATCH (a:Person) RETURN *");
+    assert_eq!(scan_record.peak_memory_bytes, 0);
+    assert_eq!(
+        scan.metrics.peak_memory_bytes,
+        scan_record.peak_memory_bytes
+    );
+    assert!(!scan.to_text().contains("memory:"), "{}", scan.to_text());
 }

@@ -113,11 +113,10 @@ pub struct StageReport {
     /// Bytes re-read from durable storage during recovery (lost-partition
     /// restores and checkpoint rollbacks).
     pub restored_bytes: u64,
-    /// Always 0 and absent from [`StageReport::to_json_value`]: morsel
-    /// work stealing was retired in PR 18 (DESIGN §6). The field stays only
-    /// because `benchmark/src/layers.rs` reads it and the benchmark may not
-    /// change together with the engine; it goes with ROADMAP's
-    /// benchmark-refresh item.
+    /// Always 0: morsel work stealing was retired (DESIGN §6). The field
+    /// stays only because `benchmark/src/layers.rs` reads it and the
+    /// benchmark may not change together with the engine; it goes with
+    /// ROADMAP's benchmark-refresh item.
     pub morsels: u64,
     /// Always 0; kept for the same reason as [`StageReport::morsels`].
     pub stolen_morsels: u64,
@@ -144,69 +143,12 @@ impl StageReport {
             1.0
         }
     }
-
-    /// The report as a JSON document (used by trace snapshots and the
-    /// timeline exporter).
-    pub fn to_json_value(&self) -> crate::json::JsonValue {
-        use crate::json::JsonValue;
-        JsonValue::object(vec![
-            ("name", JsonValue::string(self.name.clone())),
-            ("records_in", JsonValue::Number(self.records_in as f64)),
-            ("records_out", JsonValue::Number(self.records_out as f64)),
-            (
-                "bytes_shuffled",
-                JsonValue::Number(self.bytes_shuffled as f64),
-            ),
-            (
-                "bytes_spilled",
-                JsonValue::Number(self.bytes_spilled as f64),
-            ),
-            ("seconds", JsonValue::Number(self.seconds)),
-            (
-                "max_worker_seconds",
-                JsonValue::Number(self.max_worker_seconds),
-            ),
-            (
-                "mean_worker_seconds",
-                JsonValue::Number(self.mean_worker_seconds),
-            ),
-            (
-                "busiest_worker_records",
-                JsonValue::Number(self.busiest_worker_records as f64),
-            ),
-            ("attempts", JsonValue::Number(self.attempts as f64)),
-            ("recovery_seconds", JsonValue::Number(self.recovery_seconds)),
-            (
-                "checkpoint_bytes",
-                JsonValue::Number(self.checkpoint_bytes as f64),
-            ),
-            (
-                "restored_bytes",
-                JsonValue::Number(self.restored_bytes as f64),
-            ),
-            (
-                "worker_seconds",
-                JsonValue::Array(
-                    self.worker_seconds
-                        .iter()
-                        .map(|s| JsonValue::Number(*s))
-                        .collect(),
-                ),
-            ),
-            (
-                "peak_memory_bytes",
-                JsonValue::Number(self.peak_memory_bytes as f64),
-            ),
-            (
-                "scratch_allocations",
-                JsonValue::Number(self.scratch_allocations as f64),
-            ),
-        ])
-    }
 }
 
-/// Aggregated metrics of everything executed in one environment.
-#[derive(Debug, Clone, Default)]
+/// Totals of a set of finished stages — everything one environment
+/// executed, one query run, or one plan operator — built by
+/// [`ExecutionMetrics::record`].
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ExecutionMetrics {
     /// Total simulated time (sum of stage makespans), seconds.
     pub simulated_seconds: f64,
@@ -487,35 +429,10 @@ mod tests {
         stage.worker(0).scratch_allocations = 1;
         stage.worker(1).scratch_allocations = 2;
         let report = stage.finish(&model);
+        assert_eq!(report.name, "test");
         assert_eq!(report.worker_seconds, vec![2.0, 5.0, 0.0]);
         assert_eq!(report.peak_memory_bytes, 900);
         assert_eq!(report.scratch_allocations, 3);
-    }
-
-    #[test]
-    fn stage_report_json_round_trips() {
-        let model = CostModel {
-            cpu_seconds_per_record: 0.5,
-            ..CostModel::free()
-        };
-        let mut stage = StageCosts::new("join(repartition-hash)", 2);
-        stage.worker(0).records_in = 4;
-        stage.worker(1).records_in = 2;
-        stage.worker(1).peak_memory_bytes = 64;
-        let report = stage.finish(&model);
-        let json = report.to_json_value();
-        let parsed = crate::json::JsonValue::parse(&json.to_json()).expect("report JSON parses");
-        assert!(parsed.semantically_eq(&json));
-        assert_eq!(
-            parsed.get("name").and_then(crate::json::JsonValue::as_str),
-            Some("join(repartition-hash)")
-        );
-        let lanes = parsed
-            .get("worker_seconds")
-            .and_then(crate::json::JsonValue::as_array)
-            .expect("worker_seconds array");
-        assert_eq!(lanes.len(), 2);
-        assert_eq!(lanes[0].as_f64(), Some(2.0));
     }
 
     #[test]

@@ -131,7 +131,7 @@ impl ExecutionEnvironment {
 
     /// Snapshot of the accumulated execution metrics.
     pub fn metrics(&self) -> ExecutionMetrics {
-        self.inner.metrics.lock().unwrap().clone()
+        *self.inner.metrics.lock().unwrap()
     }
 
     /// Resets the simulated clock and all counters. Used by benchmark

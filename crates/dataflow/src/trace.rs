@@ -19,7 +19,7 @@
 //! query profiler in `gradoop-core` to attribute stages and spans to plan
 //! operators.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::cost::StageReport;
 
@@ -45,28 +45,6 @@ impl SpanRecord {
             .iter()
             .find(|(key, _)| key == name)
             .map(|(_, value)| *value)
-    }
-
-    /// The span as a JSON document.
-    pub fn to_json_value(&self) -> crate::json::JsonValue {
-        use crate::json::JsonValue;
-        JsonValue::object(vec![
-            ("name", JsonValue::string(self.name.clone())),
-            ("wall_seconds", JsonValue::Number(self.wall_seconds)),
-            (
-                "simulated_seconds",
-                JsonValue::Number(self.simulated_seconds),
-            ),
-            (
-                "counters",
-                JsonValue::Object(
-                    self.counters
-                        .iter()
-                        .map(|(key, value)| (key.clone(), JsonValue::Number(*value)))
-                        .collect(),
-                ),
-            ),
-        ])
     }
 }
 
@@ -96,74 +74,47 @@ pub struct CollectedTrace {
     pub spans: Vec<SpanRecord>,
 }
 
-impl CollectedTrace {
-    /// Total recovery attempts across the collected stages (retries beyond
-    /// each stage's first attempt — injected crashes, lost partitions and
-    /// bulk-iteration rollbacks, reported as `"superstep-restore"` stages).
-    pub fn recovery_attempts(&self) -> u64 {
-        self.stages
-            .iter()
-            .map(|s| s.attempts.saturating_sub(1))
-            .sum()
-    }
-
-    /// Total simulated seconds the collected stages spent on recovery.
-    pub fn recovery_seconds(&self) -> f64 {
-        self.stages.iter().map(|s| s.recovery_seconds).sum()
-    }
-
-    /// The whole trace as a JSON document:
-    /// `{"stages": [..], "spans": [..]}`. The input of
-    /// [`chrome_trace`](crate::chrome::chrome_trace) in archivable form.
-    pub fn to_json_value(&self) -> crate::json::JsonValue {
-        use crate::json::JsonValue;
-        JsonValue::object(vec![
-            (
-                "stages",
-                JsonValue::Array(self.stages.iter().map(|s| s.to_json_value()).collect()),
-            ),
-            (
-                "spans",
-                JsonValue::Array(self.spans.iter().map(|s| s.to_json_value()).collect()),
-            ),
-        ])
-    }
-}
-
 impl CollectingSink {
     /// Creates an empty sink.
     pub fn new() -> Self {
         CollectingSink::default()
     }
 
+    /// The buffer. A thread that panicked while holding it left whole
+    /// events behind (each is pushed in one step), so a poisoned lock is
+    /// taken over rather than passed on as a second panic.
+    fn inner(&self) -> MutexGuard<'_, CollectedTrace> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Snapshot of everything collected so far.
     pub fn snapshot(&self) -> CollectedTrace {
-        self.inner.lock().unwrap().clone()
+        self.inner().clone()
     }
 
     /// Removes and returns everything collected so far.
     pub fn drain(&self) -> CollectedTrace {
-        std::mem::take(&mut *self.inner.lock().unwrap())
+        std::mem::take(&mut *self.inner())
     }
 
     /// Number of stages collected so far.
     pub fn stage_count(&self) -> usize {
-        self.inner.lock().unwrap().stages.len()
+        self.inner().stages.len()
     }
 
     /// Number of spans collected so far.
     pub fn span_count(&self) -> usize {
-        self.inner.lock().unwrap().spans.len()
+        self.inner().spans.len()
     }
 }
 
 impl TraceSink for CollectingSink {
     fn on_stage(&self, report: &StageReport) {
-        self.inner.lock().unwrap().stages.push(report.clone());
+        self.inner().stages.push(report.clone());
     }
 
     fn on_span(&self, span: &SpanRecord) {
-        self.inner.lock().unwrap().spans.push(span.clone());
+        self.inner().spans.push(span.clone());
     }
 }
 
@@ -198,6 +149,24 @@ mod tests {
             vec!["map", "count"]
         );
         assert_eq!(trace.stages[0].records_in, 10);
+        assert_eq!(trace.stages[0].worker_seconds.len(), 2);
+    }
+
+    #[test]
+    fn a_poisoned_sink_keeps_collecting() {
+        let (env, sink) = traced_env(1);
+        let _ = env.from_collection(0u64..4).count();
+        let holder = sink.clone();
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = holder.inner.lock().unwrap();
+            panic!("poison the buffer");
+        }));
+        assert!(panicked.is_err());
+        assert!(sink.inner.is_poisoned());
+        let _ = env.from_collection(0u64..4).count();
+        let trace = sink.snapshot();
+        assert_eq!(trace.stages.len(), 2);
+        assert_eq!(sink.stage_count(), 2);
     }
 
     #[test]
@@ -254,52 +223,8 @@ mod tests {
         let trace = sink.snapshot();
         let map_stage = trace.stages.iter().find(|s| s.name == "map").unwrap();
         assert_eq!(map_stage.attempts, 2);
-        assert_eq!(trace.recovery_attempts(), 1);
+        assert_eq!(env.metrics().recovery_attempts, 1);
         assert!(env.take_execution_failure().is_none());
-    }
-
-    #[test]
-    fn collected_trace_json_round_trips() {
-        use crate::json::JsonValue;
-        let (env, sink) = traced_env(2);
-        env.span("load", || {
-            env.from_collection(0u64..10).map(|x| x + 1).count()
-        });
-        env.emit_span(SpanRecord {
-            name: "expand/iteration".into(),
-            wall_seconds: 0.0,
-            simulated_seconds: 0.0,
-            counters: vec![("iteration".into(), 1.0), ("rows_out".into(), 4.0)],
-        });
-        let trace = sink.snapshot();
-        let json = trace.to_json_value();
-        let parsed = JsonValue::parse(&json.to_json()).expect("trace JSON parses");
-        assert!(parsed.semantically_eq(&json));
-        let stages = parsed.get("stages").and_then(JsonValue::as_array).unwrap();
-        assert_eq!(stages.len(), 2);
-        assert_eq!(
-            stages[0].get("name").and_then(JsonValue::as_str),
-            Some("map")
-        );
-        assert_eq!(
-            stages[0]
-                .get("worker_seconds")
-                .and_then(JsonValue::as_array)
-                .map(<[_]>::len),
-            Some(2)
-        );
-        let spans = parsed.get("spans").and_then(JsonValue::as_array).unwrap();
-        let iteration = spans
-            .iter()
-            .find(|s| s.get("name").and_then(JsonValue::as_str) == Some("expand/iteration"))
-            .expect("iteration span");
-        assert_eq!(
-            iteration
-                .get("counters")
-                .and_then(|c| c.get("rows_out"))
-                .and_then(JsonValue::as_f64),
-            Some(4.0)
-        );
     }
 
     #[test]

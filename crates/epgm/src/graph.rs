@@ -187,15 +187,6 @@ impl GraphCollection {
     pub fn graph_count(&self) -> usize {
         self.heads.count()
     }
-
-    /// Extracts one member graph as a logical graph. Collects the head at
-    /// the driver; vertices/edges are filtered by membership.
-    pub fn graph(&self, id: GradoopId) -> Option<LogicalGraph> {
-        let head = self.heads.collect().into_iter().find(|h| h.id == id)?;
-        let vertices = self.vertices.filter(move |v| v.graph_ids.contains(id));
-        let edges = self.edges.filter(move |e| e.graph_ids.contains(id));
-        Some(LogicalGraph::new(head, vertices, edges))
-    }
 }
 
 #[cfg(test)]
@@ -249,15 +240,6 @@ mod tests {
         let collection = sample_graph(&env).into_collection();
         assert_eq!(collection.graph_count(), 1);
         assert_eq!(collection.vertices().count(), 2);
-    }
-
-    #[test]
-    fn collection_graph_extraction() {
-        let env = env();
-        let collection = sample_graph(&env).into_collection();
-        let graph = collection.graph(GradoopId(100)).expect("graph exists");
-        assert_eq!(graph.vertex_count(), 2);
-        assert!(collection.graph(GradoopId(999)).is_none());
     }
 
     #[test]

@@ -81,13 +81,6 @@ impl GradoopIdSet {
         }
     }
 
-    /// Removes an id if present.
-    pub fn remove(&mut self, id: GradoopId) {
-        if let Ok(pos) = self.ids.binary_search(&id) {
-            self.ids.remove(pos);
-        }
-    }
-
     /// Membership test.
     pub fn contains(&self, id: GradoopId) -> bool {
         self.ids.binary_search(&id).is_ok()
@@ -145,7 +138,7 @@ mod tests {
     }
 
     #[test]
-    fn id_set_insert_remove_contains() {
+    fn id_set_insert_contains() {
         let mut set = GradoopIdSet::new();
         assert!(set.is_empty());
         set.insert(GradoopId(5));
@@ -153,10 +146,7 @@ mod tests {
         set.insert(GradoopId(1));
         assert_eq!(set.len(), 2);
         assert!(set.contains(GradoopId(5)));
-        set.remove(GradoopId(5));
-        assert!(!set.contains(GradoopId(5)));
-        set.remove(GradoopId(99)); // no-op
-        assert_eq!(set.len(), 1);
+        assert!(!set.contains(GradoopId(99)));
     }
 
     #[test]

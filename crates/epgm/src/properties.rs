@@ -111,14 +111,6 @@ impl PropertyValue {
         }
     }
 
-    /// The value as a bool if it is boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            PropertyValue::Boolean(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The value as an `i64` if it is an integer type.
     pub fn as_i64(&self) -> Option<i64> {
         match self {
