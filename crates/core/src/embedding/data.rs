@@ -136,10 +136,14 @@ pub trait EmbeddingRead {
     /// The property value at `index`. Walks length prefixes (linear in the
     /// index, as in the paper).
     fn property(&self, index: usize) -> PropertyValue {
-        let encoded = raw_slots(self.prop_data())
-            .nth(index)
-            .expect("property index within the layout");
-        PropertyValue::from_bytes(&encoded[4..]).expect("embedding property bytes are well-formed")
+        PropertyValue::from_bytes(property_bytes(self, index))
+            .expect("embedding property bytes are well-formed")
+    }
+
+    /// `true` when the property at `index` is `NULL`. Reads the slot's type
+    /// tag without decoding the value, so it allocates nothing.
+    fn property_is_null(&self, index: usize) -> bool {
+        PropertyValue::encodes_null(property_bytes(self, index))
     }
 
     /// Where each of the property slots `0..count` starts within propData,
@@ -207,6 +211,15 @@ fn path_payload<R: EmbeddingRead + ?Sized>(row: &R, column: usize) -> (usize, us
     let prefix = &row.path_data()[offset..offset + 4];
     let count = u32::from_le_bytes(prefix.try_into().expect("length prefix")) as usize;
     (count, offset + 4)
+}
+
+/// The encoded value of property slot `index`, without its length prefix.
+/// Walks the length prefixes before it.
+fn property_bytes<R: EmbeddingRead + ?Sized>(row: &R, index: usize) -> &[u8] {
+    let slot = raw_slots(row.prop_data())
+        .nth(index)
+        .expect("property index within the layout");
+    &slot[4..]
 }
 
 /// Splits propData (or a tail of it that starts at a slot) into its

@@ -64,8 +64,9 @@ pub fn value_join_embeddings(
         strategy,
         move |l, r| {
             // NULL never equals NULL under Cypher semantics; the hash join
-            // groups them together, so reject here.
-            if l.property(left_index).is_null() {
+            // groups them together, so reject here. The tag test decodes
+            // nothing, so a string key costs no allocation per pair.
+            if l.property_is_null(left_index) {
                 return None;
             }
             Embedding::write(|row| {

@@ -27,7 +27,7 @@ use std::hash::{Hash, Hasher};
 
 use gradoop_cypher::ast::{AggArg, AggFunc, SortKey, SortRef};
 use gradoop_cypher::predicates::eval::Bindings;
-use gradoop_dataflow::Data;
+use gradoop_dataflow::{Data, TableHasher};
 use gradoop_epgm::properties::cmp_i64_f64;
 use gradoop_epgm::{ElementIndex, Label, Properties, PropertyValue};
 
@@ -409,7 +409,7 @@ pub fn fold_aggregate(func: AggFunc, distinct: bool, values: &[Value]) -> Value 
         .filter(|v| !matches!(v, Value::Null))
         .collect();
     let deduped: Vec<&Value> = if distinct {
-        let mut seen = HashSet::new();
+        let mut seen = HashSet::with_hasher(TableHasher::default());
         non_null
             .into_iter()
             .filter(|v| seen.insert(RowKey(vec![(*v).clone()])))

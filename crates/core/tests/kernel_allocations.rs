@@ -12,6 +12,8 @@
 //!   string equality included, which reads the property and the literal in
 //!   place.
 //! * The cartesian product: a pair the morphism check rejects costs nothing.
+//! * The value join: a pair on a string key costs nothing beyond its chunk
+//!   share — its NULL test reads the key's type tag, not the string.
 //! * Result decoding: [`ReturnColumns::table_row`] costs exactly one
 //!   allocation per row plus one per string cell.
 //!
@@ -25,13 +27,15 @@
 use std::hint::black_box;
 
 use gradoop_core::embedding::CHUNK_BYTES;
-use gradoop_core::operators::{cartesian_embeddings, filter_and_project_vertices, EmbeddingSet};
+use gradoop_core::operators::{
+    cartesian_embeddings, filter_and_project_vertices, value_join_embeddings, EmbeddingSet,
+};
 use gradoop_core::{
     Embedding, EmbeddingMetaData, EmbeddingRead, EmbeddingWriter, EntryType, MatchingConfig,
     MorphismCheck, ReturnColumns, Value,
 };
 use gradoop_cypher::{parse, QueryGraph, QueryVertex};
-use gradoop_dataflow::{CostModel, ExecutionConfig, ExecutionEnvironment, Parts};
+use gradoop_dataflow::{CostModel, ExecutionConfig, ExecutionEnvironment, JoinStrategy, Parts};
 use gradoop_epgm::{properties, GradoopId, Properties, PropertyValue, Vertex};
 
 mod counting;
@@ -234,6 +238,77 @@ fn rejected_cartesian_pairs_allocate_nothing() {
         product(2 * ROWS),
         product(ROWS),
         "a rejected pair allocates"
+    );
+}
+
+/// Rows binding `variable` to vertices `ids`, each with the string
+/// property `name` = "Leipzig".
+fn from_leipzig(
+    env: &ExecutionEnvironment,
+    variable: &str,
+    ids: std::ops::Range<u64>,
+) -> EmbeddingSet {
+    let mut meta = EmbeddingMetaData::new();
+    meta.add_entry(variable, EntryType::Vertex);
+    meta.add_property(variable, "city");
+    let rows = ids.map(|id| {
+        let mut embedding = EmbeddingWriter::new();
+        embedding.push_id(id);
+        embedding.push_property(&PropertyValue::String("Leipzig".into()));
+        embedding.commit()
+    });
+    EmbeddingSet {
+        data: env.from_collection(rows.collect::<Vec<_>>()),
+        meta,
+    }
+}
+
+#[test]
+fn a_value_join_pair_on_a_string_key_allocates_nothing_beyond_its_chunks() {
+    let env = one_worker();
+    // One left row whose string key matches each of `matches` right rows.
+    let join = |matches: u64| {
+        let (left, right) = elsewhere(|| {
+            (
+                from_leipzig(&env, "p", 0..1),
+                from_leipzig(&env, "u", 1..1 + matches),
+            )
+        });
+        let before = allocations();
+        let joined = black_box(value_join_embeddings(
+            left,
+            right,
+            &("p".to_string(), "city".to_string()),
+            &("u".to_string(), "city".to_string()),
+            &MatchingConfig::homomorphism(),
+            JoinStrategy::RepartitionHash,
+        ));
+        let spent = allocations() - before;
+        assert_eq!(joined.data.len_untracked() as u64, matches);
+        spent
+    };
+    const FEW: u64 = 10;
+    const MANY: u64 = 1_000;
+    join(MANY); // the first stage also starts the telemetry registry
+    let (few, many) = (join(FEW), join(MANY));
+    // Two id columns and two 16-byte "Leipzig" slots per output row. This
+    // thread committed MANY rows, then FEW, then MANY.
+    const ROW_BYTES: usize = 2 * 9 + 2 * (4 + 1 + 4 + 7);
+    let chunk_allocations = ALLOCATIONS_PER_CHUNK
+        * (chunks_for(MANY + FEW, MANY, ROW_BYTES) - chunks_for(MANY, FEW, ROW_BYTES));
+    // The join decodes each right row's key twice — to route it and to
+    // probe the table — and a decoded string is one allocation. A pair
+    // decodes nothing: before its NULL test read the type tag, every pair
+    // cost one more string.
+    const DECODES_PER_RIGHT_ROW: u64 = 2;
+    let expected = DECODES_PER_RIGHT_ROW * (MANY - FEW) + chunk_allocations;
+    let added = many - few;
+    assert!(
+        (expected..expected + 64).contains(&added),
+        "{} more matching right rows cost {added} more allocations, expected \
+         {expected} plus buffer regrowth: their key decodes and chunks, \
+         nothing per accepted pair",
+        MANY - FEW
     );
 }
 

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use crate::data::Data;
 use crate::env::ExecutionEnvironment;
-use crate::partition::{shuffle_by_key, PartitionKey, Partitioning};
+use crate::partition::{shuffle_by_key, PartitionKey, Partitioning, TableHasher};
 use crate::pool::map_partitions;
 
 /// A distributed collection: one partition per simulated worker.
@@ -365,8 +365,10 @@ impl<T: Data + Hash + Eq> Dataset<T> {
         });
         let mut stage = self.env.stage("distinct");
         let outputs: Vec<Vec<T>> = map_partitions(shuffled.partitions(), |_, part| {
-            let mut seen: std::collections::HashSet<&T> =
-                std::collections::HashSet::with_capacity(part.len());
+            let mut seen = std::collections::HashSet::with_capacity_and_hasher(
+                part.len(),
+                TableHasher::default(),
+            );
             let mut out = Vec::new();
             for item in part {
                 if seen.insert(item) {

@@ -1,6 +1,6 @@
 //! Execution environment: simulated cluster configuration plus metrics.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use crate::cost::{CostModel, ExecutionMetrics, StageCosts, StageReport};
@@ -131,18 +131,18 @@ impl ExecutionEnvironment {
 
     /// Snapshot of the accumulated execution metrics.
     pub fn metrics(&self) -> ExecutionMetrics {
-        *self.inner.metrics.lock().unwrap()
+        *locked(&self.inner.metrics)
     }
 
     /// Resets the simulated clock and all counters. Used by benchmark
     /// harnesses that re-run queries on the same environment.
     pub fn reset_metrics(&self) {
-        *self.inner.metrics.lock().unwrap() = ExecutionMetrics::default();
+        *locked(&self.inner.metrics) = ExecutionMetrics::default();
     }
 
     /// Total simulated seconds so far.
     pub fn simulated_seconds(&self) -> f64 {
-        self.inner.metrics.lock().unwrap().simulated_seconds
+        locked(&self.inner.metrics).simulated_seconds
     }
 
     /// Creates a new per-stage cost accumulator.
@@ -160,7 +160,7 @@ impl ExecutionEnvironment {
     pub(crate) fn finish_stage(&self, stage: StageCosts) {
         let model = &self.inner.config.cost_model;
         let report = {
-            let mut guard = self.inner.fault.lock().unwrap();
+            let mut guard = locked(&self.inner.fault);
             match guard.as_mut() {
                 Some(injector) => {
                     let events = injector.begin_stage(stage.name());
@@ -207,7 +207,7 @@ impl ExecutionEnvironment {
                 .peak_memory_bytes
                 .set(report.peak_memory_bytes as f64);
         }
-        self.inner.metrics.lock().unwrap().record(&report);
+        locked(&self.inner.metrics).record(&report);
         if let Some(sink) = self.trace_sink() {
             sink.on_stage(&report);
         }
@@ -218,25 +218,22 @@ impl ExecutionEnvironment {
     /// this to start the failure schedule *after* data loading, so stage
     /// indices count from the first query stage.
     pub fn install_faults(&self, config: FaultConfig) {
-        *self.inner.fault.lock().unwrap() = Some(FaultInjector::new(config));
+        *locked(&self.inner.fault) = Some(FaultInjector::new(config));
     }
 
     /// Removes the fault injector; subsequent stages run fault-free.
     pub fn clear_faults(&self) {
-        *self.inner.fault.lock().unwrap() = None;
+        *locked(&self.inner.fault) = None;
     }
 
     /// `true` when a fault injector is installed.
     pub fn faults_installed(&self) -> bool {
-        self.inner.fault.lock().unwrap().is_some()
+        locked(&self.inner.fault).is_some()
     }
 
     /// The installed fault policy, if any.
     pub fn fault_config(&self) -> Option<FaultConfig> {
-        self.inner
-            .fault
-            .lock()
-            .unwrap()
+        locked(&self.inner.fault)
             .as_ref()
             .map(|injector| injector.config().clone())
     }
@@ -245,10 +242,7 @@ impl ExecutionEnvironment {
     /// fault firing at the new superstep, if any. Called by the
     /// bulk-iteration driver before executing each superstep.
     pub(crate) fn begin_superstep_fault(&self) -> Option<FaultEvent> {
-        self.inner
-            .fault
-            .lock()
-            .unwrap()
+        locked(&self.inner.fault)
             .as_mut()
             .and_then(FaultInjector::begin_superstep)
     }
@@ -259,7 +253,7 @@ impl ExecutionEnvironment {
     /// operators can surface malformed-plan errors on fault-free
     /// environments too.
     pub fn record_execution_failure(&self, failure: ExecutionFailure) {
-        self.inner.poison.lock().unwrap().get_or_insert(failure);
+        locked(&self.inner.poison).get_or_insert(failure);
     }
 
     /// Removes and returns the recorded execution failure, if any. The
@@ -268,19 +262,19 @@ impl ExecutionEnvironment {
     /// computed datasets must be discarded. Installing or clearing a fault
     /// injector leaves a recorded failure in place.
     pub fn take_execution_failure(&self) -> Option<ExecutionFailure> {
-        self.inner.poison.lock().unwrap().take()
+        locked(&self.inner.poison).take()
     }
 
     /// Installs (or, with `None`, removes) the environment's trace sink.
     /// The sink observes every finished stage and every closed span; all
     /// clones of the environment share it.
     pub fn set_trace_sink(&self, sink: Option<Arc<dyn TraceSink>>) {
-        *self.inner.trace.lock().unwrap() = sink;
+        *locked(&self.inner.trace) = sink;
     }
 
     /// The currently installed trace sink, if any.
     pub fn trace_sink(&self) -> Option<Arc<dyn TraceSink>> {
-        self.inner.trace.lock().unwrap().clone()
+        locked(&self.inner.trace).clone()
     }
 
     /// Runs `body` inside a named span, measuring wall-clock time and the
@@ -337,6 +331,12 @@ impl std::fmt::Debug for ExecutionEnvironment {
     }
 }
 
+/// Locks `mutex`, recovering it if a thread panicked while holding it: one
+/// failed query must not fail every later stage of the environment.
+fn locked<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -348,6 +348,33 @@ mod tests {
         let sizes: Vec<usize> = ds.partitions().iter().map(Vec::len).collect();
         assert_eq!(sizes, vec![4, 3, 3]);
         assert_eq!(ds.count(), 10);
+    }
+
+    #[test]
+    fn a_poisoned_lock_does_not_take_the_environment_down() {
+        /// A session panics while it holds `lock`.
+        fn poison<T>(lock: &Mutex<T>) {
+            let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _held = lock.lock();
+                panic!("session panics holding an environment lock");
+            }));
+            assert!(panicked.is_err());
+            assert!(lock.is_poisoned());
+        }
+        let env = ExecutionEnvironment::with_workers(2);
+        poison(&env.inner.metrics);
+        poison(&env.inner.fault);
+        poison(&env.inner.trace);
+        poison(&env.inner.poison);
+
+        let stage = env.stage("after-poison");
+        env.finish_stage(stage);
+        assert_eq!(env.from_collection(0u64..10).count(), 10);
+        assert!(env.metrics().stages >= 2);
+        env.set_trace_sink(None);
+        assert!(env.trace_sink().is_none());
+        assert!(!env.faults_installed());
+        assert!(env.take_execution_failure().is_none());
     }
 
     #[test]

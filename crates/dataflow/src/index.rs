@@ -30,7 +30,7 @@ use crate::data::Data;
 use crate::dataset::Dataset;
 use crate::env::ExecutionEnvironment;
 use crate::join::{bytes_of, charge_build, charge_replication, ship_side};
-use crate::partition::PartitionKey;
+use crate::partition::{PartitionKey, TableHasher};
 use crate::pool::map_partitions;
 
 /// One compressed-sparse-row layout: every key's `(neighbor, edge)` run,
@@ -39,7 +39,7 @@ use crate::pool::map_partitions;
 #[derive(Debug)]
 struct Csr {
     /// Key → index of its run.
-    runs: HashMap<u64, u32>,
+    runs: HashMap<u64, u32, TableHasher>,
     /// Run `r` is `entries[offsets[r]..offsets[r + 1]]`.
     offsets: Vec<u32>,
     entries: Vec<(u64, u64)>,
@@ -58,7 +58,7 @@ impl Csr {
             len < u32::MAX as usize,
             "an adjacency index holds fewer than 2^32 - 1 triples"
         );
-        let mut runs: HashMap<u64, u32> = HashMap::with_capacity(len);
+        let mut runs = HashMap::with_capacity_and_hasher(len, TableHasher::default());
         let mut offsets: Vec<u32> = Vec::with_capacity(len + 1);
         let mut run_of: Vec<u32> = Vec::with_capacity(len);
         for row in rows.clone() {

@@ -43,7 +43,7 @@ use std::sync::Arc;
 use crate::cost::{StageCosts, WorkerCost};
 use crate::data::Data;
 use crate::dataset::Dataset;
-use crate::partition::{shuffle_by_key, PartitionKey, Partitioning};
+use crate::partition::{shuffle_by_key, PartitionKey, Partitioning, TableHasher};
 use crate::pool::{map_partition_pairs, map_partitions};
 
 /// Shipping strategy for an equi-join; the local strategy is always a hash
@@ -122,7 +122,7 @@ where
 /// [`ChainedTable::matches`] walks a chain in insertion order;
 /// [`ChainedTable::heads`] lists the keys in the order they first appear.
 pub(crate) struct ChainedTable<K> {
-    first: HashMap<K, u32>,
+    first: HashMap<K, u32, TableHasher>,
     next: Vec<u32>,
 }
 
@@ -134,17 +134,25 @@ impl<K: Hash + Eq> ChainedTable<K> {
     /// for every row to carry a key of its own, so it is allocated once
     /// however many distinct keys there are.
     pub(crate) fn build<'a, T>(rows: &'a [T], key: impl Fn(&'a T) -> K) -> Self {
-        Self::index(rows, HashMap::with_capacity(rows.len()), key)
+        Self::index(
+            rows,
+            HashMap::with_capacity_and_hasher(rows.len(), TableHasher::default()),
+            key,
+        )
     }
 
     /// Indexes `rows` by a group key, which may borrow from the rows.
     /// Groups are usually far fewer than rows, so the key map grows with
     /// the keys instead of being sized for the rows.
     pub(crate) fn group<'a, T>(rows: &'a [T], key: impl Fn(&'a T) -> K) -> Self {
-        Self::index(rows, HashMap::new(), key)
+        Self::index(rows, HashMap::default(), key)
     }
 
-    fn index<'a, T>(rows: &'a [T], mut first: HashMap<K, u32>, key: impl Fn(&'a T) -> K) -> Self {
+    fn index<'a, T>(
+        rows: &'a [T],
+        mut first: HashMap<K, u32, TableHasher>,
+        key: impl Fn(&'a T) -> K,
+    ) -> Self {
         assert!(
             rows.len() < NO_ROW as usize,
             "a partition holds fewer than 2^32 - 1 rows"

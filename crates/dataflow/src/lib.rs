@@ -63,6 +63,6 @@ pub use intersect::{probe_intersect, IntersectStats};
 pub use iterate::bulk_iterate_with_results;
 pub use join::JoinStrategy;
 pub use json::JsonValue;
-pub use partition::{partition_for, PartitionKey, Partitioning};
+pub use partition::{partition_for, PartitionKey, Partitioning, TableHasher};
 pub use telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
 pub use trace::{CollectedTrace, CollectingSink, SpanRecord, TraceSink};

@@ -17,10 +17,18 @@
 //! neither the output nor a single charged byte. [`shuffle_with_keys`]
 //! (group-by / reduce) is the same shuffle, routed by the same loop, that
 //! keeps each record's key beside it.
+//!
+//! Two hashes serve two purposes. Placement — which worker a key lands on —
+//! is SipHash ([`DefaultHasher`]) with fixed keys, so partitions, their
+//! order and every simulated figure are the same on every run. The hash
+//! tables that live inside one partition and are never iterated (join and
+//! grouping tables, adjacency runs, seen-sets, id lookups) hash with
+//! [`TableHasher`], a seeded folded multiply that costs one widening multiply
+//! per word instead of a SipHash round per row.
 
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex};
+use std::collections::hash_map::{DefaultHasher, RandomState};
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::cost::StageCosts;
 use crate::data::Data;
@@ -68,6 +76,110 @@ pub fn partition_for<K: Hash>(key: &K, workers: usize) -> usize {
     let mut hasher = DefaultHasher::new();
     key.hash(&mut hasher);
     (hasher.finish() % workers as u64) as usize
+}
+
+/// The [`BuildHasher`] of every hash table that lives inside one partition
+/// and is never iterated: `HashMap<K, V, TableHasher>`. Its hashes decide
+/// bucket positions only, never placement or output order, so the seed may
+/// differ per process; it is drawn once, from the standard library's
+/// [`RandomState`], so keys taken from query text (`UNWIND` literals,
+/// property values) cannot be chosen to collide.
+#[derive(Debug, Clone, Copy)]
+pub struct TableHasher {
+    seed: u64,
+}
+
+impl Default for TableHasher {
+    /// The process's table seed; drawn on first use, without allocating.
+    fn default() -> Self {
+        static SEED: OnceLock<u64> = OnceLock::new();
+        TableHasher {
+            seed: *SEED.get_or_init(|| RandomState::new().hash_one(0u64)),
+        }
+    }
+}
+
+impl BuildHasher for TableHasher {
+    type Hasher = FoldHasher;
+
+    #[inline]
+    fn build_hasher(&self) -> FoldHasher {
+        FoldHasher { state: self.seed }
+    }
+}
+
+/// The hasher [`TableHasher`] builds: every word is mixed into the state by
+/// one [`fold`].
+#[derive(Debug, Clone)]
+pub struct FoldHasher {
+    state: u64,
+}
+
+/// An odd multiplier with well-spread bits (2^64 / φ).
+const FOLD_MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Mixes `word` into `state`: the 128-bit product of `state ^ word` and an
+/// odd constant, its high and low halves XORed. Keeping only the low half
+/// would leave keys that differ only in high bits (GradoopIds, `(id, id)`
+/// pairs) with equal low bits — one bucket for all of them; the high half
+/// carries those bits down.
+#[inline]
+fn fold(state: u64, word: u64) -> u64 {
+    let product = u128::from(state ^ word) * u128::from(FOLD_MULTIPLIER);
+    (product as u64) ^ ((product >> 64) as u64)
+}
+
+impl Hasher for FoldHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.state
+    }
+
+    /// Eight bytes per fold; the last 0–7 bytes share one word with the
+    /// slice's length, so slices that differ only in trailing zeros differ.
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            let word = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+            self.state = fold(self.state, word);
+        }
+        let rest = words.remainder();
+        let mut tail = [0u8; 8];
+        tail[..rest.len()].copy_from_slice(rest);
+        let tail = u64::from_le_bytes(tail) | ((bytes.len() as u64) << 56);
+        self.state = fold(self.state, tail);
+    }
+
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.state = fold(self.state, u64::from(i));
+    }
+
+    #[inline]
+    fn write_u16(&mut self, i: u16) {
+        self.state = fold(self.state, u64::from(i));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.state = fold(self.state, u64::from(i));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.state = fold(self.state, i);
+    }
+
+    #[inline]
+    fn write_u128(&mut self, i: u128) {
+        self.state = fold(fold(self.state, i as u64), (i >> 64) as u64);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.state = fold(self.state, i as u64);
+    }
 }
 
 /// Redistributes `partitions` so that each element lands on
@@ -224,6 +336,56 @@ mod tests {
             PartitionKey::named("edge.source"),
             PartitionKey::named("edge.target")
         );
+    }
+
+    /// Distinct values of the low 12 bits of the table hashes of `keys`:
+    /// what a table of 4 096 buckets spreads them over.
+    fn low_bits_spread<K: Hash>(keys: impl Iterator<Item = K>) -> usize {
+        let hasher = TableHasher::default();
+        let mut buckets = vec![false; 4096];
+        for key in keys {
+            buckets[(hasher.hash_one(key) & 4095) as usize] = true;
+        }
+        buckets.iter().filter(|&&hit| hit).count()
+    }
+
+    #[test]
+    fn table_hashes_spread_every_key_shape_the_engine_hashes() {
+        // Uniform hashes would fill ≈ 2 589 of 4 096 buckets. Keeping only
+        // the product's low half puts every id below on one bucket.
+        let ids = low_bits_spread((0..4096u64).map(|i| i << 32));
+        let pairs = low_bits_spread((0..4096u64).map(|i| (i << 32, (i + 1) << 32)));
+        let strings =
+            low_bits_spread((0..4096u64).map(|i| format!("shared-prefix-of-24-byte{i:08}")));
+        for (shape, spread) in [("ids", ids), ("pairs", pairs), ("strings", strings)] {
+            assert!(spread >= 2000, "{shape}: 4 096 keys on {spread} buckets");
+        }
+    }
+
+    #[test]
+    fn table_hashes_are_stable_within_a_process() {
+        let (a, b) = (TableHasher::default(), TableHasher::default());
+        assert_eq!(a.hash_one((7u64, "x")), b.hash_one((7u64, "x")));
+        assert_ne!(a.hash_one(b"ab".as_slice()), a.hash_one(b"ab\0".as_slice()));
+    }
+
+    #[test]
+    fn placement_is_pinned() {
+        // Recorded before table hashing moved off SipHash: placement
+        // decides partitions, their order and every simulated figure, so a
+        // later hasher change must leave these values as they are.
+        let ids: [u64; 4] = [0, 1, 42, 1 << 40];
+        let pairs: [(u64, u64); 3] = [(0, 1), (7, 7), (1 << 32, 3)];
+        let names = ["", "Alice", "person.id"];
+        let placed = |workers: usize| -> Vec<usize> {
+            let ids = ids.iter().map(|k| partition_for(k, workers));
+            let pairs = pairs.iter().map(|k| partition_for(k, workers));
+            let names = names.iter().map(|k| partition_for(k, workers));
+            ids.chain(pairs).chain(names).collect()
+        };
+        assert_eq!(placed(2), [1, 1, 1, 0, 0, 1, 0, 1, 1, 0]);
+        assert_eq!(placed(4), [1, 1, 1, 2, 2, 3, 2, 3, 3, 0]);
+        assert_eq!(placed(16), [5, 9, 1, 2, 10, 3, 6, 15, 15, 12]);
     }
 
     #[test]

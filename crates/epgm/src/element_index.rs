@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use gradoop_dataflow::{Data, Dataset};
+use gradoop_dataflow::{Data, Dataset, TableHasher};
 
 use crate::element::{Edge, Vertex};
 
@@ -50,7 +50,7 @@ impl ElementIndex {
 /// One element kind: the shared partitions and where each id sits in them.
 struct Slots<T> {
     partitions: Arc<Vec<Vec<T>>>,
-    positions: HashMap<u64, (usize, usize)>,
+    positions: HashMap<u64, (usize, usize), TableHasher>,
 }
 
 /// Like `Dataset`'s, sizes only: a graph's debug output stays small after
@@ -67,7 +67,7 @@ impl<T> Default for Slots<T> {
     fn default() -> Self {
         Slots {
             partitions: Arc::default(),
-            positions: HashMap::new(),
+            positions: HashMap::default(),
         }
     }
 }
@@ -75,7 +75,8 @@ impl<T> Default for Slots<T> {
 impl<T: Data> Slots<T> {
     fn of(dataset: &Dataset<T>, id: fn(&T) -> u64) -> Self {
         let partitions = dataset.partitions_arc();
-        let mut positions = HashMap::with_capacity(dataset.len_untracked());
+        let mut positions =
+            HashMap::with_capacity_and_hasher(dataset.len_untracked(), TableHasher::default());
         for (p, partition) in partitions.iter().enumerate() {
             for (r, element) in partition.iter().enumerate() {
                 positions.insert(id(element), (p, r));

@@ -266,6 +266,13 @@ impl PropertyValue {
         }
     }
 
+    /// `true` when `bytes`, as [`PropertyValue::write_bytes`] encodes a
+    /// value, hold `Null`. Reads the type tag only, so testing an encoded
+    /// string costs nothing.
+    pub fn encodes_null(bytes: &[u8]) -> bool {
+        bytes.first() == Some(&tag::NULL)
+    }
+
     /// Deserializes a value that must occupy the whole slice.
     pub fn from_bytes(bytes: &[u8]) -> Result<PropertyValue, PropertyDecodeError> {
         let (value, used) = PropertyValue::read_bytes(bytes)?;

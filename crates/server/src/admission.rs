@@ -7,7 +7,7 @@
 //! planning or execution work is spent on it. Permits release their slot on
 //! drop, so a panicking query can never leak capacity.
 
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Bounded counting semaphore guarding query admission.
@@ -43,16 +43,25 @@ impl AdmissionGate {
         self.limit
     }
 
+    /// The admitted-holder count, locked. A query that panicked while
+    /// holding the lock left the count whole (it is one integer), so the
+    /// poison is cleared rather than failing every later admission.
+    fn held(&self) -> MutexGuard<'_, usize> {
+        self.in_flight
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Currently admitted holders.
     pub fn in_flight(&self) -> usize {
-        *self.in_flight.lock().unwrap()
+        *self.held()
     }
 
     /// Waits up to `timeout` for a slot. `Ok` holds a permit whose drop
     /// frees the slot; `Err` reports the rejection.
     pub fn admit(&self, timeout: Duration) -> Result<AdmissionPermit<'_>, AdmissionRejected> {
         let started = Instant::now();
-        let mut in_flight = self.in_flight.lock().unwrap();
+        let mut in_flight = self.held();
         loop {
             if *in_flight < self.limit {
                 *in_flight += 1;
@@ -67,7 +76,10 @@ impl AdmissionGate {
                     })
                 }
             };
-            let (guard, wait) = self.freed.wait_timeout(in_flight, remaining).unwrap();
+            let (guard, wait) = self
+                .freed
+                .wait_timeout(in_flight, remaining)
+                .unwrap_or_else(PoisonError::into_inner);
             in_flight = guard;
             if wait.timed_out() && *in_flight >= self.limit {
                 return Err(AdmissionRejected {
@@ -87,7 +99,7 @@ pub struct AdmissionPermit<'a> {
 
 impl Drop for AdmissionPermit<'_> {
     fn drop(&mut self) {
-        let mut in_flight = self.gate.in_flight.lock().unwrap();
+        let mut in_flight = self.gate.held();
         *in_flight = in_flight.saturating_sub(1);
         self.gate.freed.notify_one();
     }
@@ -124,6 +136,25 @@ mod tests {
         drop(permit);
         assert!(waiter.join().unwrap());
         assert_eq!(gate.in_flight(), 0);
+    }
+
+    #[test]
+    fn a_poisoned_lock_does_not_take_admission_down() {
+        let gate = AdmissionGate::new(1);
+        // A session panics while it holds the gate's lock.
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = gate.in_flight.lock();
+            panic!("session panics holding the admission lock");
+        }));
+        assert!(panicked.is_err());
+        assert!(gate.in_flight.is_poisoned());
+
+        let permit = gate.admit(Duration::ZERO).expect("slot");
+        assert_eq!(gate.in_flight(), 1);
+        gate.admit(Duration::ZERO).expect_err("full");
+        drop(permit);
+        assert_eq!(gate.in_flight(), 0);
+        let _again = gate.admit(Duration::ZERO).expect("slot freed by drop");
     }
 
     #[test]
