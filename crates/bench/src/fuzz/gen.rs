@@ -438,6 +438,16 @@ pub enum TailSpec {
         /// The list literal's elements.
         items: Vec<LitSpec>,
     },
+    /// `WITH count(*) AS c0 MATCH (m0) RETURN DISTINCT c0, m0.k AS d0` —
+    /// the base match's row count beside one property of every vertex.
+    /// The `WITH` always yields one row and the property takes few values,
+    /// so projected rows repeat and `DISTINCT` has duplicates to remove
+    /// (rows of `RETURN DISTINCT *` bind distinct elements, and most base
+    /// matches are empty).
+    DistinctProperty {
+        /// The projected property key.
+        key: String,
+    },
 }
 
 fn label_text(label: &Option<String>) -> String {
@@ -513,6 +523,9 @@ impl TailSpec {
             TailSpec::Unwind { items } => {
                 let rendered: Vec<String> = items.iter().map(LitSpec::render).collect();
                 format!(" UNWIND [{}] AS u0 RETURN *", rendered.join(", "))
+            }
+            TailSpec::DistinctProperty { key } => {
+                format!(" WITH count(*) AS c0 MATCH (m0) RETURN DISTINCT c0, m0.{key} AS d0")
             }
         }
     }
@@ -800,8 +813,17 @@ fn random_tail(rng: &mut Rng, node_vars: &[String], prop_vars: &[String]) -> Opt
             if keys.is_empty() && skip.is_none() && limit.is_none() {
                 return None;
             }
+            // One roll: a quarter `RETURN DISTINCT *`, half the property
+            // projection (its parity picks the key). The projection adds
+            // no draw, so pinned campaigns keep every other case.
+            let roll = rng.below(100);
+            if (25..75).contains(&roll) {
+                return Some(TailSpec::DistinctProperty {
+                    key: PROPERTY_KEYS[roll % PROPERTY_KEYS.len()].to_string(),
+                });
+            }
             Some(TailSpec::OrderLimit {
-                distinct: rng.chance(25),
+                distinct: roll < 25,
                 keys,
                 skip,
                 limit,
@@ -1198,20 +1220,22 @@ mod tests {
     #[test]
     fn generator_produces_every_tail_production() {
         let mut rng = Rng::new(11);
-        let (mut order, mut agg, mut with, mut opt, mut unwind) = (0, 0, 0, 0, 0);
+        let mut counts = [0usize; 6];
         for _ in 0..500 {
-            match random_query(&mut rng).tail {
-                Some(TailSpec::OrderLimit { .. }) => order += 1,
-                Some(TailSpec::Aggregate { .. }) => agg += 1,
-                Some(TailSpec::WithMatch { .. }) => with += 1,
-                Some(TailSpec::OptionalTail { .. }) => opt += 1,
-                Some(TailSpec::Unwind { .. }) => unwind += 1,
-                None => {}
-            }
+            let production = match random_query(&mut rng).tail {
+                Some(TailSpec::OrderLimit { .. }) => 0,
+                Some(TailSpec::Aggregate { .. }) => 1,
+                Some(TailSpec::WithMatch { .. }) => 2,
+                Some(TailSpec::OptionalTail { .. }) => 3,
+                Some(TailSpec::Unwind { .. }) => 4,
+                Some(TailSpec::DistinctProperty { .. }) => 5,
+                None => continue,
+            };
+            counts[production] += 1;
         }
         assert!(
-            order > 0 && agg > 0 && with > 0 && opt > 0 && unwind > 0,
-            "tail coverage: order={order} agg={agg} with={with} opt={opt} unwind={unwind}"
+            counts.iter().all(|&count| count > 0),
+            "tail coverage (order, agg, with, opt, unwind, distinct): {counts:?}"
         );
     }
 }

@@ -22,7 +22,8 @@
 //! * variable-length paths, zero-hop ranges, undirected edges, anonymous
 //!   variables, label disjunctions and property-to-property comparisons;
 //! * multi-clause pipeline tails — `ORDER BY`/`SKIP`/`LIMIT` (with
-//!   `DISTINCT`), grouped aggregation, `WITH … MATCH` barriers,
+//!   `DISTINCT`), `RETURN DISTINCT` of one property after a `WITH count(*)`
+//!   barrier, grouped aggregation, `WITH … MATCH` barriers,
 //!   `OPTIONAL MATCH` NULL padding, and `UNWIND` over lists that include
 //!   `NULL` elements. Tail cases compare `CypherEngine::run` tables
 //!   against `reference_pipeline` (ordered results positionally,
@@ -96,6 +97,9 @@ pub struct FeatureCounts {
     pub skip_limit: usize,
     /// Cases with a `DISTINCT` projection.
     pub distinct: usize,
+    /// Cases where the reference's `DISTINCT` removed at least one row —
+    /// the cases that would catch an engine skipping it.
+    pub distinct_removed: usize,
     /// Cases with an aggregating projection (`count`, `collect`, ...).
     pub aggregate: usize,
     /// Cases with a `WITH` barrier feeding a second `MATCH`.
@@ -176,6 +180,7 @@ impl FeatureCounts {
             Some(TailSpec::WithMatch { .. }) => self.with_clause += 1,
             Some(TailSpec::OptionalTail { .. }) => self.optional_match += 1,
             Some(TailSpec::Unwind { .. }) => self.unwind += 1,
+            Some(TailSpec::DistinctProperty { .. }) => self.distinct += 1,
             None => {}
         }
     }
@@ -264,11 +269,12 @@ impl FuzzReport {
             f.cyclic,
         ));
         out.push_str(&format!(
-            "pipeline: ORDER BY {} | SKIP/LIMIT {} | DISTINCT {} | aggregate {} \
-             | WITH+MATCH {} | OPTIONAL MATCH {} | UNWIND {}\n",
+            "pipeline: ORDER BY {} | SKIP/LIMIT {} | DISTINCT {} ({} removing rows) \
+             | aggregate {} | WITH+MATCH {} | OPTIONAL MATCH {} | UNWIND {}\n",
             f.order_by,
             f.skip_limit,
             f.distinct,
+            f.distinct_removed,
             f.aggregate,
             f.with_clause,
             f.optional_match,
@@ -309,6 +315,7 @@ pub fn run_conformance(config: &FuzzConfig) -> FuzzReport {
     for case_index in 0..config.cases {
         let case = random_case(&mut rng);
         report.features.record(&case);
+        report.features.distinct_removed += usize::from(runner::distinct_removes_rows(&case));
         let cyclic = usize::from(case.query.is_cyclic());
         match run_case(&case) {
             CaseOutcome::Passed {

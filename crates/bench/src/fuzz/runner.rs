@@ -267,6 +267,30 @@ fn pipeline_reference(case: &CaseSpec, pipeline: &Pipeline) -> Result<(Answer, u
     Ok((table_answer(table), matches))
 }
 
+/// Whether the reference's `RETURN DISTINCT` removes at least one row of
+/// `case`'s projection (counted before any `SKIP`/`LIMIT`): a case on which
+/// an engine that skipped `DISTINCT` would disagree with the reference.
+pub(super) fn distinct_removes_rows(case: &CaseSpec) -> bool {
+    let Ok(mut pipeline) = parse_pipeline(&case.query.render()) else {
+        return false;
+    };
+    if !pipeline.ret.distinct {
+        return false;
+    }
+    pipeline.ret.distinct = false;
+    pipeline.ret.skip = None;
+    pipeline.ret.limit = None;
+    let graph = case.graph.build(&free_env(case.workers));
+    let Ok(table) = reference_pipeline(&graph, &pipeline, &case.matching) else {
+        return false;
+    };
+    let mut rows: Vec<RowKey> = table.rows.into_iter().map(RowKey).collect();
+    let projected = rows.len();
+    rows.sort();
+    rows.dedup();
+    rows.len() < projected
+}
+
 /// Runs a pipeline case (one with a tail) under one engine configuration
 /// through `CypherEngine::run`.
 pub fn pipeline_engine_rows(

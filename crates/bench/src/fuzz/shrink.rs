@@ -277,6 +277,8 @@ fn tail_reductions(tail: &TailSpec) -> Vec<TailSpec> {
                 out.push(TailSpec::Unwind { items: reduced });
             }
         }
+        // One column: dropping the tail is the only reduction.
+        TailSpec::DistinctProperty { .. } => {}
     }
     out
 }

@@ -10,7 +10,6 @@ use gradoop_bench::figure1::{figure1_graph, FIGURE1_QUERIES};
 use gradoop_core::{CypherEngine, MatchingConfig, MemoryQueryLog, QueryOutcome};
 use gradoop_dataflow::{
     chrome_trace_json, CollectingSink, ExecutionConfig, ExecutionEnvironment, JsonValue,
-    MetricsRegistry,
 };
 
 const WORKERS: usize = 4;
@@ -219,37 +218,4 @@ fn fused_filter_over_join_counts_match_the_separate_operators() {
     // The fused filter ran inside the join's stage.
     assert_eq!(filter.metrics.stages, 0);
     assert!(join.metrics.stages > 0);
-}
-
-/// The worker pool counts the batches it is handed and those in which a
-/// pool thread ran a task, so a reader of the registry snapshot can see how
-/// often the helpers contribute.
-#[test]
-fn pool_batches_and_helped_batches_show_in_the_registry_snapshot() {
-    let registry = MetricsRegistry::global();
-    let batches = registry.counter("dataflow.pool.batches");
-    let helped = registry.counter("dataflow.pool.helped_batches");
-    let batches_before = batches.get();
-    run_figure1();
-
-    // `helped` first: both only grow, and a batch is counted before it is
-    // counted as helped.
-    let helped_now = helped.get();
-    let batches_now = batches.get();
-    assert!(helped_now <= batches_now);
-    let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if parallelism > 1 {
-        assert!(
-            batches_now > batches_before,
-            "{WORKERS}-partition stages on {parallelism} cores go through the pool"
-        );
-    } else {
-        assert_eq!(batches_now, 0, "one core has no pool threads: all inline");
-    }
-
-    let snapshot = registry.snapshot();
-    let counters = snapshot.get("counters").expect("a counters section");
-    for name in ["dataflow.pool.batches", "dataflow.pool.helped_batches"] {
-        assert!(counters.get(name).is_some(), "{name} missing from snapshot");
-    }
 }

@@ -25,8 +25,7 @@ use crate::pipeline::{execute_match, execute_pipeline};
 use crate::plancache::PlanCache;
 use crate::planner::{plan_query_with_mode, Estimator, PlanError, PlanMode, QueryPlan};
 use crate::querylog::{
-    global_query_log, operators_from_profile, stable_digest, QueryLogRecord, QueryLogSink,
-    QueryOutcome, TeeSink,
+    operators_from_profile, stable_digest, QueryLogRecord, QueryLogSink, QueryOutcome, TeeSink,
 };
 use crate::result::{QueryResult, TableResult};
 use crate::source::GraphSource;
@@ -84,13 +83,12 @@ impl From<ExecutionFailure> for CypherError {
 /// The Cypher query engine. Holds the graph statistics used by the greedy
 /// planner; create it once per data graph and reuse it across queries.
 ///
-/// Every run — successful or not — appends one [`QueryLogRecord`] to the
-/// engine's query log sink (the process-wide [`global_query_log`] by
-/// default; see [`with_query_log`](CypherEngine::with_query_log)).
+/// With a query log installed ([`with_query_log`](CypherEngine::with_query_log)),
+/// every run — successful or not — appends one [`QueryLogRecord`] to it.
 #[derive(Clone)]
 pub struct CypherEngine {
     statistics: GraphStatistics,
-    query_log: Arc<dyn QueryLogSink>,
+    query_log: Option<Arc<dyn QueryLogSink>>,
     plan_mode: PlanMode,
     plan_cache: Option<Arc<PlanCache>>,
 }
@@ -108,7 +106,7 @@ impl CypherEngine {
     pub fn with_statistics(statistics: GraphStatistics) -> Self {
         CypherEngine {
             statistics,
-            query_log: global_query_log(),
+            query_log: None,
             plan_mode: PlanMode::CostBased,
             plan_cache: None,
         }
@@ -123,11 +121,11 @@ impl CypherEngine {
         self
     }
 
-    /// Replaces the query log sink (the process-wide in-memory log by
-    /// default) — e.g. with a
+    /// Installs the query log sink every run appends its record to — e.g.
+    /// a [`MemoryQueryLog`](crate::querylog::MemoryQueryLog) or a
     /// [`JsonlQueryLog`](crate::querylog::JsonlQueryLog) file sink.
     pub fn with_query_log(mut self, sink: Arc<dyn QueryLogSink>) -> Self {
-        self.query_log = sink;
+        self.query_log = Some(sink);
         self
     }
 
@@ -333,8 +331,8 @@ impl CypherEngine {
     /// reads the text once (shape and AST), plans it (refusing a clause
     /// pipeline with `plain_only`), executes the plan with a per-query
     /// collector teed in front of the caller's trace sink, classifies the
-    /// outcome, builds the [`Profile`] and appends exactly one
-    /// [`QueryLogRecord`] — successful or not.
+    /// outcome, builds the [`Profile`] and, with a query log installed,
+    /// appends exactly one [`QueryLogRecord`] — successful or not.
     fn observed<S: GraphSource + ?Sized>(
         &self,
         source: &S,
@@ -352,7 +350,9 @@ impl CypherEngine {
         let planned =
             parsed.and_then(|pipeline| self.plan_text(pipeline, &shape, params, plain_only));
         let ran = planned.and_then(|planned| {
-            plan_digest = stable_digest(&planned.explain().to_text());
+            if self.query_log.is_some() {
+                plan_digest = stable_digest(&planned.explain().to_text());
+            }
             plan_cache = planned.cache;
             // Tee stages and spans into a per-query collector — the plan
             // walker attributes them to operators — without clobbering a
@@ -393,34 +393,36 @@ impl CypherEngine {
             };
             (ran.output, profile)
         });
-        let (operators, max_q_error) = match &outcome {
-            Ok((_, profile)) => operators_from_profile(&profile.root),
-            Err(_) => (Vec::new(), 1.0),
-        };
-        self.query_log.log(&QueryLogRecord {
-            query: query_text.to_string(),
-            fingerprint: stable_digest(&shape),
-            shape,
-            plan_digest,
-            plan_cache,
-            outcome: match &outcome {
-                Ok(_) => QueryOutcome::Ok,
-                Err(CypherError::Execution(_)) => QueryOutcome::Faulted,
-                Err(_) => QueryOutcome::Error,
-            },
-            error: outcome.as_ref().err().map(|error| error.to_string()),
-            matches: outcome.as_ref().map_or(0, |(_, profile)| profile.matches),
-            wall_seconds,
-            simulated_seconds: metrics.simulated_seconds,
-            operators,
-            max_q_error,
-            recovery_attempts: metrics.recovery_attempts,
-            peak_memory_bytes: if outcome.is_ok() {
-                metrics.peak_memory_bytes
-            } else {
-                0
-            },
-        });
+        if let Some(log) = &self.query_log {
+            let (operators, max_q_error) = match &outcome {
+                Ok((_, profile)) => operators_from_profile(&profile.root),
+                Err(_) => (Vec::new(), 1.0),
+            };
+            log.log(&QueryLogRecord {
+                query: query_text.to_string(),
+                fingerprint: stable_digest(&shape),
+                shape,
+                plan_digest,
+                plan_cache,
+                outcome: match &outcome {
+                    Ok(_) => QueryOutcome::Ok,
+                    Err(CypherError::Execution(_)) => QueryOutcome::Faulted,
+                    Err(_) => QueryOutcome::Error,
+                },
+                error: outcome.as_ref().err().map(|error| error.to_string()),
+                matches: outcome.as_ref().map_or(0, |(_, profile)| profile.matches),
+                wall_seconds,
+                simulated_seconds: metrics.simulated_seconds,
+                operators,
+                max_q_error,
+                recovery_attempts: metrics.recovery_attempts,
+                peak_memory_bytes: if outcome.is_ok() {
+                    metrics.peak_memory_bytes
+                } else {
+                    0
+                },
+            });
+        }
         outcome
     }
 }

@@ -70,8 +70,8 @@ pub use planner::{
     plan_query, plan_query_with_mode, Estimator, PlanError, PlanMode, PlanNode, QueryPlan,
 };
 pub use querylog::{
-    global_query_log, normalize_query_shape, stable_digest, JsonlQueryLog, MemoryQueryLog,
-    OperatorLogEntry, QueryLogRecord, QueryLogSink, QueryOutcome,
+    normalize_query_shape, stable_digest, JsonlQueryLog, MemoryQueryLog, OperatorLogEntry,
+    QueryLogRecord, QueryLogSink, QueryOutcome,
 };
 pub use reference::{reference_match, reference_pipeline, ReferenceMatch};
 pub use result::{QueryResult, ReturnColumns, TableResult};

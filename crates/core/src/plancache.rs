@@ -39,7 +39,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use gradoop_cypher::QueryGraph;
-use gradoop_dataflow::MetricsRegistry;
 
 use crate::planner::{PlanMode, QueryPlan};
 
@@ -201,17 +200,9 @@ impl PlanCache {
         });
         drop(inner);
         match &found {
-            Some(_) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                MetricsRegistry::global().counter("plan_cache.hits").add(1);
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                MetricsRegistry::global()
-                    .counter("plan_cache.misses")
-                    .add(1);
-            }
-        }
+            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
+            None => self.misses.fetch_add(1, Ordering::Relaxed),
+        };
         found
     }
 
@@ -229,9 +220,6 @@ impl PlanCache {
                 inner.plans.remove(&key);
             }
             self.evictions.fetch_add(1, Ordering::Relaxed);
-            MetricsRegistry::global()
-                .counter("plan_cache.evictions")
-                .add(1);
         }
         inner.plans.insert(
             key,

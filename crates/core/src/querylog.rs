@@ -1,8 +1,8 @@
-//! The always-on query event log.
+//! The query event log.
 //!
-//! Every query the [`CypherEngine`](crate::CypherEngine) runs — successful,
-//! rejected at parse/plan time, or failed at runtime — produces one
-//! structured [`QueryLogRecord`], delivered to a pluggable
+//! Every query a [`CypherEngine`](crate::CypherEngine) with a query log
+//! runs — successful, rejected at parse/plan time, or failed at runtime —
+//! produces one structured [`QueryLogRecord`], delivered to a pluggable
 //! [`QueryLogSink`]. Records carry everything a fleet-level dashboard
 //! needs to aggregate query behaviour without access to the data:
 //!
@@ -17,14 +17,14 @@
 //! * the [`QueryOutcome`]: `ok`, `error` (parse/plan rejection) or
 //!   `faulted` (runtime failure after retry exhaustion).
 //!
-//! The engine defaults to the process-wide [`global_query_log`] (an
-//! in-memory ring of recent records); install a [`JsonlQueryLog`] via
+//! An engine logs nothing until
 //! [`CypherEngine::with_query_log`](crate::CypherEngine::with_query_log)
-//! to stream records to a JSONL file.
+//! installs a sink: a [`MemoryQueryLog`] (an in-memory ring of recent
+//! records) or a [`JsonlQueryLog`] that streams records to a JSONL file.
 
 use std::collections::VecDeque;
 use std::io::Write as _;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use gradoop_cypher::lexer::lex_shape;
 use gradoop_dataflow::{ExecutionMetrics, JsonValue, SpanRecord, StageReport, TraceSink};
@@ -171,9 +171,8 @@ pub trait QueryLogSink: Send + Sync {
 /// Maximum records the in-memory log retains (oldest evicted first).
 pub const MEMORY_LOG_CAPACITY: usize = 1024;
 
-/// A [`QueryLogSink`] that buffers the most recent records in memory —
-/// the engine's always-on default. A ring: once full, each record evicts
-/// the oldest in constant time.
+/// A [`QueryLogSink`] that buffers the most recent records in memory. A
+/// ring: once full, each record evicts the oldest in constant time.
 #[derive(Default)]
 pub struct MemoryQueryLog {
     records: Mutex<VecDeque<QueryLogRecord>>,
@@ -239,16 +238,6 @@ impl QueryLogSink for JsonlQueryLog {
     fn log(&self, record: &QueryLogRecord) {
         let _ = writeln!(lock(&self.file), "{}", record.to_jsonl());
     }
-}
-
-/// The process-wide default query log every engine reports into unless
-/// [`CypherEngine::with_query_log`](crate::CypherEngine::with_query_log)
-/// installs another sink.
-pub fn global_query_log() -> Arc<MemoryQueryLog> {
-    static GLOBAL: OnceLock<Arc<MemoryQueryLog>> = OnceLock::new();
-    GLOBAL
-        .get_or_init(|| Arc::new(MemoryQueryLog::new()))
-        .clone()
 }
 
 /// Locks `mutex`, taking it over if a thread panicked while holding it:

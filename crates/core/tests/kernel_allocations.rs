@@ -171,8 +171,8 @@ fn leaf_scan_allocates_per_chunk_of_emitted_rows_and_never_per_rejected_row() {
     let partition_growth = allocations() - before;
     black_box(partition);
 
-    // The first stage of a process also starts the pool and the telemetry
-    // registry; after it, a scan has a fixed cost per stage.
+    // The first stage of a process also starts the pool; after it, a scan
+    // has a fixed cost per stage.
     scan(vertex, &rejected, 0);
     let fixed = scan(vertex, &rejected, 0);
     assert_eq!(
@@ -233,7 +233,7 @@ fn rejected_cartesian_pairs_allocate_nothing() {
         assert_eq!(result.data.len_untracked(), 0);
         spent
     };
-    product(ROWS); // the first stage also starts the telemetry registry
+    product(ROWS); // the first stage also starts the worker pool
     assert_eq!(
         product(2 * ROWS),
         product(ROWS),
@@ -289,7 +289,7 @@ fn a_value_join_pair_on_a_string_key_allocates_nothing_beyond_its_chunks() {
     };
     const FEW: u64 = 10;
     const MANY: u64 = 1_000;
-    join(MANY); // the first stage also starts the telemetry registry
+    join(MANY); // the first stage also starts the worker pool
     let (few, many) = (join(FEW), join(MANY));
     // Two id columns and two 16-byte "Leipzig" slots per output row. This
     // thread committed MANY rows, then FEW, then MANY.

@@ -17,9 +17,7 @@
 
 use std::collections::HashMap;
 use std::hint::black_box;
-use std::sync::Arc;
 
-use gradoop_core::querylog::{QueryLogRecord, QueryLogSink};
 use gradoop_core::{compare_rows_by_keys, CypherEngine, MatchingConfig, Value};
 use gradoop_cypher::ast::{SortKey, SortRef};
 use gradoop_dataflow::{CostModel, ExecutionConfig, ExecutionEnvironment};
@@ -33,13 +31,6 @@ use counting::{allocations, CountingAllocator};
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-/// Keeps no record, so a run's log entry costs the same every time.
-struct Discard;
-
-impl QueryLogSink for Discard {
-    fn log(&self, _: &QueryLogRecord) {}
-}
 
 /// 64 persons in a ring of `knows` edges, every fourth one studying at one
 /// university; with `unread`, also 1 000 tags and 1 000 edges between them,
@@ -111,8 +102,7 @@ fn a_pipeline_run_costs_the_same_however_much_of_the_graph_it_does_not_read() {
                         RETURN a.name, degree, u.name ORDER BY u.name, a.name LIMIT 10";
     let (small, large) = (graph(false), graph(true));
     // One engine, so both graphs get the same plans.
-    let engine =
-        CypherEngine::for_graph(&small.as_logical_graph()).with_query_log(Arc::new(Discard));
+    let engine = CypherEngine::for_graph(&small.as_logical_graph());
     let run = |graph: &IndexedLogicalGraph| {
         let before = allocations();
         let table = black_box(
@@ -130,8 +120,8 @@ fn a_pipeline_run_costs_the_same_however_much_of_the_graph_it_does_not_read() {
         assert_eq!(table.rows[0][2], Value::Str("Uni Leipzig".into()));
         spent
     };
-    // The first runs also start the telemetry registry and build each
-    // graph's element index.
+    // The first runs also start the worker pool and build each graph's
+    // element index.
     run(&small);
     run(&large);
     assert_eq!(run(&large), run(&small));
@@ -204,7 +194,7 @@ fn clause_table_keys_cost_the_same_however_wide_the_key_values() {
     const TEXT: &str = "MATCH (a:Person)-[:knows]->(b:Person) MATCH (b)-[:knows]->(c:Person) \
                         WITH c.name AS name, count(*) AS paths RETURN DISTINCT name, paths";
     let (narrow, wide) = (ring(false), ring(true));
-    let engine = CypherEngine::for_graph(&narrow).with_query_log(Arc::new(Discard));
+    let engine = CypherEngine::for_graph(&narrow);
     let run = |graph: &LogicalGraph| {
         let before = allocations();
         let table = black_box(
@@ -222,8 +212,8 @@ fn clause_table_keys_cost_the_same_however_wide_the_key_values() {
         assert!(table.rows.iter().all(|row| row[1] == Value::Int(1)));
         spent
     };
-    // The first runs also start the telemetry registry and build each
-    // graph's element index.
+    // The first runs also start the worker pool and build each graph's
+    // element index.
     run(&narrow);
     run(&wide);
     assert_eq!(run(&wide), run(&narrow));

@@ -119,7 +119,7 @@ fn a_repartition_join_of_last_held_inputs_allocates_per_chunk_of_output_rows() {
         spent
     };
     const PAIRS: u64 = 2_048;
-    join(PAIRS); // the first stage also starts the telemetry registry
+    join(PAIRS); // the first stage also starts the worker pool
     let (once, twice) = (join(PAIRS), join(2 * PAIRS));
     // This thread commits every output row: 2 048, 2 048 and 4 096 rows of
     // three id columns, 2 427 of which fill a chunk. The run of 4 096 rows
@@ -172,7 +172,7 @@ fn outer_join_tables_cost_the_same_however_many_keys_they_hold() {
         }),
     ];
     for (name, join) in joins {
-        spent(join, 1); // the first stage also starts the telemetry registry
+        spent(join, 1); // the first stage also starts the worker pool
         let (one_key, every_key) = (spent(join, 1), spent(join, ROWS));
         assert!(
             one_key.abs_diff(every_key) < 8,
@@ -197,7 +197,7 @@ fn grouping_costs_the_same_however_many_groups_it_holds() {
         assert_eq!(sums.len_untracked() as u64, groups);
         spent
     };
-    spent(1); // the first stage also starts the telemetry registry
+    spent(1); // the first stage also starts the worker pool
     let (one_group, every_group) = (spent(1), spent(ROWS));
     assert!(
         one_group.abs_diff(every_group) < 32,
@@ -225,7 +225,7 @@ fn an_adjacency_index_costs_the_same_however_many_keys_it_holds() {
         spent
     };
     for (name, replicated) in [("partitioned", false), ("replicated", true)] {
-        spent(1, replicated); // the first stage also starts the telemetry registry
+        spent(1, replicated); // the first stage also starts the worker pool
         let (one_key, every_key) = (spent(1, replicated), spent(ROWS, replicated));
         assert_eq!(
             one_key, every_key,

@@ -181,32 +181,7 @@ impl ExecutionEnvironment {
     /// the trace sink. Used by recovery stages (checkpoint rollbacks) whose
     /// reports are built by the bulk-iteration driver and must bypass the
     /// fault injector.
-    ///
-    /// Every finished stage funnels through here, so this is also where the
-    /// process-wide [`MetricsRegistry`](crate::telemetry::MetricsRegistry)
-    /// is fed — pre-interned handles, pure atomic updates.
     pub(crate) fn submit_report(&self, report: StageReport) {
-        let telemetry = crate::telemetry::stage_telemetry();
-        telemetry.stages.add(1);
-        telemetry.records_in.add(report.records_in);
-        telemetry.records_out.add(report.records_out);
-        telemetry.bytes_shuffled.add(report.bytes_shuffled);
-        telemetry.bytes_spilled.add(report.bytes_spilled);
-        telemetry
-            .recovery_attempts
-            .add(report.attempts.saturating_sub(1));
-        telemetry
-            .scratch_allocations
-            .add(report.scratch_allocations);
-        telemetry.stage_seconds.observe(report.seconds);
-        telemetry
-            .stage_records_out
-            .observe(report.records_out as f64);
-        if (report.peak_memory_bytes as f64) > telemetry.peak_memory_bytes.get() {
-            telemetry
-                .peak_memory_bytes
-                .set(report.peak_memory_bytes as f64);
-        }
         locked(&self.inner.metrics).record(&report);
         if let Some(sink) = self.trace_sink() {
             sink.on_stage(&report);

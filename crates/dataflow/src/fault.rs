@@ -577,18 +577,6 @@ pub(crate) fn finish_stage_with_faults(
     report.restored_bytes += restored_bytes;
     report.seconds += recovery;
 
-    let registry = crate::telemetry::MetricsRegistry::global();
-    for event in events {
-        match &event.kind {
-            FaultKind::WorkerCrash => registry.counter("fault.worker_crashes").add(1),
-            FaultKind::LostPartition => registry.counter("fault.lost_partitions").add(1),
-            FaultKind::Straggler { .. } => registry.counter("fault.stragglers").add(1),
-        }
-    }
-    if recovery > 0.0 {
-        registry.gauge("fault.recovery_seconds_total").add(recovery);
-    }
-
     let failure = exhausted.then(|| ExecutionFailure {
         site: format!("stage `{}`", report.name),
         attempts: failures,

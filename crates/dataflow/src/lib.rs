@@ -46,7 +46,6 @@ pub mod outer_join;
 pub mod partition;
 pub mod pool;
 pub mod reduce;
-pub mod telemetry;
 pub mod topk;
 pub mod trace;
 
@@ -64,5 +63,4 @@ pub use iterate::bulk_iterate_with_results;
 pub use join::JoinStrategy;
 pub use json::JsonValue;
 pub use partition::{partition_for, PartitionKey, Partitioning, TableHasher};
-pub use telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
 pub use trace::{CollectedTrace, CollectingSink, SpanRecord, TraceSink};

@@ -34,7 +34,7 @@
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::Thread;
 
@@ -70,8 +70,6 @@ struct Batch {
     pending: AtomicUsize,
     /// Payload of the first task that panicked, re-raised on the submitter.
     panic: Mutex<Option<Box<dyn Any + Send>>>,
-    /// Whether a pool thread ran at least one task.
-    helped: AtomicBool,
     submitter: Thread,
 }
 
@@ -91,9 +89,6 @@ impl Batch {
             if index >= self.n {
                 return;
             }
-            if helper {
-                self.helped.store(true, Ordering::Relaxed);
-            }
             if let Err(payload) = catch_unwind(AssertUnwindSafe(|| (self.task)(index))) {
                 self.panic
                     .lock()
@@ -101,7 +96,7 @@ impl Batch {
                     .get_or_insert(payload);
             }
             // Release, paired with the submitter's Acquire load: everything
-            // the task wrote (its output slot, `helped`, `panic`) is visible
+            // the task wrote (its output slot, `panic`) is visible
             // to the submitter once it reads zero.
             if self.pending.fetch_sub(1, Ordering::Release) == 1 && helper {
                 self.submitter.unpark();
@@ -214,7 +209,6 @@ fn run_tasks(n: usize, task: &(dyn Fn(usize) + Sync)) {
         next: AtomicUsize::new(0),
         pending: AtomicUsize::new(n),
         panic: Mutex::new(None),
-        helped: AtomicBool::new(false),
         submitter: std::thread::current(),
     });
     let wake = {
@@ -237,11 +231,6 @@ fn run_tasks(n: usize, task: &(dyn Fn(usize) + Sync)) {
         // from an earlier batch only costs one more turn of this loop.
         std::thread::park();
     }
-    let telemetry = crate::telemetry::pool_telemetry();
-    telemetry.batches.add(1);
-    telemetry
-        .helped_batches
-        .add(u64::from(batch.helped.load(Ordering::Relaxed)));
     let payload = batch
         .panic
         .lock()
@@ -451,6 +440,30 @@ mod tests {
             .expect("nested submission deadlocked");
         let expected: Vec<u64> = (0..8).map(|p| 3 * (2 * p + 1)).collect();
         assert_eq!(sums, expected);
+    }
+
+    /// On more than one core a pool thread really runs tasks: the two tasks
+    /// meet at a barrier, so the stage finishes only if a pool thread ran
+    /// one of them while the submitter ran the other.
+    #[test]
+    fn a_pool_thread_runs_a_task() {
+        if std::thread::available_parallelism().map_or(1, |n| n.get()) == 1 {
+            return;
+        }
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let rendezvous = std::sync::Barrier::new(2);
+            let parts = vec![vec![1u32], vec![2u32]];
+            let sums = map_partitions(&parts, |_, part| {
+                rendezvous.wait();
+                part.iter().sum::<u32>()
+            });
+            done.send(sums).unwrap();
+        });
+        let sums = finished
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("no pool thread ran a task");
+        assert_eq!(sums, vec![1, 2]);
     }
 
     /// More submitters than threads, all on the one pool: every stage must

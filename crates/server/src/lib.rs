@@ -24,6 +24,7 @@
 
 pub mod admission;
 pub mod deadline;
+mod latency;
 pub mod server;
 pub mod snapshot;
 

@@ -24,10 +24,11 @@ use gradoop_core::{
     TableResult, DEFAULT_PLAN_CAPACITY,
 };
 use gradoop_cypher::Literal;
-use gradoop_dataflow::{Counter, ExecutionFailure, Histogram, MetricsRegistry};
+use gradoop_dataflow::ExecutionFailure;
 
 use crate::admission::{AdmissionGate, AdmissionRejected};
 use crate::deadline::{DeadlineSink, DEADLINE_SITE};
+use crate::latency::Histogram;
 use crate::snapshot::GraphSnapshot;
 
 /// Tuning knobs of a [`QueryServer`].
@@ -90,14 +91,13 @@ impl std::fmt::Display for ServerError {
 
 impl std::error::Error for ServerError {}
 
-/// Per-server counters: local (exact, test-friendly) instruments that are
-/// mirrored into the process-wide [`MetricsRegistry`].
+/// Per-server counters, read by [`QueryServer::stats`].
 #[derive(Debug, Default)]
 struct ServerCounters {
-    queries: Counter,
-    rejected: Counter,
-    deadline_exceeded: Counter,
-    failed: Counter,
+    queries: AtomicU64,
+    rejected: AtomicU64,
+    deadline_exceeded: AtomicU64,
+    failed: AtomicU64,
     latency: Histogram,
 }
 
@@ -112,7 +112,8 @@ pub struct ServerStats {
     pub deadline_exceeded: u64,
     /// Queries that failed for any other reason.
     pub failed: u64,
-    /// p99 of end-to-end query latency in seconds (bucketed estimate).
+    /// p99 of end-to-end query latency in seconds (bucketed estimate, at
+    /// most 1/8 octave above the true value).
     pub p99_latency_seconds: f64,
     /// Plan-cache counters.
     pub plan_cache: PlanCacheStats,
@@ -208,18 +209,13 @@ impl QueryServer {
     /// Point-in-time activity counters.
     pub fn stats(&self) -> ServerStats {
         ServerStats {
-            queries: self.counters.queries.get(),
-            rejected: self.counters.rejected.get(),
-            deadline_exceeded: self.counters.deadline_exceeded.get(),
-            failed: self.counters.failed.get(),
+            queries: self.counters.queries.load(Ordering::Relaxed),
+            rejected: self.counters.rejected.load(Ordering::Relaxed),
+            deadline_exceeded: self.counters.deadline_exceeded.load(Ordering::Relaxed),
+            failed: self.counters.failed.load(Ordering::Relaxed),
             p99_latency_seconds: self.counters.latency.quantile(0.99),
             plan_cache: self.plan_cache.stats(),
         }
-    }
-
-    /// Process-wide registry instruments the server mirrors into.
-    fn registry_counter(name: &str) -> Arc<Counter> {
-        MetricsRegistry::global().counter(name)
     }
 }
 
@@ -290,14 +286,12 @@ impl Session {
         let permit = match server.admission.admit(server.config.admission_timeout) {
             Ok(permit) => permit,
             Err(rejected) => {
-                server.counters.rejected.add(1);
-                QueryServer::registry_counter("server.admission.rejected").add(1);
+                server.counters.rejected.fetch_add(1, Ordering::Relaxed);
                 self.errors.fetch_add(1, Ordering::Relaxed);
                 return Err(ServerError::Overloaded(rejected));
             }
         };
-        server.counters.queries.add(1);
-        QueryServer::registry_counter("server.queries").add(1);
+        server.counters.queries.fetch_add(1, Ordering::Relaxed);
         self.queries.fetch_add(1, Ordering::Relaxed);
 
         let (env, graph) = server.snapshot.attach();
@@ -331,21 +325,19 @@ impl Session {
         let elapsed = started.elapsed().as_secs_f64();
         server.counters.latency.observe(elapsed);
         self.latency.observe(elapsed);
-        MetricsRegistry::global()
-            .histogram("server.query.latency_seconds")
-            .observe(elapsed);
 
         match outcome {
             Ok(table) => Ok(table),
             Err(CypherError::Execution(failure)) if failure.site == DEADLINE_SITE => {
-                server.counters.deadline_exceeded.add(1);
-                QueryServer::registry_counter("server.deadline.exceeded").add(1);
+                server
+                    .counters
+                    .deadline_exceeded
+                    .fetch_add(1, Ordering::Relaxed);
                 self.errors.fetch_add(1, Ordering::Relaxed);
                 Err(ServerError::DeadlineExceeded(failure))
             }
             Err(error) => {
-                server.counters.failed.add(1);
-                QueryServer::registry_counter("server.queries.failed").add(1);
+                server.counters.failed.fetch_add(1, Ordering::Relaxed);
                 self.errors.fetch_add(1, Ordering::Relaxed);
                 Err(ServerError::Query(error))
             }

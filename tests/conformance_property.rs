@@ -57,4 +57,7 @@ fn engine_matches_reference_on_random_cases() {
     assert!(report.features.negation > 0);
     assert!(report.features.var_length > 0);
     assert!(report.features.is_null > 0);
+    // Some case's projection repeats a row, so an engine that skipped
+    // `DISTINCT` would disagree with the reference on it.
+    assert!(report.features.distinct_removed > 0, "{}", report.summary());
 }
