@@ -193,8 +193,6 @@ pub struct WorkerCost {
     pub bytes_received: u64,
     /// Bytes this worker spilled to disk and re-read.
     pub bytes_spilled: u64,
-    /// Extra CPU seconds (e.g. hash-table build, sorting).
-    pub extra_cpu_seconds: f64,
     /// Bytes this worker wrote to durable storage for a checkpoint.
     pub bytes_checkpointed: u64,
     /// Bytes this worker re-read from durable storage (and re-shipped)
@@ -212,8 +210,7 @@ pub struct WorkerCost {
 impl WorkerCost {
     /// Simulated seconds this worker is busy in the stage.
     pub fn seconds(&self, model: &CostModel) -> f64 {
-        let cpu = (self.records_in + self.records_out) as f64 * model.cpu_seconds_per_record
-            + self.extra_cpu_seconds;
+        let cpu = (self.records_in + self.records_out) as f64 * model.cpu_seconds_per_record;
         let wire_bytes = (self.bytes_sent + self.bytes_received) as f64;
         let ser = wire_bytes * model.ser_seconds_per_byte;
         let net = wire_bytes / model.network_bytes_per_second;
@@ -247,6 +244,27 @@ impl StageCosts {
     /// Mutable access to the cost slot of one worker.
     pub fn worker(&mut self, index: usize) -> &mut WorkerCost {
         &mut self.workers[index]
+    }
+
+    /// What worker `index` has been charged so far.
+    pub(crate) fn charged(&self, index: usize) -> WorkerCost {
+        self.workers[index]
+    }
+
+    /// Charges worker `i` for reading `partitions[i]`. A stage charges what
+    /// it reads before its tasks run, so a stage whose task fails still
+    /// counts its inputs.
+    pub(crate) fn read<T>(&mut self, partitions: &[Vec<T>]) {
+        for (w, part) in self.workers.iter_mut().zip(partitions) {
+            w.records_in += part.len() as u64;
+        }
+    }
+
+    /// Charges every worker for reading all `records` of a replicated input.
+    pub(crate) fn read_replicated(&mut self, records: u64) {
+        for w in &mut self.workers {
+            w.records_in += records;
+        }
     }
 
     /// Bytes sent over the network so far in this stage, summed over all

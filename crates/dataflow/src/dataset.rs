@@ -14,7 +14,6 @@ use std::sync::Arc;
 use crate::data::Data;
 use crate::env::ExecutionEnvironment;
 use crate::partition::{shuffle_by_key, PartitionKey, Partitioning, TableHasher};
-use crate::pool::map_partitions;
 
 /// A distributed collection: one partition per simulated worker.
 ///
@@ -204,47 +203,17 @@ impl<T: Data> Dataset<T> {
     where
         F: Fn(&[T], &mut Vec<O>) + Sync,
     {
-        let workers = env.workers();
-        let records_in =
-            |i: usize| -> u64 { inputs.iter().map(|d| d.partitions[i].len() as u64).sum() };
         let mut stage = env.stage(name);
-        let attempt = crate::pool::try_run_indexed(workers, |i| {
+        for input in inputs {
+            stage.read(input.partitions());
+        }
+        let outputs = env.run_stage(stage, |i, _| {
             let mut out = Vec::new();
             for input in inputs {
                 f(&input.partitions[i], &mut out);
             }
             out
         });
-        let outputs: Vec<Vec<O>> = match attempt {
-            Ok(outputs) => {
-                for (i, out) in outputs.iter().enumerate() {
-                    let w = stage.worker(i);
-                    w.records_in += records_in(i);
-                    w.records_out += out.len() as u64;
-                }
-                outputs
-            }
-            // A genuinely panicking operator closure: with fault tolerance
-            // enabled it poisons the environment (the engine discards the
-            // stage's output and surfaces a classified error); without it,
-            // fail fast as before.
-            Err(panic) if env.faults_installed() => {
-                env.record_execution_failure(crate::fault::ExecutionFailure {
-                    site: format!("stage `{name}` (worker {})", panic.worker),
-                    attempts: 1,
-                    message: format!("worker panicked: {}", panic.message),
-                });
-                for i in 0..workers {
-                    stage.worker(i).records_in += records_in(i);
-                }
-                (0..workers).map(|_| Vec::new()).collect()
-            }
-            Err(panic) => panic!(
-                "partition worker {} panicked: {}",
-                panic.worker, panic.message
-            ),
-        };
-        env.finish_stage(stage);
         Dataset::from_partitions(env.clone(), outputs).assume_partitioning(kept)
     }
 
@@ -364,7 +333,9 @@ impl<T: Data + Hash + Eq> Dataset<T> {
             std::hash::Hasher::finish(&hasher)
         });
         let mut stage = self.env.stage("distinct");
-        let outputs: Vec<Vec<T>> = map_partitions(shuffled.partitions(), |_, part| {
+        stage.read(shuffled.partitions());
+        let outputs = self.env.run_stage(stage, |i, _| {
+            let part = &shuffled.partitions()[i];
             let mut seen = std::collections::HashSet::with_capacity_and_hasher(
                 part.len(),
                 TableHasher::default(),
@@ -377,12 +348,6 @@ impl<T: Data + Hash + Eq> Dataset<T> {
             }
             out
         });
-        for (i, (inp, out)) in shuffled.partitions().iter().zip(&outputs).enumerate() {
-            let w = stage.worker(i);
-            w.records_in += inp.len() as u64;
-            w.records_out += out.len() as u64;
-        }
-        self.env.finish_stage(stage);
         Dataset::from_partitions(self.env.clone(), outputs)
     }
 }

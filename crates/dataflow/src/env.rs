@@ -3,12 +3,13 @@
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use crate::cost::{CostModel, ExecutionMetrics, StageCosts, StageReport};
+use crate::cost::{CostModel, ExecutionMetrics, StageCosts, StageReport, WorkerCost};
 use crate::data::Data;
 use crate::dataset::Dataset;
 use crate::fault::{
     finish_stage_with_faults, ExecutionFailure, FaultConfig, FaultEvent, FaultInjector,
 };
+use crate::pool::{propagate, try_run_indexed};
 use crate::trace::{SpanRecord, TraceSink};
 
 /// Configuration of a simulated cluster.
@@ -177,6 +178,54 @@ impl ExecutionEnvironment {
         self.submit_report(report);
     }
 
+    /// Runs `stage` as one task per partition on the worker pool and
+    /// finishes it: the one body of every partition-parallel stage.
+    ///
+    /// The caller charges on `stage` what it knows before the tasks run —
+    /// shipping, replication and records in. Task `i` computes partition
+    /// `i`'s output and adds what it computes (build memory and spill, sort
+    /// bytes sent) to a copy of worker `i`'s cost; the runner counts the
+    /// output's records and stores the copy back once every task finished.
+    ///
+    /// A panicking task fails the stage under one policy. With fault
+    /// tolerance installed, the panic is recorded as the environment's
+    /// execution failure at ``stage `<name>` (worker i)``, the stage keeps
+    /// only what the caller charged, and every output is empty. Without it,
+    /// the calling thread panics with `partition worker {i} panicked: {message}`.
+    pub(crate) fn run_stage<R, F>(&self, mut stage: StageCosts, task: F) -> Vec<R>
+    where
+        R: TaskOutput,
+        F: Fn(usize, &mut WorkerCost) -> R + Sync,
+    {
+        let workers = self.workers();
+        let attempt = try_run_indexed(workers, &|i| {
+            let mut cost = stage.charged(i);
+            let out = task(i, &mut cost);
+            cost.records_out += out.records();
+            (out, cost)
+        });
+        let outputs = match attempt {
+            Ok(done) => done
+                .enumerate()
+                .map(|(i, (out, cost))| {
+                    *stage.worker(i) = cost;
+                    out
+                })
+                .collect(),
+            Err(panic) if self.faults_installed() => {
+                self.record_execution_failure(ExecutionFailure {
+                    site: format!("stage `{}` (worker {})", stage.name(), panic.worker),
+                    attempts: 1,
+                    message: format!("worker panicked: {}", panic.message),
+                });
+                (0..workers).map(|_| R::default()).collect()
+            }
+            Err(panic) => propagate(panic),
+        };
+        self.finish_stage(stage);
+        outputs
+    }
+
     /// Folds an already-finalized stage report into the metrics and notifies
     /// the trace sink. Used by recovery stages (checkpoint rollbacks) whose
     /// reports are built by the bulk-iteration driver and must bypass the
@@ -295,6 +344,19 @@ impl ExecutionEnvironment {
     /// Creates an empty dataset.
     pub fn empty<T: Data>(&self) -> Dataset<T> {
         Dataset::from_partitions(self.clone(), vec![Vec::new(); self.workers()])
+    }
+}
+
+/// What one task of [`ExecutionEnvironment::run_stage`] returns: the
+/// output of its partition, empty (`Default`) when the stage failed.
+pub(crate) trait TaskOutput: Default + Send {
+    /// Records the output holds, charged as the worker's records out.
+    fn records(&self) -> u64;
+}
+
+impl<T: Send> TaskOutput for Vec<T> {
+    fn records(&self) -> u64 {
+        self.len() as u64
     }
 }
 

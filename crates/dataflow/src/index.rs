@@ -26,17 +26,18 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use crate::cost::WorkerCost;
 use crate::data::Data;
 use crate::dataset::Dataset;
-use crate::env::ExecutionEnvironment;
+use crate::env::{ExecutionEnvironment, TaskOutput};
 use crate::join::{bytes_of, charge_build, charge_replication, ship_side};
 use crate::partition::{PartitionKey, TableHasher};
-use crate::pool::map_partitions;
+use crate::pool::Handoff;
 
 /// One compressed-sparse-row layout: every key's `(neighbor, edge)` run,
 /// sorted, back to back in one `Vec`, and where each key's run lies. Its
 /// allocations do not depend on how many keys it holds.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Csr {
     /// Key → index of its run.
     runs: HashMap<u64, u32, TableHasher>,
@@ -99,6 +100,13 @@ impl Csr {
     }
 }
 
+/// A build task's layout; an index emits no records.
+impl TaskOutput for Csr {
+    fn records(&self) -> u64 {
+        0
+    }
+}
+
 /// Sorted `(neighbor, edge)` candidates per key, partitioned or replicated
 /// (see the module docs). Cloning shares the layouts.
 #[derive(Debug, Clone)]
@@ -130,14 +138,20 @@ impl AdjacencyIndex {
         let key = |row: &T| triple(row).0;
         let placed = ship_side(rows, Some(key_id), &key, &mut stage);
         let build_shuffled_bytes = stage.bytes_sent_total();
-        let csrs = map_partitions(&placed, |_, part| Csr::build(part.iter(), &triple));
         let memory = env.cost_model().memory_per_worker;
-        for (i, part) in placed.iter().enumerate() {
-            let w = stage.worker(i);
-            w.records_in += part.len() as u64;
-            charge_build(w, bytes_of(part), memory);
-        }
-        env.finish_stage(stage);
+        let build = |part: &[T], cost: &mut WorkerCost| {
+            charge_build(cost, bytes_of(part), memory);
+            Csr::build(part.iter(), &triple)
+        };
+        // A task that owns its partition drops the rows once its layout is
+        // built, so the shipped rows and the layouts do not all coexist.
+        let csrs = match Arc::try_unwrap(placed) {
+            Ok(owned) => {
+                let owned = Handoff::new(owned);
+                env.run_stage(stage, |i, cost| build(&owned.take(i), cost))
+            }
+            Err(shared) => env.run_stage(stage, |i, cost| build(&shared[i], cost)),
+        };
         AdjacencyIndex {
             records,
             env,
@@ -159,11 +173,10 @@ impl AdjacencyIndex {
         let env = rows.env().clone();
         let mut stage = env.stage("wco(build-adjacency)");
         let total_bytes = charge_replication(rows.partitions(), &mut stage);
+        stage.read(rows.partitions());
         let memory = env.cost_model().memory_per_worker;
-        for (i, part) in rows.partitions().iter().enumerate() {
-            let w = stage.worker(i);
-            w.records_in += part.len() as u64;
-            charge_build(w, total_bytes, memory);
+        for i in 0..env.workers() {
+            charge_build(stage.worker(i), total_bytes, memory);
         }
         let build_shuffled_bytes = stage.bytes_sent_total();
         let csr = Csr::build(rows.partitions().iter().flatten(), triple);
@@ -236,22 +249,15 @@ impl AdjacencyIndex {
         let mut stage = env.stage("join(probe-index)");
         let probe_parts = ship_side(probe, self.key, &probe_key, &mut stage);
 
-        let outputs: Vec<Vec<O>> = map_partitions(&probe_parts, |i, part| {
+        let outputs = env.run_stage(stage, |i, _| {
             let mut out = Vec::new();
-            for p in part {
+            for p in &probe_parts[i] {
                 for &(neighbor, edge) in self.candidates(i, probe_key(p)) {
                     out.extend(join_fn(p, neighbor, edge));
                 }
             }
             out
         });
-
-        for (i, (inp, out)) in probe_parts.iter().zip(&outputs).enumerate() {
-            let w = stage.worker(i);
-            w.records_in += inp.len() as u64;
-            w.records_out += out.len() as u64;
-        }
-        env.finish_stage(stage);
         Dataset::from_partitions(env, outputs)
     }
 }

@@ -20,7 +20,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use crate::data::Data;
 use crate::dataset::Dataset;
 use crate::index::AdjacencyIndex;
-use crate::pool::map_partitions;
 
 /// Counters of one [`probe_intersect`] run, surfaced through PROFILE as
 /// `wco: intersected=…` next to the ordinary rows-out count.
@@ -157,13 +156,14 @@ where
         indexes.iter().all(|index| index.partition_key().is_none()),
         "the intersection reads replicated indexes"
     );
-    let outputs: Vec<Vec<O>> = map_partitions(parts, |worker, rows| {
+    stage.read(parts);
+    let outputs = env.run_stage(stage, |worker, _| {
         let mut out = Vec::new();
         let mut key_scratch = Vec::new();
         let mut lists: Vec<&[(u64, u64)]> = Vec::new();
         let mut scratch = LeapfrogScratch::default();
         let mut fetched = 0u64;
-        for row in rows {
+        for row in &parts[worker] {
             key_scratch.clear();
             keys(row, &mut key_scratch);
             debug_assert_eq!(
@@ -191,13 +191,6 @@ where
         rows_intersected.fetch_add(fetched, Ordering::Relaxed);
         out
     });
-    for (i, (rows, out)) in parts.iter().zip(&outputs).enumerate() {
-        let w = stage.worker(i);
-        w.records_in += rows.len() as u64;
-        w.records_out += out.len() as u64;
-    }
-    env.finish_stage(stage);
-
     let stats = IntersectStats {
         rows_intersected: rows_intersected.load(Ordering::Relaxed),
         rows_emitted: outputs.iter().map(|p| p.len() as u64).sum(),

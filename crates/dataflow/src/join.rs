@@ -44,7 +44,6 @@ use crate::cost::{StageCosts, WorkerCost};
 use crate::data::Data;
 use crate::dataset::Dataset;
 use crate::partition::{shuffle_by_key, PartitionKey, Partitioning, TableHasher};
-use crate::pool::{map_partition_pairs, map_partitions};
 
 /// Shipping strategy for an equi-join; the local strategy is always a hash
 /// join.
@@ -91,6 +90,7 @@ pub(crate) enum BuildSide {
 /// Ships one join side and returns its partitions: the dataset's own,
 /// untouched (FORWARD, free), when its fingerprint already matches the named
 /// join key, else the output of a full `shuffle_by_key` charged to `stage`.
+/// Either way each worker is charged for reading the rows that arrived.
 pub(crate) fn ship_side<T, K, F>(
     side: Dataset<T>,
     key_id: Option<PartitionKey>,
@@ -109,11 +109,13 @@ where
                 workers: side.env().workers(),
             })
     });
-    if forwarded {
+    let shipped = if forwarded {
         side.into_partitions()
     } else {
         Arc::new(shuffle_by_key(side.into_partitions(), key, stage))
-    }
+    };
+    stage.read(&shipped);
+    shipped
 }
 
 /// The build side of a local hash join and the index of a group-by: key →
@@ -291,9 +293,9 @@ impl<T: Data> Dataset<T> {
     /// the last handle, FORWARD when the fingerprint already matches
     /// `key_id`), builds one [`ChainedTable`] per partition over the side
     /// `build` names, runs `probe(left, right, built side, table)` per
-    /// partition pair on the pool, and charges each worker the records it
-    /// read and wrote plus the peak memory, one scratch allocation and the
-    /// spill overflow of the side it built.
+    /// partition pair as one task of the stage runner, and charges each
+    /// worker the records it read and wrote plus the peak memory, one
+    /// scratch allocation and the spill overflow of the side it built.
     pub(crate) fn repartition_join<R, K, O, KL, KR, F>(
         self,
         name: &'static str,
@@ -316,32 +318,17 @@ impl<T: Data> Dataset<T> {
         let left_parts = ship_side(self, key_id, left_key, &mut stage);
         let right_parts = ship_side(right, key_id, right_key, &mut stage);
 
-        let outputs: Vec<Vec<O>> = map_partition_pairs(&left_parts, &right_parts, |_, l, r| {
+        let memory = env.cost_model().memory_per_worker;
+        let outputs = env.run_stage(stage, |i, cost| {
+            let (l, r) = (&left_parts[i], &right_parts[i]);
             let side = build.side(l.len(), r.len());
-            let table = match side {
-                BuildSide::Left => ChainedTable::build(l, left_key),
-                BuildSide::Right => ChainedTable::build(r, right_key),
+            let (table, build_bytes) = match side {
+                BuildSide::Left => (ChainedTable::build(l, left_key), bytes_of(l)),
+                BuildSide::Right => (ChainedTable::build(r, right_key), bytes_of(r)),
             };
+            charge_build(cost, build_bytes, memory);
             probe(l, r, side, &table)
         });
-
-        let memory = env.cost_model().memory_per_worker;
-        for (i, ((l, r), out)) in left_parts
-            .iter()
-            .zip(right_parts.iter())
-            .zip(&outputs)
-            .enumerate()
-        {
-            let build_bytes = match build.side(l.len(), r.len()) {
-                BuildSide::Left => bytes_of(l),
-                BuildSide::Right => bytes_of(r),
-            };
-            let w = stage.worker(i);
-            w.records_in += (l.len() + r.len()) as u64;
-            w.records_out += out.len() as u64;
-            charge_build(w, build_bytes, memory);
-        }
-        env.finish_stage(stage);
         // Both sides now sit on partition_for(join key), and every output
         // row carries that key value: the output is partitioned on it.
         let stamp = key_id.map(|key| Partitioning {
@@ -376,16 +363,21 @@ impl<T: Data> Dataset<T> {
         let broadcast: Vec<&R> = right.partitions().iter().flatten().collect();
         let total_bytes = charge_replication(right.partitions(), &mut stage);
 
-        // Each worker builds over its smaller local side: the stationary
-        // fragment or the full broadcast set; the accounting below charges
-        // the side actually built.
+        // Each worker reads its stationary fragment and the full broadcast
+        // set, builds over the smaller of the two and charges the side it
+        // built.
+        stage.read(self.partitions());
+        stage.read_replicated(broadcast.len() as u64);
         let broadcast_key = |r: &&R| right_key(r);
-        let outputs: Vec<Vec<O>> = map_partitions(self.partitions(), |_, left| {
+        let memory = env.cost_model().memory_per_worker;
+        let outputs = env.run_stage(stage, |i, cost| {
+            let left = &self.partitions()[i];
             let side = Build::Smaller.side(left.len(), broadcast.len());
-            let table = match side {
-                BuildSide::Left => ChainedTable::build(left, &left_key),
-                BuildSide::Right => ChainedTable::build(&broadcast, broadcast_key),
+            let (table, build_bytes) = match side {
+                BuildSide::Left => (ChainedTable::build(left, &left_key), bytes_of(left)),
+                BuildSide::Right => (ChainedTable::build(&broadcast, broadcast_key), total_bytes),
             };
+            charge_build(cost, build_bytes, memory);
             probe_inner(
                 left,
                 &broadcast,
@@ -396,20 +388,6 @@ impl<T: Data> Dataset<T> {
                 |l: &T, r: &&R| join_fn(l, r),
             )
         });
-
-        let right_records = broadcast.len() as u64;
-        let memory = env.cost_model().memory_per_worker;
-        for (i, (left, out)) in self.partitions().iter().zip(&outputs).enumerate() {
-            let build_bytes: u64 = match Build::Smaller.side(left.len(), broadcast.len()) {
-                BuildSide::Left => bytes_of(left),
-                BuildSide::Right => total_bytes,
-            };
-            let w = stage.worker(i);
-            w.records_in += left.len() as u64 + right_records;
-            w.records_out += out.len() as u64;
-            charge_build(w, build_bytes, memory);
-        }
-        env.finish_stage(stage);
         // Outputs stay on the stationary side's workers, so its fingerprint
         // carries over when it already matches the named join key.
         let stamp = key_id.and_then(|key| {

@@ -28,11 +28,11 @@
 
 use std::collections::hash_map::{DefaultHasher, RandomState};
 use std::hash::{BuildHasher, Hash, Hasher};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use crate::cost::StageCosts;
 use crate::data::Data;
-use crate::pool::run_indexed;
+use crate::pool::{run_indexed, Handoff};
 
 /// Identity of a *semantic* partitioning key, e.g. "the edge source id" or
 /// "the values of join variables `[a, b]`". Two datasets partitioned under
@@ -246,7 +246,7 @@ where
 {
     let workers = partitions.len();
     // The last holder's partitions are ours to take apart, one per worker.
-    let sources = Arc::try_unwrap(partitions).map(Mutex::new);
+    let sources = Arc::try_unwrap(partitions).map(Handoff::new);
     // Phase 1 (parallel): per source, one (entries, bytes moved) bucket per
     // target worker.
     let routed: Vec<Vec<(Vec<E>, u64)>> = run_indexed(workers, |index| {
@@ -261,13 +261,7 @@ where
             entries.push(entry(k, item));
         };
         match &sources {
-            Ok(owned) => {
-                // The guard is released before the rows are routed.
-                let mine = std::mem::take(
-                    &mut owned.lock().expect("held only to take a partition")[index],
-                );
-                mine.into_iter().for_each(&mut place);
-            }
+            Ok(owned) => owned.take(index).into_iter().for_each(&mut place),
             Err(shared) => shared[index].iter().for_each(|item| place(item.clone())),
         }
         buckets

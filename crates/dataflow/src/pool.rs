@@ -22,14 +22,18 @@
 //! is the `nproc`-th: one more thread allocating raised peak memory
 //! without making anything faster.
 //!
-//! [`try_map_partitions`] is the fault-aware entry point: a panicking
-//! operator closure is reported as a [`WorkerPanic`] instead of tearing
-//! down the driver, so environments with fault tolerance enabled can
-//! classify a genuinely crashing operator closure as an execution failure
-//! rather than aborting the process. Every task runs under `catch_unwind`
-//! before any pool lock is taken, so such a closure can neither kill a pool
-//! thread nor poison a pool mutex; the pool is as usable after the panic as
-//! before.
+//! Every dataflow stage submits its tasks through one runner, the
+//! environment's crate-private `run_stage`: one task per partition, each
+//! charging its own `WorkerCost`, and one panic policy for every stage
+//! kind. A panicking task is caught here and handed to the runner as a
+//! `WorkerPanic`; with fault tolerance installed the runner classifies
+//! it as an execution failure of its stage, without it the caller fails
+//! with `partition worker {i} panicked: {message}`. [`map_partitions`] is
+//! the one public adapter: it charges nothing and re-raises a panic the
+//! same way, for reading a dataset's partitions in parallel outside any
+//! stage. Every task runs under `catch_unwind` before any pool lock is
+//! taken, so a panicking closure can neither kill a pool thread nor poison
+//! a pool mutex; the pool is as usable after the panic as before.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -41,11 +45,11 @@ use std::thread::Thread;
 /// A worker died mid-stage. Carries the worker index and the panic
 /// payload's message, when it was a string.
 #[derive(Debug, Clone, PartialEq)]
-pub struct WorkerPanic {
+pub(crate) struct WorkerPanic {
     /// Index of the partition whose worker panicked.
-    pub worker: usize,
+    pub(crate) worker: usize,
     /// The panic message, or `"<non-string panic payload>"`.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 fn panic_message(payload: Box<dyn Any + Send>) -> String {
@@ -241,15 +245,16 @@ fn run_tasks(n: usize, task: &(dyn Fn(usize) + Sync)) {
     }
 }
 
-/// Runs `f(0)`, …, `f(n - 1)` as one batch and collects the results in
+/// Runs `f(0)`, …, `f(n - 1)` as one batch and yields the results in
 /// index order; a panicking call becomes the `WorkerPanic` of its index,
-/// the lowest index winning.
-pub(crate) fn try_run_indexed<O, F>(n: usize, f: F) -> Result<Vec<O>, WorkerPanic>
-where
-    O: Send,
-    F: Fn(usize) -> O + Sync,
-{
-    let slots: Vec<Mutex<Option<Result<O, WorkerPanic>>>> =
+/// the lowest index winning, and the other results are dropped. It yields
+/// rather than collects so that a caller which reshapes each result builds
+/// its one output `Vec` straight from the slots.
+pub(crate) fn try_run_indexed<O: Send>(
+    n: usize,
+    f: &(dyn Fn(usize) -> O + Sync),
+) -> Result<impl Iterator<Item = O>, WorkerPanic> {
+    let mut slots: Vec<Mutex<Option<Result<O, WorkerPanic>>>> =
         (0..n).map(|_| Mutex::new(None)).collect();
     run_tasks(n, &|i| {
         let result = catch_unwind(AssertUnwindSafe(|| f(i))).map_err(|payload| WorkerPanic {
@@ -258,85 +263,69 @@ where
         });
         *slots[i].lock().expect("slot written once, outside f") = Some(result);
     });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("slot written once, outside f")
-                .expect("every task ran")
-        })
-        .collect()
+    let failed = slots.iter_mut().find_map(|slot| match slot.get_mut() {
+        Ok(Some(Err(panic))) => Some(panic.clone()),
+        _ => None,
+    });
+    match failed {
+        Some(panic) => Err(panic),
+        None => Ok(slots.into_iter().map(|slot| match slot.into_inner() {
+            Ok(Some(Ok(out))) => out,
+            _ => unreachable!("every task ran and none panicked"),
+        })),
+    }
 }
 
-/// [`try_run_indexed`], re-raising a task's panic on the calling thread.
+/// [`try_run_indexed`], collected, re-raising a task's panic on the calling
+/// thread.
 pub(crate) fn run_indexed<O, F>(n: usize, f: F) -> Vec<O>
 where
     O: Send,
     F: Fn(usize) -> O + Sync,
 {
-    try_run_indexed(n, f).unwrap_or_else(|p| propagate(p))
+    match try_run_indexed(n, &f) {
+        Ok(outputs) => outputs.collect(),
+        Err(panic) => propagate(panic),
+    }
 }
 
 /// Applies `f` to every partition concurrently and collects the results in
 /// partition order. `f` receives the partition index and the partition's
-/// elements.
+/// elements. Charges no stage: dataflow stages run through the
+/// environment's one stage runner; this is for reading a dataset's
+/// partitions in parallel outside any stage (decoding a query result).
 pub fn map_partitions<I, O, F>(partitions: &[Vec<I>], f: F) -> Vec<O>
 where
     I: Sync,
     O: Send,
     F: Fn(usize, &[I]) -> O + Sync,
 {
-    try_map_partitions(partitions, f).unwrap_or_else(|p| propagate(p))
+    run_indexed(partitions.len(), |i| f(i, &partitions[i]))
 }
 
-fn propagate(panic: WorkerPanic) -> ! {
+/// Fails the calling thread the way a panicking task fails a stage that
+/// has no fault tolerance installed.
+pub(crate) fn propagate(panic: WorkerPanic) -> ! {
     panic!(
         "partition worker {} panicked: {}",
         panic.worker, panic.message
     )
 }
 
-/// Like [`map_partitions`], but converts a panicking worker into an
-/// `Err(WorkerPanic)` instead of propagating the panic. On error the
-/// results of the surviving workers are discarded — a stage either
-/// completes on all partitions or not at all.
-pub fn try_map_partitions<I, O, F>(partitions: &[Vec<I>], f: F) -> Result<Vec<O>, WorkerPanic>
-where
-    I: Sync,
-    O: Send,
-    F: Fn(usize, &[I]) -> O + Sync,
-{
-    try_run_indexed(partitions.len(), |i| f(i, &partitions[i]))
-}
+/// Partitions the tasks of one batch take by value: task `i` takes
+/// partition `i`, so it may move the rows out instead of cloning them.
+pub(crate) struct Handoff<T>(Mutex<Vec<Vec<T>>>);
 
-/// [`map_partitions`] over partitions it owns: task `i` takes partition `i`
-/// by value, so it may move the rows out instead of cloning them.
-pub fn map_owned_partitions<I, O, F>(partitions: Vec<Vec<I>>, f: F) -> Vec<O>
-where
-    I: Send,
-    O: Send,
-    F: Fn(usize, Vec<I>) -> O + Sync,
-{
-    let n = partitions.len();
-    let slots = Mutex::new(partitions);
-    run_indexed(n, |i| {
-        // The guard is released before the task runs.
-        let mine = std::mem::take(&mut slots.lock().expect("held only to take a partition")[i]);
-        f(i, mine)
-    })
-}
+impl<T> Handoff<T> {
+    pub(crate) fn new(partitions: Vec<Vec<T>>) -> Self {
+        Handoff(Mutex::new(partitions))
+    }
 
-/// Variant of [`map_partitions`] for two co-partitioned inputs (e.g. the
-/// build and probe sides of a hash join after repartitioning).
-pub fn map_partition_pairs<A, B, O, F>(left: &[Vec<A>], right: &[Vec<B>], f: F) -> Vec<O>
-where
-    A: Sync,
-    B: Sync,
-    O: Send,
-    F: Fn(usize, &[A], &[B]) -> O + Sync,
-{
-    assert_eq!(left.len(), right.len(), "inputs must be co-partitioned");
-    run_indexed(left.len(), |i| f(i, &left[i], &right[i]))
+    /// Partition `i`; empty if it was taken before. The lock is held only
+    /// for the swap, so it cannot be poisoned by a task.
+    pub(crate) fn take(&self, i: usize) -> Vec<T> {
+        std::mem::take(&mut self.0.lock().unwrap_or_else(PoisonError::into_inner)[i])
+    }
 }
 
 #[cfg(test)]
@@ -344,24 +333,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn try_map_reports_worker_panics() {
-        let parts = vec![vec![1u32], vec![2], vec![3]];
-        let result = try_map_partitions(&parts, |_, p| {
-            if p == [2] {
-                panic!("worker died");
+    fn the_lowest_panicking_index_is_reported() {
+        let result = try_run_indexed(4, &|i| {
+            if i % 2 == 1 {
+                panic!("worker {i} died");
             }
-            p.len()
+            i
         });
-        let panic = result.expect_err("worker 1 must be reported");
+        let panic = result.err().expect("workers 1 and 3 died");
         assert_eq!(panic.worker, 1);
-        assert!(panic.message.contains("worker died"));
+        assert_eq!(panic.message, "worker 1 died");
     }
 
     #[test]
-    fn try_map_single_partition_reports_panics_inline() {
-        let parts = vec![vec![1u32]];
-        let result = try_map_partitions(&parts, |_, _| -> usize { panic!("boom") });
-        assert_eq!(result.expect_err("must fail").worker, 0);
+    fn a_single_task_reports_its_panic_inline() {
+        let result = try_run_indexed(1, &|_| -> usize { panic!("boom") });
+        assert_eq!(result.err().expect("must fail").worker, 0);
     }
 
     #[test]
@@ -377,24 +364,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "partition worker 1 panicked: pair died")]
-    fn map_partition_pairs_propagates_panics() {
-        let left = vec![vec![1u32], vec![2]];
-        let right = vec![vec![3u32], vec![4]];
-        let _ = map_partition_pairs(&left, &right, |i, _, _| {
-            if i == 1 {
-                panic!("pair died");
-            }
-            i
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "partition worker 0 panicked: pair died")]
-    fn map_partition_pairs_reports_a_single_partition_panic_the_same_way() {
-        let left = vec![vec![1u32]];
-        let right = vec![vec![2u32]];
-        let _ = map_partition_pairs(&left, &right, |_, _, _| -> usize { panic!("pair died") });
+    fn handoff_gives_each_partition_away_once() {
+        let handoff = Handoff::new(vec![vec![1u32, 2], vec![3]]);
+        assert_eq!(handoff.take(1), vec![3]);
+        assert_eq!(handoff.take(0), vec![1, 2]);
+        assert!(handoff.take(0).is_empty());
     }
 
     #[test]
@@ -409,14 +383,6 @@ mod tests {
         let parts = vec![vec![10u32]];
         let out = map_partitions(&parts, |_, p| p.len());
         assert_eq!(out, vec![1]);
-    }
-
-    #[test]
-    fn pairs_are_co_partitioned() {
-        let left = vec![vec![1], vec![2, 3]];
-        let right = vec![vec![10], vec![20]];
-        let out = map_partition_pairs(&left, &right, |i, l, r| i + l.len() + r.len());
-        assert_eq!(out, vec![2, 4]);
     }
 
     /// A task that submits a stage of its own must complete: the inner
@@ -501,16 +467,16 @@ mod tests {
         let parts = vec![vec![1u32], vec![2u32]];
         for failing in [0usize, 1] {
             let rendezvous = std::sync::Barrier::new(2);
-            let result = try_map_partitions(&parts, |i, part| {
+            let result = try_run_indexed(parts.len(), &|i| {
                 if parallel {
                     rendezvous.wait();
                 }
                 if i == failing {
                     panic!("stage died on {i}");
                 }
-                part.len()
+                parts[i].len()
             });
-            let panic = result.expect_err("the failing worker must be reported");
+            let panic = result.err().expect("the failing worker must be reported");
             assert_eq!(panic.worker, failing);
             assert_eq!(panic.message, format!("stage died on {failing}"));
 
@@ -523,13 +489,5 @@ mod tests {
             });
             assert_eq!(sums, vec![1, 2], "the stage after a panic runs normally");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "co-partitioned")]
-    fn mismatched_partition_counts_panic() {
-        let left: Vec<Vec<u32>> = vec![vec![]];
-        let right: Vec<Vec<u32>> = vec![vec![], vec![]];
-        let _ = map_partition_pairs(&left, &right, |_, _, _| 0);
     }
 }

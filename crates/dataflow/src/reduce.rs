@@ -14,7 +14,7 @@ use crate::data::Data;
 use crate::dataset::Dataset;
 use crate::join::ChainedTable;
 use crate::partition::shuffle_with_keys;
-use crate::pool::{map_owned_partitions, map_partitions};
+use crate::pool::Handoff;
 
 impl<T: Data> Dataset<T> {
     /// Groups elements by key (shuffling equal keys to one worker) and
@@ -44,12 +44,14 @@ impl<T: Data> Dataset<T> {
         let keyed = shuffle_with_keys(self.into_partitions(), &key, &mut shuffle_stage);
         env.finish_stage(shuffle_stage);
         let mut stage = env.stage("group_reduce");
-        for (i, part) in keyed.iter().enumerate() {
-            stage.worker(i).records_in += part.len() as u64;
-        }
-        let outputs: Vec<Vec<O>> = map_owned_partitions(keyed, |_, part| {
-            let (keys, mut rows): (Vec<K>, Vec<Option<T>>) =
-                part.into_iter().map(|(k, row)| (k, Some(row))).unzip();
+        stage.read(&keyed);
+        let keyed = Handoff::new(keyed);
+        let outputs = env.run_stage(stage, |i, _| {
+            let (keys, mut rows): (Vec<K>, Vec<Option<T>>) = keyed
+                .take(i)
+                .into_iter()
+                .map(|(k, row)| (k, Some(row)))
+                .unzip();
             let table = ChainedTable::group(&keys, |k| k);
             let mut members: Vec<T> = Vec::new();
             table
@@ -66,10 +68,6 @@ impl<T: Data> Dataset<T> {
                 })
                 .collect()
         });
-        for (i, out) in outputs.iter().enumerate() {
-            stage.worker(i).records_out += out.len() as u64;
-        }
-        env.finish_stage(stage);
         Dataset::from_partitions(env, outputs)
     }
 
@@ -97,7 +95,9 @@ impl<T: Data> Dataset<T> {
     {
         let env = self.env().clone();
         let mut stage = env.stage("count_by_key(combine)");
-        let outputs: Vec<Vec<(K, u64)>> = map_partitions(self.partitions(), |_, part| {
+        stage.read(self.partitions());
+        let outputs = env.run_stage(stage, |i, _| {
+            let part = &self.partitions()[i];
             let table = ChainedTable::group(part, key);
             table
                 .heads()
@@ -108,12 +108,6 @@ impl<T: Data> Dataset<T> {
                 })
                 .collect()
         });
-        for (i, (inp, out)) in self.partitions().iter().zip(&outputs).enumerate() {
-            let w = stage.worker(i);
-            w.records_in += inp.len() as u64;
-            w.records_out += out.len() as u64;
-        }
-        env.finish_stage(stage);
         Dataset::from_partitions(env, outputs)
     }
 }

@@ -13,7 +13,7 @@ use std::cmp::Ordering;
 
 use crate::data::Data;
 use crate::dataset::Dataset;
-use crate::pool::map_partitions;
+use crate::join::bytes_of;
 
 impl<T: Data> Dataset<T> {
     /// Total order over the whole dataset: sorts every partition locally,
@@ -27,18 +27,13 @@ impl<T: Data> Dataset<T> {
     {
         let env = self.env().clone();
         let mut stage = env.stage("order_by(full-sort)");
-        let sorted: Vec<Vec<T>> = map_partitions(self.partitions(), |_, part| {
-            let mut local: Vec<T> = part.to_vec();
+        stage.read(self.partitions());
+        let sorted = env.run_stage(stage, |i, cost| {
+            let mut local: Vec<T> = self.partitions()[i].to_vec();
             local.sort_by(&cmp);
+            cost.bytes_sent += bytes_of(&local);
             local
         });
-        for (i, part) in sorted.iter().enumerate() {
-            let w = stage.worker(i);
-            w.records_in += part.len() as u64;
-            w.records_out += part.len() as u64;
-            w.bytes_sent += part.iter().map(|t| t.byte_size() as u64).sum::<u64>();
-        }
-        env.finish_stage(stage);
         let merged = merge_sorted(sorted, &cmp, skip, usize::MAX);
         let partitions = ordered_partitions(merged, env.workers());
         Dataset::from_partitions(env, partitions)
@@ -55,20 +50,14 @@ impl<T: Data> Dataset<T> {
         let keep = skip.saturating_add(limit);
         let env = self.env().clone();
         let mut stage = env.stage("order_by(top-k)");
-        let inputs: Vec<u64> = self.partitions().iter().map(|p| p.len() as u64).collect();
-        let truncated: Vec<Vec<T>> = map_partitions(self.partitions(), |_, part| {
-            let mut local: Vec<T> = part.to_vec();
+        stage.read(self.partitions());
+        let truncated = env.run_stage(stage, |i, cost| {
+            let mut local: Vec<T> = self.partitions()[i].to_vec();
             local.sort_by(&cmp);
             local.truncate(keep);
+            cost.bytes_sent += bytes_of(&local);
             local
         });
-        for (i, part) in truncated.iter().enumerate() {
-            let w = stage.worker(i);
-            w.records_in += inputs[i];
-            w.records_out += part.len() as u64;
-            w.bytes_sent += part.iter().map(|t| t.byte_size() as u64).sum::<u64>();
-        }
-        env.finish_stage(stage);
         let merged = merge_sorted(truncated, &cmp, skip, limit);
         let partitions = ordered_partitions(merged, env.workers());
         Dataset::from_partitions(env, partitions)
