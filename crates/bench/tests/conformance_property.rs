@@ -481,16 +481,20 @@ fn forced_wco_plans_the_intersect_and_forced_binary_never_does() {
 
     let wco = plan_query_with_mode(&query, &Estimator::new(&stats), PlanMode::ForceWco).unwrap();
     assert!(
-        wco.explain.to_text().contains("wco intersect"),
+        wco.root.explain(&query).to_text().contains("wco intersect"),
         "forced-WCO triangle plan has no intersect:\n{}",
-        wco.explain.to_text()
+        wco.root.explain(&query).to_text()
     );
     let binary =
         plan_query_with_mode(&query, &Estimator::new(&stats), PlanMode::ForceBinary).unwrap();
     assert!(
-        !binary.explain.to_text().contains("wco intersect"),
+        !binary
+            .root
+            .explain(&query)
+            .to_text()
+            .contains("wco intersect"),
         "forced-binary plan contains an intersect:\n{}",
-        binary.explain.to_text()
+        binary.root.explain(&query).to_text()
     );
 
     // And the WCO execution reports its intersection work through PROFILE.

@@ -155,7 +155,7 @@ fn execute_run_profile_and_the_query_log_agree() {
 #[test]
 fn fused_filter_over_join_counts_match_the_separate_operators() {
     use gradoop_core::operators::{filter_embeddings, join_embeddings};
-    use gradoop_core::{execute_plan, plan_query, Estimator, ExplainNode, PlanNode};
+    use gradoop_core::{execute_plan, plan_query, Estimator, PlanNode, PlanOperator};
     use gradoop_dataflow::JoinStrategy;
 
     let env = ExecutionEnvironment::new(ExecutionConfig::with_workers(WORKERS));
@@ -165,29 +165,24 @@ fn fused_filter_over_join_counts_match_the_separate_operators() {
     let query = gradoop_cypher::QueryGraph::from_query(&ast).unwrap();
     let statistics = gradoop_epgm::GraphStatistics::of(&graph);
     let plan = plan_query(&query, &Estimator::new(&statistics)).unwrap();
-    let PlanNode::Filter { input, clauses } = &plan.root else {
-        panic!("expected a Filter root:\n{}", plan.explain.to_text());
-    };
-    let PlanNode::Join {
-        left,
-        right,
-        variables,
-    } = input.as_ref()
+    let text = plan.root.explain(&query).to_text();
+    let (PlanOperator::Filter { clauses }, [input]) = (&plan.root.operator, &plan.root.inputs[..])
     else {
-        panic!("expected Filter over Join:\n{}", plan.explain.to_text());
+        panic!("expected a Filter root:\n{text}");
+    };
+    let (PlanOperator::Join { variables }, [left, right]) = (&input.operator, &input.inputs[..])
+    else {
+        panic!("expected Filter over Join:\n{text}");
     };
 
     let collector = Arc::new(CollectingSink::new());
     env.set_trace_sink(Some(collector.clone()));
-    let walk = |node: &PlanNode, explain: &ExplainNode| {
-        execute_plan(node, explain, &query, &graph, &matching, &collector)
-    };
-    let (fused, filter) = walk(&plan.root, &plan.explain);
+    let walk = |node: &PlanNode| execute_plan(node, &query, &graph, &matching, &collector);
+    let (fused, filter) = walk(&plan.root);
     let join = &filter.children[0];
 
-    let join_explain = &plan.explain.children[0];
-    let (left_set, _) = walk(left, &join_explain.children[0]);
-    let (right_set, _) = walk(right, &join_explain.children[1]);
+    let (left_set, _) = walk(left);
+    let (right_set, _) = walk(right);
     let strategy = JoinStrategy::RepartitionHash;
     let joined = join_embeddings(
         left_set.clone(),

@@ -9,6 +9,7 @@
 //! [`CypherEngine::profile`] and the query log are views over that run, and
 //! [`CypherEngine::explain`] is the same front half without the execution.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -161,15 +162,16 @@ impl CypherEngine {
     /// `index`, plus the plan mode; no key is built without a cache. The
     /// query graph is always rebuilt from this call's own parameters, so a
     /// cached plan's index-based operators resolve against the caller's
-    /// literal bindings. Returns `Some("hit")`/`Some("miss")` for the query
-    /// log when a cache is installed, `None` otherwise.
+    /// literal bindings and its labels read them. A hit shares the cached
+    /// plan. Returns `Some("hit")`/`Some("miss")` for the query log when a
+    /// cache is installed, `None` otherwise.
     fn plan_match(
         &self,
         ast: &Query,
         shape: &str,
         index: usize,
         params: &HashMap<String, Literal>,
-    ) -> Result<(QueryGraph, QueryPlan, Option<&'static str>), CypherError> {
+    ) -> Result<(QueryGraph, Arc<QueryPlan>, Option<&'static str>), CypherError> {
         let query = QueryGraph::from_query_with_params(ast, params)?;
         let cached = self
             .plan_cache
@@ -177,12 +179,13 @@ impl CypherEngine {
             .map(|cache| (cache, format!("{shape}\n{index}")));
         if let Some((cache, key)) = &cached {
             if let Some(plan) = cache.lookup(key, self.plan_mode, &query) {
-                return Ok((query, (*plan).clone(), Some("hit")));
+                return Ok((query, plan, Some("hit")));
             }
         }
-        let plan = plan_query_with_mode(&query, &Estimator::new(&self.statistics), self.plan_mode)?;
+        let plan = plan_query_with_mode(&query, &Estimator::new(&self.statistics), self.plan_mode)
+            .map(Arc::new)?;
         let event = cached.map(|(cache, key)| {
-            cache.insert(key, self.plan_mode, &query, Arc::new(plan.clone()));
+            cache.insert(key, self.plan_mode, &query, plan.clone());
             "miss"
         });
         Ok((query, plan, event))
@@ -277,8 +280,8 @@ impl CypherEngine {
         let (root, planner) = match planned.explain {
             Some(root) => (root, PlannerTrace::default()),
             None => {
-                let (_, plan) = planned.stages.into_iter().next().expect("one stage");
-                (plan.explain, plan.planner)
+                let (query, plan) = &planned.stages[0];
+                (plan.root.explain(query), plan.planner.clone())
             }
         };
         Ok(Explain {
@@ -453,9 +456,10 @@ struct Planned {
     pipeline: Pipeline,
     /// The query graph and plan of every `MATCH`/`OPTIONAL MATCH` stage, in
     /// stage order.
-    stages: Vec<(QueryGraph, QueryPlan)>,
-    /// The `pipeline` EXPLAIN tree embedding the stage plans; `None` for a
-    /// plain text, whose tree is its one plan's.
+    stages: Vec<(QueryGraph, Arc<QueryPlan>)>,
+    /// The `pipeline` EXPLAIN tree embedding the stage plans, labelled
+    /// against this run's query graphs (its root estimate is the PROFILE
+    /// root's); `None` for a plain text, whose tree is its one plan's.
     explain: Option<ExplainNode>,
     /// The plan-cache event: `"hit"` when every stage hit, `"miss"`
     /// otherwise; `None` without a cache or without a `MATCH`.
@@ -463,12 +467,14 @@ struct Planned {
 }
 
 impl Planned {
-    /// The annotated plan tree (what EXPLAIN prints and the plan digest
-    /// hashes).
-    fn explain(&self) -> &ExplainNode {
+    /// The EXPLAIN tree (what EXPLAIN prints and the plan digest hashes).
+    fn explain(&self) -> Cow<'_, ExplainNode> {
         match &self.explain {
-            Some(root) => root,
-            None => &self.stages[0].1.explain,
+            Some(root) => Cow::Borrowed(root),
+            None => {
+                let (query, plan) = &self.stages[0];
+                Cow::Owned(plan.root.explain(query))
+            }
         }
     }
 }
@@ -551,15 +557,15 @@ fn run_planned<S: GraphSource + ?Sized>(
 /// their steps, a `LIMIT`-bearing sort shown as
 /// `order_by(top-k skip=.. limit=..)` and an unbounded one as
 /// `order_by(full-sort)`.
-fn pipeline_explain(pipeline: &Pipeline, stages: &[(QueryGraph, QueryPlan)]) -> ExplainNode {
-    let mut plans = stages.iter().map(|(_, plan)| plan);
+fn pipeline_explain(pipeline: &Pipeline, stages: &[(QueryGraph, Arc<QueryPlan>)]) -> ExplainNode {
+    let mut plans = stages.iter();
     let mut children = Vec::new();
     let mut estimated = 1.0f64;
     for stage in &pipeline.stages {
         match stage {
             Stage::Match(_) | Stage::OptionalMatch(_) => {
-                let plan = plans.next().expect("one plan per MATCH stage");
-                estimated = (estimated * plan.estimated_cardinality).max(1.0);
+                let (query, plan) = plans.next().expect("one plan per MATCH stage");
+                estimated = (estimated * plan.root.estimated_cardinality).max(1.0);
                 children.push(ExplainNode::inner(
                     if matches!(stage, Stage::OptionalMatch(_)) {
                         "optional_match(left-outer-join)"
@@ -567,7 +573,7 @@ fn pipeline_explain(pipeline: &Pipeline, stages: &[(QueryGraph, QueryPlan)]) -> 
                         "match(join)"
                     },
                     estimated,
-                    vec![plan.explain.clone()],
+                    vec![plan.root.explain(query)],
                 ));
             }
             Stage::With(projection) => {

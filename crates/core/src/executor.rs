@@ -22,14 +22,14 @@ use gradoop_dataflow::{CollectedTrace, CollectingSink, JoinStrategy, Partitionin
 
 use crate::matching::MatchingConfig;
 use crate::observe::{
-    q_error, selectivity, ship_strategies, ExpandIteration, ExplainNode, ProfileNode, ShipStrategy,
+    q_error, selectivity, ship_strategies, ExpandIteration, ProfileNode, ShipStrategy,
 };
 use crate::operators::{
     cartesian_embeddings, edge_triples, embedding_join_key, expand_embeddings, expand_intersect,
     filter_and_project_edges, filter_and_project_vertices, filter_embeddings,
     join_embeddings_filtered, value_join_embeddings, EmbeddingSet, ExpandConfig,
 };
-use crate::planner::PlanNode;
+use crate::planner::{PlanNode, PlanOperator};
 use crate::source::GraphSource;
 
 /// Inputs smaller than this many embeddings are broadcast in joins instead
@@ -38,27 +38,20 @@ const BROADCAST_THRESHOLD: usize = 10_000;
 
 /// Executes the plan rooted at `node` against `source` with the given
 /// morphism semantics and returns the result next to its profiled plan
-/// tree. `explain` is the planner's annotation of `node` (labels and
-/// estimates); `collector` must be installed (directly or behind a tee) as
-/// the trace sink of the source's environment for the duration of the call.
+/// tree, each operator labelled against `query`. An open range (`*`,
+/// `*2..`) expands one hop past its cap, so that a caller can tell a path
+/// the cap would cut from the paths it keeps. `collector` must be
+/// installed (directly or behind a tee) as the trace sink of the source's
+/// environment for the duration of the call.
 pub fn execute_plan<S: GraphSource + ?Sized>(
     node: &PlanNode,
-    explain: &ExplainNode,
     query: &QueryGraph,
     source: &S,
     matching: &MatchingConfig,
     collector: &CollectingSink,
 ) -> (EmbeddingSet, ProfileNode) {
     let mut spent = CollectedTrace::default();
-    walk(
-        node,
-        explain,
-        query,
-        source,
-        matching,
-        (collector, &mut spent),
-        &[],
-    )
+    walk(node, query, source, matching, (collector, &mut spent), &[])
 }
 
 /// The walker behind [`execute_plan`]. `residual` is non-empty only for a
@@ -69,7 +62,6 @@ pub fn execute_plan<S: GraphSource + ?Sized>(
 /// latency on glibc), so they are released together, as they always were.
 fn walk<S: GraphSource + ?Sized>(
     node: &PlanNode,
-    explain: &ExplainNode,
     query: &QueryGraph,
     source: &S,
     matching: &MatchingConfig,
@@ -83,11 +75,11 @@ fn walk<S: GraphSource + ?Sized>(
             .collect()
     };
     let planned = |rows_out: u64| ProfileNode {
-        operator: explain.operator.clone(),
-        estimated_cardinality: explain.estimated_cardinality,
-        estimated_strategy: explain.estimated_strategy,
+        operator: node.label(query),
+        estimated_cardinality: node.estimated_cardinality,
+        estimated_strategy: node.estimated_strategy,
         rows_out,
-        estimate_error: q_error(explain.estimated_cardinality, rows_out),
+        estimate_error: q_error(node.estimated_cardinality, rows_out),
         ..ProfileNode::default()
     };
 
@@ -97,11 +89,10 @@ fn walk<S: GraphSource + ?Sized>(
     // allocated or shuffled. One kernel answers for both plan nodes: the
     // join node reports the pairs it produced before any clause ran, the
     // filter node what survived; stages, time and bytes stay with the join.
-    if let PlanNode::Filter { input, clauses } = node {
-        if matches!(input.as_ref(), PlanNode::Join { .. }) {
+    if let (PlanOperator::Filter { clauses }, [input]) = (&node.operator, node.inputs.as_slice()) {
+        if matches!(input.operator, PlanOperator::Join { .. }) {
             let (result, join) = walk(
                 input,
-                &explain.children[0],
                 query,
                 source,
                 matching,
@@ -123,24 +114,14 @@ fn walk<S: GraphSource + ?Sized>(
     // Children run (and drain the collector for themselves) first, so
     // everything buffered after this node's own operator ran belongs to
     // this node.
-    let child_nodes: Vec<&PlanNode> = match node {
-        PlanNode::Join { left, right, .. }
-        | PlanNode::Cartesian { left, right }
-        | PlanNode::ValueJoin { left, right, .. } => vec![left, right],
-        PlanNode::Expand { input, .. }
-        | PlanNode::Filter { input, .. }
-        | PlanNode::ExpandIntersect { input, .. } => vec![input],
-        PlanNode::ScanVertices { .. } | PlanNode::ScanEdges { .. } => Vec::new(),
-    };
     // Whatever a child produced is this operator's to consume: nothing else
     // holds it, so the operators below move its rows instead of copying.
-    let (child_sets, children): (Vec<EmbeddingSet>, Vec<ProfileNode>) = child_nodes
-        .into_iter()
-        .zip(&explain.children)
-        .map(|(child, child_explain)| {
+    let (child_sets, children): (Vec<EmbeddingSet>, Vec<ProfileNode>) = node
+        .inputs
+        .iter()
+        .map(|child| {
             walk(
                 child,
-                child_explain,
                 query,
                 source,
                 matching,
@@ -156,29 +137,34 @@ fn walk<S: GraphSource + ?Sized>(
     let started = Instant::now();
     let mut actual_strategy = None;
     let mut actual_ship = None;
-    let result = match node {
-        PlanNode::ScanVertices { vertex } => {
+    let result = match &node.operator {
+        PlanOperator::ScanVertices { vertex } => {
             let query_vertex = &query.vertices[*vertex];
             let candidates = source.vertices_for_labels(&query_vertex.labels);
             filter_and_project_vertices(&candidates, query_vertex)
         }
-        PlanNode::ScanEdges { edge } => {
+        PlanOperator::ScanEdges { edge } => {
             let query_edge = &query.edges[*edge];
             let candidates = source.edges_for_labels(&query_edge.labels);
             let source_var = &query.vertices[query_edge.source].variable;
             let target_var = &query.vertices[query_edge.target].variable;
             filter_and_project_edges(&candidates, query_edge, source_var, target_var, matching)
         }
-        PlanNode::Join { variables, .. } => {
+        PlanOperator::Join { variables } => {
             let (left, right) = (child(), child());
             let (strategy, ship) = choose_strategy_partitioned(&left, &right, variables);
             actual_strategy = Some(strategy);
             actual_ship = Some(ship);
             join_embeddings_filtered(left, right, variables, matching, strategy, residual)
         }
-        PlanNode::Expand { edge, .. } => {
+        PlanOperator::Expand { edge } => {
             let query_edge = &query.edges[*edge];
-            let (lower, upper) = query_edge.range.expect("expand node on plain edge");
+            let (lower, mut upper) = query_edge.range.expect("expand node on plain edge");
+            if query_edge.open_range {
+                // One hop past the parser's cap: what the cap would cut
+                // shows up, and the caller refuses the truncated answer.
+                upper = upper.saturating_add(1);
+            }
             let candidates = edge_triples(&source.edges_for_labels(&query_edge.labels), query_edge);
             let config = ExpandConfig {
                 source_variable: query.vertices[query_edge.source].variable.clone(),
@@ -190,15 +176,14 @@ fn walk<S: GraphSource + ?Sized>(
             };
             expand_embeddings(child(), candidates, &config)
         }
-        PlanNode::ExpandIntersect { vertex, edges, .. } => {
+        PlanOperator::ExpandIntersect { vertex, edges } => {
             expand_intersect(&child(), query, source, *vertex, edges, matching)
         }
-        PlanNode::Filter { clauses, .. } => filter_embeddings(&child(), &clauses_of(clauses)),
-        PlanNode::Cartesian { .. } => cartesian_embeddings(child(), child(), matching),
-        PlanNode::ValueJoin {
+        PlanOperator::Filter { clauses } => filter_embeddings(&child(), &clauses_of(clauses)),
+        PlanOperator::Cartesian => cartesian_embeddings(child(), child(), matching),
+        PlanOperator::ValueJoin {
             left_property,
             right_property,
-            ..
         } => {
             let (left, right) = (child(), child());
             let strategy = choose_join_strategy(
@@ -403,14 +388,7 @@ mod tests {
         let stats = GraphStatistics::of(graph);
         let plan = plan_query(&query, &Estimator::new(&stats)).unwrap();
         let collector = CollectingSink::new();
-        let (result, _) = execute_plan(
-            &plan.root,
-            &plan.explain,
-            &query,
-            graph,
-            &matching,
-            &collector,
-        );
+        let (result, _) = execute_plan(&plan.root, &query, graph, &matching, &collector);
         result.data.count()
     }
 

@@ -67,7 +67,8 @@ pub use observe::{
 };
 pub use plancache::{PlanCache, PlanCacheStats, DEFAULT_PLAN_CAPACITY};
 pub use planner::{
-    plan_query, plan_query_with_mode, Estimator, PlanError, PlanMode, PlanNode, QueryPlan,
+    plan_query, plan_query_with_mode, Estimator, PlanError, PlanMode, PlanNode, PlanOperator,
+    QueryPlan,
 };
 pub use querylog::{
     normalize_query_shape, stable_digest, JsonlQueryLog, MemoryQueryLog, OperatorLogEntry,

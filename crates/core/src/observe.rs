@@ -5,9 +5,11 @@
 //! (Table 3), and shuffle behaviour across worker counts. This module holds
 //! the data model for that:
 //!
-//! * [`ExplainNode`] — the annotated plan tree produced by the planner:
-//!   one node per plan operator with its estimated cardinality and, for
-//!   joins, the join strategy predicted from the estimates;
+//! * [`ExplainNode`] — the node of the EXPLAIN document: one per plan
+//!   operator with its label, estimated cardinality and, for joins, the
+//!   join strategy predicted from the estimates. A plan's tree is made by
+//!   [`PlanNode::explain`](crate::PlanNode::explain) when it is shown; a
+//!   clause pipeline's adds the clause nodes no plan has;
 //! * [`PlannerTrace`] — the greedy planner's decision log: per round, every
 //!   candidate edge with its estimated intermediate-result size and which
 //!   one was committed;
@@ -111,7 +113,7 @@ pub fn q_error(estimated: f64, actual: u64) -> f64 {
         .min(Q_ERROR_CAP)
 }
 
-/// One operator of the annotated plan tree produced by the planner.
+/// One operator of an EXPLAIN tree.
 #[derive(Debug, Clone)]
 pub struct ExplainNode {
     /// Operator label, e.g. `"ScanVertices(u:University)"`.

@@ -30,15 +30,16 @@
 //! * `UNWIND` is a flat-map: `NULL` produces no rows, a list one row per
 //!   element, a scalar a single row.
 //!
-//! The module also hosts the open-range probe (`probe_open_ranges` /
-//! `check_open_range_caps`): unbounded variable-length patterns (`*`,
-//! `*2..`) carry a parser-substituted hop cap, and instead of silently
-//! truncating results at the cap the executor expands one hop further and
-//! raises a classified [`CypherError::Execution`] when anything is found
-//! beyond it.
+//! The module also hosts the open-range check (`check_open_range_caps`):
+//! unbounded variable-length patterns (`*`, `*2..`) carry a
+//! parser-substituted hop cap, and instead of silently truncating results
+//! at the cap the plan walker expands one hop further and the check raises
+//! a classified [`CypherError::Execution`] when anything is found beyond
+//! it.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
+use std::sync::Arc;
 
 use gradoop_cypher::ast::{
     MatchStage, Pipeline, Projection, ProjectionExpr, ProjectionItem, Stage, UnwindSource,
@@ -62,37 +63,19 @@ use crate::values::{
     agg_arg_value, cmp_rows, compare_rows_by_keys, fold_aggregate, Row, RowKey, RowScope, Value,
 };
 
-// --- open-range probe --------------------------------------------------------
+// --- open-range check --------------------------------------------------------
 
-/// Returns a probe copy of `query` whose open-ended variable-length ranges
-/// (`*`, `*2..`) expand one hop beyond their substituted cap, plus the
-/// `(edge variable, user-visible cap)` pairs [`check_open_range_caps`]
-/// inspects after execution. Plans stay unchanged — `EXPLAIN` shows the
-/// cap the user would hit, and the executor reads ranges from the query
-/// graph it is handed at runtime.
-pub(crate) fn probe_open_ranges(query: &QueryGraph) -> (QueryGraph, Vec<(String, usize)>) {
-    let mut probe = query.clone();
-    let mut caps = Vec::new();
-    for edge in &mut probe.edges {
-        if edge.open_range {
-            if let Some((lower, upper)) = edge.range {
-                edge.range = Some((lower, upper.saturating_add(1)));
-                caps.push((edge.variable.clone(), upper));
-            }
-        }
-    }
-    (probe, caps)
-}
-
-/// Scans an executed embedding set for paths that crossed an open range's
-/// substituted hop cap. Finding one means the cap would have silently
+/// Scans an executed embedding set for paths that crossed the substituted
+/// hop cap of one of `query`'s open ranges, which the plan walker expands
+/// one hop past it. Finding one means the cap would have silently
 /// truncated the result set, so a classified execution error is returned
 /// instead of a partial answer.
 pub(crate) fn check_open_range_caps(
     set: &EmbeddingSet,
-    caps: &[(String, usize)],
+    query: &QueryGraph,
 ) -> Result<(), CypherError> {
-    for (variable, cap) in caps {
+    let open = query.edges.iter().filter(|edge| edge.open_range);
+    for (variable, cap) in open.filter_map(|edge| Some((&edge.variable, edge.range?.1))) {
         let Some(column) = set.meta.column(variable) else {
             continue;
         };
@@ -101,7 +84,7 @@ pub(crate) fn check_open_range_caps(
                 Entry::Path(via) => via.len().div_ceil(2),
                 Entry::Id(_) => 1,
             };
-            if hops > *cap {
+            if hops > cap {
                 return Err(CypherError::Execution(ExecutionFailure {
                     site: format!("open-range path expansion `{variable}`"),
                     attempts: 0,
@@ -120,8 +103,8 @@ pub(crate) fn check_open_range_caps(
 
 // --- pipeline execution ------------------------------------------------------
 
-/// Executes one planned `MATCH` through the plan walker under the open-range
-/// probe: a tripped fault budget, a malformed plan or a path crossing an
+/// Executes one planned `MATCH` through the plan walker and checks its open
+/// ranges: a tripped fault budget, a malformed plan or a path crossing an
 /// open range's cap is a classified error, never a partial result.
 pub(crate) fn execute_match<S: GraphSource + ?Sized>(
     query: &QueryGraph,
@@ -130,19 +113,11 @@ pub(crate) fn execute_match<S: GraphSource + ?Sized>(
     matching: &MatchingConfig,
     collector: &CollectingSink,
 ) -> Result<(EmbeddingSet, ProfileNode), CypherError> {
-    let (probe, caps) = probe_open_ranges(query);
-    let (set, profile) = execute_plan(
-        &plan.root,
-        &plan.explain,
-        &probe,
-        source,
-        matching,
-        collector,
-    );
+    let (set, profile) = execute_plan(&plan.root, query, source, matching, collector);
     if let Some(failure) = source.env().take_execution_failure() {
         return Err(CypherError::Execution(failure));
     }
-    check_open_range_caps(&set, &caps)?;
+    check_open_range_caps(&set, query)?;
     Ok((set, profile))
 }
 
@@ -162,7 +137,7 @@ pub(crate) fn execute_match<S: GraphSource + ?Sized>(
 /// the final gather of the result rows.
 pub(crate) fn execute_pipeline<S: GraphSource + ?Sized>(
     pipeline: &Pipeline,
-    stage_plans: &[(QueryGraph, QueryPlan)],
+    stage_plans: &[(QueryGraph, Arc<QueryPlan>)],
     params: &HashMap<String, Literal>,
     source: &S,
     matching: &MatchingConfig,

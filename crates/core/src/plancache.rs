@@ -11,12 +11,15 @@
 //! ## Why keying on the shape is sound
 //!
 //! A cached [`QueryPlan`] only stores query-graph *indices* (which query
-//! vertex to scan, which edges to join) — literal values live in the
-//! [`QueryGraph`] that every execution rebuilds from its own AST and its
-//! own parameter bindings. The greedy planner's estimator is
-//! value-independent (selectivities derive from property keys, comparison
-//! operators and labels, never from literal values), so two queries with
-//! the same shape produce plans with the same structure. The cache map is
+//! vertex to scan, which edges to join) and estimates — literal values live
+//! in the [`QueryGraph`] that every execution rebuilds from its own AST and
+//! its own parameter bindings, and EXPLAIN, PROFILE and the query log label
+//! a plan against that graph, so a hit shows its own literals. A hit shares
+//! the cached plan (an `Arc`) and copies nothing. The greedy planner's
+//! estimator is value-independent (selectivities derive from property
+//! keys, comparison operators and labels, never from literal values), so
+//! two queries with the same shape produce plans with the same structure
+//! and the same estimates. The cache map is
 //! keyed on the **full shape string** (plus [`PlanMode`]), not its 64-bit
 //! fingerprint, so a fingerprint hash collision can never cross-wire two
 //! different shapes. As a belt-and-braces check, each entry also records a

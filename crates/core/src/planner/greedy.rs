@@ -21,9 +21,9 @@ use std::collections::{BTreeSet, HashMap};
 use gradoop_cypher::QueryGraph;
 
 use crate::executor::choose_join_strategy;
-use crate::observe::{ship_strategies, ExplainNode, PlannerCandidate, PlannerRound, PlannerTrace};
+use crate::observe::{ship_strategies, PlannerCandidate, PlannerRound, PlannerTrace};
 use crate::planner::estimation::Estimator;
-use crate::planner::plan::{node_label, PlanNode, QueryPlan};
+use crate::planner::plan::{PlanNode, PlanOperator, QueryPlan};
 
 /// Which physical alternatives the planner may choose from. Forced modes
 /// exist for the conformance harness (and ablation benchmarks): the same
@@ -35,7 +35,7 @@ pub enum PlanMode {
     /// cardinality (the default).
     #[default]
     CostBased,
-    /// Never emit [`PlanNode::ExpandIntersect`] — the pre-WCO planner.
+    /// Never emit [`PlanOperator::ExpandIntersect`] — the pre-WCO planner.
     ForceBinary,
     /// Prefer WCO: whenever a round offers any intersection candidate, the
     /// choice is restricted to intersections. Acyclic (sub)queries still
@@ -55,7 +55,8 @@ impl std::fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
-/// A partial plan covering a subset of the query graph.
+/// A partial plan covering a subset of the query graph. Its estimated
+/// cardinality is its node's.
 #[derive(Debug, Clone)]
 struct Partial {
     node: PlanNode,
@@ -63,7 +64,6 @@ struct Partial {
     edges: BTreeSet<usize>,
     /// Variables bound to columns of the partial's embeddings.
     variables: BTreeSet<String>,
-    cardinality: f64,
     /// Estimated distinct values per bound variable.
     distinct: HashMap<String, f64>,
     /// The variable set the partial's output is expected to be
@@ -73,20 +73,6 @@ struct Partial {
     /// stamped), preserved by filters, dropped by everything that rewrites
     /// placement. Used to predict which join shuffles will be elided.
     partitioned_by: Option<BTreeSet<String>>,
-    /// Annotated mirror of `node` (same shape), carrying per-operator
-    /// estimates for EXPLAIN output.
-    explain: ExplainNode,
-}
-
-/// Explain mirror for a freshly constructed plan node: the node's label,
-/// the partial's estimated cardinality, given children.
-fn explain_for(
-    query: &QueryGraph,
-    node: &PlanNode,
-    cardinality: f64,
-    children: Vec<ExplainNode>,
-) -> ExplainNode {
-    ExplainNode::inner(node_label(node, query), cardinality, children)
 }
 
 /// One alternative evaluated in a greedy round: the partials it would
@@ -137,17 +123,17 @@ pub fn plan_query_with_mode(
         let cardinality = estimator.vertex_cardinality(query, index);
         let mut distinct = HashMap::new();
         distinct.insert(vertex.variable.clone(), cardinality);
-        let node = PlanNode::ScanVertices { vertex: index };
-        let explain = explain_for(query, &node, cardinality, Vec::new());
         partials.push(Partial {
-            node,
+            node: PlanNode::new(
+                PlanOperator::ScanVertices { vertex: index },
+                Vec::new(),
+                cardinality,
+            ),
             vertices: BTreeSet::from([index]),
             edges: BTreeSet::new(),
             variables: BTreeSet::from([vertex.variable.clone()]),
-            cardinality,
             distinct,
             partitioned_by: None,
-            explain,
         });
     }
 
@@ -183,20 +169,20 @@ pub fn plan_query_with_mode(
             .iter()
             .map(|c| PlannerCandidate {
                 edge_variable: c.label.clone(),
-                estimated_cardinality: c.partial.cardinality,
+                estimated_cardinality: c.partial.cardinality(),
             })
             .collect();
         let restrict_to_wco = mode == PlanMode::ForceWco && alternatives.iter().any(|c| c.wco);
         let best = alternatives
             .into_iter()
             .filter(|c| !restrict_to_wco || c.wco)
-            .min_by(|a, b| a.partial.cardinality.total_cmp(&b.partial.cardinality))
+            .min_by(|a, b| a.partial.cardinality().total_cmp(&b.partial.cardinality()))
             .ok_or_else(|| PlanError("no joinable edge found".into()))?;
         let mut merged = best.partial;
         planner.rounds.push(PlannerRound {
             candidates,
             chosen_edge: best.label,
-            chosen_cardinality: merged.cardinality,
+            chosen_cardinality: merged.cardinality(),
         });
         for edge_index in &best.covered_edges {
             remaining_edges.remove(edge_index);
@@ -214,7 +200,7 @@ pub fn plan_query_with_mode(
 
     // Isolated non-trivial vertices are still their own partials; combine
     // everything left with cartesian products, cheapest side first.
-    partials.sort_by(|a, b| a.cardinality.total_cmp(&b.cardinality));
+    partials.sort_by(|a, b| a.cardinality().total_cmp(&b.cardinality()));
     let mut iter = partials.into_iter();
     let mut combined = iter
         .next()
@@ -230,57 +216,40 @@ pub fn plan_query_with_mode(
             &combined.variables,
             &next.variables,
         );
-        let (node, cardinality, strategy) = match value_join {
+        let (left, right) = (combined.cardinality(), next.cardinality());
+        let (operator, cardinality, strategy) = match value_join {
             Some((clause_index, left_property, right_property)) => {
                 pending_clauses.remove(&clause_index);
                 (
-                    PlanNode::ValueJoin {
-                        left: Box::new(combined.node),
-                        right: Box::new(next.node),
+                    PlanOperator::ValueJoin {
                         left_property,
                         right_property,
                     },
                     // Equality-join estimate: the product scaled by the
                     // default equality selectivity.
-                    combined.cardinality * next.cardinality * 0.1,
+                    left * right * 0.1,
                     Some(choose_join_strategy(
-                        combined.cardinality.max(0.0) as usize,
-                        next.cardinality.max(0.0) as usize,
+                        left.max(0.0) as usize,
+                        right.max(0.0) as usize,
                         false,
                         false,
                     )),
                 )
             }
-            None => (
-                PlanNode::Cartesian {
-                    left: Box::new(combined.node),
-                    right: Box::new(next.node),
-                },
-                combined.cardinality * next.cardinality,
-                None,
-            ),
+            None => (PlanOperator::Cartesian, left * right, None),
         };
-        let mut explain = explain_for(
-            query,
-            &node,
-            cardinality,
-            vec![combined.explain, next.explain],
-        );
-        explain.estimated_strategy = strategy;
-        if let Some(strategy) = strategy {
-            // Value joins key on property values, which no named
-            // partitioning fact describes: neither side forwards.
-            explain.estimated_ship = Some(ship_strategies(strategy, false, false));
-        }
+        let mut node = PlanNode::new(operator, vec![combined.node, next.node], cardinality);
+        node.estimated_strategy = strategy;
+        // Value joins key on property values, which no named partitioning
+        // fact describes: neither side forwards.
+        node.estimated_ship = strategy.map(|strategy| ship_strategies(strategy, false, false));
         combined = Partial {
             vertices: combined.vertices.union(&next.vertices).copied().collect(),
             edges: combined.edges.union(&next.edges).copied().collect(),
             variables: combined.variables.union(&next.variables).cloned().collect(),
-            cardinality,
             node,
             distinct,
             partitioned_by: None,
-            explain,
         };
         apply_ready_filters(query, estimator, &mut combined, &mut pending_clauses);
     }
@@ -299,23 +268,12 @@ pub fn plan_query_with_mode(
                 }
             }
         }
-        combined.node = PlanNode::Filter {
-            input: Box::new(combined.node),
-            clauses,
-        };
-        let input_explain = std::mem::replace(&mut combined.explain, ExplainNode::leaf("", 0.0));
-        combined.explain = explain_for(
-            query,
-            &combined.node,
-            combined.cardinality,
-            vec![input_explain],
-        );
+        let cardinality = combined.cardinality();
+        wrap_in_filter(&mut combined.node, clauses, cardinality);
     }
 
     Ok(QueryPlan {
-        estimated_cardinality: combined.cardinality,
         root: combined.node,
-        explain: combined.explain,
         planner,
     })
 }
@@ -379,7 +337,7 @@ fn oriented_fanout(query: &QueryGraph, estimator: &Estimator, edge_index: usize,
 /// Enumerates worst-case-optimal intersection candidates: for each partial
 /// `p` and each vertex `w` not bound by `p` that is reachable through ≥ 2
 /// uncovered plain edges whose other endpoints `p` binds, an
-/// [`PlanNode::ExpandIntersect`] closing all those edges at once.
+/// [`PlanOperator::ExpandIntersect`] closing all those edges at once.
 ///
 /// Eligibility mirrors what the operator can execute: plain edges only (no
 /// variable length), no self-loops on `w`, and neither `w` nor the closing
@@ -455,7 +413,7 @@ fn build_wco_candidates(
                 per_row *= oriented_fanout(query, estimator, edge_index, w);
             }
             per_row /= vertex_count.powi(edges.len() as i32 - 1);
-            let cardinality = partial.cardinality * per_row;
+            let cardinality = partial.cardinality() * per_row;
 
             let mut variables = partial.variables.clone();
             variables.insert(w_variable.clone());
@@ -468,12 +426,14 @@ fn build_wco_candidates(
                     cardinality.max(1.0),
                 );
             }
-            let node = PlanNode::ExpandIntersect {
-                input: Box::new(partial.node.clone()),
-                vertex: w,
-                edges: edges.clone(),
-            };
-            let explain = explain_for(query, &node, cardinality, vec![partial.explain.clone()]);
+            let node = PlanNode::new(
+                PlanOperator::ExpandIntersect {
+                    vertex: w,
+                    edges: edges.clone(),
+                },
+                vec![partial.node.clone()],
+                cardinality,
+            );
             let label = edges
                 .iter()
                 .map(|&e| query.edges[e].variable.as_str())
@@ -494,12 +454,10 @@ fn build_wco_candidates(
                         e
                     },
                     variables,
-                    cardinality,
                     distinct,
                     // The probe extends rows in place; the input's placement
                     // survives but no named partitioning fact describes it.
                     partitioned_by: None,
-                    explain,
                 },
                 covered_edges: edges,
                 label,
@@ -531,17 +489,17 @@ fn edge_scan_partial(query: &QueryGraph, estimator: &Estimator, edge_index: usiz
     distinct.insert(edge.variable.clone(), cardinality);
     let mut variables = BTreeSet::from([source_var, edge.variable.clone()]);
     variables.insert(target_var);
-    let node = PlanNode::ScanEdges { edge: edge_index };
-    let explain = explain_for(query, &node, cardinality, Vec::new());
     Partial {
-        node,
+        node: PlanNode::new(
+            PlanOperator::ScanEdges { edge: edge_index },
+            Vec::new(),
+            cardinality,
+        ),
         vertices: BTreeSet::from([edge.source, edge.target]),
         edges: BTreeSet::from([edge_index]),
         variables,
-        cardinality,
         distinct,
         partitioned_by: None,
-        explain,
     }
 }
 
@@ -554,9 +512,13 @@ struct Estimate<'a> {
 }
 
 impl Partial {
+    fn cardinality(&self) -> f64 {
+        self.node.estimated_cardinality
+    }
+
     fn estimate(&self) -> Estimate<'_> {
         Estimate {
-            cardinality: self.cardinality,
+            cardinality: self.cardinality(),
             distinct: &self.distinct,
         }
     }
@@ -600,7 +562,6 @@ fn joined_distinct(
 
 /// Joins two partials on `variables`, estimating the output from theirs.
 fn join_partials(
-    query: &QueryGraph,
     estimator: &Estimator,
     left: Partial,
     right: Partial,
@@ -608,12 +569,11 @@ fn join_partials(
 ) -> Partial {
     let cardinality = join_cardinality(estimator, left.estimate(), right.estimate(), &variables);
     let distinct = joined_distinct(&left.distinct, &right.distinct, cardinality);
-    build_join(query, left, right, variables, cardinality, distinct)
+    build_join(left, right, variables, cardinality, distinct)
 }
 
 /// Joins two partials on `variables` under the given output estimate.
 fn build_join(
-    query: &QueryGraph,
     left: Partial,
     right: Partial,
     variables: Vec<String>,
@@ -627,8 +587,8 @@ fn build_join(
     let left_partitioned = left.partitioned_by.as_ref() == Some(&key_set);
     let right_partitioned = right.partitioned_by.as_ref() == Some(&key_set);
     let strategy = choose_join_strategy(
-        left.cardinality.max(0.0) as usize,
-        right.cardinality.max(0.0) as usize,
+        left.cardinality().max(0.0) as usize,
+        right.cardinality().max(0.0) as usize,
         left_partitioned,
         right_partitioned,
     );
@@ -641,14 +601,13 @@ fn build_join(
         JoinStrategy::BroadcastHashFirst => right_partitioned.then(|| key_set.clone()),
         JoinStrategy::BroadcastHashSecond => left_partitioned.then(|| key_set.clone()),
     };
-    let node = PlanNode::Join {
-        left: Box::new(left.node),
-        right: Box::new(right.node),
-        variables,
-    };
-    let mut explain = explain_for(query, &node, cardinality, vec![left.explain, right.explain]);
-    explain.estimated_strategy = Some(strategy);
-    explain.estimated_ship = Some(ship_strategies(
+    let mut node = PlanNode::new(
+        PlanOperator::Join { variables },
+        vec![left.node, right.node],
+        cardinality,
+    );
+    node.estimated_strategy = Some(strategy);
+    node.estimated_ship = Some(ship_strategies(
         strategy,
         left_partitioned,
         right_partitioned,
@@ -658,10 +617,8 @@ fn build_join(
         vertices: left.vertices.union(&right.vertices).copied().collect(),
         edges: left.edges.union(&right.edges).copied().collect(),
         variables: left.variables.union(&right.variables).cloned().collect(),
-        cardinality,
         distinct,
         partitioned_by,
-        explain,
     }
 }
 
@@ -694,7 +651,7 @@ fn build_join_candidate(
             if source_var != target_var {
                 join_vars.push(target_var);
             }
-            let joined = join_partials(query, estimator, partials[s].clone(), scan, join_vars);
+            let joined = join_partials(estimator, partials[s].clone(), scan, join_vars);
             (vec![s], joined)
         }
         (Some(s), Some(t)) => {
@@ -714,39 +671,20 @@ fn build_join_candidate(
                 let cardinality =
                     join_cardinality(estimator, target.estimate(), first, &target_key);
                 let distinct = joined_distinct(&target.distinct, &first_distinct, cardinality);
-                let inner = join_partials(query, estimator, target.clone(), scan, target_key);
-                build_join(
-                    query,
-                    source.clone(),
-                    inner,
-                    source_key,
-                    cardinality,
-                    distinct,
-                )
+                let inner = join_partials(estimator, target.clone(), scan, target_key);
+                build_join(source.clone(), inner, source_key, cardinality, distinct)
             } else {
-                let inner = join_partials(query, estimator, source.clone(), scan, source_key);
-                join_partials(query, estimator, target.clone(), inner, target_key)
+                let inner = join_partials(estimator, source.clone(), scan, source_key);
+                join_partials(estimator, target.clone(), inner, target_key)
             };
             (vec![s, t], joined)
         }
         (Some(s), None) => {
-            let joined = join_partials(
-                query,
-                estimator,
-                partials[s].clone(),
-                scan,
-                vec![source_var],
-            );
+            let joined = join_partials(estimator, partials[s].clone(), scan, vec![source_var]);
             (vec![s], joined)
         }
         (None, Some(t)) => {
-            let joined = join_partials(
-                query,
-                estimator,
-                partials[t].clone(),
-                scan,
-                vec![target_var],
-            );
+            let joined = join_partials(estimator, partials[t].clone(), scan, vec![target_var]);
             (vec![t], joined)
         }
         (None, None) => (Vec::new(), scan),
@@ -789,20 +727,20 @@ fn build_expand_candidate(
             let cardinality = estimator.vertex_cardinality(query, edge.source);
             let mut distinct = HashMap::new();
             distinct.insert(source_var.clone(), cardinality);
-            let node = PlanNode::ScanVertices {
-                vertex: edge.source,
-            };
-            let explain = explain_for(query, &node, cardinality, Vec::new());
             (
                 Partial {
-                    node,
+                    node: PlanNode::new(
+                        PlanOperator::ScanVertices {
+                            vertex: edge.source,
+                        },
+                        Vec::new(),
+                        cardinality,
+                    ),
                     vertices: BTreeSet::from([edge.source]),
                     edges: BTreeSet::new(),
                     variables: BTreeSet::from([source_var.clone()]),
-                    cardinality,
                     distinct,
                     partitioned_by: None,
-                    explain,
                 },
                 Vec::new(),
             )
@@ -812,7 +750,7 @@ fn build_expand_candidate(
     let fanout = estimator.edge_fanout(query, edge_index).max(0.001);
     let growth = path_growth(fanout, lower, upper);
     let closes_cycle = input.variables.contains(&target_var);
-    let mut cardinality = input.cardinality * growth;
+    let mut cardinality = input.cardinality() * growth;
     if closes_cycle {
         let vertex_count = (estimator.stats().vertex_count as f64).max(1.0);
         cardinality /= vertex_count;
@@ -826,13 +764,12 @@ fn build_expand_candidate(
         target_var.clone(),
         (estimator.stats().vertex_count as f64).min(cardinality.max(1.0)),
     );
-    let node = PlanNode::Expand {
-        input: Box::new(input.node),
-        edge: edge_index,
-    };
-    let explain = explain_for(query, &node, cardinality, vec![input.explain]);
     let mut expanded = Partial {
-        node,
+        node: PlanNode::new(
+            PlanOperator::Expand { edge: edge_index },
+            vec![input.node],
+            cardinality,
+        ),
         vertices: {
             let mut v = input.vertices.clone();
             v.insert(edge.source);
@@ -845,25 +782,17 @@ fn build_expand_candidate(
             e
         },
         variables,
-        cardinality,
         distinct,
         // The expansion's probe outputs land wherever their last hop's
         // source was placed — no named partitioning describes that.
         partitioned_by: None,
-        explain,
     };
 
     // If the target lives in a different partial, join the expansion result
     // with it on the target variable.
     if let Some(t) = target_partial {
         if !consumed.contains(&t) && !closes_cycle {
-            expanded = join_partials(
-                query,
-                estimator,
-                expanded,
-                partials[t].clone(),
-                vec![target_var],
-            );
+            expanded = join_partials(estimator, expanded, partials[t].clone(), vec![target_var]);
             consumed.push(t);
         }
     }
@@ -890,22 +819,20 @@ fn apply_ready_filters(
     if ready.is_empty() {
         return;
     }
+    let mut cardinality = partial.cardinality();
     for &index in &ready {
         pending.remove(&index);
         let clause = &query.cross_clauses[index].0;
-        partial.cardinality *= estimator.clause_selectivity(clause, &[], true);
+        cardinality *= estimator.clause_selectivity(clause, &[], true);
     }
-    partial.node = PlanNode::Filter {
-        input: Box::new(partial.node.clone()),
-        clauses: ready,
-    };
-    let input_explain = std::mem::replace(&mut partial.explain, ExplainNode::leaf("", 0.0));
-    partial.explain = explain_for(
-        query,
-        &partial.node,
-        partial.cardinality,
-        vec![input_explain],
-    );
+    wrap_in_filter(&mut partial.node, ready, cardinality);
+}
+
+/// Puts a filter applying `clauses` over `node`, estimated at `cardinality`.
+fn wrap_in_filter(node: &mut PlanNode, clauses: Vec<usize>, cardinality: f64) {
+    let filter = PlanNode::new(PlanOperator::Filter { clauses }, Vec::new(), cardinality);
+    let input = std::mem::replace(node, filter);
+    node.inputs.push(input);
 }
 
 /// Finds a pending single-atom equality clause `a.k1 = b.k2` whose sides
@@ -1016,19 +943,12 @@ mod tests {
     }
 
     fn collect_edges(node: &PlanNode, out: &mut Vec<usize>) {
-        match node {
-            PlanNode::ScanEdges { edge } | PlanNode::Expand { edge, .. } => out.push(*edge),
-            PlanNode::ExpandIntersect { edges, .. } => out.extend(edges.iter().copied()),
-            PlanNode::Join { left, right, .. }
-            | PlanNode::Cartesian { left, right }
-            | PlanNode::ValueJoin { left, right, .. } => {
-                collect_edges(left, out);
-                collect_edges(right, out);
-            }
-            PlanNode::Filter { input, .. } => collect_edges(input, out),
-            PlanNode::ScanVertices { .. } => {}
+        match &node.operator {
+            PlanOperator::ScanEdges { edge } | PlanOperator::Expand { edge } => out.push(*edge),
+            PlanOperator::ExpandIntersect { edges, .. } => out.extend(edges.iter().copied()),
+            _ => {}
         }
-        if let PlanNode::Expand { input, .. } | PlanNode::ExpandIntersect { input, .. } = node {
+        for input in &node.inputs {
             collect_edges(input, out);
         }
     }
@@ -1051,14 +971,14 @@ mod tests {
     fn selective_predicate_is_joined_early() {
         // The university scan (10 labeled, equality selecting 1/10) is by
         // far the cheapest side; the greedy planner must start from it.
-        let (_, plan) = plan(
+        let (query, plan) = plan(
             "MATCH (p:Person)-[s:studyAt]->(u:University) \
              WHERE u.name = 'Uni Leipzig' RETURN p.name",
         );
         // The first committed join involves the studyAt edge; its estimated
         // result must be far below the unfiltered edge count.
-        assert!(plan.estimated_cardinality < 100.0);
-        let text = plan.explain.to_text();
+        assert!(plan.root.estimated_cardinality < 100.0);
+        let text = plan.root.explain(&query).to_text();
         assert!(text.contains("ScanVertices(u:University)"));
     }
 
@@ -1068,7 +988,7 @@ mod tests {
 
     #[test]
     fn triangle_query_plans_all_three_edges() {
-        let (_, plan) = plan(TRIANGLE);
+        let (query, plan) = plan(TRIANGLE);
         let mut edges = Vec::new();
         collect_edges(&plan.root, &mut edges);
         edges.sort_unstable();
@@ -1077,19 +997,19 @@ mod tests {
         // per open (p1, p2) pair the estimate is knows-fanout² / |V| · the
         // Person selectivity of p3 (≈ 0.02 rows) versus the thousands of
         // open 2-paths the binary closing join would materialize.
-        let text = plan.explain.to_text();
+        let text = plan.root.explain(&query).to_text();
         assert!(text.contains("wco intersect p3"), "{text}");
         assert!(!text.contains("JoinEmbeddings(on p1, p3)"), "{text}");
     }
 
     #[test]
     fn forced_binary_triangle_closes_with_a_two_variable_join() {
-        let (_, plan) = plan_with_mode(TRIANGLE, PlanMode::ForceBinary);
+        let (query, plan) = plan_with_mode(TRIANGLE, PlanMode::ForceBinary);
         let mut edges = Vec::new();
         collect_edges(&plan.root, &mut edges);
         edges.sort_unstable();
         assert_eq!(edges, vec![0, 1, 2]);
-        let text = plan.explain.to_text();
+        let text = plan.root.explain(&query).to_text();
         assert!(!text.contains("wco intersect"), "{text}");
         assert!(
             text.contains("JoinEmbeddings(on p1, p3)")
@@ -1103,16 +1023,16 @@ mod tests {
         let (_, wco) = plan_with_mode(TRIANGLE, PlanMode::ForceWco);
         let (_, binary) = plan_with_mode(TRIANGLE, PlanMode::ForceBinary);
         assert!(
-            wco.estimated_cardinality < binary.estimated_cardinality,
+            wco.root.estimated_cardinality < binary.root.estimated_cardinality,
             "wco {} vs binary {}",
-            wco.estimated_cardinality,
-            binary.estimated_cardinality
+            wco.root.estimated_cardinality,
+            binary.root.estimated_cardinality
         );
     }
 
     #[test]
     fn four_clique_intersects_three_edges_at_once() {
-        let (_, plan) = plan_with_mode(
+        let (query, plan) = plan_with_mode(
             "MATCH (a:Person)-[:knows]->(b:Person), (a)-[:knows]->(c:Person), \
                    (a)-[:knows]->(d:Person), (b)-[:knows]->(c), \
                    (b)-[:knows]->(d), (c)-[:knows]->(d) RETURN *",
@@ -1122,7 +1042,7 @@ mod tests {
         collect_edges(&plan.root, &mut edges);
         edges.sort_unstable();
         assert_eq!(edges, (0..6).collect::<Vec<_>>());
-        let text = plan.explain.to_text();
+        let text = plan.root.explain(&query).to_text();
         // The last vertex is bound by intersecting all three of its edges.
         assert!(
             text.lines()
@@ -1133,11 +1053,11 @@ mod tests {
 
     #[test]
     fn forced_wco_falls_back_to_binary_on_acyclic_queries() {
-        let (_, plan) = plan_with_mode(
+        let (query, plan) = plan_with_mode(
             "MATCH (p:Person)-[s:studyAt]->(u:University) RETURN *",
             PlanMode::ForceWco,
         );
-        let text = plan.explain.to_text();
+        let text = plan.root.explain(&query).to_text();
         assert!(!text.contains("wco intersect"), "{text}");
         let mut edges = Vec::new();
         collect_edges(&plan.root, &mut edges);
@@ -1146,12 +1066,12 @@ mod tests {
 
     #[test]
     fn undirected_cycle_is_wco_eligible() {
-        let (_, plan) = plan_with_mode(
+        let (query, plan) = plan_with_mode(
             "MATCH (a:Person)-[:knows]-(b:Person), (b)-[:knows]-(c:Person), \
                    (a)-[:knows]-(c) RETURN *",
             PlanMode::ForceWco,
         );
-        let text = plan.explain.to_text();
+        let text = plan.root.explain(&query).to_text();
         assert!(text.contains("wco intersect"), "{text}");
         let mut edges = Vec::new();
         collect_edges(&plan.root, &mut edges);
@@ -1161,25 +1081,25 @@ mod tests {
 
     #[test]
     fn cross_filter_is_placed_once_variables_bound() {
-        let (_, plan) = plan(
+        let (query, plan) = plan(
             "MATCH (p1:Person)-[:knows]->(p2:Person) \
              WHERE p1.gender <> p2.gender RETURN *",
         );
-        let text = plan.explain.to_text();
+        let text = plan.root.explain(&query).to_text();
         assert!(text.contains("FilterEmbeddings"), "{text}");
     }
 
     #[test]
     fn disconnected_query_uses_cartesian() {
-        let (_, plan) = plan("MATCH (a:Person), (b:University) RETURN *");
-        let text = plan.explain.to_text();
+        let (query, plan) = plan("MATCH (a:Person), (b:University) RETURN *");
+        let text = plan.root.explain(&query).to_text();
         assert!(text.contains("CartesianProduct"), "{text}");
     }
 
     #[test]
     fn variable_length_edge_becomes_expand() {
-        let (_, plan) = plan("MATCH (a:Person)-[e:knows*1..3]->(b:Person) RETURN *");
-        let text = plan.explain.to_text();
+        let (query, plan) = plan("MATCH (a:Person)-[e:knows*1..3]->(b:Person) RETURN *");
+        let text = plan.root.explain(&query).to_text();
         assert!(text.contains("ExpandEmbeddings(e *1..3)"), "{text}");
         // The target side is joined afterwards.
         assert!(text.contains("JoinEmbeddings(on b)"), "{text}");
@@ -1187,8 +1107,8 @@ mod tests {
 
     #[test]
     fn cross_component_equality_becomes_value_join() {
-        let (_, plan) = plan("MATCH (a:Person), (b:University) WHERE a.name = b.name RETURN *");
-        let text = plan.explain.to_text();
+        let (query, plan) = plan("MATCH (a:Person), (b:University) WHERE a.name = b.name RETURN *");
+        let text = plan.root.explain(&query).to_text();
         assert!(
             text.contains("ValueJoinEmbeddings(a.name = b.name)")
                 || text.contains("ValueJoinEmbeddings(b.name = a.name)"),
@@ -1201,16 +1121,16 @@ mod tests {
 
     #[test]
     fn non_equality_cross_clause_keeps_cartesian() {
-        let (_, plan) = plan("MATCH (a:Person), (b:University) WHERE a.name < b.name RETURN *");
-        let text = plan.explain.to_text();
+        let (query, plan) = plan("MATCH (a:Person), (b:University) WHERE a.name < b.name RETURN *");
+        let text = plan.root.explain(&query).to_text();
         assert!(text.contains("CartesianProduct"), "{text}");
         assert!(text.contains("FilterEmbeddings"), "{text}");
     }
 
     #[test]
     fn trivial_vertices_are_not_scanned() {
-        let (_, plan) = plan("MATCH (a)-[e:knows]->(b) RETURN count(*)");
-        let text = plan.explain.to_text();
+        let (query, plan) = plan("MATCH (a)-[e:knows]->(b) RETURN count(*)");
+        let text = plan.root.explain(&query).to_text();
         assert!(!text.contains("ScanVertices"), "{text}");
         assert!(text.contains("ScanEdges(e:knows)"), "{text}");
     }
@@ -1241,16 +1161,25 @@ mod tests {
         stats
     }
 
-    fn plan_creators(text: &str, mode: PlanMode) -> QueryPlan {
+    fn plan_creators(text: &str, mode: PlanMode) -> (QueryGraph, QueryPlan) {
         let query = QueryGraph::from_query(&parse(text).unwrap()).unwrap();
         let stats = creator_stats();
-        plan_query_with_mode(&query, &Estimator::new(&stats), mode).expect("plan")
+        let plan = plan_query_with_mode(&query, &Estimator::new(&stats), mode).expect("plan");
+        (query, plan)
     }
 
-    fn join(left: PlanNode, right: PlanNode, variable: &str) -> PlanNode {
-        PlanNode::Join {
-            left: Box::new(left),
-            right: Box::new(right),
+    /// The operators of a plan tree in pre-order: with each operator's
+    /// arity fixed, the tree's shape.
+    fn pre_order(node: &PlanNode) -> Vec<PlanOperator> {
+        let mut operators = vec![node.operator.clone()];
+        for input in &node.inputs {
+            operators.extend(pre_order(input));
+        }
+        operators
+    }
+
+    fn join(variable: &str) -> PlanOperator {
+        PlanOperator::Join {
             variables: vec![variable.to_string()],
         }
     }
@@ -1290,42 +1219,48 @@ mod tests {
             PlanMode::ForceBinary,
             PlanMode::ForceWco,
         ] {
-            let plan = plan_creators(SELECTIVE_CREATOR, mode);
+            let (query, plan) = plan_creators(SELECTIVE_CREATOR, mode);
             let (p, m) = (0, 1);
-            let expected = join(
-                PlanNode::ScanVertices { vertex: m },
-                join(
-                    PlanNode::ScanVertices { vertex: p },
-                    PlanNode::ScanEdges { edge: 0 },
-                    "p",
-                ),
-                "m",
+            let expected = [
+                join("m"),
+                PlanOperator::ScanVertices { vertex: m },
+                join("p"),
+                PlanOperator::ScanVertices { vertex: p },
+                PlanOperator::ScanEdges { edge: 0 },
+            ];
+            assert_eq!(
+                pre_order(&plan.root),
+                expected,
+                "{mode:?}\n{}",
+                plan.root.explain(&query).to_text()
             );
-            assert_eq!(plan.root, expected, "{mode:?}\n{}", plan.explain.to_text());
         }
     }
 
     #[test]
     fn equally_cheap_endpoints_keep_source_first() {
         // Both `Person` scans estimate 600 and either join 3 000 rows.
-        let (_, plan) = plan("MATCH (a:Person)-[e:knows]->(b:Person) RETURN *");
-        let expected = join(
-            PlanNode::ScanVertices { vertex: 1 },
-            join(
-                PlanNode::ScanVertices { vertex: 0 },
-                PlanNode::ScanEdges { edge: 0 },
-                "a",
-            ),
-            "b",
+        let (query, plan) = plan("MATCH (a:Person)-[e:knows]->(b:Person) RETURN *");
+        let expected = [
+            join("b"),
+            PlanOperator::ScanVertices { vertex: 1 },
+            join("a"),
+            PlanOperator::ScanVertices { vertex: 0 },
+            PlanOperator::ScanEdges { edge: 0 },
+        ];
+        assert_eq!(
+            pre_order(&plan.root),
+            expected,
+            "{}",
+            plan.root.explain(&query).to_text()
         );
-        assert_eq!(plan.root, expected, "{}", plan.explain.to_text());
     }
 
     #[test]
     fn reordering_keeps_the_source_first_estimates() {
         // Pinned from the source-first planner: the root estimate and every
         // round's menu are what they were before the order could change.
-        let both = plan_creators(
+        let (query, both) = plan_creators(
             "MATCH (p:Person)<-[:hasCreator]-(m:Message) \
              WHERE p.firstName = 'Jan' AND m.content = 'x' RETURN *",
             PlanMode::CostBased,
@@ -1333,7 +1268,7 @@ mod tests {
         // Source-first, `m ⋈ hasCreator` (10) then `⋈ p` estimates 6;
         // target-first, `p ⋈ hasCreator` (7.6) then `⋈ m` would be 7.6.
         let source_first = 6.000000000000005;
-        assert_eq!(both.estimated_cardinality, source_first);
+        assert_eq!(both.root.estimated_cardinality, source_first);
         assert_eq!(
             rounds(&both),
             vec![(
@@ -1344,15 +1279,11 @@ mod tests {
         );
         // The tree is built target-first: the root keeps the source-first
         // estimate, the inner join carries its own.
-        assert!(matches!(&both.root, PlanNode::Join { variables, .. } if variables == &["m"]));
-        assert_eq!(both.explain.estimated_cardinality, source_first);
-        assert_eq!(both.explain.children[1].operator, "JoinEmbeddings(on p)");
-        assert_eq!(
-            both.explain.children[1].estimated_cardinality,
-            7.600000000000006
-        );
+        assert_eq!(both.root.operator, join("m"));
+        assert_eq!(both.root.inputs[1].label(&query), "JoinEmbeddings(on p)");
+        assert_eq!(both.root.inputs[1].estimated_cardinality, 7.600000000000006);
 
-        let cyclic = plan_creators(
+        let (_, cyclic) = plan_creators(
             "MATCH (p1:Person)-[:knows]->(p2:Person), (p2)<-[:hasCreator]-(m:Message), \
                    (m)-[:hasCreator]->(p1) WHERE p1.firstName = 'Jan' RETURN *",
             PlanMode::ForceBinary,
@@ -1361,7 +1292,7 @@ mod tests {
             let menu = menu.iter().map(|(e, c)| (e.to_string(), *c)).collect();
             (chosen.to_string(), estimate, menu)
         };
-        assert_eq!(cyclic.estimated_cardinality, 0.08290909090909097);
+        assert_eq!(cyclic.root.estimated_cardinality, 0.08290909090909097);
         assert_eq!(
             rounds(&cyclic),
             vec![

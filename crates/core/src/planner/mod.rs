@@ -13,4 +13,4 @@ mod plan;
 
 pub use estimation::Estimator;
 pub use greedy::{plan_query, plan_query_with_mode, PlanError, PlanMode};
-pub use plan::{PlanNode, QueryPlan};
+pub use plan::{PlanNode, PlanOperator, QueryPlan};

@@ -1,13 +1,23 @@
-//! Query plan representation.
+//! Query plan representation: one annotated tree.
+//!
+//! The planner builds [`PlanNode`]s and nothing else. Each node holds its
+//! operator, its inputs and the planner's expectations of it; leaf
+//! operators reference query vertices/edges by index into the
+//! [`QueryGraph`]. Labels are not stored: EXPLAIN, PROFILE and the plan
+//! digest make them when they show a tree, against the query graph of the
+//! run being shown, so a cached plan reads its own run's literals.
+
+use std::fmt::Write;
 
 use gradoop_cypher::QueryGraph;
+use gradoop_dataflow::JoinStrategy;
+use gradoop_epgm::Label;
 
-use crate::observe::{ExplainNode, PlannerTrace};
+use crate::observe::{ExplainNode, PlannerTrace, ShipStrategy};
 
-/// A node of the (bushy) query plan tree. Leaf nodes reference query
-/// vertices/edges by index into the [`QueryGraph`].
+/// The physical operator of one [`PlanNode`]; its inputs are the node's.
 #[derive(Debug, Clone, PartialEq)]
-pub enum PlanNode {
+pub enum PlanOperator {
     /// `SelectAndProjectVertices` for one query vertex.
     ScanVertices {
         /// Query vertex index.
@@ -18,19 +28,14 @@ pub enum PlanNode {
         /// Query edge index.
         edge: usize,
     },
-    /// `JoinEmbeddings` on the given shared variables.
+    /// `JoinEmbeddings` of the two inputs on the given shared variables.
     Join {
-        /// Left input.
-        left: Box<PlanNode>,
-        /// Right input.
-        right: Box<PlanNode>,
         /// Shared variables joined on.
         variables: Vec<String>,
     },
-    /// `ExpandEmbeddings` for one variable-length query edge.
+    /// `ExpandEmbeddings` for one variable-length query edge; the input
+    /// provides the expansion's source column.
     Expand {
-        /// Input providing the expansion's source column.
-        input: Box<PlanNode>,
         /// Query edge index (must be variable-length).
         edge: usize,
     },
@@ -39,36 +44,23 @@ pub enum PlanNode {
     /// already-bound endpoint of the closing edges — the intermediate a
     /// binary join would materialize for the open path never exists.
     ExpandIntersect {
-        /// Input providing the bound endpoints.
-        input: Box<PlanNode>,
         /// Query vertex index bound by the intersection.
         vertex: usize,
         /// Closing query edge indices (≥ 2), all incident to `vertex` with
-        /// their other endpoint bound by `input`.
+        /// their other endpoint bound by the input.
         edges: Vec<usize>,
     },
     /// `FilterEmbeddings` applying cross-variable clauses.
     Filter {
-        /// Input.
-        input: Box<PlanNode>,
         /// Indices into `QueryGraph::cross_clauses`.
         clauses: Vec<usize>,
     },
     /// Cartesian product of disconnected components.
-    Cartesian {
-        /// Left input.
-        left: Box<PlanNode>,
-        /// Right input.
-        right: Box<PlanNode>,
-    },
+    Cartesian,
     /// `ValueJoinEmbeddings`: joins disconnected components on equal
     /// property values (replaces Cartesian + Filter for one equality
     /// clause).
     ValueJoin {
-        /// Left input.
-        left: Box<PlanNode>,
-        /// Right input.
-        right: Box<PlanNode>,
         /// `(variable, key)` on the left side.
         left_property: (String, String),
         /// `(variable, key)` on the right side.
@@ -76,80 +68,140 @@ pub enum PlanNode {
     },
 }
 
-/// A complete plan with its cost estimate and planner annotations.
+/// A node of the (bushy) query plan tree: its operator, its inputs and
+/// what the planner expects of it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PlanNode {
+    /// The operator.
+    pub operator: PlanOperator,
+    /// Inputs: none for scans, one for expand, intersect and filter, two
+    /// for joins and products.
+    pub inputs: Vec<PlanNode>,
+    /// Estimated result cardinality of this operator.
+    pub estimated_cardinality: f64,
+    /// For joins and value joins: the strategy predicted from the
+    /// estimated input cardinalities (the choice `choose_join_strategy`
+    /// makes if the estimates are accurate).
+    pub estimated_strategy: Option<JoinStrategy>,
+    /// For joins and value joins: the `[left, right]` ship strategies
+    /// expected from the predicted partitioning of each input — `forward`
+    /// marks a shuffle the engine expects to elide.
+    pub estimated_ship: Option<[ShipStrategy; 2]>,
+}
+
+/// A complete plan: the annotated tree and the planner's decision log.
 #[derive(Debug, Clone)]
 pub struct QueryPlan {
-    /// Root of the plan tree.
+    /// Root of the plan tree; its estimate is the whole query's.
     pub root: PlanNode,
-    /// Estimated number of result embeddings.
-    pub estimated_cardinality: f64,
-    /// Annotated plan tree mirroring `root`: per-operator estimated
-    /// cardinalities and predicted join strategies.
-    pub explain: ExplainNode,
     /// The greedy planner's decision log.
     pub planner: PlannerTrace,
 }
 
-/// One-line label of a plan node (no children), resolving leaf indices to
-/// query variables: the operator of each [`ExplainNode`] the planner
-/// builds alongside the plan.
-pub(crate) fn node_label(node: &PlanNode, query: &QueryGraph) -> String {
-    match node {
-        PlanNode::ScanVertices { vertex } => {
-            let v = &query.vertices[*vertex];
-            let labels: Vec<&str> = v.labels.iter().map(|l| l.as_str()).collect();
-            format!(
-                "ScanVertices({}{}{})",
-                v.variable,
-                if labels.is_empty() { "" } else { ":" },
-                labels.join("|")
-            )
+impl PlanNode {
+    /// A node over `inputs` with no predicted join strategy.
+    pub fn new(operator: PlanOperator, inputs: Vec<PlanNode>, estimated_cardinality: f64) -> Self {
+        PlanNode {
+            operator,
+            inputs,
+            estimated_cardinality,
+            estimated_strategy: None,
+            estimated_ship: None,
         }
-        PlanNode::ScanEdges { edge } => {
-            let e = &query.edges[*edge];
-            let labels: Vec<&str> = e.labels.iter().map(|l| l.as_str()).collect();
-            format!(
-                "ScanEdges({}{}{})",
-                e.variable,
-                if labels.is_empty() { "" } else { ":" },
-                labels.join("|")
-            )
+    }
+
+    /// One-line label of this node (no inputs), resolving leaf indices to
+    /// the variables, labels and literals of `query`.
+    pub fn label(&self, query: &QueryGraph) -> String {
+        let mut label = String::new();
+        self.write_label(query, &mut label);
+        label
+    }
+
+    fn write_label(&self, query: &QueryGraph, out: &mut String) {
+        match &self.operator {
+            PlanOperator::ScanVertices { vertex } => {
+                let v = &query.vertices[*vertex];
+                write_scan(out, "ScanVertices(", &v.variable, &v.labels);
+            }
+            PlanOperator::ScanEdges { edge } => {
+                let e = &query.edges[*edge];
+                write_scan(out, "ScanEdges(", &e.variable, &e.labels);
+            }
+            PlanOperator::Join { variables } => {
+                out.push_str("JoinEmbeddings(on ");
+                write_joined(out, variables, ", ", |out, v| out.push_str(v));
+                out.push(')');
+            }
+            PlanOperator::Expand { edge } => {
+                let e = &query.edges[*edge];
+                let (lower, upper) = e.range.unwrap_or((1, 1));
+                let _ = write!(out, "ExpandEmbeddings({} *{lower}..{upper})", e.variable);
+            }
+            PlanOperator::ExpandIntersect { vertex, edges } => {
+                out.push_str("ExpandIntersect(wco intersect ");
+                out.push_str(&query.vertices[*vertex].variable);
+                out.push_str(" = ");
+                write_joined(out, edges, "∩", |out, &e| {
+                    out.push_str(&query.edges[e].variable)
+                });
+                out.push(')');
+            }
+            PlanOperator::Filter { clauses } => {
+                out.push_str("FilterEmbeddings(");
+                write_joined(out, clauses, " AND ", |out, &i| {
+                    let _ = write!(out, "{}", query.cross_clauses[i].0);
+                });
+                out.push(')');
+            }
+            PlanOperator::Cartesian => out.push_str("CartesianProduct"),
+            PlanOperator::ValueJoin {
+                left_property: (lv, lk),
+                right_property: (rv, rk),
+            } => {
+                let _ = write!(out, "ValueJoinEmbeddings({lv}.{lk} = {rv}.{rk})");
+            }
         }
-        PlanNode::Join { variables, .. } => {
-            format!("JoinEmbeddings(on {})", variables.join(", "))
-        }
-        PlanNode::Expand { edge, .. } => {
-            let e = &query.edges[*edge];
-            let (lower, upper) = e.range.unwrap_or((1, 1));
-            format!("ExpandEmbeddings({} *{}..{})", e.variable, lower, upper)
-        }
-        PlanNode::ExpandIntersect { vertex, edges, .. } => {
-            let v = &query.vertices[*vertex];
-            let edge_vars: Vec<&str> = edges
+    }
+
+    /// The EXPLAIN tree of this subtree, labelled against `query`.
+    pub fn explain(&self, query: &QueryGraph) -> ExplainNode {
+        ExplainNode {
+            operator: self.label(query),
+            estimated_cardinality: self.estimated_cardinality,
+            estimated_strategy: self.estimated_strategy,
+            estimated_ship: self.estimated_ship,
+            children: self
+                .inputs
                 .iter()
-                .map(|&e| query.edges[e].variable.as_str())
-                .collect();
-            format!(
-                "ExpandIntersect(wco intersect {} = {})",
-                v.variable,
-                edge_vars.join("∩")
-            )
+                .map(|input| input.explain(query))
+                .collect(),
         }
-        PlanNode::Filter { clauses, .. } => {
-            let texts: Vec<String> = clauses
-                .iter()
-                .map(|&i| query.cross_clauses[i].0.to_string())
-                .collect();
-            format!("FilterEmbeddings({})", texts.join(" AND "))
+    }
+}
+
+/// `Scan…(variable:A|B)`, the colon only when there are labels.
+fn write_scan(out: &mut String, operator: &str, variable: &str, labels: &[Label]) {
+    out.push_str(operator);
+    out.push_str(variable);
+    for (i, label) in labels.iter().enumerate() {
+        out.push(if i == 0 { ':' } else { '|' });
+        out.push_str(label.as_str());
+    }
+    out.push(')');
+}
+
+/// Writes every item with `write`, separated by `separator`.
+fn write_joined<T>(
+    out: &mut String,
+    items: &[T],
+    separator: &str,
+    write: impl Fn(&mut String, &T),
+) {
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push_str(separator);
         }
-        PlanNode::Cartesian { .. } => "CartesianProduct".to_string(),
-        PlanNode::ValueJoin {
-            left_property,
-            right_property,
-            ..
-        } => format!(
-            "ValueJoinEmbeddings({}.{} = {}.{})",
-            left_property.0, left_property.1, right_property.0, right_property.1
-        ),
+        write(out, item);
     }
 }

@@ -1,6 +1,8 @@
 //! Query results: tabular access (paper Table 2) and EPGM post-processing
 //! into a graph collection (Definition 2.4).
 
+use std::sync::Arc;
+
 use gradoop_cypher::{QueryGraph, ReturnItem};
 use gradoop_dataflow::pool::map_partitions;
 use gradoop_dataflow::JoinStrategy;
@@ -165,8 +167,9 @@ pub struct QueryResult {
     pub meta: EmbeddingMetaData,
     /// The executed query graph.
     pub query: QueryGraph,
-    /// The executed plan (with its cost estimate).
-    pub plan: QueryPlan,
+    /// The executed plan (with its estimates), shared with the plan cache
+    /// on a hit; `plan.root.explain(&query)` labels it for this run.
+    pub plan: Arc<QueryPlan>,
 }
 
 impl QueryResult {

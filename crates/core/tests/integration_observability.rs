@@ -7,9 +7,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use gradoop_core::{
-    choose_join_strategy, ship_strategies, CypherEngine, MatchingConfig, MemoryQueryLog, Profile,
-    ShipStrategy,
+    choose_join_strategy, ship_strategies, CypherEngine, MatchingConfig, MemoryQueryLog, PlanCache,
+    Profile, ShipStrategy,
 };
+use gradoop_cypher::Literal;
 use gradoop_dataflow::{CollectingSink, ExecutionConfig, ExecutionEnvironment};
 use gradoop_epgm::{properties, Edge, GradoopId, GraphHead, LogicalGraph, Properties, Vertex};
 
@@ -305,4 +306,99 @@ fn profile_reports_the_run_peak_not_the_environment_peak() {
         scan_record.peak_memory_bytes
     );
     assert!(!scan.to_text().contains("memory:"), "{}", scan.to_text());
+}
+
+const EITHER_NAMED: &str = "MATCH (a:Person)-[e:knows]->(b:Person) \
+                            WHERE a.name = $n OR b.name = $n RETURN *";
+
+fn named(name: &str) -> HashMap<String, Literal> {
+    HashMap::from([("n".to_string(), Literal::String(name.to_string()))])
+}
+
+/// A plan-cache hit is labelled against its own run's query graph: EXPLAIN,
+/// PROFILE and the query log of a run that re-binds `$n` read the new
+/// literal, while every estimate and planner round stays the cached plan's.
+#[test]
+fn a_cache_hit_is_labelled_with_its_own_literals() {
+    let graph = figure1_graph();
+    let log = Arc::new(MemoryQueryLog::new());
+    let cache = Arc::new(PlanCache::default());
+    let engine = CypherEngine::for_graph(&graph)
+        .with_plan_cache(cache.clone())
+        .with_query_log(log.clone());
+    let matching = MatchingConfig::cypher_default();
+    let estimates = |profile: &Profile| -> Vec<f64> {
+        profile
+            .root
+            .pre_order()
+            .map(|node| node.estimated_cardinality)
+            .collect()
+    };
+
+    let mut runs = Vec::new();
+    for name in ["Alice", "Bob"] {
+        let filter = format!("FilterEmbeddings(a.name = '{name}' OR b.name = '{name}')");
+        let explain = engine
+            .explain_with_params(EITHER_NAMED, &named(name))
+            .unwrap();
+        let profile = engine
+            .profile(&graph, EITHER_NAMED, &named(name), matching)
+            .unwrap();
+        let record = log.snapshot().pop().expect("the profile run is logged");
+        assert_eq!(record.plan_cache, Some("hit"), "{name}");
+
+        let text = explain.root.to_text();
+        assert!(text.contains(&filter), "{name}: {text}");
+        let operators: Vec<&str> = profile
+            .root
+            .pre_order()
+            .map(|node| node.operator.as_str())
+            .collect();
+        assert!(
+            operators.contains(&filter.as_str()),
+            "{name}: {operators:?}"
+        );
+        assert!(
+            record.operators.iter().any(|op| op.name == filter),
+            "{name}: {:?}",
+            record.operators
+        );
+        runs.push((name, text, explain.planner.to_text(), profile));
+    }
+    let [(alice, alice_text, alice_rounds, alice_profile), (bob, bob_text, bob_rounds, bob_profile)] =
+        &runs[..]
+    else {
+        unreachable!("two runs");
+    };
+    // Only the literal moves: the tree, every `est=` and the rounds are the
+    // plan the first run cached.
+    assert_eq!(&alice_text.replace(alice, bob), bob_text);
+    assert_eq!(alice_rounds, bob_rounds);
+    assert_eq!(
+        alice_profile.planner.to_text(),
+        bob_profile.planner.to_text()
+    );
+    assert_eq!(estimates(alice_profile), estimates(bob_profile));
+    let stats = cache.stats();
+    assert_eq!((stats.hits, stats.misses), (3, 1));
+}
+
+/// A cache hit shares the cached plan instead of copying it.
+#[test]
+fn cached_runs_of_one_shape_share_one_plan() {
+    let graph = figure1_graph();
+    let engine = CypherEngine::for_graph(&graph).with_plan_cache(Arc::new(PlanCache::default()));
+    let run = |name: &str| {
+        engine
+            .execute(
+                &graph,
+                EITHER_NAMED,
+                &named(name),
+                MatchingConfig::cypher_default(),
+            )
+            .unwrap()
+    };
+    let (first, second) = (run("Alice"), run("Bob"));
+    assert!(Arc::ptr_eq(&first.plan, &second.plan));
+    assert_ne!(first.count(), second.count());
 }

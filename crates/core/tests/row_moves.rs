@@ -12,6 +12,9 @@
 //! * [`Dataset::group_reduce`] indexes its groups with that table and
 //!   gathers each group into one reused buffer: one group or thousands, it
 //!   costs the same.
+//! * [`Dataset::distinct`] over a shared input clones each row once, to
+//!   shuffle it, and moves its survivors (counted in clones, not
+//!   allocations).
 //! * Either placement of the [`AdjacencyIndex`] — the expand index, one
 //!   layout per worker, and the replicated WCO index — lays its runs out in
 //!   one `Vec` under one key table: one key or thousands, it costs the same.
@@ -23,6 +26,7 @@
 //! this thread and the per-thread counter (`counting/mod.rs`) sees them.
 
 use std::hint::black_box;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use gradoop_core::embedding::CHUNK_BYTES;
@@ -33,8 +37,8 @@ use gradoop_core::{EmbeddingMetaData, EmbeddingWriter, EntryType, MatchingConfig
 use gradoop_dataflow::cost::StageCosts;
 use gradoop_dataflow::partition::shuffle_by_key;
 use gradoop_dataflow::{
-    AdjacencyIndex, CollectingSink, CostModel, Dataset, ExecutionConfig, ExecutionEnvironment,
-    JoinStrategy, PartitionKey,
+    AdjacencyIndex, CollectingSink, CostModel, Data, Dataset, ExecutionConfig,
+    ExecutionEnvironment, JoinStrategy, PartitionKey,
 };
 
 mod counting;
@@ -51,10 +55,11 @@ fn one_worker() -> ExecutionEnvironment {
 fn a_second_handle_costs_a_shuffle_one_clone_per_row_and_keeps_its_rows() {
     const ROWS: usize = 4_096;
     let rows: Vec<String> = (0..ROWS).map(|i| format!("row {i:05}")).collect();
+    let env = one_worker();
     let shuffle = |handle: Arc<Vec<Vec<String>>>| {
         let mut stage = StageCosts::new("shuffle", 1);
         let before = allocations();
-        let placed = black_box(shuffle_by_key(handle, String::len, &mut stage));
+        let placed = black_box(shuffle_by_key(&env, handle, String::len, &mut stage));
         (allocations() - before, placed)
     };
     shuffle(Arc::new(vec![Vec::new()])); // the first stage of a process starts the pool
@@ -203,6 +208,43 @@ fn grouping_costs_the_same_however_many_groups_it_holds() {
         one_group.abs_diff(every_group) < 32,
         "grouping {ROWS} rows: {one_group} allocations into one group, \
          {every_group} into {ROWS}; a group allocates nothing of its own"
+    );
+}
+
+/// Clones of [`Counted`] rows made so far, on any thread.
+static CLONES: AtomicU64 = AtomicU64::new(0);
+
+/// A row that counts its clones.
+#[derive(Debug, PartialEq, Eq, Hash)]
+struct Counted(u64);
+
+impl Clone for Counted {
+    fn clone(&self) -> Self {
+        CLONES.fetch_add(1, Ordering::Relaxed);
+        Counted(self.0)
+    }
+}
+
+impl Data for Counted {
+    fn byte_size(&self) -> usize {
+        8
+    }
+}
+
+#[test]
+fn distinct_clones_each_row_of_a_shared_input_once() {
+    const ROWS: u64 = 1_000;
+    const UNIQUE: u64 = 250;
+    let env =
+        ExecutionEnvironment::new(ExecutionConfig::with_workers(3).cost_model(CostModel::free()));
+    let rows = env.from_collection((0..ROWS).map(|i| Counted(i % UNIQUE)).collect::<Vec<_>>());
+    let before = CLONES.load(Ordering::Relaxed);
+    let unique = black_box(rows.distinct());
+    let clones = CLONES.load(Ordering::Relaxed) - before;
+    assert_eq!(unique.len_untracked() as u64, UNIQUE);
+    assert_eq!(
+        clones, ROWS,
+        "distinct over {ROWS} shared rows, {UNIQUE} of them distinct"
     );
 }
 

@@ -14,6 +14,7 @@ use std::sync::Arc;
 use crate::data::Data;
 use crate::env::ExecutionEnvironment;
 use crate::partition::{shuffle_by_key, PartitionKey, Partitioning, TableHasher};
+use crate::pool::Handoff;
 
 /// A distributed collection: one partition per simulated worker.
 ///
@@ -264,7 +265,7 @@ impl<T: Data> Dataset<T> {
         F: Fn(&T) -> K + Sync,
     {
         let mut stage = self.env.stage("partition_by_key");
-        let partitions = shuffle_by_key(self.partitions_arc(), key, &mut stage);
+        let partitions = shuffle_by_key(&self.env, self.partitions_arc(), key, &mut stage);
         self.env.finish_stage(stage);
         Dataset::from_partitions(self.env.clone(), partitions)
     }
@@ -288,7 +289,7 @@ impl<T: Data> Dataset<T> {
             return self.clone();
         }
         let mut stage = self.env.stage("partition_by_key");
-        let partitions = shuffle_by_key(self.partitions_arc(), key, &mut stage);
+        let partitions = shuffle_by_key(&self.env, self.partitions_arc(), key, &mut stage);
         self.env.finish_stage(stage);
         Dataset::from_partitions(self.env.clone(), partitions).assume_partitioning(Some(target))
     }
@@ -324,29 +325,37 @@ impl<T: Data> Dataset<T> {
 
 impl<T: Data + Hash + Eq> Dataset<T> {
     /// Removes duplicates (Flink `distinct`): shuffle by value, then
-    /// per-partition deduplication. Each surviving record is cloned exactly
-    /// once — the seen-set borrows from the shuffled partition.
+    /// per-partition deduplication. The shuffle clones each record once out
+    /// of the borrowed dataset; each task then takes its shuffled partition
+    /// and moves the first occurrence of every record into its output.
     pub fn distinct(&self) -> Dataset<T> {
-        let shuffled = self.partition_by_key(|item| {
-            let mut hasher = std::collections::hash_map::DefaultHasher::new();
-            item.hash(&mut hasher);
-            std::hash::Hasher::finish(&hasher)
-        });
+        let mut shuffle = self.env.stage("partition_by_key");
+        let shuffled = shuffle_by_key(
+            &self.env,
+            self.partitions_arc(),
+            |item| {
+                let mut hasher = std::collections::hash_map::DefaultHasher::new();
+                item.hash(&mut hasher);
+                std::hash::Hasher::finish(&hasher)
+            },
+            &mut shuffle,
+        );
+        self.env.finish_stage(shuffle);
         let mut stage = self.env.stage("distinct");
-        stage.read(shuffled.partitions());
+        stage.read(&shuffled);
+        let shuffled = Handoff::new(shuffled);
         let outputs = self.env.run_stage(stage, |i, _| {
-            let part = &shuffled.partitions()[i];
+            let part = shuffled.take(i);
             let mut seen = std::collections::HashSet::with_capacity_and_hasher(
                 part.len(),
                 TableHasher::default(),
             );
-            let mut out = Vec::new();
-            for item in part {
-                if seen.insert(item) {
-                    out.push(item.clone());
-                }
-            }
-            out
+            let first: Vec<bool> = part.iter().map(|item| seen.insert(item)).collect();
+            drop(seen);
+            part.into_iter()
+                .zip(first)
+                .filter_map(|(item, first)| first.then_some(item))
+                .collect()
         });
         Dataset::from_partitions(self.env.clone(), outputs)
     }

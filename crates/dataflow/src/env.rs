@@ -9,7 +9,7 @@ use crate::dataset::Dataset;
 use crate::fault::{
     finish_stage_with_faults, ExecutionFailure, FaultConfig, FaultEvent, FaultInjector,
 };
-use crate::pool::{propagate, try_run_indexed};
+use crate::pool::{propagate, try_run_indexed, WorkerPanic};
 use crate::trace::{SpanRecord, TraceSink};
 
 /// Configuration of a simulated cluster.
@@ -187,11 +187,9 @@ impl ExecutionEnvironment {
     /// bytes sent) to a copy of worker `i`'s cost; the runner counts the
     /// output's records and stores the copy back once every task finished.
     ///
-    /// A panicking task fails the stage under one policy. With fault
-    /// tolerance installed, the panic is recorded as the environment's
-    /// execution failure at ``stage `<name>` (worker i)``, the stage keeps
-    /// only what the caller charged, and every output is empty. Without it,
-    /// the calling thread panics with `partition worker {i} panicked: {message}`.
+    /// A panicking task fails the stage under [`settle`](Self::settle):
+    /// with fault tolerance installed the stage keeps only what the caller
+    /// charged and every output is empty.
     pub(crate) fn run_stage<R, F>(&self, mut stage: StageCosts, task: F) -> Vec<R>
     where
         R: TaskOutput,
@@ -203,27 +201,47 @@ impl ExecutionEnvironment {
             let out = task(i, &mut cost);
             cost.records_out += out.records();
             (out, cost)
-        });
-        let outputs = match attempt {
-            Ok(done) => done
-                .enumerate()
+        })
+        .map(|done| {
+            done.enumerate()
                 .map(|(i, (out, cost))| {
                     *stage.worker(i) = cost;
                     out
                 })
-                .collect(),
+                .collect()
+        });
+        let outputs = self.settle(stage.name(), attempt, || {
+            (0..workers).map(|_| R::default()).collect()
+        });
+        self.finish_stage(stage);
+        outputs
+    }
+
+    /// The one panic policy of the work a stage runs — its tasks, its
+    /// shuffle's routing tasks, a replicated index's build: `attempt` is
+    /// that work's result, or the panic of the worker whose partition it
+    /// was on. With fault tolerance installed, a panic is recorded as the
+    /// environment's execution failure at ``stage `<name>` (worker i)`` and
+    /// `failed` stands in for the result. Without it, the calling thread
+    /// panics with `partition worker {i} panicked: {message}`.
+    pub(crate) fn settle<O>(
+        &self,
+        stage: &str,
+        attempt: Result<O, WorkerPanic>,
+        failed: impl FnOnce() -> O,
+    ) -> O {
+        match attempt {
+            Ok(done) => done,
             Err(panic) if self.faults_installed() => {
                 self.record_execution_failure(ExecutionFailure {
-                    site: format!("stage `{}` (worker {})", stage.name(), panic.worker),
+                    site: format!("stage `{stage}` (worker {})", panic.worker),
                     attempts: 1,
                     message: format!("worker panicked: {}", panic.message),
                 });
-                (0..workers).map(|_| R::default()).collect()
+                failed()
             }
             Err(panic) => propagate(panic),
-        };
-        self.finish_stage(stage);
-        outputs
+        }
     }
 
     /// Folds an already-finalized stage report into the metrics and notifies

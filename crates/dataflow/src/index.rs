@@ -32,7 +32,7 @@ use crate::dataset::Dataset;
 use crate::env::{ExecutionEnvironment, TaskOutput};
 use crate::join::{bytes_of, charge_build, charge_replication, ship_side};
 use crate::partition::{PartitionKey, TableHasher};
-use crate::pool::Handoff;
+use crate::pool::{try_run_here, Handoff};
 
 /// One compressed-sparse-row layout: every key's `(neighbor, edge)` run,
 /// sorted, back to back in one `Vec`, and where each key's run lies. Its
@@ -179,7 +179,17 @@ impl AdjacencyIndex {
             charge_build(stage.worker(i), total_bytes, memory);
         }
         let build_shuffled_bytes = stage.bytes_sent_total();
-        let csr = Csr::build(rows.partitions().iter().flatten(), triple);
+        // The build runs here, on the driver, under the stage panic policy:
+        // a panicking `triple` fails the stage at the worker holding its row.
+        let built = try_run_here(|worker| {
+            let rows = rows.partitions().iter().enumerate();
+            let rows = rows.flat_map(|(i, part)| {
+                worker.set(i);
+                part
+            });
+            Csr::build(rows, triple)
+        });
+        let csr = env.settle(stage.name(), built, Csr::default);
         env.finish_stage(stage);
         AdjacencyIndex {
             records: rows.len_untracked() as u64,

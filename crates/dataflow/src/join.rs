@@ -112,7 +112,8 @@ where
     let shipped = if forwarded {
         side.into_partitions()
     } else {
-        Arc::new(shuffle_by_key(side.into_partitions(), key, stage))
+        let env = side.env().clone();
+        Arc::new(shuffle_by_key(&env, side.into_partitions(), key, stage))
     };
     stage.read(&shipped);
     shipped

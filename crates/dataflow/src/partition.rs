@@ -32,7 +32,8 @@ use std::sync::{Arc, OnceLock};
 
 use crate::cost::StageCosts;
 use crate::data::Data;
-use crate::pool::{run_indexed, Handoff};
+use crate::env::ExecutionEnvironment;
+use crate::pool::{try_run_indexed, Handoff};
 
 /// Identity of a *semantic* partitioning key, e.g. "the edge source id" or
 /// "the values of join variables `[a, b]`". Two datasets partitioned under
@@ -193,7 +194,12 @@ impl Hasher for FoldHasher {
 /// shared by sessions, an iteration checkpoint, a caller that kept a
 /// clone), they stay untouched and every row is cloned. Output order is the
 /// same either way: source partitions in order, rows in order.
+///
+/// A `key` that panics fails `stage` under `env`'s panic policy: with fault
+/// tolerance installed the failure is recorded at the worker that held the
+/// row and every output partition is empty; without it the caller panics.
 pub fn shuffle_by_key<T, K, F>(
+    env: &ExecutionEnvironment,
     partitions: Arc<Vec<Vec<T>>>,
     key: F,
     stage: &mut StageCosts,
@@ -203,7 +209,7 @@ where
     K: Hash,
     F: Fn(&T) -> K + Sync,
 {
-    route(partitions, key, |_, item| item, stage)
+    route(env, partitions, key, |_, item| item, stage)
 }
 
 /// [`shuffle_by_key`], but each element's computed key rides along to the
@@ -213,6 +219,7 @@ where
 /// cost accounting is identical: the keys are engine-side scratch (a real
 /// system re-hashes on the receiver), so only `T`'s bytes are charged.
 pub fn shuffle_with_keys<T, K, F>(
+    env: &ExecutionEnvironment,
     partitions: Arc<Vec<Vec<T>>>,
     key: F,
     stage: &mut StageCosts,
@@ -222,7 +229,7 @@ where
     K: Hash + Send,
     F: Fn(&T) -> K + Sync,
 {
-    route(partitions, key, |k, item| (k, item), stage)
+    route(env, partitions, key, |k, item| (k, item), stage)
 }
 
 /// The routing loop of both shuffles. Each source worker takes its rows
@@ -230,8 +237,10 @@ where
 /// files `entry(key, row)` in the bucket of the key's target worker and
 /// adds the row's bytes to that bucket when it leaves the worker. The
 /// buckets are then charged (sender and receiver) and concatenated per
-/// target in source order.
+/// target in source order. A panicking source task is settled by `env`'s
+/// panic policy; a failed routing routes nothing.
 fn route<T, K, E, F, M>(
+    env: &ExecutionEnvironment,
     partitions: Arc<Vec<Vec<T>>>,
     key: F,
     entry: M,
@@ -249,7 +258,7 @@ where
     let sources = Arc::try_unwrap(partitions).map(Handoff::new);
     // Phase 1 (parallel): per source, one (entries, bytes moved) bucket per
     // target worker.
-    let routed: Vec<Vec<(Vec<E>, u64)>> = run_indexed(workers, |index| {
+    let attempt = try_run_indexed(workers, &|index| {
         let mut buckets: Vec<(Vec<E>, u64)> = (0..workers).map(|_| (Vec::new(), 0)).collect();
         let mut place = |item: T| {
             let k = key(&item);
@@ -266,6 +275,8 @@ where
         }
         buckets
     });
+    let routed: Vec<Vec<(Vec<E>, u64)>> =
+        env.settle(stage.name(), attempt.map(Iterator::collect), Vec::new);
 
     // Phase 2: charge costs and regroup buckets by target worker.
     let mut result: Vec<Vec<E>> = (0..workers).map(|_| Vec::new()).collect();
@@ -286,6 +297,11 @@ where
 mod tests {
     use super::*;
     use crate::cost::StageCosts;
+    use crate::env::ExecutionConfig;
+
+    fn env(workers: usize) -> ExecutionEnvironment {
+        ExecutionEnvironment::new(ExecutionConfig::with_workers(workers))
+    }
 
     #[test]
     fn partition_for_is_deterministic_and_in_range() {
@@ -300,7 +316,7 @@ mod tests {
     fn shuffle_groups_equal_keys() {
         let partitions: Vec<Vec<u64>> = vec![vec![1, 2, 3, 1], vec![2, 1, 4]];
         let mut stage = StageCosts::new("shuffle", 2);
-        let shuffled = shuffle_by_key(Arc::new(partitions), |x| *x, &mut stage);
+        let shuffled = shuffle_by_key(&env(2), Arc::new(partitions), |x| *x, &mut stage);
         assert_eq!(shuffled.iter().map(Vec::len).sum::<usize>(), 7);
         // Every copy of a key must be in the partition the hash assigns.
         for (index, part) in shuffled.iter().enumerate() {
@@ -315,7 +331,7 @@ mod tests {
         // Single worker: nothing can move, so no network traffic.
         let partitions: Vec<Vec<u64>> = vec![vec![1, 2, 3]];
         let mut stage = StageCosts::new("shuffle", 1);
-        let _ = shuffle_by_key(Arc::new(partitions), |x| *x, &mut stage);
+        let _ = shuffle_by_key(&env(1), Arc::new(partitions), |x| *x, &mut stage);
         let report = stage.finish(&crate::cost::CostModel::free());
         assert_eq!(report.bytes_shuffled, 0);
     }
@@ -386,7 +402,7 @@ mod tests {
     fn shuffle_on_empty_input_is_empty() {
         let partitions: Vec<Vec<u64>> = vec![vec![], vec![]];
         let mut stage = StageCosts::new("shuffle", 2);
-        let shuffled = shuffle_by_key(Arc::new(partitions), |x| *x, &mut stage);
+        let shuffled = shuffle_by_key(&env(2), Arc::new(partitions), |x| *x, &mut stage);
         assert!(shuffled.iter().all(Vec::is_empty));
     }
 }

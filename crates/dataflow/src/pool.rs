@@ -24,18 +24,21 @@
 //!
 //! Every dataflow stage submits its tasks through one runner, the
 //! environment's crate-private `run_stage`: one task per partition, each
-//! charging its own `WorkerCost`, and one panic policy for every stage
-//! kind. A panicking task is caught here and handed to the runner as a
-//! `WorkerPanic`; with fault tolerance installed the runner classifies
-//! it as an execution failure of its stage, without it the caller fails
-//! with `partition worker {i} panicked: {message}`. [`map_partitions`] is
-//! the one public adapter: it charges nothing and re-raises a panic the
-//! same way, for reading a dataset's partitions in parallel outside any
-//! stage. Every task runs under `catch_unwind` before any pool lock is
-//! taken, so a panicking closure can neither kill a pool thread nor poison
-//! a pool mutex; the pool is as usable after the panic as before.
+//! charging its own `WorkerCost`. A panicking task is caught here and
+//! handed on as a `WorkerPanic` to the one panic policy, the environment's
+//! crate-private `settle`, which the runner, the shuffle's routing loop and
+//! the replicated index build share: with fault tolerance installed it
+//! classifies the panic as an execution failure of its stage, without it
+//! the caller fails with `partition worker {i} panicked: {message}`.
+//! [`map_partitions`] is the one public adapter: it charges nothing and
+//! re-raises a panic the same way, for reading a dataset's partitions in
+//! parallel outside any stage. Every task runs under `catch_unwind` before
+//! any pool lock is taken, so a panicking closure can neither kill a pool
+//! thread nor poison a pool mutex; the pool is as usable after the panic
+//! as before.
 
 use std::any::Any;
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -274,6 +277,16 @@ pub(crate) fn try_run_indexed<O: Send>(
             _ => unreachable!("every task ran and none panicked"),
         })),
     }
+}
+
+/// Runs `f` on the calling thread: a panic becomes the `WorkerPanic` of the
+/// worker `f` last stored in its cell (the partition it was reading).
+pub(crate) fn try_run_here<O>(f: impl FnOnce(&Cell<usize>) -> O) -> Result<O, WorkerPanic> {
+    let worker = Cell::new(0);
+    catch_unwind(AssertUnwindSafe(|| f(&worker))).map_err(|payload| WorkerPanic {
+        worker: worker.get(),
+        message: panic_message(payload),
+    })
 }
 
 /// [`try_run_indexed`], collected, re-raising a task's panic on the calling

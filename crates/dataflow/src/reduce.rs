@@ -41,7 +41,7 @@ impl<T: Data> Dataset<T> {
         // (grouping rows, decoded property values), so they must not be
         // re-derived per record after the shuffle.
         let mut shuffle_stage = env.stage("partition_by_key");
-        let keyed = shuffle_with_keys(self.into_partitions(), &key, &mut shuffle_stage);
+        let keyed = shuffle_with_keys(&env, self.into_partitions(), &key, &mut shuffle_stage);
         env.finish_stage(shuffle_stage);
         let mut stage = env.stage("group_reduce");
         stage.read(&keyed);

@@ -157,6 +157,11 @@ fn two_partitioned_rows() -> impl Strategy<Value = (Vec<Vec<Row>>, Vec<Vec<Row>>
 
 /// An environment that charges every record and byte, with a sink keeping
 /// the stage reports.
+/// The environment a modelled shuffle runs under: its panic policy only.
+fn model_env(workers: usize) -> ExecutionEnvironment {
+    ExecutionEnvironment::new(ExecutionConfig::with_workers(workers))
+}
+
 fn charging_env(workers: usize) -> (ExecutionEnvironment, Arc<CollectingSink>) {
     let env = ExecutionEnvironment::new(
         ExecutionConfig::with_workers(workers).cost_model(CostModel::cluster_2017()),
@@ -253,8 +258,9 @@ fn model_keyed_join<O>(
 ) -> (Vec<Vec<O>>, String) {
     let mut stage = StageCosts::new(name, left.len());
     let key = |row: &Row| row.0;
-    let left = shuffle_by_key(Arc::new(left.to_vec()), key, &mut stage);
-    let right = shuffle_by_key(Arc::new(right.to_vec()), key, &mut stage);
+    let env = model_env(left.len());
+    let left = shuffle_by_key(&env, Arc::new(left.to_vec()), key, &mut stage);
+    let right = shuffle_by_key(&env, Arc::new(right.to_vec()), key, &mut stage);
     let outputs: Vec<Vec<O>> = left.iter().zip(&right).map(|(l, r)| local(l, r)).collect();
     for (i, ((l, r), out)) in left.iter().zip(&right).zip(&outputs).enumerate() {
         let build_bytes: u64 = r.iter().map(|row| row.byte_size() as u64).sum();
@@ -392,10 +398,11 @@ proptest! {
 
         // The primitive itself.
         let mut moved_costs = StageCosts::new("shuffle", workers);
-        let moved = shuffle_by_key(Arc::new(left.clone()), key, &mut moved_costs);
+        let env = model_env(workers);
+        let moved = shuffle_by_key(&env, Arc::new(left.clone()), key, &mut moved_costs);
         let survivor = Arc::new(left.clone());
         let mut cloned_costs = StageCosts::new("shuffle", workers);
-        let cloned = shuffle_by_key(Arc::clone(&survivor), key, &mut cloned_costs);
+        let cloned = shuffle_by_key(&env, Arc::clone(&survivor), key, &mut cloned_costs);
         prop_assert_eq!(&moved, &cloned);
         prop_assert_eq!(format!("{moved_costs:?}"), format!("{cloned_costs:?}"));
         prop_assert_eq!(&*survivor, &left);
@@ -496,8 +503,10 @@ proptest! {
     ) {
         let workers = left.len();
         let key = |row: &Row| row.0;
+        let model = model_env(workers);
         let shuffled = |parts: &[Vec<Row>]| {
-            shuffle_by_key(Arc::new(parts.to_vec()), key, &mut StageCosts::new("model", workers))
+            let mut stage = StageCosts::new("model", workers);
+            shuffle_by_key(&model, Arc::new(parts.to_vec()), key, &mut stage)
         };
         let (left_placed, right_placed) = (shuffled(&left), shuffled(&right));
 
@@ -524,7 +533,8 @@ proptest! {
             Some((l.0, l.1.clone(), neighbor, edge))
         });
         let wide_placed = |parts: &[Vec<Row>]| {
-            shuffle_by_key(Arc::new(parts.to_vec()), wide, &mut StageCosts::new("model", workers))
+            let mut stage = StageCosts::new("model", workers);
+            shuffle_by_key(&model, Arc::new(parts.to_vec()), wide, &mut stage)
         };
         let expected: Vec<Vec<(u8, String, u64, u64)>> = wide_placed(&left)
             .iter()

@@ -1,7 +1,9 @@
 //! One panic policy for every partition-parallel stage.
 //!
 //! Each site below runs a stage whose user code panics on one row, the
-//! `POISON` row, on a known worker. With fault tolerance installed the
+//! `POISON` row, on a known worker: in the stage's tasks, in the key a
+//! shuffle routes the row by, or in the triple a replicated index is built
+//! from. With fault tolerance installed the
 //! stage yields an empty output and the environment records a classified
 //! failure at ``stage `<name>` (worker i)``; without it the caller panics
 //! with `partition worker i panicked`. Either way the environment runs its
@@ -200,6 +202,55 @@ fn sites() -> Vec<Site> {
     ]
 }
 
+/// Sites whose panicking code runs before the stage's tasks: a shuffle's
+/// key, read where the row sits, and a replicated index's triple, read on
+/// the driver, which names the worker holding the row.
+fn routing_sites() -> Vec<Site> {
+    vec![
+        Site {
+            stage: "join(repartition-hash)",
+            worker: 2,
+            run: |env| {
+                placed(env)
+                    .join(
+                        keyed(env),
+                        |l| poisoned(*l),
+                        |r| r.0,
+                        JoinStrategy::RepartitionHash,
+                        |l, r| Some((*l, r.1)),
+                    )
+                    .len_untracked()
+            },
+        },
+        Site {
+            stage: "partition_by_key",
+            worker: 2,
+            run: |env| {
+                placed(env)
+                    .group_reduce(|x| poisoned(*x), |k, members| (*k, members.len()))
+                    .len_untracked()
+            },
+        },
+        Site {
+            stage: "partition_by_key",
+            worker: 2,
+            run: |env| {
+                placed(env)
+                    .partition_by(PartitionKey::named("poisoned"), |x| poisoned(*x))
+                    .len_untracked()
+            },
+        },
+        Site {
+            stage: "wco(build-adjacency)",
+            worker: 2,
+            run: |env| {
+                let index = AdjacencyIndex::replicated(&placed(env), |&x| (poisoned(x), x, x));
+                (0..10).map(|k| index.candidates(0, k).len()).sum()
+            },
+        },
+    ]
+}
+
 fn env() -> ExecutionEnvironment {
     ExecutionEnvironment::new(ExecutionConfig::with_workers(WORKERS).cost_model(CostModel::free()))
 }
@@ -224,10 +275,12 @@ fn there_is_one_site_per_stage_kind() {
     assert_eq!(stages.len(), 11);
 }
 
-/// Runs `check` on every site and fails listing each site it failed on.
+/// Runs `check` on every site, routing sites included, and fails listing
+/// each site it failed on.
 fn for_every_site(check: impl Fn(&Site) -> Result<(), String>) {
     let failed: Vec<String> = sites()
         .iter()
+        .chain(&routing_sites())
         .filter_map(|site| {
             check(site)
                 .err()

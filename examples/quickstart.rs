@@ -101,7 +101,10 @@ fn main() {
             MatchingConfig::cypher_default(),
         )
         .expect("query executes");
-    println!("query plan:\n{}", result.plan.explain.to_text());
+    println!(
+        "query plan:\n{}",
+        result.plan.root.explain(&result.query).to_text()
+    );
     println!("{} match(es):", result.count());
     let table = result.rows().expect("rows materialize");
     for row in &table.rows {
