@@ -176,6 +176,40 @@ pub(crate) fn commit(bytes: &[u8]) -> ChunkRow {
         .unwrap_or_else(|_| own_chunk(bytes))
 }
 
+/// Commits rows into chunks of their own, which no thread appends to: rows
+/// kept beyond their query (a memoized leaf) then pin only chunks of kept
+/// rows, and no later query's rows land beside them. Every chunk is sized
+/// to what is left to commit, so the last one is full too.
+pub(crate) struct Packer {
+    current: Option<Current>,
+    /// Bytes still to commit.
+    remaining: usize,
+}
+
+impl Packer {
+    /// A packer for rows of `total` bytes.
+    pub(crate) fn new(total: usize) -> Packer {
+        Packer {
+            current: None,
+            remaining: total,
+        }
+    }
+
+    /// Commits `bytes` as one row.
+    pub(crate) fn commit(&mut self, bytes: &[u8]) -> ChunkRow {
+        self.remaining = self.remaining.saturating_sub(bytes.len());
+        let current = match self.current.take() {
+            Some(current) if current.fits(bytes.len()) => current,
+            _ => {
+                let capacity = (self.remaining + bytes.len()).min(CHUNK_BYTES);
+                Current::new(capacity.max(bytes.len()))
+            }
+        };
+        let current = self.current.insert(current);
+        current.append(bytes)
+    }
+}
+
 /// Bytes of the chunks that committed rows keep alive beyond each thread's
 /// current chunk. Once every row of a query is dropped this is back where
 /// it was before the query: a row pins its chunk, nothing else does.

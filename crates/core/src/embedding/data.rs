@@ -280,6 +280,26 @@ impl Embedding {
         .expect("a leaf row is always committed")
     }
 
+    /// The same rows, partition by partition, copied into chunks of their
+    /// own that no thread appends to (see `chunk::Packer`): how rows that
+    /// outlive their query are kept.
+    pub(crate) fn packed(partitions: &[Vec<Embedding>]) -> Vec<Vec<Embedding>> {
+        let total = partitions.iter().flatten().map(|row| row.bytes().len());
+        let mut packer = chunk::Packer::new(total.sum());
+        partitions
+            .iter()
+            .map(|rows| {
+                rows.iter()
+                    .map(|row| Embedding {
+                        row: packer.commit(row.bytes()),
+                        path_start: row.path_start,
+                        prop_start: row.prop_start,
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
     /// Merges `other` into `self` (the join operation): appends all of
     /// `other`'s columns except those in `skip_columns` (the join columns,
     /// already present on the left) and all its properties, and commits the

@@ -389,7 +389,7 @@ impl CypherEngine {
             let profile = Profile {
                 query: query_text.to_string(),
                 root: ran.root,
-                planner: ran.planner,
+                plan: ran.plan,
                 matches: ran.matches,
                 wall_seconds,
                 metrics,
@@ -489,7 +489,8 @@ enum Output {
 struct Ran {
     output: Output,
     root: ProfileNode,
-    planner: PlannerTrace,
+    /// A plain text's plan, whose decision log PROFILE shows.
+    plan: Option<Arc<QueryPlan>>,
     matches: u64,
 }
 
@@ -513,7 +514,7 @@ fn run_planned<S: GraphSource + ?Sized>(
         let (set, root) = execute_match(&query, &plan, source, matching, collector)?;
         return Ok(Ran {
             root,
-            planner: plan.planner.clone(),
+            plan: Some(plan.clone()),
             matches: set.data.len_untracked() as u64,
             output: Output::Embeddings(Box::new(QueryResult {
                 embeddings: set.data,
@@ -547,7 +548,7 @@ fn run_planned<S: GraphSource + ?Sized>(
     Ok(Ran {
         output: Output::Table(table),
         root,
-        planner: PlannerTrace::default(),
+        plan: None,
         matches,
     })
 }

@@ -21,13 +21,13 @@ use gradoop_cypher::{CnfClause, QueryGraph};
 use gradoop_dataflow::{CollectedTrace, CollectingSink, JoinStrategy, Partitioning, SpanRecord};
 
 use crate::matching::MatchingConfig;
+use crate::memo::{self, Leaf};
 use crate::observe::{
     q_error, selectivity, ship_strategies, ExpandIteration, ProfileNode, ShipStrategy,
 };
 use crate::operators::{
     cartesian_embeddings, edge_triples, embedding_join_key, expand_embeddings, expand_intersect,
-    filter_and_project_edges, filter_and_project_vertices, filter_embeddings,
-    join_embeddings_filtered, value_join_embeddings, EmbeddingSet, ExpandConfig,
+    filter_embeddings, join_embeddings_filtered, value_join_embeddings, EmbeddingSet, ExpandConfig,
 };
 use crate::planner::{PlanNode, PlanOperator};
 use crate::source::GraphSource;
@@ -139,16 +139,17 @@ fn walk<S: GraphSource + ?Sized>(
     let mut actual_ship = None;
     let result = match &node.operator {
         PlanOperator::ScanVertices { vertex } => {
-            let query_vertex = &query.vertices[*vertex];
-            let candidates = source.vertices_for_labels(&query_vertex.labels);
-            filter_and_project_vertices(&candidates, query_vertex)
+            memo::scan(source, Leaf::Vertex(&query.vertices[*vertex]))
         }
         PlanOperator::ScanEdges { edge } => {
             let query_edge = &query.edges[*edge];
-            let candidates = source.edges_for_labels(&query_edge.labels);
-            let source_var = &query.vertices[query_edge.source].variable;
-            let target_var = &query.vertices[query_edge.target].variable;
-            filter_and_project_edges(&candidates, query_edge, source_var, target_var, matching)
+            let leaf = Leaf::Edge {
+                edge: query_edge,
+                source: &query.vertices[query_edge.source].variable,
+                target: &query.vertices[query_edge.target].variable,
+                matching,
+            };
+            memo::scan(source, leaf)
         }
         PlanOperator::Join { variables } => {
             let (left, right) = (child(), child());

@@ -44,6 +44,7 @@ pub mod embedding;
 pub mod engine;
 pub mod executor;
 pub mod matching;
+pub mod memo;
 pub mod observe;
 pub mod operators;
 pub mod pipeline;
@@ -61,6 +62,7 @@ pub use embedding::{
 pub use engine::{CypherEngine, CypherError, CypherOperator};
 pub use executor::{choose_join_strategy, execute_plan};
 pub use matching::{MatchingConfig, MorphismCheck, MorphismType};
+pub use memo::{leaf_memo_stats, LeafMemoStats};
 pub use observe::{
     ship_strategies, ExpandIteration, Explain, ExplainNode, PlannerCandidate, PlannerRound,
     PlannerTrace, Profile, ProfileNode, ShipStrategy,

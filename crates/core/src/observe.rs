@@ -26,7 +26,11 @@
 //! [`ExecutionMetrics`] built by [`ExecutionMetrics::record`], the one fold
 //! over [`StageReport`]s.
 
+use std::sync::Arc;
+
 use gradoop_dataflow::{ExecutionMetrics, JoinStrategy, StageReport};
+
+use crate::planner::QueryPlan;
 
 /// Stable lower-case name of a join strategy, used in text output.
 pub fn strategy_name(strategy: JoinStrategy) -> &'static str {
@@ -472,8 +476,10 @@ pub struct Profile {
     pub query: String,
     /// Root of the profiled plan tree.
     pub root: ProfileNode,
-    /// The planner's decision log.
-    pub planner: PlannerTrace,
+    /// The plan of a plain text's one `MATCH`, shared with the plan cache
+    /// (`None` for a clause pipeline); its decision log is
+    /// [`Profile::planner`].
+    pub plan: Option<Arc<QueryPlan>>,
     /// Final match count: a plain text's embeddings, or a clause
     /// pipeline's result rows (after `DISTINCT`, aggregation and paging).
     pub matches: u64,
@@ -486,6 +492,13 @@ pub struct Profile {
 }
 
 impl Profile {
+    /// The planner's decision log: the plan's, read in place; empty for a
+    /// clause pipeline.
+    pub fn planner(&self) -> &PlannerTrace {
+        static NONE: PlannerTrace = PlannerTrace { rounds: Vec::new() };
+        self.plan.as_ref().map_or(&NONE, |plan| &plan.planner)
+    }
+
     /// Pretty multi-line rendering.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
@@ -511,9 +524,10 @@ impl Profile {
                 metrics.restored_bytes,
             ));
         }
-        if !self.planner.rounds.is_empty() {
+        let planner = self.planner();
+        if !planner.rounds.is_empty() {
             out.push_str("planner decisions:\n");
-            out.push_str(&self.planner.to_text());
+            out.push_str(&planner.to_text());
         }
         out
     }
@@ -522,6 +536,7 @@ impl Profile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::planner::{PlanNode, PlanOperator};
 
     #[test]
     fn ship_strategies_follow_partitioning() {
@@ -612,16 +627,19 @@ mod tests {
         Profile {
             query: "MATCH (a)-[e:knows*1..2]->(b) RETURN *".into(),
             root: expand,
-            planner: PlannerTrace {
-                rounds: vec![PlannerRound {
-                    candidates: vec![PlannerCandidate {
-                        edge_variable: "e".into(),
-                        estimated_cardinality: 4.0,
+            plan: Some(Arc::new(QueryPlan {
+                root: PlanNode::new(PlanOperator::ScanVertices { vertex: 0 }, vec![], 4.0),
+                planner: PlannerTrace {
+                    rounds: vec![PlannerRound {
+                        candidates: vec![PlannerCandidate {
+                            edge_variable: "e".into(),
+                            estimated_cardinality: 4.0,
+                        }],
+                        chosen_edge: "e".into(),
+                        chosen_cardinality: 4.0,
                     }],
-                    chosen_edge: "e".into(),
-                    chosen_cardinality: 4.0,
-                }],
-            },
+                },
+            })),
             matches: 4,
             wall_seconds: 0.003,
             metrics: recovered_metrics(1.75, 7),

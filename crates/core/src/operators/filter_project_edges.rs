@@ -44,15 +44,7 @@ pub fn filter_and_project_edges(
     let is_loop = source_var == target_var;
     let reject_data_loops =
         !is_loop && matching.vertices == crate::matching::MorphismType::Isomorphism;
-    let mut meta = EmbeddingMetaData::new();
-    meta.add_entry(source_var, EntryType::Vertex);
-    meta.add_entry(&query_edge.variable, EntryType::Edge);
-    if !is_loop {
-        meta.add_entry(target_var, EntryType::Vertex);
-    }
-    for key in &query_edge.required_keys {
-        meta.add_property(&query_edge.variable, key);
-    }
+    let meta = edge_leaf_meta(query_edge, source_var, target_var);
 
     let qe = query_edge.clone();
     let undirected = query_edge.undirected;
@@ -88,6 +80,26 @@ pub fn filter_and_project_edges(
         &result,
     );
     result
+}
+
+/// The layout of [`filter_and_project_edges`]' rows: source, edge and
+/// target columns (source and edge for a loop), then one property per
+/// required key.
+pub(crate) fn edge_leaf_meta(
+    query_edge: &QueryEdge,
+    source_var: &str,
+    target_var: &str,
+) -> EmbeddingMetaData {
+    let mut meta = EmbeddingMetaData::new();
+    meta.add_entry(source_var, EntryType::Vertex);
+    meta.add_entry(&query_edge.variable, EntryType::Edge);
+    if source_var != target_var {
+        meta.add_entry(target_var, EntryType::Vertex);
+    }
+    for key in &query_edge.required_keys {
+        meta.add_property(&query_edge.variable, key);
+    }
+    meta
 }
 
 /// Projects candidate edges to bare `(source, edge, target)` identifier

@@ -11,7 +11,7 @@ use gradoop_cypher::QueryVertex;
 use gradoop_dataflow::Parts;
 use gradoop_epgm::Vertex;
 
-use crate::embedding::{Embedding, EntryType};
+use crate::embedding::{Embedding, EmbeddingMetaData, EntryType};
 use crate::operators::{observe_operator, EmbeddingSet};
 
 /// Builds the embedding dataset for one query vertex from its candidate
@@ -21,12 +21,7 @@ pub fn filter_and_project_vertices(
     candidates: &Parts<Vertex>,
     query_vertex: &QueryVertex,
 ) -> EmbeddingSet {
-    let mut meta = crate::embedding::EmbeddingMetaData::new();
-    meta.add_entry(&query_vertex.variable, EntryType::Vertex);
-    for key in &query_vertex.required_keys {
-        meta.add_property(&query_vertex.variable, key);
-    }
-
+    let meta = vertex_leaf_meta(query_vertex);
     let variable = query_vertex.variable.clone();
     let labels = query_vertex.labels.clone();
     let predicates = query_vertex.predicates.clone();
@@ -58,6 +53,17 @@ pub fn filter_and_project_vertices(
         &result,
     );
     result
+}
+
+/// The layout of [`filter_and_project_vertices`]' rows: the vertex column,
+/// then one property per required key.
+pub(crate) fn vertex_leaf_meta(query_vertex: &QueryVertex) -> EmbeddingMetaData {
+    let mut meta = EmbeddingMetaData::new();
+    meta.add_entry(&query_vertex.variable, EntryType::Vertex);
+    for key in &query_vertex.required_keys {
+        meta.add_property(&query_vertex.variable, key);
+    }
+    meta
 }
 
 #[cfg(test)]

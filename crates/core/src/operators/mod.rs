@@ -28,14 +28,16 @@ pub use cartesian::cartesian_embeddings;
 pub use expand_embeddings::{expand_embeddings, EdgeTriple, ExpandConfig};
 pub use expand_intersect::expand_intersect;
 pub use filter_embeddings::filter_embeddings;
+pub(crate) use filter_project_edges::edge_leaf_meta;
 pub use filter_project_edges::{edge_triples, filter_and_project_edges};
 pub use filter_project_vertices::filter_and_project_vertices;
+pub(crate) use filter_project_vertices::vertex_leaf_meta;
 pub use join_embeddings::{embedding_join_key, join_embeddings, join_embeddings_filtered};
 pub use value_join::value_join_embeddings;
 
 use crate::embedding::{Embedding, EmbeddingMetaData};
 use crate::observe::selectivity;
-use gradoop_dataflow::{Data, Dataset, ExecutionFailure, SpanRecord};
+use gradoop_dataflow::{Data, Dataset, ExecutionEnvironment, ExecutionFailure, SpanRecord};
 
 /// An embedding dataset together with its (plan-time) layout.
 #[derive(Clone, Debug)]
@@ -96,14 +98,24 @@ pub(crate) fn observe_operator_with(
         return;
     }
     let rows_out = result.data.len_untracked() as u64;
+    let totals = [rows_in, rows_out, embedding_bytes(result)];
+    emit_operator_span(env, name, totals, extra);
+}
+
+/// Reports the `operator/<name>` span of [`observe_operator`] from totals
+/// already known — `[rows in, rows out, embedding bytes]` — without
+/// reading a row.
+pub(crate) fn emit_operator_span(
+    env: &ExecutionEnvironment,
+    name: &str,
+    [rows_in, rows_out, bytes]: [u64; 3],
+    extra: Vec<(String, f64)>,
+) {
     let mut counters = vec![
         ("rows_in".to_string(), rows_in as f64),
         ("rows_out".to_string(), rows_out as f64),
         ("selectivity".to_string(), selectivity(rows_in, rows_out)),
-        (
-            "embedding_bytes".to_string(),
-            embedding_bytes(result) as f64,
-        ),
+        ("embedding_bytes".to_string(), bytes as f64),
     ];
     counters.extend(extra);
     env.emit_span(SpanRecord {

@@ -41,7 +41,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use gradoop_cypher::QueryGraph;
+use gradoop_cypher::{QueryEdge, QueryGraph};
 
 use crate::planner::{PlanMode, QueryPlan};
 
@@ -101,19 +101,35 @@ impl GraphSignature {
     fn of(query: &QueryGraph) -> GraphSignature {
         GraphSignature {
             vertices: query.vertices.len(),
-            edges: query
-                .edges
-                .iter()
-                .map(|e| EdgeSignature {
-                    source: e.source,
-                    target: e.target,
-                    undirected: e.undirected,
-                    range: e.range,
-                    open_range: e.open_range,
-                })
-                .collect(),
+            edges: query.edges.iter().map(EdgeSignature::of).collect(),
             cross_clauses: query.cross_clauses.len(),
             return_items: query.return_items.len(),
+        }
+    }
+
+    /// Whether `query` has this signature — compared in place, without
+    /// building `query`'s.
+    fn matches(&self, query: &QueryGraph) -> bool {
+        self.vertices == query.vertices.len()
+            && self.cross_clauses == query.cross_clauses.len()
+            && self.return_items == query.return_items.len()
+            && self.edges.len() == query.edges.len()
+            && self
+                .edges
+                .iter()
+                .zip(&query.edges)
+                .all(|(signature, edge)| *signature == EdgeSignature::of(edge))
+    }
+}
+
+impl EdgeSignature {
+    fn of(edge: &QueryEdge) -> EdgeSignature {
+        EdgeSignature {
+            source: edge.source,
+            target: edge.target,
+            undirected: edge.undirected,
+            range: edge.range,
+            open_range: edge.open_range,
         }
     }
 }
@@ -126,15 +142,19 @@ struct PlanEntry {
 
 #[derive(Default)]
 struct CacheInner {
-    /// Plans keyed on `(normalized shape, plan mode)`.
-    plans: HashMap<(String, PlanModeKey), PlanEntry>,
+    /// Plans keyed on the normalized shape, one map per [`PlanMode`]
+    /// (indexed by [`mode_index`]), so that a borrowed shape probes them.
+    plans: [HashMap<String, PlanEntry>; 3],
     tick: u64,
 }
 
-/// `PlanMode` is not `Hash`; its discriminant is.
-type PlanModeKey = u8;
+impl CacheInner {
+    fn len(&self) -> usize {
+        self.plans.iter().map(HashMap::len).sum()
+    }
+}
 
-fn mode_key(mode: PlanMode) -> PlanModeKey {
+fn mode_index(mode: PlanMode) -> usize {
     match mode {
         PlanMode::CostBased => 0,
         PlanMode::ForceBinary => 1,
@@ -182,25 +202,24 @@ impl PlanCache {
     /// Looks up the plan cached for `(shape, mode)`, validating it against
     /// the structure of the freshly built `query` graph. Counts a hit or a
     /// miss; on a miss the caller plans and [`insert`](PlanCache::insert)s.
+    /// Probing allocates nothing: the borrowed shape is the map key and the
+    /// signature is compared against `query` in place.
     pub fn lookup(
         &self,
         shape: &str,
         mode: PlanMode,
         query: &QueryGraph,
     ) -> Option<Arc<QueryPlan>> {
-        let key = (shape.to_string(), mode_key(mode));
-        let signature = GraphSignature::of(query);
         let mut inner = self.state();
         inner.tick += 1;
         let tick = inner.tick;
-        let found = inner.plans.get_mut(&key).and_then(|entry| {
-            if entry.signature == signature {
+        let found = inner.plans[mode_index(mode)]
+            .get_mut(shape)
+            .filter(|entry| entry.signature.matches(query))
+            .map(|entry| {
                 entry.last_used = tick;
-                Some(entry.plan.clone())
-            } else {
-                None
-            }
-        });
+                entry.plan.clone()
+            });
         drop(inner);
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
@@ -212,20 +231,26 @@ impl PlanCache {
     /// Stores `plan` for `(shape, mode)`, remembering the structure of the
     /// `query` graph it was planned for.
     pub fn insert(&self, shape: String, mode: PlanMode, query: &QueryGraph, plan: Arc<QueryPlan>) {
-        let key = (shape, mode_key(mode));
+        let mode = mode_index(mode);
         let signature = GraphSignature::of(query);
         let mut inner = self.state();
         inner.tick += 1;
         let tick = inner.tick;
-        if inner.plans.len() >= self.capacity && !inner.plans.contains_key(&key) {
-            let least_recent = inner.plans.iter().min_by_key(|(_, entry)| entry.last_used);
-            if let Some(key) = least_recent.map(|(key, _)| key.clone()) {
-                inner.plans.remove(&key);
+        if inner.len() >= self.capacity && !inner.plans[mode].contains_key(&shape) {
+            let least_recent = inner
+                .plans
+                .iter()
+                .enumerate()
+                .flat_map(|(mode, plans)| plans.iter().map(move |(key, entry)| (mode, key, entry)))
+                .min_by_key(|(_, _, entry)| entry.last_used)
+                .map(|(mode, key, _)| (mode, key.clone()));
+            if let Some((mode, key)) = least_recent {
+                inner.plans[mode].remove(&key);
             }
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
-        inner.plans.insert(
-            key,
+        inner.plans[mode].insert(
+            shape,
             PlanEntry {
                 plan,
                 signature,
@@ -240,7 +265,7 @@ impl PlanCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            entries: self.state().plans.len() as u64,
+            entries: self.state().len() as u64,
         }
     }
 }

@@ -7,7 +7,8 @@
 //! alternation several of them, which the leaf reads in place as
 //! [`Parts`]. `repro --ablations` compares both paths. Both share the
 //! graph's [`ElementIndex`], through which pipeline rows resolve labels and
-//! properties by id.
+//! properties by id, and its leaf memo (`memo.rs`), which keeps the rows of
+//! predicate-free scans.
 
 use gradoop_dataflow::{ExecutionEnvironment, Parts};
 use gradoop_epgm::{Edge, ElementIndex, IndexedLogicalGraph, Label, LogicalGraph, Vertex};
@@ -20,8 +21,17 @@ pub trait GraphSource {
     fn vertices_for_labels(&self, labels: &[Label]) -> Parts<Vertex>;
     /// Edges whose label is in `labels` (all edges if empty).
     fn edges_for_labels(&self, labels: &[Label]) -> Parts<Edge>;
+    /// The graph this source reads; what is derived from it once per graph
+    /// (element index, leaf memo) is shared through it.
+    fn graph(&self) -> &LogicalGraph;
+    /// `true` when a label alternation reads the graph's per-label datasets
+    /// in place instead of filtering the full datasets — the two serve the
+    /// same elements in different orders.
+    fn label_indexed(&self) -> bool;
     /// The graph's id → element index, built once per graph on first use.
-    fn element_index(&self) -> &ElementIndex;
+    fn element_index(&self) -> &ElementIndex {
+        self.graph().element_index()
+    }
 }
 
 impl GraphSource for LogicalGraph {
@@ -43,8 +53,12 @@ impl GraphSource for LogicalGraph {
         self.edges().filter(|e| labels.contains(&e.label)).into()
     }
 
-    fn element_index(&self) -> &ElementIndex {
-        LogicalGraph::element_index(self)
+    fn graph(&self) -> &LogicalGraph {
+        self
+    }
+
+    fn label_indexed(&self) -> bool {
+        false
     }
 }
 
@@ -61,8 +75,12 @@ impl GraphSource for IndexedLogicalGraph {
         IndexedLogicalGraph::edges_for_labels(self, labels)
     }
 
-    fn element_index(&self) -> &ElementIndex {
-        IndexedLogicalGraph::element_index(self)
+    fn graph(&self) -> &LogicalGraph {
+        IndexedLogicalGraph::graph(self)
+    }
+
+    fn label_indexed(&self) -> bool {
+        true
     }
 }
 

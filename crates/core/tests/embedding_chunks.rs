@@ -6,9 +6,10 @@
 //!   them.
 //! * A row larger than a chunk gets a chunk of its own and does not disturb
 //!   the thread's current chunk.
-//! * Nothing leaks: once a query's result is dropped, the chunk bytes rows
-//!   pin are back where they were before the query, apart from each
-//!   thread's current chunk.
+//! * Nothing leaks: once a repeated query's result is dropped, the chunk
+//!   bytes rows pin are back where they were before the query, apart from
+//!   each thread's current chunk; once the graph is dropped too, the rows
+//!   its leaf memo kept are released as well.
 //!
 //! [`pinned_chunk_bytes`] is process-wide, so every test here holds
 //! [`SERIAL`] while it commits or drops rows.
@@ -179,38 +180,45 @@ fn ring() -> LogicalGraph {
 #[test]
 fn dropping_a_result_releases_every_chunk_its_rows_pinned() {
     let _serial = serial();
+    let before_graph = pinned_chunk_bytes();
     let graph = ring();
     let engine = CypherEngine::for_graph(&graph);
-    for text in [
-        "MATCH (a:Person)-[:knows]->(b:Person)-[:knows]->(c:Person) \
-         WHERE a.name <> c.name RETURN a.name, b.name, c.name",
-        "MATCH (a:Person)-[e:knows*1..3]->(b:Person) WHERE a.name = 'person 007' RETURN b.name",
-    ] {
-        let before = pinned_chunk_bytes();
-        let result = engine
+    let run = |text: &str| {
+        engine
             .execute(
                 &graph,
                 text,
                 &HashMap::new(),
                 MatchingConfig::cypher_default(),
             )
-            .expect("query runs");
+            .expect("query runs")
+    };
+    for text in [
+        "MATCH (a:Person)-[:knows]->(b:Person)-[:knows]->(c:Person) \
+         WHERE a.name <> c.name RETURN a.name, b.name, c.name",
+        "MATCH (a:Person)-[e:knows*1..3]->(b:Person) WHERE a.name = 'person 007' RETURN b.name",
+    ] {
+        // The first run keeps its predicate-free leaves in the graph's
+        // memo, whose rows stay pinned as long as the graph lives.
+        drop(run(text));
+        let before = pinned_chunk_bytes();
+        let result = run(text);
         assert!(result.count() > 0, "{text}");
         drop(result);
         assert_eq!(pinned_chunk_bytes(), before, "{text}");
     }
     // While a large result is held, its rows pin chunks.
+    let text = "MATCH (a:Person)-[:knows]->(b:Person)-[:knows]->(c:Person) RETURN a.name, c.name";
+    drop(run(text));
     let before = pinned_chunk_bytes();
-    let held = engine
-        .execute(
-            &graph,
-            "MATCH (a:Person)-[:knows]->(b:Person)-[:knows]->(c:Person) RETURN a.name, c.name",
-            &HashMap::new(),
-            MatchingConfig::cypher_default(),
-        )
-        .expect("query runs");
+    let held = run(text);
     assert_eq!(held.count(), 400 * 8 * 8);
     assert!(pinned_chunk_bytes() > before);
     drop(held);
     assert_eq!(pinned_chunk_bytes(), before);
+    // The memo lives as long as the graph: dropping both releases the rows
+    // it kept too.
+    drop(engine);
+    drop(graph);
+    assert_eq!(pinned_chunk_bytes(), before_graph);
 }

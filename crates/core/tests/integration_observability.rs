@@ -375,8 +375,8 @@ fn a_cache_hit_is_labelled_with_its_own_literals() {
     assert_eq!(&alice_text.replace(alice, bob), bob_text);
     assert_eq!(alice_rounds, bob_rounds);
     assert_eq!(
-        alice_profile.planner.to_text(),
-        bob_profile.planner.to_text()
+        alice_profile.planner().to_text(),
+        bob_profile.planner().to_text()
     );
     assert_eq!(estimates(alice_profile), estimates(bob_profile));
     let stats = cache.stats();

@@ -10,6 +10,8 @@
 //! * Clause-table joins, grouping and `DISTINCT` key on typed values, not
 //!   on rendered strings: a pipeline allocates the same whether its ids
 //!   have 1 or 16 digits and its grouped names 3 or 30 bytes.
+//! * A plan-cache hit allocates nothing: the borrowed shape probes the map
+//!   and the stored signature is compared with the query graph in place.
 //!
 //! The engine runs on a one-worker environment, so every stage's task runs
 //! inline on this thread and the per-thread counter (`counting/mod.rs`)
@@ -18,8 +20,12 @@
 use std::collections::HashMap;
 use std::hint::black_box;
 
-use gradoop_core::{compare_rows_by_keys, CypherEngine, MatchingConfig, Value};
+use gradoop_core::{
+    compare_rows_by_keys, plan_query, CypherEngine, Estimator, MatchingConfig, PlanCache, PlanMode,
+    Value,
+};
 use gradoop_cypher::ast::{SortKey, SortRef};
+use gradoop_cypher::QueryGraph;
 use gradoop_dataflow::{CostModel, ExecutionConfig, ExecutionEnvironment};
 use gradoop_epgm::{
     properties, Edge, ElementIndex, GradoopId, GraphHead, IndexedLogicalGraph, LogicalGraph,
@@ -102,7 +108,7 @@ fn a_pipeline_run_costs_the_same_however_much_of_the_graph_it_does_not_read() {
                         RETURN a.name, degree, u.name ORDER BY u.name, a.name LIMIT 10";
     let (small, large) = (graph(false), graph(true));
     // One engine, so both graphs get the same plans.
-    let engine = CypherEngine::for_graph(&small.as_logical_graph());
+    let engine = CypherEngine::for_graph(small.graph());
     let run = |graph: &IndexedLogicalGraph| {
         let before = allocations();
         let table = black_box(
@@ -217,4 +223,30 @@ fn clause_table_keys_cost_the_same_however_wide_the_key_values() {
     run(&narrow);
     run(&wide);
     assert_eq!(run(&wide), run(&narrow));
+}
+
+#[test]
+fn a_plan_cache_hit_allocates_nothing() {
+    const SHAPE: &str = "MATCH (a:Person)-[:knows]->(b:Person) WHERE a.name = ? RETURN b.name\n0";
+    let query_for = |name: &str| {
+        let text =
+            format!("MATCH (a:Person)-[:knows]->(b:Person) WHERE a.name = '{name}' RETURN b.name");
+        QueryGraph::from_query(&gradoop_cypher::parse(&text).unwrap()).unwrap()
+    };
+    let statistics = gradoop_epgm::GraphStatistics::of(&ring(false));
+    let planned = query_for("p00");
+    let plan = plan_query(&planned, &Estimator::new(&statistics)).unwrap();
+    let cache = PlanCache::default();
+    cache.insert(
+        SHAPE.to_string(),
+        PlanMode::CostBased,
+        &planned,
+        plan.into(),
+    );
+    let query = query_for("p01");
+    let before = allocations();
+    let hit = black_box(cache.lookup(black_box(SHAPE), PlanMode::CostBased, &query));
+    assert_eq!(allocations() - before, 0);
+    assert!(hit.is_some());
+    assert_eq!(cache.stats().hits, 1);
 }

@@ -226,7 +226,7 @@ impl WorkerCost {
 }
 
 /// Accumulates a stage's per-worker costs and folds them into the metrics.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct StageCosts {
     name: &'static str,
     workers: Vec<WorkerCost>,

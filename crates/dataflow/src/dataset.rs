@@ -59,6 +59,18 @@ impl<T: Data> Dataset<T> {
         }
     }
 
+    /// Wraps partitions another dataset shares (see
+    /// [`Dataset::partitions_arc`]) in a dataset of `env`, without copying
+    /// them (no partitioning claim).
+    pub fn from_partitions_arc(env: ExecutionEnvironment, partitions: Arc<Vec<Vec<T>>>) -> Self {
+        debug_assert_eq!(partitions.len(), env.workers());
+        Dataset {
+            env,
+            partitions,
+            partitioning: None,
+        }
+    }
+
     /// The owning environment.
     pub fn env(&self) -> &ExecutionEnvironment {
         &self.env
@@ -367,7 +379,7 @@ impl<T: Data + Hash + Eq> Dataset<T> {
 /// This is what a label alternation over an indexed graph scans (paper
 /// Section 3.4): the per-label datasets stay where they are and the leaf
 /// `flat_map` walks them one after the other, so no element is copied
-/// before the scan and nothing is precomputed or cached per alternation.
+/// before the scan and no union is precomputed per alternation.
 /// No parts at all is the empty dataset.
 pub struct Parts<T> {
     env: ExecutionEnvironment,

@@ -68,7 +68,16 @@ struct EnvInner {
     /// (e.g. an operator detecting a malformed plan). First failure wins;
     /// drained by [`ExecutionEnvironment::take_execution_failure`].
     poison: Mutex<Option<ExecutionFailure>>,
+    /// The stages finished while [`ExecutionEnvironment::recording`] runs.
+    recording: Mutex<Option<Vec<RecordedStage>>>,
 }
+
+/// A finished stage's per-worker charges as its tasks left them, before the
+/// fault layer saw them: what
+/// [`ExecutionEnvironment::finish_recorded`] needs to finish the same stage
+/// again without running it.
+#[derive(Debug, Clone)]
+pub struct RecordedStage(StageCosts);
 
 /// Handle to a simulated cluster. Cheap to clone; all clones share the same
 /// metrics and simulated clock.
@@ -88,6 +97,7 @@ impl ExecutionEnvironment {
                 trace: Mutex::new(None),
                 fault: Mutex::new(injector),
                 poison: Mutex::new(None),
+                recording: Mutex::new(None),
             }),
         }
     }
@@ -159,6 +169,9 @@ impl ExecutionEnvironment {
     /// poisons the environment (see
     /// [`ExecutionEnvironment::take_execution_failure`]).
     pub(crate) fn finish_stage(&self, stage: StageCosts) {
+        if let Some(recorded) = locked(&self.inner.recording).as_mut() {
+            recorded.push(RecordedStage(stage.clone()));
+        }
         let model = &self.inner.config.cost_model;
         let report = {
             let mut guard = locked(&self.inner.fault);
@@ -176,6 +189,33 @@ impl ExecutionEnvironment {
             }
         };
         self.submit_report(report);
+    }
+
+    /// Runs `body` and returns, next to its result, every stage that
+    /// finished on this environment meanwhile, in order. Recordings do not
+    /// nest; the environment records nothing once `body` returned or
+    /// panicked.
+    pub fn recording<T>(&self, body: impl FnOnce() -> T) -> (T, Vec<RecordedStage>) {
+        /// Stops the recording however `body` ends.
+        struct Stop<'a>(&'a Mutex<Option<Vec<RecordedStage>>>);
+        impl Drop for Stop<'_> {
+            fn drop(&mut self) {
+                locked(self.0).take();
+            }
+        }
+        let stop = Stop(&self.inner.recording);
+        *locked(stop.0) = Some(Vec::new());
+        let result = body();
+        let stages = locked(stop.0).take().unwrap_or_default();
+        (result, stages)
+    }
+
+    /// Finishes a recorded stage again without running it: the same
+    /// per-worker records in and out pass through the fault layer, the
+    /// metrics and the trace sink exactly as when the stage ran — how a
+    /// stage whose outputs are already known is charged.
+    pub fn finish_recorded(&self, stage: &RecordedStage) {
+        self.finish_stage(stage.0.clone());
     }
 
     /// Runs `stage` as one task per partition on the worker pool and
@@ -296,6 +336,12 @@ impl ExecutionEnvironment {
     /// environments too.
     pub fn record_execution_failure(&self, failure: ExecutionFailure) {
         locked(&self.inner.poison).get_or_insert(failure);
+    }
+
+    /// `true` while an execution failure is recorded (see
+    /// [`ExecutionEnvironment::take_execution_failure`], which drains it).
+    pub fn execution_failed(&self) -> bool {
+        locked(&self.inner.poison).is_some()
     }
 
     /// Removes and returns the recorded execution failure, if any. The
@@ -421,6 +467,7 @@ mod tests {
         poison(&env.inner.fault);
         poison(&env.inner.trace);
         poison(&env.inner.poison);
+        poison(&env.inner.recording);
 
         let stage = env.stage("after-poison");
         env.finish_stage(stage);
@@ -451,6 +498,35 @@ mod tests {
         let failure = env.take_execution_failure().expect("the crash is kept");
         assert_ne!(failure.site, "operator");
         assert!(env.take_execution_failure().is_none());
+    }
+
+    #[test]
+    fn a_recorded_stage_finishes_again_as_it_did_when_it_ran() {
+        let env = ExecutionEnvironment::with_workers(3);
+        let sink = Arc::new(crate::trace::CollectingSink::new());
+        env.set_trace_sink(Some(sink.clone()));
+        let input = env.from_collection(0u64..10);
+        let (even, stages) = env.recording(|| {
+            input.flat_map(|x, out| {
+                if x % 2 == 0 {
+                    out.push(*x);
+                }
+            })
+        });
+        assert_eq!(even.count(), 5);
+        assert_eq!(stages.len(), 1, "the `count` ran after the recording");
+        let before = env.metrics();
+        env.finish_recorded(&stages[0]);
+        let reports = sink.drain().stages;
+        let (ran, replayed) = (&reports[0], reports.last().unwrap());
+        assert_eq!(format!("{ran:?}"), format!("{replayed:?}"));
+        assert_eq!(env.metrics().records_out, before.records_out + 5);
+        // A body that panics stops the recording too.
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            env.recording(|| panic!("the body fails"))
+        }));
+        assert!(panicked.is_err());
+        assert!(locked(&env.inner.recording).is_none());
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub use chrome::{chrome_trace, chrome_trace_json};
 pub use cost::{CostModel, ExecutionMetrics, StageReport};
 pub use data::Data;
 pub use dataset::{Dataset, Parts};
-pub use env::{ExecutionConfig, ExecutionEnvironment};
+pub use env::{ExecutionConfig, ExecutionEnvironment, RecordedStage};
 pub use fault::{
     ExecutionFailure, FailureSchedule, FaultConfig, FaultEvent, FaultInjector, FaultKind, FaultSite,
 };

@@ -138,7 +138,7 @@ mod tests {
             graph.clone().element_index(),
             graph.rehomed(&fresh).element_index(),
             indexed.element_index(),
-            indexed.as_logical_graph().element_index(),
+            indexed.graph().clone().element_index(),
         ];
         for view in views {
             assert!(std::ptr::eq(view, index));

@@ -1,6 +1,7 @@
 //! Logical graphs and graph collections (Definition 2.1), the two main
 //! programming abstractions of Gradoop (paper Section 2.4).
 
+use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -22,6 +23,9 @@ pub struct LogicalGraph {
     edges: Dataset<Edge>,
     /// Built on first use; clones and re-homed copies share it.
     element_index: Arc<OnceLock<ElementIndex>>,
+    /// What a higher layer derives from the graph (the query engine's leaf
+    /// memo); built on first use and shared like the element index.
+    derived: Arc<OnceLock<Box<dyn Any + Send + Sync>>>,
 }
 
 impl LogicalGraph {
@@ -33,6 +37,7 @@ impl LogicalGraph {
             vertices,
             edges,
             element_index: Arc::default(),
+            derived: Arc::default(),
         }
     }
 
@@ -103,17 +108,30 @@ impl LogicalGraph {
             .get_or_init(|| ElementIndex::of(&self.vertices, &self.edges))
     }
 
+    /// The state a higher layer derives from this graph, built by `init`
+    /// on the first call and shared, like the element index, with every
+    /// clone, re-homed copy and label-indexed view of the graph; it is
+    /// dropped with the last of them. A graph holds one derived value:
+    /// asking for a type other than the one built first panics.
+    pub fn derived<T: Any + Send + Sync>(&self, init: impl FnOnce(&LogicalGraph) -> T) -> &T {
+        self.derived
+            .get_or_init(|| Box::new(init(self)))
+            .downcast_ref()
+            .expect("a graph derives one type of state")
+    }
+
     /// Re-homes the graph onto another environment without copying any
     /// element data (see [`Dataset::rehomed`]) — the snapshot-sharing
     /// primitive that lets concurrent sessions run over one immutable
     /// graph, each with a private environment. The copy shares the
-    /// graph's element index.
+    /// graph's element index and derived state.
     pub fn rehomed(&self, env: &ExecutionEnvironment) -> Self {
         LogicalGraph {
             head: self.head.clone(),
             vertices: self.vertices.rehomed(env),
             edges: self.edges.rehomed(env),
             element_index: Arc::clone(&self.element_index),
+            derived: Arc::clone(&self.derived),
         }
     }
 
@@ -240,6 +258,24 @@ mod tests {
         let collection = sample_graph(&env).into_collection();
         assert_eq!(collection.graph_count(), 1);
         assert_eq!(collection.vertices().count(), 2);
+    }
+
+    #[test]
+    fn derived_state_is_built_once_and_shared_with_every_view() {
+        let env = env();
+        let graph = sample_graph(&env);
+        let built = std::sync::atomic::AtomicUsize::new(0);
+        let init = |g: &LogicalGraph| {
+            built.fetch_add(1, Ordering::Relaxed);
+            g.vertex_count()
+        };
+        assert_eq!(*graph.derived(init), 2);
+        assert_eq!(*graph.rehomed(&env.fork()).derived(init), 2);
+        assert_eq!(*graph.clone().derived(init), 2);
+        assert_eq!(built.load(Ordering::Relaxed), 1);
+        // Another graph with the same elements derives its own.
+        assert_eq!(*sample_graph(&env).derived(init), 2);
+        assert_eq!(built.load(Ordering::Relaxed), 2);
     }
 
     #[test]

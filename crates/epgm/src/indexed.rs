@@ -139,9 +139,10 @@ impl IndexedLogicalGraph {
         }
     }
 
-    /// The un-indexed view of this graph, sharing its element index.
-    pub fn as_logical_graph(&self) -> LogicalGraph {
-        self.graph.clone()
+    /// The un-indexed graph this index was built from; the element index
+    /// and derived state are its.
+    pub fn graph(&self) -> &LogicalGraph {
+        &self.graph
     }
 }
 
@@ -260,9 +261,9 @@ mod tests {
     }
 
     #[test]
-    fn as_logical_graph_roundtrip() {
+    fn graph_roundtrip() {
         let indexed = graph().to_indexed();
-        let back = indexed.as_logical_graph();
+        let back = indexed.graph();
         assert_eq!(back.vertex_count(), 3);
         assert_eq!(back.edge_count(), 2);
     }
