@@ -16,15 +16,15 @@
 //! [propData]`, delimited by two offsets), and rows sit back-to-back in
 //! shared append-only chunks (`chunk.rs`, 64 KiB each). A row is written
 //! once, in the calling thread's scratch [`EmbeddingWriter`] — the merge
-//! kernel [`Embedding::merge_into`], [`EmbeddingWriter::extend`] and the
-//! leaf row [`Embedding::leaf`] write there — then checked, and only a row
-//! that survives is committed to the thread's current chunk with one
-//! `memcpy` ([`Embedding::write`]). A rejected row therefore costs nothing,
-//! an emitted row costs no allocation of its own (one per 64 KiB of rows),
-//! and an [`Embedding`] is a 24-byte handle — the chunk's `Arc`, the row's
-//! range and its two section offsets — that clones with a reference-count
-//! bump. Committed rows and the scratch row are read through one API,
-//! [`EmbeddingRead`].
+//! kernel [`Embedding::merge_into`], [`EmbeddingWriter::extend`], the path
+//! hop [`EmbeddingWriter::grow_path`] and the leaf row [`Embedding::leaf`]
+//! write there — then checked, and only a row that survives is committed to
+//! the thread's current chunk with one `memcpy` ([`Embedding::write`]). A
+//! rejected row therefore costs nothing, an emitted row costs no allocation
+//! of its own (one per 64 KiB of rows), and an [`Embedding`] is a 24-byte
+//! handle — the chunk's `Arc`, the row's range and its two section offsets
+//! — that clones with a reference-count bump. Committed rows and the scratch
+//! row are read through one API, [`EmbeddingRead`].
 
 use std::cell::RefCell;
 use std::fmt;
@@ -264,10 +264,15 @@ impl Embedding {
     }
 
     /// The row a leaf operator emits — `ids` as identifier columns, then the
-    /// value of each of `keys` in `properties` (`NULL` for a missing key).
-    /// Byte for byte what `push_id` per id followed by `push_property` per
-    /// key builds.
-    pub fn leaf(ids: &[u64], properties: &Properties, keys: &[String]) -> Embedding {
+    /// value of each of `keys` in `properties` (`NULL` for a missing key) —
+    /// if `accept` (an edge leaf's morphism check) takes it. Byte for byte
+    /// what `push_id` per id followed by `push_property` per key builds.
+    pub fn leaf(
+        ids: &[u64],
+        properties: &Properties,
+        keys: &[String],
+        accept: impl FnOnce(&EmbeddingWriter) -> bool,
+    ) -> Option<Embedding> {
         Embedding::write(|row| {
             for &id in ids {
                 row.push_id(id);
@@ -275,9 +280,8 @@ impl Embedding {
             for key in keys {
                 row.push_property(properties.get(key).unwrap_or(&PropertyValue::Null));
             }
-            true
+            accept(row)
         })
-        .expect("a leaf row is always committed")
     }
 
     /// The same rows, partition by partition, copied into chunks of their
@@ -484,20 +488,15 @@ impl EmbeddingWriter {
         self.buf[prefix..prefix + 4].copy_from_slice(&len.to_le_bytes());
     }
 
-    /// Writes `base` extended by one path column holding `path` (if any)
-    /// and then one identifier column per id of `ids`, in one pass — the
-    /// expand step's emit and the intersection's closing edges plus new
-    /// vertex.
-    pub fn extend(
-        &mut self,
-        base: &Embedding,
-        path: Option<&[u64]>,
-        ids: impl IntoIterator<Item = u64>,
-    ) {
+    /// Writes `base` extended by one empty path column (with `path`) and
+    /// then one identifier column per id of `ids`, in one pass — an
+    /// expansion's seed row (grown by [`EmbeddingWriter::grow_path`]) and
+    /// the intersection's closing edges plus new vertex.
+    pub fn extend(&mut self, base: &Embedding, path: bool, ids: impl IntoIterator<Item = u64>) {
         let buf = &mut self.buf;
         buf.clear();
         buf.extend_from_slice(base.id_data());
-        if path.is_some() {
+        if path {
             buf.push(FLAG_PATH);
             buf.extend_from_slice(&(base.path_data().len() as u64).to_le_bytes());
         }
@@ -508,15 +507,40 @@ impl EmbeddingWriter {
         self.path_start = buf.len() as u32;
 
         buf.extend_from_slice(base.path_data());
-        if let Some(via) = path {
-            buf.extend_from_slice(&(via.len() as u32).to_le_bytes());
-            for id in via {
-                buf.extend_from_slice(&id.to_le_bytes());
-            }
+        if path {
+            buf.extend_from_slice(&0u32.to_le_bytes());
         }
         self.prop_start = buf.len() as u32;
 
         buf.extend_from_slice(base.prop_data());
+    }
+
+    /// Writes `row` — an expansion's frontier row, whose last two columns
+    /// are its growing path and its end vertex — with `via` appended to that
+    /// path and the end replaced by `end`, or dropped for `None`. One hop
+    /// appends `[old end, edge]` (`[edge]` to an empty path); a path that
+    /// closes on a bound vertex keeps its ids and drops its end. The path is
+    /// the row's last, so no offset moves and each section is copied once.
+    pub fn grow_path(&mut self, row: &impl EmbeddingRead, via: &[u64], end: Option<u64>) {
+        let (count, ids_at) = path_payload(row, row.columns() - 2);
+        let buf = &mut self.buf;
+        buf.clear();
+        buf.extend_from_slice(&row.id_data()[..row.path_start() - ID_ENTRY_SIZE]);
+        if let Some(end) = end {
+            buf.push(FLAG_ID);
+            buf.extend_from_slice(&end.to_le_bytes());
+        }
+        self.path_start = buf.len() as u32;
+
+        buf.extend_from_slice(&row.path_data()[..ids_at - 4]);
+        buf.extend_from_slice(&((count + via.len()) as u32).to_le_bytes());
+        buf.extend_from_slice(&row.path_data()[ids_at..]);
+        for id in via {
+            buf.extend_from_slice(&id.to_le_bytes());
+        }
+        self.prop_start = buf.len() as u32;
+
+        buf.extend_from_slice(row.prop_data());
     }
 
     /// Commits the row: one `memcpy` into this thread's current chunk.
@@ -680,22 +704,44 @@ mod tests {
         let committed = base.commit();
         let mut extended = EmbeddingWriter::new();
 
-        let mut expected = base.clone();
-        expected.push_path(&[6, 7, 8]);
-        expected.push_id(42);
-        extended.extend(&committed, Some(&[6, 7, 8]), [42]);
-        assert_eq!(extended, expected);
-
-        let mut open = base.clone();
-        open.push_path(&[6]);
-        extended.extend(&committed, Some(&[6]), None);
-        assert_eq!(extended, open);
+        let mut seed = base.clone();
+        seed.push_path(&[]);
+        seed.push_id(42);
+        extended.extend(&committed, true, [42]);
+        assert_eq!(extended, seed);
 
         let mut closing = base.clone();
         closing.push_id(11);
         closing.push_id(3);
-        extended.extend(&committed, None, [11, 3]);
+        extended.extend(&committed, false, [11, 3]);
         assert_eq!(extended, closing);
+    }
+
+    #[test]
+    fn grow_path_matches_pushes() {
+        // Frontier rows: base (id 10, path [4, 5], a property), the growing
+        // path and the end vertex.
+        let frontier = |via: &[u64], end: Option<u64>| {
+            let mut row = EmbeddingWriter::new();
+            row.push_id(10);
+            row.push_path(&[4, 5]);
+            row.push_property(&PropertyValue::String("Alice".into()));
+            row.push_path(via);
+            if let Some(end) = end {
+                row.push_id(end);
+            }
+            row
+        };
+        let mut grown = EmbeddingWriter::new();
+        // The seed's first hop, a second hop, and the closed path's row.
+        grown.grow_path(&frontier(&[], Some(10)).commit(), &[6], Some(20));
+        assert_eq!(grown, frontier(&[6], Some(20)));
+        grown.grow_path(&frontier(&[6], Some(20)).commit(), &[20, 7], Some(30));
+        assert_eq!(grown, frontier(&[6, 20, 7], Some(30)));
+        grown.grow_path(&frontier(&[6, 20, 7], Some(30)), &[], None);
+        assert_eq!(grown, frontier(&[6, 20, 7], None));
+        assert_eq!(grown.path(1), vec![4, 5]);
+        assert_eq!(grown.property(0), PropertyValue::String("Alice".into()));
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! [`CypherEngine::profile`] and the query log are views over that run, and
 //! [`CypherEngine::explain`] is the same front half without the execution.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -233,13 +232,10 @@ impl CypherEngine {
                 stages.push((query, plan));
             }
         }
-        let explain = simple
-            .is_none()
-            .then(|| pipeline_explain(&pipeline, &stages));
         Ok(Planned {
+            simple: simple.is_some(),
             pipeline,
             stages,
-            explain,
             cache,
         })
     }
@@ -277,12 +273,10 @@ impl CypherEngine {
     ) -> Result<Explain, CypherError> {
         let (shape, parsed) = read_query(query_text);
         let planned = self.plan_text(parsed?, &shape, params, false)?;
-        let (root, planner) = match planned.explain {
-            Some(root) => (root, PlannerTrace::default()),
-            None => {
-                let (query, plan) = &planned.stages[0];
-                (plan.root.explain(query), plan.planner.clone())
-            }
+        let root = planned.explain();
+        let planner = match planned.simple {
+            true => planned.stages[0].1.planner.clone(),
+            false => PlannerTrace::default(),
         };
         Ok(Explain {
             query: query_text.to_string(),
@@ -457,24 +451,21 @@ struct Planned {
     /// The query graph and plan of every `MATCH`/`OPTIONAL MATCH` stage, in
     /// stage order.
     stages: Vec<(QueryGraph, Arc<QueryPlan>)>,
-    /// The `pipeline` EXPLAIN tree embedding the stage plans, labelled
-    /// against this run's query graphs (its root estimate is the PROFILE
-    /// root's); `None` for a plain text, whose tree is its one plan's.
-    explain: Option<ExplainNode>,
+    /// A plain `MATCH … RETURN`, whose EXPLAIN tree is its one plan's; any
+    /// other text's is a `pipeline` root over its clauses.
+    simple: bool,
     /// The plan-cache event: `"hit"` when every stage hit, `"miss"`
     /// otherwise; `None` without a cache or without a `MATCH`.
     cache: Option<&'static str>,
 }
 
 impl Planned {
-    /// The EXPLAIN tree (what EXPLAIN prints and the plan digest hashes).
-    fn explain(&self) -> Cow<'_, ExplainNode> {
-        match &self.explain {
-            Some(root) => Cow::Borrowed(root),
-            None => {
-                let (query, plan) = &self.stages[0];
-                Cow::Owned(plan.root.explain(query))
-            }
+    /// The EXPLAIN tree (what EXPLAIN prints and the plan digest hashes),
+    /// labelled against this run's query graphs. Built only when read.
+    fn explain(&self) -> ExplainNode {
+        match self.simple {
+            true => self.stages[0].1.root.explain(&self.stages[0].0),
+            false => pipeline_explain(&self.pipeline, &self.stages),
         }
     }
 }
@@ -505,7 +496,7 @@ fn run_planned<S: GraphSource + ?Sized>(
     matching: &MatchingConfig,
     collector: &CollectingSink,
 ) -> Result<Ran, CypherError> {
-    let Some(explain) = planned.explain else {
+    if planned.simple {
         let (query, plan) = planned
             .stages
             .into_iter()
@@ -523,7 +514,10 @@ fn run_planned<S: GraphSource + ?Sized>(
                 plan,
             })),
         });
-    };
+    }
+    let estimated = clause_estimates(&planned.pipeline, &planned.stages)
+        .last()
+        .expect("RETURN's estimate");
     let mut children = Vec::new();
     let table = execute_pipeline(
         &planned.pipeline,
@@ -537,11 +531,11 @@ fn run_planned<S: GraphSource + ?Sized>(
     let matches = table.rows.len() as u64;
     let root = ProfileNode {
         operator: "pipeline".to_string(),
-        estimated_cardinality: explain.estimated_cardinality,
+        estimated_cardinality: estimated,
         rows_in: children.first().map_or(0, |child| child.rows_in),
         rows_out: matches,
         selectivity: 1.0,
-        estimate_error: q_error(explain.estimated_cardinality, matches),
+        estimate_error: q_error(estimated, matches),
         children,
         ..ProfileNode::default()
     };
@@ -557,64 +551,69 @@ fn run_planned<S: GraphSource + ?Sized>(
 /// `pipeline` root — each `MATCH` stage's plan, projection stages listing
 /// their steps, a `LIMIT`-bearing sort shown as
 /// `order_by(top-k skip=.. limit=..)` and an unbounded one as
-/// `order_by(full-sort)`.
+/// `order_by(full-sort)` — estimated by [`clause_estimates`].
 fn pipeline_explain(pipeline: &Pipeline, stages: &[(QueryGraph, Arc<QueryPlan>)]) -> ExplainNode {
+    let mut estimates = clause_estimates(pipeline, stages);
     let mut plans = stages.iter();
-    let mut children = Vec::new();
-    let mut estimated = 1.0f64;
-    for stage in &pipeline.stages {
-        match stage {
+    let mut children: Vec<ExplainNode> = (pipeline.stages.iter().zip(&mut estimates))
+        .map(|(stage, estimated)| match stage {
             Stage::Match(_) | Stage::OptionalMatch(_) => {
                 let (query, plan) = plans.next().expect("one plan per MATCH stage");
-                estimated = (estimated * plan.root.estimated_cardinality).max(1.0);
-                children.push(ExplainNode::inner(
-                    if matches!(stage, Stage::OptionalMatch(_)) {
-                        "optional_match(left-outer-join)"
-                    } else {
-                        "match(join)"
-                    },
-                    estimated,
-                    vec![plan.root.explain(query)],
-                ));
+                let operator = match stage {
+                    Stage::OptionalMatch(_) => "optional_match(left-outer-join)",
+                    _ => "match(join)",
+                };
+                ExplainNode::inner(operator, estimated, vec![plan.root.explain(query)])
             }
-            Stage::With(projection) => {
-                let with = projection_explain("with", projection, estimated);
-                estimated = with.estimated_cardinality;
-                children.push(with);
-            }
-            Stage::Unwind(unwind) => {
-                children.push(ExplainNode::leaf(
-                    format!("unwind({})", unwind.alias),
-                    estimated,
-                ));
-            }
-        }
-    }
-    let ret = projection_explain("return", &pipeline.ret, estimated);
-    estimated = ret.estimated_cardinality;
-    children.push(ret);
+            Stage::With(projection) => projection_explain("with", projection, estimated),
+            Stage::Unwind(u) => ExplainNode::leaf(format!("unwind({})", u.alias), estimated),
+        })
+        .collect();
+    let estimated = estimates.next().expect("RETURN's estimate");
+    children.push(projection_explain("return", &pipeline.ret, estimated));
     ExplainNode::inner("pipeline", estimated, children)
 }
 
-/// EXPLAIN node for a `WITH`/`RETURN` stage over `input` estimated rows, one
-/// step leaf per applied sub-operation in evaluation order. Aggregation
-/// collapses the estimate toward the group count (modeled as a square
-/// root), `LIMIT` caps it outright.
-fn projection_explain(name: &str, projection: &Projection, input: f64) -> ExplainNode {
-    let aggregates = projection
-        .items
-        .iter()
-        .any(|i| matches!(i.expr, ProjectionExpr::Aggregate(_)));
-    let mut estimated = input;
-    if aggregates {
-        estimated = estimated.sqrt().max(1.0);
-    }
-    if let Some(limit) = projection.limit {
-        estimated = estimated.min(limit as f64).max(0.0);
-    }
-    let estimated = estimated.max(1.0);
+/// The estimated rows out of each clause of `pipeline` in turn, the
+/// `RETURN`'s last (the `pipeline` root's): a `MATCH` multiplies its plan's
+/// estimate in, `UNWIND` keeps the count, and a `WITH`/`RETURN`'s
+/// aggregation collapses it toward the group count (modeled as a square
+/// root) and its `LIMIT` caps it outright.
+fn clause_estimates<'a>(
+    pipeline: &'a Pipeline,
+    stages: &'a [(QueryGraph, Arc<QueryPlan>)],
+) -> impl Iterator<Item = f64> + 'a {
+    let mut plans = stages.iter();
+    let clauses = pipeline.stages.iter().map(Some).chain([None]);
+    clauses.scan(1.0f64, move |estimated, stage| {
+        let projection = match stage {
+            Some(Stage::Match(_) | Stage::OptionalMatch(_)) => {
+                let (_, plan) = plans.next().expect("one plan per MATCH stage");
+                *estimated = (*estimated * plan.root.estimated_cardinality).max(1.0);
+                return Some(*estimated);
+            }
+            Some(Stage::Unwind(_)) => return Some(*estimated),
+            Some(Stage::With(projection)) => projection,
+            None => &pipeline.ret,
+        };
+        if aggregates(projection) {
+            *estimated = estimated.sqrt();
+        }
+        let limit = projection.limit.map_or(f64::INFINITY, |limit| limit as f64);
+        *estimated = estimated.min(limit).max(1.0);
+        Some(*estimated)
+    })
+}
+
+fn aggregates(projection: &Projection) -> bool {
+    (projection.items.iter()).any(|i| matches!(i.expr, ProjectionExpr::Aggregate(_)))
+}
+
+/// EXPLAIN node for a `WITH`/`RETURN` stage of `estimated` rows out, one
+/// step leaf per applied sub-operation in evaluation order.
+fn projection_explain(name: &str, projection: &Projection, estimated: f64) -> ExplainNode {
     let mut steps: Vec<ExplainNode> = Vec::new();
-    if aggregates {
+    if aggregates(projection) {
         steps.push(ExplainNode::leaf("aggregate(group_reduce)", estimated));
     }
     if projection.distinct {

@@ -63,12 +63,16 @@ impl Default for MatchingConfig {
 /// A uniqueness check compiled against one embedding layout: the vertex,
 /// edge and path column sets are resolved once per operator instead of once
 /// per embedding, and the ids are staged in a per-thread buffer, so a check
-/// allocates nothing once that buffer has grown.
+/// allocates nothing once that buffer has grown. The one home of the rules:
+/// an expansion's hop ([`MorphismCheck::accepts_hop`]) applies them too.
 #[derive(Debug, Clone)]
 pub struct MorphismCheck {
     vertex_columns: Vec<usize>,
     edge_columns: Vec<usize>,
     path_columns: Vec<usize>,
+    /// The bound target column of a closing expansion's frontier (see
+    /// [`MorphismCheck::accepts_hop`]).
+    pub(crate) closing: Option<usize>,
     config: MatchingConfig,
 }
 
@@ -84,8 +88,36 @@ impl MorphismCheck {
             vertex_columns: meta.vertex_columns(),
             edge_columns: meta.edge_columns(),
             path_columns: meta.path_columns(),
+            closing: None,
             config: *config,
         }
+    }
+
+    /// Whether an expansion may grow `row` — a frontier row accepted by
+    /// [`MorphismCheck::check`] or a seed (an empty path ending at its
+    /// source), whose last two columns are its path and end — by `edge` to
+    /// the new end `target`: under edge (vertex) isomorphism `edge`
+    /// (`target`) must not be among the row's edges (vertices), so `check`
+    /// accepts the grown row exactly when this accepts the hop. A closing
+    /// path may reach its bound vertex, which adds none, not pass it.
+    pub fn accepts_hop(&self, row: &impl EmbeddingRead, edge: u64, target: u64) -> bool {
+        let end = row.columns() - 1;
+        let repeats_vertex = || match self.closing.map(|column| row.id(column)) {
+            Some(bound) if bound == row.id(end) && row.path_len(end - 1) > 0 => true,
+            Some(bound) if bound == target => false,
+            _ => self.binds(row, &self.vertex_columns, 1, target),
+        };
+        !(self.config.edges == MorphismType::Isomorphism
+            && self.binds(row, &self.edge_columns, 0, edge)
+            || self.config.vertices == MorphismType::Isomorphism && repeats_vertex())
+    }
+
+    /// Whether `columns` or the path positions `first, first + 2, ...` bind
+    /// `id`.
+    fn binds(&self, row: &impl EmbeddingRead, columns: &[usize], first: usize, id: u64) -> bool {
+        let mut paths = (self.path_columns.iter())
+            .flat_map(|&column| row.path_iter(column).skip(first).step_by(2));
+        columns.iter().any(|&column| row.id(column) == id) || paths.any(|bound| bound == id)
     }
 
     /// Checks the uniqueness constraints of the configured semantics on
@@ -187,6 +219,82 @@ mod tests {
             &meta,
             &MatchingConfig::homomorphism()
         ));
+    }
+
+    #[test]
+    fn an_expand_hop_passes_exactly_when_the_grown_row_does() {
+        // Frontier rows: base vertex a = 1, edge e = 10 and a path p whose
+        // intermediate vertex is 2, then the growing path q and its end.
+        let mut meta = EmbeddingMetaData::new();
+        meta.add_entry("a", EntryType::Vertex);
+        meta.add_entry("e", EntryType::Edge);
+        meta.add_entry("p", EntryType::Path);
+        meta.add_entry("q", EntryType::Path);
+        meta.add_entry("end", EntryType::Vertex);
+        let row = |via: &[u64], end: u64| {
+            let mut row = EmbeddingWriter::new();
+            row.push_id(1);
+            row.push_id(10);
+            row.push_path(&[11, 2, 12]);
+            row.push_path(via);
+            row.push_id(end);
+            row
+        };
+        let (vertices, edges) = (1..=4u64, 10..=14u64);
+        // The seed, every one-hop and every two-hop frontier row.
+        let mut rows = vec![row(&[], 1)];
+        for e1 in edges.clone() {
+            for v1 in vertices.clone() {
+                rows.push(row(&[e1], v1));
+                for e2 in edges.clone() {
+                    for v2 in vertices.clone() {
+                        rows.push(row(&[e1, v1, e2], v2));
+                    }
+                }
+            }
+        }
+        let mut grown = EmbeddingWriter::new();
+        for vertex_rule in [MorphismType::Homomorphism, MorphismType::Isomorphism] {
+            for edge_rule in [MorphismType::Homomorphism, MorphismType::Isomorphism] {
+                let config = MatchingConfig {
+                    vertices: vertex_rule,
+                    edges: edge_rule,
+                };
+                let check = MorphismCheck::new(&meta, &config);
+                let (mut accepted, mut rejected) = (0, 0);
+                for frontier in &rows {
+                    let seed = frontier.path_len(3) == 0;
+                    if !seed && !check.check(frontier) {
+                        continue;
+                    }
+                    for edge in edges.clone() {
+                        for target in vertices.clone() {
+                            let end = frontier.id(4);
+                            let via: &[u64] = if seed { &[edge] } else { &[end, edge] };
+                            grown.grow_path(frontier, via, Some(target));
+                            let hop = check.accepts_hop(frontier, edge, target);
+                            assert_eq!(
+                                hop,
+                                check.check(&grown),
+                                "{config:?}: {:?} + ({edge}, {target})",
+                                frontier.entry(3)
+                            );
+                            if hop {
+                                accepted += 1;
+                            } else {
+                                rejected += 1;
+                            }
+                        }
+                    }
+                }
+                assert!(accepted > 0, "{config:?} accepts some hop");
+                assert_eq!(
+                    rejected == 0,
+                    config == MatchingConfig::homomorphism(),
+                    "{config:?} rejects some hop unless homomorphic"
+                );
+            }
+        }
     }
 
     #[test]

@@ -15,20 +15,24 @@
 //! superstep only ships the working set to the cached index — Flink caches
 //! loop-invariant datasets inside a `BulkIteration` the same way.
 //!
-//! Rows are written once. The working set is handed to each superstep by
-//! value, so shipping it to the candidate index moves the states; a state
-//! shares its base embedding (a handle on a chunk row) with every other path
-//! grown from the same input row; an emitted row is written and checked in
-//! the thread's scratch row and committed only if it survives; and the
-//! embeddings a superstep emits are appended to the one solution set in
-//! place.
+//! The working set is a dataset of embeddings in the paper's Section 3.3
+//! layout: the input columns, the growing path entry and the path's end
+//! vertex. A hop is one row written by [`EmbeddingWriter::grow_path`] and
+//! committed with one `memcpy` into the thread's chunk, once
+//! [`MorphismCheck::accepts_hop`] — the one uniqueness rule, applied to the
+//! new edge and end — lets it grow. A non-closing expansion's frontier row
+//! *is* its output row, so emitting it costs a handle; a closing one emits
+//! the rows that reached the bound target without their end column. The
+//! emitted rows are appended to the one solution set in place.
+//!
+//! [`EmbeddingWriter::grow_path`]: crate::embedding::EmbeddingWriter::grow_path
 
 use gradoop_dataflow::{
     bulk_iterate_with_results, AdjacencyIndex, Dataset, PartitionKey, SpanRecord,
 };
 
 use crate::embedding::{Embedding, EmbeddingRead, EntryType};
-use crate::matching::{MatchingConfig, MorphismCheck, MorphismType};
+use crate::matching::{MatchingConfig, MorphismCheck};
 use crate::operators::{malformed_plan, observe_operator, EmbeddingSet};
 
 /// A candidate edge, projected to `(source, edge, target)` identifiers.
@@ -52,11 +56,6 @@ pub struct ExpandConfig {
     pub matching: MatchingConfig,
 }
 
-/// Working-set element: the base embedding (a handle shared by all paths
-/// that start from it), the path's `via` identifiers (alternating edge,
-/// vertex, edge, ...) and the current end vertex.
-type ExpandState = (Embedding, Vec<u64>, u64);
-
 /// Expands `input` along `candidates` according to `config`. Takes both by
 /// value like every operator that ships its rows: the expansion reads
 /// `input` once, to seed the working set, and moves a last-held
@@ -77,51 +76,55 @@ pub fn expand_embeddings(
     };
     let close_column = input.meta.column(&config.target_variable);
 
-    // Output layout: input columns + path column (+ target column unless
-    // the expansion closes a cycle on an already-bound variable).
+    // Frontier layout: input columns + path column + the path's end, which
+    // is the new target column unless the expansion closes a cycle on an
+    // already-bound variable; then it goes unnamed and the output drops it.
     let mut meta = input.meta.clone();
     meta.add_entry(&config.edge_variable, EntryType::Path);
+    let mut frontier = meta.clone();
+    let end_column = frontier.add_entry(
+        close_column.map_or(config.target_variable.as_str(), |_| ""),
+        EntryType::Vertex,
+    );
     if close_column.is_none() {
-        meta.add_entry(&config.target_variable, EntryType::Vertex);
+        meta = frontier.clone();
     }
+    let mut check = MorphismCheck::new(&frontier, &config.matching);
+    check.closing = close_column;
 
-    let base_vertex_columns = input.meta.vertex_columns();
-    let base_edge_columns = input.meta.edge_columns();
-    let base_path_columns = input.meta.path_columns();
-    let matching = config.matching;
-    let check = MorphismCheck::new(&meta, &matching);
-
-    let emit = |state: &ExpandState| -> Option<Embedding> {
-        let (base, via, end) = state;
-        if let Some(close) = close_column {
-            if base.id(close) != *end {
-                return None;
+    // What frontier rows emit: a non-closing expansion's rows as they are,
+    // a closing one's that reached the bound target without their end.
+    let emit = |rows: &Dataset<Embedding>| match close_column {
+        None => rows.clone(),
+        Some(close) => rows.flat_map(move |row, out| {
+            if row.id(end_column) == row.id(close) {
+                out.extend(Embedding::write(|closed| {
+                    closed.grow_path(row, &[], None);
+                    true
+                }));
             }
-        }
-        // Path column + optional target column are written in one pass and
-        // committed only if the row passes the check.
-        Embedding::write(|row| {
-            row.extend(base, Some(via), close_column.is_none().then_some(*end));
-            check.check(row)
-        })
+        }),
     };
 
     let env = input.data.env().clone();
 
-    // Initial working set: empty path anchored at the source column.
-    let initial: Dataset<ExpandState> = input.data.map(move |embedding| {
-        let end = embedding.id(source_column);
-        (embedding.clone(), Vec::new(), end)
+    // Initial working set: the seeds, empty paths that end at the source —
+    // the one place a row's end repeats a column.
+    let initial: Dataset<Embedding> = input.data.map(move |base| {
+        Embedding::write(|seed| {
+            seed.extend(base, true, [base.id(source_column)]);
+            true
+        })
+        .expect("a seed row is always committed")
     });
 
-    // Zero-length paths (lower bound 0) are emitted before the iteration.
-    let results: Dataset<Embedding> = if config.lower == 0 {
-        initial.flat_map(|state, out| out.extend(emit(state)))
-    } else {
-        env.empty()
+    // Zero-length paths (lower bound 0) are emitted before the iteration;
+    // the hop rule never saw them, so a non-closing seed is checked whole.
+    let results: Dataset<Embedding> = match config.lower {
+        0 if close_column.is_none() => initial.filter(|seed| check.check(seed)),
+        0 => emit(&initial),
+        _ => env.empty(),
     };
-
-    let lower = config.lower.max(1);
 
     // Loop-invariant build side: the candidates are shuffled by source
     // vertex and indexed exactly once, before the first superstep.
@@ -137,42 +140,31 @@ pub fn expand_embeddings(
     // surviving working set, embeddings emitted this round, frontier bytes
     // shipped, and candidate-side bytes shipped (the index's build, charged
     // to round 1 only). A no-op unless a trace sink is installed.
-    let (_, iterated) = bulk_iterate_with_results(initial, config.upper, |states, k| {
+    let (_, iterated) = bulk_iterate_with_results(initial, config.upper, |rows, k| {
         let bytes_before = env.metrics().bytes_shuffled;
         let candidate_bytes = if k > 1 {
             0
         } else {
             index.build_shuffled_bytes()
         };
-        let next: Dataset<ExpandState> = index.probe_join(
-            states,
-            |(_, _, end)| *end,
-            |(base, via, end), target, edge| {
-                if !valid_extension(
-                    base,
-                    via,
-                    *end,
-                    edge,
-                    &base_vertex_columns,
-                    &base_edge_columns,
-                    &base_path_columns,
-                    &matching,
-                ) {
+        let next: Dataset<Embedding> = index.probe_join(
+            rows,
+            |row| row.id(end_column),
+            |row, target, edge| {
+                if !check.accepts_hop(row, edge, target) {
                     return None;
                 }
-                let mut extended = Vec::with_capacity(via.len() + 2);
-                if via.is_empty() {
-                    extended.push(edge);
-                } else {
-                    extended.extend_from_slice(via);
-                    extended.push(*end);
-                    extended.push(edge);
-                }
-                Some((base.clone(), extended, target))
+                // The path gains the old end and the edge; a seed's, the edge.
+                let seed = row.path_len(end_column - 1) == 0;
+                let via = &[row.id(end_column), edge][usize::from(seed)..];
+                Embedding::write(|grown| {
+                    grown.grow_path(row, via, Some(target));
+                    true
+                })
             },
         );
-        let found: Dataset<Embedding> = if k >= lower {
-            next.flat_map(|state, out| out.extend(emit(state)))
+        let found: Dataset<Embedding> = if k >= config.lower {
+            emit(&next)
         } else {
             env.empty()
         };
@@ -200,59 +192,6 @@ pub fn expand_embeddings(
     };
     observe_operator("expand_embeddings", rows_in, &result);
     result
-}
-
-/// Checks whether extending a path with `edge` keeps it viable under the
-/// configured semantics. The final embedding is re-checked by
-/// [`MorphismCheck::check`]; this pre-check prunes states that could never
-/// produce a valid embedding, keeping intermediate results small — the
-/// "keep only paths that satisfy the specified query semantics" step of the
-/// paper's iteration body.
-#[allow(clippy::too_many_arguments)]
-fn valid_extension(
-    base: &Embedding,
-    via: &[u64],
-    end: u64,
-    edge: u64,
-    base_vertex_columns: &[usize],
-    base_edge_columns: &[usize],
-    base_path_columns: &[usize],
-    matching: &MatchingConfig,
-) -> bool {
-    if matching.edges == MorphismType::Isomorphism {
-        // The new edge must not repeat any edge of this path, any edge
-        // column of the base, or any edge inside the base's path columns.
-        if via.iter().step_by(2).any(|&e| e == edge) {
-            return false;
-        }
-        for &column in base_edge_columns {
-            if base.id(column) == edge {
-                return false;
-            }
-        }
-        for &column in base_path_columns {
-            if base.path_iter(column).step_by(2).any(|e| e == edge) {
-                return false;
-            }
-        }
-    }
-    if matching.vertices == MorphismType::Isomorphism && !via.is_empty() {
-        // `end` becomes an intermediate path vertex: it must be fresh.
-        if via.iter().skip(1).step_by(2).any(|&v| v == end) {
-            return false;
-        }
-        for &column in base_vertex_columns {
-            if base.id(column) == end {
-                return false;
-            }
-        }
-        for &column in base_path_columns {
-            if base.path_iter(column).skip(1).step_by(2).any(|v| v == end) {
-                return false;
-            }
-        }
-    }
-    true
 }
 
 #[cfg(test)]
@@ -425,6 +364,70 @@ mod tests {
         // Only the length-2 path 1->2->3 closes on b=3; no new column added.
         assert_eq!(result.meta.columns(), 3);
         assert_eq!(rows[0].path(2), vec![10, 2, 11]);
+    }
+
+    #[test]
+    fn a_closing_path_ends_at_its_bound_target_or_passes_it_only_homomorphically() {
+        let env = env();
+        // Input binds a=1 and b=2; 1 -e10-> 2 -e11-> 3 -e12-> 2.
+        let mut meta = EmbeddingMetaData::new();
+        meta.add_entry("a", EntryType::Vertex);
+        meta.add_entry("b", EntryType::Vertex);
+        let mut emb = EmbeddingWriter::new();
+        emb.push_id(1);
+        emb.push_id(2);
+        let input = EmbeddingSet {
+            data: env.from_collection(vec![emb.commit()]),
+            meta,
+        };
+        let candidates = env.from_collection(vec![(1u64, 10u64, 2u64), (2, 11, 3), (3, 12, 2)]);
+        let paths = |matching| {
+            let result =
+                expand_embeddings(input.clone(), candidates.clone(), &config(1, 5, matching));
+            assert_eq!(result.meta.columns(), 3);
+            let mut paths: Vec<Vec<u64>> =
+                result.data.collect().iter().map(|r| r.path(2)).collect();
+            paths.sort();
+            paths
+        };
+        // Under vertex isomorphism the bound target 2 cannot be an
+        // intermediate vertex, so only 1->2 closes.
+        assert_eq!(paths(MatchingConfig::isomorphism()), vec![vec![10]]);
+        // Under Cypher's default the path may pass through 2 and return.
+        assert_eq!(
+            paths(MatchingConfig::cypher_default()),
+            vec![vec![10], vec![10, 2, 11, 3, 12]]
+        );
+    }
+
+    #[test]
+    fn closing_on_the_source_admits_a_self_loop_under_isomorphism() {
+        let env = env();
+        // 1 -e10-> 1, 1 -e11-> 2 -e12-> 1; the expansion is (a)-[e*1..3]->(a).
+        let candidates = env.from_collection(vec![(1u64, 10u64, 1u64), (1, 11, 2), (2, 12, 1)]);
+        let paths = |matching| {
+            let mut config = config(1, 3, matching);
+            config.target_variable = "a".into();
+            let result = expand_embeddings(starts(&env, &[1]), candidates.clone(), &config);
+            assert_eq!(result.meta.columns(), 2);
+            let mut paths: Vec<Vec<u64>> =
+                result.data.collect().iter().map(|r| r.path(1)).collect();
+            paths.sort();
+            paths
+        };
+        assert_eq!(
+            paths(MatchingConfig::isomorphism()),
+            vec![vec![10], vec![11, 2, 12]]
+        );
+        assert_eq!(
+            paths(MatchingConfig::cypher_default()),
+            vec![
+                vec![10],
+                vec![10, 1, 11, 2, 12],
+                vec![11, 2, 12],
+                vec![11, 2, 12, 1, 10]
+            ]
+        );
     }
 
     #[test]

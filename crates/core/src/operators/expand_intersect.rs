@@ -124,7 +124,7 @@ pub fn expand_intersect<S: GraphSource + ?Sized>(
             // The closing edges and the new vertex are written in one pass
             // and committed only if the row passes the check.
             out.extend(Embedding::write(|embedding| {
-                embedding.extend(row, None, edge_ids.iter().copied().chain([w]));
+                embedding.extend(row, false, edge_ids.iter().copied().chain([w]));
                 check.check(embedding)
             }));
         },

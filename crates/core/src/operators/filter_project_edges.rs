@@ -11,7 +11,8 @@ use gradoop_cypher::QueryEdge;
 use gradoop_dataflow::{Dataset, Parts};
 use gradoop_epgm::Edge;
 
-use crate::embedding::{Embedding, EmbeddingMetaData, EntryType};
+use crate::embedding::{Embedding, EmbeddingMetaData, EmbeddingWriter, EntryType};
+use crate::matching::{MatchingConfig, MorphismCheck};
 use crate::operators::{observe_operator, EmbeddingSet};
 
 fn edge_matches(edge: &Edge, query_edge: &QueryEdge) -> bool {
@@ -31,20 +32,19 @@ fn edge_matches(edge: &Edge, query_edge: &QueryEdge) -> bool {
 /// candidate edges. `source_var` / `target_var` are the variables of the
 /// query edge's endpoints.
 ///
-/// The morphism semantics are enforced here for the one violation a single
-/// edge can already exhibit: under vertex isomorphism, a data loop cannot
-/// bind two *distinct* query vertices.
+/// The morphism check judges the one violation a single edge can already
+/// exhibit: under vertex isomorphism, a data loop cannot bind two *distinct*
+/// query vertices.
 pub fn filter_and_project_edges(
     candidates: &Parts<Edge>,
     query_edge: &QueryEdge,
     source_var: &str,
     target_var: &str,
-    matching: &crate::matching::MatchingConfig,
+    matching: &MatchingConfig,
 ) -> EmbeddingSet {
     let is_loop = source_var == target_var;
-    let reject_data_loops =
-        !is_loop && matching.vertices == crate::matching::MorphismType::Isomorphism;
     let meta = edge_leaf_meta(query_edge, source_var, target_var);
+    let check = MorphismCheck::new(&meta, matching);
 
     let qe = query_edge.clone();
     let undirected = query_edge.undirected;
@@ -53,8 +53,11 @@ pub fn filter_and_project_edges(
             return;
         }
         let (source, id, target) = (edge.source.0, edge.id.0, edge.target.0);
+        // Only a data loop can repeat an id within one edge's row.
         let mut emit = |ids: &[u64]| {
-            out.push(Embedding::leaf(ids, &edge.properties, &qe.required_keys));
+            let keys = &qe.required_keys;
+            let accept = |row: &EmbeddingWriter| source != target || check.check(row);
+            out.extend(Embedding::leaf(ids, &edge.properties, keys, accept));
         };
         if is_loop {
             // The query edge starts and ends at the same query vertex: only
@@ -62,9 +65,6 @@ pub fn filter_and_project_edges(
             if source == target {
                 emit(&[source, id]);
             }
-            return;
-        }
-        if reject_data_loops && source == target {
             return;
         }
         emit(&[source, id, target]);
@@ -180,6 +180,17 @@ mod tests {
         assert_eq!(result.meta.column("a"), Some(0));
         assert_eq!(result.meta.column("e"), Some(1));
         assert_eq!(result.meta.column("b"), Some(2));
+        // Under vertex isomorphism the data loop cannot bind both a and b.
+        let iso =
+            filter_and_project_edges(&edges(&env), &qe, &s, &t, &MatchingConfig::isomorphism());
+        assert_eq!(
+            iso.data
+                .collect()
+                .iter()
+                .map(|r| r.id(1))
+                .collect::<Vec<_>>(),
+            [10]
+        );
     }
 
     #[test]
@@ -217,6 +228,10 @@ mod tests {
         assert_eq!(rows[0].id(0), 2);
         assert_eq!(rows[0].id(1), 11);
         assert_eq!(result.meta.columns(), 2);
+        // A loop query edge binds one vertex, so isomorphism keeps the loop.
+        let iso =
+            filter_and_project_edges(&edges(&env), &qe, &s, &t, &MatchingConfig::isomorphism());
+        assert_eq!(iso.data.count(), 1);
     }
 
     #[test]

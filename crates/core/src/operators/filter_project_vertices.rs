@@ -43,7 +43,8 @@ pub fn filter_and_project_vertices(
             return;
         }
         // Project + Transform: one-column embedding with required values.
-        out.push(Embedding::leaf(&[vertex.id.0], &vertex.properties, &keys));
+        let (id, properties) = (vertex.id.0, &vertex.properties);
+        out.extend(Embedding::leaf(&[id], properties, &keys, |_| true));
     });
 
     let result = EmbeddingSet { data, meta };

@@ -150,7 +150,7 @@ proptest! {
             let value = properties.get(key).cloned().unwrap_or(PropertyValue::Null);
             pushed.push_property(&value);
         }
-        let leaf = Embedding::leaf(&ids, &properties, &keys);
+        let leaf = Embedding::leaf(&ids, &properties, &keys, |_| true).expect("an accepted leaf row");
         // `Embedding: Eq` compares the bytes and both section offsets.
         prop_assert_eq!(&leaf, &pushed.commit());
         prop_assert_eq!(leaf.property_count(), keys.len());

@@ -194,7 +194,13 @@ fn leaf_scan_allocates_per_chunk_of_emitted_rows_and_never_per_rejected_row() {
     // The first emitted row also settles this thread's scratch row and its
     // first chunk. One id column, "Alice", "Liddell" and 1984.
     const ROW_BYTES: usize = 9 + (4 + 1 + 4 + 5) + (4 + 1 + 4 + 7) + (4 + 9);
-    let first = Embedding::leaf(&[0], &person_properties(1984), &vertex.required_keys);
+    let first = Embedding::leaf(
+        &[0],
+        &person_properties(1984),
+        &vertex.required_keys,
+        |_| true,
+    )
+    .expect("an accepted leaf row");
     assert_eq!(first.bytes().len(), ROW_BYTES);
     assert_eq!(chunks_for(1, ROWS, ROW_BYTES), 3);
     assert_eq!(
@@ -325,7 +331,8 @@ fn decoding_a_row_allocates_the_row_and_one_string_per_string_cell() {
     assert_eq!(columns.names(), ["p", "p.firstName", "p.yob", "p.lastName"]);
     let properties =
         properties! {"firstName" => "Alice", "lastName" => "Liddell", "yob" => 1984i64};
-    let embedding = Embedding::leaf(&[7], &properties, keys);
+    let embedding =
+        Embedding::leaf(&[7], &properties, keys, |_| true).expect("an accepted leaf row");
 
     // Warm the offsets scratch so its capacity is settled.
     let mut offsets = Vec::new();

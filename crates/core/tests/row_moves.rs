@@ -19,8 +19,9 @@
 //!   layout per worker, and the replicated WCO index — lays its runs out in
 //!   one `Vec` under one key table: one key or thousands, it costs the same.
 //! * [`expand_embeddings`] writes the solution set once: a superstep costs
-//!   the same however many rows earlier supersteps found, and emitted rows
-//!   share chunks: no allocation per row.
+//!   the same however many rows earlier supersteps found, emitted rows
+//!   share chunks, and so do the paths a superstep grows: no allocation per
+//!   row or path.
 //!
 //! All stages run on a one-worker environment, so their tasks run inline on
 //! this thread and the per-thread counter (`counting/mod.rs`) sees them.
@@ -419,5 +420,39 @@ fn emitted_rows_share_chunks() {
     assert!(
         added < SLACK,
         "{rows} more emitted rows cost {added} more allocations"
+    );
+}
+
+#[test]
+fn a_superstep_grows_its_paths_in_chunks() {
+    let env = one_worker();
+    const STEPS: usize = 8;
+    // Warm-up, as above. `*8..8` emits only in the last superstep, so
+    // doubling the chains adds CHAINS paths to every superstep's frontier
+    // and nothing else.
+    expand_allocations(&env, 1, 1, 4);
+    const CHAINS: u64 = 64;
+    let hops = |chain_count: u64| expand_allocations(&env, chain_count, STEPS, STEPS);
+    let added = hops(2 * CHAINS) - hops(CHAINS);
+    // The extra frontier rows: CHAINS seeds and CHAINS rows of k edges per
+    // superstep k, each three entries, a count and 2k - 1 ids. They fill
+    // less than a chunk, so they may open two (an `Arc` and a buffer each);
+    // each superstep's shipped and output partitions may regrow once more,
+    // and the seed stage and the index's runs a few times. One allocation
+    // per grown path would add `paths` (the tuple state's `Vec`).
+    let paths = CHAINS * STEPS as u64;
+    let bytes = CHAINS as usize
+        * (0..=STEPS)
+            .map(|k| 3 * 9 + 4 + 8 * (2 * k).saturating_sub(1))
+            .sum::<usize>();
+    assert!(
+        bytes < CHUNK_BYTES,
+        "{paths} paths of {bytes} bytes fit in one chunk"
+    );
+    const BUDGET: u64 = 2 * 2 + 2 * STEPS as u64 + 8;
+    assert!(paths > 4 * BUDGET);
+    assert!(
+        added <= BUDGET,
+        "{paths} more grown paths cost {added} more allocations"
     );
 }
